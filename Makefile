@@ -9,7 +9,7 @@
 GO ?= go
 RACE_PKGS := ./internal/data ./internal/metrics ./internal/trace ./internal/par ./internal/sim/shard ./internal/netsim ./internal/experiments ./internal/workload ./internal/cluster ./internal/hdfs ./internal/faults ./internal/faults/chaostest
 
-.PHONY: tier1 fmt vet build lint lint-self lint-audit lint-fix-list lint-report test race bench bench-smoke bench-gate chaos-smoke scale-smoke migrate-smoke
+.PHONY: tier1 fmt vet build lint lint-self lint-audit lint-fix-list lint-report test race bench-smoke chaos-smoke scale-smoke migrate-smoke
 
 tier1: fmt vet build lint test race
 
@@ -65,18 +65,6 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# bench runs the performance suite (event-engine microbenchmarks, the
-# Figures 11/12 grid serial and parallel, and the sharded-engine grid) and
-# writes the next numbered BENCH_<n>.json so the perf trajectory accumulates
-# across PRs. The snapshot is also copied to bench-snapshot.json — a stable
-# name for the CI artifact upload.
-bench:
-	$(GO) build -o bin/vread-bench ./cmd/vread-bench
-	@n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
-		./bin/vread-bench -bench BENCH_$$n.json; \
-		cp BENCH_$$n.json bench-snapshot.json; \
-		echo "wrote BENCH_$$n.json"; cat BENCH_$$n.json
-
 # chaos-smoke runs the deterministic fault-injection suite: the seed × plan
 # smoke matrix, the hostile-guest profile (forged descriptors, stale keys,
 # doorbell storms, held slots — per-VM isolation checked at shard counts 1
@@ -88,22 +76,18 @@ bench:
 chaos-smoke:
 	CHAOS_REPORT=chaos-failures.json $(GO) test ./internal/faults/chaostest/ -count=1 -run 'TestChaos' -v
 
-# bench-smoke is the abbreviated CI variant: same suite at a quarter of the
-# scale, written to a fixed name for artifact upload.
-bench-smoke:
-	$(GO) build -o bin/vread-bench ./cmd/vread-bench
-	./bin/vread-bench -bench bench-smoke.json -bench-short
-	@cat bench-smoke.json
+# bench-smoke checks the benchmark of record (bench/, see bench/README.md):
+# the bench module's vet and tests, then one zero-second run of every
+# BENCHMARK.json workload. Each run is a warm-up pass plus 3 timed passes, and
+# every pass is checked against bench/expected, so any drift in a simulated
+# row fails the target.
+BENCH_WORKLOADS := dfsio-read-vanilla dfsio-read-vread dfsio-write scale-storm
 
-# bench-gate runs the abbreviated suite and fails on engine regressions
-# against the newest committed BENCH_<n>.json: any allocs_per_op increase, or
-# ns_per_op beyond the gate's threshold. Engine ns/op is per-operation and so
-# comparable across scales; experiment wall clock is not and is not gated.
-bench-gate:
-	$(GO) build -o bin/vread-bench ./cmd/vread-bench
-	$(GO) build -o bin/bench-gate ./cmd/bench-gate
-	./bin/vread-bench -bench bench-gate.json -bench-short
-	./bin/bench-gate -candidate bench-gate.json
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+	@for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 0 || exit 1; done
 
 # scale-smoke drives the datacenter-scale scenario (federated namespace over
 # a 1000-host multi-domain topology, open-loop storm, mid-storm rack kill)

@@ -15,6 +15,9 @@ import (
 	"os"
 	"strconv"
 	"testing"
+
+	"vread/internal/experiments"
+	"vread/internal/faults"
 )
 
 func benchOpts() Options {
@@ -250,6 +253,37 @@ func BenchmarkAblationShortCircuit(b *testing.B) { benchAblation(b, RunAblationS
 // BenchmarkAblationSRIOV reproduces §6's modern-hardware interplay:
 // SR-IOV helps the wire, vRead removes the datanode VM, and they compose.
 func BenchmarkAblationSRIOV(b *testing.B) { benchAblation(b, RunAblationSRIOV) }
+
+// BenchmarkFaultOverhead measures what an armed-but-silent fault plan costs
+// (DESIGN.md §9): one co-located vRead DFSIO point with no plan, then with
+// every faultpoint armed at probability zero, so each injection site is
+// evaluated on the hot path but never fires. Both sub-benchmarks simulate
+// the same events; their ns/op should agree within noise.
+func BenchmarkFaultOverhead(b *testing.B) {
+	var silent faults.Spec
+	for _, pt := range faults.Points() {
+		silent = append(silent, faults.Rule{Point: pt, Prob: 0})
+	}
+	for _, bc := range []struct {
+		name string
+		spec faults.Spec
+	}{
+		{"off", nil},
+		{"armed-never-fire", silent},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			stats := &experiments.RunStats{}
+			opt := benchOpts()
+			opt.VRead, opt.Faults, opt.Stats = true, bc.spec, stats
+			for i := 0; i < b.N; i++ {
+				if _, err := RunDFSIOPoint(opt, Colocated, 2, 0, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(stats.Events())/float64(b.N), "events/op")
+		})
+	}
+}
 
 func benchAblation(b *testing.B, run func(Options) ([]AblationRow, error)) {
 	b.Helper()

@@ -6,7 +6,6 @@
 //	vread-bench -exp fig2|fig3|fig6|fig7|fig8|fig9|fig11|fig12|fig13|table2|table3|ablations|faults|migrate|all
 //	            [-scale 0.05] [-seed 1] [-transport rdma|tcp] [-parallel 0]
 //	            [-trace out.json] [-trace-every 1]
-//	vread-bench -bench BENCH.json [-bench-scale 0.02] [-bench-short]
 //
 // Scale 1.0 runs paper-sized datasets (5 GB TestDFSIO, 5 M HBase rows,
 // 30 M Hive rows); the default 0.05 keeps everything under a few minutes.
@@ -18,9 +17,8 @@
 // flags give byte-identical files, including under -parallel (independent
 // grid cells fan out across CPUs but results are collected by cell index).
 //
-// -bench switches to the performance suite: event-engine microbenchmarks
-// plus the Figures 11/12 grid serial vs parallel, written as one JSON
-// report (`make bench` numbers them BENCH_<n>.json).
+// The simulator's own performance is measured by the benchmark in bench/
+// (bash bench/run.sh), not by this command.
 package main
 
 import (
@@ -47,14 +45,7 @@ func run() error {
 	traceFile := flag.String("trace", "", "write request traces as Chrome trace_event JSON to this file (plus <file>.stages.csv)")
 	traceEvery := flag.Int("trace-every", 1, "with -trace, sample every Nth request")
 	parallel := flag.Int("parallel", 0, "experiment cells to run concurrently (0 = one per CPU, 1 = serial); results are byte-identical either way")
-	benchOut := flag.String("bench", "", "run the performance benchmark suite and write its JSON report to this file (ignores -exp)")
-	benchScale := flag.Float64("bench-scale", 0.02, "dataset scale for the -bench experiment measurements")
-	benchShort := flag.Bool("bench-short", false, "with -bench, run the abbreviated CI smoke suite")
 	flag.Parse()
-
-	if *benchOut != "" {
-		return runBenchSuite(*benchOut, *benchScale, *benchShort)
-	}
 
 	opt := vread.Options{Seed: *seed, Scale: *scale, Parallel: *parallel}
 	var col *vread.TraceCollector

@@ -55,27 +55,17 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		var sc vread.ScaleConfig
-		var scaleOut bool
-		opt, sc, scaleOut, err = vread.ParseScaleOptions(raw)
+		var sc *vread.ScaleConfig
+		var mc *vread.MigrationConfig
+		opt, place, sc, mc, err = vread.ParseOptions(raw)
 		if err != nil {
 			return fmt.Errorf("config %s: %w", *configPath, err)
 		}
-		if scaleOut {
-			return runScale(opt, sc, *sloPath)
+		if sc != nil {
+			return runScale(opt, *sc, *sloPath)
 		}
-		var mc vread.MigrationConfig
-		var migrate bool
-		opt, mc, migrate, err = vread.ParseMigrateOptions(raw)
-		if err != nil {
-			return fmt.Errorf("config %s: %w", *configPath, err)
-		}
-		if migrate {
-			return runMigrate(opt, mc, *blackoutPath)
-		}
-		_, place, err = vread.ParseOptions(raw)
-		if err != nil {
-			return fmt.Errorf("config %s: %w", *configPath, err)
+		if mc != nil {
+			return runMigrate(opt, *mc, *blackoutPath)
 		}
 		*useVRead = opt.VRead
 	} else {

@@ -74,74 +74,17 @@ type MigrateJSON struct {
 	TriggerAfterUS int `json:"trigger_after_us,omitempty"`
 }
 
-// ParseMigrateOptions decodes a scenario file and reports whether it selects
-// the migration sweep ("migrate" present).
-func ParseMigrateOptions(raw []byte) (Options, MigrationConfig, bool, error) {
-	opt, _, err := ParseOptions(raw)
-	if err != nil {
-		return Options{}, MigrationConfig{}, false, err
-	}
-	var j OptionsJSON
-	if err := json.Unmarshal(raw, &j); err != nil {
-		return Options{}, MigrationConfig{}, false, err
-	}
-	if j.Migrate == nil {
-		return opt, MigrationConfig{}, false, nil
-	}
-	m := j.Migrate
-	mc := MigrationConfig{
-		Seed:           j.Seed,
-		Depths:         m.Depths,
-		ReadsPerStream: m.ReadsPerStream,
-		ReadSize:       int64(m.ReadKB) << 10,
-		FileSize:       int64(m.FileKB) << 10,
-		TriggerAfter:   time.Duration(m.TriggerAfterUS) * time.Microsecond,
-	}
-	return opt, mc, true, nil
-}
-
-// ParseScaleOptions decodes a scenario file and reports whether it selects
-// the scale-out path ("scale_out" present). Options.Shards/Replication apply
-// to both paths.
-func ParseScaleOptions(raw []byte) (Options, ScaleConfig, bool, error) {
-	opt, _, err := ParseOptions(raw)
-	if err != nil {
-		return Options{}, ScaleConfig{}, false, err
-	}
-	var j OptionsJSON
-	if err := json.Unmarshal(raw, &j); err != nil {
-		return Options{}, ScaleConfig{}, false, err
-	}
-	if j.ScaleOut == nil {
-		return opt, ScaleConfig{}, false, nil
-	}
-	s := j.ScaleOut
-	sc := ScaleConfig{
-		Domains:        s.Domains,
-		RacksPerDomain: s.RacksPerDomain,
-		HostsPerRack:   s.HostsPerRack,
-		Shards:         j.Shards,
-		Replication:    j.Replication,
-		Datanodes:      s.Datanodes,
-		Clients:        s.Clients,
-		Files:          s.Files,
-		FileSize:       int64(s.FileKB) << 10,
-		QPSLevels:      s.QPS,
-		Reads:          s.Reads,
-		KillRack:       s.KillRack,
-	}
-	return opt, sc, true, nil
-}
-
 // ParseOptions decodes a scenario file into Options plus the placement
 // scenario (defaulting to co-located). Unknown fields are rejected so typos
-// fail loudly.
-func ParseOptions(raw []byte) (Options, Scenario, error) {
+// fail loudly. The scale-out config is non-nil when "scale_out" is present
+// and the migration config when "migrate" is; Options.Shards/Replication
+// apply to every path.
+func ParseOptions(raw []byte) (Options, Scenario, *ScaleConfig, *MigrationConfig, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var j OptionsJSON
 	if err := dec.Decode(&j); err != nil {
-		return Options{}, Colocated, fmt.Errorf("experiments: bad scenario config: %w", err)
+		return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: bad scenario config: %w", err)
 	}
 	opt := Options{
 		Seed:             j.Seed,
@@ -163,12 +106,12 @@ func ParseOptions(raw []byte) (Options, Scenario, error) {
 	case "tcp":
 		opt.Transport = core.TransportTCP
 	default:
-		return Options{}, Colocated, fmt.Errorf("experiments: unknown transport %q", j.Transport)
+		return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: unknown transport %q", j.Transport)
 	}
 	if j.Faults != "" {
 		spec, err := faults.ParseSpec(j.Faults)
 		if err != nil {
-			return Options{}, Colocated, fmt.Errorf("experiments: %w", err)
+			return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: %w", err)
 		}
 		opt.Faults = spec
 	}
@@ -181,7 +124,35 @@ func ParseOptions(raw []byte) (Options, Scenario, error) {
 	case "hybrid":
 		scenario = Hybrid
 	default:
-		return Options{}, Colocated, fmt.Errorf("experiments: unknown scenario %q", j.Scenario)
+		return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: unknown scenario %q", j.Scenario)
 	}
-	return opt, scenario, nil
+	var sc *ScaleConfig
+	if s := j.ScaleOut; s != nil {
+		sc = &ScaleConfig{
+			Domains:        s.Domains,
+			RacksPerDomain: s.RacksPerDomain,
+			HostsPerRack:   s.HostsPerRack,
+			Shards:         j.Shards,
+			Replication:    j.Replication,
+			Datanodes:      s.Datanodes,
+			Clients:        s.Clients,
+			Files:          s.Files,
+			FileSize:       int64(s.FileKB) << 10,
+			QPSLevels:      s.QPS,
+			Reads:          s.Reads,
+			KillRack:       s.KillRack,
+		}
+	}
+	var mc *MigrationConfig
+	if m := j.Migrate; m != nil {
+		mc = &MigrationConfig{
+			Seed:           j.Seed,
+			Depths:         m.Depths,
+			ReadsPerStream: m.ReadsPerStream,
+			ReadSize:       int64(m.ReadKB) << 10,
+			FileSize:       int64(m.FileKB) << 10,
+			TriggerAfter:   time.Duration(m.TriggerAfterUS) * time.Microsecond,
+		}
+	}
+	return opt, scenario, sc, mc, nil
 }

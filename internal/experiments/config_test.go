@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"vread/internal/core"
 )
@@ -19,7 +20,7 @@ func TestParseOptionsFull(t *testing.T) {
 		"block_size_mb": 32,
 		"scenario": "hybrid"
 	}`)
-	opt, scenario, err := ParseOptions(raw)
+	opt, scenario, sc, mc, err := ParseOptions(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,15 +36,18 @@ func TestParseOptionsFull(t *testing.T) {
 	if scenario != Hybrid {
 		t.Fatalf("scenario = %v", scenario)
 	}
+	if sc != nil || mc != nil {
+		t.Fatalf("figure-testbed scenario selected scale-out %+v or migration %+v", sc, mc)
+	}
 }
 
 func TestParseOptionsDefaults(t *testing.T) {
-	opt, scenario, err := ParseOptions([]byte(`{}`))
+	opt, scenario, sc, mc, err := ParseOptions([]byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Transport != core.TransportRDMA || scenario != Colocated {
-		t.Fatalf("defaults wrong: %+v %v", opt, scenario)
+	if opt.Transport != core.TransportRDMA || scenario != Colocated || sc != nil || mc != nil {
+		t.Fatalf("defaults wrong: %+v %v %+v %+v", opt, scenario, sc, mc)
 	}
 	// The zero values defer to Options.withDefaults downstream.
 	o := opt.withDefaults()
@@ -53,17 +57,17 @@ func TestParseOptionsDefaults(t *testing.T) {
 }
 
 func TestParseOptionsRejectsUnknownFields(t *testing.T) {
-	_, _, err := ParseOptions([]byte(`{"sead": 9}`))
+	_, _, _, _, err := ParseOptions([]byte(`{"sead": 9}`))
 	if err == nil || !strings.Contains(err.Error(), "sead") {
 		t.Fatalf("typo not rejected: %v", err)
 	}
 }
 
 func TestParseOptionsRejectsBadEnums(t *testing.T) {
-	if _, _, err := ParseOptions([]byte(`{"transport": "carrier-pigeon"}`)); err == nil {
+	if _, _, _, _, err := ParseOptions([]byte(`{"transport": "carrier-pigeon"}`)); err == nil {
 		t.Fatal("bad transport accepted")
 	}
-	if _, _, err := ParseOptions([]byte(`{"scenario": "somewhere"}`)); err == nil {
+	if _, _, _, _, err := ParseOptions([]byte(`{"scenario": "somewhere"}`)); err == nil {
 		t.Fatal("bad scenario accepted")
 	}
 }
@@ -77,7 +81,7 @@ func TestParseOptionsMalformedJSON(t *testing.T) {
 		`[1, 2, 3]`,         // wrong shape
 		`{"freq_ghz": 2.0,`, // unterminated object
 	} {
-		_, _, err := ParseOptions([]byte(raw))
+		_, _, _, _, err := ParseOptions([]byte(raw))
 		if err == nil {
 			t.Errorf("ParseOptions(%q) accepted malformed input", raw)
 			continue
@@ -88,6 +92,9 @@ func TestParseOptionsMalformedJSON(t *testing.T) {
 	}
 }
 
+// TestParseScaleOptions covers ParseOptions' scale-out path: a "scale_out"
+// block yields a ScaleConfig that also carries the shared shards and
+// replication keys.
 func TestParseScaleOptions(t *testing.T) {
 	raw := []byte(`{
 		"seed": 3,
@@ -107,12 +114,15 @@ func TestParseScaleOptions(t *testing.T) {
 			"kill_rack": "d0r0"
 		}
 	}`)
-	opt, sc, scaleOut, err := ParseScaleOptions(raw)
+	opt, _, sc, mc, err := ParseOptions(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !scaleOut {
+	if sc == nil {
 		t.Fatal("scale_out block not detected")
+	}
+	if mc != nil {
+		t.Fatalf("migration detected in a scale-out scenario: %+v", mc)
 	}
 	if opt.Seed != 3 || opt.Shards != 4 || opt.Replication != 3 || opt.Faults == nil {
 		t.Fatalf("opt = %+v", opt)
@@ -132,18 +142,51 @@ func TestParseScaleOptions(t *testing.T) {
 }
 
 func TestParseScaleOptionsAbsent(t *testing.T) {
-	_, _, scaleOut, err := ParseScaleOptions([]byte(`{"seed": 2, "vread": true}`))
+	_, _, sc, _, err := ParseOptions([]byte(`{"seed": 2, "vread": true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scaleOut {
+	if sc != nil {
 		t.Fatal("scale_out detected in a figure-testbed scenario")
 	}
 }
 
 func TestParseScaleOptionsRejectsTypos(t *testing.T) {
-	_, _, _, err := ParseScaleOptions([]byte(`{"scale_out": {"domains": 2}, "sead": 1}`))
+	_, _, _, _, err := ParseOptions([]byte(`{"scale_out": {"domains": 2}, "sead": 1}`))
 	if err == nil || !strings.Contains(err.Error(), "sead") {
 		t.Fatalf("typo not rejected: %v", err)
+	}
+}
+
+// TestParseMigrateOptions covers ParseOptions' migration path: a "migrate"
+// block yields a MigrationConfig seeded from the top-level seed, with
+// kilobyte and microsecond keys converted to bytes and durations.
+func TestParseMigrateOptions(t *testing.T) {
+	raw := []byte(`{
+		"seed": 4,
+		"vread": true,
+		"migrate": {
+			"depths": [1, 2],
+			"reads_per_stream": 6,
+			"read_kb": 64,
+			"file_kb": 512,
+			"trigger_after_us": 300
+		}
+	}`)
+	opt, _, sc, mc, err := ParseOptions(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc == nil || sc != nil {
+		t.Fatalf("migrate block not selected: scale-out %+v, migration %+v", sc, mc)
+	}
+	if !opt.VRead || mc.Seed != 4 || len(mc.Depths) != 2 || mc.Depths[1] != 2 || mc.ReadsPerStream != 6 {
+		t.Fatalf("opt = %+v, mc = %+v", opt, mc)
+	}
+	if mc.ReadSize != 64<<10 || mc.FileSize != 512<<10 || mc.TriggerAfter != 300*time.Microsecond {
+		t.Fatalf("mc = %+v", mc)
+	}
+	if _, _, _, _, err := ParseOptions([]byte(`{"migrate": {"depth": [1]}}`)); err == nil || !strings.Contains(err.Error(), "depth") {
+		t.Fatalf("typo inside migrate not rejected: %v", err)
 	}
 }

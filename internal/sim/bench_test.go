@@ -5,8 +5,9 @@ import (
 	"time"
 )
 
-// The in-package twins of the vread-bench engine rows, here so the hot path
-// can be profiled with -cpuprofile without going through the facade binary.
+// Engine microbenchmarks, in-package so the hot path can be profiled with
+// -cpuprofile. The benchmark of record (bench/run.sh) carries the traced
+// sim.schedule_fire_ns and sim.proc_sleep_ns rows.
 
 func BenchmarkScheduleFire(b *testing.B) {
 	const batch = 1024

@@ -5,28 +5,46 @@ import (
 	"time"
 )
 
-// TestScheduleZeroAlloc asserts the pooled event path: once the free list
-// and heap capacity have warmed up, a Schedule/fire cycle performs zero heap
-// allocations. This is the engine fast-path contract the BENCH_*.json
-// trajectory tracks.
+// TestScheduleZeroAlloc asserts the pooled event path in every lane an event
+// can ride: once the free list, the heap's capacity and the bucket slices
+// have warmed up, a Schedule/fire cycle performs zero heap allocations —
+// whether the event sits on the heap (inside the next tick), in an L0 bucket,
+// or in an L1 bucket that cascades through L0 before it fires. This is the
+// engine fast-path contract hotalloc enforces statically.
 func TestScheduleZeroAlloc(t *testing.T) {
-	env := NewEnv(1)
-	fn := func() {}
-	// Warm the free list and the heap's capacity.
-	for i := 0; i < 256; i++ {
-		env.Schedule(time.Duration(i)*time.Microsecond, fn)
-	}
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		env.Schedule(time.Microsecond, fn)
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Schedule/fire cycle allocates %v objects at steady state, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		delay time.Duration
+		lane  uint8
+	}{
+		{"heap", time.Microsecond, laneHeap},
+		{"L0", 100 * time.Microsecond, laneL0},
+		{"L1", 5 * time.Millisecond, laneL1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := NewEnv(1)
+			fn := func() {}
+			cycle := func() {
+				env.Schedule(tc.delay, fn)
+				if err := env.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm the free list, the heap, and every bucket slot the
+			// advancing clock walks the cycle through.
+			for i := 0; i < 1024; i++ {
+				cycle()
+			}
+			if tm := env.Schedule(tc.delay, fn); tm.ev.lane != tc.lane {
+				t.Fatalf("a %v delay landed in lane %d, want %d", tc.delay, tm.ev.lane, tc.lane)
+			}
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+				t.Fatalf("Schedule/fire cycle allocates %v objects at steady state, want 0", allocs)
+			}
+		})
 	}
 }
 
