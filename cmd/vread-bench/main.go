@@ -63,73 +63,6 @@ func run() error {
 		return fmt.Errorf("unknown transport %q", *transport)
 	}
 
-	csvOut := *format == "csv"
-	runners := map[string]func(vread.Options) (string, error){
-		"fig2": func(o vread.Options) (string, error) {
-			rows, err := vread.RunFig2(o)
-			if csvOut {
-				return vread.CSVFig2(rows), err
-			}
-			return vread.FormatFig2(rows), err
-		},
-		"fig3": func(o vread.Options) (string, error) {
-			rows, err := vread.RunFig3(o)
-			if csvOut {
-				return vread.CSVFig3(rows), err
-			}
-			return vread.FormatFig3(rows), err
-		},
-		"fig6": breakdownRunner("Figure 6 (co-located)", vread.RunFig6, csvOut),
-		"fig7": breakdownRunner("Figure 7 (remote, RDMA)", vread.RunFig7, csvOut),
-		"fig8": breakdownRunner("Figure 8 (remote, TCP)", vread.RunFig8, csvOut),
-		"fig9": func(o vread.Options) (string, error) {
-			rows, err := vread.RunFig9(o)
-			if csvOut {
-				return vread.CSVFig9(rows), err
-			}
-			return vread.FormatFig9(rows), err
-		},
-		"fig11": dfsioRunner(csvOut),
-		"fig12": dfsioRunner(csvOut),
-		"fig13": func(o vread.Options) (string, error) {
-			rows, err := vread.RunFig13(o)
-			if csvOut {
-				return vread.CSVFig13(rows), err
-			}
-			return vread.FormatFig13(rows), err
-		},
-		"table2": func(o vread.Options) (string, error) {
-			rows, err := vread.RunTable2(o)
-			if csvOut {
-				return vread.CSVTable2(rows), err
-			}
-			return vread.FormatTable2(rows), err
-		},
-		"table3": func(o vread.Options) (string, error) {
-			rows, err := vread.RunTable3(o)
-			if csvOut {
-				return vread.CSVTable3(rows), err
-			}
-			return vread.FormatTable3(rows), err
-		},
-		"ablations": ablationRunner(csvOut),
-		"migrate": func(o vread.Options) (string, error) {
-			rows, err := vread.RunMigrationSweep(o, vread.MigrationConfig{Seed: o.Seed})
-			if csvOut {
-				return vread.CSVMigration(rows), err
-			}
-			return vread.FormatMigration(rows), err
-		},
-		"faults": func(o vread.Options) (string, error) {
-			rows, err := vread.RunFaultSweep(o)
-			if csvOut {
-				return vread.CSVAblations(rows), err
-			}
-			return vread.FormatAblations(rows), err
-		},
-	}
-
-	order := []string{"fig2", "fig3", "fig6", "fig7", "fig8", "fig9", "fig11", "fig13", "table2", "table3", "ablations", "faults", "migrate"}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = order
@@ -137,15 +70,11 @@ func run() error {
 		ids = []string{"fig11"} // figures 11 and 12 come from the same runs
 	}
 	for _, id := range ids {
-		fn, ok := runners[id]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (try: %v, all)", id, order)
-		}
-		out, err := fn(opt)
+		out, err := render(id, opt, *format == "csv")
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return err
 		}
-		fmt.Printf("=== %s (scale %.3g, seed %d) ===\n%s\n", id, opt.Scale, opt.Seed, out)
+		fmt.Print(out)
 	}
 	if col != nil {
 		if err := writeTraces(*traceFile, col); err != nil {
@@ -154,6 +83,90 @@ func run() error {
 		fmt.Printf("wrote %d traces to %s (+ %s.stages.csv)\n", len(col.Traces), *traceFile, *traceFile)
 	}
 	return nil
+}
+
+// order is the -exp all sequence. fig12 has no entry of its own: figures 11
+// and 12 come from the same runs, so -exp fig12 renders fig11.
+var order = []string{"fig2", "fig3", "fig6", "fig7", "fig8", "fig9", "fig11", "fig13", "table2", "table3", "ablations", "faults", "migrate"}
+
+// runners maps an experiment id to a function that runs it and renders its
+// rows as a table, or as CSV when csvOut is set.
+var runners = map[string]func(o vread.Options, csvOut bool) (string, error){
+	"fig2": func(o vread.Options, csvOut bool) (string, error) {
+		rows, err := vread.RunFig2(o)
+		if csvOut {
+			return vread.CSVFig2(rows), err
+		}
+		return vread.FormatFig2(rows), err
+	},
+	"fig3": func(o vread.Options, csvOut bool) (string, error) {
+		rows, err := vread.RunFig3(o)
+		if csvOut {
+			return vread.CSVFig3(rows), err
+		}
+		return vread.FormatFig3(rows), err
+	},
+	"fig6": breakdownRunner("Figure 6 (co-located)", vread.RunFig6),
+	"fig7": breakdownRunner("Figure 7 (remote, RDMA)", vread.RunFig7),
+	"fig8": breakdownRunner("Figure 8 (remote, TCP)", vread.RunFig8),
+	"fig9": func(o vread.Options, csvOut bool) (string, error) {
+		rows, err := vread.RunFig9(o)
+		if csvOut {
+			return vread.CSVFig9(rows), err
+		}
+		return vread.FormatFig9(rows), err
+	},
+	"fig11": dfsioRunner,
+	"fig13": func(o vread.Options, csvOut bool) (string, error) {
+		rows, err := vread.RunFig13(o)
+		if csvOut {
+			return vread.CSVFig13(rows), err
+		}
+		return vread.FormatFig13(rows), err
+	},
+	"table2": func(o vread.Options, csvOut bool) (string, error) {
+		rows, err := vread.RunTable2(o)
+		if csvOut {
+			return vread.CSVTable2(rows), err
+		}
+		return vread.FormatTable2(rows), err
+	},
+	"table3": func(o vread.Options, csvOut bool) (string, error) {
+		rows, err := vread.RunTable3(o)
+		if csvOut {
+			return vread.CSVTable3(rows), err
+		}
+		return vread.FormatTable3(rows), err
+	},
+	"ablations": ablationRunner,
+	"migrate": func(o vread.Options, csvOut bool) (string, error) {
+		rows, err := vread.RunMigrationSweep(o, vread.MigrationConfig{Seed: o.Seed})
+		if csvOut {
+			return vread.CSVMigration(rows), err
+		}
+		return vread.FormatMigration(rows), err
+	},
+	"faults": func(o vread.Options, csvOut bool) (string, error) {
+		rows, err := vread.RunFaultSweep(o)
+		if csvOut {
+			return vread.CSVAblations(rows), err
+		}
+		return vread.FormatAblations(rows), err
+	},
+}
+
+// render runs experiment id and returns its block exactly as vread-bench
+// prints it: a header line naming the id, scale and seed, then the rows.
+func render(id string, opt vread.Options, csvOut bool) (string, error) {
+	fn, ok := runners[id]
+	if !ok {
+		return "", fmt.Errorf("unknown experiment %q (try: %v, all)", id, order)
+	}
+	out, err := fn(opt, csvOut)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", id, err)
+	}
+	return fmt.Sprintf("=== %s (scale %.3g, seed %d) ===\n%s\n", id, opt.Scale, opt.Seed, out), nil
 }
 
 // writeTraces dumps the collected traces as Chrome trace_event JSON plus the
@@ -181,8 +194,8 @@ func writeTraces(path string, col *vread.TraceCollector) error {
 	return sf.Close()
 }
 
-func breakdownRunner(title string, run func(vread.Options) ([]vread.BreakdownRow, error), csvOut bool) func(vread.Options) (string, error) {
-	return func(o vread.Options) (string, error) {
+func breakdownRunner(title string, run func(vread.Options) ([]vread.BreakdownRow, error)) func(vread.Options, bool) (string, error) {
+	return func(o vread.Options, csvOut bool) (string, error) {
 		rows, err := run(o)
 		if csvOut {
 			return vread.CSVBreakdowns(rows), err
@@ -191,35 +204,31 @@ func breakdownRunner(title string, run func(vread.Options) ([]vread.BreakdownRow
 	}
 }
 
-func dfsioRunner(csvOut bool) func(vread.Options) (string, error) {
-	return func(o vread.Options) (string, error) {
-		rows, err := vread.RunFig11and12(o)
-		if csvOut {
-			return vread.CSVDFSIO(rows), err
-		}
-		return vread.FormatDFSIO(rows), err
+func dfsioRunner(o vread.Options, csvOut bool) (string, error) {
+	rows, err := vread.RunFig11and12(o)
+	if csvOut {
+		return vread.CSVDFSIO(rows), err
 	}
+	return vread.FormatDFSIO(rows), err
 }
 
-func ablationRunner(csvOut bool) func(vread.Options) (string, error) {
-	return func(o vread.Options) (string, error) {
-		var all []vread.AblationRow
-		for _, fn := range []func(vread.Options) ([]vread.AblationRow, error){
-			vread.RunAblationRingSlots,
-			vread.RunAblationDirectRead,
-			vread.RunAblationTransport,
-			vread.RunAblationShortCircuit,
-			vread.RunAblationSRIOV,
-		} {
-			rows, err := fn(o)
-			if err != nil {
-				return "", err
-			}
-			all = append(all, rows...)
+func ablationRunner(o vread.Options, csvOut bool) (string, error) {
+	var all []vread.AblationRow
+	for _, fn := range []func(vread.Options) ([]vread.AblationRow, error){
+		vread.RunAblationRingSlots,
+		vread.RunAblationDirectRead,
+		vread.RunAblationTransport,
+		vread.RunAblationShortCircuit,
+		vread.RunAblationSRIOV,
+	} {
+		rows, err := fn(o)
+		if err != nil {
+			return "", err
 		}
-		if csvOut {
-			return vread.CSVAblations(all), nil
-		}
-		return vread.FormatAblations(all), nil
+		all = append(all, rows...)
 	}
+	if csvOut {
+		return vread.CSVAblations(all), nil
+	}
+	return vread.FormatAblations(all), nil
 }
