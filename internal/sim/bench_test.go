@@ -52,7 +52,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
-func BenchmarkTimerWheel(b *testing.B) {
+func BenchmarkScheduleSpread(b *testing.B) {
 	const batch = 1024
 	fn := func() {}
 	env := NewEnv(1)

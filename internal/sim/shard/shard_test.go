@@ -34,7 +34,7 @@ func ringRun(t *testing.T, n, k int, horizon time.Duration) string {
 		lp := lps[i]
 		env := lp.Env()
 		// Local churn: a self-rearming timer with jitter from the LP's RNG,
-		// exercising wheel and heap lanes inside each window.
+		// interleaving local events with the cross-LP token traffic.
 		var tick func()
 		tick = func() {
 			logs[i] = append(logs[i], fmt.Sprintf("tick %d @%v", i, env.Now()))

@@ -3,8 +3,9 @@
 //
 // The engine combines two classic ideas:
 //
-//   - a virtual clock driven by a binary-heap event queue (ties broken by a
-//     monotonically increasing sequence number, so runs are bit-reproducible);
+//   - a virtual clock driven by a 4-ary min-heap event queue (ties broken by
+//     a monotonically increasing sequence number, so runs are
+//     bit-reproducible);
 //   - coroutine-style processes: each Proc is a goroutine, but at most one
 //     goroutine — either the engine loop or exactly one Proc — executes at a
 //     time, with explicit channel handoff. Processes therefore read like
@@ -27,7 +28,6 @@ import (
 type Env struct {
 	now     time.Duration
 	events  eventHeap
-	wheel   wheel    // short/mid-delay timers; heap keeps the two tails
 	free    []*event // recycled events; Schedule pops here before allocating
 	live    int      // scheduled events that are neither fired nor cancelled
 	ncancel int      // cancelled events still occupying heap slots
@@ -90,10 +90,7 @@ func (e *Env) Schedule(after time.Duration, fn func()) Timer {
 	ev.at = e.now + after
 	ev.seq = e.nextSeq()
 	ev.fn = fn
-	if !e.scheduleWheel(ev) {
-		ev.lane = laneHeap
-		e.events.push(ev)
-	}
+	e.events.push(ev)
 	e.live++
 	return Timer{env: e, ev: ev, gen: ev.gen}
 }
@@ -158,19 +155,21 @@ func (e *Env) RunFor(d time.Duration) error { return e.RunUntil(e.now + d) }
 func (e *Env) run(deadline time.Duration) error {
 	e.stopped = false
 	for !e.stopped {
-		ev, ok := e.popNext(int64(deadline))
-		if !ok {
-			if e.queueEmpty() && e.idleHook != nil {
+		if len(e.events) == 0 {
+			if e.idleHook != nil {
 				e.idleHook()
-				if !e.queueEmpty() {
+				if len(e.events) > 0 {
 					continue
 				}
 			}
 			break
 		}
+		ev := e.events[0]
+		if deadline >= 0 && ev.at > deadline {
+			break
+		}
+		e.events.pop()
 		if ev.canceled {
-			// Cancelled events surface here only from the heap lane (wheel
-			// tombstones are recycled inside popNext).
 			e.ncancel--
 			e.recycle(ev)
 			continue
@@ -194,6 +193,23 @@ func (e *Env) run(deadline time.Duration) error {
 		}
 	}
 	return nil
+}
+
+// NextAt returns the timestamp of the next pending event, clamped to the
+// clock, and whether any event is pending at all. The bound is exact when
+// the heap top is live; when it is a cancelled tombstone the bound is still
+// a conservative lower bound, which is all the shard coordinator needs to
+// size an epoch window. No pending event precedes the clock, so the clamp
+// only backs the coordinator's rule that an epoch never opens in the past.
+func (e *Env) NextAt() (int64, bool) {
+	if len(e.events) == 0 {
+		return -1, false
+	}
+	at := e.events[0].at
+	if at < e.now {
+		at = e.now
+	}
+	return int64(at), true
 }
 
 // compact filters cancelled events out of the heap in place and restores the
@@ -251,7 +267,6 @@ type event struct {
 	gen      uint64
 	fn       func()
 	canceled bool
-	lane     uint8 // container the event currently sits in (heap/L0/L1/due)
 }
 
 // Timer identifies a scheduled callback and allows cancelling it. The zero
@@ -283,16 +298,12 @@ func (t *Timer) Cancel() bool {
 	t.ev.canceled = true
 	e := t.env
 	e.live--
-	if t.ev.lane == laneHeap {
-		e.ncancel++
-		// The cancelled entry stays in the heap until it surfaces or until
-		// cancelled entries outnumber live ones, whichever comes first.
-		if e.ncancel > len(e.events)/2 && e.ncancel >= minCompact {
-			e.compact()
-		}
+	e.ncancel++
+	// The cancelled entry stays in the heap until it surfaces or until
+	// cancelled entries outnumber live ones, whichever comes first.
+	if e.ncancel > len(e.events)/2 && e.ncancel >= minCompact {
+		e.compact()
 	}
-	// Wheel- and due-resident tombstones are recycled for free when their
-	// bucket drains; they never join the heap's compaction accounting.
 	return true
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"vread/internal/metrics"
 	"vread/internal/sim"
 )
 
@@ -89,34 +90,20 @@ type SLO struct {
 }
 
 // SLOOf computes percentiles over the results carrying the given label
-// (nearest-rank on the sorted latencies).
+// (nearest-rank, via metrics.LatencyRecorder).
 func SLOOf(results []OpResult, label string) SLO {
-	var lats []time.Duration
+	rec := metrics.NewLatencyRecorder()
 	for _, r := range results {
 		if r.Label == label {
-			lats = append(lats, r.Latency)
+			rec.Record(r.Latency)
 		}
-	}
-	if len(lats) == 0 {
-		return SLO{}
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rank := func(q float64) time.Duration {
-		i := int(q*float64(len(lats))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(lats) {
-			i = len(lats) - 1
-		}
-		return lats[i]
 	}
 	return SLO{
-		Count: len(lats),
-		P50:   rank(0.50),
-		P95:   rank(0.95),
-		P99:   rank(0.99),
-		Max:   lats[len(lats)-1],
+		Count: rec.Count(),
+		P50:   rec.Percentile(50),
+		P95:   rec.Percentile(95),
+		P99:   rec.Percentile(99),
+		Max:   rec.Max(),
 	}
 }
 
