@@ -1,13 +1,14 @@
 # Tier-1 verification: format, vet, build, the invariant linter, full test
-# suite, and the race detector on the non-simulation packages (each Env is
-# single-threaded by construction; data, metrics, trace, the experiment
-# fan-out in par/experiments, and the sharded coordinator in sim/shard —
-# which runs whole Envs on concurrent workers — are the pieces shared with
-# real concurrent callers). netsim rides along because the sharded fabric
-# routes frames between concurrently-advancing Envs.
+# suite, and the race detector on the packages shared with real concurrent
+# callers (each Env is single-threaded by construction): data, metrics,
+# trace, the experiment fan-out in par/experiments, and the sharded
+# coordinator in sim/shard, which runs whole Envs on concurrent workers.
+# sim itself is raced because those workers resume Proc coroutines from
+# their own goroutines, and netsim because the sharded fabric routes frames
+# between concurrently-advancing Envs.
 
 GO ?= go
-RACE_PKGS := ./internal/data ./internal/metrics ./internal/trace ./internal/par ./internal/sim/shard ./internal/netsim ./internal/experiments ./internal/workload ./internal/cluster ./internal/hdfs ./internal/faults ./internal/faults/chaostest
+RACE_PKGS := ./internal/sim ./internal/data ./internal/metrics ./internal/trace ./internal/par ./internal/sim/shard ./internal/netsim ./internal/experiments ./internal/workload ./internal/cluster ./internal/hdfs ./internal/faults ./internal/faults/chaostest
 
 .PHONY: tier1 fmt vet build lint lint-self lint-audit lint-fix-list lint-report test race bench-smoke chaos-smoke scale-smoke migrate-smoke
 

@@ -27,7 +27,7 @@
 // suppresses one finding, while the same directive in a function's doc
 // comment declares the whole function a cold boundary: propagation stops
 // there and its body is not checked. Use the latter for macro-scale work
-// (cpusched.RunT) reachable from, but not meaningfully part of, a hot path.
+// reachable from, but not meaningfully part of, a hot path.
 //
 // Ground truth is testing.AllocsPerRun: TestScheduleZeroAlloc holds the
 // schedule-fire cycle at 0 allocs/op, and this analyzer keeps it that way at

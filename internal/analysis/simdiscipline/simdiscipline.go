@@ -3,11 +3,11 @@
 // statements, no sync primitives, no bare channels, and no real timers.
 //
 // The invariant (internal/sim/sim.go): at most one goroutine — the engine
-// loop or exactly one Proc — executes at a time, with explicit channel
-// handoff owned by the engine. A raw `go` statement or a sync.Mutex outside
-// the engine reintroduces scheduler nondeterminism that no seed can
-// reproduce; sim.Proc, sim.Queue, sim.Signal, sim.Mutex and Env.Schedule are
-// the sanctioned equivalents.
+// loop or exactly one Proc — executes at a time, with the handoff owned by
+// the engine. A raw `go` statement or a sync.Mutex outside the engine
+// reintroduces scheduler nondeterminism that no seed can reproduce;
+// sim.Proc, sim.Queue, sim.Signal, sim.Mutex and Env.Schedule are the
+// sanctioned equivalents.
 package simdiscipline
 
 import (
@@ -25,7 +25,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // allowedPkgs may use real concurrency: the engine implements the Proc
-// handoff protocol on goroutines and channels; par is the one fan-out
+// handoff protocol on iter.Pull coroutines; par is the one fan-out
 // shim that runs independent experiment cells (each a whole, isolated Env)
 // on real OS threads; and sim/shard is the parallel coordinator that
 // advances whole Envs on par.Gang workers under conservative lookahead —

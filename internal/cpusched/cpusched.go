@@ -108,6 +108,11 @@ type CPU struct {
 	seq      uint64
 	rr       int // rotation cursor for placement tie-breaking
 	balArmed bool
+	// balanceFn is c.balanceTick, bound once so arming the balancer does not
+	// allocate a method value.
+	balanceFn func()
+	// completions is RunT's pool of idle per-call completions.
+	completions []*completion
 }
 
 type core struct {
@@ -120,6 +125,10 @@ type core struct {
 	sliceTimer sim.Timer
 	sliceStart time.Duration
 	planned    int64 // cycles planned for the current slice; -1 = reserved
+	// startSliceFn and sliceEndFn are co.startSlice and co.sliceEnd, bound
+	// once so scheduling them does not allocate a method value per call.
+	startSliceFn func()
+	sliceEndFn   func()
 }
 
 // ThreadState is a thread's scheduling state.
@@ -142,7 +151,7 @@ type Thread struct {
 	seq      uint64 // runqueue FIFO tiebreak
 	core     *core  // core currently running on (nil unless StateRunning)
 	lastCore *core  // cache-affinity hint
-	work     []*workItem
+	work     workFIFO
 	pending  int64 // total cycles across work items
 	consumed int64 // lifetime cycles consumed
 }
@@ -155,6 +164,67 @@ type workItem struct {
 	onDone    func()
 }
 
+// workFIFO is a thread's work items, held by value in a ring buffer, so
+// posting work and prepending scheduler charges allocate nothing once the
+// ring has grown to the thread's working set.
+type workFIFO struct {
+	buf  []workItem // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *workFIFO) grow() {
+	size := 2 * len(q.buf)
+	if size == 0 {
+		size = 4
+	}
+	buf := make([]workItem, size) //lint:allow hotalloc(ring growth is amortized into the thread's working set)
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	}
+	q.buf, q.head = buf, 0
+}
+
+func (q *workFIFO) pushBack(it workItem) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = it
+	q.n++
+}
+
+func (q *workFIFO) pushFront(it workItem) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = it
+	q.n++
+}
+
+// front returns the oldest item in place; the FIFO must be non-empty.
+func (q *workFIFO) front() *workItem { return &q.buf[q.head] }
+
+func (q *workFIFO) popFront() {
+	q.buf[q.head] = workItem{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+}
+
+// completion is one RunT call's wake-up. Idle completions are pooled per
+// CPU, and fire is cp.complete bound once, so a RunT allocates nothing.
+type completion struct {
+	sig  sim.Signal
+	done bool
+	fire func()
+}
+
+// complete marks the call done and wakes the Proc waiting on it.
+func (cp *completion) complete() {
+	cp.done = true
+	cp.sig.Broadcast()
+}
+
 // New creates a CPU with the given core count and frequency.
 func New(env *sim.Env, reg *metrics.Registry, cores int, freqHz int64, cfg Config) *CPU {
 	if cores <= 0 {
@@ -164,8 +234,12 @@ func New(env *sim.Env, reg *metrics.Registry, cores int, freqHz int64, cfg Confi
 		panic("cpusched: frequency must be positive")
 	}
 	c := &CPU{env: env, reg: reg, cfg: cfg.withDefaults(), freqHz: freqHz}
+	c.balanceFn = c.balanceTick
 	for i := 0; i < cores; i++ {
-		c.cores = append(c.cores, &core{id: i, cpu: c})
+		co := &core{id: i, cpu: c}
+		co.startSliceFn = co.startSlice
+		co.sliceEndFn = co.sliceEnd
+		c.cores = append(c.cores, co)
 	}
 	return c
 }
@@ -227,6 +301,8 @@ func (t *Thread) Post(cycles int64, tag string, onDone func()) {
 
 // PostT is Post with the cycles attributed to a request trace (nil is the
 // untraced fast path, identical to Post).
+//
+//lint:hotpath
 func (t *Thread) PostT(cycles int64, tag string, tr *trace.Trace, onDone func()) {
 	if cycles < 0 {
 		panic(fmt.Sprintf("cpusched: negative work %d on %s", cycles, t.name))
@@ -237,7 +313,7 @@ func (t *Thread) PostT(cycles int64, tag string, tr *trace.Trace, onDone func())
 		}
 		return
 	}
-	t.work = append(t.work, &workItem{remaining: cycles, tag: tag, tr: tr, onDone: onDone})
+	t.work.pushBack(workItem{remaining: cycles, tag: tag, tr: tr, onDone: onDone})
 	t.pending += cycles
 	if t.state == StateIdle {
 		t.cpu.wake(t)
@@ -252,19 +328,28 @@ func (t *Thread) Run(p *sim.Proc, cycles int64, tag string) {
 
 // RunT is Run with the cycles attributed to a request trace (nil is the
 // untraced fast path, identical to Run).
+//
+//lint:hotpath
 func (t *Thread) RunT(p *sim.Proc, cycles int64, tag string, tr *trace.Trace) {
 	if cycles <= 0 {
 		return
 	}
-	sig := sim.NewSignal(t.cpu.env)
-	done := false
-	t.PostT(cycles, tag, tr, func() {
-		done = true
-		sig.Broadcast()
-	})
-	for !done {
-		sig.Wait(p)
+	c := t.cpu
+	var cp *completion
+	if n := len(c.completions); n > 0 {
+		cp = c.completions[n-1]
+		c.completions[n-1] = nil
+		c.completions = c.completions[:n-1]
+	} else {
+		cp = &completion{} //lint:allow hotalloc(pool refill: paid once per concurrent RunT call, zero at steady state)
+		cp.fire = cp.complete
 	}
+	t.PostT(cycles, tag, tr, cp.fire)
+	for !cp.done {
+		cp.sig.Wait(p)
+	}
+	cp.done = false
+	c.completions = append(c.completions, cp) //lint:allow hotalloc(pool growth is amortized into the number of concurrent RunT calls)
 }
 
 // RunDur is Run with the cycle count derived from a duration at the CPU's
@@ -344,15 +429,17 @@ func (c *CPU) dispatch(co *core, t *Thread, delay time.Duration) {
 	t.core = co
 	t.lastCore = co
 	co.chargeCold(t)
-	c.env.Schedule(delay, func() { co.startSlice() })
+	c.env.Schedule(delay, co.startSliceFn)
 }
 
 // chargeCold prepends the cache-refill penalty when the core's previous
 // occupant differs from the incoming thread.
+//
+//lint:hotpath
 func (co *core) chargeCold(t *Thread) {
 	c := co.cpu
 	if c.cfg.CacheColdCycles > 0 && co.last != t {
-		t.work = append([]*workItem{{remaining: c.cfg.CacheColdCycles, tag: metrics.TagOthers, sched: true}}, t.work...)
+		t.work.pushFront(workItem{remaining: c.cfg.CacheColdCycles, tag: metrics.TagOthers, sched: true})
 		t.pending += c.cfg.CacheColdCycles
 	}
 	co.last = t
@@ -380,6 +467,8 @@ func (co *core) timeslice() time.Duration {
 }
 
 // startSlice begins (or continues) execution of co.cur.
+//
+//lint:hotpath
 func (co *core) startSlice() {
 	t := co.cur
 	if t == nil {
@@ -403,10 +492,12 @@ func (co *core) startSlice() {
 	}
 	co.planned = sliceCycles
 	co.sliceStart = c.env.Now()
-	co.sliceTimer = c.env.Schedule(c.DurFor(sliceCycles), co.sliceEnd)
+	co.sliceTimer = c.env.Schedule(c.DurFor(sliceCycles), co.sliceEndFn)
 }
 
 // sliceEnd fires when the planned cycles have been consumed.
+//
+//lint:hotpath
 func (co *core) sliceEnd() {
 	t := co.cur
 	if t == nil {
@@ -479,6 +570,8 @@ func (co *core) finishCurrent() {
 
 // pickNext pulls the lowest-vruntime thread from this core's queue — or
 // steals from the busiest other core (new-idle balancing) — onto the core.
+//
+//lint:hotpath
 func (co *core) pickNext() {
 	if co.cur != nil {
 		return
@@ -499,10 +592,10 @@ func (co *core) pickNext() {
 	co.chargeCold(next)
 	// Context-switch cost charged as leading work on the incoming thread.
 	if c.cfg.CtxSwitchCycles > 0 {
-		next.work = append([]*workItem{{remaining: c.cfg.CtxSwitchCycles, tag: metrics.TagOthers, sched: true}}, next.work...)
+		next.work.pushFront(workItem{remaining: c.cfg.CtxSwitchCycles, tag: metrics.TagOthers, sched: true})
 		next.pending += c.cfg.CtxSwitchCycles
 	}
-	c.env.Schedule(0, co.startSlice)
+	c.env.Schedule(0, co.startSliceFn)
 }
 
 // steal takes the head of the most-loaded other core's runqueue,
@@ -529,9 +622,11 @@ func (c *CPU) steal(dst *core) *Thread {
 }
 
 // consume charges cycles through the thread's FIFO work items.
+//
+//lint:hotpath
 func (c *CPU) consume(t *Thread, cycles int64) {
-	for cycles > 0 && len(t.work) > 0 {
-		it := t.work[0]
+	for cycles > 0 && t.work.n > 0 {
+		it := t.work.front()
 		use := it.remaining
 		if use > cycles {
 			use = cycles
@@ -546,9 +641,10 @@ func (c *CPU) consume(t *Thread, cycles int64) {
 			c.reg.AddSchedCycles(t.entity, use)
 		}
 		if it.remaining == 0 {
-			t.work = t.work[1:]
-			if it.onDone != nil {
-				c.env.Schedule(0, it.onDone)
+			onDone := it.onDone
+			t.work.popFront()
+			if onDone != nil {
+				c.env.Schedule(0, onDone)
 			}
 		}
 	}
@@ -580,7 +676,7 @@ func (c *CPU) armBalancer() {
 		return
 	}
 	c.balArmed = true
-	c.env.Schedule(c.cfg.BalanceInterval, c.balanceTick)
+	c.env.Schedule(c.cfg.BalanceInterval, c.balanceFn)
 }
 
 func (c *CPU) balanceTick() {

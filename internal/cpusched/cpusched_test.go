@@ -358,3 +358,57 @@ func TestConservationOfCyclesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRoundTripZeroAlloc asserts that steady-state RunT and PostT round trips
+// allocate nothing: work items live by value in the thread's FIFO, RunT's
+// completions are pooled, and the scheduler's callbacks are bound once. Two
+// threads share one core, so every round trip also context-switches and
+// pays the cache-cold charge.
+func TestRoundTripZeroAlloc(t *testing.T) {
+	for _, post := range []bool{false, true} {
+		t.Run(fmt.Sprintf("post=%v", post), func(t *testing.T) {
+			env, _, cpu := newCPU(t, 1, ghz)
+			defer env.Close()
+			var threads []*Thread
+			for i := 0; i < 2; i++ {
+				th := cpu.NewThread(fmt.Sprintf("t%d", i), "vm")
+				threads = append(threads, th)
+				sig := sim.NewSignal(env)
+				done := 0
+				onDone := func() { done++; sig.Signal() }
+				env.Go(th.Name(), func(p *sim.Proc) {
+					for {
+						if !post {
+							th.RunT(p, 2000, metrics.TagOthers, nil)
+							continue
+						}
+						target := done + 4
+						for j := 0; j < 4; j++ {
+							th.PostT(500, metrics.TagOthers, nil, onDone)
+						}
+						for done < target {
+							sig.Wait(p)
+						}
+					}
+				})
+			}
+			// Warm up: event free list, work rings, completion pool.
+			if err := env.RunFor(10 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			before := threads[0].Consumed() + threads[1].Consumed()
+			allocs := testing.AllocsPerRun(1000, func() {
+				if err := env.RunFor(10 * time.Microsecond); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("round trip allocates %v objects at steady state, want 0", allocs)
+			}
+			// 1001 runs of 10µs at 1 GHz: most of 10M cycles, if work flowed.
+			if got := threads[0].Consumed() + threads[1].Consumed() - before; got < 5_000_000 {
+				t.Fatalf("threads consumed %d cycles while measured, want most of 10M", got)
+			}
+		})
+	}
+}

@@ -161,14 +161,16 @@ func (s Slice) Bytes() []byte {
 }
 
 // Equal reports whether two slices have identical bytes (materializing in
-// bounded chunks).
+// bounded chunks). The chunk is small on purpose: Equal runs on every
+// byte-checked read, and two 64 KiB buffers per call were most of the bytes
+// a small-read storm allocated, setting its peak heap.
 func Equal(a, b Slice) bool {
 	if a.N != b.N {
 		return false
 	}
-	const chunk = 64 << 10
-	bufA := make([]byte, chunk)
-	bufB := make([]byte, chunk)
+	const chunk = 4 << 10
+	bufA := make([]byte, min(a.N, chunk))
+	bufB := make([]byte, min(a.N, chunk))
 	for off := int64(0); off < a.N; off += chunk {
 		n := a.N - off
 		if n > chunk {

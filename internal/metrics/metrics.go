@@ -61,7 +61,7 @@ func (r *Registry) AddCycles(entity, tag string, n int64) {
 	}
 	m := r.cycles[entity]
 	if m == nil {
-		m = make(map[string]int64)
+		m = make(map[string]int64) //lint:allow hotalloc(first charge to an entity only, zero at steady state)
 		r.cycles[entity] = m
 	}
 	m[tag] += n

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -605,4 +606,46 @@ func TestProcSleepZeroAlloc(t *testing.T) {
 		t.Fatalf("proc sleep cycle allocates %v objects at steady state, want 0", allocs)
 	}
 	env.Close()
+}
+
+// TestSignalZeroAlloc asserts that a steady-state Signal.Wait / Signal and
+// Signal.Wait / Broadcast round trip performs zero heap allocations: the
+// waiter is the Proc's own wait generation, and the waiter list keeps its
+// backing array.
+func TestSignalZeroAlloc(t *testing.T) {
+	for _, broadcast := range []bool{false, true} {
+		t.Run(fmt.Sprintf("broadcast=%v", broadcast), func(t *testing.T) {
+			env := NewEnv(1)
+			sig := NewSignal(env)
+			for i := 0; i < 2; i++ {
+				env.Go("waiter", func(p *Proc) {
+					for {
+						sig.Wait(p)
+					}
+				})
+			}
+			env.Go("signaller", func(p *Proc) {
+				for {
+					p.Sleep(time.Microsecond)
+					if broadcast {
+						sig.Broadcast()
+					} else {
+						sig.Signal()
+					}
+				}
+			})
+			if err := env.RunFor(256 * time.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(1000, func() {
+				if err := env.RunFor(time.Microsecond); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("signal round trip allocates %v objects at steady state, want 0", allocs)
+			}
+			env.Close()
+		})
+	}
 }

@@ -6,27 +6,64 @@ import "time"
 // (processes or event callbacks) Signals or Broadcasts it. There is no
 // memory: a Broadcast with no waiters is a no-op, exactly like a condition
 // variable. Use Gate for level-triggered conditions.
+//
+// The zero Signal is ready to use: a Signal schedules wake-ups on the Env of
+// the Procs that wait on it.
 type Signal struct {
-	env     *Env
-	waiters []*waiter
+	// waiters[head:] is the FIFO of waits; entries before head are consumed.
+	waiters []waiter
+	head    int
 }
 
+// waiter is one wait of p, identified by p's wait generation at the time it
+// began. The entry is live only while p.waitGen still equals gen.
 type waiter struct {
-	p        *Proc
-	fired    bool
-	timedOut bool
+	p   *Proc
+	gen uint64
 }
 
-// NewSignal returns a Signal bound to env.
-func NewSignal(env *Env) *Signal { return &Signal{env: env} }
+func (w waiter) live() bool { return w.p.waitGen == w.gen }
+
+// NewSignal returns a new Signal for the processes of env.
+func NewSignal(env *Env) *Signal { return &Signal{} }
+
+// enqueue starts a new wait of p on s. Before the slice would grow, dead
+// entries (consumed, or left behind by timed-out waits) are squeezed out,
+// so a Signal's list stays proportional to its live waiters.
+func (s *Signal) enqueue(p *Proc) waiter {
+	if len(s.waiters) == cap(s.waiters) {
+		kept := s.waiters[:0]
+		for _, w := range s.waiters[s.head:] {
+			if w.live() {
+				kept = append(kept, w) //lint:allow hotalloc(filters in place: capacity bounded by the source slice, never grows)
+			}
+		}
+		clear(s.waiters[len(kept):])
+		s.waiters, s.head = kept, 0
+	}
+	p.waitGen++
+	w := waiter{p: p, gen: p.waitGen}
+	s.waiters = append(s.waiters, w) //lint:allow hotalloc(amortized into the signal's waiter working set)
+	return w
+}
+
+// wake consumes w's wait and schedules its Proc, reporting false when the
+// wait was already woken or timed out.
+func (w waiter) wake() bool {
+	if !w.live() {
+		return false
+	}
+	w.p.waitGen++
+	w.p.env.Schedule(0, w.p.wake)
+	return true
+}
 
 // Wait suspends p until the next Signal or Broadcast.
 //
 //lint:hotpath
 func (s *Signal) Wait(p *Proc) {
 	p.checkContext()
-	w := &waiter{p: p}               //lint:allow hotalloc(pooling is unsafe: a timed-out waiter may linger in s.waiters past reuse)
-	s.waiters = append(s.waiters, w) //lint:allow hotalloc(amortized into the signal's waiter working set)
+	s.enqueue(p)
 	p.park()
 }
 
@@ -34,19 +71,19 @@ func (s *Signal) Wait(p *Proc) {
 // It reports false on timeout.
 func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 	p.checkContext()
-	w := &waiter{p: p}
-	s.waiters = append(s.waiters, w)
-	timer := s.env.Schedule(d, func() {
-		if w.fired {
+	w := s.enqueue(p)
+	timedOut := false
+	timer := p.env.Schedule(d, func() {
+		if !w.live() {
 			return
 		}
-		w.fired = true
-		w.timedOut = true
-		s.env.dispatch(p)
+		p.waitGen++
+		timedOut = true
+		p.env.dispatch(p)
 	})
 	p.park()
 	timer.Cancel()
-	return !w.timedOut
+	return !timedOut
 }
 
 // Signal wakes exactly one waiting process (the longest-waiting one). It
@@ -55,39 +92,35 @@ func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 //
 //lint:hotpath
 func (s *Signal) Signal() bool {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if w.fired {
-			continue
-		}
-		w.fired = true
-		s.env.Schedule(0, w.p.wake)
-		return true
+	woke := false
+	for !woke && s.head < len(s.waiters) {
+		w := s.waiters[s.head]
+		s.waiters[s.head] = waiter{}
+		s.head++
+		woke = w.wake()
 	}
-	return false
+	if s.head == len(s.waiters) {
+		s.waiters, s.head = s.waiters[:0], 0
+	}
+	return woke
 }
 
 // Broadcast wakes every currently waiting process.
 //
 //lint:hotpath
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		if w.fired {
-			continue
-		}
-		w.fired = true
-		s.env.Schedule(0, w.p.wake)
+	for _, w := range s.waiters[s.head:] {
+		w.wake()
 	}
+	clear(s.waiters)
+	s.waiters, s.head = s.waiters[:0], 0
 }
 
 // Waiters returns the number of processes currently waiting.
 func (s *Signal) Waiters() int {
 	n := 0
-	for _, w := range s.waiters {
-		if !w.fired {
+	for _, w := range s.waiters[s.head:] {
+		if w.live() {
 			n++
 		}
 	}

@@ -6,10 +6,10 @@
 //   - a virtual clock driven by a 4-ary min-heap event queue (ties broken by
 //     a monotonically increasing sequence number, so runs are
 //     bit-reproducible);
-//   - coroutine-style processes: each Proc is a goroutine, but at most one
-//     goroutine — either the engine loop or exactly one Proc — executes at a
-//     time, with explicit channel handoff. Processes therefore read like
-//     straight-line imperative code (the HDFS datanode loop looks like a
+//   - coroutine processes: each Proc is an iter.Pull coroutine that an event
+//     resumes and that parks by yielding back to it, so at most one of the
+//     engine loop and the Procs executes at a time. Processes therefore read
+//     like straight-line imperative code (the HDFS datanode loop looks like a
 //     datanode loop) while remaining fully deterministic.
 //
 // Virtual time is a time.Duration measured from the start of the run. No
@@ -19,6 +19,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 )
 
@@ -37,11 +38,6 @@ type Env struct {
 	procs   map[*Proc]struct{}
 	current *Proc
 
-	// handback is signalled by a Proc when it parks (or exits), returning
-	// control to the engine goroutine. A single channel suffices because at
-	// most one Proc is runnable at a time.
-	handback chan struct{}
-
 	stopped  bool
 	procErr  *procPanic
 	idleHook func() // invoked when the queue drains during Run*, may add events
@@ -52,9 +48,8 @@ type Env struct {
 // workload generators, never by the engine itself).
 func NewEnv(seed int64) *Env {
 	return &Env{
-		rng:      rand.New(rand.NewSource(seed)),
-		procs:    make(map[*Proc]struct{}),
-		handback: make(chan struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
+		procs: make(map[*Proc]struct{}),
 	}
 }
 
@@ -186,6 +181,9 @@ func (e *Env) run(deadline time.Duration) error {
 		// that is firing nor resurrect it once the struct is reused.
 		e.recycle(ev)
 		fn()
+		if e.fired%gcYieldEvents == 0 {
+			runtime.Gosched()
+		}
 		if e.procErr != nil {
 			pe := e.procErr
 			e.procErr = nil
@@ -194,6 +192,14 @@ func (e *Env) run(deadline time.Duration) error {
 	}
 	return nil
 }
+
+// gcYieldEvents is how many fired events Env.run lets pass between calls to
+// runtime.Gosched. A Proc handoff is a coroutine switch that never enters
+// the Go scheduler, so with GOMAXPROCS=1 the GC's background mark worker
+// would otherwise get no CPU until the run ends, all marking would fall to
+// allocation assists, and the heap would overshoot its goal. One scheduling
+// point per 1024 events lets the worker run at a negligible cost per event.
+const gcYieldEvents = 1024
 
 // NextAt returns the timestamp of the next pending event, clamped to the
 // clock, and whether any event is pending at all. The bound is exact when
@@ -232,28 +238,6 @@ func (e *Env) compact() {
 	e.events.init()
 	e.ncancel = 0
 }
-
-// Close aborts every live process so their goroutines exit. The environment
-// must not be used afterwards. It is safe to call Close on an environment
-// whose processes have all finished.
-func (e *Env) Close() {
-	for p := range e.procs {
-		if !p.started {
-			// Goroutine is parked on its very first resume; abort it the
-			// same way.
-			p.started = true
-		}
-		e.current = p
-		p.resume <- resumeMsg{abort: true}
-		<-e.handback
-		e.current = nil
-	}
-	e.procErr = nil
-}
-
-// Live reports the number of processes that have been started (or created)
-// and have not yet finished.
-func (e *Env) Live() int { return len(e.procs) }
 
 // ---------------------------------------------------------------------------
 // Events and timers.
@@ -318,140 +302,4 @@ func (t *Timer) When() time.Duration {
 		return 0
 	}
 	return t.ev.at
-}
-
-// ---------------------------------------------------------------------------
-// Processes.
-
-type resumeMsg struct{ abort bool }
-
-type procPanic struct {
-	proc  string
-	value interface{}
-}
-
-func (p *procPanic) Error() string {
-	return fmt.Sprintf("sim: process %q panicked: %v", p.proc, p.value)
-}
-
-type abortSentinel struct{}
-
-// Proc is a simulated process. All Proc methods that can block must be called
-// only from the process's own goroutine (that is, from within the function
-// passed to Go).
-type Proc struct {
-	env     *Env
-	name    string
-	resume  chan resumeMsg
-	started bool
-	done    bool
-	doneSig *Signal
-	// wake redispatches the process; bound once at creation so the wake-up
-	// paths (Sleep, Signal, Broadcast) schedule it without allocating a
-	// fresh closure per suspension.
-	wake func()
-}
-
-// Go creates a process and schedules it to start at the current virtual time
-// (after already-queued events).
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	return e.GoAfter(0, name, fn)
-}
-
-// GoAfter creates a process that starts after the given virtual delay.
-func (e *Env) GoAfter(after time.Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan resumeMsg)}
-	p.wake = func() { e.dispatch(p) }
-	p.doneSig = NewSignal(e)
-	e.procs[p] = struct{}{}
-	go p.run(fn)
-	e.Schedule(after, func() {
-		p.started = true
-		e.dispatch(p)
-	})
-	return p
-}
-
-func (p *Proc) run(fn func(p *Proc)) {
-	defer func() {
-		r := recover()
-		if _, ok := r.(abortSentinel); ok {
-			delete(p.env.procs, p)
-			p.done = true
-			p.env.handback <- struct{}{}
-			return
-		}
-		if r != nil {
-			p.env.procErr = &procPanic{proc: p.name, value: r}
-		}
-		delete(p.env.procs, p)
-		p.done = true
-		p.doneSig.Broadcast()
-		p.env.handback <- struct{}{}
-	}()
-	// Park until the start event dispatches us.
-	if msg := <-p.resume; msg.abort {
-		panic(abortSentinel{})
-	}
-	fn(p)
-}
-
-// dispatch transfers control to p until it parks or finishes. Must run on the
-// engine goroutine (inside an event callback).
-func (e *Env) dispatch(p *Proc) {
-	if p.done {
-		return
-	}
-	prev := e.current
-	e.current = p
-	p.resume <- resumeMsg{}
-	<-e.handback
-	e.current = prev
-}
-
-// park yields control back to the engine until some event dispatches p again.
-func (p *Proc) park() {
-	p.env.handback <- struct{}{}
-	if msg := <-p.resume; msg.abort {
-		panic(abortSentinel{})
-	}
-}
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// Done reports whether the process function has returned.
-func (p *Proc) Done() bool { return p.done }
-
-// Sleep suspends the process for d of virtual time.
-//
-//lint:hotpath
-func (p *Proc) Sleep(d time.Duration) {
-	p.checkContext()
-	p.env.Schedule(d, p.wake)
-	p.park()
-}
-
-// Yield reschedules the process behind all events pending at the current
-// instant.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Join blocks until other finishes. Joining a finished process returns
-// immediately.
-func (p *Proc) Join(other *Proc) {
-	if other.done {
-		return
-	}
-	other.doneSig.Wait(p)
-}
-
-// checkContext panics if a blocking method is invoked from outside the
-// process goroutine — a programming error that would otherwise deadlock.
-func (p *Proc) checkContext() {
-	if p.env.current != p {
-		panic(fmt.Sprintf("sim: blocking call on process %q from outside its goroutine", p.name))
-	}
 }

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -201,23 +204,113 @@ func TestStop(t *testing.T) {
 	env.Close()
 }
 
+// TestCloseAbortsParkedProcs checks Close on parked and unstarted Procs:
+// every parked Proc unwinds through its defers, an unstarted Proc never runs
+// its body, and no goroutine outlives the Env.
 func TestCloseAbortsParkedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
 	env := NewEnv(1)
 	sig := NewSignal(env)
+	deferred := 0
 	for i := 0; i < 4; i++ {
 		env.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+			defer func() { deferred++ }()
 			sig.Wait(p) // never signalled
 		})
 	}
-	if err := env.Run(); err != nil {
+	bodies := 0
+	for i := 0; i < 2; i++ {
+		env.GoAfter(time.Hour, fmt.Sprintf("late%d", i), func(p *Proc) { bodies++ })
+	}
+	if err := env.RunFor(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if env.Live() != 4 {
-		t.Fatalf("Live() = %d, want 4", env.Live())
+	if env.Live() != 6 {
+		t.Fatalf("Live() = %d, want 6", env.Live())
 	}
 	env.Close()
 	if env.Live() != 0 {
 		t.Fatalf("Live() = %d after Close", env.Live())
+	}
+	if deferred != 4 {
+		t.Fatalf("%d of 4 parked Procs ran their defers on Close", deferred)
+	}
+	if bodies != 0 {
+		t.Fatalf("%d unstarted Procs ran their body on Close", bodies)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("NumGoroutine() = %d after Close, want %d", after, before)
+	}
+}
+
+// TestJoinPanickedProc checks that a Proc joining one that panicked is woken,
+// while Run still reports the panic.
+func TestJoinPanickedProc(t *testing.T) {
+	env := NewEnv(1)
+	bad := env.Go("bad", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("boom")
+	})
+	joined := time.Duration(-1)
+	env.Go("joiner", func(p *Proc) {
+		p.Join(bad)
+		joined = env.Now()
+	})
+	err := env.Run()
+	var pe *procPanic
+	if !errors.As(err, &pe) || pe.proc != "bad" || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run() = %v, want the panic of process bad", err)
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if joined != time.Millisecond {
+		t.Fatalf("joiner resumed at %v, want 1ms", joined)
+	}
+	if env.Live() != 0 {
+		t.Fatalf("Live() = %d, want 0", env.Live())
+	}
+}
+
+// TestWaitTimeoutRacesSignal fires a WaitTimeout's timer and a Signal at the
+// same instant, in both orders. The Proc must be woken exactly once: a stray
+// second wake would cut its following Sleep short.
+func TestWaitTimeoutRacesSignal(t *testing.T) {
+	for _, signalFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("signalFirst=%v", signalFirst), func(t *testing.T) {
+			env := NewEnv(1)
+			sig := NewSignal(env)
+			found := false
+			signal := func() { found = sig.Signal() }
+			if signalFirst {
+				// Queued before the Proc starts, so it precedes the timer.
+				env.Schedule(time.Millisecond, signal)
+			}
+			var ok bool
+			var woke, slept time.Duration
+			env.Go("waiter", func(p *Proc) {
+				ok = sig.WaitTimeout(p, time.Millisecond)
+				woke = env.Now()
+				p.Sleep(time.Millisecond)
+				slept = env.Now()
+			})
+			if !signalFirst {
+				// Queued after the Proc has armed its timer.
+				env.Schedule(0, func() { env.Schedule(time.Millisecond, signal) })
+			}
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if ok != signalFirst || found != signalFirst {
+				t.Fatalf("WaitTimeout = %v, Signal found a waiter = %v; want both %v", ok, found, signalFirst)
+			}
+			if woke != time.Millisecond || slept != 2*time.Millisecond {
+				t.Fatalf("woke at %v, slept until %v; want 1ms and 2ms", woke, slept)
+			}
+			if sig.Waiters() != 0 {
+				t.Fatalf("Waiters() = %d, want 0", sig.Waiters())
+			}
+		})
 	}
 }
 
