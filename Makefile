@@ -10,7 +10,7 @@
 GO ?= go
 RACE_PKGS := ./internal/sim ./internal/data ./internal/metrics ./internal/trace ./internal/par ./internal/sim/shard ./internal/netsim ./internal/experiments ./internal/workload ./internal/cluster ./internal/hdfs ./internal/faults ./internal/faults/chaostest
 
-.PHONY: tier1 fmt vet build lint lint-self lint-audit lint-fix-list lint-report test race bench-smoke chaos-smoke scale-smoke migrate-smoke
+.PHONY: tier1 fmt vet build lint lint-self lint-audit lint-fix-list lint-report test race bench-smoke chaos-smoke fuzz-smoke scale-smoke migrate-smoke
 
 tier1: fmt vet build lint test race
 
@@ -24,10 +24,11 @@ vet:
 build:
 	$(GO) build ./...
 
-# lint runs the simulator's eleven invariant analyzers — per-package
-# (determinism, simdiscipline, lockpair, tracecharge) and interprocedural
-# (hotalloc, lockorder, faultpoint, errdiscipline, guesttaint, unitflow,
-# lpowner) — over the whole tree.
+# lint runs the simulator's ten invariant analyzers — per-package
+# (determinism, simdiscipline, tracecharge) and interprocedural (hotalloc,
+# lockorder, faultpoint, errdiscipline, guesttaint, unitflow, lpowner) — over
+# the whole tree. lockorder also reports sim.Mutex locks not released on
+# every path, so that leak check runs here and not under vet.
 # Also usable as a vet tool (per-package analyzers only, vet shows the tool
 # one package at a time):
 #   go vet -vettool=$(PWD)/bin/vread-lint ./...
@@ -76,6 +77,19 @@ race:
 # replays byte-identically.
 chaos-smoke:
 	CHAOS_REPORT=chaos-failures.json $(GO) test ./internal/faults/chaostest/ -count=1 -run 'TestChaos' -v
+
+# fuzz-smoke runs every native fuzz target briefly: the fault-spec and
+# scenario-file parsers (config input; no input may panic, accepted fault
+# rules must be in range and round-trip), the HDFS wire headers and the data
+# pattern windows. Seeds are the f.Add calls plus testdata/fuzz/<target>; a
+# crasher is written there too and fails the target.
+FUZZ_TARGETS := ./internal/faults:FuzzParseSpec ./internal/experiments:FuzzParseOptions \
+	./internal/hdfs:FuzzWriteReqRoundTrip ./internal/hdfs:FuzzReadReqRoundTrip \
+	./internal/data:FuzzPatternWindowConsistency ./internal/data:FuzzConcatSplit
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime 10s || exit 1; done
 
 # bench-smoke checks the benchmark of record (bench/, see bench/README.md):
 # the bench module's vet and tests, then one zero-second run of every

@@ -2,10 +2,9 @@
 //
 //	determinism    no wall clock, no unseeded math/rand, no map-order output
 //	simdiscipline  no raw goroutines/channels/sync/timers outside internal/sim
-//	lockpair       every ring spinlock acquire released on all paths
 //	tracecharge    every span ended on all paths; no dropped trace contexts
 //	hotalloc       //lint:hotpath functions (and their callees) never allocate
-//	lockorder      sim.Mutex acquisition order is acyclic; no double-acquire
+//	lockorder      sim.Mutex order is acyclic; no double-acquire; no leaked lock
 //	faultpoint     fault-point declarations, Eval sites, and tests agree
 //	errdiscipline  core errors are typed or %w-wrapped; compared with errors.Is
 //	guesttaint     guest-written ring values pass a //lint:sanitizer before sinks
@@ -17,7 +16,7 @@
 //	vread-lint ./...                 # lint packages, exit 1 on findings
 //	vread-lint -list ./...           # findings as file:line for editor jumps
 //	vread-lint -json ./...           # findings as versioned, stable JSON
-//	vread-lint -run lockpair ./...   # subset of analyzers
+//	vread-lint -run lockorder ./...  # subset of analyzers
 //	vread-lint -unused-allow ./...   # also flag stale //lint:allow comments
 //
 // As a vet tool (the go vet driver handles caching and test packages;

@@ -5,14 +5,14 @@ import (
 )
 
 // TestUnknownAnalyzerListingGolden pins the "have:" listing users see on a
-// typo: all eleven analyzers, sorted, so the list is scannable and adding an
+// typo: all ten analyzers, sorted, so the list is scannable and adding an
 // analyzer shows up here as a deliberate golden change.
 func TestUnknownAnalyzerListingGolden(t *testing.T) {
 	_, err := selectAnalyzers("nope")
 	if err == nil {
 		t.Fatal("selectAnalyzers accepted an unknown name")
 	}
-	const golden = `unknown analyzer "nope" (have: determinism, errdiscipline, faultpoint, guesttaint, hotalloc, lockorder, lockpair, lpowner, simdiscipline, tracecharge, unitflow)`
+	const golden = `unknown analyzer "nope" (have: determinism, errdiscipline, faultpoint, guesttaint, hotalloc, lockorder, lpowner, simdiscipline, tracecharge, unitflow)`
 	if err.Error() != golden {
 		t.Fatalf("listing drifted from golden:\ngot  %s\nwant %s", err, golden)
 	}
@@ -40,7 +40,7 @@ func TestVetModeSkipsProgramAnalyzers(t *testing.T) {
 			t.Errorf("program analyzer %s must be skipped under go vet -vettool", name)
 		}
 	}
-	wantKept := []string{"determinism", "simdiscipline", "lockpair", "tracecharge"}
+	wantKept := []string{"determinism", "simdiscipline", "tracecharge"}
 	for _, name := range wantKept {
 		if !kept[name] {
 			t.Errorf("per-package analyzer %s missing from the vet-mode subset", name)

@@ -9,7 +9,6 @@ import (
 	"vread/internal/analysis/guesttaint"
 	"vread/internal/analysis/hotalloc"
 	"vread/internal/analysis/lockorder"
-	"vread/internal/analysis/lockpair"
 	"vread/internal/analysis/lpowner"
 	"vread/internal/analysis/simdiscipline"
 	"vread/internal/analysis/tracecharge"
@@ -22,7 +21,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
 		simdiscipline.Analyzer,
-		lockpair.Analyzer,
 		tracecharge.Analyzer,
 		hotalloc.Analyzer,
 		lockorder.Analyzer,

@@ -1,11 +1,16 @@
 // Package lockorder checks that simulated mutexes are always acquired in a
-// consistent global order, and never re-acquired while already held.
+// consistent global order, never re-acquired while already held, and
+// released on every path of the function that takes them.
 //
 // The invariant: sim.Mutex is FIFO and non-reentrant, so two processes that
 // take the same pair of locks in opposite orders deadlock the simulated
-// cluster at some later virtual time, far from either acquisition site — the
-// same failure mode lockpair moves to build time for leaks, but across
-// functions. The analyzer abstracts every lock to its *class* — the struct
+// cluster at some later virtual time, far from either acquisition site. A
+// leaked lock fails the same way: the guest↔daemon ring serializes requests
+// under per-slot spinlocks (paper §3.3, internal/core/ring.go), and a return
+// path that skips the Unlock deadlocks some later request. Every Lock must
+// be paired with an Unlock on all return paths, by defer or explicitly.
+//
+// For ordering, the analyzer abstracts every lock to its *class* — the struct
 // field that owns it, "(pkg.Type).field" — builds a static acquired-while-
 // holding graph over the whole program (flow-walking each function with the
 // call graph supplying transitive acquisition summaries for callees), and
@@ -33,13 +38,18 @@ import (
 // Analyzer is the lock-ordering checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "require a consistent global sim.Mutex acquisition order: no " +
-		"cycles in the acquired-while-holding graph, no double-acquires",
+	Doc: "require a consistent global sim.Mutex acquisition order (no " +
+		"cycles in the acquired-while-holding graph, no double-acquires) " +
+		"and an Unlock on every return path (ring spinlock invariant)",
 	RunProgram: run,
 }
 
 const mutexPath = "vread/internal/sim"
 const mutexType = "Mutex"
+
+// leak is a lock's flow-walk key for the leak check: the source text of its
+// receiver, so two mentions of d.ring.reqMu in one function are one lock.
+type leak string
 
 // edgeInfo is the first-seen witness for one acquired-while-holding edge.
 type edgeInfo struct {
@@ -105,7 +115,7 @@ func (c *checker) directAcquires(n *analysis.FuncNode) []string {
 		if !ok {
 			return true
 		}
-		if cls, kind := c.mutexCall(n, call); kind == "Lock" && !seen[cls] {
+		if cls, kind, _ := c.mutexCall(n, call); kind == "Lock" && !seen[cls] {
 			seen[cls] = true
 			out = append(out, cls)
 		}
@@ -145,16 +155,42 @@ func (c *checker) summarize(n *analysis.FuncNode, walking map[*analysis.FuncNode
 }
 
 // walk flow-walks one function, recording acquired-while-holding edges at
-// every direct Lock and — through the callee summaries — at every call.
+// every direct Lock and — through the callee summaries — at every call, and
+// reporting the locks still held at each exit.
 func (c *checker) walk(n *analysis.FuncNode) {
+	name := "func literal"
+	if n.Decl != nil {
+		name = n.Decl.Name.Name
+	}
 	hooks := analysis.FlowHooks{
 		Classify: func(stmt ast.Stmt, isDefer bool) ([]analysis.Held, []interface{}) {
 			return c.classify(n, stmt, isDefer)
 		},
-		AtExit: func(ret *ast.ReturnStmt, held []analysis.Held) {},
+		AtExit: func(ret *ast.ReturnStmt, held []analysis.Held) {
+			for _, h := range held {
+				recv, ok := h.Key.(leak)
+				if !ok {
+					continue
+				}
+				pos := h.Pos
+				where := "before falling off the end of " + name
+				if ret != nil {
+					pos = ret.Pos()
+					where = "on this return path"
+				}
+				c.pass.Reportf(pos, "ring spinlock %s.Lock (acquired at line %d) is not released %s: the lock-pairing invariant (paper §3.3 per-slot spinlocks) requires Unlock on every path or a defer",
+					recv, c.pass.Prog.Fset.Position(h.Pos).Line, where)
+			}
+		},
 		AtAcquire: func(h analysis.Held, held []analysis.Held) {
-			cls := h.Key.(string)
+			cls, ok := h.Key.(string)
+			if !ok {
+				return
+			}
 			for _, a := range held {
+				if _, ok := a.Key.(leak); ok {
+					continue
+				}
 				if a.Key.(string) != cls {
 					c.edge(a.Key.(string), cls, edgeInfo{pos: h.Pos})
 					continue
@@ -186,7 +222,9 @@ func (c *checker) walk(n *analysis.FuncNode) {
 				for _, a := range held {
 					// A same-class summary acquisition makes a self-loop
 					// edge, reported as a reentrancy cycle.
-					c.edge(a.Key.(string), cls, edgeInfo{pos: ev.Pos, via: callee.Name})
+					if from, ok := a.Key.(string); ok {
+						c.edge(from, cls, edgeInfo{pos: ev.Pos, via: callee.Name})
+					}
 				}
 			}
 		},
@@ -194,31 +232,38 @@ func (c *checker) walk(n *analysis.FuncNode) {
 	analysis.WalkPaths(n.Body, hooks)
 }
 
-// classify reports Lock calls as acquisitions and non-deferred Unlock calls
-// as releases. Deferred Unlocks are NOT releases here: a lock under
-// `defer mu.Unlock()` stays held for the rest of the function, which is the
-// window the ordering invariant cares about (the opposite of lockpair's
-// leak accounting, which retires defer-released locks immediately).
+// classify reports each Lock as two acquisitions: its class, for the
+// ordering graph, and its leak key, for the exit check. A non-deferred
+// Unlock releases both. A deferred Unlock — also one inside a deferred
+// closure — releases only the leak key: the lock stays held for the rest of
+// the function, which is the window the ordering invariant cares about, but
+// every path out releases it. Other function literals are separate graph
+// nodes, walked on their own.
 func (c *checker) classify(n *analysis.FuncNode, stmt ast.Stmt, isDefer bool) (acq []analysis.Held, rel []interface{}) {
-	ast.Inspect(stmt, func(node ast.Node) bool {
-		if _, ok := node.(*ast.FuncLit); ok {
-			return false // separate graph node, walked on its own
+	var visit func(node ast.Node, inLit bool) bool
+	visit = func(node ast.Node, inLit bool) bool {
+		if lit, ok := node.(*ast.FuncLit); ok {
+			if isDefer && !inLit {
+				ast.Inspect(lit.Body, func(m ast.Node) bool { return visit(m, true) })
+			}
+			return false
 		}
 		call, ok := node.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		cls, kind := c.mutexCall(n, call)
-		switch kind {
-		case "Lock":
-			acq = append(acq, analysis.Held{Key: cls, Pos: call.Pos()})
-		case "Unlock":
-			if !isDefer {
-				rel = append(rel, interface{}(cls))
-			}
+		cls, kind, recv := c.mutexCall(n, call)
+		switch {
+		case kind == "Lock" && !inLit:
+			acq = append(acq, analysis.Held{Key: cls, Pos: call.Pos()}, analysis.Held{Key: leak(recv), Pos: call.Pos()})
+		case kind == "Unlock" && isDefer:
+			rel = append(rel, leak(recv))
+		case kind == "Unlock":
+			rel = append(rel, cls, leak(recv))
 		}
 		return true
-	})
+	}
+	ast.Inspect(stmt, func(m ast.Node) bool { return visit(m, false) })
 	return acq, rel
 }
 
@@ -235,7 +280,7 @@ func (c *checker) callEvents(n *analysis.FuncNode, stmt ast.Stmt) []analysis.Hel
 			}
 			return false
 		case *ast.CallExpr:
-			if cls, _ := c.mutexCall(n, v); cls != "" {
+			if cls, _, _ := c.mutexCall(n, v); cls != "" {
 				return true // the Lock/Unlock itself, handled by Classify
 			}
 			var obj types.Object
@@ -267,19 +312,20 @@ func (c *checker) litNode(n *analysis.FuncNode, lit *ast.FuncLit) *analysis.Func
 }
 
 // mutexCall classifies call as a sim.Mutex Lock/Unlock and resolves the
-// receiver's lock class; kind is "" for any other call.
-func (c *checker) mutexCall(n *analysis.FuncNode, call *ast.CallExpr) (cls, kind string) {
+// receiver's lock class and source text; kind is "" for any other call.
+func (c *checker) mutexCall(n *analysis.FuncNode, call *ast.CallExpr) (cls, kind, recv string) {
 	recvPath, recvType, method, sel, ok := analysis.CallMethod(n.Pkg.TypesInfo, call)
 	if !ok || recvPath != mutexPath || recvType != mutexType {
-		return "", ""
+		return "", "", ""
 	}
 	if method != "Lock" && method != "Unlock" {
-		return "", ""
+		return "", "", ""
 	}
+	recv = types.ExprString(sel.X)
 	if method == "Lock" {
-		c.recvText[call.Pos()] = types.ExprString(sel.X)
+		c.recvText[call.Pos()] = recv
 	}
-	return c.lockClass(n, sel.X), method
+	return c.lockClass(n, sel.X), method, recv
 }
 
 // lockClass abstracts a lock expression to its class:

@@ -3,8 +3,9 @@
 //
 //  1. Every span opened with trace.Trace.Begin is ended on all return paths
 //     of the function that opened it (EndSpan, or a defer). A span left open
-//     records End == -1 and silently drops its cycles from the Figure 6–8
-//     breakdowns — the reducers cannot attribute what was never closed.
+//     records End == -1 and enters the per-stage latency percentiles
+//     (trace.Stages) as a silent zero-length sample — the reducer cannot
+//     time what was never closed.
 //  2. An exported function that accepts a *trace.Trace must actually use it
 //     — pass it to a callee, charge cycles, open a span. Accepting and
 //     dropping a trace context severs the request's observability spine for
@@ -128,11 +129,11 @@ func checkSpans(pass *analysis.Pass, fb analysis.FuncBody) {
 					if returnsObj(pass, ret, obj) {
 						continue
 					}
-					pass.Reportf(ret.Pos(), "span %q (opened at line %d) is not ended on this return path, so its cycles vanish from the Figure 6-8 breakdowns (trace-propagation invariant: every Begin must reach EndSpan)",
+					pass.Reportf(ret.Pos(), "span %q (opened at line %d) is not ended on this return path, so its stage is timed as zero (trace-propagation invariant: every Begin must reach EndSpan)",
 						obj.Name(), pass.Fset.Position(h.Pos).Line)
 					continue
 				}
-				pass.Reportf(h.Pos, "span %q is not ended before %s falls off the end, so its cycles vanish from the Figure 6-8 breakdowns (trace-propagation invariant: every Begin must reach EndSpan)",
+				pass.Reportf(h.Pos, "span %q is not ended before %s falls off the end, so its stage is timed as zero (trace-propagation invariant: every Begin must reach EndSpan)",
 					obj.Name(), fb.Name)
 			}
 		},

@@ -160,7 +160,6 @@ type workItem struct {
 	remaining int64
 	tag       string
 	tr        *trace.Trace // request the cycles are performed for (may be nil)
-	sched     bool         // scheduler-injected (context switch, cache refill)
 	onDone    func()
 }
 
@@ -439,7 +438,7 @@ func (c *CPU) dispatch(co *core, t *Thread, delay time.Duration) {
 func (co *core) chargeCold(t *Thread) {
 	c := co.cpu
 	if c.cfg.CacheColdCycles > 0 && co.last != t {
-		t.work.pushFront(workItem{remaining: c.cfg.CacheColdCycles, tag: metrics.TagOthers, sched: true})
+		t.work.pushFront(workItem{remaining: c.cfg.CacheColdCycles, tag: metrics.TagOthers})
 		t.pending += c.cfg.CacheColdCycles
 	}
 	co.last = t
@@ -592,7 +591,7 @@ func (co *core) pickNext() {
 	co.chargeCold(next)
 	// Context-switch cost charged as leading work on the incoming thread.
 	if c.cfg.CtxSwitchCycles > 0 {
-		next.work.pushFront(workItem{remaining: c.cfg.CtxSwitchCycles, tag: metrics.TagOthers, sched: true})
+		next.work.pushFront(workItem{remaining: c.cfg.CtxSwitchCycles, tag: metrics.TagOthers})
 		next.pending += c.cfg.CtxSwitchCycles
 	}
 	c.env.Schedule(0, co.startSliceFn)
@@ -637,9 +636,6 @@ func (c *CPU) consume(t *Thread, cycles int64) {
 		cycles -= use
 		c.reg.AddCycles(t.entity, it.tag, use)
 		it.tr.AddCycles(t.entity, it.tag, use) // nil-safe
-		if it.sched {
-			c.reg.AddSchedCycles(t.entity, use)
-		}
 		if it.remaining == 0 {
 			onDone := it.onDone
 			t.work.popFront()

@@ -412,3 +412,61 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestSchedulerCyclesLandInOthers pins where scheduler-injected cycles are
+// charged: context switches and cache refills are ordinary "others" work
+// on the incoming thread's entity, so each thread's lifetime consumption
+// is exactly its entity's registry total, posted work keeps its own tag,
+// and with both charges disabled "others" is empty.
+func TestSchedulerCyclesLandInOthers(t *testing.T) {
+	const rounds, work = 20, 300_000
+	tags := [2]string{"app", "io"}
+	run := func(cfg Config) (*metrics.Registry, [2]*Thread) {
+		env := sim.NewEnv(1)
+		reg := metrics.NewRegistry()
+		cpu := New(env, reg, 1, ghz, cfg)
+		ths := [2]*Thread{cpu.NewThread("a", "vm-a"), cpu.NewThread("b", "vm-b")}
+		for i, th := range ths {
+			th, tag := th, tags[i]
+			env.Go(th.Name(), func(p *sim.Proc) {
+				for r := 0; r < rounds; r++ {
+					th.Run(p, work, tag)
+					p.Sleep(50 * time.Microsecond)
+				}
+			})
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return reg, ths
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		others bool
+	}{
+		{"defaults", Config{}, true},
+		{"disabled", Config{CtxSwitchCycles: -1, CacheColdCycles: -1}, false},
+	} {
+		reg, ths := run(tc.cfg)
+		for i, th := range ths {
+			e, tag := th.Entity(), tags[i]
+			if got, want := reg.EntityCycles(e), th.Consumed(); got != want {
+				t.Errorf("%s: %s registry total %d, Consumed %d", tc.name, e, got, want)
+			}
+			if got := reg.Cycles(e, tag); got != rounds*work {
+				t.Errorf("%s: %s/%s = %d, want %d", tc.name, e, tag, got, rounds*work)
+			}
+			others := reg.Cycles(e, metrics.TagOthers)
+			if rest := reg.EntityCycles(e) - reg.Cycles(e, tag) - others; rest != 0 {
+				t.Errorf("%s: %s has %d cycles under tags other than %q and others (%v)", tc.name, e, rest, tag, reg.Tags(e))
+			}
+			if tc.others && others == 0 {
+				t.Errorf("%s: %s has no scheduler-injected others cycles", tc.name, e)
+			}
+			if !tc.others && others != 0 {
+				t.Errorf("%s: %s others = %d with scheduler charges disabled", tc.name, e, others)
+			}
+		}
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"vread/internal/data"
 	"vread/internal/metrics"
 	"vread/internal/sim"
-	"vread/internal/trace"
 )
 
 // BreakdownRow is one stacked bar of Figures 6, 7 or 8: the per-tag CPU
@@ -34,106 +33,77 @@ func (r BreakdownRow) Total() float64 {
 // RunFig6 reproduces Figure 6: CPU utilization of a co-located 1 GB read
 // with 1 MB requests, vanilla vs vRead, broken down by the paper's tags.
 func RunFig6(opt Options) ([]BreakdownRow, error) {
-	rows, _, err := runBreakdown(opt, "fig6", Colocated, core.TransportRDMA)
-	return rows, err
+	return runBreakdown(opt, "fig6", Colocated, core.TransportRDMA)
 }
 
 // RunFig7 reproduces Figure 7: the remote read with RDMA daemons.
 func RunFig7(opt Options) ([]BreakdownRow, error) {
-	rows, _, err := runBreakdown(opt, "fig7", Remote, core.TransportRDMA)
-	return rows, err
+	return runBreakdown(opt, "fig7", Remote, core.TransportRDMA)
 }
 
 // RunFig8 reproduces Figure 8: the remote read with TCP daemons.
 func RunFig8(opt Options) ([]BreakdownRow, error) {
-	rows, _, err := runBreakdown(opt, "fig8", Remote, core.TransportTCP)
-	return rows, err
+	return runBreakdown(opt, "fig8", Remote, core.TransportTCP)
 }
 
-// runBreakdown runs the figure's workload and returns two row sets computed
-// from independent ledgers: rows is derived from per-request trace charges
-// (every request traced), regRows from the metrics.Registry's cycle counters.
-// The registry is the ground truth the trace pipeline is cross-checked
-// against; TestBreakdownSpanRegistryAgreement asserts they match per tag.
-func runBreakdown(opt Options, figure string, scenario Scenario, tr core.Transport) (rows, regRows []BreakdownRow, err error) {
-	opt = opt.withDefaults()
-	opt.ExtraVMs = false
-	opt.Transport = tr
-	type cellResult struct {
-		rows, regRows []BreakdownRow
-	}
-	res, err := runCells(opt, 2, func(i int, o Options) ([]cellResult, error) {
+// runBreakdown runs the figure's read under vRead and vanilla and builds the
+// bars from the metrics.Registry's cycle counters over the read's window.
+func runBreakdown(opt Options, figure string, scenario Scenario, tr core.Transport) ([]BreakdownRow, error) {
+	return runCells(opt, 2, func(i int, o Options) ([]BreakdownRow, error) {
 		vread := i == 0 // row order: vRead first, then vanilla
-		o.VRead = vread
-		// Breakdown bars need every request's charges, whatever sampling the
-		// caller asked for. Reuse the cell's collector when one was passed
-		// (so -trace exports see these requests too), but reduce only the
-		// traces this testbed appends.
-		col := o.Traces
-		if col == nil {
-			col = &trace.Collector{}
-		}
-		o.Traces = col
-		o.TraceEvery = 1
-		base := len(col.Traces)
-		tb := NewTestbed(o)
-		defer tb.Close()
-		tb.Place(scenario)
-		fileSize := o.scaled(1<<30, 64<<20)
-		const path = "/bench/breakdown"
-		if err := tb.Run(figure+"-setup", time.Hour, func(p *sim.Proc) error {
-			return tb.Client.WriteFile(p, path, data.Pattern{Seed: 6, Size: fileSize})
-		}); err != nil {
+		tb, err := breakdownRead(o, figure, scenario, tr, vread)
+		if err != nil {
 			return nil, err
 		}
-		var mark time.Duration
-		if err := tb.Run(figure+"-read", time.Hour, func(p *sim.Proc) error {
-			// Let the guests' asynchronous writeback from the setup phase
-			// drain before the window opens: those cycles belong to no read
-			// request, so they would show up in the registry but not in any
-			// trace.
-			p.Sleep(5 * time.Second)
-			tb.DropAllCaches()
-			mark = tb.C.Env.Now()
-			tb.C.Reg.MarkWindow(mark)
-			r, err := tb.Client.Open(p, path)
-			if err != nil {
+		defer tb.Close()
+		now, freq := tb.C.Env.Now(), tb.Opt.FreqHz
+		return assembleRows(figure, vread, scenario, func(entity string) map[string]float64 {
+			return tb.C.Reg.Breakdown(entity, now, freq)
+		}), nil
+	})
+}
+
+// breakdownRead builds one bar pair's testbed, writes the figure's file, and
+// reads it back in 1 MB requests. The registry window (MarkWindow) spans the
+// read alone and ends at the testbed's current time. The caller closes the
+// returned testbed.
+func breakdownRead(o Options, figure string, scenario Scenario, tr core.Transport, vread bool) (*Testbed, error) {
+	o.ExtraVMs = false
+	o.Transport = tr
+	o.VRead = vread
+	tb := NewTestbed(o)
+	tb.Place(scenario)
+	fileSize := tb.Opt.scaled(1<<30, 64<<20)
+	const path = "/bench/breakdown"
+	if err := tb.Run(figure+"-setup", time.Hour, func(p *sim.Proc) error {
+		return tb.Client.WriteFile(p, path, data.Pattern{Seed: 6, Size: fileSize})
+	}); err != nil {
+		tb.Close()
+		return nil, err
+	}
+	if err := tb.Run(figure+"-read", time.Hour, func(p *sim.Proc) error {
+		// Let the guests' asynchronous writeback from the setup phase drain
+		// before the window opens, so the bars hold the read's cycles only.
+		p.Sleep(5 * time.Second)
+		tb.DropAllCaches()
+		tb.C.Reg.MarkWindow(tb.C.Env.Now())
+		r, err := tb.Client.Open(p, path)
+		if err != nil {
+			return err
+		}
+		defer r.Close(p)
+		for {
+			if _, err := r.Read(p, 1<<20); errors.Is(err, io.EOF) {
+				return nil
+			} else if err != nil {
 				return err
 			}
-			defer r.Close(p)
-			for {
-				if _, err := r.Read(p, 1<<20); errors.Is(err, io.EOF) {
-					return nil
-				} else if err != nil {
-					return err
-				}
-			}
-		}); err != nil {
-			return nil, err
 		}
-
-		now := tb.C.Env.Now()
-		freq := tb.Opt.FreqHz
-		spanCyc := trace.BreakdownCycles(col.Traces[base:])
-		spanBD := func(entity string) map[string]float64 {
-			return spanBreakdown(tb.C.Reg, spanCyc, entity, now-mark, freq)
-		}
-		regBD := func(entity string) map[string]float64 {
-			return tb.C.Reg.Breakdown(entity, now, freq)
-		}
-		return []cellResult{{
-			rows:    assembleRows(figure, vread, scenario, spanBD),
-			regRows: assembleRows(figure, vread, scenario, regBD),
-		}}, nil
-	})
-	if err != nil {
-		return nil, nil, err
+	}); err != nil {
+		tb.Close()
+		return nil, err
 	}
-	for _, c := range res {
-		rows = append(rows, c.rows...)
-		regRows = append(regRows, c.regRows...)
-	}
-	return rows, regRows, nil
+	return tb, nil
 }
 
 // assembleRows maps per-entity breakdowns onto the figure's two bars. Under
@@ -161,27 +131,6 @@ func assembleRows(figure string, vread bool, scenario Scenario, bd func(entity s
 		{Figure: figure, Side: "client", System: sysName(vread), Breakdown: clientBD},
 		{Figure: figure, Side: "datanode", System: sysName(vread), Breakdown: dnBD},
 	}
-}
-
-// spanBreakdown converts one entity's trace-derived cycle charges into the
-// same per-tag utilization map Registry.Breakdown produces, folding the
-// scheduler-injected cycles (request-unattributable by construction, see
-// Registry.AddSchedCycles) back into "others".
-func spanBreakdown(reg *metrics.Registry, cyc map[string]map[string]int64, entity string, elapsed time.Duration, freqHz int64) map[string]float64 {
-	out := make(map[string]float64)
-	if elapsed <= 0 {
-		return out
-	}
-	denom := float64(freqHz) * elapsed.Seconds()
-	for tag, n := range cyc[entity] {
-		if n > 0 {
-			out[tag] += float64(n) / denom
-		}
-	}
-	if s := reg.WindowSchedCycles(entity); s > 0 {
-		out[metrics.TagOthers] += float64(s) / denom
-	}
-	return out
 }
 
 func merge(dst, src map[string]float64) {

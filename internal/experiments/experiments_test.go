@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"vread/internal/metrics"
 )
 
 // tiny returns options small enough for unit tests (shapes only).
@@ -51,12 +53,60 @@ func TestFig6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatBreakdownRows(rows))
+	checkBreakdownSavings(t, rows)
+}
+
+// TestFig7Shape: with RDMA daemons on a remote read, vRead still costs less
+// CPU than vanilla on both sides.
+func TestFig7Shape(t *testing.T) {
+	rows, err := RunFig7(tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBreakdownSavings(t, rows)
+}
+
+// TestFig8Shape: with TCP daemons vRead still saves CPU on both sides, but
+// its daemons' network stack costs more than RDMA's: on each side the
+// vread-net share of Figure 8 exceeds the rdma share of Figure 7.
+func TestFig8Shape(t *testing.T) {
+	tcp, err := RunFig8(tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBreakdownSavings(t, tcp)
+	rdma, err := RunFig7(tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcpBars, rdmaBars := breakdownBars(tcp), breakdownBars(rdma)
+	for _, side := range []string{"client", "datanode"} {
+		net := tcpBars[side+"/vRead"].Breakdown[metrics.TagVReadNet]
+		r := rdmaBars[side+"/vRead"].Breakdown[metrics.TagRDMA]
+		if net <= r {
+			t.Errorf("%s: fig8 vread-net %.4f not above fig7 rdma %.4f", side, net, r)
+		}
+	}
+}
+
+// breakdownBars keys a figure's bars by "side/system".
+func breakdownBars(rows []BreakdownRow) map[string]BreakdownRow {
 	byKey := map[string]BreakdownRow{}
 	for _, r := range rows {
 		byKey[r.Side+"/"+r.System] = r
 	}
-	// vRead saves CPU on both sides (paper: ~40% client, ~65% datanode).
+	return byKey
+}
+
+// checkBreakdownSavings: vRead saves CPU on both sides (paper: ~40% client,
+// ~65% datanode).
+func checkBreakdownSavings(t *testing.T, rows []BreakdownRow) {
+	t.Helper()
+	t.Logf("\n%s", FormatBreakdownRows(rows))
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(rows))
+	}
+	byKey := breakdownBars(rows)
 	if byKey["client/vRead"].Total() >= byKey["client/vanilla"].Total() {
 		t.Error("vRead client CPU not below vanilla")
 	}

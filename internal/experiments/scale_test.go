@@ -7,8 +7,8 @@ import (
 	"vread/internal/faults"
 )
 
-// TestScaleSmoke runs the default small federation at one QPS level and
-// checks SLO rows come back sane.
+// TestScaleSmoke runs the default small federation at one QPS level, checks
+// SLO rows come back sane, and pins them in testdata/golden/scale-smoke.txt.
 func TestScaleSmoke(t *testing.T) {
 	rows, err := RunScale(Options{Seed: 1, VRead: true}, ScaleConfig{})
 	if err != nil {
@@ -21,6 +21,7 @@ func TestScaleSmoke(t *testing.T) {
 	if r.Phase != "steady" || r.OKs == 0 || r.P50us <= 0 || r.P99us < r.P50us {
 		t.Fatalf("implausible SLO row: %+v", r)
 	}
+	checkGolden(t, "scale-smoke.txt", RenderSLORows(rows))
 }
 
 // TestScaleSerialParallelIdentity checks the determinism contract: the same

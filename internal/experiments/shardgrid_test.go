@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -22,14 +23,16 @@ func smallGrid() ShardGridConfig {
 		ReadSize:       64 << 10,
 		FileSize:       8 << 20,
 		Deadline:       500 * time.Millisecond,
-		Shards:         []int{1, 2, 3, 8},
+		Shards:         []int{1, 2, 3, 8}, // the golden pins the first two
 	}
 }
 
 // TestShardGridCountInvariance is the tentpole acceptance check at the
 // experiment level: rows, completion logs (via the fingerprint), and event
 // counts are byte-identical for every K. Run under -race this also exercises
-// the full cluster/netsim/storage stack across concurrent shards.
+// the full cluster/netsim/storage stack across concurrent shards. The K=1
+// and K=2 cells, without their wall-clock time, are pinned in
+// testdata/golden/shardgrid.txt.
 func TestShardGridCountInvariance(t *testing.T) {
 	cells, err := RunShardGrid(smallGrid())
 	if err != nil {
@@ -57,6 +60,11 @@ func TestShardGridCountInvariance(t *testing.T) {
 			t.Errorf("K=%d fired %d events, serial fired %d", cell.Shards, cell.Events, base.Events)
 		}
 	}
+	var pinned string
+	for _, cell := range cells[:2] {
+		pinned += fmt.Sprintf("K=%d hosts=%d fingerprint=%#016x events=%d\n%s", cell.Shards, cell.Hosts, cell.Fingerprint, cell.Events, RenderSLORows(cell.Rows))
+	}
+	checkGolden(t, "shardgrid.txt", pinned)
 }
 
 // TestShardGridChaosInvariance arms latency-shaping faults on per-host plans

@@ -14,6 +14,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -151,10 +152,9 @@ func (s Spec) String() string {
 			b.WriteByte(';')
 		}
 		b.WriteString(r.Point)
-		var opts []string
-		if r.Prob != 0 {
-			opts = append(opts, "p="+strconv.FormatFloat(r.Prob, 'g', -1, 64))
-		}
+		// p is always written: ParseSpec defaults an absent p to 1, so
+		// dropping p=0 would re-arm a disarmed rule.
+		opts := []string{"p=" + strconv.FormatFloat(r.Prob, 'g', -1, 64)}
 		if r.AfterN != 0 {
 			opts = append(opts, "after="+strconv.FormatInt(r.AfterN, 10))
 		}
@@ -164,10 +164,8 @@ func (s Spec) String() string {
 		if r.Delay != 0 {
 			opts = append(opts, "delay="+r.Delay.String())
 		}
-		if len(opts) > 0 {
-			b.WriteByte(':')
-			b.WriteString(strings.Join(opts, ","))
-		}
+		b.WriteByte(':')
+		b.WriteString(strings.Join(opts, ","))
 	}
 	return b.String()
 }
@@ -176,8 +174,9 @@ func (s Spec) String() string {
 //
 //	point[:opt,...][;point[:opt,...]]...
 //
-// where each opt is p=<prob>, after=<n>, max=<n>, or delay=<duration>.
-// A rule with no p= option fires deterministically (p=1). Example:
+// where each opt is p=<prob>, after=<n>, max=<n>, or delay=<duration>, and
+// every value must be >= 0 (p may not be NaN). A rule with no p= option
+// fires deterministically (p=1). Example:
 //
 //	disk.read.slow:p=0.05,delay=2ms;rdma.qp.teardown:after=6,max=1
 func ParseSpec(s string) (Spec, error) {
@@ -215,6 +214,11 @@ func ParseSpec(s string) (Spec, error) {
 					r.Delay, err = time.ParseDuration(val)
 				default:
 					return nil, fmt.Errorf("faults: unknown option %q in rule %q", key, part)
+				}
+				// !(p >= 0) also catches NaN; only the option just parsed can
+				// have broken the check.
+				if err == nil && (!(r.Prob >= 0) || r.AfterN < 0 || r.MaxFires < 0 || r.Delay < 0) {
+					err = errors.New("must be >= 0")
 				}
 				if err != nil {
 					return nil, fmt.Errorf("faults: bad %s value in rule %q: %v", key, part, err)

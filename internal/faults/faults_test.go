@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -242,13 +243,23 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		}
 	}
 	// Render → reparse must be stable.
-	again, err := ParseSpec(spec.String())
-	if err != nil {
-		t.Fatalf("reparse %q: %v", spec.String(), err)
-	}
-	for i := range spec {
-		if again[i] != spec[i] {
-			t.Fatalf("round-trip rule %d = %+v, want %+v", i, again[i], spec[i])
+	for _, in := range []string{
+		in,
+		"disk.read.slow:p=0",              // disarmed: must not render as the p=1 default
+		"net.frame.delay:p=0,delay=1ms",   // disarmed delay rule
+		"ring.stall:p=+Inf,after=0,max=0", // explicit zeroes and an infinite p
+		"daemon.crash:p=1e-300",
+	} {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", in, err)
+		}
+		again, err := ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("reparse %q: %v", spec.String(), err)
+		}
+		if !slices.Equal(again, spec) {
+			t.Fatalf("%q: round trip through %q gives %+v, want %+v", in, spec.String(), again, spec)
 		}
 	}
 }
@@ -265,6 +276,23 @@ func TestParseSpecErrors(t *testing.T) {
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
+		}
+	}
+	// Out-of-range values fail at parse time, naming the rule, instead of
+	// panicking in the engine when the rule first fires.
+	for _, tc := range []struct{ spec, rule string }{
+		{"disk.read.slow:delay=-1ms", "disk.read.slow:delay=-1ms"},
+		{"disk.read.slow:p=NaN", "disk.read.slow:p=NaN"},
+		{"disk.read.slow:p=-0.5", "disk.read.slow:p=-0.5"},
+		{"disk.read.slow:after=-1", "disk.read.slow:after=-1"},
+		{"daemon.crash:max=-1", "daemon.crash:max=-1"},
+		{"daemon.crash;net.frame.delay:p=0.5,delay=-1ns", "net.frame.delay:p=0.5,delay=-1ns"},
+	} {
+		_, err := ParseSpec(tc.spec)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) succeeded, want error", tc.spec)
+		} else if !strings.Contains(err.Error(), `"`+tc.rule+`"`) {
+			t.Errorf("ParseSpec(%q) error %q does not name rule %q", tc.spec, err, tc.rule)
 		}
 	}
 	spec, err := ParseSpec("  ;; ")

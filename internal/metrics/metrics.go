@@ -29,28 +29,20 @@ const (
 	TagDatanodeApp = "datanode-application"
 )
 
-// Registry accumulates cycle counts. The zero value is not usable; call
-// NewRegistry.
+// Registry accumulates cycle counts. It is the simulator's only aggregate
+// cycle ledger: a request trace's charges are per-request annotations of
+// the same cycles. The zero value is not usable; call NewRegistry.
 type Registry struct {
 	cycles map[string]map[string]int64 // entity -> tag -> cycles
 	marks  map[string]int64            // snapshot support: key "entity\x00tag"
 	start  time.Duration               // window start for utilization reports
-
-	// Scheduler-injected overhead (context switches, cache-cold refills) is
-	// charged to "others" like any work, but also recorded here per entity:
-	// it is the one class of cycles that belongs to no single request, so
-	// trace-derived breakdowns add it back to reconcile with the registry.
-	sched      map[string]int64
-	schedMarks map[string]int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		cycles:     make(map[string]map[string]int64),
-		marks:      make(map[string]int64),
-		sched:      make(map[string]int64),
-		schedMarks: make(map[string]int64),
+		cycles: make(map[string]map[string]int64),
+		marks:  make(map[string]int64),
 	}
 }
 
@@ -65,25 +57,6 @@ func (r *Registry) AddCycles(entity, tag string, n int64) {
 		r.cycles[entity] = m
 	}
 	m[tag] += n
-}
-
-// AddSchedCycles records n scheduler-injected cycles for entity. The cycles
-// must also be charged via AddCycles (under "others"); this side ledger only
-// classifies them as request-unattributable.
-func (r *Registry) AddSchedCycles(entity string, n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("metrics: negative sched cycles %d for %s", n, entity))
-	}
-	r.sched[entity] += n
-}
-
-// SchedCycles returns scheduler-injected cycles for entity since creation.
-func (r *Registry) SchedCycles(entity string) int64 { return r.sched[entity] }
-
-// WindowSchedCycles returns scheduler-injected cycles for entity since
-// MarkWindow.
-func (r *Registry) WindowSchedCycles(entity string) int64 {
-	return r.sched[entity] - r.schedMarks[entity]
 }
 
 // Cycles returns the cycles charged to (entity, tag) since creation.
@@ -136,9 +109,6 @@ func (r *Registry) MarkWindow(now time.Duration) {
 		for t, v := range m {
 			r.marks[e+"\x00"+t] = v
 		}
-	}
-	for e, v := range r.sched {
-		r.schedMarks[e] = v
 	}
 }
 

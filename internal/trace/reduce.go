@@ -1,9 +1,8 @@
 package trace
 
-// Reducers: everything the simulator used to account for with parallel
-// bookkeeping is computed here from the span stream instead — per-stage
-// latency percentiles for the delay/DFSIO experiments, and per-entity cycle
-// breakdowns for the Figure 6–8 bars.
+// Reducers over the span stream: per-stage latency percentiles for the
+// delay/DFSIO experiments and their CSV export. Cycle breakdowns are not
+// reduced here; metrics.Registry is their only ledger.
 
 import (
 	"io"
@@ -105,22 +104,4 @@ func WriteStagesCSV(w io.Writer, stats []StageStat) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// BreakdownCycles sums the cycle charges of all traces into entity → tag →
-// cycles, the same shape as metrics.Registry windows. This is how the
-// Figure 6–8 bars are derived from spans.
-func BreakdownCycles(traces []*Trace) map[string]map[string]int64 {
-	out := make(map[string]map[string]int64)
-	for _, t := range traces {
-		for _, c := range t.Charges {
-			m := out[c.Entity]
-			if m == nil {
-				m = make(map[string]int64)
-				out[c.Entity] = m
-			}
-			m[c.Tag] += c.Cycles
-		}
-	}
-	return out
 }

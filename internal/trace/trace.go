@@ -15,9 +15,11 @@
 //   - Allocation-conscious. Spans and cycle charges live in small slices
 //     owned by the trace; charges merge in place instead of growing a map.
 //
-// The existing aggregate instrumentation (metrics.Registry cycle counters,
-// core.DaemonStats, the Figure 6–8 breakdowns) is derived from this one
-// stream by the reducers at the bottom of the package.
+// A trace's cycle charges annotate one request for the exports; they are
+// not a ledger. Aggregate cycle counts, the Figure 6–8 bars among them, live
+// only in metrics.Registry, which cpusched charges at the same point. The
+// span stream is reduced to per-stage latency percentiles (reduce.go), and
+// core.DaemonStats to totals through a Counter (below).
 package trace
 
 import (

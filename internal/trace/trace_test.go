@@ -250,17 +250,6 @@ func TestStagesPercentiles(t *testing.T) {
 	}
 }
 
-func TestBreakdownCycles(t *testing.T) {
-	traces := buildSample(t)
-	bd := BreakdownCycles(traces)
-	if got := bd["client"]["client-application"]; got != 1000+2000+3000+4000 {
-		t.Fatalf("client cycles = %d", got)
-	}
-	if got := bd["vread-daemon@host1"]["others"]; got != 4*50 {
-		t.Fatalf("daemon cycles = %d", got)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	c := NewCounter()
 	c.Add("open", 1)
