@@ -10,7 +10,7 @@
 GO ?= go
 RACE_PKGS := ./internal/sim ./internal/data ./internal/metrics ./internal/trace ./internal/par ./internal/sim/shard ./internal/netsim ./internal/experiments ./internal/workload ./internal/cluster ./internal/hdfs ./internal/faults ./internal/faults/chaostest
 
-.PHONY: tier1 fmt vet build lint lint-self lint-audit lint-fix-list lint-report test race bench-smoke chaos-smoke fuzz-smoke scale-smoke migrate-smoke
+.PHONY: tier1 fmt vet build lint test race bench-smoke chaos-smoke fuzz-smoke scale-smoke migrate-smoke
 
 tier1: fmt vet build lint test race
 
@@ -24,42 +24,18 @@ vet:
 build:
 	$(GO) build ./...
 
-# lint runs the simulator's ten invariant analyzers — per-package
-# (determinism, simdiscipline, tracecharge) and interprocedural (hotalloc,
-# lockorder, faultpoint, errdiscipline, guesttaint, unitflow, lpowner) — over
-# the whole tree. lockorder also reports sim.Mutex locks not released on
-# every path, so that leak check runs here and not under vet.
-# Also usable as a vet tool (per-package analyzers only, vet shows the tool
-# one package at a time):
-#   go vet -vettool=$(PWD)/bin/vread-lint ./...
+# lint runs the simulator's ten invariant analyzers (determinism,
+# simdiscipline, tracecharge, hotalloc, lockorder, faultpoint, errdiscipline,
+# guesttaint, unitflow, lpowner) over the whole tree in one pass, the linter's
+# own implementation included. lockorder also reports sim.Mutex locks not
+# released on every path. The same run flags every stale //lint:allow (one
+# that suppresses nothing) as an unused-allow finding, prints findings as
+# file:line:col on stderr for editors and the CI problem matcher, and writes
+# them as stable, diffable JSON to lint-report.json for the CI artifact. The
+# exit status is the verdict; the report is written either way.
 lint:
 	$(GO) build -o bin/vread-lint ./cmd/vread-lint
-	./bin/vread-lint ./...
-
-# lint-self turns the linter on its own implementation: the analysis
-# framework and every analyzer must satisfy the invariants they enforce.
-lint-self:
-	$(GO) build -o bin/vread-lint ./cmd/vread-lint
-	./bin/vread-lint ./internal/analysis/... ./cmd/vread-lint
-
-# lint-audit is lint plus stale-suppression reporting: a //lint:allow that
-# suppresses nothing is lint debt and fails CI until it is deleted.
-lint-audit:
-	$(GO) build -o bin/vread-lint ./cmd/vread-lint
-	./bin/vread-lint -unused-allow ./...
-
-# lint-fix-list prints findings as file:line for editor quickfix lists.
-lint-fix-list:
-	$(GO) build -o bin/vread-lint ./cmd/vread-lint
-	./bin/vread-lint -list ./...
-
-# lint-report writes the findings as stable, diffable JSON (byte-identical
-# across runs on the same tree) for the CI artifact; the exit status is the
-# lint verdict, the report is written either way.
-lint-report:
-	$(GO) build -o bin/vread-lint ./cmd/vread-lint
-	./bin/vread-lint -json ./... > lint-report.json; \
-		status=$$?; cat lint-report.json; exit $$status
+	./bin/vread-lint -json lint-report.json ./...
 
 test:
 	$(GO) test ./...

@@ -30,22 +30,26 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "vread-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	exp := flag.String("exp", "all", "experiment id (fig2..fig13, table2, table3, ablations, all)")
-	scale := flag.Float64("scale", 0.05, "dataset scale relative to paper sizes")
-	format := flag.String("format", "table", "output format (table|csv)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	transport := flag.String("transport", "rdma", "remote daemon transport (rdma|tcp)")
-	traceFile := flag.String("trace", "", "write request traces as Chrome trace_event JSON to this file (plus <file>.stages.csv)")
-	traceEvery := flag.Int("trace-every", 1, "with -trace, sample every Nth request")
-	parallel := flag.Int("parallel", 0, "experiment cells to run concurrently (0 = one per CPU, 1 = serial); results are byte-identical either way")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("vread-bench", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiment id (fig2..fig13, table2, table3, ablations, all)")
+	scale := fs.Float64("scale", 0.05, "dataset scale relative to paper sizes")
+	format := fs.String("format", "table", "output format (table|csv)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	transport := fs.String("transport", "rdma", "remote daemon transport (rdma|tcp)")
+	traceFile := fs.String("trace", "", "write request traces as Chrome trace_event JSON to this file (plus <file>.stages.csv)")
+	traceEvery := fs.Int("trace-every", 1, "with -trace, sample every Nth request")
+	parallel := fs.Int("parallel", 0, "experiment cells to run concurrently (0 = one per CPU, 1 = serial); results are byte-identical either way")
+	fs.Parse(args)
+	if *format != "table" && *format != "csv" {
+		return fmt.Errorf("-format: unknown format %q (want table or csv)", *format)
+	}
 
 	opt := vread.Options{Seed: *seed, Scale: *scale, Parallel: *parallel}
 	var col *vread.TraceCollector
@@ -60,7 +64,7 @@ func run() error {
 	case "tcp":
 		opt.Transport = vread.TransportTCP
 	default:
-		return fmt.Errorf("unknown transport %q", *transport)
+		return fmt.Errorf("-transport: unknown transport %q (want rdma or tcp)", *transport)
 	}
 
 	ids := []string{*exp}

@@ -11,19 +11,19 @@
 //	unitflow       cycles reach sim time only via //lint:converter helpers
 //	lpowner        LP state stays on its Env; cross-LP only via LP.Send/coordinator
 //
-// Standalone:
+// Every analyzer sees the whole loaded program at once. One run prints each
+// finding on stderr as file:line:col: analyzer: message (the form editors
+// jump to and the CI problem matcher reads), reports every //lint:allow that
+// suppressed nothing as an unused-allow finding, and exits 1 if anything was
+// reported, 2 on a usage or load error:
 //
-//	vread-lint ./...                 # lint packages, exit 1 on findings
-//	vread-lint -list ./...           # findings as file:line for editor jumps
-//	vread-lint -json ./...           # findings as versioned, stable JSON
-//	vread-lint -run lockorder ./...  # subset of analyzers
-//	vread-lint -unused-allow ./...   # also flag stale //lint:allow comments
+//	vread-lint ./...                           # lint packages
+//	vread-lint -json lint-report.json ./...    # also write the JSON report
+//	vread-lint -run lockorder ./...            # subset of analyzers
 //
-// As a vet tool (the go vet driver handles caching and test packages;
-// whole-program analyzers are skipped because vet shows the tool one
-// package at a time):
-//
-//	go vet -vettool=$(pwd)/bin/vread-lint ./...
+// The JSON report is versioned and byte-stable apart from its timing rows; it
+// is written whatever the verdict. Under -run, only allows naming the chosen
+// analyzers are audited.
 //
 // Suppress a deliberate violation with a trailing or preceding comment:
 //
@@ -33,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -41,84 +42,61 @@ import (
 	"vread/internal/analysis/all"
 )
 
-// version participates in go vet's content-based caching (-V=full).
-const version = "v4"
-
 func main() {
-	flagV := flag.String("V", "", "print version (go vet protocol)")
-	flagFlags := flag.Bool("flags", false, "describe flags as JSON (go vet protocol)")
-	flagList := flag.Bool("list", false, "print findings as file:line only")
-	flagJSON := flag.Bool("json", false, "print findings as versioned JSON on stdout")
-	flagRun := flag.String("run", "", "comma-separated analyzer names to run (default all)")
-	flagUnused := flag.Bool("unused-allow", false, "also report //lint:allow comments that suppress nothing (full suite only)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: vread-lint [-list] [-json] [-run names] [-unused-allow] packages...\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
-	if *flagV != "" {
-		// go vet invokes `vettool -V=full` to key its cache.
-		fmt.Printf("vread-lint version %s\n", version)
-		return
+// run is the whole command: it returns the exit status and writes findings
+// and errors to stderr.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vread-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonPath := fs.String("json", "", "also write the findings as versioned JSON to this `file`")
+	runNames := fs.String("run", "", "comma-separated analyzer `names` to run (default all)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: vread-lint [-json file] [-run names] packages...\n")
+		fs.PrintDefaults()
 	}
-	if *flagFlags {
-		// go vet invokes `vettool -flags` to learn which vet flags the tool
-		// accepts; none of the standard ones apply.
-		fmt.Println("[]")
-		return
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "vread-lint:", err)
+		return 2
 	}
 
-	analyzers, err := selectAnalyzers(*flagRun)
+	analyzers, err := selectAnalyzers(*runNames)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vread-lint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// go vet -vettool mode: one package per invocation, described by a
-		// JSON config file. Whole-program analyzers need every package at
-		// once, so only the per-package subset runs here; `make lint` runs
-		// the full suite standalone.
-		diags, err := analysis.RunVet(args[0], perPackage(analyzers))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vread-lint:", err)
-			os.Exit(1)
-		}
-		report(diags, nil, *flagList, *flagJSON)
-		if len(diags) > 0 {
-			os.Exit(2)
-		}
-		return
-	}
-
-	if len(args) == 0 {
-		args = []string{"./..."}
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vread-lint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	pkgs, err := analysis.Load(wd, args)
+	pkgs, err := analysis.Load(wd, patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vread-lint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	if *flagUnused && *flagRun != "" {
-		fmt.Fprintln(os.Stderr, "vread-lint: -unused-allow needs the full suite; drop -run")
-		os.Exit(2)
-	}
-	diags, timings, err := analysis.RunSuiteTimed(analysis.NewProgram(pkgs), analyzers, *flagUnused)
+	diags, timings, err := analysis.RunSuite(analysis.NewProgram(pkgs), analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vread-lint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	report(diags, timings, *flagList, *flagJSON)
+	for _, d := range diags {
+		fmt.Fprintln(stderr, d.String())
+	}
+	if *jsonPath != "" {
+		if err := os.WriteFile(*jsonPath, analysis.MarshalReport(diags, timings), 0o666); err != nil {
+			return fail(err)
+		}
+	}
 	if len(diags) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func selectAnalyzers(runFlag string) ([]*analysis.Analyzer, error) {
@@ -142,30 +120,4 @@ func selectAnalyzers(runFlag string) ([]*analysis.Analyzer, error) {
 		picked = append(picked, a)
 	}
 	return picked, nil
-}
-
-// perPackage filters out whole-program analyzers, which cannot run under
-// the one-package-at-a-time vet protocol.
-func perPackage(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
-	var out []*analysis.Analyzer
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func report(diags []analysis.Diagnostic, timings []analysis.AnalyzerTiming, listOnly, asJSON bool) {
-	if asJSON {
-		os.Stdout.Write(analysis.MarshalReport(diags, timings))
-		return
-	}
-	for _, d := range diags {
-		if listOnly {
-			fmt.Printf("%s:%d\n", d.Pos.Filename, d.Pos.Line)
-			continue
-		}
-		fmt.Fprintln(os.Stderr, d.String())
-	}
 }

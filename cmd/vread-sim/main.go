@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -26,32 +27,75 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "vread-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	useVRead := flag.Bool("vread", false, "enable vRead")
-	scenario := flag.String("scenario", "co-located", "block placement (co-located|remote|hybrid)")
-	freqGHz := flag.Float64("freq-ghz", 2.0, "host CPU frequency in GHz")
-	hogs := flag.Bool("hogs", false, "add the 85% lookbusy background VMs (4-VM setups)")
-	sizeMB := flag.Int64("size-mb", 256, "file size to write and read")
-	bufferKB := flag.Int64("buffer-kb", 1024, "application read buffer")
-	transport := flag.String("transport", "rdma", "remote daemon transport (rdma|tcp)")
-	bypass := flag.Bool("bypass", false, "daemon bypasses the host FS (§6 ablation)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	faultSpec := flag.String("faults", "", "deterministic fault plan (point[:p=..,after=..,max=..,delay=..];...)")
-	configPath := flag.String("config", "", "JSON scenario file (overrides the other flags)")
-	sloPath := flag.String("slo", "", "write scale-out SLO rows as JSON to this file (scale_out scenarios)")
-	blackoutPath := flag.String("blackout", "", "write migration blackout rows as JSON to this file (migrate scenarios)")
-	flag.Parse()
+// cli is vread-sim's validated command line.
+type cli struct {
+	useVRead, hogs, bypass            bool
+	scenario, transport, faultSpec    string
+	configPath, sloPath, blackoutPath string
+	freqGHz                           float64
+	sizeMB, bufferKB, seed            int64
+	place                             vread.Scenario // parsed from scenario
+}
 
+// parseFlags parses and range-checks the command line, so a bad value fails
+// here with the flag named instead of panicking, hanging, or running
+// something else deep inside the simulation.
+func parseFlags(args []string) (*cli, error) {
+	var c cli
+	fs := flag.NewFlagSet("vread-sim", flag.ExitOnError)
+	fs.BoolVar(&c.useVRead, "vread", false, "enable vRead")
+	fs.StringVar(&c.scenario, "scenario", "co-located", "block placement (co-located|remote|hybrid)")
+	fs.Float64Var(&c.freqGHz, "freq-ghz", 2.0, "host CPU frequency in GHz")
+	fs.BoolVar(&c.hogs, "hogs", false, "add the 85% lookbusy background VMs (4-VM setups)")
+	fs.Int64Var(&c.sizeMB, "size-mb", 256, "file size to write and read")
+	fs.Int64Var(&c.bufferKB, "buffer-kb", 1024, "application read buffer")
+	fs.StringVar(&c.transport, "transport", "rdma", "remote daemon transport (rdma|tcp)")
+	fs.BoolVar(&c.bypass, "bypass", false, "daemon bypasses the host FS (§6 ablation)")
+	fs.Int64Var(&c.seed, "seed", 1, "simulation seed")
+	fs.StringVar(&c.faultSpec, "faults", "", "deterministic fault plan (point[:p=..,after=..,max=..,delay=..];...)")
+	fs.StringVar(&c.configPath, "config", "", "JSON scenario file (overrides the other flags)")
+	fs.StringVar(&c.sloPath, "slo", "", "write scale-out SLO rows as JSON to this file (scale_out scenarios)")
+	fs.StringVar(&c.blackoutPath, "blackout", "", "write migration blackout rows as JSON to this file (migrate scenarios)")
+	fs.Parse(args)
+
+	switch {
+	case !(c.freqGHz*1e9 >= 1 && c.freqGHz*1e9 < math.MaxInt64):
+		return nil, fmt.Errorf("-freq-ghz %v out of range (want > 0)", c.freqGHz)
+	case c.sizeMB <= 0 || c.sizeMB > math.MaxInt64>>20:
+		return nil, fmt.Errorf("-size-mb %d out of range (want > 0)", c.sizeMB)
+	case c.bufferKB <= 0 || c.bufferKB > math.MaxInt64>>10:
+		return nil, fmt.Errorf("-buffer-kb %d out of range (want > 0)", c.bufferKB)
+	case c.transport != "rdma" && c.transport != "tcp":
+		return nil, fmt.Errorf("-transport: unknown transport %q (want rdma or tcp)", c.transport)
+	}
+	switch c.scenario {
+	case "co-located":
+		c.place = vread.Colocated
+	case "remote":
+		c.place = vread.Remote
+	case "hybrid":
+		c.place = vread.Hybrid
+	default:
+		return nil, fmt.Errorf("-scenario: unknown scenario %q (want co-located, remote or hybrid)", c.scenario)
+	}
+	return &c, nil
+}
+
+func run(args []string) error {
+	c, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
 	var opt vread.Options
 	var place vread.Scenario
-	if *configPath != "" {
-		raw, err := os.ReadFile(*configPath)
+	if c.configPath != "" {
+		raw, err := os.ReadFile(c.configPath)
 		if err != nil {
 			return err
 		}
@@ -59,38 +103,28 @@ func run() error {
 		var mc *vread.MigrationConfig
 		opt, place, sc, mc, err = vread.ParseOptions(raw)
 		if err != nil {
-			return fmt.Errorf("config %s: %w", *configPath, err)
+			return fmt.Errorf("config %s: %w", c.configPath, err)
 		}
 		if sc != nil {
-			return runScale(opt, *sc, *sloPath)
+			return runScale(opt, *sc, c.sloPath)
 		}
 		if mc != nil {
-			return runMigrate(opt, *mc, *blackoutPath)
+			return runMigrate(opt, *mc, c.blackoutPath)
 		}
-		*useVRead = opt.VRead
 	} else {
 		opt = vread.Options{
-			Seed:             *seed,
-			FreqHz:           int64(*freqGHz * 1e9),
-			ExtraVMs:         *hogs,
-			VRead:            *useVRead,
-			DirectDiskBypass: *bypass,
+			Seed:             c.seed,
+			FreqHz:           int64(c.freqGHz * 1e9),
+			ExtraVMs:         c.hogs,
+			VRead:            c.useVRead,
+			DirectDiskBypass: c.bypass,
 		}
-		if *transport == "tcp" {
+		if c.transport == "tcp" {
 			opt.Transport = vread.TransportTCP
 		}
-		switch *scenario {
-		case "co-located":
-			place = vread.Colocated
-		case "remote":
-			place = vread.Remote
-		case "hybrid":
-			place = vread.Hybrid
-		default:
-			return fmt.Errorf("unknown scenario %q", *scenario)
-		}
-		if *faultSpec != "" {
-			spec, err := vread.ParseFaultSpec(*faultSpec)
+		place = c.place
+		if c.faultSpec != "" {
+			spec, err := vread.ParseFaultSpec(c.faultSpec)
 			if err != nil {
 				return err
 			}
@@ -102,10 +136,10 @@ func run() error {
 	defer tb.Close()
 	tb.Place(place)
 
-	size := *sizeMB << 20
-	content := data.Pattern{Seed: uint64(*seed), Size: size}
+	size := c.sizeMB << 20
+	content := data.Pattern{Seed: uint64(c.seed), Size: size}
 	var writeTime, coldTime, warmTime time.Duration
-	err := tb.Run("vread-sim", 24*time.Hour, func(p *sim.Proc) error {
+	err = tb.Run("vread-sim", 24*time.Hour, func(p *sim.Proc) error {
 		start := tb.C.Env.Now()
 		if err := tb.Client.WriteFile(p, "/sim/file", content); err != nil {
 			return err
@@ -115,13 +149,13 @@ func run() error {
 		tb.DropAllCaches()
 		tb.C.Reg.MarkWindow(tb.C.Env.Now())
 		start = tb.C.Env.Now()
-		if err := readAll(p, tb, *bufferKB<<10); err != nil {
+		if err := readAll(p, tb, c.bufferKB<<10); err != nil {
 			return err
 		}
 		coldTime = tb.C.Env.Now() - start
 
 		start = tb.C.Env.Now()
-		if err := readAll(p, tb, *bufferKB<<10); err != nil {
+		if err := readAll(p, tb, c.bufferKB<<10); err != nil {
 			return err
 		}
 		warmTime = tb.C.Env.Now() - start
@@ -136,7 +170,7 @@ func run() error {
 		sys = "vRead"
 	}
 	fmt.Printf("scenario=%s system=%s freq=%.1fGHz hogs=%v size=%dMB buffer=%dKB\n\n",
-		place, sys, float64(tb.Opt.FreqHz)/1e9, opt.ExtraVMs, *sizeMB, *bufferKB)
+		place, sys, float64(tb.Opt.FreqHz)/1e9, opt.ExtraVMs, c.sizeMB, c.bufferKB)
 	fmt.Printf("write:      %10.1f MB/s  (%v)\n", metrics.Throughput(size, writeTime), writeTime.Round(time.Millisecond))
 	fmt.Printf("cold read:  %10.1f MB/s  (%v)\n", metrics.Throughput(size, coldTime), coldTime.Round(time.Millisecond))
 	fmt.Printf("warm read:  %10.1f MB/s  (%v)\n\n", metrics.Throughput(size, warmTime), warmTime.Round(time.Millisecond))

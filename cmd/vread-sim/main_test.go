@@ -1,0 +1,49 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"vread"
+)
+
+// TestParseFlagsRejects covers values that used to panic (-freq-ghz -1 in
+// cpusched.New), hang (-buffer-kb 0 read zero bytes forever), print nonsense
+// (-size-mb -1 gave negative MB/s) or run something else (-transport bogus ran
+// RDMA): each must now fail with an error naming the flag.
+func TestParseFlagsRejects(t *testing.T) {
+	for _, args := range [][]string{
+		{"-freq-ghz", "-1"},
+		{"-freq-ghz", "0"},
+		{"-freq-ghz", "1e300"},
+		{"-buffer-kb", "0"},
+		{"-buffer-kb", "-4"},
+		{"-size-mb", "-1"},
+		{"-size-mb", "0"},
+		{"-size-mb", "9007199254740992"},
+		{"-transport", "bogus"},
+		{"-scenario", "bogus"},
+	} {
+		_, err := parseFlags(args)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("parseFlags(%q) = %v, want an error naming %s", args, err, args[0])
+		}
+	}
+}
+
+func TestParseFlagsAccepts(t *testing.T) {
+	c, err := parseFlags(nil)
+	if err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	if c.freqGHz != 2.0 || c.sizeMB != 256 || c.bufferKB != 1024 || c.transport != "rdma" || c.place != vread.Colocated {
+		t.Errorf("defaults = %+v", c)
+	}
+	c, err = parseFlags([]string{"-freq-ghz", "3.4", "-transport", "tcp", "-scenario", "remote", "-buffer-kb", "64"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.transport != "tcp" || c.place != vread.Remote || c.bufferKB != 64 {
+		t.Errorf("parsed = %+v", c)
+	}
+}

@@ -15,8 +15,8 @@ import (
 	"vread/internal/analysis/unitflow"
 )
 
-// Analyzers returns the full suite in stable order: the per-package
-// analyzers first, then the interprocedural (whole-program) ones.
+// Analyzers returns the full suite in stable order: the analyzers that check
+// one file at a time first, then the interprocedural ones.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,

@@ -19,32 +19,17 @@ import (
 	"strings"
 )
 
-// Analyzer is one named invariant checker. Exactly one of Run and RunProgram
-// is set: Run analyzers see one package at a time, RunProgram analyzers see
-// the whole loaded program plus its call graph (the interprocedural layer)
-// and only run under RunSuite — the vet driver, which hands us one package
-// per process, skips them.
+// Analyzer is one named invariant checker. Every analyzer sees the whole
+// loaded program plus its call graph: the ones that check one file at a time
+// simply loop over Prog.Pkgs, the interprocedural ones walk the graph.
 type Analyzer struct {
 	// Name is the analyzer's identifier, used in -run filters and in
 	// //lint:allow directives.
 	Name string
 	// Doc describes the invariant the analyzer enforces.
 	Doc string
-	// Run inspects one package and reports findings through the pass.
+	// Run inspects the program and reports findings through the pass.
 	Run func(*Pass) error
-	// RunProgram inspects the whole program; nil for per-package analyzers.
-	RunProgram func(*ProgramPass) error
-}
-
-// Pass carries one package through one analyzer.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	diags *[]Diagnostic
 }
 
 // Diagnostic is one finding.
@@ -99,7 +84,7 @@ func MarshalReport(diags []Diagnostic, timings []AnalyzerTiming) []byte {
 
 // MarshalDiagnostics renders diagnostics as a JSON array with a fixed field
 // order (file, line, col, analyzer, message) and one object per line. The
-// input must already be sorted (RunAnalyzers/RunSuite output is); given the
+// input must already be sorted (RunSuite output is); given the
 // same diagnostics the bytes are identical on every run, which is what lets
 // CI diff lint-report.json artifacts across builds.
 func MarshalDiagnostics(diags []Diagnostic) []byte {
@@ -148,34 +133,6 @@ func jsonString(s string) string {
 	}
 	b.WriteByte('"')
 	return b.String()
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// IsTestFile reports whether pos lies in a test file. The analyzers enforce
-// invariants on simulator code only; tests may consult the wall clock or
-// spin goroutines to exercise the engine from outside. Both the in-package
-// form (foo_test.go, package foo) and the external variant (package foo_test)
-// count: the filename check catches the common case, and the package-clause
-// check catches external-test-package files however they are named — fixture
-// trees and generated files don't always follow the _test.go convention.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	if strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go") {
-		return true
-	}
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return strings.HasSuffix(f.Name.Name, "_test")
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -245,12 +202,10 @@ func buildSuppressions(fset *token.FileSet, files []*ast.File) (*suppressions, [
 	return sup, bad
 }
 
+// suppressed reports whether a //lint:allow for d's analyzer covers d's line,
+// and marks that directive used.
 func (s *suppressions) suppressed(d Diagnostic) bool {
-	byFile := s.byKey[d.Analyzer]
-	if byFile == nil {
-		return false
-	}
-	dir := byFile[d.Pos.Filename][d.Pos.Line]
+	dir := s.byKey[d.Analyzer][d.Pos.Filename][d.Pos.Line]
 	if dir == nil {
 		return false
 	}
@@ -260,9 +215,8 @@ func (s *suppressions) suppressed(d Diagnostic) bool {
 
 // unused returns a diagnostic for every directive naming one of the ran
 // analyzers that suppressed nothing — a stale //lint:allow whose finding has
-// since been fixed (or whose analyzer name is misspelled). Only meaningful
-// after a full-suite run: a -run subset would mark every other analyzer's
-// allows stale.
+// since been fixed. Directives naming an analyzer that did not run are
+// skipped: their staleness cannot be judged.
 func (s *suppressions) unused(ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range s.directives {
@@ -276,36 +230,6 @@ func (s *suppressions) unused(ran map[string]bool) []Diagnostic {
 		})
 	}
 	return out
-}
-
-// RunAnalyzers applies the analyzers to one type-checked package and returns
-// the surviving findings sorted by position. //lint:allow directives are
-// honored here so every driver (standalone, vettool, analysistest) behaves
-// identically.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	sup, bad := buildSuppressions(pkg.Fset, pkg.Files)
-	diags := bad
-	for _, a := range analyzers {
-		var out []Diagnostic
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			diags:     &out,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
-		}
-		for _, d := range out {
-			if !sup.suppressed(d) {
-				diags = append(diags, d)
-			}
-		}
-	}
-	sortDiagnostics(diags)
-	return diags, nil
 }
 
 // ---------------------------------------------------------------------------

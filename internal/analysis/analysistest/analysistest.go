@@ -17,8 +17,8 @@
 //
 // Every diagnostic must match an unclaimed want on its (file, line), and
 // every want must be claimed by some diagnostic. Suppression directives
-// (//lint:allow) are honored exactly as in the real drivers, so fixtures can
-// also prove the escape hatch works.
+// (//lint:allow) are honored exactly as in vread-lint, so fixtures can also
+// prove the escape hatch works.
 package analysistest
 
 import (
@@ -49,29 +49,19 @@ func TestData(t *testing.T) string {
 }
 
 // Run loads the fixture packages from testdata/src/<path>, applies the
-// analyzer (with //lint:allow suppression, exactly as the real drivers do),
-// and compares the diagnostics against the fixtures' // want comments.
+// analyzer through RunSuite (with //lint:allow suppression and the
+// stale-suppression report, exactly as vread-lint does), and compares the
+// diagnostics against the fixtures' // want comments. A //lint:allow naming
+// the analyzer that suppresses nothing must be claimed by a "stale
+// suppression" want; allows naming other analyzers are not judged.
 //
 // All listed packages load into one Program and the analyzer runs once over
-// it via RunSuite, so program analyzers (RunProgram) see a cross-package call
-// graph: a fixture that needs interprocedural propagation between packages
-// simply lists every package involved. Packages a fixture merely imports for
-// types (the sim/trace stubs) resolve through the importer but stay out of
-// the Program — their bodies are not analyzed.
+// it, so interprocedural analyzers see a cross-package call graph: a fixture
+// that needs propagation between packages simply lists every package
+// involved. Packages a fixture merely imports for types (the sim/trace stubs)
+// resolve through the importer but stay out of the Program — their bodies are
+// not analyzed.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
-	t.Helper()
-	run(t, testdata, analysis.RunSuite, []*analysis.Analyzer{a}, pkgPaths)
-}
-
-// RunUnused is Run under the stale-suppression driver (RunSuiteUnused) with
-// an explicit analyzer list: //lint:allow comments naming a ran analyzer that
-// suppressed nothing must be claimed by "stale suppression" wants.
-func RunUnused(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgPaths ...string) {
-	t.Helper()
-	run(t, testdata, analysis.RunSuiteUnused, analyzers, pkgPaths)
-}
-
-func run(t *testing.T, testdata string, drive func(*analysis.Program, []*analysis.Analyzer) ([]analysis.Diagnostic, error), analyzers []*analysis.Analyzer, pkgPaths []string) {
 	t.Helper()
 	fset := token.NewFileSet()
 	imp := &fixtureImporter{
@@ -89,7 +79,7 @@ func run(t *testing.T, testdata string, drive func(*analysis.Program, []*analysi
 		pkgs = append(pkgs, pkg)
 	}
 	prog := analysis.NewProgram(pkgs)
-	diags, err := drive(prog, analyzers)
+	diags, _, err := analysis.RunSuite(prog, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}

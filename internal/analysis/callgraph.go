@@ -2,7 +2,7 @@ package analysis
 
 // The interprocedural layer: a deterministic cross-package call graph over
 // one loaded Program, shared by the hotalloc, lockorder, and errdiscipline
-// analyzers (and available to any future one through ProgramPass.Graph).
+// analyzers (and available to any future one through Pass.Graph).
 //
 // Construction is purely static and intentionally approximate, in the
 // conservative direction each client needs:

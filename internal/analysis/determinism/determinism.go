@@ -51,32 +51,34 @@ var outputMethods = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	if allowedPkgs[pass.Pkg.Path()] {
-		return nil
-	}
-	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
+	for _, pkg := range pass.Prog.Pkgs {
+		if allowedPkgs[pkg.Path] {
 			continue
 		}
-		checkCalls(pass, f)
-		checkMapRanges(pass, f)
+		for _, f := range pkg.Files {
+			if pass.IsTestFile(f.Pos()) {
+				continue
+			}
+			checkCalls(pass, pkg.TypesInfo, f)
+			checkMapRanges(pass, pkg.TypesInfo, f)
+		}
 	}
 	return nil
 }
 
-func checkCalls(pass *analysis.Pass, f *ast.File) {
+func checkCalls(pass *analysis.Pass, info *types.Info, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		path, name, ok := analysis.PkgFunc(pass.TypesInfo, sel)
+		path, name, ok := analysis.PkgFunc(info, sel)
 		if !ok {
 			return true
 		}
 		// Only function references draw from the clock or the global
 		// source; type mentions like *rand.Rand are the seeded idiom.
-		if _, isFunc := pass.TypesInfo.Uses[sel.Sel].(*types.Func); !isFunc {
+		if _, isFunc := info.Uses[sel.Sel].(*types.Func); !isFunc {
 			return true
 		}
 		switch {
@@ -94,13 +96,13 @@ func checkCalls(pass *analysis.Pass, f *ast.File) {
 // checkMapRanges flags map-range loops whose bodies feed emitted output:
 // either a direct write/encode call, or an append into a slice declared
 // outside the loop that is never subsequently sorted in the same function.
-func checkMapRanges(pass *analysis.Pass, f *ast.File) {
+func checkMapRanges(pass *analysis.Pass, info *types.Info, f *ast.File) {
 	for _, fb := range analysis.FuncBodies(f) {
-		checkBodyMapRanges(pass, fb)
+		checkBodyMapRanges(pass, info, fb)
 	}
 }
 
-func checkBodyMapRanges(pass *analysis.Pass, fb analysis.FuncBody) {
+func checkBodyMapRanges(pass *analysis.Pass, info *types.Info, fb analysis.FuncBody) {
 	type cand struct {
 		rng    *ast.RangeStmt
 		target *ast.Ident // the appended-to variable
@@ -112,7 +114,7 @@ func checkBodyMapRanges(pass *analysis.Pass, fb analysis.FuncBody) {
 		if lit, ok := n.(*ast.FuncLit); ok && lit != fb.Lit {
 			return false // nested literal is its own root
 		}
-		if r, ok := n.(*ast.RangeStmt); ok && analysis.IsMap(pass.TypesInfo, r.X) {
+		if r, ok := n.(*ast.RangeStmt); ok && analysis.IsMap(info, r.X) {
 			ranges = append(ranges, r)
 		}
 		return true
@@ -126,8 +128,8 @@ func checkBodyMapRanges(pass *analysis.Pass, fb analysis.FuncBody) {
 			switch v := n.(type) {
 			case *ast.CallExpr:
 				if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok {
-					if isOutputCall(pass, sel) {
-						pass.Reportf(v.Pos(), "%s inside a map-range loop leaks map iteration order into emitted output, breaking byte-identical runs (determinism invariant); iterate a sorted slice of keys instead", callName(pass, sel))
+					if isOutputCall(info, sel) {
+						pass.Reportf(v.Pos(), "%s inside a map-range loop leaks map iteration order into emitted output, breaking byte-identical runs (determinism invariant); iterate a sorted slice of keys instead", callName(info, sel))
 					}
 				}
 			case *ast.AssignStmt:
@@ -146,7 +148,7 @@ func checkBodyMapRanges(pass *analysis.Pass, fb analysis.FuncBody) {
 				if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || fn.Name != "append" {
 					return true
 				}
-				obj := pass.TypesInfo.ObjectOf(lhs)
+				obj := info.ObjectOf(lhs)
 				if obj == nil || obj.Pos() == 0 {
 					return true
 				}
@@ -160,7 +162,7 @@ func checkBodyMapRanges(pass *analysis.Pass, fb analysis.FuncBody) {
 	}
 
 	for _, c := range cands {
-		if sortedAfter(pass, fb, c.target) {
+		if sortedAfter(info, fb, c.target) {
 			continue
 		}
 		pass.Reportf(c.target.Pos(), "append to %q inside a map-range loop captures map iteration order, breaking byte-identical runs (determinism invariant); sort %q before it is used, or collect and sort the keys first", c.target.Name, c.target.Name)
@@ -169,8 +171,8 @@ func checkBodyMapRanges(pass *analysis.Pass, fb analysis.FuncBody) {
 
 // sortedAfter reports whether the variable is passed to a sort/slices sort
 // call anywhere in the function — the sanctioned collect-then-sort idiom.
-func sortedAfter(pass *analysis.Pass, fb analysis.FuncBody, target *ast.Ident) bool {
-	obj := pass.TypesInfo.ObjectOf(target)
+func sortedAfter(info *types.Info, fb analysis.FuncBody, target *ast.Ident) bool {
+	obj := info.ObjectOf(target)
 	found := false
 	ast.Inspect(fb.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -181,7 +183,7 @@ func sortedAfter(pass *analysis.Pass, fb analysis.FuncBody, target *ast.Ident) b
 		if !ok {
 			return !found
 		}
-		path, name, ok := analysis.PkgFunc(pass.TypesInfo, sel)
+		path, name, ok := analysis.PkgFunc(info, sel)
 		if !ok || (path != "sort" && path != "slices") {
 			return !found
 		}
@@ -189,7 +191,7 @@ func sortedAfter(pass *analysis.Pass, fb analysis.FuncBody, target *ast.Ident) b
 			return !found
 		}
 		for _, arg := range call.Args {
-			if id := analysis.RootIdent(arg); id != nil && pass.TypesInfo.ObjectOf(id) == obj {
+			if id := analysis.RootIdent(arg); id != nil && info.ObjectOf(id) == obj {
 				found = true
 			}
 		}
@@ -209,7 +211,7 @@ func isSortHelper(path, name string) bool {
 	return false
 }
 
-func isOutputCall(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
+func isOutputCall(info *types.Info, sel *ast.SelectorExpr) bool {
 	name := sel.Sel.Name
 	if strings.HasPrefix(name, "Write") || outputMethods[name] {
 		// Package-level fmt.Fprint* / method Write*/Encode on anything.
@@ -218,8 +220,8 @@ func isOutputCall(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	return false
 }
 
-func callName(pass *analysis.Pass, sel *ast.SelectorExpr) string {
-	if path, name, ok := analysis.PkgFunc(pass.TypesInfo, sel); ok {
+func callName(info *types.Info, sel *ast.SelectorExpr) string {
+	if path, name, ok := analysis.PkgFunc(info, sel); ok {
 		return path + "." + name
 	}
 	return sel.Sel.Name

@@ -31,14 +31,14 @@ var Analyzer = &analysis.Analyzer{
 	Name: "errdiscipline",
 	Doc: "compare errors with errors.Is, not ==; core's exported and " +
 		"retry-boundary functions must return typed or %w-wrapped errors",
-	RunProgram: run,
+	Run: run,
 }
 
 // retryFiles are the core files on the retry path, where the wrap rule
 // applies to unexported functions too.
 var retryFiles = map[string]bool{"lib.go": true, "remote.go": true}
 
-func run(pass *analysis.ProgramPass) error {
+func run(pass *analysis.Pass) error {
 	for _, pkg := range pass.Prog.Pkgs {
 		checkComparisons(pass, pkg)
 		if path.Base(pkg.Path) == "core" {
@@ -50,7 +50,7 @@ func run(pass *analysis.ProgramPass) error {
 
 // checkComparisons flags ==/!= where both operands are error interfaces and
 // neither is nil.
-func checkComparisons(pass *analysis.ProgramPass, pkg *analysis.Package) {
+func checkComparisons(pass *analysis.Pass, pkg *analysis.Package) {
 	for _, f := range pkg.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
@@ -87,7 +87,7 @@ func isErrorExpr(pkg *analysis.Package, e ast.Expr) bool {
 // checkWrapping flags fmt.Errorf calls without %w inside functions the wrap
 // rule covers: exported error-returning functions anywhere in the package,
 // and every error-returning function in the retry-boundary files.
-func checkWrapping(pass *analysis.ProgramPass, pkg *analysis.Package) {
+func checkWrapping(pass *analysis.Pass, pkg *analysis.Package) {
 	for _, f := range pkg.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue

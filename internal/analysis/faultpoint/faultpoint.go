@@ -40,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "faultpoint",
 	Doc: "cross-check fault-injection points: declared ⇔ evaluated in the " +
 		"owning layer ⇔ armed by a test; spec literals in tests must parse",
-	RunProgram: run,
+	Run: run,
 }
 
 // layerTable maps a point-name prefix to the package base names allowed to
@@ -77,7 +77,7 @@ type declPoint struct {
 	pos   token.Pos
 }
 
-func run(pass *analysis.ProgramPass) error {
+func run(pass *analysis.Pass) error {
 	fpkg := faultsPackage(pass.Prog)
 	if fpkg == nil {
 		return nil // program does not contain a fault registry
@@ -209,7 +209,7 @@ func looksLikePoint(s string) bool {
 // checkEvals finds every Plan.Should / Plan.ShouldDelay call in one package,
 // validates the argument against the declared set and the layer table, and
 // records which package evaluated which point.
-func checkEvals(pass *analysis.ProgramPass, pkg *analysis.Package, declared map[string]*declPoint, evaled map[string][]string) {
+func checkEvals(pass *analysis.Pass, pkg *analysis.Package, declared map[string]*declPoint, evaled map[string][]string) {
 	base := path.Base(pkg.Path)
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -294,7 +294,7 @@ func armedPoints(prog *analysis.Program, points []*declPoint) map[string]bool {
 // point set. Specs built in variables or helpers are out of reach — and
 // deliberately so: the table-driven negative tests in the faults package
 // keep their invalid specs in tables.
-func checkSpecLiterals(pass *analysis.ProgramPass, declared map[string]*declPoint) {
+func checkSpecLiterals(pass *analysis.Pass, declared map[string]*declPoint) {
 	for _, pkg := range pass.Prog.Pkgs {
 		for _, f := range pkg.TestFiles {
 			ast.Inspect(f, func(n ast.Node) bool {

@@ -31,9 +31,9 @@ import (
 
 // Analyzer is the guest-taint invariant.
 var Analyzer = &analysis.Analyzer{
-	Name:       "guesttaint",
-	Doc:        "guest-written ring values must pass a declared //lint:sanitizer guesttaint function before index, copy-length, map-key, and schedule-delay sinks",
-	RunProgram: run,
+	Name: "guesttaint",
+	Doc:  "guest-written ring values must pass a declared //lint:sanitizer guesttaint function before index, copy-length, map-key, and schedule-delay sinks",
+	Run:  run,
 }
 
 const simPath = "vread/internal/sim"
@@ -42,7 +42,7 @@ const simPath = "vread/internal/sim"
 // host-side code.
 var popMethods = map[string]bool{"Get": true, "TryGet": true, "GetTimeout": true, "Peek": true}
 
-func run(pass *analysis.ProgramPass) error {
+func run(pass *analysis.Pass) error {
 	prog := pass.Prog
 	badDirective := func(pos token.Pos, msg string) { pass.Reportf(pos, "%s", msg) }
 	sanitizers := analysis.AnnotatedFuncs(prog, "sanitizer", "guesttaint", badDirective)

@@ -27,7 +27,8 @@
 // suppresses one finding, while the same directive in a function's doc
 // comment declares the whole function a cold boundary: propagation stops
 // there and its body is not checked. Use the latter for macro-scale work
-// reachable from, but not meaningfully part of, a hot path.
+// reachable from, but not meaningfully part of, a hot path. A boundary no hot
+// path reaches stops nothing, so the stale-suppression report flags it.
 //
 // Ground truth is testing.AllocsPerRun: TestScheduleZeroAlloc holds the
 // schedule-fire cycle at 0 allocs/op, and this analyzer keeps it that way at
@@ -46,16 +47,16 @@ import (
 
 // Analyzer flags heap allocations reachable from //lint:hotpath functions.
 var Analyzer = &analysis.Analyzer{
-	Name:       "hotalloc",
-	Doc:        "functions marked //lint:hotpath (and everything they call) must not heap-allocate",
-	RunProgram: run,
+	Name: "hotalloc",
+	Doc:  "functions marked //lint:hotpath (and everything they call) must not heap-allocate",
+	Run:  run,
 }
 
-func run(pass *analysis.ProgramPass) error {
+func run(pass *analysis.Pass) error {
 	g := pass.Graph
 
 	var seeds []*analysis.FuncNode
-	boundary := map[*analysis.FuncNode]bool{}
+	boundary := map[*analysis.FuncNode]token.Pos{} // node -> its cold-boundary directive
 	for _, n := range g.Nodes {
 		if n.Decl == nil || n.Decl.Doc == nil {
 			continue
@@ -66,18 +67,27 @@ func run(pass *analysis.ProgramPass) error {
 			case strings.HasPrefix(t, "lint:hotpath"):
 				seeds = append(seeds, n)
 			case strings.HasPrefix(t, "lint:allow hotalloc("):
-				boundary[n] = true
+				boundary[n] = c.Pos()
 			}
 		}
 	}
 
-	// BFS from the seeds, never entering a cold boundary. g.Nodes and each
-	// callee list are name-sorted, so the parent tree — and with it every
-	// reported call chain — is deterministic.
+	// BFS from the seeds, never entering a cold boundary. A boundary the
+	// search runs into has done its job, so its directive counts as used; one
+	// no hot path reaches is reported stale like any other idle //lint:allow.
+	// g.Nodes and each callee list are name-sorted, so the parent tree — and
+	// with it every reported call chain — is deterministic.
+	cold := func(n *analysis.FuncNode) bool {
+		pos, ok := boundary[n]
+		if ok {
+			pass.UseAllow(pos)
+		}
+		return ok
+	}
 	parent := map[*analysis.FuncNode]*analysis.FuncNode{}
 	var queue []*analysis.FuncNode
 	for _, s := range seeds {
-		if boundary[s] {
+		if cold(s) {
 			continue
 		}
 		if _, ok := parent[s]; !ok {
@@ -89,7 +99,7 @@ func run(pass *analysis.ProgramPass) error {
 		n := queue[0]
 		queue = queue[1:]
 		for _, c := range g.Callees(n) {
-			if boundary[c] {
+			if cold(c) {
 				continue
 			}
 			if _, ok := parent[c]; !ok {
@@ -108,7 +118,7 @@ func run(pass *analysis.ProgramPass) error {
 }
 
 // checkNode walks one hot function's body and reports allocating constructs.
-func checkNode(pass *analysis.ProgramPass, n *analysis.FuncNode, parent map[*analysis.FuncNode]*analysis.FuncNode) {
+func checkNode(pass *analysis.Pass, n *analysis.FuncNode, parent map[*analysis.FuncNode]*analysis.FuncNode) {
 	chain := analysis.PathString(analysis.PathFrom(parent, n))
 	info := n.Pkg.TypesInfo
 	results := resultTuple(info, n)
@@ -171,7 +181,7 @@ func checkNode(pass *analysis.ProgramPass, n *analysis.FuncNode, parent map[*ana
 
 // checkCall handles the call-shaped allocation sources. The returned bool is
 // the ast.Inspect recursion decision.
-func checkCall(pass *analysis.ProgramPass, info *types.Info, call *ast.CallExpr, chain string) bool {
+func checkCall(pass *analysis.Pass, info *types.Info, call *ast.CallExpr, chain string) bool {
 	fun := ast.Unparen(call.Fun)
 
 	// panic(...) arguments run only while unwinding; skip the whole subtree.

@@ -41,7 +41,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "require a consistent global sim.Mutex acquisition order (no " +
 		"cycles in the acquired-while-holding graph, no double-acquires) " +
 		"and an Unlock on every return path (ring spinlock invariant)",
-	RunProgram: run,
+	Run: run,
 }
 
 const mutexPath = "vread/internal/sim"
@@ -58,7 +58,7 @@ type edgeInfo struct {
 }
 
 type checker struct {
-	pass  *analysis.ProgramPass
+	pass  *analysis.Pass
 	graph *analysis.CallGraph
 
 	// direct[node] = lock classes Lock()ed directly in the node's body.
@@ -74,7 +74,7 @@ type checker struct {
 	recvText map[token.Pos]string
 }
 
-func run(pass *analysis.ProgramPass) error {
+func run(pass *analysis.Pass) error {
 	c := &checker{
 		pass:     pass,
 		graph:    pass.Graph,

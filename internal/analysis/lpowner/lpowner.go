@@ -68,9 +68,9 @@ import (
 
 // Analyzer is the LP-ownership invariant.
 var Analyzer = &analysis.Analyzer{
-	Name:       "lpowner",
-	Doc:        "LP state is private to its Env: no coordinator-phase calls, shared/coordinator-state writes, or remote-handle scheduling from LP context without LP.Send",
-	RunProgram: run,
+	Name: "lpowner",
+	Doc:  "LP state is private to its Env: no coordinator-phase calls, shared/coordinator-state writes, or remote-handle scheduling from LP context without LP.Send",
+	Run:  run,
 }
 
 const (
@@ -162,7 +162,7 @@ type ownership struct {
 	funcs map[*types.Func]annotation // coordinator-phase and boundary functions
 }
 
-func run(pass *analysis.ProgramPass) error {
+func run(pass *analysis.Pass) error {
 	prog, g := pass.Prog, pass.Graph
 	badDirective := func(pos token.Pos, msg string) { pass.Reportf(pos, "%s", msg) }
 	ann := collectOwnership(prog, pass)
@@ -245,7 +245,7 @@ func nameSet(g *analysis.CallGraph, fns map[*types.Func]string) map[string]bool 
 // ---------------------------------------------------------------------------
 // Annotation collection.
 
-func collectOwnership(prog *analysis.Program, pass *analysis.ProgramPass) *ownership {
+func collectOwnership(prog *analysis.Program, pass *analysis.Pass) *ownership {
 	ann := &ownership{
 		state: make(map[*types.Var]annotation),
 		funcs: make(map[*types.Func]annotation),
@@ -314,7 +314,7 @@ type parsedDirective struct {
 
 // recordState validates and records one state annotation, reporting unknown
 // classes, missing reasons, and conflicting annotations on the same decl.
-func recordState(pass *analysis.ProgramPass, ann *ownership, v *types.Var, d parsedDirective) {
+func recordState(pass *analysis.Pass, ann *ownership, v *types.Var, d parsedDirective) {
 	if v == nil {
 		return
 	}
@@ -340,7 +340,7 @@ func exampleFor(d parsedDirective) string {
 	return fmt.Sprintf("owner(%s: why)", d.class)
 }
 
-func collectFuncAnn(pass *analysis.ProgramPass, pkg *analysis.Package, fd *ast.FuncDecl, ann *ownership, consumed map[*ast.Comment]bool) {
+func collectFuncAnn(pass *analysis.Pass, pkg *analysis.Package, fd *ast.FuncDecl, ann *ownership, consumed map[*ast.Comment]bool) {
 	for _, d := range ownerDirectives(fd.Doc, consumed) {
 		if d.kind == "shared" || (d.class != classCoordinator && d.class != classBoundary) {
 			pass.Reportf(d.pos, "unknown owner class %q on a function: want //lint:owner(coordinator: why) or //lint:owner(boundary: why)", d.class)
@@ -365,7 +365,7 @@ func collectFuncAnn(pass *analysis.ProgramPass, pkg *analysis.Package, fd *ast.F
 	// comments are still classified as misplaced, not silently dropped.
 }
 
-func collectDeclAnn(pass *analysis.ProgramPass, pkg *analysis.Package, gd *ast.GenDecl, ann *ownership, consumed map[*ast.Comment]bool) {
+func collectDeclAnn(pass *analysis.Pass, pkg *analysis.Package, gd *ast.GenDecl, ann *ownership, consumed map[*ast.Comment]bool) {
 	switch gd.Tok {
 	case token.VAR:
 		declDs := ownerDirectives(gd.Doc, consumed)
@@ -518,7 +518,7 @@ func isRootCall(pkg *analysis.Package, call *ast.CallExpr) bool {
 
 // witness renders the "scheduled at S; call chain: a → b" suffix for a
 // function in LP context.
-func witness(pass *analysis.ProgramPass, tree map[*analysis.FuncNode]*analysis.FuncNode, rootSite map[*analysis.FuncNode]token.Pos, n *analysis.FuncNode) string {
+func witness(pass *analysis.Pass, tree map[*analysis.FuncNode]*analysis.FuncNode, rootSite map[*analysis.FuncNode]token.Pos, n *analysis.FuncNode) string {
 	path := analysis.PathFrom(tree, n)
 	if len(path) == 0 {
 		return ""
@@ -530,7 +530,7 @@ func witness(pass *analysis.ProgramPass, tree map[*analysis.FuncNode]*analysis.F
 	return out
 }
 
-func shortPos(pass *analysis.ProgramPass, pos token.Pos) string {
+func shortPos(pass *analysis.Pass, pos token.Pos) string {
 	p := pass.Prog.Fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
@@ -538,7 +538,7 @@ func shortPos(pass *analysis.ProgramPass, pos token.Pos) string {
 // ---------------------------------------------------------------------------
 // Context rules: coordinator-phase calls and shared/coordinator writes.
 
-func checkContext(pass *analysis.ProgramPass, g *analysis.CallGraph, ann *ownership, idx *funcIndex, tree map[*analysis.FuncNode]*analysis.FuncNode, rootSite map[*analysis.FuncNode]token.Pos, isExempt func(*analysis.FuncNode) bool) {
+func checkContext(pass *analysis.Pass, g *analysis.CallGraph, ann *ownership, idx *funcIndex, tree map[*analysis.FuncNode]*analysis.FuncNode, rootSite map[*analysis.FuncNode]token.Pos, isExempt func(*analysis.FuncNode) bool) {
 	for _, n := range g.Nodes {
 		if _, inLP := tree[n]; !inLP || isExempt(n) {
 			continue
@@ -577,7 +577,7 @@ func checkContext(pass *analysis.ProgramPass, g *analysis.CallGraph, ann *owners
 // checkWrite reports a write to //lint:shared or coordinator-owned state
 // from LP context. The lvalue is stripped down through index, slice, paren,
 // and star expressions to the base selector or identifier.
-func checkWrite(pass *analysis.ProgramPass, pkg *analysis.Package, ann *ownership, tree map[*analysis.FuncNode]*analysis.FuncNode, rootSite map[*analysis.FuncNode]token.Pos, node *analysis.FuncNode, lhs ast.Expr) {
+func checkWrite(pass *analysis.Pass, pkg *analysis.Package, ann *ownership, tree map[*analysis.FuncNode]*analysis.FuncNode, rootSite map[*analysis.FuncNode]token.Pos, node *analysis.FuncNode, lhs ast.Expr) {
 	for {
 		switch x := ast.Unparen(lhs).(type) {
 		case *ast.IndexExpr:
@@ -638,7 +638,7 @@ func calleeFunc(pkg *analysis.Package, call *ast.CallExpr) *types.Func {
 // ---------------------------------------------------------------------------
 // Remote-handle dataflow.
 
-func checkRemoteHandles(pass *analysis.ProgramPass, ann *ownership, idx *funcIndex, srcFields map[*types.Var]string, isExempt func(*analysis.FuncNode) bool) {
+func checkRemoteHandles(pass *analysis.Pass, ann *ownership, idx *funcIndex, srcFields map[*types.Var]string, isExempt func(*analysis.FuncNode) bool) {
 	prog := pass.Prog
 	analysis.RunDataflow(prog, pass.Graph, analysis.DataflowSpec{
 		SourceFacts: func(pkg *analysis.Package, e ast.Expr) []analysis.Fact {

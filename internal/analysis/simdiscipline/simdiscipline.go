@@ -12,6 +12,7 @@ package simdiscipline
 
 import (
 	"go/ast"
+	"go/types"
 
 	"vread/internal/analysis"
 )
@@ -51,28 +52,33 @@ var timerFuncs = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	if allowedPkgs[pass.Pkg.Path()] {
-		return nil
-	}
-	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
+	for _, pkg := range pass.Prog.Pkgs {
+		if allowedPkgs[pkg.Path] {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.GoStmt:
-				pass.Reportf(v.Pos(), "raw go statement outside internal/sim breaks the one-runnable-Proc invariant (sim-discipline); start simulated processes with sim.Env.Go")
-			case *ast.SendStmt:
-				pass.Reportf(v.Pos(), "bare channel send outside internal/sim bypasses the engine's deterministic handoff (sim-discipline invariant); use sim.Queue or sim.Signal")
-			case *ast.CallExpr:
-				checkCall(pass, v)
-			case *ast.SelectorExpr:
-				checkSelector(pass, v)
+		for _, f := range pkg.Files {
+			if !pass.IsTestFile(f.Pos()) {
+				checkFile(pass, pkg.TypesInfo, f)
 			}
-			return true
-		})
+		}
 	}
 	return nil
+}
+
+func checkFile(pass *analysis.Pass, info *types.Info, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.GoStmt:
+			pass.Reportf(v.Pos(), "raw go statement outside internal/sim breaks the one-runnable-Proc invariant (sim-discipline); start simulated processes with sim.Env.Go")
+		case *ast.SendStmt:
+			pass.Reportf(v.Pos(), "bare channel send outside internal/sim bypasses the engine's deterministic handoff (sim-discipline invariant); use sim.Queue or sim.Signal")
+		case *ast.CallExpr:
+			checkCall(pass, v)
+		case *ast.SelectorExpr:
+			checkSelector(pass, info, v)
+		}
+		return true
+	})
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
@@ -85,8 +91,8 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 }
 
-func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr) {
-	path, name, ok := analysis.PkgFunc(pass.TypesInfo, sel)
+func checkSelector(pass *analysis.Pass, info *types.Info, sel *ast.SelectorExpr) {
+	path, name, ok := analysis.PkgFunc(info, sel)
 	if !ok {
 		// Not a pkg.Name selector; could still be a type mention like
 		// sync.Mutex in a field list, which PkgFunc already covers (PkgName

@@ -1,12 +1,12 @@
 package analysis
 
-// The program-level driver. RunSuite is what cmd/vread-lint's standalone
-// mode and the analysistest harness call: it loads nothing itself (callers
-// bring a []*Package from Load or a fixture loader), builds the shared call
-// graph once, merges //lint:allow suppressions across every file of every
-// package — keyed by full path, so same-named files in different packages
-// cannot suppress each other's findings — and runs per-package analyzers on
-// each package and program analyzers on the whole.
+// The driver. RunSuite is what cmd/vread-lint and the analysistest harness
+// call: it loads nothing itself (callers bring a []*Package from Load or a
+// fixture loader), builds the shared call graph once, merges //lint:allow
+// suppressions across every file of every package — keyed by full path, so
+// same-named files in different packages cannot suppress each other's
+// findings — runs every analyzer over the whole program, and reports the
+// //lint:allow directives that suppressed nothing.
 
 import (
 	"fmt"
@@ -57,17 +57,18 @@ func (prog *Program) Package(path string) *Package {
 	return nil
 }
 
-// ProgramPass carries the whole program through one program analyzer.
-type ProgramPass struct {
+// Pass carries the whole program through one analyzer.
+type Pass struct {
 	Analyzer *Analyzer
 	Prog     *Program
 	Graph    *CallGraph
 
 	diags *[]Diagnostic
+	sup   *suppressions
 }
 
 // Reportf records a finding at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{}) {
+func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Prog.Fset.Position(pos),
@@ -75,10 +76,22 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{})
 	})
 }
 
-// IsTestFile reports whether pos lies in a test file of any program package
-// — by filename suffix, or by landing in a parsed TestFiles entry, or in a
-// type-checked file whose package clause names an external test package.
-func (p *ProgramPass) IsTestFile(pos token.Pos) bool {
+// UseAllow marks the pass's own //lint:allow directive covering pos as used.
+// It is for analyzers that read a directive as an annotation rather than a
+// suppression (hotalloc's function-level cold boundary), so the
+// stale-suppression report does not flag a directive that did its job.
+func (p *Pass) UseAllow(pos token.Pos) {
+	p.sup.suppressed(Diagnostic{Analyzer: p.Analyzer.Name, Pos: p.Prog.Fset.Position(pos)})
+}
+
+// IsTestFile reports whether pos lies in a test file of any program package.
+// The analyzers enforce invariants on simulator code only; tests may consult
+// the wall clock or spin goroutines to exercise the engine from outside. A
+// position counts as test code by its *_test.go filename, by landing in a
+// parsed TestFiles entry, or by landing in a type-checked file whose package
+// clause names an external test package (package foo_test) — fixture trees
+// and generated files don't always follow the filename convention.
+func (p *Pass) IsTestFile(pos token.Pos) bool {
 	if strings.HasSuffix(p.Prog.Fset.Position(pos).Filename, "_test.go") {
 		return true
 	}
@@ -97,36 +110,16 @@ func (p *ProgramPass) IsTestFile(pos token.Pos) bool {
 	return false
 }
 
-// RunSuite applies the analyzers — per-package and program-level — to the
-// program and returns the surviving findings sorted by position. One merged
-// suppression index spans every file (sources and test files of every
-// package); because it is keyed by the file's full path as recorded in the
-// FileSet, a //lint:allow in pkg/a/util.go can never mask a finding in
-// pkg/b/util.go.
-func RunSuite(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := runSuite(prog, analyzers, false)
-	return diags, err
-}
-
-// RunSuiteUnused is RunSuite plus stale-suppression reporting: every
-// //lint:allow naming one of the ran analyzers that suppressed nothing comes
-// back as an "unused-allow" diagnostic. Callers should pass the full suite —
-// under a subset, allows for the analyzers that did not run are skipped, not
-// reported.
-func RunSuiteUnused(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := runSuite(prog, analyzers, true)
-	return diags, err
-}
-
-// RunSuiteTimed is RunSuite (or RunSuiteUnused when reportUnused is set)
-// plus one wall-clock timing row per analyzer, in suite order, for the
-// versioned report. Suppressed findings do not count toward a row's
-// finding total.
-func RunSuiteTimed(prog *Program, analyzers []*Analyzer, reportUnused bool) ([]Diagnostic, []AnalyzerTiming, error) {
-	return runSuite(prog, analyzers, reportUnused)
-}
-
-func runSuite(prog *Program, analyzers []*Analyzer, reportUnused bool) ([]Diagnostic, []AnalyzerTiming, error) {
+// RunSuite applies the analyzers to the program and returns the surviving
+// findings sorted by position, plus one wall-clock timing row per analyzer,
+// in suite order, for the versioned report. One merged suppression index
+// spans every file (sources and test files of every package); because it is
+// keyed by the file's full path as recorded in the FileSet, a //lint:allow in
+// pkg/a/util.go can never mask a finding in pkg/b/util.go. Every //lint:allow
+// naming one of the analyzers that suppressed nothing comes back as an
+// "unused-allow" finding; allows for analyzers outside the list are skipped.
+// Suppressed findings do not count toward a timing row's finding total.
+func RunSuite(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming, error) {
 	var all []*ast.File
 	for _, pkg := range prog.Pkgs {
 		all = append(all, pkg.Files...)
@@ -135,29 +128,15 @@ func runSuite(prog *Program, analyzers []*Analyzer, reportUnused bool) ([]Diagno
 	sup, bad := buildSuppressions(prog.Fset, all)
 	diags := bad
 	timings := make([]AnalyzerTiming, 0, len(analyzers))
+	ran := make(map[string]bool, len(analyzers))
+	graph := prog.Graph() // shared by every analyzer, so built outside the timing rows
 
 	for _, a := range analyzers {
 		start := time.Now() //lint:allow determinism(wall-clock timing rows measure the analyzers, not the simulation)
 		var out []Diagnostic
-		if a.RunProgram != nil {
-			pass := &ProgramPass{Analyzer: a, Prog: prog, Graph: prog.Graph(), diags: &out}
-			if err := a.RunProgram(pass); err != nil {
-				return nil, nil, fmt.Errorf("%s: %v", a.Name, err)
-			}
-		} else {
-			for _, pkg := range prog.Pkgs {
-				pass := &Pass{
-					Analyzer:  a,
-					Fset:      pkg.Fset,
-					Files:     pkg.Files,
-					Pkg:       pkg.Types,
-					TypesInfo: pkg.TypesInfo,
-					diags:     &out,
-				}
-				if err := a.Run(pass); err != nil {
-					return nil, nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
-				}
-			}
+		pass := &Pass{Analyzer: a, Prog: prog, Graph: graph, diags: &out, sup: sup}
+		if err := a.Run(pass); err != nil {
+			return nil, nil, fmt.Errorf("%s: %v", a.Name, err)
 		}
 		kept := 0
 		for _, d := range out {
@@ -171,14 +150,9 @@ func runSuite(prog *Program, analyzers []*Analyzer, reportUnused bool) ([]Diagno
 			Millis:   time.Since(start).Milliseconds(), //lint:allow determinism(wall-clock timing rows measure the analyzers, not the simulation)
 			Findings: kept,
 		})
+		ran[a.Name] = true
 	}
-	if reportUnused {
-		ran := make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			ran[a.Name] = true
-		}
-		diags = append(diags, sup.unused(ran)...)
-	}
+	diags = append(diags, sup.unused(ran)...)
 	sortDiagnostics(diags)
 	return diags, timings, nil
 }

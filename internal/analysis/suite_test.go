@@ -3,7 +3,6 @@ package analysis_test
 import (
 	"testing"
 
-	"vread/internal/analysis"
 	"vread/internal/analysis/analysistest"
 	"vread/internal/analysis/simdiscipline"
 )
@@ -21,11 +20,10 @@ func TestSuppressionFullPath(t *testing.T) {
 		"supa", "supb", "supc")
 }
 
-// TestUnusedAllow drives the stale-suppression reporter: allowfix holds one
-// used allow (silent), one stale allow for a ran analyzer (reported), and one
-// allow for an analyzer outside the ran set (skipped — its staleness cannot
-// be judged).
+// TestUnusedAllow drives the stale-suppression report every run includes:
+// allowfix holds one used allow (silent), one stale allow for the ran
+// analyzer (reported), and one allow for an analyzer that did not run
+// (skipped — its staleness cannot be judged).
 func TestUnusedAllow(t *testing.T) {
-	analysistest.RunUnused(t, analysistest.TestData(t),
-		[]*analysis.Analyzer{simdiscipline.Analyzer}, "allowfix")
+	analysistest.Run(t, analysistest.TestData(t), simdiscipline.Analyzer, "allowfix")
 }

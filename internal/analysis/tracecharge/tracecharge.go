@@ -36,17 +36,19 @@ var skipPkgs = map[string]bool{
 const tracePath = "vread/internal/trace"
 
 func run(pass *analysis.Pass) error {
-	if skipPkgs[pass.Pkg.Path()] {
-		return nil
-	}
-	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
+	for _, pkg := range pass.Prog.Pkgs {
+		if skipPkgs[pkg.Path] {
 			continue
 		}
-		for _, fb := range analysis.FuncBodies(f) {
-			checkSpans(pass, fb)
+		for _, f := range pkg.Files {
+			if pass.IsTestFile(f.Pos()) {
+				continue
+			}
+			for _, fb := range analysis.FuncBodies(f) {
+				checkSpans(pass, pkg.TypesInfo, fb)
+			}
+			checkDroppedContexts(pass, pkg.TypesInfo, f)
 		}
-		checkDroppedContexts(pass, f)
 	}
 	return nil
 }
@@ -55,13 +57,12 @@ func run(pass *analysis.Pass) error {
 // Part 1: Begin/EndSpan pairing.
 
 // isTraceMethod reports whether call is (*trace.Trace).<name>.
-func isTraceMethod(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
-	recvPath, recvType, method, _, ok := analysis.CallMethod(pass.TypesInfo, call)
+func isTraceMethod(info *types.Info, call *ast.CallExpr, name string) bool {
+	recvPath, recvType, method, _, ok := analysis.CallMethod(info, call)
 	return ok && recvPath == tracePath && recvType == "Trace" && method == name
 }
 
-func checkSpans(pass *analysis.Pass, fb analysis.FuncBody) {
-	info := pass.TypesInfo
+func checkSpans(pass *analysis.Pass, info *types.Info, fb analysis.FuncBody) {
 	hooks := analysis.FlowHooks{
 		Classify: func(stmt ast.Stmt, isDefer bool) ([]analysis.Held, []interface{}) {
 			var acq []analysis.Held
@@ -74,7 +75,7 @@ func checkSpans(pass *analysis.Pass, fb analysis.FuncBody) {
 					}
 					for i, rhs := range v.Rhs {
 						call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-						if !ok || !isTraceMethod(pass, call, "Begin") {
+						if !ok || !isTraceMethod(info, call, "Begin") {
 							continue
 						}
 						id, ok := v.Lhs[i].(*ast.Ident)
@@ -88,11 +89,11 @@ func checkSpans(pass *analysis.Pass, fb analysis.FuncBody) {
 					}
 				case *ast.ExprStmt:
 					call, ok := ast.Unparen(v.X).(*ast.CallExpr)
-					if ok && isTraceMethod(pass, call, "Begin") {
+					if ok && isTraceMethod(info, call, "Begin") {
 						pass.Reportf(call.Pos(), "result of Begin is discarded, so the span can never be ended and its cycles vanish from the breakdowns (trace-propagation invariant)")
 					}
 				case *ast.CallExpr:
-					if isTraceMethod(pass, v, "EndSpan") && len(v.Args) > 0 {
+					if isTraceMethod(info, v, "EndSpan") && len(v.Args) > 0 {
 						if id := analysis.RootIdent(v.Args[0]); id != nil {
 							if obj := info.ObjectOf(id); obj != nil {
 								rel = append(rel, interface{}(obj))
@@ -102,7 +103,7 @@ func checkSpans(pass *analysis.Pass, fb analysis.FuncBody) {
 						// A span index escaping into any other call (helper
 						// that closes it, append into a batch) transfers
 						// ownership; stop tracking it rather than guess.
-						for _, k := range escapingSpanArgs(pass, v) {
+						for _, k := range escapingSpanArgs(info, v) {
 							rel = append(rel, k)
 						}
 					}
@@ -126,11 +127,11 @@ func checkSpans(pass *analysis.Pass, fb analysis.FuncBody) {
 				if ret != nil {
 					// A span index returned to the caller transfers
 					// ownership.
-					if returnsObj(pass, ret, obj) {
+					if returnsObj(info, ret, obj) {
 						continue
 					}
 					pass.Reportf(ret.Pos(), "span %q (opened at line %d) is not ended on this return path, so its stage is timed as zero (trace-propagation invariant: every Begin must reach EndSpan)",
-						obj.Name(), pass.Fset.Position(h.Pos).Line)
+						obj.Name(), pass.Prog.Fset.Position(h.Pos).Line)
 					continue
 				}
 				pass.Reportf(h.Pos, "span %q is not ended before %s falls off the end, so its stage is timed as zero (trace-propagation invariant: every Begin must reach EndSpan)",
@@ -145,14 +146,14 @@ func checkSpans(pass *analysis.Pass, fb analysis.FuncBody) {
 // integer type passed to non-EndSpan calls — potential span-index handoffs.
 // Only identifiers already tracked will match in the held set; everything
 // else is ignored by the walker.
-func escapingSpanArgs(pass *analysis.Pass, call *ast.CallExpr) []interface{} {
-	if isTraceMethod(pass, call, "Annotate") {
+func escapingSpanArgs(info *types.Info, call *ast.CallExpr) []interface{} {
+	if isTraceMethod(info, call, "Annotate") {
 		return nil // Annotate reads the index without closing the span
 	}
 	var out []interface{}
 	for _, arg := range call.Args {
 		if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
-			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+			if obj := info.ObjectOf(id); obj != nil {
 				if b, ok := obj.Type().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
 					out = append(out, interface{}(obj))
 				}
@@ -162,9 +163,9 @@ func escapingSpanArgs(pass *analysis.Pass, call *ast.CallExpr) []interface{} {
 	return out
 }
 
-func returnsObj(pass *analysis.Pass, ret *ast.ReturnStmt, obj types.Object) bool {
+func returnsObj(info *types.Info, ret *ast.ReturnStmt, obj types.Object) bool {
 	for _, r := range ret.Results {
-		if id, ok := ast.Unparen(r).(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == obj {
+		if id, ok := ast.Unparen(r).(*ast.Ident); ok && info.ObjectOf(id) == obj {
 			return true
 		}
 	}
@@ -211,22 +212,22 @@ func walkStmt(stmt ast.Stmt, isDefer bool, visit func(n ast.Node, inDeferredLit 
 // path (core, hdfs, qfs, guest, virtio, netsim, storage) thread the request
 // trace downward; a signature that accepts one and drops it silently
 // truncates every breakdown below that layer.
-func checkDroppedContexts(pass *analysis.Pass, f *ast.File) {
+func checkDroppedContexts(pass *analysis.Pass, info *types.Info, f *ast.File) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil || !fd.Name.IsExported() {
 			continue
 		}
 		for _, field := range fd.Type.Params.List {
-			if !isTracePtr(pass, field.Type) {
+			if !isTracePtr(info, field.Type) {
 				continue
 			}
 			for _, name := range field.Names {
 				if name.Name == "_" {
 					continue // explicitly discarded in the signature
 				}
-				obj := pass.TypesInfo.ObjectOf(name)
-				if obj == nil || usesObj(pass, fd.Body, obj) {
+				obj := info.ObjectOf(name)
+				if obj == nil || usesObj(info, fd.Body, obj) {
 					continue
 				}
 				pass.Reportf(name.Pos(), "exported %s accepts trace context %q but never uses it: the request's spans and cycle charges are silently dropped below this layer (trace-propagation invariant); pass it to the callees or annotate why not",
@@ -236,8 +237,8 @@ func checkDroppedContexts(pass *analysis.Pass, f *ast.File) {
 	}
 }
 
-func isTracePtr(pass *analysis.Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.TypeOf(e)
+func isTracePtr(info *types.Info, e ast.Expr) bool {
+	t := info.TypeOf(e)
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -249,10 +250,10 @@ func isTracePtr(pass *analysis.Pass, e ast.Expr) bool {
 	return named.Obj().Pkg().Path() == tracePath && named.Obj().Name() == "Trace"
 }
 
-func usesObj(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object) bool {
+func usesObj(info *types.Info, body *ast.BlockStmt, obj types.Object) bool {
 	used := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == obj {
+		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
 			used = true
 		}
 		return !used

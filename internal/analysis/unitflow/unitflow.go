@@ -31,9 +31,9 @@ import (
 
 // Analyzer is the unit-discipline invariant.
 var Analyzer = &analysis.Analyzer{
-	Name:       "unitflow",
-	Doc:        "cycles must reach simulated time only through //lint:converter unitflow helpers; byte counts must not mix into cycle arithmetic",
-	RunProgram: run,
+	Name: "unitflow",
+	Doc:  "cycles must reach simulated time only through //lint:converter unitflow helpers; byte counts must not mix into cycle arithmetic",
+	Run:  run,
 }
 
 var (
@@ -42,7 +42,7 @@ var (
 	bytesName  = regexp.MustCompile(`[Bb]ytes$`)
 )
 
-func run(pass *analysis.ProgramPass) error {
+func run(pass *analysis.Pass) error {
 	prog := pass.Prog
 	badDirective := func(pos token.Pos, msg string) { pass.Reportf(pos, "%s", msg) }
 	converters := analysis.AnnotatedFuncs(prog, "converter", "unitflow", badDirective)

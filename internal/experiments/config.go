@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"vread/internal/core"
@@ -85,6 +86,14 @@ func ParseOptions(raw []byte) (Options, Scenario, *ScaleConfig, *MigrationConfig
 	var j OptionsJSON
 	if err := dec.Decode(&j); err != nil {
 		return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: bad scenario config: %w", err)
+	}
+	// Zero keeps the default; a negative or int64-overflowing value would
+	// otherwise reach cpusched.New or data.Sub and panic there.
+	if !(j.FreqGHz >= 0 && j.FreqGHz*1e9 < math.MaxInt64) {
+		return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: freq_ghz %v out of range (want >= 0)", j.FreqGHz)
+	}
+	if j.BlockSizeMB < 0 || j.BlockSizeMB > math.MaxInt64>>20 {
+		return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: block_size_mb %d out of range (want >= 0)", j.BlockSizeMB)
 	}
 	opt := Options{
 		Seed:             j.Seed,

@@ -72,6 +72,23 @@ func TestParseOptionsRejectsBadEnums(t *testing.T) {
 	}
 }
 
+// TestParseOptionsRejectsOutOfRange: a negative frequency used to panic the
+// process in cpusched.New and a negative block size to fail deep in
+// data.Sub; both must be rejected up front with the field named.
+func TestParseOptionsRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct{ raw, field string }{
+		{`{"freq_ghz": -1}`, "freq_ghz"},
+		{`{"freq_ghz": 1e300}`, "freq_ghz"},
+		{`{"block_size_mb": -1}`, "block_size_mb"},
+		{`{"block_size_mb": 9007199254740992}`, "block_size_mb"},
+	} {
+		_, _, _, _, err := ParseOptions([]byte(tc.raw))
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("ParseOptions(%s) = %v, want an error naming %s", tc.raw, err, tc.field)
+		}
+	}
+}
+
 func TestParseOptionsMalformedJSON(t *testing.T) {
 	for _, raw := range []string{
 		``,                  // empty file
