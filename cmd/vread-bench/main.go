@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"vread"
@@ -49,6 +50,15 @@ func run(args []string) error {
 	fs.Parse(args)
 	if *format != "table" && *format != "csv" {
 		return fmt.Errorf("-format: unknown format %q (want table or csv)", *format)
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("-scale: %v is not a positive finite number", *scale)
+	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel: %d is negative (0 = one per CPU)", *parallel)
+	}
+	if *traceEvery <= 0 {
+		return fmt.Errorf("-trace-every: %d is not positive", *traceEvery)
 	}
 
 	opt := vread.Options{Seed: *seed, Scale: *scale, Parallel: *parallel}

@@ -5,14 +5,23 @@ import (
 	"testing"
 )
 
-// TestRunRejectsBadFlags: an unknown -format used to print tables silently;
-// it and an unknown -transport must fail before any experiment runs.
+// TestRunRejectsBadFlags: an unknown -format used to print tables silently,
+// and a non-positive -scale or -trace-every or a negative -parallel ran
+// anyway. Each, like an unknown -transport, must fail before any experiment
+// runs, with an error naming the flag.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-format", "bogus"},
 		{"-transport", "bogus"},
+		{"-scale", "0"},
+		{"-scale", "-0.05"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-parallel", "-1"},
+		{"-trace-every", "0"},
+		{"-trace-every", "-2"},
 	} {
-		err := run(append(args, "-exp", "fig2", "-scale", "0.001"))
+		err := run(append([]string{"-exp", "fig2", "-scale", "0.001"}, args...))
 		if err == nil || !strings.Contains(err.Error(), args[0]) {
 			t.Errorf("run(%q) = %v, want an error naming %s", args, err, args[0])
 		}

@@ -6,10 +6,15 @@
 // job does not memcpy 5 GB of real memory. Content is either literal bytes
 // (tests verify end-to-end integrity with them) or a deterministic pattern
 // keyed by a seed (benchmark payloads, still verifiable at any byte range).
+//
+// Byte checks are cheap enough to run on every read: Pattern generates its
+// bytes one 8-byte lane per mix, and Equal compares through a single 1 KiB
+// buffer, so a check costs one small allocation however long the window.
 package data
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -44,24 +49,44 @@ type Pattern struct {
 // Len implements Content.
 func (p Pattern) Len() int64 { return p.Size }
 
-// ReadAt implements Content.
+// ReadAt implements Content. Each 8-byte lane is one mix stored
+// little-endian: aligned lanes straight into b, the unaligned head and tail
+// through a lane on the stack.
+//
+//lint:hotpath
 func (p Pattern) ReadAt(b []byte, off int64) {
-	for i := range b {
-		b[i] = p.byteAt(off + int64(i))
+	if off&7 != 0 && len(b) > 0 {
+		n := p.readLane(b, off)
+		b, off = b[n:], off+int64(n)
+	}
+	lane := uint64(off >> 3)
+	for ; len(b) >= 8; lane++ {
+		binary.LittleEndian.PutUint64(b, p.mix(lane))
+		b = b[8:]
+	}
+	if len(b) > 0 {
+		p.readLane(b, int64(lane<<3))
 	}
 }
 
-// byteAt returns the pattern byte at absolute offset off using a splitmix64
-// mix of the seed and the 8-byte lane index.
-func (p Pattern) byteAt(off int64) byte {
-	lane := uint64(off >> 3)
+// readLane copies the pattern bytes from off to the end of off's lane into
+// b, as many as fit, and returns how many it copied.
+func (p Pattern) readLane(b []byte, off int64) int {
+	var lane [8]byte
+	binary.LittleEndian.PutUint64(lane[:], p.mix(uint64(off>>3)))
+	return copy(b, lane[off&7:])
+}
+
+// mix returns the 8 pattern bytes of a lane: a splitmix64 mix of the seed
+// and the 8-byte lane index.
+func (p Pattern) mix(lane uint64) uint64 {
 	x := p.Seed + 0x9e3779b97f4a7c15*(lane+1)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return byte(x >> (8 * uint(off&7)))
+	return x
 }
 
 // Zero is all-zero content of a given size.
@@ -160,17 +185,18 @@ func (s Slice) Bytes() []byte {
 	return b
 }
 
-// Equal reports whether two slices have identical bytes (materializing in
-// bounded chunks). The chunk is small on purpose: Equal runs on every
-// byte-checked read, and two 64 KiB buffers per call were most of the bytes
-// a small-read storm allocated, setting its peak heap.
+// Equal reports whether two slices have identical bytes, materializing them
+// 512 bytes at a time into the two halves of one buffer. The buffer is small
+// on purpose: Equal runs on every byte-checked read, so its allocation is
+// most of the bytes a small-read storm allocates, and the storm's peak RSS
+// follows the bytes allocated per host second.
 func Equal(a, b Slice) bool {
 	if a.N != b.N {
 		return false
 	}
-	const chunk = 4 << 10
-	bufA := make([]byte, min(a.N, chunk))
-	bufB := make([]byte, min(a.N, chunk))
+	const chunk = 512
+	buf := make([]byte, 2*min(a.N, chunk))
+	bufA, bufB := buf[:len(buf)/2], buf[len(buf)/2:]
 	for off := int64(0); off < a.N; off += chunk {
 		n := a.N - off
 		if n > chunk {

@@ -2,9 +2,57 @@ package data
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 )
+
+// oracleByte is the pattern formula as first written: one full splitmix64
+// mix of the seed and the 8-byte lane index per byte, keeping byte off&7.
+// Pattern.ReadAt must produce exactly these bytes however it computes them.
+func oracleByte(seed uint64, off int64) byte {
+	lane := uint64(off >> 3)
+	x := seed + 0x9e3779b97f4a7c15*(lane+1)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return byte(x >> (8 * uint(off&7)))
+}
+
+// checkOracle fails t unless Pattern{seed}.ReadAt of [off, off+n) matches
+// oracleByte byte for byte.
+func checkOracle(t *testing.T, seed uint64, off, n int64) {
+	t.Helper()
+	p := Pattern{Seed: seed, Size: off + n}
+	got := make([]byte, n)
+	p.ReadAt(got, off)
+	for i, v := range got {
+		if want := oracleByte(seed, off+int64(i)); v != want {
+			t.Fatalf("seed=%d off=%d n=%d: byte %d = %#x, oracle %#x", seed, off, n, i, v, want)
+		}
+	}
+}
+
+func TestPatternMatchesOracle(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 12345, math.MaxUint64} {
+		for head := int64(0); head < 8; head++ {
+			for n := int64(0); n <= 70; n++ {
+				checkOracle(t, seed, 64+head, n)
+			}
+		}
+		checkOracle(t, seed, 3, 64<<10)
+	}
+}
+
+func TestPatternReadAtZeroAlloc(t *testing.T) {
+	p := Pattern{Seed: 9, Size: 1 << 20}
+	buf := make([]byte, 4099)
+	if n := testing.AllocsPerRun(100, func() { p.ReadAt(buf, 5) }); n != 0 {
+		t.Fatalf("Pattern.ReadAt: %v allocs/op, want 0", n)
+	}
+}
 
 func TestBytesContent(t *testing.T) {
 	c := Bytes("hello world")
@@ -111,6 +159,28 @@ func TestEqual(t *testing.T) {
 	}
 	if Equal(a, a.Sub(0, 100)) {
 		t.Fatal("different lengths Equal")
+	}
+}
+
+func TestEqualAllocs(t *testing.T) {
+	p := Pattern{Seed: 11, Size: 64 << 10}
+	half := p.Size / 2
+	a := NewSlice(p)
+	b := NewSlice(Concat{NewSlice(p).Sub(0, half).Content(), NewSlice(p).Sub(half, half).Content()})
+	if n := testing.AllocsPerRun(20, func() {
+		if !Equal(a, b) {
+			t.Fatal("Pattern and its Concat halves not Equal")
+		}
+	}); n > 1 {
+		t.Errorf("Equal 64 KiB Pattern vs Concat: %v allocs/op, want <= 1", n)
+	}
+	short := a.Sub(0, 100)
+	if n := testing.AllocsPerRun(20, func() {
+		if Equal(a, short) {
+			t.Fatal("different lengths Equal")
+		}
+	}); n != 0 {
+		t.Errorf("Equal with differing lengths: %v allocs/op, want 0", n)
 	}
 }
 

@@ -84,10 +84,16 @@ func splitPath(path string) []string {
 	return parts
 }
 
-// lookup resolves a path to its inode.
+// lookup resolves a path to its inode. It walks the components in place, so
+// a lookup that hits allocates nothing.
 func (fs *FS) lookup(path string) (*Inode, error) {
 	cur := fs.root
-	for _, part := range splitPath(path) {
+	for rest := path; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
+		if part == "" {
+			continue
+		}
 		if !cur.isDir {
 			return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
 		}
@@ -372,8 +378,12 @@ func (m *HostMount) Refreshes() int { return m.refreshes }
 // Entries returns the number of cached dentries.
 func (m *HostMount) Entries() int { return len(m.dentries) }
 
-// canonical normalizes a path to the /a/b/c form Walk produces.
+// canonical normalizes a path to the /a/b/c form Walk produces, returning an
+// already canonical path unchanged.
 func canonical(path string) string {
+	if path == "/" || path != "" && path[0] == '/' && path[len(path)-1] != '/' && !strings.Contains(path, "//") {
+		return path
+	}
 	parts := splitPath(path)
 	return "/" + strings.Join(parts, "/")
 }

@@ -245,6 +245,68 @@ func TestMountRefreshAll(t *testing.T) {
 	}
 }
 
+// TestLookupZeroAlloc: a lookup that hits walks the path in place, and the
+// mount's dentry lookup keeps an already canonical path as is, so neither
+// allocates. Redundant slashes still resolve.
+func TestLookupZeroAlloc(t *testing.T) {
+	fs := newHadoopFS(t)
+	const path = "/hadoop/dfs/data/blk_1"
+	if err := fs.WriteFile(path, data.Bytes("x")); err != nil {
+		t.Fatal(err)
+	}
+	m := MountRO(fs)
+	for _, p := range []string{path, "hadoop//dfs/data/blk_1/"} {
+		if _, err := fs.Stat(p); err != nil {
+			t.Fatalf("Stat(%q): %v", p, err)
+		}
+		if _, ok := m.Lookup(p); !ok {
+			t.Fatalf("mount Lookup(%q) missed", p)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = fs.Stat(path) }); n != 0 {
+		t.Errorf("Stat hit: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = m.Lookup(path) }); n != 0 {
+		t.Errorf("mount Lookup hit: %v allocs/op, want 0", n)
+	}
+}
+
+func TestLookupErrorText(t *testing.T) {
+	fs := newHadoopFS(t)
+	if err := fs.WriteFile("/hadoop/f", data.Bytes("x")); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{
+		"/hadoop/nope":   "fsim: no such file or directory: /hadoop/nope",
+		"/hadoop/f/x":    "fsim: not a directory: /hadoop/f/x",
+		"//hadoop//nope": "fsim: no such file or directory: //hadoop//nope",
+	} {
+		if _, err := fs.Stat(path); err == nil || err.Error() != want {
+			t.Errorf("Stat(%q) = %v, want %q", path, err, want)
+		}
+	}
+}
+
+func TestCanonical(t *testing.T) {
+	for in, want := range map[string]string{
+		"":       "/",
+		"/":      "/",
+		"//":     "/",
+		"/a/b":   "/a/b",
+		"a/b":    "/a/b",
+		"/a//b/": "/a/b",
+		"/a/b/":  "/a/b",
+		"///a":   "/a",
+		"/a/b/c": "/a/b/c",
+		"a":      "/a",
+		"/a/./b": "/a/./b",
+	} {
+		if got := canonical(in); got != want {
+			t.Errorf("canonical(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 // Property: for any set of files with pattern content, every file read back
 // through both the live FS and a fresh mount matches the written bytes.
 func TestRoundTripProperty(t *testing.T) {
