@@ -37,7 +37,22 @@ var (
 	// ErrBadMigration means a MigrateMount was refused before any ring was
 	// touched: unknown VM or host, wrong source host, or no mount to move.
 	ErrBadMigration = errors.New("core: invalid mount migration")
+	// ErrNotDrained means a read storm left work behind at its deadline: it
+	// never finished, events or remote reads were still pending, or a trace
+	// span never closed. Manager.Drained wraps it; no read returns it.
+	ErrNotDrained = errors.New("core: storm not drained")
 )
+
+// TypedReadError reports whether err is one of the five degradation errors
+// a vRead read may surface: ErrDaemonFailed, ErrShortRead, ErrRingClosed,
+// ErrStaleKey or ErrRingRevoked. It is the one typed-failure rule every read
+// storm checks "correct bytes or a typed error" against. ErrBadRange is left
+// out: it is a caller bug, not a degradation.
+func TypedReadError(err error) bool {
+	return errors.Is(err, ErrDaemonFailed) || errors.Is(err, ErrShortRead) ||
+		errors.Is(err, ErrRingClosed) || errors.Is(err, ErrStaleKey) ||
+		errors.Is(err, ErrRingRevoked)
+}
 
 // retryableRead reports whether libvread should re-issue the request.
 func retryableRead(err error) bool {

@@ -27,17 +27,16 @@ type Manager struct {
 	cl  *cluster.Cluster
 	nn  hdfs.Namespace
 
-	mounts         map[string]*mountTable // host → sharded datanode→mount table
-	daemons        map[string]*Daemon     // client VM → daemon
-	clientOrder    []string               // client VMs in EnableClient order (deterministic iteration)
-	libs           map[string]*Lib
-	servers        map[string]*hostServer
-	qps            map[string]*netsim.QP
-	pending        map[int64]*sim.Queue[chunkMsg]
-	pendingIDs     map[*sim.Queue[chunkMsg]]int64
-	nextReq        int64
-	refreshes      int64
-	refreshBatches int64
+	mounts      map[string]*mountTable // host → sharded datanode→mount table
+	daemons     map[string]*Daemon     // client VM → daemon
+	clientOrder []string               // client VMs in EnableClient order (deterministic iteration)
+	libs        map[string]*Lib
+	servers     map[string]*hostServer
+	qps         map[string]*netsim.QP
+	pending     map[int64]*sim.Queue[chunkMsg]
+	pendingIDs  map[*sim.Queue[chunkMsg]]int64
+	nextReq     int64
+	refreshes   int64
 	// downgraded maps a host-pair key to the virtual instant its RDMA→TCP
 	// downgrade expires. Recovery is lazy — checked on the next send rather
 	// than by timer — so an idle downgrade leaves no pending event behind
@@ -186,10 +185,6 @@ func (m *Manager) Lib(vmName string) *Lib { return m.libs[vmName] }
 // namenode block events (fig13's write-path overhead).
 func (m *Manager) Refreshes() int64 { return m.refreshes }
 
-// RefreshBatches returns how many batched refresh tasks ran — the wakeup
-// count the per-shard coalescing reduced Refreshes() down to.
-func (m *Manager) RefreshBatches() int64 { return m.refreshBatches }
-
 // ---------------------------------------------------------------------------
 // hdfs.BlockEventListener: the namenode-driven mount synchronization.
 
@@ -241,7 +236,6 @@ func (m *Manager) drainRefreshes(srv *hostServer, sh *mountShard) {
 	ops := sh.pending
 	sh.pending = nil
 	sh.scheduled = false
-	m.refreshBatches++
 	run := func() {
 		for _, op := range ops {
 			op.mount.RefreshPath(op.path)

@@ -38,17 +38,3 @@ func RunDelayStages(opt Options, reqSize int64, vread bool) ([]trace.StageStat, 
 	}
 	return trace.Stages(col.Traces), nil
 }
-
-// RunDFSIOStages runs one TestDFSIO point (2 VMs, the given scenario) with
-// every read request traced and reduces the stream to per-stage latency
-// percentiles — the stage-level view behind Figure 11's throughput bars.
-func RunDFSIOStages(opt Options, scenario Scenario, vread bool) ([]trace.StageStat, error) {
-	opt = opt.withDefaults()
-	col := &trace.Collector{}
-	opt.Traces = col
-	opt.TraceEvery = 1
-	if _, err := runDFSIOOnce(opt, scenario, 2, opt.FreqHz, vread); err != nil {
-		return nil, err
-	}
-	return trace.Stages(col.Traces), nil
-}

@@ -710,12 +710,6 @@ func (k *Kernel) RemoveFile(p *sim.Proc, path string) error {
 	return k.fs.Remove(path)
 }
 
-// RenameFile renames a file.
-func (k *Kernel) RenameFile(p *sim.Proc, oldPath, newPath string) error {
-	k.vcpu.Run(p, k.cfg.SyscallCycles, k.appTag)
-	return k.fs.Rename(oldPath, newPath)
-}
-
 // DropCaches empties the guest page cache (the experiment's
 // /proc/sys/vm/drop_caches between cold-read runs) and resets readahead
 // tracking.

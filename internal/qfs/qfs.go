@@ -184,11 +184,6 @@ func (ms *MetaServer) chunkWritten(server string, id ChunkID, size int64) {
 	}
 }
 
-// GetChunks returns the chunk list of a complete file.
-func (ms *MetaServer) GetChunks(p *sim.Proc, k *guest.Kernel, path string) ([]ChunkInfo, error) {
-	return ms.getChunks(p, k, nil, path)
-}
-
 func (ms *MetaServer) getChunks(p *sim.Proc, k *guest.Kernel, tr *trace.Trace, path string) ([]ChunkInfo, error) {
 	ms.rpcT(p, k, tr)
 	meta, ok := ms.files[path]

@@ -152,10 +152,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Yield reschedules the process behind all events pending at the current
-// instant.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Join blocks until other finishes. Joining a finished process returns
 // immediately.
 func (p *Proc) Join(other *Proc) {

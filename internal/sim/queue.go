@@ -26,12 +26,6 @@ func NewQueue[T any](env *Env, capacity int) *Queue[T] {
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) }
 
-// Cap returns the configured capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.capacity }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // Close marks the queue closed: pending and future Gets drain remaining items
 // and then return ok=false; Puts on a closed queue panic.
 func (q *Queue[T]) Close() {

@@ -159,9 +159,6 @@ func (g *Gate) Open() {
 // Close closes the gate; subsequent Wait calls block.
 func (g *Gate) Close() { g.open = false }
 
-// IsOpen reports the gate state.
-func (g *Gate) IsOpen() bool { return g.open }
-
 // Mutex is a simulated mutual-exclusion lock. Lock order is FIFO.
 type Mutex struct {
 	locked bool

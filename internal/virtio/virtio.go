@@ -157,9 +157,6 @@ func NewNetDev(env *sim.Env, cfg Config, vmName, host string,
 	return d
 }
 
-// VMName returns the owning VM.
-func (d *NetDev) VMName() string { return d.vmName }
-
 // SetDeliver installs the guest kernel's frame handler. It runs in event
 // context after the guest IRQ cost; the handler posts further guest work.
 func (d *NetDev) SetDeliver(fn func(fr netsim.Frame)) { d.deliver = fn }

@@ -65,14 +65,6 @@ func (r DFSIOResult) Throughput() float64 {
 	return float64(r.Bytes) / 1e6 / r.IOTime.Seconds()
 }
 
-// AggregateRate returns total bytes over job wall time.
-func (r DFSIOResult) AggregateRate() float64 {
-	if r.JobElapsed <= 0 {
-		return 0
-	}
-	return float64(r.Bytes) / 1e6 / r.JobElapsed.Seconds()
-}
-
 // CPUTime converts consumed cycles to milliseconds at the given frequency
 // (Figure 12's y axis).
 //
