@@ -246,9 +246,6 @@ func New(env *sim.Env, reg *metrics.Registry, cores int, freqHz int64, cfg Confi
 // FreqHz returns the clock frequency.
 func (c *CPU) FreqHz() int64 { return c.freqHz }
 
-// Cores returns the number of cores.
-func (c *CPU) Cores() int { return len(c.cores) }
-
 // Env returns the simulation environment.
 func (c *CPU) Env() *sim.Env { return c.env }
 
@@ -282,9 +279,6 @@ func (t *Thread) Name() string { return t.name }
 
 // Entity returns the accounting entity.
 func (t *Thread) Entity() string { return t.entity }
-
-// State returns the scheduling state.
-func (t *Thread) State() ThreadState { return t.state }
 
 // Consumed returns lifetime cycles consumed by the thread.
 func (t *Thread) Consumed() int64 { return t.consumed }
