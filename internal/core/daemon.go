@@ -585,7 +585,9 @@ func (d *Daemon) readRemote(p *sim.Proc, dnHost string, req ringReq) {
 
 // fillSlots splits a slice across ring slots, paying the per-slot lock cost
 // as one batched charge (the per-byte copy into the ring is part of
-// loopReadCycles locally, and of the transport cost remotely).
+// loopReadCycles locally, and of the transport cost remotely). Every slot of
+// one call carries the same run stamp, so the guest can rejoin them into one
+// window.
 func (d *Daemon) fillSlots(p *sim.Proc, tr *trace.Trace, s data.Slice, last bool) {
 	if stall, ok := d.faults.ShouldDelay(faults.RingStall); ok {
 		// Ring stall: the guest stops draining for a while. With the free
@@ -602,6 +604,8 @@ func (d *Daemon) fillSlots(p *sim.Proc, tr *trace.Trace, s data.Slice, last bool
 		p.Sleep(hold)
 	}
 	d.thread.RunT(p, d.cfg.SlotLockCycles*d.ring.slotsFor(s.Len()), metrics.TagOthers, tr)
+	d.ring.run++
+	run := d.ring.run
 	for off := int64(0); off < s.Len(); {
 		n := s.Len() - off
 		if n > d.cfg.SlotBytes {
@@ -609,7 +613,7 @@ func (d *Daemon) fillSlots(p *sim.Proc, tr *trace.Trace, s data.Slice, last bool
 		}
 		d.ring.free.Get(p)
 		isLast := last && off+n == s.Len()
-		d.ring.full.Put(p, ringSlot{s: s.Sub(off, n), last: isLast})
+		d.ring.full.Put(p, ringSlot{s: s.Sub(off, n), run: run, last: isLast})
 		off += n
 	}
 }

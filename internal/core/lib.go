@@ -227,53 +227,105 @@ func (v *VFD) readOnce(p *sim.Proc, tr *trace.Trace, off, n int64) (data.Slice, 
 	ring.reqs.Put(p, req)
 
 	rsp := tr.Begin(trace.LayerRing, "ring-drain")
-	var parts data.Concat
-	var got int64
+	runs, code := v.drain(p, tr, ring)
+	tr.EndSpan(rsp, runs.got)
+	switch code {
+	case slotOK:
+	case slotClosed:
+		return data.Slice{}, fmt.Errorf("%w under %s", ErrRingClosed, v.blockName)
+	case slotBadKey:
+		return data.Slice{}, fmt.Errorf("%w reading %s", ErrStaleKey, v.blockName)
+	case slotRevoked:
+		return data.Slice{}, fmt.Errorf("%w reading %s", ErrRingRevoked, v.blockName)
+	default:
+		return data.Slice{}, fmt.Errorf("%w reading %s", ErrDaemonFailed, v.blockName)
+	}
+	if runs.got != n {
+		return data.Slice{}, fmt.Errorf("%w of %s: %d of %d", ErrShortRead, v.blockName, runs.got, n)
+	}
+	return runs.slice(), nil
+}
+
+// drain consumes one read's slots from the ring, through the last data slot
+// or the first error slot, handing each slot token back to the daemon. It
+// returns the slots joined into runs, and slotOK, the error slot's code, or
+// slotClosed when the ring closed under the read.
+//
+//lint:hotpath
+func (v *VFD) drain(p *sim.Proc, tr *trace.Trace, ring *ring) (runs slotRuns, code slotCode) {
 	// Spinlocks and slot→application copies are charged in doorbell-batch
 	// units, matching the driver's batched consumption.
-	var accSlots, accBytes int64
-	flush := func() {
-		if accSlots > 0 {
-			vcpu.RunT(p, cfg.SlotLockCycles*accSlots+cfg.guestCopyCycles(accBytes), metrics.TagCopyVRead, tr)
-			accSlots, accBytes = 0, 0
-		}
-	}
+	var batchSlots, batchBytes int64
 	for {
 		slot, ok := ring.full.Get(p)
 		if !ok {
-			tr.EndSpan(rsp, got)
-			return data.Slice{}, fmt.Errorf("%w under %s", ErrRingClosed, v.blockName)
+			return runs, slotClosed
 		}
 		if slot.code != slotOK {
 			ring.free.Put(p, struct{}{})
-			tr.EndSpan(rsp, got)
-			switch slot.code {
-			case slotBadKey:
-				return data.Slice{}, fmt.Errorf("%w reading %s", ErrStaleKey, v.blockName)
-			case slotRevoked:
-				return data.Slice{}, fmt.Errorf("%w reading %s", ErrRingRevoked, v.blockName)
-			default:
-				return data.Slice{}, fmt.Errorf("%w reading %s", ErrDaemonFailed, v.blockName)
-			}
+			return runs, slot.code
 		}
-		parts = append(parts, slot.s.Content())
-		got += slot.s.Len()
-		accSlots++
-		accBytes += slot.s.Len()
-		if accSlots >= int64(cfg.EventBatchSlots) {
-			flush()
+		runs.add(slot)
+		batchSlots++
+		batchBytes += slot.s.Len()
+		if batchSlots >= int64(v.lib.mgr.cfg.EventBatchSlots) {
+			v.chargeCopy(p, tr, batchSlots, batchBytes)
+			batchSlots, batchBytes = 0, 0
 		}
 		ring.free.Put(p, struct{}{})
 		if slot.last {
 			break
 		}
 	}
-	flush()
-	tr.EndSpan(rsp, got)
-	if got != n {
-		return data.Slice{}, fmt.Errorf("%w of %s: %d of %d", ErrShortRead, v.blockName, got, n)
+	if batchSlots > 0 {
+		v.chargeCopy(p, tr, batchSlots, batchBytes)
 	}
-	return data.NewSlice(parts), nil
+	return runs, slotOK
+}
+
+// chargeCopy charges one doorbell batch of slot spinlocks and
+// slot→application copies to the guest vCPU.
+func (v *VFD) chargeCopy(p *sim.Proc, tr *trace.Trace, slots, bytes int64) {
+	cfg := &v.lib.mgr.cfg
+	v.lib.vm.VCPU.RunT(p, cfg.SlotLockCycles*slots+cfg.guestCopyCycles(bytes), metrics.TagCopyVRead, tr)
+}
+
+// slotRuns joins a read's data slots back into one Slice. Slots with the
+// same run stamp are contiguous windows of one daemon fill, so the open run
+// just widens; only a run boundary boxes the finished run into parts.
+type slotRuns struct {
+	open  data.Slice
+	run   uint64
+	parts data.Concat // finished runs, one window each
+	got   int64       // bytes drained
+}
+
+func (r *slotRuns) add(slot ringSlot) {
+	switch {
+	case r.got == 0:
+		r.open, r.run = slot.s, slot.run
+	case slot.run == r.run:
+		r.open.N += slot.s.N
+	default:
+		r.closeRun()
+		r.open, r.run = slot.s, slot.run
+	}
+	r.got += slot.s.N
+}
+
+// closeRun boxes the open run into parts.
+//
+//lint:allow hotalloc(multi-run fallback: one window per daemon fill, never one per slot)
+func (r *slotRuns) closeRun() { r.parts = append(r.parts, r.open.Content()) }
+
+// slice returns the drained bytes: the open run itself when the read was one
+// run, else a Concat of one window per run.
+func (r *slotRuns) slice() data.Slice {
+	if r.parts == nil {
+		return r.open
+	}
+	r.closeRun()
+	return data.NewSlice(r.parts)
 }
 
 // Close is vRead_close: drop the descriptor once the last reference goes.

@@ -32,7 +32,7 @@ type Manager struct {
 	clientOrder []string               // client VMs in EnableClient order (deterministic iteration)
 	libs        map[string]*Lib
 	servers     map[string]*hostServer
-	qps         map[string]*netsim.QP
+	qps         map[hostPair]*netsim.QP
 	pending     map[int64]*sim.Queue[chunkMsg]
 	pendingIDs  map[*sim.Queue[chunkMsg]]int64
 	nextReq     int64
@@ -41,7 +41,7 @@ type Manager struct {
 	// downgrade expires. Recovery is lazy — checked on the next send rather
 	// than by timer — so an idle downgrade leaves no pending event behind
 	// (the chaos harness asserts Env.Pending drains to zero).
-	downgraded map[string]time.Duration
+	downgraded map[hostPair]time.Duration
 	downgrades int64
 }
 
@@ -61,10 +61,10 @@ func NewManager(cl *cluster.Cluster, nn hdfs.Namespace, cfg Config) *Manager {
 		daemons:    make(map[string]*Daemon),
 		libs:       make(map[string]*Lib),
 		servers:    make(map[string]*hostServer),
-		qps:        make(map[string]*netsim.QP),
+		qps:        make(map[hostPair]*netsim.QP),
 		pending:    make(map[int64]*sim.Queue[chunkMsg]),
 		pendingIDs: make(map[*sim.Queue[chunkMsg]]int64),
-		downgraded: make(map[string]time.Duration),
+		downgraded: make(map[hostPair]time.Duration),
 	}
 	if nn != nil {
 		nn.AddBlockListener(m)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"vread/internal/cluster"
 	"vread/internal/cpusched"
@@ -223,10 +222,15 @@ func (m *Manager) qpFor(a, b string) *netsim.QP {
 	return qp
 }
 
-func qpKey(a, b string) string {
-	s := []string{a, b}
-	sort.Strings(s)
-	return s[0] + "|" + s[1]
+// hostPair is the unordered pair of two hosts, the key of the per-pair QP
+// and downgrade maps: qpKey(a, b) == qpKey(b, a).
+type hostPair struct{ lo, hi string }
+
+func qpKey(a, b string) hostPair {
+	if b < a {
+		a, b = b, a
+	}
+	return hostPair{lo: a, hi: b}
 }
 
 // onFrame demultiplexes an arriving daemon-to-daemon frame on a host.

@@ -92,6 +92,10 @@ type ring struct {
 	// badStreak counts consecutive rejected descriptors toward the
 	// revocation threshold; any accepted descriptor resets it.
 	badStreak int
+	// run numbers the daemon's slot fills: each fillSlots call bumps it
+	// once and stamps every slot it emits, so the guest can tell which
+	// slots are contiguous windows of one Slice.
+	run uint64
 }
 
 type ringReqKind int
@@ -135,11 +139,18 @@ const (
 	slotFailed           // stream failed (ErrDaemonFailed); guest aborts the read
 	slotBadKey           // descriptor carried a stale ring key (ErrStaleKey)
 	slotRevoked          // ring permission revoked (ErrRingRevoked)
+	// slotClosed never crosses the ring: the guest's drain reports it when
+	// the ring closes under a read (ErrRingClosed).
+	slotClosed
 )
 
-// ringSlot is one filled data slot.
+// ringSlot is one filled data slot. run is the daemon fill it came from
+// (ring.run, never zero for a data slot): consecutive slots with the same run
+// are contiguous Sub windows of one Slice. It is written host-to-guest, like
+// the slot data, so no descriptor sanitizer sees it.
 type ringSlot struct {
 	s    data.Slice
+	run  uint64
 	code slotCode
 	last bool
 }

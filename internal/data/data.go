@@ -10,6 +10,12 @@
 // Byte checks are cheap enough to run on every read: Pattern generates its
 // bytes one 8-byte lane per mix, and Equal compares through a single 1 KiB
 // buffer, so a check costs one small allocation however long the window.
+//
+// A Slice is a value and costs nothing to pass; turning one into a Content
+// (Slice.Content) boxes it. Data paths box only where windows that are not
+// contiguous must be joined into a Concat: the vRead guest driver widens
+// one Slice across a run of ring slots from one daemon fill and boxes it
+// only at a run boundary, never once per slot.
 package data
 
 import (
@@ -161,7 +167,9 @@ func (s Slice) Sub(off, n int64) Slice {
 	return Slice{C: s.C, Off: s.Off + off, N: n}
 }
 
-// Content adapts the window into a standalone Content (no copying).
+// Content adapts the window into a standalone Content (no copying). Unless
+// the window is the whole of its Content, this boxes a window: one
+// allocation, so callers join windows at run boundaries, not per slot.
 func (s Slice) Content() Content {
 	if s.Off == 0 && s.C != nil && s.N == s.C.Len() {
 		return s.C

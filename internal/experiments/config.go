@@ -157,6 +157,11 @@ func ParseOptions(raw []byte) (Options, Scenario, *ScaleConfig, *MigrationConfig
 			FileSize:       int64(m.FileKB) << 10,
 			TriggerAfter:   time.Duration(m.TriggerAfterUS) * time.Microsecond,
 		}
+		// A read larger than the file fails every read with ErrBadRange deep
+		// in the run; compare after the 256 KiB and 4 MiB defaults apply.
+		if d := mc.WithDefaults(); d.ReadSize > d.FileSize {
+			return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: migrate.read_kb %d exceeds migrate.file_kb %d", d.ReadSize>>10, d.FileSize>>10)
+		}
 	}
 	return opt, scenario, sc, mc, nil
 }

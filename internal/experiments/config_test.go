@@ -102,6 +102,9 @@ func TestParseOptionsRejectsOutOfRange(t *testing.T) {
 		{`{"migrate": {"file_kb": -1}}`, "migrate.file_kb"},
 		{`{"migrate": {"trigger_after_us": -5}}`, "migrate.trigger_after_us"},
 		{`{"migrate": {"trigger_after_us": 9223372036854776}}`, "migrate.trigger_after_us"},
+		{`{"migrate": {"read_kb": 512, "file_kb": 256}}`, "migrate.read_kb 512 exceeds migrate.file_kb 256"},
+		{`{"migrate": {"read_kb": 8192}}`, "migrate.read_kb 8192 exceeds migrate.file_kb 4096"},
+		{`{"migrate": {"file_kb": 128}}`, "migrate.read_kb 256 exceeds migrate.file_kb 128"},
 	} {
 		_, _, _, _, err := ParseOptions([]byte(tc.raw))
 		if err == nil || !strings.Contains(err.Error(), tc.field) {

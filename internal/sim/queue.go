@@ -4,9 +4,16 @@ import "time"
 
 // Queue is a bounded FIFO of T with blocking Put and Get, the workhorse for
 // rings, socket buffers, and device queues. A capacity of 0 means unbounded.
+//
+// The items live in a ring: buf[head], buf[head+1], ... wrapping at
+// len(buf), n of them. A full ring doubles on demand (never past capacity),
+// so a steady Put/Get stream reuses one backing array, and a large-capacity
+// queue that never fills never pays for its capacity.
 type Queue[T any] struct {
 	env      *Env
-	items    []T
+	buf      []T
+	head     int
+	n        int
 	capacity int
 	notEmpty *Signal
 	notFull  *Signal
@@ -24,7 +31,9 @@ func NewQueue[T any](env *Env, capacity int) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.n }
+
+func (q *Queue[T]) full() bool { return q.capacity > 0 && q.n >= q.capacity }
 
 // Close marks the queue closed: pending and future Gets drain remaining items
 // and then return ok=false; Puts on a closed queue panic.
@@ -41,14 +50,13 @@ func (q *Queue[T]) Close() {
 //
 //lint:hotpath
 func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.capacity > 0 && len(q.items) >= q.capacity && !q.closed {
+	for q.full() && !q.closed {
 		q.notFull.Wait(p)
 	}
 	if q.closed {
 		panic("sim: Put on closed Queue")
 	}
-	q.items = append(q.items, v) //lint:allow hotalloc(growth amortized into the queue's bounded working set)
-	q.notEmpty.Signal()
+	q.push(v)
 }
 
 // TryPut appends v if space is available, reporting success.
@@ -56,11 +64,10 @@ func (q *Queue[T]) TryPut(v T) bool {
 	if q.closed {
 		panic("sim: Put on closed Queue")
 	}
-	if q.capacity > 0 && len(q.items) >= q.capacity {
+	if q.full() {
 		return false
 	}
-	q.items = append(q.items, v)
-	q.notEmpty.Signal()
+	q.push(v)
 	return true
 }
 
@@ -69,10 +76,10 @@ func (q *Queue[T]) TryPut(v T) bool {
 //
 //lint:hotpath
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	for len(q.items) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		q.notEmpty.Wait(p)
 	}
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return v, false
 	}
 	return q.pop(), true
@@ -81,13 +88,13 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 // GetTimeout is Get with a deadline; ok is false on timeout or closed-empty.
 func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool) {
 	deadline := q.env.Now() + d
-	for len(q.items) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		remaining := deadline - q.env.Now()
 		if remaining <= 0 || !q.notEmpty.WaitTimeout(p, remaining) {
 			return v, false
 		}
 	}
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return v, false
 	}
 	return q.pop(), true
@@ -95,7 +102,7 @@ func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool) {
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return v, false
 	}
 	return q.pop(), true
@@ -103,17 +110,45 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 
 // Peek returns the oldest item without removing it.
 func (q *Queue[T]) Peek() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return v, false
 	}
-	return q.items[0], true
+	return q.buf[q.head], true
 }
 
+// push stores v at the tail, first doubling a full ring (capped at the
+// queue's capacity) and unwrapping its items to the front of the new array.
+func (q *Queue[T]) push(v T) {
+	if q.n == len(q.buf) {
+		size := max(2*len(q.buf), 1)
+		if q.capacity > 0 {
+			size = min(size, q.capacity)
+		}
+		buf := make([]T, size) //lint:allow hotalloc(growth amortized into the queue's bounded working set)
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = v
+	q.n++
+	q.notEmpty.Signal()
+}
+
+// pop removes the head item, clearing its slot so the ring holds no stale
+// references.
 func (q *Queue[T]) pop() T {
-	v := q.items[0]
+	v := q.buf[q.head]
 	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
 	q.notFull.Signal()
 	return v
 }
