@@ -20,47 +20,35 @@ import (
 	"vread/internal/virtio"
 )
 
-// Params collects every subsystem's configuration. Zero values reproduce the
-// paper's testbed: quad-core hosts, 16 GB RAM, SSD, 10 Gbps RoCE LAN, 2 GB
-// VMs, KVM with vhost-net on and vhost-blk off.
+// The paper's testbed hardware: quad-core hosts with 16 GB RAM and 2 GB VMs.
+const (
+	// cores per host.
+	cores = 4
+	// hostCacheBytes is the host page cache serving loop-mounted image
+	// reads: 12 GiB (16 GB host minus VMs and host overhead is generous;
+	// the daemon competes with nothing else for it).
+	hostCacheBytes = 12 << 30
+	// guestCacheBytes is each VM's page cache: 1.5 GiB (2 GB VM).
+	guestCacheBytes = 3 << 29
+	// cacheChunkBytes is simulation cache granularity.
+	cacheChunkBytes = 64 << 10
+)
+
+// Params collects the testbed settings experiments vary. Zero values
+// reproduce the paper's testbed: quad-core hosts, 16 GB RAM, SSD, 10 Gbps
+// RoCE LAN, 2 GB VMs, KVM with vhost-net on and vhost-blk off.
 type Params struct {
-	// Cores per host. Default 4.
-	Cores int
 	// FreqHz is the host clock. Default 2.0 GHz (the paper sweeps
 	// 1.6/2.0/3.2 via cpufreq-set).
 	FreqHz int64
-	// HostCacheBytes is the host page cache serving loop-mounted image
-	// reads. Default 12 GiB (16 GB host minus VMs and host overhead is
-	// generous; the daemon competes with nothing else for it).
-	HostCacheBytes int64
-	// GuestCacheBytes is each VM's page cache. Default 1.5 GiB (2 GB VM).
-	GuestCacheBytes int64
-	// CacheChunkBytes is simulation cache granularity. Default 64 KiB.
-	CacheChunkBytes int64
 
-	Sched  cpusched.Config
-	Net    netsim.Config
 	Virtio virtio.Config
-	Guest  guest.Config
-	Disk   storage.DiskConfig
 }
 
 // WithDefaults fills zero fields.
 func (p Params) WithDefaults() Params {
-	if p.Cores == 0 {
-		p.Cores = 4
-	}
 	if p.FreqHz == 0 {
 		p.FreqHz = 2_000_000_000
-	}
-	if p.HostCacheBytes == 0 {
-		p.HostCacheBytes = 12 << 30
-	}
-	if p.GuestCacheBytes == 0 {
-		p.GuestCacheBytes = 3 << 29 // 1.5 GiB
-	}
-	if p.CacheChunkBytes == 0 {
-		p.CacheChunkBytes = 64 << 10
 	}
 	return p
 }
@@ -152,7 +140,7 @@ func New(seed int64, params Params) *Cluster {
 	return &Cluster{
 		Env:     env,
 		Reg:     reg,
-		Fabric:  netsim.NewFabric(env, params.Net),
+		Fabric:  netsim.NewFabric(env, netsim.Config{}),
 		Network: guest.NewNetwork(env),
 		Params:  params,
 		seed:    seed,
@@ -168,10 +156,10 @@ func New(seed int64, params Params) *Cluster {
 func NewSharded(seed int64, params Params, shards int) *Cluster {
 	params = params.WithDefaults()
 	c := &Cluster{
-		Fabric:  netsim.NewFabric(nil, params.Net),
+		Fabric:  netsim.NewFabric(nil, netsim.Config{}),
 		Network: guest.NewNetwork(nil),
 		Params:  params,
-		Coord:   shard.New(shard.Config{Shards: shards, Lookahead: params.Net.Lookahead()}),
+		Coord:   shard.New(shard.Config{Shards: shards, Lookahead: netsim.Config{}.Lookahead()}),
 		seed:    seed,
 		sharded: true,
 	}
@@ -181,7 +169,7 @@ func NewSharded(seed int64, params Params, shards int) *Cluster {
 	// Guest window credit between kernels on different hosts rides the same
 	// mailboxes, after the same lookahead.
 	c.Network.SetCrossEnv(func(src, dst *guest.Kernel, deliver func()) {
-		c.vms[src.Name()].Host.LP.Send(c.vms[dst.Name()].Host.LP, params.Net.Lookahead(), deliver)
+		c.vms[src.Name()].Host.LP.Send(c.vms[dst.Name()].Host.LP, netsim.Config{}.Lookahead(), deliver)
 	})
 	return c
 }
@@ -213,7 +201,7 @@ func (c *Cluster) AddHostAt(name, rack, domain string) *Host {
 		env = sim.NewEnv(c.seed*1_000_003 + int64(id) + 1)
 		reg = metrics.NewRegistry()
 	}
-	cpu := cpusched.New(env, reg, c.Params.Cores, c.Params.FreqHz, c.Params.Sched)
+	cpu := cpusched.New(env, reg, cores, c.Params.FreqHz, cpusched.Config{})
 	h := &Host{
 		Name:    name,
 		ID:      id,
@@ -223,8 +211,8 @@ func (c *Cluster) AddHostAt(name, rack, domain string) *Host {
 		Env:     env,
 		Reg:     reg,
 		CPU:     cpu,
-		Disk:    storage.NewDisk(env, name+":ssd", c.Params.Disk),
-		Cache:   storage.NewPageCache(name+":pagecache", c.Params.HostCacheBytes, c.Params.CacheChunkBytes),
+		Disk:    storage.NewDisk(env, name+":ssd", storage.DiskConfig{}),
+		Cache:   storage.NewPageCache(name+":pagecache", hostCacheBytes, cacheChunkBytes),
 		Softirq: cpu.NewThread(name+":softirq", name),
 	}
 	if c.sharded {
@@ -371,15 +359,15 @@ func (h *Host) AddVM(name, appTag string) *VM {
 		VCPU:    h.CPU.NewThread(name+":vcpu", name),
 		Vhost:   h.CPU.NewThread(name+":vhost", name),
 		IOTh:    h.CPU.NewThread(name+":iothread", name),
-		Cache:   storage.NewPageCache(name+":guestcache", c.Params.GuestCacheBytes, c.Params.CacheChunkBytes),
+		Cache:   storage.NewPageCache(name+":guestcache", guestCacheBytes, cacheChunkBytes),
 		FS:      fsim.New(name + ":image"),
 	}
 	// Everything the VM schedules — devices, kernel, vhost — lives on its
 	// host's Env: the cluster Env in the single-env regime, the host's own
 	// LP when sharded.
 	vm.NetDev = virtio.NewNetDev(h.Env, c.Params.Virtio, name, h.Name, vm.VCPU, vm.Vhost, h.NIC, c.Fabric)
-	vm.BlkDev = virtio.NewBlkDev(h.Env, c.Params.Virtio, name, vm.VCPU, vm.IOTh, h.Disk)
-	vm.Kernel = guest.NewKernel(h.Env, c.Params.Guest, guest.KernelParams{
+	vm.BlkDev = virtio.NewBlkDev(h.Env, name, vm.VCPU, vm.IOTh, h.Disk)
+	vm.Kernel = guest.NewKernel(h.Env, guest.KernelParams{
 		Name:    name,
 		AppTag:  appTag,
 		VCPU:    vm.VCPU,
@@ -430,7 +418,7 @@ func (c *Cluster) MigrateVM(vmName string, dst *Host) {
 	vm.Vhost = dst.CPU.NewThread(vmName+":vhost", vmName)
 	vm.IOTh = dst.CPU.NewThread(vmName+":iothread", vmName)
 	vm.NetDev = virtio.NewNetDev(dst.Env, c.Params.Virtio, vmName, dst.Name, vm.VCPU, vm.Vhost, dst.NIC, c.Fabric)
-	vm.BlkDev = virtio.NewBlkDev(dst.Env, c.Params.Virtio, vmName, vm.VCPU, vm.IOTh, dst.Disk)
+	vm.BlkDev = virtio.NewBlkDev(dst.Env, vmName, vm.VCPU, vm.IOTh, dst.Disk)
 	vm.Kernel.Migrate(vm.VCPU, vm.NetDev, vm.BlkDev)
 	vm.NetDev.Start()
 	vm.BlkDev.Start()

@@ -46,85 +46,95 @@ func (t Transport) String() string {
 	return "rdma"
 }
 
-// Config holds vRead parameters. Zero values select the paper's prototype
-// defaults.
+// vRead's model costs and timeouts, the paper's prototype values.
+const (
+	// slotLockCycles is the pthread spinlock cost per slot access (paid on
+	// both sides).
+	slotLockCycles = 120
+	// eventFdCycles is one doorbell (eventfd write + wakeup).
+	eventFdCycles = 2500
+	// guestIRQCycles is the guest-side virtual interrupt (driver
+	// translation of the eventfd).
+	guestIRQCycles = 2500
+	// libCallCycles is the guest-side cost of one libvread call (JNI + hash
+	// lookup).
+	libCallCycles = 800
+	// openCycles is daemon-side vRead_open processing.
+	openCycles = 6000
+	// loopReadCyclesPerKB is the daemon's cost of reading the mounted image
+	// through the host FS (loop device + page cache copy into the ring).
+	loopReadCyclesPerKB = 700
+	// diskSubmitCycles is per host disk I/O submission.
+	diskSubmitCycles = 6000
+	// remoteChunkBytes is the RDMA write / TCP segment unit.
+	remoteChunkBytes = 64 << 10
+	// tcpSegCycles is per-segment user-level TCP cost on each daemon
+	// (syscall + user/kernel crossing; deliberately above vhost-net's
+	// per-frame cost, matching §5.1's finding).
+	tcpSegCycles = 9000
+	// addrTranslateCycles is the per-request triple address translation
+	// cost when bypassing the host FS.
+	addrTranslateCycles = 4500
+	// refreshCycles is the daemon-side cost of one dentry/inode refresh
+	// (vRead_update).
+	refreshCycles = 5000
+	// guestCopyCyclesPerKB is the guest-side cost of copying ring slots
+	// into the application buffer through JNI (libvread is C, HDFS is
+	// Java, so every slot crosses the JNI boundary).
+	guestCopyCyclesPerKB = 1600
+	// openTimeout bounds how long vRead_open waits before falling back to
+	// the vanilla path.
+	openTimeout = 50 * time.Millisecond
+	// hostReadaheadBytes is the host file system's sequential readahead
+	// window over loop-mounted images.
+	hostReadaheadBytes = 1 << 20
+	// remoteReadTimeout bounds how long the daemon waits for the next chunk
+	// of a remote window before abandoning the transfer and retrying (the
+	// detection latency of a torn QP or dropped segment).
+	remoteReadTimeout = 25 * time.Millisecond
+	// maxReadRetries bounds retries at both degradation layers: libvread
+	// re-issuing a failed ring read and the daemon re-requesting a failed
+	// remote window.
+	maxReadRetries = 3
+	// retryBackoff is libvread's base retry delay, doubled per attempt.
+	retryBackoff = 500 * time.Microsecond
+	// downgradeWindow is how long a host pair stays on the TCP fallback
+	// after an RDMA failure before probing RDMA again over a fresh QP.
+	downgradeWindow = 250 * time.Millisecond
+	// doorbellWatchdog is the guest driver's poll interval that bounds the
+	// latency of a lost doorbell.
+	doorbellWatchdog = time.Millisecond
+	// daemonRestartDelay is how long a crashed daemon takes to come back.
+	daemonRestartDelay = 5 * time.Millisecond
+	// migrateRemountDelay is the image re-attach cost during a live mount
+	// migration (losetup/kpartx + FS snapshot on the target host), charged
+	// between the source unmount and the target mount.
+	migrateRemountDelay = 3 * time.Millisecond
+	// slotHeldSpinCycles is the daemon CPU burned per ring.slotheld firing:
+	// a guest holding a slot spinlock makes the daemon spin, not sleep.
+	slotHeldSpinCycles = 20000
+	// doorbellStormBurst is how many junk no-reply descriptors one
+	// ring.doorbellstorm firing floods the descriptor area with.
+	doorbellStormBurst = 4
+)
+
+// Config holds the vRead parameters callers vary. Zero values select the
+// paper's prototype defaults.
 type Config struct {
 	// RingSlots is the number of ring buffer slots. Default 1024.
 	RingSlots int
 	// SlotBytes is the slot size. Default 4096.
 	SlotBytes int64
-	// SlotLockCycles is the pthread spinlock cost per slot access (paid on
-	// both sides). Default 120.
-	SlotLockCycles int64
-	// EventFdCycles is one doorbell (eventfd write + wakeup). Default 2500.
-	EventFdCycles int64
-	// GuestIRQCycles is the guest-side virtual interrupt (driver
-	// translation of the eventfd). Default 2500.
-	GuestIRQCycles int64
 	// EventBatchSlots is how many slots ride one doorbell. Default 32.
 	EventBatchSlots int
-	// LibCallCycles is the guest-side cost of one libvread call (JNI + hash
-	// lookup). Default 800.
-	LibCallCycles int64
-	// OpenCycles is daemon-side vRead_open processing. Default 6000.
-	OpenCycles int64
-	// LoopReadCyclesPerKB is the daemon's cost of reading the mounted image
-	// through the host FS (loop device + page cache copy into the ring).
-	// Default 700.
-	LoopReadCyclesPerKB int64
-	// DiskSubmitCycles is per host disk I/O submission. Default 6000.
-	DiskSubmitCycles int64
-	// RemoteChunkBytes is the RDMA write / TCP segment unit. Default 64 KiB.
-	RemoteChunkBytes int64
 	// RemoteWindowBytes bounds in-flight remote data per request. Default 1 MiB.
 	RemoteWindowBytes int64
-	// TCPSegCycles is per-segment user-level TCP cost on each daemon
-	// (syscall + user/kernel crossing; deliberately above vhost-net's
-	// per-frame cost, matching §5.1's finding). Default 9000.
-	TCPSegCycles int64
 	// Transport selects the remote path. Default RDMA.
 	Transport Transport
 	// DirectDiskBypass enables §6's alternative: read the image via the
 	// raw device, skipping the host FS — no page cache benefit and extra
 	// per-request address translation.
 	DirectDiskBypass bool
-	// AddrTranslateCycles is the per-request triple address translation
-	// cost when bypassing the host FS. Default 4500.
-	AddrTranslateCycles int64
-	// RefreshCycles is the daemon-side cost of one dentry/inode refresh
-	// (vRead_update). Default 5000.
-	RefreshCycles int64
-	// GuestCopyCyclesPerKB is the guest-side cost of copying ring slots
-	// into the application buffer through JNI (libvread is C, HDFS is
-	// Java, so every slot crosses the JNI boundary). Default 1600.
-	GuestCopyCyclesPerKB int64
-	// OpenTimeout bounds how long vRead_open waits before falling back to
-	// the vanilla path. Default 50ms.
-	OpenTimeout time.Duration
-	// HostReadaheadBytes is the host file system's sequential readahead
-	// window over loop-mounted images. Default 1 MiB.
-	HostReadaheadBytes int64
-	// RemoteReadTimeout bounds how long the daemon waits for the next chunk
-	// of a remote window before abandoning the transfer and retrying (the
-	// detection latency of a torn QP or dropped segment). Default 25ms.
-	RemoteReadTimeout time.Duration
-	// MaxReadRetries bounds retries at both degradation layers: libvread
-	// re-issuing a failed ring read and the daemon re-requesting a failed
-	// remote window. Default 3.
-	MaxReadRetries int
-	// RetryBackoff is libvread's base retry delay, doubled per attempt.
-	// Default 500µs.
-	RetryBackoff time.Duration
-	// DowngradeWindow is how long a host pair stays on the TCP fallback
-	// after an RDMA failure before probing RDMA again over a fresh QP.
-	// Default 250ms.
-	DowngradeWindow time.Duration
-	// DoorbellWatchdog is the guest driver's poll interval that bounds the
-	// latency of a lost doorbell. Default 1ms.
-	DoorbellWatchdog time.Duration
-	// DaemonRestartDelay is how long a crashed daemon takes to come back.
-	// Default 5ms.
-	DaemonRestartDelay time.Duration
 	// MountTableShards is the shard count of each host's mount table.
 	// Default 8.
 	MountTableShards int
@@ -134,17 +144,6 @@ type Config struct {
 	// revocation (the default): every rejection is answered typed and the
 	// ring stays attached.
 	RingRevokeThreshold int
-	// MigrateRemountDelay is the image re-attach cost during a live mount
-	// migration (losetup/kpartx + FS snapshot on the target host), charged
-	// between the source unmount and the target mount. Default 3ms.
-	MigrateRemountDelay time.Duration
-	// SlotHeldSpinCycles is the daemon CPU burned per ring.slotheld firing:
-	// a guest holding a slot spinlock makes the daemon spin, not sleep.
-	// Default 20000.
-	SlotHeldSpinCycles int64
-	// DoorbellStormBurst is how many junk no-reply descriptors one
-	// ring.doorbellstorm firing floods the descriptor area with. Default 4.
-	DoorbellStormBurst int
 	// Faults is the fault-injection plan evaluated at the core faultpoints
 	// (disk.read.error, disk.read.torn, ring.doorbell.lost, ring.stall,
 	// ring.slotheld, daemon.crash, mount.migrate, and — on the guest side —
@@ -161,86 +160,17 @@ func (c Config) WithDefaults() Config {
 	if c.SlotBytes == 0 {
 		c.SlotBytes = 4096
 	}
-	if c.SlotLockCycles == 0 {
-		c.SlotLockCycles = 120
-	}
-	if c.EventFdCycles == 0 {
-		c.EventFdCycles = 2500
-	}
-	if c.GuestIRQCycles == 0 {
-		c.GuestIRQCycles = 2500
-	}
 	if c.EventBatchSlots == 0 {
 		c.EventBatchSlots = 32
-	}
-	if c.LibCallCycles == 0 {
-		c.LibCallCycles = 800
-	}
-	if c.OpenCycles == 0 {
-		c.OpenCycles = 6000
-	}
-	if c.LoopReadCyclesPerKB == 0 {
-		c.LoopReadCyclesPerKB = 700
-	}
-	if c.DiskSubmitCycles == 0 {
-		c.DiskSubmitCycles = 6000
-	}
-	if c.RemoteChunkBytes == 0 {
-		c.RemoteChunkBytes = 64 << 10
 	}
 	if c.RemoteWindowBytes == 0 {
 		c.RemoteWindowBytes = 1 << 20
 	}
-	if c.TCPSegCycles == 0 {
-		c.TCPSegCycles = 9000
-	}
-	if c.AddrTranslateCycles == 0 {
-		c.AddrTranslateCycles = 4500
-	}
-	if c.RefreshCycles == 0 {
-		c.RefreshCycles = 5000
-	}
-	if c.GuestCopyCyclesPerKB == 0 {
-		c.GuestCopyCyclesPerKB = 1600
-	}
-	if c.OpenTimeout == 0 {
-		c.OpenTimeout = 50 * time.Millisecond
-	}
-	if c.HostReadaheadBytes == 0 {
-		c.HostReadaheadBytes = 1 << 20
-	}
-	if c.RemoteReadTimeout == 0 {
-		c.RemoteReadTimeout = 25 * time.Millisecond
-	}
-	if c.MaxReadRetries == 0 {
-		c.MaxReadRetries = 3
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 500 * time.Microsecond
-	}
-	if c.DowngradeWindow == 0 {
-		c.DowngradeWindow = 250 * time.Millisecond
-	}
-	if c.DoorbellWatchdog == 0 {
-		c.DoorbellWatchdog = time.Millisecond
-	}
-	if c.DaemonRestartDelay == 0 {
-		c.DaemonRestartDelay = 5 * time.Millisecond
-	}
 	if c.MountTableShards == 0 {
 		c.MountTableShards = 8
-	}
-	if c.MigrateRemountDelay == 0 {
-		c.MigrateRemountDelay = 3 * time.Millisecond
-	}
-	if c.SlotHeldSpinCycles == 0 {
-		c.SlotHeldSpinCycles = 20000
-	}
-	if c.DoorbellStormBurst == 0 {
-		c.DoorbellStormBurst = 4
 	}
 	return c
 }
 
-func (c Config) loopReadCycles(n int64) int64  { return n * c.LoopReadCyclesPerKB / 1024 }
-func (c Config) guestCopyCycles(n int64) int64 { return n * c.GuestCopyCyclesPerKB / 1024 }
+func loopReadCycles(n int64) int64  { return n * loopReadCyclesPerKB / 1024 }
+func guestCopyCycles(n int64) int64 { return n * guestCopyCyclesPerKB / 1024 }

@@ -200,7 +200,7 @@ func TestDrainTornReadIsShort(t *testing.T) {
 	if got.Len() != 0 {
 		t.Fatalf("torn read returned %d bytes alongside its error", got.Len())
 	}
-	if r := f.lib.Stats().Retries; r != int64(f.lib.mgr.cfg.MaxReadRetries) {
-		t.Fatalf("retries = %d, want %d", r, f.lib.mgr.cfg.MaxReadRetries)
+	if r := f.lib.Stats().Retries; r != int64(maxReadRetries) {
+		t.Fatalf("retries = %d, want %d", r, maxReadRetries)
 	}
 }

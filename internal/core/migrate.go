@@ -154,7 +154,7 @@ func (m *Manager) MigrateMount(p *sim.Proc, vm, srcHost, dstHost string) (MountM
 
 	m.UnmountDatanode(srcHost, vm)
 	m.cl.MigrateVM(vm, dst)
-	p.Sleep(m.cfg.MigrateRemountDelay)
+	p.Sleep(migrateRemountDelay)
 	m.MountDatanode(vm)
 	m.ResyncHost(dstHost)
 

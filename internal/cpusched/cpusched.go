@@ -34,32 +34,36 @@ import (
 	"vread/internal/trace"
 )
 
-// Config holds the scheduler's tunables. Zero values select defaults that
-// approximate Linux CFS of the paper's era.
-type Config struct {
-	// SchedLatency is the target period in which every runnable thread on a
-	// core runs once. Default 6ms.
-	SchedLatency time.Duration
-	// MinGranularity is the smallest timeslice. Default 750µs.
-	MinGranularity time.Duration
-	// WakeupGranularity gates wakeup preemption: a waking thread preempts
+// Scheduler constants, approximating Linux CFS of the paper's era.
+const (
+	// schedLatency is the target period in which every runnable thread on a
+	// core runs once.
+	schedLatency = 6 * time.Millisecond
+	// minGranularity is the smallest timeslice.
+	minGranularity = 750 * time.Microsecond
+	// wakeupGranularity gates wakeup preemption: a waking thread preempts
 	// the target core's current thread only if its vruntime is at least
-	// this far behind. Default 1ms.
-	WakeupGranularity time.Duration
-	// SleeperCredit bounds how far behind a core's min vruntime a waking
-	// thread is placed (GENTLE_FAIR_SLEEPERS). Default 3ms.
-	SleeperCredit time.Duration
+	// this far behind.
+	wakeupGranularity = time.Millisecond
+	// sleeperCredit bounds how far behind a core's min vruntime a waking
+	// thread is placed (GENTLE_FAIR_SLEEPERS).
+	sleeperCredit = 3 * time.Millisecond
+	// wakeLatency is the fixed cost (IPI + dispatch) of placing a waking
+	// thread on an idle core.
+	wakeLatency = 3 * time.Microsecond
+	// balanceInterval is the periodic load-balance period.
+	balanceInterval = 4 * time.Millisecond
+	// tick caps how long a thread runs before the scheduler re-evaluates
+	// preemption (the scheduler-tick granularity).
+	tick = time.Millisecond
+)
+
+// Config holds the scheduler's switch costs. Zero values select defaults
+// that approximate Linux CFS of the paper's era.
+type Config struct {
 	// CtxSwitchCycles is charged (to the incoming thread's entity, tag
 	// "others") on every context switch. Default 4000; -1 disables.
 	CtxSwitchCycles int64
-	// WakeLatency is the fixed cost (IPI + dispatch) of placing a waking
-	// thread on an idle core. Default 3µs.
-	WakeLatency time.Duration
-	// BalanceInterval is the periodic load-balance period. Default 4ms.
-	BalanceInterval time.Duration
-	// Tick caps how long a thread runs before the scheduler re-evaluates
-	// preemption (the scheduler-tick granularity). Default 1ms.
-	Tick time.Duration
 	// CacheColdCycles is charged when a thread is placed on a core whose
 	// previous occupant was a different thread (L1/L2/TLB refill). This is
 	// what makes over-subscribed hosts slower even when cores are nominally
@@ -68,29 +72,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SchedLatency == 0 {
-		c.SchedLatency = 6 * time.Millisecond
-	}
-	if c.MinGranularity == 0 {
-		c.MinGranularity = 750 * time.Microsecond
-	}
-	if c.WakeupGranularity == 0 {
-		c.WakeupGranularity = time.Millisecond
-	}
-	if c.SleeperCredit == 0 {
-		c.SleeperCredit = 3 * time.Millisecond
-	}
 	if c.CtxSwitchCycles == 0 {
 		c.CtxSwitchCycles = 4000
-	}
-	if c.WakeLatency == 0 {
-		c.WakeLatency = 3 * time.Microsecond
-	}
-	if c.BalanceInterval == 0 {
-		c.BalanceInterval = 4 * time.Millisecond
-	}
-	if c.Tick == 0 {
-		c.Tick = time.Millisecond
 	}
 	if c.CacheColdCycles == 0 {
 		c.CacheColdCycles = 15000
@@ -364,7 +347,7 @@ func (c *CPU) wake(t *Thread) {
 		target = c.leastLoaded()
 	}
 	if target.cur == nil {
-		c.dispatch(target, t, c.cfg.WakeLatency)
+		c.dispatch(target, t, wakeLatency)
 		return
 	}
 	// Idle-sibling scan, rotated so placements spread instead of piling
@@ -374,19 +357,19 @@ func (c *CPU) wake(t *Thread) {
 		co := c.cores[(c.rr+i)%n]
 		if co.cur == nil {
 			c.rr = (c.rr + i + 1) % n
-			c.dispatch(co, t, c.cfg.WakeLatency)
+			c.dispatch(co, t, wakeLatency)
 			return
 		}
 	}
 	// No idle core: place on the affine core's runqueue with sleeper credit
 	// relative to that core's min vruntime.
 	t.state = StateRunnable
-	if bound := target.minVR - c.cfg.SleeperCredit; t.vruntime < bound {
+	if bound := target.minVR - sleeperCredit; t.vruntime < bound {
 		t.vruntime = bound
 	}
 	target.enqueue(t)
 	// Wakeup preemption, checked against this core's current thread only.
-	if target.planned >= 0 && t.vruntime+c.cfg.WakeupGranularity < target.cur.vruntime {
+	if target.planned >= 0 && t.vruntime+wakeupGranularity < target.cur.vruntime {
 		target.preemptCurrent()
 		target.pickNext()
 	}
@@ -452,9 +435,9 @@ func (co *core) timeslice() time.Duration {
 	if n <= 0 {
 		n = 1
 	}
-	s := co.cpu.cfg.SchedLatency / time.Duration(n)
-	if s < co.cpu.cfg.MinGranularity {
-		s = co.cpu.cfg.MinGranularity
+	s := schedLatency / time.Duration(n)
+	if s < minGranularity {
+		s = minGranularity
 	}
 	return s
 }
@@ -473,8 +456,8 @@ func (co *core) startSlice() {
 	}
 	c := co.cpu
 	slice := co.timeslice()
-	if slice > c.cfg.Tick {
-		slice = c.cfg.Tick // re-evaluate preemption at tick granularity
+	if slice > tick {
+		slice = tick // re-evaluate preemption at tick granularity
 	}
 	sliceCycles := c.CyclesFor(slice)
 	if sliceCycles < 1 {
@@ -508,7 +491,7 @@ func (co *core) sliceEnd() {
 		return
 	}
 	// Tick preemption against this core's queue.
-	if next, ok := co.runq.peek(); ok && next.vruntime+c.cfg.WakeupGranularity < t.vruntime {
+	if next, ok := co.runq.peek(); ok && next.vruntime+wakeupGranularity < t.vruntime {
 		co.requeueCurrent()
 		co.pickNext()
 		return
@@ -608,7 +591,7 @@ func (c *CPU) steal(dst *core) *Thread {
 	}
 	t, _ := src.runq.pop()
 	t.vruntime += dst.minVR - src.minVR
-	if bound := dst.minVR - c.cfg.SleeperCredit; t.vruntime < bound {
+	if bound := dst.minVR - sleeperCredit; t.vruntime < bound {
 		t.vruntime = bound
 	}
 	return t
@@ -666,7 +649,7 @@ func (c *CPU) armBalancer() {
 		return
 	}
 	c.balArmed = true
-	c.env.Schedule(c.cfg.BalanceInterval, c.balanceFn)
+	c.env.Schedule(balanceInterval, c.balanceFn)
 }
 
 func (c *CPU) balanceTick() {
@@ -698,7 +681,7 @@ func (c *CPU) balanceTick() {
 		t, _ := maxC.runq.pop()
 		t.vruntime += minC.minVR - maxC.minVR
 		if minC.cur == nil {
-			c.dispatch(minC, t, c.cfg.WakeLatency)
+			c.dispatch(minC, t, wakeLatency)
 		} else {
 			minC.enqueue(t)
 		}

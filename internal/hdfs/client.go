@@ -112,10 +112,10 @@ func (c *Client) writeBlock(p *sim.Proc, info BlockInfo, s data.Slice) error {
 	}
 	for off := int64(0); off < s.Len(); {
 		pkt := s.Len() - off
-		if pkt > c.cfg.PacketBytes {
-			pkt = c.cfg.PacketBytes
+		if pkt > packetBytes {
+			pkt = packetBytes
 		}
-		c.kernel.VCPU().Run(p, c.cfg.checksumCycles(pkt), c.appTag())
+		c.kernel.VCPU().Run(p, checksumCycles(pkt), c.appTag())
 		if err := conn.Send(p, s.Sub(off, pkt)); err != nil {
 			return err
 		}
@@ -372,7 +372,7 @@ func (r *FileReader) streamRead(p *sim.Proc, tr *trace.Trace, blk BlockInfo, dn 
 		r.dropStream(p)
 		return data.Slice{}, fmt.Errorf("hdfs: stream of %s ended early", blk.BlockName())
 	}
-	r.c.kernel.VCPU().RunT(p, r.c.cfg.clientRecvCycles(n), r.c.appTag(), tr)
+	r.c.kernel.VCPU().RunT(p, clientRecvCycles(n), r.c.appTag(), tr)
 	tr.EndSpan(sp, n)
 	st.nextOff += n
 	st.remaining -= n
@@ -428,7 +428,7 @@ func (r *FileReader) oneShotRead(p *sim.Proc, tr *trace.Trace, blk BlockInfo, dn
 		drop()
 		return data.Slice{}, fmt.Errorf("hdfs: stream of %s ended early", blk.BlockName())
 	}
-	r.c.kernel.VCPU().RunT(p, r.c.cfg.clientRecvCycles(n), r.c.appTag(), tr)
+	r.c.kernel.VCPU().RunT(p, clientRecvCycles(n), r.c.appTag(), tr)
 	tr.EndSpan(sp, n)
 	return s, nil
 }

@@ -14,7 +14,6 @@ import (
 // is precisely what lets the vRead daemon read them from the hypervisor.
 type DataNode struct {
 	env      *sim.Env
-	cfg      Config
 	nn       Namespace
 	kernel   *guest.Kernel
 	listener *guest.Listener
@@ -31,7 +30,6 @@ func StartDataNode(env *sim.Env, nn Namespace, kernel *guest.Kernel) *DataNode {
 	}
 	dn := &DataNode{
 		env:    env,
-		cfg:    nn.Config(),
 		nn:     nn,
 		kernel: kernel,
 		blocks: make(map[BlockID]int64),
@@ -118,7 +116,7 @@ func (dn *DataNode) handleRead(p *sim.Proc, conn *guest.Conn, req readReq) bool 
 	// The connection adopted the client request's trace when the request
 	// segment arrived, so server-side work attributes to that request.
 	tr := conn.Trace()
-	dn.kernel.VCPU().RunT(p, dn.cfg.RequestCycles, metrics.TagDatanodeApp, tr)
+	dn.kernel.VCPU().RunT(p, requestCycles, metrics.TagDatanodeApp, tr)
 	path := blockPath(req.id)
 	if _, err := dn.kernel.FS().Stat(path); err != nil {
 		_ = conn.Send(p, encodeResp(statusErr, 0))
@@ -133,8 +131,8 @@ func (dn *DataNode) handleRead(p *sim.Proc, conn *guest.Conn, req readReq) bool 
 	sent := int64(0)
 	for sent < req.n {
 		pkt := req.n - sent
-		if pkt > dn.cfg.PacketBytes {
-			pkt = dn.cfg.PacketBytes
+		if pkt > packetBytes {
+			pkt = packetBytes
 		}
 		s, err := dn.kernel.ReadFileAtT(p, tr, path, req.off+sent, pkt)
 		if err != nil {
@@ -144,7 +142,7 @@ func (dn *DataNode) handleRead(p *sim.Proc, conn *guest.Conn, req readReq) bool 
 			conn.Close(p)
 			return false
 		}
-		dn.kernel.VCPU().RunT(p, dn.cfg.dnSendCycles(pkt), metrics.TagDatanodeApp, tr)
+		dn.kernel.VCPU().RunT(p, dnSendCycles(pkt), metrics.TagDatanodeApp, tr)
 		if err := conn.Send(p, s); err != nil {
 			tr.EndSpan(sp, sent)
 			return false
@@ -159,7 +157,7 @@ func (dn *DataNode) handleRead(p *sim.Proc, conn *guest.Conn, req readReq) bool 
 // handleWrite receives a block (possibly forwarding down a pipeline), stores
 // it as a file, reports to the namenode, and acks upstream.
 func (dn *DataNode) handleWrite(p *sim.Proc, conn *guest.Conn, req writeReq) {
-	dn.kernel.VCPU().Run(p, dn.cfg.RequestCycles, metrics.TagDatanodeApp)
+	dn.kernel.VCPU().Run(p, requestCycles, metrics.TagDatanodeApp)
 	path := blockPath(req.id)
 	if err := dn.kernel.CreateFile(p, path); err != nil {
 		_ = conn.Send(p, encodeAck(statusErr))
@@ -183,15 +181,15 @@ func (dn *DataNode) handleWrite(p *sim.Proc, conn *guest.Conn, req writeReq) {
 	received := int64(0)
 	for received < req.n {
 		pkt := req.n - received
-		if pkt > dn.cfg.PacketBytes {
-			pkt = dn.cfg.PacketBytes
+		if pkt > packetBytes {
+			pkt = packetBytes
 		}
 		s, ok := conn.RecvFull(p, pkt)
 		if !ok {
 			conn.Close(p)
 			return
 		}
-		dn.kernel.VCPU().Run(p, dn.cfg.checksumCycles(pkt), metrics.TagDatanodeApp)
+		dn.kernel.VCPU().Run(p, checksumCycles(pkt), metrics.TagDatanodeApp)
 		if err := dn.kernel.AppendFile(p, path, s.Content()); err != nil {
 			conn.Close(p)
 			return

@@ -32,34 +32,37 @@ var (
 // DataPort is the datanode streaming port (Hadoop's 50010).
 const DataPort = 50010
 
+// Hadoop-1.2-era HDFS costs.
+const (
+	// packetBytes is the streaming packet size.
+	packetBytes = 64 << 10
+	// checksumCyclesPerKB models CRC32 generation/verification per side
+	// (~1.5 cycles/byte in the era's Java CRC32).
+	checksumCyclesPerKB = 1500
+	// streamCyclesPerKB is the client-side DFSInputStream/BlockReader Java
+	// processing per received KB (buffer chains, packet reassembly).
+	streamCyclesPerKB = 3600
+	// dnStreamCyclesPerKB is the datanode-side BlockSender Java processing
+	// per sent KB.
+	dnStreamCyclesPerKB = 1200
+	// packetClientCycles is per-packet client processing (header parse,
+	// bookkeeping).
+	packetClientCycles = 20000
+	// packetDNCycles is per-packet datanode processing.
+	packetDNCycles = 15000
+	// requestCycles is per-read-request datanode processing (DataXceiver
+	// setup).
+	requestCycles = 15000
+	// rpcLatency is a namenode RPC round trip.
+	rpcLatency = 250 * time.Microsecond
+	// rpcCycles is client-side RPC processing.
+	rpcCycles = 10000
+)
+
 // Config holds HDFS parameters. Zero values select Hadoop-1.2-era defaults.
 type Config struct {
 	// BlockSize is the HDFS block size. Default 64 MiB.
 	BlockSize int64
-	// PacketBytes is the streaming packet size. Default 64 KiB.
-	PacketBytes int64
-	// ChecksumCyclesPerKB models CRC32 generation/verification per side.
-	// Default 1500 (~1.5 cycles/byte in the era's Java CRC32).
-	ChecksumCyclesPerKB int64
-	// StreamCyclesPerKB is the client-side DFSInputStream/BlockReader Java
-	// processing per received KB (buffer chains, packet reassembly).
-	// Default 3600.
-	StreamCyclesPerKB int64
-	// DNStreamCyclesPerKB is the datanode-side BlockSender Java processing
-	// per sent KB. Default 1200.
-	DNStreamCyclesPerKB int64
-	// PacketClientCycles is per-packet client processing (header parse,
-	// bookkeeping). Default 20000.
-	PacketClientCycles int64
-	// PacketDNCycles is per-packet datanode processing. Default 15000.
-	PacketDNCycles int64
-	// RequestCycles is per-read-request datanode processing (DataXceiver
-	// setup). Default 15000.
-	RequestCycles int64
-	// RPCLatency is a namenode RPC round trip. Default 250µs.
-	RPCLatency time.Duration
-	// RPCCycles is client-side RPC processing. Default 10000.
-	RPCCycles int64
 	// Replication is the write pipeline depth. Default 1 (the paper's
 	// experiments place one replica per scenario).
 	Replication int
@@ -73,51 +76,24 @@ func (c Config) WithDefaults() Config {
 	if c.BlockSize == 0 {
 		c.BlockSize = 64 << 20
 	}
-	if c.PacketBytes == 0 {
-		c.PacketBytes = 64 << 10
-	}
-	if c.ChecksumCyclesPerKB == 0 {
-		c.ChecksumCyclesPerKB = 1500
-	}
-	if c.StreamCyclesPerKB == 0 {
-		c.StreamCyclesPerKB = 3600
-	}
-	if c.DNStreamCyclesPerKB == 0 {
-		c.DNStreamCyclesPerKB = 1200
-	}
-	if c.PacketClientCycles == 0 {
-		c.PacketClientCycles = 20000
-	}
-	if c.PacketDNCycles == 0 {
-		c.PacketDNCycles = 15000
-	}
-	if c.RequestCycles == 0 {
-		c.RequestCycles = 15000
-	}
-	if c.RPCLatency == 0 {
-		c.RPCLatency = 250 * time.Microsecond
-	}
-	if c.RPCCycles == 0 {
-		c.RPCCycles = 10000
-	}
 	if c.Replication == 0 {
 		c.Replication = 1
 	}
 	return c
 }
 
-func (c Config) checksumCycles(n int64) int64 { return n * c.ChecksumCyclesPerKB / 1024 }
+func checksumCycles(n int64) int64 { return n * checksumCyclesPerKB / 1024 }
 
 // clientRecvCycles is the full client-side cost of receiving n streamed
 // bytes: checksum verify + stream processing + per-packet overheads.
-func (c Config) clientRecvCycles(n int64) int64 {
-	packets := (n + c.PacketBytes - 1) / c.PacketBytes
-	return c.checksumCycles(n) + n*c.StreamCyclesPerKB/1024 + packets*c.PacketClientCycles
+func clientRecvCycles(n int64) int64 {
+	packets := (n + packetBytes - 1) / packetBytes
+	return checksumCycles(n) + n*streamCyclesPerKB/1024 + packets*packetClientCycles
 }
 
 // dnSendCycles is the datanode-side per-packet cost beyond raw copies.
-func (c Config) dnSendCycles(n int64) int64 {
-	return c.checksumCycles(n) + n*c.DNStreamCyclesPerKB/1024 + c.PacketDNCycles
+func dnSendCycles(n int64) int64 {
+	return checksumCycles(n) + n*dnStreamCyclesPerKB/1024 + packetDNCycles
 }
 
 // BlockID identifies one HDFS block.
@@ -312,8 +288,8 @@ func (nn *NameNode) rpc(p *sim.Proc, k *guest.Kernel) {
 // rpcT is rpc attributing the round trip to a request trace.
 func (nn *NameNode) rpcT(p *sim.Proc, k *guest.Kernel, tr *trace.Trace) {
 	sp := tr.Begin(trace.LayerClient, "namenode-rpc")
-	k.VCPU().RunT(p, nn.cfg.RPCCycles, metrics.TagOthers, tr)
-	p.Sleep(nn.cfg.RPCLatency)
+	k.VCPU().RunT(p, rpcCycles, metrics.TagOthers, tr)
+	p.Sleep(rpcLatency)
 	tr.EndSpan(sp, 0)
 }
 

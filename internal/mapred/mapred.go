@@ -16,16 +16,20 @@ import (
 	"vread/internal/sim"
 )
 
+// Task launch costs.
+const (
+	// taskSetupCycles is charged on the tracker VM per task (JVM start,
+	// task initialization): 30M cycles, ~15ms at 2 GHz.
+	taskSetupCycles = 30_000_000
+	// taskSetupDelay is non-CPU task launch latency.
+	taskSetupDelay = 50 * time.Millisecond
+)
+
 // Config holds engine parameters.
 type Config struct {
 	// SlotsPerTracker is the number of concurrent tasks per tracker.
 	// Default 2 (the era's default map slots on small nodes).
 	SlotsPerTracker int
-	// TaskSetupCycles is charged on the tracker VM per task (JVM start,
-	// task initialization). Default 30M cycles (~15ms at 2 GHz).
-	TaskSetupCycles int64
-	// TaskSetupDelay is non-CPU task launch latency. Default 50ms.
-	TaskSetupDelay time.Duration
 	// MaxAttempts bounds per-task retries. Default 2.
 	MaxAttempts int
 }
@@ -34,12 +38,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.SlotsPerTracker == 0 {
 		c.SlotsPerTracker = 2
-	}
-	if c.TaskSetupCycles == 0 {
-		c.TaskSetupCycles = 30_000_000
-	}
-	if c.TaskSetupDelay == 0 {
-		c.TaskSetupDelay = 50 * time.Millisecond
 	}
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 2
@@ -138,8 +136,8 @@ func (e *Engine) Run(p *sim.Proc, name string, tasks []Task) JobResult {
 					}
 					st.attempts++
 					start := e.env.Now()
-					tr.Kernel.VCPU().Run(wp, e.cfg.TaskSetupCycles, metrics.TagOthers)
-					wp.Sleep(e.cfg.TaskSetupDelay)
+					tr.Kernel.VCPU().Run(wp, taskSetupCycles, metrics.TagOthers)
+					wp.Sleep(taskSetupDelay)
 					v, err := st.task.Fn(wp, tr)
 					if err != nil && st.attempts < e.cfg.MaxAttempts {
 						queue.TryPut(st) // retry, possibly elsewhere

@@ -38,7 +38,6 @@ func decodeHdr(b []byte) (op uint64, id ChunkID, off, n int64) {
 // ChunkServer stores and serves chunk files from inside its VM.
 type ChunkServer struct {
 	env    *sim.Env
-	cfg    Config
 	ms     *MetaServer
 	kernel *guest.Kernel
 	served int64
@@ -49,7 +48,7 @@ func StartChunkServer(env *sim.Env, ms *MetaServer, kernel *guest.Kernel) *Chunk
 	if err := kernel.FS().MkdirAll(ChunkDir); err != nil {
 		panic(fmt.Sprintf("qfs: %v", err))
 	}
-	cs := &ChunkServer{env: env, cfg: ms.cfg, ms: ms, kernel: kernel}
+	cs := &ChunkServer{env: env, ms: ms, kernel: kernel}
 	if _, ok := ms.servers[kernel.Name()]; ok {
 		panic(fmt.Sprintf("qfs: duplicate chunk server %q", kernel.Name()))
 	}
@@ -110,8 +109,8 @@ func (cs *ChunkServer) handleRead(p *sim.Proc, conn *guest.Conn, id ChunkID, off
 	sent := int64(0)
 	for sent < n {
 		pkt := n - sent
-		if pkt > cs.cfg.PacketBytes {
-			pkt = cs.cfg.PacketBytes
+		if pkt > packetBytes {
+			pkt = packetBytes
 		}
 		s, err := cs.kernel.ReadFileAtT(p, tr, path, off+sent, pkt)
 		if err != nil {
@@ -119,7 +118,7 @@ func (cs *ChunkServer) handleRead(p *sim.Proc, conn *guest.Conn, id ChunkID, off
 			conn.Close(p)
 			return false
 		}
-		cs.kernel.VCPU().RunT(p, cs.cfg.ioCycles(pkt), metrics.TagDatanodeApp, tr)
+		cs.kernel.VCPU().RunT(p, ioCycles(pkt), metrics.TagDatanodeApp, tr)
 		if err := conn.Send(p, s); err != nil {
 			tr.EndSpan(sp, sent)
 			return false
@@ -140,15 +139,15 @@ func (cs *ChunkServer) handleWrite(p *sim.Proc, conn *guest.Conn, id ChunkID, n 
 	received := int64(0)
 	for received < n {
 		pkt := n - received
-		if pkt > cs.cfg.PacketBytes {
-			pkt = cs.cfg.PacketBytes
+		if pkt > packetBytes {
+			pkt = packetBytes
 		}
 		s, ok := conn.RecvFull(p, pkt)
 		if !ok {
 			conn.Close(p)
 			return
 		}
-		cs.kernel.VCPU().Run(p, cs.cfg.ioCycles(pkt), metrics.TagDatanodeApp)
+		cs.kernel.VCPU().Run(p, ioCycles(pkt), metrics.TagDatanodeApp)
 		if err := cs.kernel.AppendFile(p, path, s.Content()); err != nil {
 			conn.Close(p)
 			return

@@ -98,10 +98,10 @@ func (c *Client) writeChunk(p *sim.Proc, info ChunkInfo, s data.Slice) error {
 	}
 	for off := int64(0); off < s.Len(); {
 		pkt := s.Len() - off
-		if pkt > c.cfg.PacketBytes {
-			pkt = c.cfg.PacketBytes
+		if pkt > packetBytes {
+			pkt = packetBytes
 		}
-		c.kernel.VCPU().Run(p, c.cfg.ioCycles(pkt), metrics.TagClientApp)
+		c.kernel.VCPU().Run(p, ioCycles(pkt), metrics.TagClientApp)
 		if err := conn.Send(p, s.Sub(off, pkt)); err != nil {
 			return err
 		}
@@ -208,7 +208,7 @@ func (c *Client) readChunk(p *sim.Proc, tr *trace.Trace, ch ChunkInfo, off, n in
 		tr.EndSpan(sp, 0)
 		return data.Slice{}, fmt.Errorf("qfs: chunk %d stream ended early", ch.ID)
 	}
-	c.kernel.VCPU().RunT(p, c.cfg.ioCycles(n), metrics.TagClientApp, tr)
+	c.kernel.VCPU().RunT(p, ioCycles(n), metrics.TagClientApp, tr)
 	tr.EndSpan(sp, n)
 	return s, nil
 }

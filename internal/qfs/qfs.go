@@ -35,21 +35,25 @@ const ChunkPort = 20000
 // ChunkDir is where chunk servers keep chunk files inside their VM.
 const ChunkDir = "/qfs/chunks"
 
+// QFS costs.
+const (
+	// packetBytes is the streaming unit.
+	packetBytes = 64 << 10
+	// rpcLatency is one metaserver round trip.
+	rpcLatency = 250 * time.Microsecond
+	// rpcCycles is client-side RPC processing.
+	rpcCycles = 10000
+	// ioCyclesPerKB is client/server per-KB processing (QFS's C++ stack is
+	// leaner than Hadoop's Java one).
+	ioCyclesPerKB = 1800
+	// packetCycles is per-packet processing on each side.
+	packetCycles = 9000
+)
+
 // Config holds QFS parameters.
 type Config struct {
 	// ChunkSize is the striping unit. Default 64 MiB.
 	ChunkSize int64
-	// PacketBytes is the streaming unit. Default 64 KiB.
-	PacketBytes int64
-	// RPCLatency is one metaserver round trip. Default 250µs.
-	RPCLatency time.Duration
-	// RPCCycles is client-side RPC processing. Default 10000.
-	RPCCycles int64
-	// IOCyclesPerKB is client/server per-KB processing (QFS's C++ stack is
-	// leaner than Hadoop's Java one). Default 1800.
-	IOCyclesPerKB int64
-	// PacketCycles is per-packet processing on each side. Default 9000.
-	PacketCycles int64
 }
 
 // WithDefaults fills zero fields.
@@ -57,27 +61,12 @@ func (c Config) WithDefaults() Config {
 	if c.ChunkSize == 0 {
 		c.ChunkSize = 64 << 20
 	}
-	if c.PacketBytes == 0 {
-		c.PacketBytes = 64 << 10
-	}
-	if c.RPCLatency == 0 {
-		c.RPCLatency = 250 * time.Microsecond
-	}
-	if c.RPCCycles == 0 {
-		c.RPCCycles = 10000
-	}
-	if c.IOCyclesPerKB == 0 {
-		c.IOCyclesPerKB = 1800
-	}
-	if c.PacketCycles == 0 {
-		c.PacketCycles = 9000
-	}
 	return c
 }
 
-func (c Config) ioCycles(n int64) int64 {
-	packets := (n + c.PacketBytes - 1) / c.PacketBytes
-	return n*c.IOCyclesPerKB/1024 + packets*c.PacketCycles
+func ioCycles(n int64) int64 {
+	packets := (n + packetBytes - 1) / packetBytes
+	return n*ioCyclesPerKB/1024 + packets*packetCycles
 }
 
 // ChunkID identifies one chunk.
@@ -144,8 +133,8 @@ func (ms *MetaServer) rpc(p *sim.Proc, k *guest.Kernel) {
 // rpcT is rpc attributing the round trip to a request trace.
 func (ms *MetaServer) rpcT(p *sim.Proc, k *guest.Kernel, tr *trace.Trace) {
 	sp := tr.Begin(trace.LayerClient, "metaserver-rpc")
-	k.VCPU().RunT(p, ms.cfg.RPCCycles, metrics.TagOthers, tr)
-	p.Sleep(ms.cfg.RPCLatency)
+	k.VCPU().RunT(p, rpcCycles, metrics.TagOthers, tr)
+	p.Sleep(rpcLatency)
 	tr.EndSpan(sp, 0)
 }
 

@@ -17,14 +17,15 @@ import (
 	"vread/internal/trace"
 )
 
+// writeLatency is the fixed per-request write latency (write-back cache
+// on the device).
+const writeLatency = 60 * time.Microsecond
+
 // DiskConfig describes a device. Zero values select an SSD similar to the
 // paper's testbed drives.
 type DiskConfig struct {
 	// ReadLatency is the fixed per-request service latency. Default 100µs.
 	ReadLatency time.Duration
-	// WriteLatency is the fixed per-request latency (write-back cache on
-	// the device). Default 60µs.
-	WriteLatency time.Duration
 	// ReadBandwidth in bytes/second. Default 500 MB/s.
 	ReadBandwidth int64
 	// WriteBandwidth in bytes/second. Default 400 MB/s.
@@ -34,9 +35,6 @@ type DiskConfig struct {
 func (c DiskConfig) withDefaults() DiskConfig {
 	if c.ReadLatency == 0 {
 		c.ReadLatency = 100 * time.Microsecond
-	}
-	if c.WriteLatency == 0 {
-		c.WriteLatency = 60 * time.Microsecond
 	}
 	if c.ReadBandwidth == 0 {
 		c.ReadBandwidth = 500_000_000
@@ -110,7 +108,7 @@ func (d *Disk) ReadAsyncT(tr *trace.Trace, n int64, onDone func()) {
 
 // WriteAsync submits a write of n bytes; onDone fires on completion.
 func (d *Disk) WriteAsync(n int64, onDone func()) {
-	d.submit(n, d.cfg.WriteLatency, d.cfg.WriteBandwidth, onDone)
+	d.submit(n, writeLatency, d.cfg.WriteBandwidth, onDone)
 	d.stats.Writes++
 	d.stats.BytesWritten += n
 }

@@ -74,10 +74,10 @@ func TestColocatedFrameDelivery(t *testing.T) {
 		t.Fatalf("delivery = %v", got)
 	}
 	// Co-located copies: guest→host + inter-VM, charged to sender entity.
-	copyCycles := fx.reg.Cycles("vmA", metrics.TagCopyVirtio)
-	wantCopies := 2 * Config{}.WithDefaults().CopyCycles(int64(len("inter-vm hello")))
-	if copyCycles != wantCopies {
-		t.Fatalf("sender copy cycles = %d, want %d (2 copies)", copyCycles, wantCopies)
+	copies := fx.reg.Cycles("vmA", metrics.TagCopyVirtio)
+	wantCopies := 2 * copyCycles(int64(len("inter-vm hello")))
+	if copies != wantCopies {
+		t.Fatalf("sender copy cycles = %d, want %d (2 copies)", copies, wantCopies)
 	}
 	// No physical NIC involvement.
 	if fx.fab.NIC("host1").TxFrames() != 0 {
@@ -158,7 +158,7 @@ func newBlkFixture(t *testing.T, diskCfg storage.DiskConfig) *blkFixture {
 	reg := metrics.NewRegistry()
 	cpu := cpusched.New(env, reg, 4, ghz, cpusched.Config{})
 	disk := storage.NewDisk(env, "ssd", diskCfg)
-	dev := NewBlkDev(env, Config{}, "vm1",
+	dev := NewBlkDev(env, "vm1",
 		cpu.NewThread("vcpu", "vm1"), cpu.NewThread("iothread", "vm1"), disk)
 	dev.Start()
 	return &blkFixture{env: env, reg: reg, disk: disk, dev: dev}

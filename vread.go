@@ -53,7 +53,8 @@ type Env = sim.Env
 // Cluster is a simulated testbed of hosts and VMs.
 type Cluster = cluster.Cluster
 
-// ClusterParams configures hosts and VMs.
+// ClusterParams configures hosts and VMs: the CPU clock and the virtio
+// alternatives.
 type ClusterParams = cluster.Params
 
 // NewCluster creates an empty cluster.
@@ -101,7 +102,10 @@ func NewDFSClient(env *Env, nn *NameNode, kernel *Kernel) *DFSClient {
 // daemon servers, per-client rings and libvread instances.
 type VReadManager = core.Manager
 
-// VReadConfig holds vRead parameters (ring geometry, transports, costs).
+// VReadConfig holds the vRead parameters callers vary: ring geometry, the
+// remote transport and window, the §6 direct-disk bypass, mount-table
+// shards, ring revocation and fault injection. Model costs are constants of
+// the core package.
 type VReadConfig = core.Config
 
 // VReadLib is libvread: the client-side library installed on a DFSClient.
