@@ -94,24 +94,31 @@ func run(args []string) error {
 	}
 	var opt vread.Options
 	var place vread.Scenario
+	var sc *vread.ScaleConfig
+	var mc *vread.MigrationConfig
 	if c.configPath != "" {
 		raw, err := os.ReadFile(c.configPath)
 		if err != nil {
 			return err
 		}
-		var sc *vread.ScaleConfig
-		var mc *vread.MigrationConfig
 		opt, place, sc, mc, err = vread.ParseOptions(raw)
 		if err != nil {
 			return fmt.Errorf("config %s: %w", c.configPath, err)
 		}
-		if sc != nil {
-			return runScale(opt, *sc, c.sloPath)
-		}
-		if mc != nil {
-			return runMigrate(opt, *mc, c.blackoutPath)
-		}
-	} else {
+	}
+	// A report flag the scenario cannot fill is an error, not a silent no-op.
+	if c.sloPath != "" && sc == nil {
+		return fmt.Errorf("-slo: only a -config scenario with a scale_out block writes SLO rows")
+	}
+	if c.blackoutPath != "" && mc == nil {
+		return fmt.Errorf("-blackout: only a -config scenario with a migrate block writes blackout rows")
+	}
+	switch {
+	case sc != nil:
+		return runScale(opt, *sc, c.sloPath)
+	case mc != nil:
+		return runMigrate(opt, *mc, c.blackoutPath)
+	case c.configPath == "":
 		opt = vread.Options{
 			Seed:             c.seed,
 			FreqHz:           int64(c.freqGHz * 1e9),

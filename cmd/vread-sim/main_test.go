@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -45,5 +47,31 @@ func TestParseFlagsAccepts(t *testing.T) {
 	}
 	if c.transport != "tcp" || c.place != vread.Remote || c.bufferKB != 64 {
 		t.Errorf("parsed = %+v", c)
+	}
+}
+
+// TestRunRejectsUnfilledReport: -slo and -blackout used to be silently
+// ignored unless the -config scenario had the matching block. Each must now
+// fail with an error naming the flag, before running anything or writing
+// the report.
+func TestRunRejectsUnfilledReport(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-slo", []string{"-size-mb", "1"}},
+		{"-slo", []string{"-config", "../../scenarios/migrate-smoke.json"}},
+		{"-blackout", []string{"-size-mb", "1"}},
+		{"-blackout", []string{"-config", "../../scenarios/scale-smoke.json"}},
+	} {
+		out := filepath.Join(dir, "report.json")
+		err := run(append(tc.args, tc.flag, out))
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("run(%q %s) = %v, want an error naming %s", tc.args, tc.flag, err, tc.flag)
+		}
+		if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
+			t.Errorf("run(%q %s) wrote %s", tc.args, tc.flag, out)
+		}
 	}
 }

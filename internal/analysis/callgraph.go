@@ -76,7 +76,6 @@ type CallGraph struct {
 	byName  map[string]*FuncNode
 	byObj   map[*types.Func]*FuncNode
 	callees map[*FuncNode][]*FuncNode // sorted by Name, deduplicated
-	callers map[*FuncNode][]*FuncNode // sorted by Name, deduplicated
 }
 
 // Lookup returns the node with the given stable name, or nil.
@@ -101,9 +100,6 @@ func (g *CallGraph) NodeOf(fn *types.Func) *FuncNode {
 
 // Callees returns n's direct callees, sorted by name.
 func (g *CallGraph) Callees(n *FuncNode) []*FuncNode { return g.callees[n] }
-
-// Callers returns n's direct callers, sorted by name.
-func (g *CallGraph) Callers(n *FuncNode) []*FuncNode { return g.callers[n] }
 
 // Edges returns every edge sorted by (caller name, callee name).
 func (g *CallGraph) Edges() []Edge {
@@ -200,7 +196,6 @@ func BuildCallGraph(prog *Program) *CallGraph {
 		byName:  make(map[string]*FuncNode),
 		byObj:   make(map[*types.Func]*FuncNode),
 		callees: make(map[*FuncNode][]*FuncNode),
-		callers: make(map[*FuncNode][]*FuncNode),
 	}
 	b := &graphBuilder{
 		g:         g,
@@ -255,9 +250,6 @@ func BuildCallGraph(prog *Program) *CallGraph {
 
 	sort.Slice(g.Nodes, func(i, j int) bool { return g.Nodes[i].Name < g.Nodes[j].Name })
 	for _, list := range g.callees {
-		sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })
-	}
-	for _, list := range g.callers {
 		sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })
 	}
 	return g
@@ -342,7 +334,6 @@ func (b *graphBuilder) edge(from, to *FuncNode) {
 	}
 	b.edgeSeen[key] = true
 	b.g.callees[from] = append(b.g.callees[from], to)
-	b.g.callers[to] = append(b.g.callers[to], from)
 }
 
 // addEdges walks one node's body, stopping at nested literals (they are

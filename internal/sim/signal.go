@@ -5,7 +5,7 @@ import "time"
 // Signal is a reusable wake-up point: processes Wait on it, other code
 // (processes or event callbacks) Signals or Broadcasts it. There is no
 // memory: a Broadcast with no waiters is a no-op, exactly like a condition
-// variable. Use Gate for level-triggered conditions.
+// variable.
 //
 // The zero Signal is ready to use: a Signal schedules wake-ups on the Env of
 // the Procs that wait on it.
@@ -126,38 +126,6 @@ func (s *Signal) Waiters() int {
 	}
 	return n
 }
-
-// Gate is a level-triggered condition: Open lets all present and future
-// waiters through until Close. It replaces the common "check flag, maybe
-// wait" pattern.
-type Gate struct {
-	open bool
-	sig  *Signal
-}
-
-// NewGate returns a Gate in the given initial state.
-func NewGate(env *Env, open bool) *Gate {
-	return &Gate{open: open, sig: NewSignal(env)}
-}
-
-// Wait blocks p until the gate is open.
-func (g *Gate) Wait(p *Proc) {
-	for !g.open {
-		g.sig.Wait(p)
-	}
-}
-
-// Open opens the gate and wakes all waiters.
-func (g *Gate) Open() {
-	if g.open {
-		return
-	}
-	g.open = true
-	g.sig.Broadcast()
-}
-
-// Close closes the gate; subsequent Wait calls block.
-func (g *Gate) Close() { g.open = false }
 
 // Mutex is a simulated mutual-exclusion lock. Lock order is FIFO.
 type Mutex struct {

@@ -365,27 +365,6 @@ func TestSignalWaitTimeout(t *testing.T) {
 	}
 }
 
-func TestGate(t *testing.T) {
-	env := NewEnv(1)
-	gate := NewGate(env, false)
-	var passed []time.Duration
-	env.Go("w1", func(p *Proc) {
-		gate.Wait(p)
-		passed = append(passed, env.Now())
-	})
-	env.Schedule(3*time.Millisecond, func() { gate.Open() })
-	env.GoAfter(5*time.Millisecond, "w2", func(p *Proc) {
-		gate.Wait(p) // already open: passes immediately
-		passed = append(passed, env.Now())
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(passed) != 2 || passed[0] != 3*time.Millisecond || passed[1] != 5*time.Millisecond {
-		t.Fatalf("passed = %v", passed)
-	}
-}
-
 func TestMutexMutualExclusion(t *testing.T) {
 	env := NewEnv(1)
 	mu := NewMutex(env)
