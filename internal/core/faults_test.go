@@ -136,7 +136,7 @@ func TestRDMATeardownFallsBackToTCP(t *testing.T) {
 	// fresh QP (the one-shot teardown is spent).
 	var tr2 *trace.Trace
 	fx.run(t, 240*time.Second, "reader2", func(p *sim.Proc) {
-		p.Sleep(300 * time.Millisecond) // > DowngradeWindow (250ms)
+		p.Sleep(300 * time.Millisecond) // > downgradeWindow (250ms)
 		tr2 = tracer.Request("recovered-read")
 		vfd, ok := fx.lib.OpenPath(p, tr2, "dn2", hdfs.BlockPath(1), "blk_1")
 		if !ok {

@@ -15,7 +15,7 @@ const defaultMountTableShards = 8
 //     on one metadata lock;
 //   - dentry refreshes batch per shard: the first block event posts one
 //     daemon-thread task, and every event that lands before it runs rides
-//     the same wakeup (each op still pays its RefreshCycles, but a write
+//     the same wakeup (each op still pays its refreshCycles, but a write
 //     burst costs one scheduling round trip instead of one per block).
 //
 // The shard count K comes from Config.MountTableShards; the hostile-guest
