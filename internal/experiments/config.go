@@ -146,6 +146,12 @@ func ParseOptions(raw []byte) (Options, Scenario, *ScaleConfig, *MigrationConfig
 			Reads:          s.Reads,
 			KillRack:       s.KillRack,
 		}
+		// Each factor is at most maxHosts, so the int64 product cannot
+		// overflow; compare after the 3 × 2 × 2 defaults apply.
+		d := sc.withDefaults()
+		if hosts := int64(d.Domains) * int64(d.RacksPerDomain) * int64(d.HostsPerRack); hosts > maxHosts {
+			return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: scale_out.domains × racks_per_domain × hosts_per_rack = %d hosts out of range (want at most %d)", hosts, maxHosts)
+		}
 	}
 	var mc *MigrationConfig
 	if m := j.Migrate; m != nil {
@@ -166,14 +172,26 @@ func ParseOptions(raw []byte) (Options, Scenario, *ScaleConfig, *MigrationConfig
 	return opt, scenario, sc, mc, nil
 }
 
+// Upper bounds on the counts a scenario file may ask for. Each is far above
+// every committed scenario (the largest, scale-smoke, is 4 × 10 × 25 hosts,
+// 12 datanodes and 4 clients) yet low enough that one mistyped digit cannot
+// make a run allocate and boot a billion VMs.
+const (
+	maxHosts  = 10_000    // domains × racks_per_domain × hosts_per_rack, and each factor
+	maxVMs    = 1_000     // scale_out datanodes and clients, and each migrate depth (reader VMs)
+	maxShards = 64        // shards, and replicas per block
+	maxCount  = 1_000_000 // files and reads
+)
+
 // checkRanges rejects the values that would otherwise panic deep in a run
-// (a makeslice, a negative delay, cpusched.New or data.Sub) or be silently
-// replaced (a negative shard count runs with one shard): negative counts,
-// sizes, scale, shards or replication, sizes and delays that overflow once
-// scaled to bytes or nanoseconds, migration depths below one, and open-loop
-// rates that are not positive. Zero keeps a field's default. The error names
-// the field. encoding/json already refuses NaN, ±Inf and float literals out
-// of float64's range.
+// (a makeslice, a negative delay, cpusched.New or data.Sub), be silently
+// replaced (a negative shard count runs with one shard) or build a testbed
+// no machine holds: negative counts, sizes, scale, shards or replication,
+// counts above their bound, sizes and delays that overflow once scaled to
+// bytes or nanoseconds, migration depths below one, and open-loop rates that
+// are not positive. Zero keeps a field's default. The error names the field.
+// encoding/json already refuses NaN, ±Inf and float literals out of
+// float64's range.
 func checkRanges(j OptionsJSON) error {
 	if !(j.FreqGHz >= 0 && j.FreqGHz*1e9 < math.MaxInt64) {
 		return fmt.Errorf("experiments: freq_ghz %v out of range (want >= 0)", j.FreqGHz)
@@ -190,22 +208,22 @@ func checkRanges(j OptionsJSON) error {
 		m = *j.Migrate
 	}
 	for _, f := range []struct {
-		name string
-		v    int
+		name   string
+		v, max int
 	}{
-		{"shards", j.Shards},
-		{"replication", j.Replication},
-		{"scale_out.domains", s.Domains},
-		{"scale_out.racks_per_domain", s.RacksPerDomain},
-		{"scale_out.hosts_per_rack", s.HostsPerRack},
-		{"scale_out.datanodes", s.Datanodes},
-		{"scale_out.clients", s.Clients},
-		{"scale_out.files", s.Files},
-		{"scale_out.reads", s.Reads},
-		{"migrate.reads_per_stream", m.ReadsPerStream},
+		{"shards", j.Shards, maxShards},
+		{"replication", j.Replication, maxShards},
+		{"scale_out.domains", s.Domains, maxHosts},
+		{"scale_out.racks_per_domain", s.RacksPerDomain, maxHosts},
+		{"scale_out.hosts_per_rack", s.HostsPerRack, maxHosts},
+		{"scale_out.datanodes", s.Datanodes, maxVMs},
+		{"scale_out.clients", s.Clients, maxVMs},
+		{"scale_out.files", s.Files, maxCount},
+		{"scale_out.reads", s.Reads, maxCount},
+		{"migrate.reads_per_stream", m.ReadsPerStream, maxCount},
 	} {
-		if f.v < 0 {
-			return fmt.Errorf("experiments: %s %d out of range (want >= 0)", f.name, f.v)
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("experiments: %s %d out of range (want 0..%d)", f.name, f.v, f.max)
 		}
 	}
 	// Sizes and delays must also fit in int64 once scaled.
@@ -229,8 +247,8 @@ func checkRanges(j OptionsJSON) error {
 		}
 	}
 	for _, d := range m.Depths {
-		if d < 1 {
-			return fmt.Errorf("experiments: migrate.depths %d out of range (want >= 1)", d)
+		if d < 1 || d > maxVMs {
+			return fmt.Errorf("experiments: migrate.depths %d out of range (want 1..%d)", d, maxVMs)
 		}
 	}
 	return nil

@@ -105,10 +105,42 @@ func TestParseOptionsRejectsOutOfRange(t *testing.T) {
 		{`{"migrate": {"read_kb": 512, "file_kb": 256}}`, "migrate.read_kb 512 exceeds migrate.file_kb 256"},
 		{`{"migrate": {"read_kb": 8192}}`, "migrate.read_kb 8192 exceeds migrate.file_kb 4096"},
 		{`{"migrate": {"file_kb": 128}}`, "migrate.read_kb 256 exceeds migrate.file_kb 128"},
+
+		// Counts above their bound would build (or try to) that many hosts,
+		// VMs, shards, files or reads.
+		{`{"shards": 65}`, "shards 65 out of range (want 0..64)"},
+		{`{"replication": 1000}`, "replication"},
+		{`{"scale_out": {"datanodes": 1000000000}}`, "scale_out.datanodes 1000000000 out of range (want 0..1000)"},
+		{`{"scale_out": {"clients": 1001}}`, "scale_out.clients"},
+		{`{"scale_out": {"files": 1000001}}`, "scale_out.files"},
+		{`{"scale_out": {"reads": 9223372036854775807}}`, "scale_out.reads"},
+		{`{"scale_out": {"domains": 10001}}`, "scale_out.domains"},
+		{`{"scale_out": {"racks_per_domain": 2147483647}}`, "scale_out.racks_per_domain"},
+		{`{"scale_out": {"hosts_per_rack": 10001}}`, "scale_out.hosts_per_rack"},
+		{`{"scale_out": {"domains": 10000, "racks_per_domain": 10000, "hosts_per_rack": 10000}}`, "hosts_per_rack = 1000000000000 hosts"},
+		{`{"scale_out": {"racks_per_domain": 100, "hosts_per_rack": 100}}`, "hosts_per_rack = 30000 hosts"},
+		{`{"migrate": {"reads_per_stream": 1000001}}`, "migrate.reads_per_stream"},
+		{`{"migrate": {"depths": [1, 1001]}}`, "migrate.depths 1001 out of range (want 1..1000)"},
 	} {
 		_, _, _, _, err := ParseOptions([]byte(tc.raw))
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("ParseOptions(%s) = %v, want an error naming %s", tc.raw, err, tc.field)
+		}
+	}
+}
+
+// TestParseOptionsAcceptsBounds: every bound admits the largest value it
+// names, including a 10,000-host topology, and the scale-smoke shape.
+func TestParseOptionsAcceptsBounds(t *testing.T) {
+	for _, raw := range []string{
+		`{"shards": 64, "replication": 64}`,
+		`{"scale_out": {"domains": 4, "racks_per_domain": 10, "hosts_per_rack": 25}}`,
+		`{"scale_out": {"domains": 1, "racks_per_domain": 1, "hosts_per_rack": 10000, "datanodes": 1000, "clients": 1000}}`,
+		`{"scale_out": {"domains": 10, "racks_per_domain": 10, "hosts_per_rack": 100, "files": 1000000, "reads": 1000000}}`,
+		`{"migrate": {"depths": [1, 1000], "reads_per_stream": 1000000}}`,
+	} {
+		if _, _, _, _, err := ParseOptions([]byte(raw)); err != nil {
+			t.Errorf("ParseOptions(%s) = %v, want it accepted", raw, err)
 		}
 	}
 }
