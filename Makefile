@@ -10,7 +10,7 @@
 GO ?= go
 RACE_PKGS := ./internal/sim ./internal/data ./internal/metrics ./internal/trace ./internal/par ./internal/sim/shard ./internal/netsim ./internal/experiments ./internal/workload ./internal/cluster ./internal/hdfs ./internal/faults ./internal/faults/chaostest
 
-.PHONY: tier1 fmt vet build lint test race bench-smoke chaos-smoke fuzz-smoke scale-smoke migrate-smoke
+.PHONY: tier1 fmt vet build lint test race bench-smoke chaos-smoke fuzz-smoke scale-smoke migrate-smoke examples-smoke
 
 tier1: fmt vet build lint test race
 
@@ -102,3 +102,11 @@ scale-smoke:
 migrate-smoke:
 	$(GO) build -o bin/vread-sim ./cmd/vread-sim
 	./bin/vread-sim -config scenarios/migrate-smoke.json -blackout blackout-report.json
+
+# examples-smoke runs every program under examples/ once (~10 s in all on a
+# 2-vCPU VM). Nothing else executes them; each exits non-zero when its
+# scenario fails.
+EXAMPLES := $(wildcard examples/*)
+
+examples-smoke:
+	@for e in $(EXAMPLES); do echo "== $$e"; $(GO) run ./$$e || exit 1; done
