@@ -221,20 +221,7 @@ func runScale(opt vread.Options, sc vread.ScaleConfig, sloPath string) error {
 		return err
 	}
 	fmt.Print(vread.RenderSLORows(rows))
-	if sloPath == "" {
-		return nil
-	}
-	blob, err := json.MarshalIndent(struct {
-		Rows []vread.SLORow `json:"rows"`
-	}{rows}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(sloPath, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d rows)\n", sloPath, len(rows))
-	return nil
+	return writeReport(sloPath, rows)
 }
 
 // runMigrate drives the live-mount-migration blackout sweep: one cell per
@@ -245,20 +232,26 @@ func runMigrate(opt vread.Options, mc vread.MigrationConfig, blackoutPath string
 	if err != nil {
 		return err
 	}
-	fmt.Print(vread.FormatMigration(rows))
-	if blackoutPath == "" {
+	fmt.Print(vread.MigrationTable(rows).Text())
+	return writeReport(blackoutPath, rows)
+}
+
+// writeReport writes rows to path as a {"rows": [...]} JSON report; an empty
+// path writes nothing.
+func writeReport[R any](path string, rows []R) error {
+	if path == "" {
 		return nil
 	}
 	blob, err := json.MarshalIndent(struct {
-		Rows []vread.MigrationRow `json:"rows"`
+		Rows []R `json:"rows"`
 	}{rows}, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(blackoutPath, append(blob, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d rows)\n", blackoutPath, len(rows))
+	fmt.Printf("wrote %s (%d rows)\n", path, len(rows))
 	return nil
 }
 

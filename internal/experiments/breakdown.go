@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"time"
 
 	"vread/internal/core"
 	"vread/internal/data"
-	"vread/internal/metrics"
 	"vread/internal/sim"
 )
 
@@ -137,14 +135,4 @@ func merge(dst, src map[string]float64) {
 	for k, v := range src {
 		dst[k] += v
 	}
-}
-
-// FormatBreakdownRows renders rows for CLI/bench output.
-func FormatBreakdownRows(rows []BreakdownRow) string {
-	out := ""
-	for _, r := range rows {
-		out += fmt.Sprintf("%s %-9s %-8s total %5.1f%%\n", r.Figure, r.Side, r.System, r.Total()*100)
-		out += metrics.FormatBreakdown(r.Breakdown)
-	}
-	return out
 }

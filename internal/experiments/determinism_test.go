@@ -28,7 +28,7 @@ func TestDFSIODeterministicReplay(t *testing.T) {
 		if err := trace.WriteSpansCSV(&spansBuf, col.Traces); err != nil {
 			t.Fatal(err)
 		}
-		return CSVDFSIO(rows), chromeBuf.String(), spansBuf.String()
+		return dfsioTable(rows).CSV(), chromeBuf.String(), spansBuf.String()
 	}
 
 	csv1, chrome1, spans1 := run()
@@ -72,7 +72,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err := trace.WriteSpansCSV(&spansBuf, col.Traces); err != nil {
 			t.Fatal(err)
 		}
-		return CSVFig13(rows), chromeBuf.String(), spansBuf.String(), stats.Events()
+		return fig13Table(rows).CSV(), chromeBuf.String(), spansBuf.String(), stats.Events()
 	}
 
 	serialCSV, serialChrome, serialSpans, serialFired := run(1)
@@ -145,7 +145,7 @@ func TestDFSIOFaultedReplayIsByteIdentical(t *testing.T) {
 		if err := trace.WriteSpansCSV(&spansBuf, col.Traces); err != nil {
 			t.Fatal(err)
 		}
-		return CSVDFSIO(rows), chromeBuf.String(), spansBuf.String()
+		return dfsioTable(rows).CSV(), chromeBuf.String(), spansBuf.String()
 	}
 
 	csv1, chrome1, spans1 := run()
@@ -166,7 +166,7 @@ func TestDFSIOFaultedReplayIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if CSVDFSIO(cleanRows) == csv1 {
+	if dfsioTable(cleanRows).CSV() == csv1 {
 		t.Error("faulted run is identical to the fault-free run; faults never engaged")
 	}
 }

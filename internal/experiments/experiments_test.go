@@ -102,7 +102,7 @@ func breakdownBars(rows []BreakdownRow) map[string]BreakdownRow {
 // ~65% datanode).
 func checkBreakdownSavings(t *testing.T, rows []BreakdownRow) {
 	t.Helper()
-	t.Logf("\n%s", FormatBreakdownRows(rows))
+	t.Logf("\n%s", breakdownTable(rows).Text())
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}

@@ -13,8 +13,6 @@ import (
 	"cmp"
 	"fmt"
 	"hash/fnv"
-	"strconv"
-	"strings"
 	"time"
 
 	"vread/internal/cluster"
@@ -234,32 +232,4 @@ func runMigrationCell(opt Options, mc MigrationConfig, depth int) (MigrationRow,
 	fmt.Fprintf(fp, "blackout=%v quiesced=%d captured=%d\n", row.Blackout, row.Quiesced, row.Captured)
 	row.Fingerprint = fp.Sum64()
 	return row, nil
-}
-
-// FormatMigration renders migration sweep rows as an aligned table.
-func FormatMigration(rows []MigrationRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %12s %9s %9s %15s %15s %6s\n",
-		"depth", "blackout", "quiesced", "captured", "worst-in", "worst-out", "reads")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %12v %9d %9d %15v %15v %6d\n",
-			r.Depth, r.Blackout, r.Quiesced, r.Captured, r.WorstIn, r.WorstOut, r.Reads)
-	}
-	return b.String()
-}
-
-// CSVMigration renders migration sweep rows as CSV.
-func CSVMigration(rows []MigrationRow) string {
-	out := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, []string{
-			strconv.Itoa(r.Depth), msS(r.Blackout), strconv.Itoa(r.Quiesced),
-			strconv.Itoa(r.Captured), msS(r.WorstIn), msS(r.WorstOut),
-			strconv.Itoa(r.Reads), fmt.Sprintf("%016x", r.Fingerprint),
-		})
-	}
-	return writeCSV([]string{
-		"depth", "blackout_ms", "quiesced", "captured",
-		"worst_in_blackout_ms", "worst_outside_ms", "reads", "fingerprint",
-	}, out)
 }

@@ -68,14 +68,14 @@ func TestMigrationSerialParallelIdentity(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("serial and parallel rows differ:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
-	if CSVMigration(serial) != CSVMigration(parallel) {
+	if MigrationTable(serial).CSV() != MigrationTable(parallel).CSV() {
 		t.Fatal("serial and parallel CSV exports differ")
 	}
 }
 
 func TestCSVMigrationShape(t *testing.T) {
 	rows := []MigrationRow{{Depth: 2, Reads: 12, Fingerprint: 0xabc}}
-	csv := CSVMigration(rows)
+	csv := MigrationTable(rows).CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want header+1", len(lines))

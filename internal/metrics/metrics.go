@@ -157,26 +157,28 @@ func (r *Registry) Breakdown(entity string, now time.Duration, freqHz int64) map
 	return out
 }
 
-// FormatBreakdown renders a breakdown as "tag pct%" lines sorted descending,
-// for experiment output.
-func FormatBreakdown(b map[string]float64) string {
-	type kv struct {
-		k string
-		v float64
+// TagsByShare returns a breakdown's tags by descending share, ties by name:
+// the order experiment output lists them in.
+func TagsByShare(b map[string]float64) []string {
+	tags := make([]string, 0, len(b))
+	for tag := range b {
+		tags = append(tags, tag)
 	}
-	rows := make([]kv, 0, len(b))
-	for k, v := range b {
-		rows = append(rows, kv{k, v})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].v != rows[j].v {
-			return rows[i].v > rows[j].v
+	sort.Slice(tags, func(i, j int) bool {
+		if b[tags[i]] != b[tags[j]] {
+			return b[tags[i]] > b[tags[j]]
 		}
-		return rows[i].k < rows[j].k
+		return tags[i] < tags[j]
 	})
+	return tags
+}
+
+// FormatBreakdown renders a breakdown as "tag pct%" lines in TagsByShare
+// order, for experiment output.
+func FormatBreakdown(b map[string]float64) string {
 	var sb strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "  %-24s %6.2f%%\n", r.k, r.v*100)
+	for _, tag := range TagsByShare(b) {
+		fmt.Fprintf(&sb, "  %-24s %6.2f%%\n", tag, b[tag]*100)
 	}
 	return sb.String()
 }
