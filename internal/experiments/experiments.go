@@ -1,13 +1,15 @@
 // Package experiments reproduces every figure and table of the paper's
 // evaluation (§5). Each Run* function builds the corresponding testbed
-// (Figure 10's shape), runs the workload, and returns typed rows that the
-// bench harness and CLI print next to the paper's reported values.
+// (Figure 10's shape), runs the workload, and returns typed rows. Registry
+// lists every experiment once, with its id, title and the paper's reported
+// value, and draws its rows as a Table: one text renderer and one CSV
+// renderer serve every experiment (cmd/vread-bench prints them).
 //
 // Dataset sizes scale with Options.Scale (1.0 = paper sizes: 1 GB micro
-// reads, 5 GB TestDFSIO, 5 M HBase rows, 30 M Hive rows). The default used
-// by the benches is 0.05 so the whole suite runs in minutes; shapes are
-// stable across scales because every cache is scaled by the same hardware
-// constants the paper's testbed had.
+// reads, 5 GB TestDFSIO, 5 M HBase rows, 30 M Hive rows). The default is
+// 0.05 so the whole registry runs in seconds; shapes are stable across
+// scales because every cache is scaled by the same hardware constants the
+// paper's testbed had.
 package experiments
 
 import (
