@@ -59,11 +59,11 @@ chaos-smoke:
 # scenario-file parsers (config input; no input may panic, accepted fault
 # rules must be in range and round-trip), the HDFS wire headers, the data
 # pattern windows (against the per-byte formula), data.Equal (against
-# bytes.Equal, across its 512-byte chunk edges), sim.Queue's ring (against
-# a plain-slice FIFO at capacities 0, 1 and 3) and storage.Readahead (reads,
-# drops and engine steps against its window invariants). Seeds are the f.Add
-# calls plus testdata/fuzz/<target>; a crasher is written there too and fails
-# the target.
+# bytes.Equal, on its identity path and across its 512-byte chunk edges),
+# sim.Queue's ring (against a plain-slice FIFO at capacities 0, 1 and 3) and
+# storage.Readahead (reads, drops and engine steps against its window
+# invariants). Seeds are the f.Add calls plus testdata/fuzz/<target>; a
+# crasher is written there too and fails the target.
 FUZZ_TARGETS := ./internal/faults:FuzzParseSpec ./internal/experiments:FuzzParseOptions \
 	./internal/hdfs:FuzzWriteReqRoundTrip ./internal/hdfs:FuzzReadReqRoundTrip \
 	./internal/data:FuzzPatternWindowConsistency ./internal/data:FuzzConcatSplit \

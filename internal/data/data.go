@@ -7,9 +7,14 @@
 // (tests verify end-to-end integrity with them) or a deterministic pattern
 // keyed by a seed (benchmark payloads, still verifiable at any byte range).
 //
-// Byte checks are cheap enough to run on every read: Pattern generates its
-// bytes one 8-byte lane per mix, and Equal compares through a single 1 KiB
-// buffer, so a check costs one small allocation however long the window.
+// Byte checks are cheap enough to run on every read. Equal decides by
+// identity where it can: it lists each side as (leaf, offset, length)
+// extents, and equal lists over Pattern and Zero leaves hold equal bytes,
+// since content is immutable and a leaf's descriptor fixes its bytes.
+// Everything else gets a full byte compare through one 1 KiB buffer, with
+// Pattern generating one 8-byte lane per mix, so no check is weaker than
+// comparing the bytes. A storm read is one run of the written Pattern on
+// both sides, so its check produces no byte and allocates nothing.
 //
 // A Slice is a value and costs nothing to pass; turning one into a Content
 // (Slice.Content) boxes it. Data paths box only where windows that are not
@@ -193,17 +198,112 @@ func (s Slice) Bytes() []byte {
 	return b
 }
 
-// Equal reports whether two slices have identical bytes, materializing them
-// 512 bytes at a time into the two halves of one buffer. The buffer is small
-// on purpose: Equal runs on every byte-checked read, so its allocation is
-// most of the bytes a small-read storm allocates, and the storm's peak RSS
-// follows the bytes allocated per host second.
+// maxRuns is how many extents Equal lists per side, on the stack. A
+// byte-checked storm read is one run on each side; a read that spans more
+// runs than this is compared by bytes.
+const maxRuns = 16
+
+// extent is bytes [off, off+n) of one comparable leaf, a Pattern or a Zero.
+// Either compares by value, so two extents are equal exactly when their
+// descriptors are.
+type extent struct {
+	leaf   Content
+	off, n int64
+}
+
+// runs is one side's extent list: e[:k], written by index.
+type runs struct {
+	e [maxRuns]extent
+	k int
+}
+
+// add lists bytes [off, off+n) of c, descending through Concat parts and
+// windows, and merges an extent that continues the previous one in the same
+// leaf. It returns false if the range holds a leaf it cannot compare
+// (Bytes, or any other Content) or the list outgrows maxRuns.
+//
+//lint:hotpath
+func (r *runs) add(c Content, off, n int64) bool {
+	if n == 0 {
+		return true
+	}
+	switch cc := c.(type) {
+	case Pattern, Zero:
+		return r.push(extent{leaf: c, off: off, n: n})
+	case window:
+		return r.add(cc.s.C, cc.s.Off+off, n)
+	case Concat:
+		for _, part := range cc {
+			pn := part.Len()
+			if off >= pn {
+				off -= pn
+				continue
+			}
+			take := min(pn-off, n)
+			if !r.add(part, off, take) {
+				return false
+			}
+			if n -= take; n == 0 {
+				return true
+			}
+			off = 0
+		}
+	}
+	return false
+}
+
+// push appends e, or extends the last extent when e continues it.
+func (r *runs) push(e extent) bool {
+	if r.k > 0 {
+		last := &r.e[r.k-1]
+		if last.leaf == e.leaf && last.off+last.n == e.off {
+			last.n += e.n
+			return true
+		}
+	}
+	if r.k == maxRuns {
+		return false
+	}
+	r.e[r.k] = e
+	r.k++
+	return true
+}
+
+// sameRuns reports whether a and b list the same extents, all of them over
+// comparable leaves.
+func sameRuns(a, b Slice) bool {
+	var ra, rb runs
+	if !ra.add(a.C, a.Off, a.N) || !rb.add(b.C, b.Off, b.N) || ra.k != rb.k {
+		return false
+	}
+	for i := range ra.k {
+		if ra.e[i] != rb.e[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Equal reports whether two slices have identical bytes.
+//
+// It first decides by identity: each side is listed as extents over its
+// leaves, and when every leaf is a Pattern or a Zero and the two lists are
+// equal, the bytes are equal without producing one, because content is
+// immutable and a leaf's descriptor fixes its bytes. Every other case —
+// a Bytes leaf, lists that differ, a list longer than maxRuns — is
+// compared byte for byte, 512 bytes at a time into the two halves of one
+// buffer, so no check is weaker than a full byte compare.
+//
+//lint:hotpath
 func Equal(a, b Slice) bool {
 	if a.N != b.N {
 		return false
 	}
+	if sameRuns(a, b) {
+		return true
+	}
 	const chunk = 512
-	buf := make([]byte, 2*min(a.N, chunk))
+	buf := make([]byte, 2*min(a.N, chunk)) //lint:allow hotalloc(byte fallback: one buffer per compare that identity cannot decide)
 	bufA, bufB := buf[:len(buf)/2], buf[len(buf)/2:]
 	for off := int64(0); off < a.N; off += chunk {
 		n := a.N - off

@@ -162,17 +162,79 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// TestEqualPaths pins which path decides each shape that FuzzEqual's
+// committed seeds aim at, and a split Zero: the extent lists (identity) or
+// the byte fallback.
+func TestEqualPaths(t *testing.T) {
+	sevens := bytes.Repeat([]byte{7}, 40)
+	for _, tc := range []struct {
+		name                string
+		zero                bool
+		formA, formB        uint8
+		cutsA, cutsB        []byte
+		shift               int64
+		flip                int16
+		identity, wantEqual bool
+	}{
+		{name: "split at other boundaries", formB: 4, cutsA: []byte{200, 255, 17}, cutsB: []byte{50, 0, 255, 255}, flip: -1, identity: true, wantEqual: true},
+		{name: "shifted offset", shift: 8, flip: -1},
+		{name: "shifted last run", cutsB: []byte{100}, shift: 50, flip: -1},
+		{name: "resized leaf", formB: 1, cutsB: []byte{128, 128}, flip: -1, wantEqual: true},
+		{name: "Zero against zero Bytes", zero: true, formB: 2, flip: -1, wantEqual: true},
+		{name: "flipped Bytes copy", formB: 2, flip: 700},
+		{name: "runs past the budget", formB: 3, cutsB: sevens, flip: -1, wantEqual: true},
+		{name: "Zero split at other boundaries", zero: true, cutsA: []byte{9}, formB: 4, cutsB: []byte{200}, flip: -1, identity: true, wantEqual: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, resized := Content(Pattern{Seed: 9, Size: 4 << 10}), Content(Pattern{Seed: 9, Size: 4<<10 + 8})
+			if tc.zero {
+				base, resized = Zero(4<<10), Zero(4<<10+8)
+			}
+			a := equalSide(base, resized, 64, 3000, tc.formA, tc.cutsA, 0, -1)
+			b := equalSide(base, resized, 64, 3000, tc.formB, tc.cutsB, tc.shift, tc.flip)
+			if got := sameRuns(a, b); got != tc.identity {
+				t.Errorf("sameRuns = %v, want %v", got, tc.identity)
+			}
+			if got := Equal(a, b); got != tc.wantEqual {
+				t.Errorf("Equal = %v, want %v", got, tc.wantEqual)
+			}
+			if want := bytes.Equal(a.Bytes(), b.Bytes()); want != tc.wantEqual {
+				t.Errorf("bytes.Equal = %v, case expects %v", want, tc.wantEqual)
+			}
+		})
+	}
+}
+
+// TestEqualAllocs pins Equal's allocation contract: none on the identity
+// path, at most the one fallback buffer otherwise, none for unequal lengths.
+// The identity case is the shape a storm read compares: the written Pattern
+// against the file's 4-part Concat of 64 KiB windows.
 func TestEqualAllocs(t *testing.T) {
-	p := Pattern{Seed: 11, Size: 64 << 10}
-	half := p.Size / 2
+	const part = 64 << 10
+	p := Pattern{Seed: 11, Size: 4 * part}
 	a := NewSlice(p)
-	b := NewSlice(Concat{NewSlice(p).Sub(0, half).Content(), NewSlice(p).Sub(half, half).Content()})
+	var parts Concat
+	for i := int64(0); i < 4; i++ {
+		parts = append(parts, a.Sub(i*part, part).Content())
+	}
+	b := NewSlice(parts)
+	if !sameRuns(a, b) {
+		t.Fatal("Pattern and its 4-part Concat do not list the same extents")
+	}
 	if n := testing.AllocsPerRun(20, func() {
 		if !Equal(a, b) {
-			t.Fatal("Pattern and its Concat halves not Equal")
+			t.Fatal("Pattern and its 4-part Concat not Equal")
+		}
+	}); n != 0 {
+		t.Errorf("Equal by identity: %v allocs/op, want 0", n)
+	}
+	raw := NewSlice(Bytes(a.Sub(0, part).Bytes()))
+	if n := testing.AllocsPerRun(20, func() {
+		if !Equal(a.Sub(0, part), raw) {
+			t.Fatal("Pattern and its Bytes copy not Equal")
 		}
 	}); n > 1 {
-		t.Errorf("Equal 64 KiB Pattern vs Concat: %v allocs/op, want <= 1", n)
+		t.Errorf("Equal by bytes: %v allocs/op, want <= 1", n)
 	}
 	short := a.Sub(0, 100)
 	if n := testing.AllocsPerRun(20, func() {

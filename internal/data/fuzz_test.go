@@ -31,47 +31,85 @@ func FuzzPatternWindowConsistency(f *testing.F) {
 	})
 }
 
-// FuzzEqual: Equal agrees with bytes.Equal of the materialized windows. Side
-// a is a Pattern window, optionally split into a two-part Concat at cut; side
-// b is a literal copy of it, split at cut too, with one byte flipped (flip >=
-// 0) and its length changed by delta. The seeds straddle Equal's 512-byte
-// chunk edges: a difference in the last byte, and lengths one off.
+// FuzzEqual: Equal agrees with bytes.Equal of the materialized windows. Both
+// sides spell the window [off, off+n) of one 4 KiB base leaf (a Pattern, or a
+// Zero when zero is set) in a form chosen by formA and formB; see equalSide.
+// Side b's window is delta bytes longer, the last of its pieces is read shift
+// bytes further into its leaf, and flip flips one byte of a Bytes form. The
+// f.Add seeds straddle the fallback's 512-byte chunk edges; the seeds in
+// testdata/fuzz/FuzzEqual aim at the identity path: one window split
+// differently on each side, a shifted offset, a resized leaf, Zero against
+// zero Bytes, a flipped copy and more runs than maxRuns.
 func FuzzEqual(f *testing.F) {
-	f.Add(uint64(1), uint16(0), uint16(1024), uint16(0), int16(1023), int8(0), false)
-	f.Add(uint64(2), uint16(3), uint16(513), uint16(512), int16(512), int8(0), true)
-	f.Add(uint64(3), uint16(8), uint16(1536), uint16(511), int16(-1), int8(0), true)
-	f.Add(uint64(4), uint16(0), uint16(512), uint16(100), int16(-1), int8(1), false)
-	f.Add(uint64(5), uint16(7), uint16(1000), uint16(999), int16(-1), int8(-1), true)
-	f.Add(uint64(6), uint16(0), uint16(0), uint16(0), int16(-1), int8(0), false)
-	f.Fuzz(func(t *testing.T, seed uint64, off, n, cut uint16, flip int16, delta int8, splitA bool) {
+	f.Add(uint64(1), false, uint16(0), uint16(1024), uint8(0), []byte(nil), uint8(2), []byte(nil), int16(0), int16(1023), int8(0))
+	f.Add(uint64(2), false, uint16(3), uint16(513), uint8(2), []byte{255, 255}, uint8(2), []byte{255, 255, 2}, int16(0), int16(512), int8(0))
+	f.Add(uint64(3), false, uint16(8), uint16(1536), uint8(0), []byte{255}, uint8(2), []byte{255}, int16(0), int16(-1), int8(-1))
+	f.Add(uint64(4), false, uint16(0), uint16(512), uint8(0), []byte(nil), uint8(2), []byte{100}, int16(0), int16(-1), int8(1))
+	f.Add(uint64(5), false, uint16(7), uint16(1000), uint8(0), []byte{255, 255, 255}, uint8(0), []byte{255, 255, 255}, int16(0), int16(-1), int8(-1))
+	f.Add(uint64(6), false, uint16(0), uint16(0), uint8(0), []byte(nil), uint8(2), []byte(nil), int16(0), int16(-1), int8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, zero bool, off, n uint16, formA uint8, cutsA []byte, formB uint8, cutsB []byte, shift, flip int16, delta int8) {
 		const size = 4 << 10
+		base, resized := Content(Pattern{Seed: seed, Size: size}), Content(Pattern{Seed: seed, Size: size + 8})
+		if zero {
+			base, resized = Zero(size), Zero(size+8)
+		}
 		o := int64(off) % size
 		l := int64(n) % (size - o + 1)
-		c := int64(cut) % (l + 1)
-		pw := NewSlice(Pattern{Seed: seed, Size: size}).Sub(o, l)
-		a := pw
-		if splitA {
-			a = NewSlice(Concat{pw.Sub(0, c).Content(), pw.Sub(c, l-c).Content()})
-		}
-		raw := pw.Bytes()
-		if flip >= 0 && l > 0 {
-			raw[int64(flip)%l] ^= 1
-		}
-		if delta < 0 {
-			raw = raw[:max(0, len(raw)+int(delta))]
-		} else {
-			raw = append(raw, make([]byte, delta)...)
-		}
-		bc := min(c, int64(len(raw)))
-		b := NewSlice(Concat{Bytes(raw[:bc]), Bytes(raw[bc:])})
+		lb := min(max(l+int64(delta), 0), size-o)
+		a := equalSide(base, resized, o, l, formA, cutsA, 0, -1)
+		b := equalSide(base, resized, o, lb, formB, cutsB, int64(shift), flip)
 		want := bytes.Equal(a.Bytes(), b.Bytes())
 		if got := Equal(a, b); got != want {
-			t.Fatalf("Equal(a, b) = %v, bytes.Equal = %v (off=%d n=%d cut=%d flip=%d delta=%d)", got, want, o, l, c, flip, delta)
+			t.Fatalf("Equal(a, b) = %v, bytes.Equal = %v (off=%d n=%d forms=%d,%d shift=%d flip=%d delta=%d)", got, want, o, l, formA, formB, shift, flip, delta)
 		}
 		if got := Equal(b, a); got != want {
 			t.Fatalf("Equal(b, a) = %v, bytes.Equal = %v", got, want)
 		}
 	})
+}
+
+// equalSide spells bytes [o, o+l) of base as a Concat of pieces. Each byte
+// of cuts is the length of the next piece, as long as it fits; the rest of
+// the window is the last piece, which is read shift bytes further into its
+// leaf (clamped to the leaf). form%4 picks what each piece is:
+//
+//	0  a window of base;
+//	1  a window of resized, whose bytes match base but whose descriptor does not;
+//	2  a Bytes copy, with byte flip%l of the side flipped when flip >= 0;
+//	3  windows alternating between base and resized, so runs never merge.
+//
+// form&4 wraps the Concat as a window over a Concat that also holds a
+// leading Zero byte, so the walk descends window, Concat, Concat, window.
+func equalSide(base, resized Content, o, l int64, form uint8, cuts []byte, shift int64, flip int16) Slice {
+	var parts Concat
+	for i, at := 0, int64(0); at < l; i++ {
+		n, from := l-at, o+at
+		if i < len(cuts) && int64(cuts[i]) < n {
+			n = int64(cuts[i])
+		} else {
+			from = min(max(from+shift, 0), base.Len()-n)
+		}
+		leaf := base
+		if form%4 == 1 || form%4 == 3 && i%2 == 1 {
+			leaf = resized
+		}
+		piece := NewSlice(leaf).Sub(from, n)
+		if form%4 == 2 {
+			raw := piece.Bytes()
+			if f := int64(flip); f >= 0 && f%l >= at && f%l < at+n {
+				raw[f%l-at] ^= 1
+			}
+			parts = append(parts, Bytes(raw))
+		} else {
+			parts = append(parts, piece.Content())
+		}
+		at += n
+	}
+	if form&4 != 0 {
+		inner := NewSlice(Concat{Zero(1), parts}).Sub(1, l)
+		return NewSlice(Concat{inner.Content()})
+	}
+	return Slice{C: parts, N: l}
 }
 
 // FuzzConcatSplit: splitting content at an arbitrary point and

@@ -354,7 +354,7 @@ func (c *Conn) Recv(p *sim.Proc, max int64) (data.Slice, bool) {
 		} else {
 			end.recvQ = end.recvQ[1:]
 		}
-		parts = append(parts, sliceContent{head})
+		parts = append(parts, head.Content())
 		got += take
 	}
 	end.recvBytes -= got
@@ -399,14 +399,6 @@ func (k *Kernel) applyCredit(connKey int64, bytes int64) {
 	}
 }
 
-// sliceContent adapts a Slice window into a Content (for reassembly).
-type sliceContent struct{ s data.Slice }
-
-func (sc sliceContent) Len() int64 { return sc.s.Len() }
-func (sc sliceContent) ReadAt(b []byte, off int64) {
-	sc.s.C.ReadAt(b, sc.s.Off+off)
-}
-
 // RecvFull reads exactly n bytes (or returns ok=false at premature EOF).
 func (c *Conn) RecvFull(p *sim.Proc, n int64) (data.Slice, bool) {
 	var parts data.Concat
@@ -416,7 +408,7 @@ func (c *Conn) RecvFull(p *sim.Proc, n int64) (data.Slice, bool) {
 		if !ok {
 			return data.Slice{}, false
 		}
-		parts = append(parts, sliceContent{s})
+		parts = append(parts, s.Content())
 		got += s.Len()
 	}
 	return data.Slice{C: parts, N: got}, true
