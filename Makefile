@@ -75,16 +75,17 @@ fuzz-smoke:
 
 # bench-smoke checks the benchmark of record (bench/, see bench/README.md):
 # the bench module's vet and tests, then one zero-second run of every
-# BENCHMARK.json workload. Each run is a warm-up pass plus 3 timed passes, and
-# every pass is checked against bench/expected, so any drift in a simulated
-# row fails the target.
+# BENCHMARK.json workload at each seed bench/expected holds rows for (1 and
+# 2). Each run is a warm-up pass plus 3 timed passes, and every pass is
+# checked against bench/expected, so any drift in a simulated row fails the
+# target.
 BENCH_WORKLOADS := dfsio-read-vanilla dfsio-read-vread dfsio-write scale-storm
 
 bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
-	@for w in $(BENCH_WORKLOADS); do \
-		bash bench/run.sh --workload $$w --seed 1 --seconds 0 || exit 1; done
+	@for s in 1 2; do for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed $$s --seconds 0 || exit 1; done; done
 
 # scale-smoke drives the datacenter-scale scenario (federated namespace over
 # a 1000-host multi-domain topology, open-loop storm, mid-storm rack kill)

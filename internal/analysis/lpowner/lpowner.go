@@ -127,8 +127,8 @@ var rootAPIs = map[string]map[string]bool{
 		"NIC.SendToVM": true, "NIC.SendToHost": true, "NIC.SendDMA": true,
 	},
 	"vread/internal/virtio": {
-		"NetDev.SetDeliver":   true,
-		"BlkDev.TryReadAsync": true, "BlkDev.TryReadAsyncT": true,
+		"NetDev.SetDeliver":    true,
+		"BlkDev.TryReadAsyncT": true,
 	},
 	"vread/internal/storage": {
 		"Disk.ReadAsync": true, "Disk.ReadAsyncT": true, "Disk.WriteAsync": true,

@@ -6,8 +6,8 @@
 // loop or exactly one Proc — executes at a time, with the handoff owned by
 // the engine. A raw `go` statement or a sync.Mutex outside the engine
 // reintroduces scheduler nondeterminism that no seed can reproduce;
-// sim.Proc, sim.Queue, sim.Signal, sim.Mutex and Env.Schedule are the
-// sanctioned equivalents.
+// sim.Proc (with Proc.Arm/Await for a wait on one completion), sim.Queue,
+// sim.Signal, sim.Mutex and Env.Schedule are the sanctioned equivalents.
 package simdiscipline
 
 import (

@@ -166,29 +166,15 @@ func (m *Manager) sendFrame(p *sim.Proc, srcHost string, srcThread *cpusched.Thr
 	switch m.transportTo(srcHost, dstHost) {
 	case TransportRDMA:
 		qp := m.qpFor(srcHost, dstHost)
-		sent := sim.NewSignal(m.env)
-		done := false
-		qp.PostFrom(srcHost, fr, func() {
-			done = true
-			sent.Broadcast()
-		})
-		for !done {
-			sent.Wait(p)
-		}
+		qp.PostFrom(srcHost, fr, p.Arm())
+		p.Await()
 	case TransportTCP:
 		// User-level TCP: per-segment syscall + copy cost on the sending
 		// daemon, then the host kernel path.
 		srcThread.RunT(p, tcpSegCycles, metrics.TagVReadNet, fr.Trace)
 		nic := m.fabric().NIC(srcHost)
-		sent := sim.NewSignal(m.env)
-		done := false
-		nic.SendToHost(dstHost, VReadPort, fr, func() {
-			done = true
-			sent.Broadcast()
-		})
-		for !done {
-			sent.Wait(p)
-		}
+		nic.SendToHost(dstHost, VReadPort, fr, p.Arm())
+		p.Await()
 	default:
 		panic(fmt.Sprintf("core: unknown transport %v", m.cfg.Transport))
 	}

@@ -94,8 +94,6 @@ type CPU struct {
 	// balanceFn is c.balanceTick, bound once so arming the balancer does not
 	// allocate a method value.
 	balanceFn func()
-	// completions is RunT's pool of idle per-call completions.
-	completions []*completion
 }
 
 type core struct {
@@ -191,20 +189,6 @@ func (q *workFIFO) popFront() {
 	q.buf[q.head] = workItem{}
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-}
-
-// completion is one RunT call's wake-up. Idle completions are pooled per
-// CPU, and fire is cp.complete bound once, so a RunT allocates nothing.
-type completion struct {
-	sig  sim.Signal
-	done bool
-	fire func()
-}
-
-// complete marks the call done and wakes the Proc waiting on it.
-func (cp *completion) complete() {
-	cp.done = true
-	cp.sig.Broadcast()
 }
 
 // New creates a CPU with the given core count and frequency.
@@ -310,22 +294,8 @@ func (t *Thread) RunT(p *sim.Proc, cycles int64, tag string, tr *trace.Trace) {
 	if cycles <= 0 {
 		return
 	}
-	c := t.cpu
-	var cp *completion
-	if n := len(c.completions); n > 0 {
-		cp = c.completions[n-1]
-		c.completions[n-1] = nil
-		c.completions = c.completions[:n-1]
-	} else {
-		cp = &completion{} //lint:allow hotalloc(pool refill: paid once per concurrent RunT call, zero at steady state)
-		cp.fire = cp.complete
-	}
-	t.PostT(cycles, tag, tr, cp.fire)
-	for !cp.done {
-		cp.sig.Wait(p)
-	}
-	cp.done = false
-	c.completions = append(c.completions, cp) //lint:allow hotalloc(pool growth is amortized into the number of concurrent RunT calls)
+	t.PostT(cycles, tag, tr, p.Arm())
+	p.Await()
 }
 
 // RunDur is Run with the cycle count derived from a duration at the CPU's

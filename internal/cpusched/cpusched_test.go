@@ -360,8 +360,9 @@ func TestConservationOfCyclesProperty(t *testing.T) {
 }
 
 // TestRoundTripZeroAlloc asserts that steady-state RunT and PostT round trips
-// allocate nothing: work items live by value in the thread's FIFO, RunT's
-// completions are pooled, and the scheduler's callbacks are bound once. Two
+// allocate nothing: work items live by value in the thread's FIFO, RunT
+// waits on its Proc's own completion (sim.Proc.Arm), and the scheduler's
+// callbacks are bound once. Two
 // threads share one core, so every round trip also context-switches and
 // pays the cache-cold charge.
 func TestRoundTripZeroAlloc(t *testing.T) {
@@ -392,7 +393,7 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 					}
 				})
 			}
-			// Warm up: event free list, work rings, completion pool.
+			// Warm up: event free list and work rings.
 			if err := env.RunFor(10 * time.Millisecond); err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,23 @@ type Proc struct {
 	// an entry left behind in another Signal (a timed-out wait) can never
 	// wake a later wait.
 	waitGen uint64
+	// completion is p.complete, bound once at creation so Arm hands it out
+	// without allocating; arm tracks the one completion it may have
+	// outstanding.
+	completion func()
+	arm        armState
 }
+
+// armState is where a Proc's completion stands between Arm and the return
+// of Await.
+type armState uint8
+
+const (
+	armIdle   armState = iota // no completion outstanding
+	armArmed                  // handed out; neither run nor awaited yet
+	armParked                 // the Proc is parked in Await
+	armFired                  // run before the Proc reached Await
+)
 
 // Go creates a process and schedules it to start at the current virtual time
 // (after already-queued events).
@@ -58,6 +74,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 func (e *Env) GoAfter(after time.Duration, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name}
 	p.wake = func() { e.dispatch(p) }
+	p.completion = p.complete
 	p.doneSig = NewSignal(e)
 	e.procs[p] = struct{}{}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) { p.run(yield, fn) })
@@ -159,6 +176,55 @@ func (p *Proc) Join(other *Proc) {
 		return
 	}
 	other.doneSig.Wait(p)
+}
+
+// Arm hands out p's completion callback for one operation p is about to
+// start: arm, start the operation, Await; nothing may block in between. The
+// callback may run from any event (or synchronously, inside the call that
+// starts the operation) and runs exactly once per Arm. A Proc has at most
+// one completion outstanding, so arming again before Await returns panics.
+//
+//lint:hotpath
+func (p *Proc) Arm() func() {
+	if p.arm != armIdle {
+		panic(fmt.Sprintf("sim: Arm on process %q with a completion already outstanding", p.name))
+	}
+	p.arm = armArmed
+	return p.completion
+}
+
+// Await blocks p until the completion handed out by the last Arm has run,
+// returning at once if it already has.
+//
+//lint:hotpath
+func (p *Proc) Await() {
+	p.checkContext()
+	switch p.arm {
+	case armFired:
+		p.arm = armIdle
+	case armArmed:
+		p.arm = armParked
+		p.park()
+	default:
+		panic(fmt.Sprintf("sim: Await on process %q without an armed completion", p.name))
+	}
+}
+
+// complete is the callback Arm hands out. If p is parked in Await it
+// schedules p's wake-up as a zero-delay event, the one event a Signal
+// Broadcast schedules for a sole waiter; otherwise it only records that
+// the completion has run. After Close has aborted p it does nothing.
+func (p *Proc) complete() {
+	switch {
+	case p.done:
+	case p.arm == armArmed:
+		p.arm = armFired
+	case p.arm == armParked:
+		p.arm = armIdle
+		p.env.Schedule(0, p.wake)
+	default:
+		panic(fmt.Sprintf("sim: completion of process %q ran twice", p.name))
+	}
 }
 
 // checkContext panics if a blocking method is invoked from outside the

@@ -63,7 +63,7 @@ func (f *raFixture) read(p *sim.Proc, off int64) (missed, diskRead bool) {
 		f.ra.Wait(p, raObj, off, raChunk)
 		if _, miss = f.cache.Lookup(raObj, off, raChunk); miss > 0 {
 			diskRead = true
-			f.disk.Read(p, miss)
+			f.disk.ReadT(p, nil, miss)
 			f.cache.Insert(raObj, off, raChunk)
 		}
 	}
@@ -195,7 +195,7 @@ func TestReadaheadBackwardsSeekResetsSeq(t *testing.T) {
 
 // TestReadaheadCapsAtMaxIO: a window larger than the device's largest
 // request is issued capped to it, not refused by a device that rejects
-// oversized requests (virtio-blk's TryReadAsync).
+// oversized requests (virtio-blk's TryReadAsyncT).
 func TestReadaheadCapsAtMaxIO(t *testing.T) {
 	const maxIO = 128 << 10
 	f := newRAFixture(raWin, maxIO)
@@ -382,7 +382,7 @@ func FuzzReadahead(f *testing.F) {
 							}
 						}
 						if _, miss = cache.Lookup(obj, off, n); miss > 0 {
-							disk.Read(p, miss)
+							disk.ReadT(p, nil, miss)
 							cache.Insert(obj, off, n)
 						}
 					}

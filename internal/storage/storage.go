@@ -113,38 +113,20 @@ func (d *Disk) WriteAsync(n int64, onDone func()) {
 	d.stats.BytesWritten += n
 }
 
-// Read blocks p for the duration of a read of n bytes.
-func (d *Disk) Read(p *sim.Proc, n int64) {
-	d.wait(p, func(onDone func()) { d.ReadAsync(n, onDone) })
-}
-
-// ReadT is Read with a "disk read" span on the request trace.
+// ReadT blocks p for the duration of a read of n bytes, with a "disk read"
+// span on the request trace.
 func (d *Disk) ReadT(p *sim.Proc, tr *trace.Trace, n int64) {
-	d.wait(p, func(onDone func()) { d.ReadAsyncT(tr, n, onDone) })
+	d.ReadAsyncT(tr, n, p.Arm())
+	p.Await()
 }
 
-// Write blocks p for the duration of a write of n bytes.
-func (d *Disk) Write(p *sim.Proc, n int64) {
-	d.wait(p, func(onDone func()) { d.WriteAsync(n, onDone) })
-}
-
-// WriteT is Write with a "disk write" span on the request trace.
+// WriteT blocks p for the duration of a write of n bytes, with a "disk
+// write" span on the request trace.
 func (d *Disk) WriteT(p *sim.Proc, tr *trace.Trace, n int64) {
 	sp := tr.Begin(trace.LayerDisk, "write")
-	d.wait(p, func(onDone func()) { d.WriteAsync(n, onDone) })
+	d.WriteAsync(n, p.Arm())
+	p.Await()
 	tr.EndSpan(sp, n)
-}
-
-func (d *Disk) wait(p *sim.Proc, submit func(func())) {
-	sig := sim.NewSignal(d.env)
-	done := false
-	submit(func() {
-		done = true
-		sig.Broadcast()
-	})
-	for !done {
-		sig.Wait(p)
-	}
 }
 
 func (d *Disk) submit(n int64, lat time.Duration, bw int64, onDone func()) {

@@ -14,7 +14,7 @@ func TestDiskReadTiming(t *testing.T) {
 	d := NewDisk(env, "ssd", DiskConfig{})
 	var done time.Duration
 	env.Go("p", func(p *sim.Proc) {
-		d.Read(p, 500_000_000) // 500MB at 500MB/s = 1s + 100µs latency
+		d.ReadT(p, nil, 500_000_000) // 500MB at 500MB/s = 1s + 100µs latency
 		done = env.Now()
 	})
 	if err := env.Run(); err != nil {
@@ -34,11 +34,11 @@ func TestDiskFIFOSerialization(t *testing.T) {
 	d := NewDisk(env, "ssd", DiskConfig{ReadLatency: time.Millisecond, ReadBandwidth: 1_000_000_000})
 	var first, second time.Duration
 	env.Go("a", func(p *sim.Proc) {
-		d.Read(p, 0)
+		d.ReadT(p, nil, 0)
 		first = env.Now()
 	})
 	env.Go("b", func(p *sim.Proc) {
-		d.Read(p, 0)
+		d.ReadT(p, nil, 0)
 		second = env.Now()
 	})
 	if err := env.Run(); err != nil {
@@ -53,7 +53,7 @@ func TestDiskWrite(t *testing.T) {
 	env := sim.NewEnv(1)
 	d := NewDisk(env, "ssd", DiskConfig{})
 	env.Go("p", func(p *sim.Proc) {
-		d.Write(p, 1_000_000)
+		d.WriteT(p, nil, 1_000_000)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestDiskSlowFaultAddsLatency(t *testing.T) {
 	d.InjectFaults(plan)
 	var done time.Duration
 	env.Go("p", func(p *sim.Proc) {
-		d.Read(p, 0)
+		d.ReadT(p, nil, 0)
 		done = env.Now()
 	})
 	if err := env.Run(); err != nil {
@@ -222,7 +222,7 @@ func TestDiskNilPlanUnchanged(t *testing.T) {
 	d.InjectFaults(nil)
 	var done time.Duration
 	env.Go("p", func(p *sim.Proc) {
-		d.Read(p, 0)
+		d.ReadT(p, nil, 0)
 		done = env.Now()
 	})
 	if err := env.Run(); err != nil {

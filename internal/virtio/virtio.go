@@ -224,15 +224,8 @@ func (d *NetDev) vhostLoop(p *sim.Proc) {
 		}
 		// Remote: pace into the physical NIC; wait for transmit-complete so
 		// the vhost thread applies backpressure like a bounded device queue.
-		sent := sim.NewSignal(d.env)
-		done := false
-		d.nic.SendToVM(fr, func() {
-			done = true
-			sent.Broadcast()
-		})
-		for !done {
-			sent.Wait(p)
-		}
+		d.nic.SendToVM(fr, p.Arm())
+		p.Await()
 	}
 }
 
@@ -327,36 +320,21 @@ func (b *BlkDev) Start() {
 	b.env.Go("iothread:"+b.vmName, b.ioLoop)
 }
 
-// Read performs a guest block read of n bytes, blocking p until the data is
-// in guest memory. Large reads split into blkReqBytes requests that pipeline
-// through the ring.
-func (b *BlkDev) Read(p *sim.Proc, n int64) {
-	b.transfer(p, nil, n, false)
-}
-
-// ReadT is Read attributed to a request trace.
+// ReadT performs a guest block read of n bytes attributed to a request
+// trace, blocking p until the data is in guest memory. Large reads split
+// into blkReqBytes requests that pipeline through the ring.
 func (b *BlkDev) ReadT(p *sim.Proc, tr *trace.Trace, n int64) {
 	b.transfer(p, tr, n, false)
-}
-
-// Write performs a guest block write of n bytes. It blocks until the device
-// acknowledges (writeback caching happens above, in the guest page cache).
-func (b *BlkDev) Write(p *sim.Proc, n int64) {
-	b.transfer(p, nil, n, true)
 }
 
 // MaxRequestBytes returns the largest single block request.
 func (b *BlkDev) MaxRequestBytes() int64 { return blkReqBytes }
 
-// TryReadAsync submits one read request without blocking (the guest
-// kernel's readahead path). n must not exceed MaxRequestBytes. It reports
-// false when the ring is full; the caller simply skips the readahead.
-// onDone runs in guest (vCPU) context when the data is in guest memory.
-func (b *BlkDev) TryReadAsync(n int64, onDone func()) bool {
-	return b.TryReadAsyncT(nil, n, onDone)
-}
-
-// TryReadAsyncT is TryReadAsync attributed to a request trace.
+// TryReadAsyncT submits one read request attributed to a request trace
+// without blocking (the guest kernel's readahead path). n must not exceed
+// MaxRequestBytes. It reports false when the ring is full; the caller simply
+// skips the readahead. onDone runs in guest (vCPU) context when the data is
+// in guest memory.
 func (b *BlkDev) TryReadAsyncT(tr *trace.Trace, n int64, onDone func()) bool {
 	if n <= 0 || n > blkReqBytes {
 		return false
@@ -383,6 +361,8 @@ func (b *BlkDev) WriteAsync(p *sim.Proc, n int64) {
 	}
 }
 
+// transfer moves n bytes through the ring in blkReqBytes requests and blocks
+// p until the device has completed every one of them.
 func (b *BlkDev) transfer(p *sim.Proc, tr *trace.Trace, n int64, write bool) {
 	if n <= 0 {
 		return

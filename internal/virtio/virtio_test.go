@@ -169,7 +169,7 @@ func TestBlkReadHitsDisk(t *testing.T) {
 	var elapsed time.Duration
 	fx.env.Go("reader", func(p *sim.Proc) {
 		start := fx.env.Now()
-		fx.dev.Read(p, 10<<20) // 10 MiB
+		fx.dev.ReadT(p, nil, 10<<20) // 10 MiB
 		elapsed = fx.env.Now() - start
 	})
 	if err := fx.env.RunUntil(time.Second); err != nil {
@@ -194,7 +194,7 @@ func TestBlkReadHitsDisk(t *testing.T) {
 func TestBlkWrite(t *testing.T) {
 	fx := newBlkFixture(t, storage.DiskConfig{})
 	fx.env.Go("writer", func(p *sim.Proc) {
-		fx.dev.Write(p, 1<<20)
+		fx.dev.transfer(p, nil, 1<<20, true) // the blocking write
 	})
 	if err := fx.env.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestBlkWriteAsyncReturnsBeforeDiskDone(t *testing.T) {
 func TestBlkRequestSplitting(t *testing.T) {
 	fx := newBlkFixture(t, storage.DiskConfig{})
 	fx.env.Go("reader", func(p *sim.Proc) {
-		fx.dev.Read(p, 3<<20) // 3 MiB = 6 requests of 512 KiB
+		fx.dev.ReadT(p, nil, 3<<20) // 3 MiB = 6 requests of 512 KiB
 	})
 	if err := fx.env.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
