@@ -87,7 +87,7 @@ func RunMigrationSweep(opt Options, mc MigrationConfig) ([]MigrationRow, error) 
 func runMigrationCell(opt Options, mc MigrationConfig, depth int) (MigrationRow, error) {
 	row := MigrationRow{Depth: depth}
 	c := cluster.New(mc.Seed, cluster.Params{FreqHz: opt.FreqHz})
-	defer c.Close()
+	defer opt.Stats.closeCluster(c)
 	h1 := c.AddHost("host1")
 	h2 := c.AddHost("host2")
 	readers := make([]string, depth)

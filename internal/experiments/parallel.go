@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"vread/internal/cluster"
 	"vread/internal/par"
 	"vread/internal/trace"
 )
@@ -19,6 +20,13 @@ func (s *RunStats) addEvents(n int64) {
 	if s != nil {
 		s.events.Add(n)
 	}
+}
+
+// closeCluster closes a cell's cluster that was built outside a Testbed,
+// first counting its fired events as Testbed.Close does.
+func (s *RunStats) closeCluster(c *cluster.Cluster) {
+	s.addEvents(int64(c.Env.Fired()))
+	c.Close()
 }
 
 // Events returns the total simulated events executed so far.

@@ -122,7 +122,7 @@ func RunScale(opt Options, sc ScaleConfig) ([]SLORow, error) {
 // runScaleCell builds the federation and drives one storm at one QPS level.
 func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 	c := cluster.New(opt.Seed, cluster.Params{FreqHz: opt.FreqHz})
-	defer c.Close()
+	defer opt.Stats.closeCluster(c)
 	spec := cluster.TopologySpec{
 		Domains:        sc.Domains,
 		RacksPerDomain: sc.RacksPerDomain,
