@@ -45,11 +45,10 @@ race:
 
 # chaos-smoke runs the deterministic fault-injection suite: the seed × plan
 # smoke matrix, the hostile-guest profile (forged descriptors, stale keys,
-# doorbell storms, held slots — per-VM isolation checked at shard counts 1
-# and >1 with byte-identical fingerprints), the rack storms (rack, shard and
-# domain loss with replica failover), the live-migration storms, the
-# byte-identical-replay checks and the fingerprint golden. On an invariant
-# violation in any of them the failing (seed, plan) pairs are written to
+# doorbell storms, held slots — per-VM isolation checked), the rack storms
+# (rack, shard and domain loss with replica failover), the live-migration
+# storms, the byte-identical-replay checks and the fingerprint golden. On an
+# invariant violation in any of them the failing (seed, plan) pairs are written to
 # chaos-failures.json — each pair is a complete reproducer: re-run the same
 # harness, seed and spec locally and the run replays byte-identically.
 chaos-smoke:

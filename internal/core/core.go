@@ -135,9 +135,6 @@ type Config struct {
 	// raw device, skipping the host FS — no page cache benefit and extra
 	// per-request address translation.
 	DirectDiskBypass bool
-	// MountTableShards is the shard count of each host's mount table.
-	// Default 8.
-	MountTableShards int
 	// RingRevokeThreshold revokes a client VM's ring after this many
 	// consecutive rejected descriptors (malformed or stale-keyed) — the
 	// SIVSHM-style isolation response to a misbehaving peer. 0 disables
@@ -165,9 +162,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RemoteWindowBytes == 0 {
 		c.RemoteWindowBytes = 1 << 20
-	}
-	if c.MountTableShards == 0 {
-		c.MountTableShards = 8
 	}
 	return c
 }

@@ -12,9 +12,8 @@ import (
 	"vread/internal/trace"
 )
 
-// DaemonStats counts one daemon's activity. It is not maintained as parallel
-// bookkeeping: Stats derives it from the daemon's event stream (a
-// trace.Counter fed by the same emit calls that mark request traces).
+// DaemonStats counts one daemon's activity. The daemon increments each
+// counter where the event happens; emit also marks it on the request's trace.
 type DaemonStats struct {
 	Opens         int64
 	OpenMisses    int64 // stale dentry / unknown datanode → vanilla fallback
@@ -30,22 +29,6 @@ type DaemonStats struct {
 	QuiesceHolds  int64 // descriptors captured into the pending set while quiesced
 }
 
-// Daemon event names (the reduced stream DaemonStats is derived from).
-const (
-	evOpen         = "open"
-	evOpenMiss     = "open-miss"
-	evBytesLocal   = "bytes-local"
-	evBytesRemote  = "bytes-remote"
-	evCrash        = "crash"
-	evRemoteRetry  = "remote-retry"
-	evDoorbellLost = "doorbell-lost"
-	evRingReject   = "ring-reject"
-	evStaleKey     = "ring-stale-key"
-	evRevoke       = "ring-revoke"
-	evReplay       = "ring-replay"
-	evQuiesceHold  = "ring-quiesce-hold"
-)
-
 // Daemon is the per-VM hypervisor daemon (§3.2): it owns the shared-memory
 // ring of one client VM and serves its vRead requests from mounted datanode
 // images (local) or peer daemons (remote).
@@ -57,7 +40,7 @@ type Daemon struct {
 	thread *cpusched.Thread
 	ring   *ring
 	hr     *hostReader
-	events *trace.Counter
+	stats  DaemonStats
 	// faults is the plan evaluated at this daemon's (and its guest's)
 	// faultpoints — the manager-wide plan unless InjectGuestFaults armed a
 	// per-VM one, so a hostile-guest storm can target a single ring.
@@ -78,8 +61,7 @@ func newDaemon(mgr *Manager, vm *cluster.VM) *Daemon {
 		host:   vm.Host,
 		thread: thread,
 		ring:   newRing(mgr.env, mgr.cfg, vm.Name),
-		hr:     newHostReader(mgr.cfg, vm.Host, thread),
-		events: trace.NewCounter(),
+		hr:     newHostReader(mgr.ensureServer(vm.Host), thread),
 		faults: mgr.cfg.Faults,
 		idle:   sim.NewSignal(mgr.env),
 	}
@@ -93,10 +75,10 @@ func (d *Daemon) RingState() string { return d.ring.state.String() }
 // RingKey exposes the current ring key (tests and tooling).
 func (d *Daemon) RingKey() uint64 { return d.ring.key }
 
-// emit records one daemon event in the always-on counter and, when the
-// request is sampled, as an instantaneous mark on its trace.
-func (d *Daemon) emit(tr *trace.Trace, name string, n int64) {
-	d.events.Add(name, n)
+// emit adds n to one of the daemon's counters and, when the request is
+// sampled, marks the event on its trace.
+func emit(tr *trace.Trace, counter *int64, name string, n int64) {
+	*counter += n
 	tr.Event(trace.LayerDaemon, name, n)
 }
 
@@ -106,16 +88,66 @@ func (d *Daemon) emit(tr *trace.Trace, name string, n int64) {
 // sequential readahead.
 type hostReader struct {
 	cfg    Config
+	cl     *cluster.Cluster
 	host   *cluster.Host
+	mounts map[string]*fsim.HostMount // the host's mount map, owned by its server
 	thread *cpusched.Thread
 	ra     *storage.Readahead
 }
 
-func newHostReader(cfg Config, host *cluster.Host, thread *cpusched.Thread) *hostReader {
+// newHostReader returns a reader over srv's host and mount map that charges
+// its work to thread.
+func newHostReader(srv *hostServer, thread *cpusched.Thread) *hostReader {
 	return &hostReader{
-		cfg: cfg, host: host, thread: thread,
-		ra: storage.NewReadahead(host.CPU.Env(), host.Cache, hostReadaheadBytes, 0),
+		cfg: srv.mgr.cfg, cl: srv.mgr.cl, host: srv.host, mounts: srv.mounts, thread: thread,
+		ra: storage.NewReadahead(srv.host.CPU.Env(), srv.host.Cache, hostReadaheadBytes, 0),
 	}
+}
+
+// mountedFile is a block file resolved through the host's mount: the path's
+// snapshot size and the host page-cache object its pages live under.
+type mountedFile struct {
+	mnt  *fsim.HostMount
+	path string
+	size int64
+	obj  int64
+}
+
+// lookup resolves path on the host's mount of datanode dn. It reports false
+// when dn is not mounted on the host or the path has no dentry (never
+// refreshed, or lost in a daemon crash); the caller then fails the request
+// and the guest falls back to the vanilla path.
+func (h *hostReader) lookup(dn, path string) (mountedFile, bool) {
+	mnt := h.mounts[dn]
+	if mnt == nil {
+		return mountedFile{}, false
+	}
+	e, ok := mnt.Lookup(path)
+	if !ok {
+		return mountedFile{}, false
+	}
+	return mountedFile{mnt: mnt, path: path, size: e.Size, obj: h.cl.VM(dn).HostCacheObject(e.Node.Ino())}, true
+}
+
+// readChunk reads [off, off+n) of f: the host-side cost (read), the bytes
+// from the mount, then plan's disk.read.error and disk.read.torn
+// faultpoints, each firing marked on tr at layer. An error fails the chunk;
+// a torn read returns only the chunk's first half, with torn set.
+func (h *hostReader) readChunk(p *sim.Proc, tr *trace.Trace, plan *faults.Plan, layer trace.Layer, f mountedFile, off, n int64) (s data.Slice, torn bool, err error) {
+	h.read(p, tr, f.obj, f.size, off, n)
+	s, err = f.mnt.ReadAt(f.path, off, n)
+	if err == nil && plan.Should(faults.DiskReadError) {
+		tr.Event(layer, "fault:disk-error", 0)
+		err = fsim.ErrStale
+	}
+	if err != nil {
+		return data.Slice{}, false, err
+	}
+	if n > 1 && plan.Should(faults.DiskReadTorn) {
+		tr.Event(layer, "fault:disk-torn", 0)
+		return s.Sub(0, n/2), true, nil
+	}
+	return s, false, nil
 }
 
 // read charges the full host-side cost of reading [off, off+n) of the
@@ -155,23 +187,8 @@ func (h *hostReader) read(p *sim.Proc, tr *trace.Trace, obj, fileSize, off, n in
 	tr.EndSpan(sp, n)
 }
 
-// Stats derives the daemon's counters from its reduced event stream.
-func (d *Daemon) Stats() DaemonStats {
-	return DaemonStats{
-		Opens:         d.events.Get(evOpen),
-		OpenMisses:    d.events.Get(evOpenMiss),
-		BytesLocal:    d.events.Get(evBytesLocal),
-		BytesRemote:   d.events.Get(evBytesRemote),
-		Crashes:       d.events.Get(evCrash),
-		RemoteRetries: d.events.Get(evRemoteRetry),
-		DoorbellsLost: d.events.Get(evDoorbellLost),
-		RingRejects:   d.events.Get(evRingReject),
-		StaleKeys:     d.events.Get(evStaleKey),
-		Revocations:   d.events.Get(evRevoke),
-		Replayed:      d.events.Get(evReplay),
-		QuiesceHolds:  d.events.Get(evQuiesceHold),
-	}
-}
+// Stats returns a copy of the daemon's counters.
+func (d *Daemon) Stats() DaemonStats { return d.stats }
 
 // loop services ring requests, one at a time (the ring serializes). The
 // state machine sits here: a resume kick replays the pending set, a quiesced
@@ -193,7 +210,7 @@ func (d *Daemon) loop(p *sim.Proc) {
 		}
 		if d.ring.state == ringQuiesced {
 			d.ring.pending = append(d.ring.pending, req)
-			d.emit(req.tr, evQuiesceHold, 1)
+			emit(req.tr, &d.stats.QuiesceHolds, "ring-quiesce-hold", 1)
 			continue
 		}
 		d.busy = true
@@ -216,7 +233,7 @@ func (d *Daemon) replayPending(p *sim.Proc) {
 			break
 		}
 		pr.key = d.ring.key
-		d.emit(pr.tr, evReplay, 1)
+		emit(pr.tr, &d.stats.Replayed, "ring-replay", 1)
 		d.serve(p, pr)
 	}
 	d.busy = false
@@ -304,12 +321,12 @@ func (d *Daemon) sanitizeReq(req ringReq) (ringReq, reqVerdict) {
 // which is dropped like a corrupt doorbell write (nothing is waiting on it;
 // an error slot would poison the next real read's stream).
 func (d *Daemon) rejectReq(p *sim.Proc, req ringReq, verdict reqVerdict) {
-	d.emit(req.tr, evRingReject, 1)
+	emit(req.tr, &d.stats.RingRejects, "ring-reject", 1)
 	code := slotFailed
 	switch verdict {
 	case reqStaleKey:
 		code = slotBadKey
-		d.emit(req.tr, evStaleKey, 1)
+		emit(req.tr, &d.stats.StaleKeys, "ring-stale-key", 1)
 		req.tr.Event(trace.LayerRing, "ring-reject:stale-key", 0)
 	case reqDenied:
 		code = slotRevoked
@@ -321,7 +338,7 @@ func (d *Daemon) rejectReq(p *sim.Proc, req ringReq, verdict reqVerdict) {
 		d.ring.badStreak++
 		if t := d.cfg.RingRevokeThreshold; t > 0 && d.ring.badStreak >= t {
 			d.ring.state = ringRevoked
-			d.emit(req.tr, evRevoke, 1)
+			emit(req.tr, &d.stats.Revocations, "ring-revoke", 1)
 			req.tr.Event(trace.LayerRing, "ring-revoked", 0)
 		}
 	}
@@ -341,7 +358,7 @@ func (d *Daemon) rejectReq(p *sim.Proc, req ringReq, verdict reqVerdict) {
 // until vRead_update or a resync — and the ring goes quiet for the restart
 // delay.
 func (d *Daemon) crashRestart(p *sim.Proc, req ringReq) {
-	d.emit(req.tr, evCrash, 1)
+	emit(req.tr, &d.stats.Crashes, "crash", 1)
 	req.tr.Event(trace.LayerDaemon, "fault:daemon-crash", 0)
 	d.mgr.invalidateMounts(d.host.Name)
 	switch req.kind {
@@ -362,23 +379,21 @@ func (d *Daemon) InjectFaults(plan *faults.Plan) { d.faults = plan }
 func (d *Daemon) handleOpen(p *sim.Proc, req ringReq) {
 	sp := req.tr.Begin(trace.LayerDaemon, "open")
 	d.thread.RunT(p, openCycles, metrics.TagOthers, req.tr)
-	d.emit(req.tr, evOpen, 1)
+	emit(req.tr, &d.stats.Opens, "open", 1)
 	res := openResult{}
 	dnHost, known := d.mgr.fabric().HostOf(req.dn)
 	switch {
 	case !known:
 		// Unknown datanode: fall back.
 	case dnHost == d.host.Name:
-		if m := d.mgr.mount(d.host.Name, req.dn); m != nil {
-			if e, ok := m.Lookup(req.path); ok {
-				res = openResult{ok: true, size: e.Size}
-			}
+		if f, ok := d.hr.lookup(req.dn, req.path); ok {
+			res = openResult{ok: true, size: f.size}
 		}
 	default:
 		res = d.mgr.remoteOpen(p, d, dnHost, req)
 	}
 	if !res.ok {
-		d.emit(req.tr, evOpenMiss, 1)
+		emit(req.tr, &d.stats.OpenMisses, "open-miss", 1)
 	}
 	req.tr.EndSpan(sp, 0)
 	req.reply.Put(p, res)
@@ -401,51 +416,37 @@ func (d *Daemon) handleRead(p *sim.Proc, req ringReq) {
 // readLocal reads from the loop-mounted image through the host page cache
 // (or the raw device with DirectDiskBypass) and fills ring slots.
 func (d *Daemon) readLocal(p *sim.Proc, req ringReq) {
-	m := d.mgr.mount(d.host.Name, req.dn)
-	if m == nil {
-		d.pushError(p, req.tr)
-		return
-	}
-	e, ok := m.Lookup(req.path)
+	f, ok := d.hr.lookup(req.dn, req.path)
 	if !ok {
 		d.pushError(p, req.tr)
 		return
 	}
 	sp := req.tr.Begin(trace.LayerDaemon, "read-local")
-	dnVM := d.mgr.cl.VM(req.dn)
-	obj := dnVM.HostCacheObject(e.Node.Ino())
 	batch := int64(d.cfg.EventBatchSlots) * d.cfg.SlotBytes
 	for off := req.off; off < req.off+req.n; {
 		want := req.off + req.n - off
 		if want > batch {
 			want = batch
 		}
-		d.hr.read(p, req.tr, obj, e.Size, off, want)
-		s, err := m.ReadAt(req.path, off, want)
-		if err == nil && d.faults.Should(faults.DiskReadError) {
-			req.tr.Event(trace.LayerDaemon, "fault:disk-error", 0)
-			err = fsim.ErrStale
-		}
+		s, torn, err := d.hr.readChunk(p, req.tr, d.faults, trace.LayerDaemon, f, off, want)
 		if err != nil {
 			req.tr.EndSpan(sp, off-req.off)
 			d.pushError(p, req.tr)
 			return
 		}
-		if want > 1 && d.faults.Should(faults.DiskReadTorn) {
+		if torn {
 			// Torn read: a prefix lands in the ring, then the stream ends.
 			// libvread's byte-count check turns it into ErrShortRead and
 			// retries — never silent truncation.
-			req.tr.Event(trace.LayerDaemon, "fault:disk-torn", 0)
-			torn := s.Sub(0, want/2)
-			d.fillSlots(p, req.tr, torn, true)
+			d.fillSlots(p, req.tr, s, true)
 			d.doorbell(p, req.tr)
-			req.tr.EndSpan(sp, off-req.off+torn.Len())
+			req.tr.EndSpan(sp, off-req.off+s.Len())
 			return
 		}
 		last := off+want == req.off+req.n
 		d.fillSlots(p, req.tr, s, last)
 		d.doorbell(p, req.tr)
-		d.events.Add(evBytesLocal, want)
+		d.stats.BytesLocal += want
 		off += want
 	}
 	req.tr.EndSpan(sp, req.n)
@@ -473,7 +474,7 @@ func (d *Daemon) readRemote(p *sim.Proc, dnHost string, req ringReq) {
 		if win > d.cfg.RemoteWindowBytes {
 			win = d.cfg.RemoteWindowBytes
 		}
-		chunks := d.mgr.remoteRead(p, req.tr, d, dnHost, req.dn, req.path, off, win)
+		id, chunks := d.mgr.remoteRequest(p, d, dnHost, remoteReq{dn: req.dn, path: req.path, off: off, n: win, tr: req.tr})
 		var got int64
 		failed := false
 		for got < win {
@@ -485,9 +486,9 @@ func (d *Daemon) readRemote(p *sim.Proc, dnHost string, req ringReq) {
 			last := off+got+msg.payload.Len() == req.off+req.n
 			d.fillSlots(p, req.tr, msg.payload, last)
 			got += msg.payload.Len()
-			d.events.Add(evBytesRemote, msg.payload.Len())
+			d.stats.BytesRemote += msg.payload.Len()
 		}
-		d.mgr.finishRemote(chunks)
+		d.mgr.finishRemote(id)
 		if failed {
 			d.mgr.noteRemoteFailureT(req.tr, d.host.Name, dnHost)
 			retries++
@@ -496,7 +497,7 @@ func (d *Daemon) readRemote(p *sim.Proc, dnHost string, req ringReq) {
 				d.pushError(p, req.tr)
 				return
 			}
-			d.emit(req.tr, evRemoteRetry, 1)
+			emit(req.tr, &d.stats.RemoteRetries, "remote-retry", 1)
 			off += got // keep the delivered contiguous prefix
 			continue
 		}
@@ -548,7 +549,7 @@ func (d *Daemon) fillSlots(p *sim.Proc, tr *trace.Trace, s data.Slice, last bool
 func (d *Daemon) doorbell(p *sim.Proc, tr *trace.Trace) {
 	d.thread.RunT(p, eventFdCycles, metrics.TagOthers, tr)
 	if d.faults.Should(faults.RingDoorbellLost) {
-		d.emit(tr, evDoorbellLost, 1)
+		emit(tr, &d.stats.DoorbellsLost, "doorbell-lost", 1)
 		tr.Event(trace.LayerRing, "fault:doorbell-lost", 0)
 		d.mgr.env.Schedule(doorbellWatchdog, func() {
 			d.vm.VCPU.PostT(guestIRQCycles, metrics.TagOthers, tr, nil)

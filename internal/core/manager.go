@@ -27,14 +27,12 @@ type Manager struct {
 	cl  *cluster.Cluster
 	nn  hdfs.Namespace
 
-	mounts      map[string]*mountTable // host → sharded datanode→mount table
-	daemons     map[string]*Daemon     // client VM → daemon
-	clientOrder []string               // client VMs in EnableClient order (deterministic iteration)
+	daemons     map[string]*Daemon // client VM → daemon
+	clientOrder []string           // client VMs in EnableClient order (deterministic iteration)
 	libs        map[string]*Lib
-	servers     map[string]*hostServer
+	servers     map[string]*hostServer // host → daemon server and its mount map
 	qps         map[hostPair]*netsim.QP
 	pending     map[int64]*sim.Queue[chunkMsg]
-	pendingIDs  map[*sim.Queue[chunkMsg]]int64
 	nextReq     int64
 	refreshes   int64
 	// downgraded maps a host-pair key to the virtual instant its RDMA→TCP
@@ -57,13 +55,11 @@ func NewManager(cl *cluster.Cluster, nn hdfs.Namespace, cfg Config) *Manager {
 		cfg:        cfg.WithDefaults(),
 		cl:         cl,
 		nn:         nn,
-		mounts:     make(map[string]*mountTable),
 		daemons:    make(map[string]*Daemon),
 		libs:       make(map[string]*Lib),
 		servers:    make(map[string]*hostServer),
 		qps:        make(map[hostPair]*netsim.QP),
 		pending:    make(map[int64]*sim.Queue[chunkMsg]),
-		pendingIDs: make(map[*sim.Queue[chunkMsg]]int64),
 		downgraded: make(map[hostPair]time.Duration),
 	}
 	if nn != nil {
@@ -98,27 +94,28 @@ func (m *Manager) MountDatanode(vmName string) {
 	if vm == nil {
 		panic(fmt.Sprintf("core: unknown VM %q", vmName))
 	}
-	m.ensureServer(vm.Host)
-	tab := m.mounts[vm.Host.Name]
-	if tab == nil {
-		tab = newMountTable(m.cfg.MountTableShards)
-		m.mounts[vm.Host.Name] = tab
+	s := m.ensureServer(vm.Host)
+	if s.mounts[vmName] == nil {
+		s.mounts[vmName] = fsim.MountRO(vm.FS)
 	}
-	if tab.get(vmName) != nil {
-		return
-	}
-	tab.put(vmName, fsim.MountRO(vm.FS))
 }
 
 // UnmountDatanode removes a datanode's mount from a host (migration).
 func (m *Manager) UnmountDatanode(host, vmName string) {
-	m.mounts[host].remove(vmName)
+	delete(m.hostMounts(host), vmName)
+}
+
+// hostMounts returns a host's datanode-ID → mount map; it is nil, and so
+// empty, on a host without a vRead server.
+func (m *Manager) hostMounts(host string) map[string]*fsim.HostMount {
+	if s := m.servers[host]; s != nil {
+		return s.mounts
+	}
+	return nil
 }
 
 // mount resolves the mount table entry for (host, datanode).
-func (m *Manager) mount(host, dn string) *fsim.HostMount {
-	return m.mounts[host].get(dn)
-}
+func (m *Manager) mount(host, dn string) *fsim.HostMount { return m.hostMounts(host)[dn] }
 
 // Mount exposes the mount table entry for tests and tooling.
 func (m *Manager) Mount(host, dn string) *fsim.HostMount { return m.mount(host, dn) }
@@ -201,48 +198,50 @@ func (m *Manager) BlockRemoved(dn string, blockPath string) {
 	m.enqueueRefresh(dn, blockPath)
 }
 
+// refreshOp is one queued dentry refresh.
+type refreshOp struct {
+	mount *fsim.HostMount
+	path  string
+}
+
 // enqueueRefresh queues one dentry refresh on the datanode's host, batched
-// per mount-table shard: the first op of a burst posts the daemon-thread
-// task, later ops ride the same wakeup. Every op pays refreshCycles — the
-// batching removes scheduling round trips, not modeled work.
+// per host: the first op of a burst posts the server-thread task, later ops
+// ride the same wakeup. Every op pays refreshCycles — the batching removes
+// scheduling round trips, not modeled work.
 func (m *Manager) enqueueRefresh(dn string, blockPath string) {
 	host, ok := m.fabric().HostOf(dn)
 	if !ok {
 		return
 	}
-	tab := m.mounts[host]
-	mount := tab.get(dn)
+	mount := m.mount(host, dn)
 	if mount == nil {
 		return
 	}
 	m.refreshes++
-	sh := tab.shard(dn)
-	sh.pending = append(sh.pending, refreshOp{mount: mount, path: blockPath})
-	if sh.scheduled {
+	s := m.servers[host]
+	s.pending = append(s.pending, refreshOp{mount: mount, path: blockPath})
+	if s.scheduled {
 		return
 	}
-	sh.scheduled = true
-	srv := m.servers[host]
-	srv.thread.Post(refreshCycles, metrics.TagOthers, func() {
-		m.drainRefreshes(srv, sh)
-	})
+	s.scheduled = true
+	s.thread.Post(refreshCycles, metrics.TagOthers, s.drainRefreshes)
 }
 
-// drainRefreshes runs one shard's queued refresh batch. The scheduling Post
+// drainRefreshes runs the host's queued refresh batch. The scheduling Post
 // charged the first op's cycles; a batch of K ops charges the remaining
 // (K-1)·refreshCycles in one more slice on the same thread before the
 // refreshes apply — same total cycles as unbatched, one wakeup.
-func (m *Manager) drainRefreshes(srv *hostServer, sh *mountShard) {
-	ops := sh.pending
-	sh.pending = nil
-	sh.scheduled = false
+func (s *hostServer) drainRefreshes() {
+	ops := s.pending
+	s.pending = nil
+	s.scheduled = false
 	run := func() {
 		for _, op := range ops {
 			op.mount.RefreshPath(op.path)
 		}
 	}
 	if extra := int64(len(ops)-1) * refreshCycles; extra > 0 {
-		srv.thread.Post(extra, metrics.TagOthers, run)
+		s.thread.Post(extra, metrics.TagOthers, run)
 		return
 	}
 	run()
@@ -307,12 +306,18 @@ func (m *Manager) PendingRemoteReads() int { return len(m.pending) }
 // invalidateMounts empties every mount's dentry cache on a host — the
 // metadata a daemon crash loses. Reads and opens on the host miss (vanilla
 // fallback) until vRead_update refreshes paths or ResyncHost remounts.
+// Visit order does not matter: each mount's change is its own.
 func (m *Manager) invalidateMounts(host string) {
-	m.mounts[host].each(func(mnt *fsim.HostMount) { mnt.Invalidate() })
+	for _, mnt := range m.hostMounts(host) {
+		mnt.Invalidate()
+	}
 }
 
 // ResyncHost re-snapshots every mount on a host — the full remount a
 // restarted daemon performs to recover from invalidated metadata.
+// Visit order does not matter, as in invalidateMounts.
 func (m *Manager) ResyncHost(host string) {
-	m.mounts[host].each(func(mnt *fsim.HostMount) { mnt.RefreshAll() })
+	for _, mnt := range m.hostMounts(host) {
+		mnt.RefreshAll()
+	}
 }

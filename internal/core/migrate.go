@@ -66,7 +66,7 @@ func (m *Manager) RingSnapshot(p *sim.Proc, vm string) (*RingSnapshot, error) {
 			break
 		}
 		r.pending = append(r.pending, req)
-		d.emit(req.tr, evQuiesceHold, 1)
+		emit(req.tr, &d.stats.QuiesceHolds, "ring-quiesce-hold", 1)
 	}
 	for d.busy {
 		d.idle.Wait(p)

@@ -6,7 +6,6 @@ import (
 	"vread/internal/cluster"
 	"vread/internal/cpusched"
 	"vread/internal/data"
-	"vread/internal/faults"
 	"vread/internal/fsim"
 	"vread/internal/metrics"
 	"vread/internal/netsim"
@@ -53,24 +52,29 @@ type chunkMsg struct {
 
 // hostServer is the per-host daemon endpoint serving requests from peers:
 // the remote half of Figures 7/8 (the "vRead-daemon" bar on the datanode
-// side).
+// side). It also owns the host's datanode-ID → mount-point hash (§3.2),
+// which every daemon on the host reads through, and the host's batch of
+// queued dentry refreshes.
 type hostServer struct {
-	mgr    *Manager
-	host   *cluster.Host
-	thread *cpusched.Thread
-	reqs   *sim.Queue[remoteReq]
-	hr     *hostReader
+	mgr       *Manager
+	host      *cluster.Host
+	thread    *cpusched.Thread
+	reqs      *sim.Queue[remoteReq]
+	hr        *hostReader
+	mounts    map[string]*fsim.HostMount
+	pending   []refreshOp // refreshes waiting for the scheduled drain
+	scheduled bool
 }
 
 func newHostServer(mgr *Manager, host *cluster.Host) *hostServer {
-	thread := host.CPU.NewThread("vread-server:"+host.Name, DaemonEntity(host.Name))
 	s := &hostServer{
 		mgr:    mgr,
 		host:   host,
-		thread: thread,
+		thread: host.CPU.NewThread("vread-server:"+host.Name, DaemonEntity(host.Name)),
 		reqs:   sim.NewQueue[remoteReq](mgr.env, 0),
-		hr:     newHostReader(mgr.cfg, host, thread),
+		mounts: make(map[string]*fsim.HostMount),
 	}
+	s.hr = newHostReader(s, s.thread)
 	mgr.env.Go("vread-server:"+host.Name, s.loop)
 	return s
 }
@@ -94,11 +98,9 @@ func (s *hostServer) handleOpen(p *sim.Proc, req remoteReq) {
 	sp := req.tr.Begin(trace.LayerRemote, "serve-open")
 	s.thread.RunT(p, openCycles, metrics.TagOthers, req.tr)
 	reply := remoteChunk{reqID: req.reqID}
-	if m := s.mgr.mount(s.host.Name, req.dn); m != nil {
-		if e, ok := m.Lookup(req.path); ok {
-			reply.openOK = true
-			reply.size = e.Size
-		}
+	if f, ok := s.hr.lookup(req.dn, req.path); ok {
+		reply.openOK = true
+		reply.size = f.size
 	}
 	req.tr.EndSpan(sp, 0)
 	s.send(p, req.tr, req.fromHost, data.Slice{C: data.Zero(0)}, reply)
@@ -108,43 +110,26 @@ func (s *hostServer) handleOpen(p *sim.Proc, req remoteReq) {
 // cache + disk) and actively pushes chunks to the requesting host — the
 // paper's "active model for RDMA data exchange on the datanode side".
 func (s *hostServer) handleRead(p *sim.Proc, req remoteReq) {
-	m := s.mgr.mount(s.host.Name, req.dn)
-	if m == nil {
-		s.send(p, req.tr, req.fromHost, data.Slice{C: data.Zero(0)}, remoteChunk{reqID: req.reqID, err: true})
-		return
-	}
-	e, ok := m.Lookup(req.path)
+	f, ok := s.hr.lookup(req.dn, req.path)
 	if !ok {
 		s.send(p, req.tr, req.fromHost, data.Slice{C: data.Zero(0)}, remoteChunk{reqID: req.reqID, err: true})
 		return
 	}
 	sp := req.tr.Begin(trace.LayerRemote, "serve-read")
-	dnVM := s.mgr.cl.VM(req.dn)
-	obj := dnVM.HostCacheObject(e.Node.Ino())
-	cfg := s.mgr.cfg
 	for off := req.off; off < req.off+req.n; {
 		chunk := req.off + req.n - off
 		if chunk > remoteChunkBytes {
 			chunk = remoteChunkBytes
 		}
-		s.hr.read(p, req.tr, obj, e.Size, off, chunk)
-		payload, err := m.ReadAt(req.path, off, chunk)
-		if err == nil && cfg.Faults.Should(faults.DiskReadError) {
-			req.tr.Event(trace.LayerRemote, "fault:disk-error", 0)
-			err = fsim.ErrStale
-		}
+		// A torn chunk arrives short: the receiving daemon's contiguity
+		// check catches the gap at the next chunk (or its window timeout,
+		// if this was the last) and re-requests from the end of the
+		// delivered prefix.
+		payload, _, err := s.hr.readChunk(p, req.tr, s.mgr.cfg.Faults, trace.LayerRemote, f, off, chunk)
 		if err != nil {
 			req.tr.EndSpan(sp, off-req.off)
 			s.send(p, req.tr, req.fromHost, data.Slice{C: data.Zero(0)}, remoteChunk{reqID: req.reqID, err: true})
 			return
-		}
-		if chunk > 1 && cfg.Faults.Should(faults.DiskReadTorn) {
-			// Torn read: the chunk arrives short. The receiving daemon's
-			// contiguity check catches the gap at the next chunk (or its
-			// window timeout, if this was the last) and re-requests from
-			// the end of the delivered prefix.
-			req.tr.Event(trace.LayerRemote, "fault:disk-torn", 0)
-			payload = payload.Sub(0, chunk/2)
 		}
 		s.send(p, req.tr, req.fromHost, payload, remoteChunk{reqID: req.reqID, off: off})
 		off += chunk
@@ -250,16 +235,8 @@ func (m *Manager) onTCPFrame(host string) netsim.HostHandler {
 
 // remoteOpen sends an open probe to the peer host and waits for the reply.
 func (m *Manager) remoteOpen(p *sim.Proc, d *Daemon, dnHost string, req ringReq) openResult {
-	m.nextReq++
-	id := m.nextReq
-	pend := sim.NewQueue[chunkMsg](m.env, 0)
-	m.pending[id] = pend
-	defer delete(m.pending, id)
-	m.sendFrame(p, d.host.Name, d.thread, dnHost, netsim.Frame{
-		Payload: data.NewSlice(data.Zero(64)),
-		Meta:    remoteReq{reqID: id, fromHost: d.host.Name, dn: req.dn, path: req.path, open: true, tr: req.tr},
-		Trace:   req.tr,
-	})
+	id, pend := m.remoteRequest(p, d, dnHost, remoteReq{dn: req.dn, path: req.path, open: true, tr: req.tr})
+	defer m.finishRemote(id)
 	msg, ok := pend.GetTimeout(p, openTimeout)
 	if !ok {
 		// No reply at all: treat the transport as suspect so subsequent
@@ -273,26 +250,21 @@ func (m *Manager) remoteOpen(p *sim.Proc, d *Daemon, dnHost string, req ringReq)
 	return openResult{ok: msg.openOK, size: msg.size}
 }
 
-// remoteRead sends a read request for one window and returns the queue its
-// chunks will arrive on. The caller must call finishRemote when done.
-func (m *Manager) remoteRead(p *sim.Proc, tr *trace.Trace, d *Daemon, dnHost, dn, path string, off, n int64) *sim.Queue[chunkMsg] {
+// remoteRequest sends req from d's host to the peer host's server under a
+// fresh request id, and returns the id and the queue its replies arrive on.
+// The caller must call finishRemote with the id when done.
+func (m *Manager) remoteRequest(p *sim.Proc, d *Daemon, dnHost string, req remoteReq) (int64, *sim.Queue[chunkMsg]) {
 	m.nextReq++
-	id := m.nextReq
+	req.reqID, req.fromHost = m.nextReq, d.host.Name
 	pend := sim.NewQueue[chunkMsg](m.env, 0)
-	m.pending[id] = pend
-	m.pendingIDs[pend] = id
+	m.pending[req.reqID] = pend
 	m.sendFrame(p, d.host.Name, d.thread, dnHost, netsim.Frame{
 		Payload: data.NewSlice(data.Zero(64)),
-		Meta:    remoteReq{reqID: id, fromHost: d.host.Name, dn: dn, path: path, off: off, n: n, tr: tr},
-		Trace:   tr,
+		Meta:    req,
+		Trace:   req.tr,
 	})
-	return pend
+	return req.reqID, pend
 }
 
-// finishRemote retires a pending remote read.
-func (m *Manager) finishRemote(q *sim.Queue[chunkMsg]) {
-	if id, ok := m.pendingIDs[q]; ok {
-		delete(m.pending, id)
-		delete(m.pendingIDs, q)
-	}
-}
+// finishRemote retires a pending remote request.
+func (m *Manager) finishRemote(id int64) { delete(m.pending, id) }

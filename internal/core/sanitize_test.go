@@ -95,16 +95,3 @@ func TestRotateKeyAdvancesEpoch(t *testing.T) {
 		t.Fatal("rotated key does not match mint for the new epoch")
 	}
 }
-
-// dnShard must map any input — including hostile junk — to a valid index at
-// every shard count the config admits.
-func TestDNShardInRange(t *testing.T) {
-	inputs := []string{"", "dn1", "storm", strings.Repeat("x", maxRingNameBytes+1), "\x00\xff"}
-	for _, k := range []int{1, 2, 8, 13} {
-		for _, in := range inputs {
-			if got := dnShard(in, k); got < 0 || got >= k {
-				t.Fatalf("dnShard(%q, %d) = %d out of range", in, k, got)
-			}
-		}
-	}
-}

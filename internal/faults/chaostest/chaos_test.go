@@ -32,14 +32,12 @@ var smokePlans = []struct {
 var smokeSeeds = []int64{1, 7, 42}
 
 // failureRecord is what the CI artifact carries for a red chaos run: the
-// harness, plan spec, seed and mount-table shard count replay the failure
-// exactly.
+// harness, plan spec and seed replay the failure exactly.
 type failureRecord struct {
 	Harness    string   `json:"harness"`
 	Seed       int64    `json:"seed"`
 	Plan       string   `json:"plan"`
 	Spec       string   `json:"spec"`
-	Shards     int      `json:"shards,omitempty"`
 	Violations []string `json:"violations"`
 }
 
@@ -49,10 +47,10 @@ var failures []failureRecord
 var update = flag.Bool("update", false, "rewrite "+goldenPath+" from the current code")
 
 // goldenPath pins the outcome of every storm the tests run, one line per
-// run: its identity (harness, plan, seed, shard count), then fingerprint,
-// OKs, typed errors, open misses and any runner-specific tally. The replay
-// tests only compare a run with itself; the golden catches a change to a
-// storm across commits. After a deliberate change to a storm, refresh it with
+// run: its identity (harness, plan, seed), then fingerprint, OKs, typed
+// errors, open misses and any runner-specific tally. The replay tests only
+// compare a run with itself; the golden catches a change to a storm across
+// commits. After a deliberate change to a storm, refresh it with
 //
 //	go test ./internal/faults/chaostest -update
 //
@@ -70,9 +68,6 @@ var golden, outcomes = map[string]string{}, map[string]string{}
 func checkRun(t *testing.T, rec failureRecord, res Result, extra string) {
 	t.Helper()
 	key := fmt.Sprintf("%-10s %-16s seed=%-4d", rec.Harness, rec.Plan, rec.Seed)
-	if rec.Shards > 0 {
-		key += fmt.Sprintf(" K=%d", rec.Shards)
-	}
 	got := fmt.Sprintf("fp=%016x oks=%d typed=%d misses=%d%s", res.Fingerprint, res.OKs, res.TypedErrors, res.OpenMisses, extra)
 	outcomes[key] = got
 	if want := golden[key]; !*update && got != want {

@@ -32,10 +32,6 @@ type HostileOptions struct {
 	Seed      int64
 	Spec      faults.Spec
 	Transport core.Transport
-	// Shards is the mount-table shard count K; the suite runs every storm at
-	// K=1 and K>1 and asserts byte-identical fingerprints (the fold and
-	// everything behind it must be shard-count-agnostic).
-	Shards int
 	// Victims is how many well-behaved client VMs read alongside the hostile
 	// one (default 2).
 	Victims int
@@ -49,7 +45,6 @@ type HostileOptions struct {
 }
 
 func (o HostileOptions) withDefaults() HostileOptions {
-	o.Shards = cmp.Or(o.Shards, 1)
 	o.Victims = cmp.Or(o.Victims, 2)
 	o.Files = cmp.Or(o.Files, 3)
 	o.FileSize = cmp.Or(o.FileSize, 1<<20)
@@ -100,7 +95,6 @@ func RunHostile(o HostileOptions) HostileResult {
 	}
 	mgr, writer, libs := s.twoHosts(clients, core.Config{
 		Transport:           o.Transport,
-		MountTableShards:    o.Shards,
 		RingRevokeThreshold: o.RevokeThreshold,
 	})
 	// The isolation lever: the guest plan owns exactly the hostile VM's ring

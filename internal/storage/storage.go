@@ -106,8 +106,12 @@ func (d *Disk) ReadAsyncT(tr *trace.Trace, n int64, onDone func()) {
 	d.stats.BytesRead += n
 }
 
-// WriteAsync submits a write of n bytes; onDone fires on completion.
+// WriteAsync submits a write of n bytes; onDone, if not nil, fires on
+// completion.
 func (d *Disk) WriteAsync(n int64, onDone func()) {
+	if onDone == nil {
+		onDone = noop
+	}
 	d.submit(n, writeLatency, d.cfg.WriteBandwidth, onDone)
 	d.stats.Writes++
 	d.stats.BytesWritten += n
@@ -140,12 +144,11 @@ func (d *Disk) submit(n int64, lat time.Duration, bw int64, onDone func()) {
 	transfer := time.Duration(float64(n) / float64(bw) * float64(time.Second))
 	finish := start + lat + transfer
 	d.busyUntil = finish
-	d.env.Schedule(finish-d.env.Now(), func() {
-		if onDone != nil {
-			onDone()
-		}
-	})
+	d.env.Schedule(finish-d.env.Now(), onDone)
 }
+
+// noop is the completion of a write nobody waits for.
+func noop() {}
 
 // ---------------------------------------------------------------------------
 // Page cache.

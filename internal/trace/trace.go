@@ -18,8 +18,7 @@
 // A trace's cycle charges annotate one request for the exports; they are
 // not a ledger. Aggregate cycle counts, the Figure 6–8 bars among them, live
 // only in metrics.Registry, which cpusched charges at the same point. The
-// span stream is reduced to per-stage latency percentiles (reduce.go), and
-// core.DaemonStats to totals through a Counter (below).
+// span stream is reduced to per-stage latency percentiles (reduce.go).
 package trace
 
 import (
@@ -297,35 +296,3 @@ func (tc *Tracer) Collector() *Collector {
 	}
 	return tc.col
 }
-
-// ---------------------------------------------------------------------------
-// Counter: an always-on event reducer.
-//
-// Components that need running totals regardless of sampling (DaemonStats)
-// feed their events through a Counter as well as the request trace; the
-// stats struct is then *derived* from the reduced stream instead of being
-// maintained as parallel bookkeeping.
-
-// Counter reduces a named event stream to totals. Names keep first-seen
-// order for deterministic iteration.
-type Counter struct {
-	names []string
-	vals  map[string]int64
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{vals: make(map[string]int64)} }
-
-// Add accumulates delta under name.
-func (c *Counter) Add(name string, delta int64) {
-	if _, ok := c.vals[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.vals[name] += delta
-}
-
-// Get returns the total for name (0 when never seen).
-func (c *Counter) Get(name string) int64 { return c.vals[name] }
-
-// Names returns the event names in first-seen order.
-func (c *Counter) Names() []string { return c.names }

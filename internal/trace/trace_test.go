@@ -250,23 +250,6 @@ func TestStagesPercentiles(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("open", 1)
-	c.Add("bytes-local", 4096)
-	c.Add("open", 2)
-	if c.Get("open") != 3 || c.Get("bytes-local") != 4096 {
-		t.Fatalf("counter = %v %v", c.Get("open"), c.Get("bytes-local"))
-	}
-	if c.Get("never") != 0 {
-		t.Fatal("unseen name nonzero")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "open" || names[1] != "bytes-local" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestUsecFormatting(t *testing.T) {
 	for _, tc := range []struct {
 		ns   int64
