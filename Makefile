@@ -59,14 +59,18 @@ chaos-smoke:
 # rules must be in range and round-trip), the HDFS wire headers, the data
 # pattern windows (against the per-byte formula), data.Equal (against
 # bytes.Equal, on its identity path and across its 512-byte chunk edges),
-# sim.Queue's ring (against a plain-slice FIFO at capacities 0, 1 and 3) and
-# storage.Readahead (reads, drops and engine steps against its window
-# invariants). Seeds are the f.Add calls plus testdata/fuzz/<target>; a
-# crasher is written there too and fails the target.
+# sim.Queue's ring (against a plain-slice FIFO at capacities 0, 1 and 3),
+# the event engine's heap and ready lane (firing order against a reference
+# sort by time and schedule order, across cancels, deadlines, Stop and the
+# idle hook) and storage.Readahead (reads, drops and engine steps against
+# its window invariants). Seeds are the f.Add calls plus
+# testdata/fuzz/<target>; a crasher is written there too and fails the
+# target.
 FUZZ_TARGETS := ./internal/faults:FuzzParseSpec ./internal/experiments:FuzzParseOptions \
 	./internal/hdfs:FuzzWriteReqRoundTrip ./internal/hdfs:FuzzReadReqRoundTrip \
 	./internal/data:FuzzPatternWindowConsistency ./internal/data:FuzzConcatSplit \
-	./internal/data:FuzzEqual ./internal/sim:FuzzQueue ./internal/storage:FuzzReadahead
+	./internal/data:FuzzEqual ./internal/sim:FuzzQueue ./internal/sim:FuzzEventOrder \
+	./internal/storage:FuzzReadahead
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -127,6 +127,7 @@ type Thread struct {
 	cpu      *CPU
 	name     string
 	entity   string
+	acct     *metrics.Account // entity's ledger, resolved once at NewThread
 	state    ThreadState
 	vruntime time.Duration
 	seq      uint64 // runqueue FIFO tiebreak
@@ -238,7 +239,7 @@ func (c *CPU) DurFor(cycles int64) time.Duration {
 // NewThread registers a thread. Entity names group metrics ("client",
 // "datanode", "vread-daemon"...).
 func (c *CPU) NewThread(name, entity string) *Thread {
-	return &Thread{cpu: c, name: name, entity: entity}
+	return &Thread{cpu: c, name: name, entity: entity, acct: c.reg.Account(entity)}
 }
 
 // Name returns the thread name.
@@ -581,7 +582,7 @@ func (c *CPU) consume(t *Thread, cycles int64) {
 		t.pending -= use
 		t.consumed += use
 		cycles -= use
-		c.reg.AddCycles(t.entity, it.tag, use)
+		t.acct.Add(it.tag, use)
 		it.tr.AddCycles(t.entity, it.tag, use) // nil-safe
 		if it.remaining == 0 {
 			onDone := it.onDone

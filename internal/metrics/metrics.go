@@ -32,41 +32,99 @@ const (
 // Registry accumulates cycle counts. It is the simulator's only aggregate
 // cycle ledger: a request trace's charges are per-request annotations of
 // the same cycles. The zero value is not usable; call NewRegistry.
+//
+// Each entity's cycles live in one Account. A charging hot path (a
+// cpusched thread) resolves its Account once and charges it by tag, so a
+// charge hashes no string; the string-keyed methods below look the account
+// up per call and serve readers and cold paths.
 type Registry struct {
-	cycles map[string]map[string]int64 // entity -> tag -> cycles
-	marks  map[string]int64            // snapshot support: key "entity\x00tag"
-	start  time.Duration               // window start for utilization reports
+	accounts map[string]*Account
+	start    time.Duration // window start for utilization reports
+}
+
+// Account is one entity's cycle ledger: a (tag, cycles, mark) cell per tag
+// in first-charge order. An entity charges a handful of tags, so a linear
+// scan behind a last-hit check beats hashing the tag.
+type Account struct {
+	entity string
+	cells  []cell
+	// last is the cell the previous Add hit. It always points into the
+	// current cells array: Add resets it after every append.
+	last *cell
+}
+
+type cell struct {
+	tag    string
+	cycles int64
+	mark   int64 // cycles at the last MarkWindow
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		cycles: make(map[string]map[string]int64),
-		marks:  make(map[string]int64),
+	return &Registry{accounts: make(map[string]*Account)}
+}
+
+// Account returns entity's ledger, creating it on first use. An account
+// that has never been charged is not listed by Entities.
+func (r *Registry) Account(entity string) *Account {
+	a := r.accounts[entity]
+	if a == nil {
+		a = &Account{entity: entity}
+		r.accounts[entity] = a
 	}
+	return a
 }
 
 // AddCycles charges n cycles to (entity, tag). Negative n panics.
-func (r *Registry) AddCycles(entity, tag string, n int64) {
+func (r *Registry) AddCycles(entity, tag string, n int64) { r.Account(entity).Add(tag, n) }
+
+// Add charges n cycles to tag. Negative n panics.
+//
+//lint:hotpath
+func (a *Account) Add(tag string, n int64) {
 	if n < 0 {
-		panic(fmt.Sprintf("metrics: negative cycles %d for %s/%s", n, entity, tag))
+		panic(fmt.Sprintf("metrics: negative cycles %d for %s/%s", n, a.entity, tag))
 	}
-	m := r.cycles[entity]
-	if m == nil {
-		m = make(map[string]int64) //lint:allow hotalloc(first charge to an entity only, zero at steady state)
-		r.cycles[entity] = m
+	c := a.last
+	if c == nil || c.tag != tag {
+		if c = a.find(tag); c == nil {
+			a.cells = append(a.cells, cell{tag: tag}) //lint:allow hotalloc(first charge to a tag only, zero at steady state)
+			c = &a.cells[len(a.cells)-1]
+		}
+		a.last = c
 	}
-	m[tag] += n
+	c.cycles += n
+}
+
+// find returns the cell for tag, or nil when tag was never charged. A nil
+// account (an entity the registry has never seen) has no cells.
+func (a *Account) find(tag string) *cell {
+	if a == nil {
+		return nil
+	}
+	for i := range a.cells {
+		if a.cells[i].tag == tag {
+			return &a.cells[i]
+		}
+	}
+	return nil
 }
 
 // Cycles returns the cycles charged to (entity, tag) since creation.
-func (r *Registry) Cycles(entity, tag string) int64 { return r.cycles[entity][tag] }
+func (r *Registry) Cycles(entity, tag string) int64 {
+	if c := r.accounts[entity].find(tag); c != nil {
+		return c.cycles
+	}
+	return 0
+}
 
 // EntityCycles returns total cycles charged to an entity across all tags.
 func (r *Registry) EntityCycles(entity string) int64 {
 	var sum int64
-	for _, v := range r.cycles[entity] {
-		sum += v
+	if a := r.accounts[entity]; a != nil {
+		for _, c := range a.cells {
+			sum += c.cycles
+		}
 	}
 	return sum
 }
@@ -74,17 +132,19 @@ func (r *Registry) EntityCycles(entity string) int64 {
 // TotalCycles returns the grand total across all entities.
 func (r *Registry) TotalCycles() int64 {
 	var sum int64
-	for e := range r.cycles {
+	for e := range r.accounts {
 		sum += r.EntityCycles(e)
 	}
 	return sum
 }
 
-// Entities returns all entity names, sorted.
+// Entities returns the names of all entities charged at least once, sorted.
 func (r *Registry) Entities() []string {
-	out := make([]string, 0, len(r.cycles))
-	for e := range r.cycles {
-		out = append(out, e)
+	out := make([]string, 0, len(r.accounts))
+	for e, a := range r.accounts {
+		if len(a.cells) > 0 {
+			out = append(out, e)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -92,10 +152,13 @@ func (r *Registry) Entities() []string {
 
 // Tags returns the tags charged under entity, sorted.
 func (r *Registry) Tags(entity string) []string {
-	m := r.cycles[entity]
-	out := make([]string, 0, len(m))
-	for t := range m {
-		out = append(out, t)
+	a := r.accounts[entity]
+	if a == nil {
+		return []string{}
+	}
+	out := make([]string, 0, len(a.cells))
+	for _, c := range a.cells {
+		out = append(out, c.tag)
 	}
 	sort.Strings(out)
 	return out
@@ -103,25 +166,31 @@ func (r *Registry) Tags(entity string) []string {
 
 // MarkWindow records the current counters and time as the start of a
 // measurement window; Utilization and WindowCycles report relative to it.
+// A tag first charged after the mark reports all its cycles as in-window.
 func (r *Registry) MarkWindow(now time.Duration) {
 	r.start = now
-	for e, m := range r.cycles {
-		for t, v := range m {
-			r.marks[e+"\x00"+t] = v
+	for _, a := range r.accounts {
+		for i := range a.cells {
+			a.cells[i].mark = a.cells[i].cycles
 		}
 	}
 }
 
 // WindowCycles returns cycles charged to (entity, tag) since MarkWindow.
 func (r *Registry) WindowCycles(entity, tag string) int64 {
-	return r.cycles[entity][tag] - r.marks[entity+"\x00"+tag]
+	if c := r.accounts[entity].find(tag); c != nil {
+		return c.cycles - c.mark
+	}
+	return 0
 }
 
 // WindowEntityCycles returns cycles charged to entity since MarkWindow.
 func (r *Registry) WindowEntityCycles(entity string) int64 {
 	var sum int64
-	for t := range r.cycles[entity] {
-		sum += r.WindowCycles(entity, t)
+	if a := r.accounts[entity]; a != nil {
+		for _, c := range a.cells {
+			sum += c.cycles - c.mark
+		}
 	}
 	return sum
 }

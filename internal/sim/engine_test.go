@@ -9,16 +9,17 @@ import (
 )
 
 // TestScheduleZeroAlloc asserts the pooled event path: once the free list and
-// the heap's capacity have warmed up, a Schedule/fire cycle performs zero heap
-// allocations, for a short (1 µs), a mid (100 µs) and a long (5 ms) delay.
-// This is the engine fast-path contract hotalloc enforces statically. The
-// case names are kept stable so the subtests stay comparable across engine
-// changes.
+// the heap's and ready lane's capacity have warmed up, a Schedule/fire cycle
+// performs zero heap allocations, for a zero delay (the ready lane), a short
+// (1 µs), a mid (100 µs) and a long (5 ms) delay. This is the engine
+// fast-path contract hotalloc enforces statically. The case names are kept
+// stable so the subtests stay comparable across engine changes.
 func TestScheduleZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		delay time.Duration
 	}{
+		{"ready", 0},
 		{"heap", time.Microsecond},
 		{"L0", 100 * time.Microsecond},
 		{"L1", 5 * time.Millisecond},
