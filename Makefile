@@ -10,7 +10,7 @@
 GO ?= go
 RACE_PKGS := ./internal/sim ./internal/data ./internal/metrics ./internal/trace ./internal/par ./internal/sim/shard ./internal/netsim ./internal/experiments ./internal/workload ./internal/cluster ./internal/hdfs ./internal/faults ./internal/faults/chaostest
 
-.PHONY: tier1 fmt vet build lint test race bench-smoke chaos-smoke fuzz-smoke scale-smoke migrate-smoke examples-smoke
+.PHONY: tier1 fmt vet build lint lint-evidence test race bench-smoke chaos-smoke fuzz-smoke scale-smoke migrate-smoke examples-smoke
 
 tier1: fmt vet build lint test race
 
@@ -24,18 +24,25 @@ vet:
 build:
 	$(GO) build ./...
 
-# lint runs the simulator's ten invariant analyzers (determinism,
-# simdiscipline, tracecharge, hotalloc, lockorder, faultpoint, errdiscipline,
-# guesttaint, unitflow, lpowner) over the whole tree in one pass, the linter's
-# own implementation included. lockorder also reports sim.Mutex locks not
-# released on every path. The same run flags every stale //lint:allow (one
-# that suppresses nothing) as an unused-allow finding, prints findings as
-# file:line:col on stderr for editors and the CI problem matcher, and writes
-# them as stable, diffable JSON to lint-report.json for the CI artifact. The
-# exit status is the verdict; the report is written either way.
+# lint runs the simulator's seven invariant analyzers (determinism,
+# tracecharge, hotalloc, errdiscipline, guesttaint, unitflow, lpowner) over
+# the whole tree in one pass, the linter's own implementation included. The
+# same run flags every stale //lint:allow (one that suppresses nothing) as an
+# unused-allow finding, prints findings as file:line:col on stderr for
+# editors and the CI problem matcher, and writes them as stable, diffable
+# JSON to lint-report.json for the CI artifact. The exit status is the
+# verdict; the report is written either way.
 lint:
 	$(GO) build -o bin/vread-lint ./cmd/vread-lint
 	./bin/vread-lint -json lint-report.json ./...
+
+# lint-evidence proves internal/analysis/all/mutations.txt, the defects that
+# justify each analyzer: in a throwaway copy of the tree, every entry must
+# draw a finding from its analyzer while go test ./... still passes. The
+# working tree is never edited. A few minutes: the copy keeps its test
+# cache, so each mutation re-runs only the packages it reaches.
+lint-evidence:
+	$(GO) test ./internal/analysis/all -run '^TestMutationEvidence$$' -evidence -count=1 -timeout 30m -v
 
 test:
 	$(GO) test ./...

@@ -1,16 +1,16 @@
 // vread-lint is the multichecker for the simulator's invariant analyzers:
 //
-//	determinism    no wall clock, no unseeded math/rand, no map-order output
-//	simdiscipline  no raw goroutines/channels/sync/timers outside internal/sim
+//	determinism    no wall clock, unseeded math/rand, raw goroutines/channels/
+//	               sync/timers or map-order output outside the engine
 //	tracecharge    every span ended on all paths; no dropped trace contexts
 //	hotalloc       //lint:hotpath functions (and their callees) never allocate
-//	lockorder      sim.Mutex order is acyclic; no double-acquire; no leaked lock
-//	faultpoint     fault-point declarations, Eval sites, and tests agree
 //	errdiscipline  core errors are typed or %w-wrapped; compared with errors.Is
 //	guesttaint     guest-written ring values pass a //lint:sanitizer before sinks
 //	unitflow       cycles reach sim time only via //lint:converter helpers
 //	lpowner        LP state stays on its Env; cross-LP only via LP.Send/coordinator
 //
+// Each analyzer has a defect only it catches in
+// internal/analysis/all/mutations.txt (make lint-evidence proves them).
 // Every analyzer sees the whole loaded program at once. One run prints each
 // finding on stderr as file:line:col: analyzer: message (the form editors
 // jump to and the CI problem matcher reads), reports every //lint:allow that
@@ -19,7 +19,7 @@
 //
 //	vread-lint ./...                           # lint packages
 //	vread-lint -json lint-report.json ./...    # also write the JSON report
-//	vread-lint -run lockorder ./...            # subset of analyzers
+//	vread-lint -run hotalloc,unitflow ./...    # subset of analyzers
 //
 // The JSON report is versioned and byte-stable apart from its timing rows; it
 // is written whatever the verdict. Under -run, only allows naming the chosen

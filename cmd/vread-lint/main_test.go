@@ -11,17 +11,18 @@ import (
 	"testing"
 
 	"vread/internal/analysis"
+	"vread/internal/analysis/all"
 )
 
 // TestUnknownAnalyzerListingGolden pins the "have:" listing users see on a
-// typo: all ten analyzers, sorted, so the list is scannable and adding an
+// typo: all seven analyzers, sorted, so the list is scannable and adding an
 // analyzer shows up here as a deliberate golden change.
 func TestUnknownAnalyzerListingGolden(t *testing.T) {
 	_, err := selectAnalyzers("nope")
 	if err == nil {
 		t.Fatal("selectAnalyzers accepted an unknown name")
 	}
-	const golden = `unknown analyzer "nope" (have: determinism, errdiscipline, faultpoint, guesttaint, hotalloc, lockorder, lpowner, simdiscipline, tracecharge, unitflow)`
+	const golden = `unknown analyzer "nope" (have: determinism, errdiscipline, guesttaint, hotalloc, lpowner, tracecharge, unitflow)`
 	if err.Error() != golden {
 		t.Fatalf("listing drifted from golden:\ngot  %s\nwant %s", err, golden)
 	}
@@ -101,9 +102,9 @@ func TestRunWritesReport(t *testing.T) {
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatalf("report is not valid JSON: %v\n%s", err, raw)
 	}
-	if decoded.Version != analysis.ReportVersion || len(decoded.Diagnostics) != 0 || len(decoded.Timings) != 10 {
-		t.Fatalf("report = version %d, %d diagnostics, %d timing rows; want version %d, 0, 10",
-			decoded.Version, len(decoded.Diagnostics), len(decoded.Timings), analysis.ReportVersion)
+	if decoded.Version != analysis.ReportVersion || len(decoded.Diagnostics) != 0 || len(decoded.Timings) != len(all.Analyzers()) {
+		t.Fatalf("report = version %d, %d diagnostics, %d timing rows; want version %d, 0, %d",
+			decoded.Version, len(decoded.Diagnostics), len(decoded.Timings), analysis.ReportVersion, len(all.Analyzers()))
 	}
 }
 

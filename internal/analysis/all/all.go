@@ -1,16 +1,15 @@
-// Package all registers the complete vread-lint analyzer suite.
+// Package all registers the complete vread-lint analyzer suite. Every
+// analyzer in it has at least one entry in mutations.txt: a defect it flags
+// that go test ./... lets through.
 package all
 
 import (
 	"vread/internal/analysis"
 	"vread/internal/analysis/determinism"
 	"vread/internal/analysis/errdiscipline"
-	"vread/internal/analysis/faultpoint"
 	"vread/internal/analysis/guesttaint"
 	"vread/internal/analysis/hotalloc"
-	"vread/internal/analysis/lockorder"
 	"vread/internal/analysis/lpowner"
-	"vread/internal/analysis/simdiscipline"
 	"vread/internal/analysis/tracecharge"
 	"vread/internal/analysis/unitflow"
 )
@@ -20,11 +19,8 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
-		simdiscipline.Analyzer,
 		tracecharge.Analyzer,
 		hotalloc.Analyzer,
-		lockorder.Analyzer,
-		faultpoint.Analyzer,
 		errdiscipline.Analyzer,
 		guesttaint.Analyzer,
 		unitflow.Analyzer,

@@ -5,9 +5,10 @@
 // information.
 //
 // The suite exists because the simulator's core invariants — bit-reproducible
-// runs, all concurrency through sim.Proc, paired ring spinlocks, trace
-// contexts threaded through every layer — live in comments and code review
-// otherwise. Each analyzer turns one of those comments into a build break.
+// runs, all concurrency through sim.Proc, trace contexts threaded through
+// every layer — live in comments and code review otherwise, where go test
+// does not reach them. Each analyzer turns one of those comments into a
+// build break, and all/mutations.txt records a defect only it catches.
 package analysis
 
 import (

@@ -40,23 +40,17 @@ func TestPassIsTestFile(t *testing.T) {
 	}
 }
 
-// TestProgramPassIsTestFile covers the program-level lookups: positions in a
-// package's parse-only TestFiles and in external-test-package Files of any
-// program package must classify as test positions; ordinary package files
-// must not, whichever package they belong to.
+// TestProgramPassIsTestFile covers the program-level lookup: positions in
+// external-test-package Files of any program package must classify as test
+// positions; ordinary package files must not, whichever package they belong
+// to.
 func TestProgramPassIsTestFile(t *testing.T) {
 	fset := token.NewFileSet()
 	other := mustParse(t, fset, "a/other.go", "package foo\n")
 	regular := mustParse(t, fset, "b/regular.go", "package bar\n")
 	external := mustParse(t, fset, "b/external.go", "package bar_test\n")
-	arming := mustParse(t, fset, "b/arming.go", "package bar\n") // lives in TestFiles
 	pkgA := &Package{Path: "a", Fset: fset, Files: []*ast.File{other}}
-	pkgB := &Package{
-		Path:      "b",
-		Fset:      fset,
-		Files:     []*ast.File{regular, external},
-		TestFiles: []*ast.File{arming},
-	}
+	pkgB := &Package{Path: "b", Fset: fset, Files: []*ast.File{regular, external}}
 	pass := &Pass{Prog: NewProgram([]*Package{pkgA, pkgB})}
 
 	if pass.IsTestFile(other.Name.Pos()) {
@@ -67,8 +61,5 @@ func TestProgramPassIsTestFile(t *testing.T) {
 	}
 	if !pass.IsTestFile(external.Name.Pos()) {
 		t.Errorf("external.go (package bar_test) not classified as a test file")
-	}
-	if !pass.IsTestFile(arming.Name.Pos()) {
-		t.Errorf("TestFiles member not classified as a test file")
 	}
 }

@@ -124,29 +124,18 @@ func (im *fixtureImporter) loadFixture(path string) (*analysis.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Mirror the real loader's split: *_test.go files become syntax-only
-	// TestFiles (the external _test package variant cannot type-check with
-	// the package proper anyway), everything else type-checks as the package.
-	var files, testFiles []string
+	// Mirror the real loader, which reads no *_test.go files.
+	var files []string
 	for _, e := range entries {
-		switch {
-		case e.IsDir() || !strings.HasSuffix(e.Name(), ".go"):
-		case strings.HasSuffix(e.Name(), "_test.go"):
-			testFiles = append(testFiles, filepath.Join(dir, e.Name()))
-		default:
-			files = append(files, filepath.Join(dir, e.Name()))
+		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			files = append(files, filepath.Join(dir, name))
 		}
 	}
 	sort.Strings(files)
-	sort.Strings(testFiles)
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no fixture files in %s", dir)
 	}
 	pkg, err := analysis.Check(im.fset, im, path, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	pkg.TestFiles, err = analysis.ParseOnly(im.fset, testFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +224,6 @@ func parseWants(t *testing.T, fset *token.FileSet, prog *analysis.Program) []*wa
 	var files []*ast.File
 	for _, pkg := range prog.Pkgs {
 		files = append(files, pkg.Files...)
-		files = append(files, pkg.TestFiles...)
 	}
 	var wants []*want
 	for _, f := range files {

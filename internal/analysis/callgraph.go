@@ -1,8 +1,8 @@
 package analysis
 
 // The interprocedural layer: a deterministic cross-package call graph over
-// one loaded Program, shared by the hotalloc, lockorder, and errdiscipline
-// analyzers (and available to any future one through Pass.Graph).
+// one loaded Program, shared by the interprocedural analyzers through
+// Pass.Graph.
 //
 // Construction is purely static and intentionally approximate, in the
 // conservative direction each client needs:
@@ -27,7 +27,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -53,19 +52,6 @@ type FuncNode struct {
 	Lit *ast.FuncLit
 	// Body is the function body; never nil for graph nodes.
 	Body *ast.BlockStmt
-}
-
-// Pos returns the node's declaration position.
-func (n *FuncNode) Pos() token.Pos {
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	return n.Lit.Pos()
-}
-
-// Edge is one caller→callee pair.
-type Edge struct {
-	Caller, Callee *FuncNode
 }
 
 // CallGraph is the program's static call graph.
@@ -101,36 +87,13 @@ func (g *CallGraph) NodeOf(fn *types.Func) *FuncNode {
 // Callees returns n's direct callees, sorted by name.
 func (g *CallGraph) Callees(n *FuncNode) []*FuncNode { return g.callees[n] }
 
-// Edges returns every edge sorted by (caller name, callee name).
-func (g *CallGraph) Edges() []Edge {
-	var out []Edge
-	for _, n := range g.Nodes {
-		for _, c := range g.callees[n] {
-			out = append(out, Edge{Caller: n, Callee: c})
-		}
-	}
-	return out
-}
-
-// EdgeList renders the sorted edge list one "caller -> callee" per line —
-// the canonical byte-comparable form the determinism test asserts on.
-func (g *CallGraph) EdgeList() string {
-	var b strings.Builder
-	for _, e := range g.Edges() {
-		b.WriteString(e.Caller.Name)
-		b.WriteString(" -> ")
-		b.WriteString(e.Callee.Name)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// ReachableFrom walks the graph breadth-first from the roots and returns the
-// BFS tree as a node→parent map (roots map to themselves). The map doubles
-// as the reachable set and, through PathFrom, as the deterministic
+// ReachableFrom walks the graph breadth-first from the roots, never entering
+// a callee that skip (when non-nil) rejects, and returns the BFS tree as a
+// node→parent map (roots map to themselves). The map doubles as the
+// reachable set and, through PathFrom, as the deterministic
 // shortest-call-chain witness for diagnostics. Traversal order is
 // deterministic: roots in argument order, callees in name order.
-func (g *CallGraph) ReachableFrom(roots ...*FuncNode) map[*FuncNode]*FuncNode {
+func (g *CallGraph) ReachableFrom(roots []*FuncNode, skip func(*FuncNode) bool) map[*FuncNode]*FuncNode {
 	parent := make(map[*FuncNode]*FuncNode)
 	var queue []*FuncNode
 	for _, r := range roots {
@@ -146,6 +109,9 @@ func (g *CallGraph) ReachableFrom(roots ...*FuncNode) map[*FuncNode]*FuncNode {
 		n := queue[0]
 		queue = queue[1:]
 		for _, c := range g.callees[n] {
+			if skip != nil && skip(c) {
+				continue
+			}
 			if _, ok := parent[c]; !ok {
 				parent[c] = n
 				queue = append(queue, c)
@@ -280,7 +246,6 @@ func (b *graphBuilder) addLiterals(pkg *Package, parent *FuncNode, body *ast.Blo
 		b.addLiterals(pkg, ln, lit.Body)
 		return false // nested literals handled by the recursive call
 	})
-	_ = ord
 }
 
 // collectValueRefs records functions whose value escapes into a variable,
@@ -371,7 +336,7 @@ func (b *graphBuilder) callEdges(caller *FuncNode, pkg *Package, call *ast.CallE
 			sig, _ := obj.Type().(*types.Signature)
 			if sig != nil && sig.Recv() != nil {
 				if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-					b.interfaceEdges(caller, pkg, fn, obj)
+					b.interfaceEdges(caller, obj)
 					return
 				}
 			}
@@ -398,7 +363,7 @@ func (b *graphBuilder) callEdges(caller *FuncNode, pkg *Package, call *ast.CallE
 
 // interfaceEdges fans an interface-method call out to every concrete method
 // in the program whose receiver implements the interface.
-func (b *graphBuilder) interfaceEdges(caller *FuncNode, pkg *Package, sel *ast.SelectorExpr, iface *types.Func) {
+func (b *graphBuilder) interfaceEdges(caller *FuncNode, iface *types.Func) {
 	recvT := iface.Type().(*types.Signature).Recv().Type()
 	it, ok := recvT.Underlying().(*types.Interface)
 	if !ok {
@@ -418,8 +383,6 @@ func (b *graphBuilder) interfaceEdges(caller *FuncNode, pkg *Package, sel *ast.S
 			b.edge(caller, m)
 		}
 	}
-	_ = sel
-	_ = pkg
 }
 
 // indirectEdges approximates a call through a function value: every

@@ -9,7 +9,8 @@ import (
 )
 
 // loadEdgeList loads the given real packages into a fresh Program and
-// renders its call graph's canonical edge list.
+// renders its call graph's edges one "caller -> callee" per line, in graph
+// order: nodes by name, then each node's callees by name.
 func loadEdgeList(t *testing.T, patterns ...string) string {
 	t.Helper()
 	wd, err := os.Getwd()
@@ -20,13 +21,20 @@ func loadEdgeList(t *testing.T, patterns ...string) string {
 	if err != nil {
 		t.Fatalf("Load(%v): %v", patterns, err)
 	}
-	return analysis.NewProgram(pkgs).Graph().EdgeList()
+	g := analysis.NewProgram(pkgs).Graph()
+	var b strings.Builder
+	for _, n := range g.Nodes {
+		for _, c := range g.Callees(n) {
+			b.WriteString(n.Name + " -> " + c.Name + "\n")
+		}
+	}
+	return b.String()
 }
 
 // TestCallGraphDeterministic asserts the property every program analyzer
 // leans on: building the call graph twice — two independent Loads, two
-// FileSets, two map-iteration schedules — yields byte-identical EdgeList
-// output. Any map-order leak in graph construction shows up here as a diff.
+// FileSets, two map-iteration schedules — yields byte-identical edge
+// lists. Any map-order leak in graph construction shows up here as a diff.
 func TestCallGraphDeterministic(t *testing.T) {
 	patterns := []string{"vread/internal/sim", "vread/internal/virtio", "vread/internal/netsim"}
 	first := loadEdgeList(t, patterns...)
@@ -35,7 +43,7 @@ func TestCallGraphDeterministic(t *testing.T) {
 		t.Fatalf("empty edge list for %v", patterns)
 	}
 	if first != second {
-		t.Errorf("EdgeList differs between two builds of the same packages:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+		t.Errorf("edge list differs between two builds of the same packages:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
 	// Spot-check shape: every line is "caller -> callee" and the list is
 	// sorted, which is what makes the bytes comparable at all.

@@ -293,7 +293,7 @@ func addLabel(labels []string, l string) []string {
 func (fa *funcAnalysis) transfer(stmt ast.Stmt, held []Held) (acq []Held, rel []interface{}) {
 	v := viewOf(held)
 	fa.scan(stmt, v)
-	rel = fa.sanitizerKillsStmt(stmt, v)
+	rel = fa.sanitizerKills(stmt, v)
 
 	assignTo := func(lhs ast.Expr, facts []Fact) {
 		key, ok := fa.keyOf(lhs)
@@ -752,26 +752,11 @@ func firstReal(facts []Fact) Fact {
 	return Fact{}
 }
 
-// sanitizerKillsStmt collects the laundering effect of every sanitizer call
-// in a statement: all facts on every argument's value are retired.
-func (fa *funcAnalysis) sanitizerKillsStmt(stmt ast.Stmt, v view) []interface{} {
+// sanitizerKills collects the laundering effect of every sanitizer call in a
+// statement or condition: all facts on every argument's value are retired.
+func (fa *funcAnalysis) sanitizerKills(n ast.Node, v view) []interface{} {
 	var out []interface{}
-	ast.Inspect(stmt, func(node ast.Node) bool {
-		if _, ok := node.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := node.(*ast.CallExpr); ok {
-			out = append(out, fa.killsOfCall(call, v)...)
-		}
-		return true
-	})
-	return out
-}
-
-// sanitizerKills is sanitizerKillsStmt for a bare condition expression.
-func (fa *funcAnalysis) sanitizerKills(e ast.Expr, v view) []interface{} {
-	var out []interface{}
-	ast.Inspect(e, func(node ast.Node) bool {
+	ast.Inspect(n, func(node ast.Node) bool {
 		if _, ok := node.(*ast.FuncLit); ok {
 			return false
 		}

@@ -1,12 +1,23 @@
-// Package determinism flags wall-clock reads, unseeded global math/rand use,
-// and map-iteration order escaping into emitted output — the three ways a
-// simulator run stops being bit-reproducible.
+// Package determinism keeps simulator runs bit-reproducible. Outside the
+// engine it rejects every way the host can leak into a run: wall-clock
+// reads, unseeded math/rand draws, real concurrency (go statements, bare
+// channels, sync and sync/atomic, real timers), and map iteration order
+// reaching emitted output.
 //
-// The invariant (internal/sim/sim.go): "No component of the simulator may
-// consult the wall clock." Virtual time comes from sim.Env.Now, randomness
-// from sim.Env.Rand (seeded per run), and every exporter iterates slices in
-// event order. The engine package itself is allowlisted: it owns the
-// time.Duration clock and the seeded rand.Rand everyone else must use.
+// The invariants (internal/sim/sim.go): no component of the simulator may
+// consult the wall clock, and at most one goroutine — the engine loop or
+// exactly one Proc — executes at a time, with the handoff owned by the
+// engine. Virtual time comes from sim.Env.Now, randomness from sim.Env.Rand
+// (seeded per run), concurrency from sim.Proc (Proc.Arm/Await for a wait on
+// one completion), sim.Queue, sim.Signal, sim.Mutex and Env.Schedule, and
+// every exporter iterates slices in event order.
+//
+// One table lists the forbidden APIs, each with the packages its rule
+// exempts. The engine alone owns the clock and the seeded source. Real
+// concurrency is also allowed in par, the fan-out shim that runs
+// independent experiment cells (each a whole, isolated Env) on OS threads,
+// and in sim/shard, the coordinator that advances whole Envs on par.Gang
+// workers.
 package determinism
 
 import (
@@ -20,95 +31,109 @@ import (
 // Analyzer is the determinism checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock reads, unseeded math/rand, and map-range order " +
-		"reaching emitted output (bit-reproducibility invariant)",
+	Doc: "forbid wall-clock reads, unseeded math/rand, real concurrency and " +
+		"map-range order reaching emitted output outside the engine " +
+		"(bit-reproducibility and one-runnable-Proc invariants)",
 	Run: run,
 }
 
-// allowedPkgs are engine internals that implement the virtual clock and the
-// seeded random source.
-var allowedPkgs = map[string]bool{
-	"vread/internal/sim": true,
+// rule is one way a run stops being reproducible, and the packages exempt
+// from it.
+type rule struct {
+	allow map[string]bool
+	// funcs limits an API rule to function references: a type mention like
+	// *rand.Rand is the seeded idiom.
+	funcs bool
+	msg   string // follows the offending API or construct in the finding
 }
 
-// wallClockFuncs are the time package functions that read the wall clock.
-// Timers and tickers are the simdiscipline analyzer's department.
-var wallClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-}
+var (
+	clockPkgs       = map[string]bool{"vread/internal/sim": true}
+	concurrencyPkgs = map[string]bool{
+		"vread/internal/sim":       true,
+		"vread/internal/sim/shard": true,
+		"vread/internal/par":       true,
+	}
 
-// seededCtors are the math/rand entry points that do not touch the global
-// source.
-var seededCtors = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-}
+	wallClock = &rule{allow: clockPkgs, msg: "consults the wall clock (determinism invariant); use sim.Env.Now for virtual time"}
+	osRand    = &rule{allow: clockPkgs, funcs: true, msg: "draws from a source no run seed controls (determinism invariant); use the per-run sim.Env.Rand"}
+	realConc  = &rule{allow: concurrencyPkgs, msg: "outside internal/sim is real concurrency that no seed reproduces (one-runnable-Proc invariant); use sim.Env.Go, sim.Queue, sim.Signal, sim.Mutex or Env.Schedule"}
+	mapOrder  = &rule{allow: clockPkgs, msg: "inside a map-range loop leaks map iteration order into emitted output (determinism invariant); iterate a sorted slice of keys instead"}
+)
 
-// outputMethods are method names whose call inside a map-range body means
-// iteration order reaches an encoder or writer.
-var outputMethods = map[string]bool{
-	"Encode": true, "Fprint": true, "Fprintf": true, "Fprintln": true,
-	"Print": true, "Printf": true, "Println": true,
+// forbidden is the forbidden-API table, keyed by import path (every name in
+// the package) or path.Name. A path.Name entry beats its package's entry,
+// and a nil one exempts the name.
+var forbidden = map[string]*rule{
+	"time.Now": wallClock, "time.Since": wallClock, "time.Until": wallClock, "time.Sleep": wallClock,
+
+	"math/rand": osRand, "math/rand.New": nil, "math/rand.NewSource": nil, "math/rand.NewZipf": nil,
+	"math/rand/v2": osRand,
+
+	"time.NewTimer": realConc, "time.NewTicker": realConc, "time.Tick": realConc,
+	"time.After": realConc, "time.AfterFunc": realConc,
+	"sync.Mutex": realConc, "sync.RWMutex": realConc, "sync.WaitGroup": realConc, "sync.Cond": realConc,
+	"sync.Map": realConc, "sync.Once": realConc, "sync.Locker": realConc, "sync.Pool": realConc,
+	"sync/atomic": realConc,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, pkg := range pass.Prog.Pkgs {
-		if allowedPkgs[pkg.Path] {
-			continue
-		}
 		for _, f := range pkg.Files {
-			if pass.IsTestFile(f.Pos()) {
-				continue
+			if !pass.IsTestFile(f.Pos()) {
+				checkFile(pass, pkg, f)
 			}
-			checkCalls(pass, pkg.TypesInfo, f)
-			checkMapRanges(pass, pkg.TypesInfo, f)
 		}
 	}
 	return nil
 }
 
-func checkCalls(pass *analysis.Pass, info *types.Info, f *ast.File) {
+func checkFile(pass *analysis.Pass, pkg *analysis.Package, f *ast.File) {
+	report := func(n ast.Node, what string, r *rule) {
+		if !r.allow[pkg.Path] {
+			pass.Reportf(n.Pos(), "%s %s", what, r.msg)
+		}
+	}
+	info := pkg.TypesInfo
 	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		path, name, ok := analysis.PkgFunc(info, sel)
-		if !ok {
-			return true
-		}
-		// Only function references draw from the clock or the global
-		// source; type mentions like *rand.Rand are the seeded idiom.
-		if _, isFunc := info.Uses[sel.Sel].(*types.Func); !isFunc {
-			return true
-		}
-		switch {
-		case path == "time" && wallClockFuncs[name]:
-			pass.Reportf(sel.Pos(), "time.%s consults the wall clock, violating the determinism invariant (sim.go: no component of the simulator may consult the wall clock); use sim.Env.Now for virtual time", name)
-		case path == "math/rand" && !seededCtors[name]:
-			pass.Reportf(sel.Pos(), "math/rand.%s draws from the global unseeded source, so runs stop being bit-reproducible (determinism invariant); use the per-run sim.Env.Rand", name)
-		case path == "math/rand/v2":
-			pass.Reportf(sel.Pos(), "math/rand/v2.%s is seeded from the OS, so runs stop being bit-reproducible (determinism invariant); use the per-run sim.Env.Rand", name)
+		switch v := n.(type) {
+		case *ast.GoStmt:
+			report(v, "raw go statement", realConc)
+		case *ast.SendStmt:
+			report(v, "bare channel send", realConc)
+		case *ast.CallExpr:
+			if fn, ok := ast.Unparen(v.Fun).(*ast.Ident); ok && fn.Name == "make" && len(v.Args) > 0 {
+				if _, isChan := v.Args[0].(*ast.ChanType); isChan {
+					report(v, "bare channel make", realConc)
+				}
+			}
+		case *ast.SelectorExpr:
+			path, name, ok := analysis.PkgFunc(info, v)
+			if !ok {
+				return true
+			}
+			r, named := forbidden[path+"."+name]
+			if !named {
+				r = forbidden[path]
+			}
+			if _, isFunc := info.Uses[v.Sel].(*types.Func); r != nil && (isFunc || !r.funcs) {
+				report(v, path+"."+name, r)
+			}
 		}
 		return true
 	})
+	if mapOrder.allow[pkg.Path] {
+		return
+	}
+	for _, fb := range analysis.FuncBodies(f) {
+		checkMapRanges(pass, info, fb)
+	}
 }
 
 // checkMapRanges flags map-range loops whose bodies feed emitted output:
 // either a direct write/encode call, or an append into a slice declared
-// outside the loop that is never subsequently sorted in the same function.
-func checkMapRanges(pass *analysis.Pass, info *types.Info, f *ast.File) {
-	for _, fb := range analysis.FuncBodies(f) {
-		checkBodyMapRanges(pass, info, fb)
-	}
-}
-
-func checkBodyMapRanges(pass *analysis.Pass, info *types.Info, fb analysis.FuncBody) {
-	type cand struct {
-		rng    *ast.RangeStmt
-		target *ast.Ident // the appended-to variable
-	}
-	var cands []cand
-
+// outside the loop that is never sorted in the same function.
+func checkMapRanges(pass *analysis.Pass, info *types.Info, fb analysis.FuncBody) {
 	var ranges []*ast.RangeStmt
 	ast.Inspect(fb.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok && lit != fb.Lit {
@@ -120,75 +145,72 @@ func checkBodyMapRanges(pass *analysis.Pass, info *types.Info, fb analysis.FuncB
 		return true
 	})
 
+	var appended []*ast.Ident // slices declared outside a loop, appended inside
 	for _, r := range ranges {
 		ast.Inspect(r.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
 			switch v := n.(type) {
+			case *ast.FuncLit:
+				return false
 			case *ast.CallExpr:
-				if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok {
-					if isOutputCall(info, sel) {
-						pass.Reportf(v.Pos(), "%s inside a map-range loop leaks map iteration order into emitted output, breaking byte-identical runs (determinism invariant); iterate a sorted slice of keys instead", callName(info, sel))
-					}
+				if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok && isOutputCall(sel) {
+					pass.Reportf(v.Pos(), "%s %s", callName(info, sel), mapOrder.msg)
 				}
 			case *ast.AssignStmt:
-				// v = append(v, ...) where v is declared outside the loop.
-				if len(v.Lhs) != 1 || len(v.Rhs) != 1 {
-					return true
+				if id := outerAppend(info, r, v); id != nil {
+					appended = append(appended, id)
 				}
-				lhs, ok := v.Lhs[0].(*ast.Ident)
-				if !ok {
-					return true
-				}
-				call, ok := v.Rhs[0].(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || fn.Name != "append" {
-					return true
-				}
-				obj := info.ObjectOf(lhs)
-				if obj == nil || obj.Pos() == 0 {
-					return true
-				}
-				if obj.Pos() >= r.Pos() && obj.Pos() <= r.End() {
-					return true // loop-local accumulator; harmless
-				}
-				cands = append(cands, cand{rng: r, target: lhs})
 			}
 			return true
 		})
 	}
-
-	for _, c := range cands {
-		if sortedAfter(info, fb, c.target) {
-			continue
+	for _, id := range appended {
+		if !sortedIn(info, fb, id) {
+			pass.Reportf(id.Pos(), "append to %q inside a map-range loop captures map iteration order, breaking byte-identical runs (determinism invariant); sort %q before it is used, or collect and sort the keys first", id.Name, id.Name)
 		}
-		pass.Reportf(c.target.Pos(), "append to %q inside a map-range loop captures map iteration order, breaking byte-identical runs (determinism invariant); sort %q before it is used, or collect and sort the keys first", c.target.Name, c.target.Name)
 	}
 }
 
-// sortedAfter reports whether the variable is passed to a sort/slices sort
+// outerAppend returns v in `v = append(v, ...)` when v is declared outside
+// the range loop r; a loop-local accumulator is harmless.
+func outerAppend(info *types.Info, r *ast.RangeStmt, as *ast.AssignStmt) *ast.Ident {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil
+	}
+	lhs, ok := as.Lhs[0].(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || fn.Name != "append" {
+		return nil
+	}
+	obj := info.ObjectOf(lhs)
+	if obj == nil || obj.Pos() == 0 || (obj.Pos() >= r.Pos() && obj.Pos() <= r.End()) {
+		return nil
+	}
+	return lhs
+}
+
+// sortedIn reports whether the variable is passed to a sort or slices sort
 // call anywhere in the function — the sanctioned collect-then-sort idiom.
-func sortedAfter(info *types.Info, fb analysis.FuncBody, target *ast.Ident) bool {
+func sortedIn(info *types.Info, fb analysis.FuncBody, target *ast.Ident) bool {
 	obj := info.ObjectOf(target)
 	found := false
 	ast.Inspect(fb.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if !ok || found {
 			return !found
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
-			return !found
+			return true
 		}
 		path, name, ok := analysis.PkgFunc(info, sel)
-		if !ok || (path != "sort" && path != "slices") {
-			return !found
-		}
-		if !strings.Contains(name, "Sort") && !isSortHelper(path, name) {
-			return !found
+		if !ok || !isSort(path, name) {
+			return true
 		}
 		for _, arg := range call.Args {
 			if id := analysis.RootIdent(arg); id != nil && info.ObjectOf(id) == obj {
@@ -200,21 +222,28 @@ func sortedAfter(info *types.Info, fb analysis.FuncBody, target *ast.Ident) bool
 	return found
 }
 
-func isSortHelper(path, name string) bool {
-	if path != "sort" {
-		return false
-	}
-	switch name {
-	case "Strings", "Ints", "Float64s", "Slice", "SliceStable", "Stable":
-		return true
+func isSort(path, name string) bool {
+	switch path {
+	case "slices":
+		return strings.Contains(name, "Sort")
+	case "sort":
+		switch name {
+		case "Strings", "Ints", "Float64s", "Slice", "SliceStable", "Stable", "Sort":
+			return true
+		}
 	}
 	return false
 }
 
-func isOutputCall(info *types.Info, sel *ast.SelectorExpr) bool {
+// isOutputCall reports a Write*/Encode/Fprint*/Print* call: iteration order
+// reaching an encoder or writer.
+func isOutputCall(sel *ast.SelectorExpr) bool {
 	name := sel.Sel.Name
-	if strings.HasPrefix(name, "Write") || outputMethods[name] {
-		// Package-level fmt.Fprint* / method Write*/Encode on anything.
+	if strings.HasPrefix(name, "Write") {
+		return true
+	}
+	switch name {
+	case "Encode", "Fprint", "Fprintf", "Fprintln", "Print", "Printf", "Println":
 		return true
 	}
 	return false

@@ -16,7 +16,7 @@ func Clocky() time.Duration {
 }
 
 func Roll() int {
-	return rand.Intn(6) // want `math/rand.Intn draws from the global unseeded source`
+	return rand.Intn(6) // want `math/rand.Intn draws from a source no run seed controls`
 }
 
 // Seeded uses the per-run source idiom: a *rand.Rand type mention and method

@@ -1,4 +1,4 @@
-// Package simfix exercises the sim-discipline analyzer: raw goroutines,
+// Package simfix exercises the determinism analyzer's concurrency rules: raw goroutines,
 // bare channels, sync primitives, and real timers outside the engine.
 package simfix
 
@@ -43,11 +43,11 @@ func FanOut(workers, n int, fn func(int)) {
 }
 
 func Timer() *time.Timer {
-	return time.NewTimer(time.Second) // want `time.NewTimer arms a real timer`
+	return time.NewTimer(time.Second) // want `time.NewTimer outside internal/sim is real concurrency`
 }
 
 // Allowed exercises the escape hatch: the directive suppresses the finding
 // on the next line.
 //
-//lint:allow simdiscipline(fixture exercises the escape hatch)
+//lint:allow determinism(fixture exercises the escape hatch)
 var registry sync.Map

@@ -1,5 +1,5 @@
-// Package shard stands in for the parallel coordinator: allowlisted like the
-// engine, because the epoch barrier runs whole Envs on real worker
+// Package shard stands in for the parallel coordinator: it may use real
+// concurrency like the engine, because the epoch barrier runs whole Envs on real worker
 // goroutines — channels and goroutines here draw no findings.
 package shard
 

@@ -7,7 +7,7 @@ import (
 )
 
 // The pairing walker: a conservative, branch-aware traversal that tracks
-// "resources" (held spinlocks, open trace spans) through a function body and
+// "resources" (open trace spans, dataflow facts) through a function body and
 // reports the ones still held at each exit. It is deliberately simpler than
 // a full CFG — the simulator's code style is straight-line with early error
 // returns, which this models exactly:
@@ -38,16 +38,6 @@ type FlowHooks struct {
 	// AtExit is invoked with the held resources at every return statement
 	// (ret non-nil) and at an implicit fall-off-the-end exit (ret nil).
 	AtExit func(ret *ast.ReturnStmt, held []Held)
-	// AtAcquire, when set, is invoked for every acquisition Classify returns,
-	// with the resources held at that moment (before the acquisition is
-	// applied). Unlike AtExit it also fires when the key is already held,
-	// which is how the lock-order analyzer sees double-acquires.
-	AtAcquire func(h Held, held []Held)
-	// Events and AtEvent, when both set, deliver analyzer-defined point
-	// events (function calls, closure definitions) together with the held
-	// set at that point. Events are not added to the held set.
-	Events  func(stmt ast.Stmt, isDefer bool) []Held
-	AtEvent func(ev Held, held []Held)
 	// ClassifyState is Classify with the current held set visible — the
 	// transfer-function form the dataflow layer needs, where what a
 	// statement generates depends on what its operands already carry.
@@ -169,15 +159,7 @@ func (w *flowWalker) classify(s ast.Stmt, isDefer bool, held *heldSet) {
 		}
 		held.remove(k)
 	}
-	if w.hooks.Events != nil && w.hooks.AtEvent != nil {
-		for _, ev := range w.hooks.Events(s, isDefer) {
-			w.hooks.AtEvent(ev, held.items())
-		}
-	}
 	for _, h := range acq {
-		if w.hooks.AtAcquire != nil {
-			w.hooks.AtAcquire(h, held.items())
-		}
 		if w.deferred[h.Key] {
 			continue // a defer already guarantees its release
 		}

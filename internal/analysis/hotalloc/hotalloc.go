@@ -84,30 +84,13 @@ func run(pass *analysis.Pass) error {
 		}
 		return ok
 	}
-	parent := map[*analysis.FuncNode]*analysis.FuncNode{}
-	var queue []*analysis.FuncNode
+	var roots []*analysis.FuncNode
 	for _, s := range seeds {
-		if cold(s) {
-			continue
-		}
-		if _, ok := parent[s]; !ok {
-			parent[s] = s
-			queue = append(queue, s)
+		if !cold(s) {
+			roots = append(roots, s)
 		}
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range g.Callees(n) {
-			if cold(c) {
-				continue
-			}
-			if _, ok := parent[c]; !ok {
-				parent[c] = n
-				queue = append(queue, c)
-			}
-		}
-	}
+	parent := g.ReachableFrom(roots, cold)
 
 	for _, n := range g.Nodes {
 		if _, hot := parent[n]; hot {

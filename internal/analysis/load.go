@@ -24,25 +24,17 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-	// TestFiles holds the package's test files — both the in-package
-	// (TestGoFiles) and external-package (XTestGoFiles) variants — parsed
-	// syntax-only. They are not type-checked (external test packages cannot
-	// be checked together with the package proper), so program analyzers that
-	// consult them (faultpoint's arming checks) work on the AST alone.
-	TestFiles []*ast.File
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	ImportPath   string
-	Dir          string
-	Standard     bool
-	DepOnly      bool
-	Export       string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Error        *struct{ Err string }
+	ImportPath string
+	Dir        string
+	Standard   bool
+	DepOnly    bool
+	Export     string
+	GoFiles    []string
+	Error      *struct{ Err string }
 }
 
 // Load enumerates the packages matching patterns with `go list -export
@@ -51,7 +43,7 @@ type listPkg struct {
 // their compiled export data, so loading needs no network and no
 // pre-installed tooling beyond the go command itself.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Standard,DepOnly,Export,GoFiles,TestGoFiles,XTestGoFiles,Error", "--"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Standard,DepOnly,Export,GoFiles,Error", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
@@ -92,27 +84,9 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		testNames := append(absJoin(t.Dir, t.TestGoFiles), absJoin(t.Dir, t.XTestGoFiles)...)
-		pkg.TestFiles, err = ParseOnly(fset, testNames)
-		if err != nil {
-			return nil, err
-		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// ParseOnly parses the named files without type-checking them.
-func ParseOnly(fset *token.FileSet, files []string) ([]*ast.File, error) {
-	var parsed []*ast.File
-	for _, name := range files {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		parsed = append(parsed, f)
-	}
-	return parsed, nil
 }
 
 // ExportImporter returns a types.Importer that resolves import paths through

@@ -44,7 +44,7 @@
 //     (the same-Env escape hatch).
 //
 // Reports carry the scheduling site of the root callback and the call-chain
-// witness, like lockorder and guesttaint. Precision notes: closure captures
+// witness, like guesttaint. Precision notes: closure captures
 // do not carry remote facts (a closure handed to LP.Send re-resolves its
 // peer on the destination Env, which is exactly the sanctioned pattern);
 // writes are detected through selector/index lvalues, not pointer
@@ -477,26 +477,8 @@ func lpContext(prog *analysis.Program, g *analysis.CallGraph, isExempt func(*ana
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].Name < roots[j].Name })
 
-	parent := make(map[*analysis.FuncNode]*analysis.FuncNode, len(roots))
-	queue := make([]*analysis.FuncNode, 0, len(roots))
-	for _, r := range roots {
-		parent[r] = r
-		queue = append(queue, r)
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range g.Callees(n) {
-			if isExempt(c) {
-				continue // boundaries and coordinator phases end LP context
-			}
-			if _, ok := parent[c]; !ok {
-				parent[c] = n
-				queue = append(queue, c)
-			}
-		}
-	}
-	return parent, rootSite
+	// Boundaries and coordinator phases end LP context.
+	return g.ReachableFrom(roots, isExempt), rootSite
 }
 
 // isRootCall reports whether call resolves to one of the rootAPIs entry

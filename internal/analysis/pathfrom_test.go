@@ -59,7 +59,7 @@ func TestPathFromInterfaceWitness(t *testing.T) {
 	if root == nil {
 		t.Fatal("no node for witfix.root")
 	}
-	tree := g.ReachableFrom(root)
+	tree := g.ReachableFrom([]*analysis.FuncNode{root}, nil)
 
 	for _, target := range []string{"(witfix.alpha).Handle", "(witfix.beta).Handle"} {
 		n := g.Lookup(target)
@@ -102,7 +102,7 @@ func TestPathFromClosureWitness(t *testing.T) {
 	if outer == nil || nested == nil {
 		t.Fatalf("closure nodes missing: outer=%v nested=%v", outer, nested)
 	}
-	tree := g.ReachableFrom(root)
+	tree := g.ReachableFrom([]*analysis.FuncNode{root}, nil)
 	path := analysis.PathFrom(tree, nested)
 	if path == nil {
 		t.Fatal("nested closure not reachable from root")
@@ -112,7 +112,7 @@ func TestPathFromClosureWitness(t *testing.T) {
 	}
 
 	// A node outside the tree yields a nil path, not a partial one.
-	if p := analysis.PathFrom(g.ReachableFrom(outer), root); p != nil {
+	if p := analysis.PathFrom(g.ReachableFrom([]*analysis.FuncNode{outer}, nil), root); p != nil {
 		t.Errorf("PathFrom returned %q for an unreachable node, want nil", analysis.PathString(p))
 	}
 }

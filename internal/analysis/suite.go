@@ -47,16 +47,6 @@ func (prog *Program) Graph() *CallGraph {
 	return prog.graph
 }
 
-// Package returns the loaded package with the given import path, or nil.
-func (prog *Program) Package(path string) *Package {
-	for _, p := range prog.Pkgs {
-		if p.Path == path {
-			return p
-		}
-	}
-	return nil
-}
-
 // Pass carries the whole program through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
@@ -86,21 +76,16 @@ func (p *Pass) UseAllow(pos token.Pos) {
 
 // IsTestFile reports whether pos lies in a test file of any program package.
 // The analyzers enforce invariants on simulator code only; tests may consult
-// the wall clock or spin goroutines to exercise the engine from outside. A
-// position counts as test code by its *_test.go filename, by landing in a
-// parsed TestFiles entry, or by landing in a type-checked file whose package
-// clause names an external test package (package foo_test) — fixture trees
-// and generated files don't always follow the filename convention.
+// the wall clock or spin goroutines to exercise the engine from outside. The
+// loader reads no *_test.go files, but a position still counts as test code
+// by that filename, or by landing in a file whose package clause names an
+// external test package (package foo_test) — fixture trees and generated
+// files don't always follow the filename convention.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	if strings.HasSuffix(p.Prog.Fset.Position(pos).Filename, "_test.go") {
 		return true
 	}
 	for _, pkg := range p.Prog.Pkgs {
-		for _, f := range pkg.TestFiles {
-			if f.FileStart <= pos && pos < f.FileEnd {
-				return true
-			}
-		}
 		for _, f := range pkg.Files {
 			if f.FileStart <= pos && pos < f.FileEnd {
 				return strings.HasSuffix(f.Name.Name, "_test")
@@ -113,7 +98,7 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 // RunSuite applies the analyzers to the program and returns the surviving
 // findings sorted by position, plus one wall-clock timing row per analyzer,
 // in suite order, for the versioned report. One merged suppression index
-// spans every file (sources and test files of every package); because it is
+// spans every file of every package; because it is
 // keyed by the file's full path as recorded in the FileSet, a //lint:allow in
 // pkg/a/util.go can never mask a finding in pkg/b/util.go. Every //lint:allow
 // naming one of the analyzers that suppressed nothing comes back as an
@@ -123,7 +108,6 @@ func RunSuite(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTim
 	var all []*ast.File
 	for _, pkg := range prog.Pkgs {
 		all = append(all, pkg.Files...)
-		all = append(all, pkg.TestFiles...)
 	}
 	sup, bad := buildSuppressions(prog.Fset, all)
 	diags := bad

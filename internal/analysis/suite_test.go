@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"vread/internal/analysis/analysistest"
-	"vread/internal/analysis/simdiscipline"
+	"vread/internal/analysis/determinism"
 )
 
 // TestSuppressionFullPath is the regression fixture for suppression keying:
@@ -16,7 +16,7 @@ import (
 // file has a package clause ending in _test but is not named *_test.go, and
 // its violation must not be reported at all.
 func TestSuppressionFullPath(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), simdiscipline.Analyzer,
+	analysistest.Run(t, analysistest.TestData(t), determinism.Analyzer,
 		"supa", "supb", "supc")
 }
 
@@ -25,5 +25,5 @@ func TestSuppressionFullPath(t *testing.T) {
 // analyzer (reported), and one allow for an analyzer that did not run
 // (skipped — its staleness cannot be judged).
 func TestUnusedAllow(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), simdiscipline.Analyzer, "allowfix")
+	analysistest.Run(t, analysistest.TestData(t), determinism.Analyzer, "allowfix")
 }

@@ -4,14 +4,14 @@
 // skipped rather than guessed about.
 package allowfix
 
-// Spawn still violates simdiscipline; its allow is used and draws nothing.
+// Spawn still violates determinism; its allow is used and draws nothing.
 func Spawn(f func()) {
-	go f() //lint:allow simdiscipline(fixture: the violation is the point)
+	go f() //lint:allow determinism(fixture: the violation is the point)
 }
 
 // Fixed no longer contains the violation its allow once suppressed.
 func Fixed(f func()) {
-	//lint:allow simdiscipline(fixture: stale, the go statement is gone) // want `stale suppression: no simdiscipline finding on this line anymore`
+	//lint:allow determinism(fixture: stale, the go statement is gone) // want `stale suppression: no determinism finding on this line anymore`
 	f()
 }
 

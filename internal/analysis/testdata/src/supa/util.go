@@ -5,5 +5,5 @@
 package supa
 
 func Spawn(f func()) {
-	go f() //lint:allow simdiscipline(fixture: proves suppression keys on full path)
+	go f() //lint:allow determinism(fixture: proves suppression keys on full path)
 }

@@ -10,8 +10,8 @@ import (
 
 // TestDFSIODeterministicReplay runs one DFSIO point twice with identical
 // options and asserts that the result CSV and both trace exports are
-// byte-identical — the bit-reproducibility invariant the determinism and
-// sim-discipline analyzers exist to protect.
+// byte-identical — the bit-reproducibility invariant the determinism
+// analyzer exists to protect.
 func TestDFSIODeterministicReplay(t *testing.T) {
 	run := func() (csv, chrome, spans string) {
 		t.Helper()

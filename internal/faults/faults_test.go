@@ -51,8 +51,6 @@ func TestPointsSortedGolden(t *testing.T) {
 // TestUnknownPointErrorListsSortedPoints pins the ParseSpec error shape: the
 // known-point listing is the sorted Points() joined with ", ".
 func TestUnknownPointErrorListsSortedPoints(t *testing.T) {
-	// Assembled at runtime so the faultpoint analyzer's spec-literal grammar
-	// check doesn't trip over a point that is deliberately unknown.
 	bogus := "bogus" + ".point"
 	_, err := ParseSpec(bogus)
 	if err == nil {
