@@ -24,8 +24,8 @@ vet:
 build:
 	$(GO) build ./...
 
-# lint runs the simulator's seven invariant analyzers (determinism,
-# tracecharge, hotalloc, errdiscipline, guesttaint, unitflow, lpowner) over
+# lint runs the simulator's six invariant analyzers (determinism,
+# tracecharge, hotalloc, errdiscipline, guesttaint, unitflow) over
 # the whole tree in one pass, the linter's own implementation included. The
 # same run flags every stale //lint:allow (one that suppresses nothing) as an
 # unused-allow finding, prints findings as file:line:col on stderr for
@@ -69,15 +69,16 @@ chaos-smoke:
 # sim.Queue's ring (against a plain-slice FIFO at capacities 0, 1 and 3),
 # the event engine's heap and ready lane (firing order against a reference
 # sort by time and schedule order, across cancels, deadlines, Stop and the
-# idle hook) and storage.Readahead (reads, drops and engine steps against
-# its window invariants). Seeds are the f.Add calls plus
+# idle hook), storage.Readahead (reads, drops and engine steps against
+# its window invariants) and vhost's check of a guest-written virtio-net tx
+# descriptor (payload length and destination). Seeds are the f.Add calls plus
 # testdata/fuzz/<target>; a crasher is written there too and fails the
 # target.
 FUZZ_TARGETS := ./internal/faults:FuzzParseSpec ./internal/experiments:FuzzParseOptions \
 	./internal/hdfs:FuzzWriteReqRoundTrip ./internal/hdfs:FuzzReadReqRoundTrip \
 	./internal/data:FuzzPatternWindowConsistency ./internal/data:FuzzConcatSplit \
 	./internal/data:FuzzEqual ./internal/sim:FuzzQueue ./internal/sim:FuzzEventOrder \
-	./internal/storage:FuzzReadahead
+	./internal/storage:FuzzReadahead ./internal/virtio:FuzzSanitizeFrame
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

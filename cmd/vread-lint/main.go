@@ -7,7 +7,6 @@
 //	errdiscipline  core errors are typed or %w-wrapped; compared with errors.Is
 //	guesttaint     guest-written ring values pass a //lint:sanitizer before sinks
 //	unitflow       cycles reach sim time only via //lint:converter helpers
-//	lpowner        LP state stays on its Env; cross-LP only via LP.Send/coordinator
 //
 // Each analyzer has a defect only it catches in
 // internal/analysis/all/mutations.txt (make lint-evidence proves them).

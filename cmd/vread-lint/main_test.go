@@ -22,7 +22,7 @@ func TestUnknownAnalyzerListingGolden(t *testing.T) {
 	if err == nil {
 		t.Fatal("selectAnalyzers accepted an unknown name")
 	}
-	const golden = `unknown analyzer "nope" (have: determinism, errdiscipline, guesttaint, hotalloc, lpowner, tracecharge, unitflow)`
+	const golden = `unknown analyzer "nope" (have: determinism, errdiscipline, guesttaint, hotalloc, tracecharge, unitflow)`
 	if err.Error() != golden {
 		t.Fatalf("listing drifted from golden:\ngot  %s\nwant %s", err, golden)
 	}

@@ -9,7 +9,6 @@ import (
 	"vread/internal/analysis/errdiscipline"
 	"vread/internal/analysis/guesttaint"
 	"vread/internal/analysis/hotalloc"
-	"vread/internal/analysis/lpowner"
 	"vread/internal/analysis/tracecharge"
 	"vread/internal/analysis/unitflow"
 )
@@ -24,6 +23,5 @@ func Analyzers() []*analysis.Analyzer {
 		errdiscipline.Analyzer,
 		guesttaint.Analyzer,
 		unitflow.Analyzer,
-		lpowner.Analyzer,
 	}
 }

@@ -106,6 +106,7 @@ func checkNode(pass *analysis.Pass, n *analysis.FuncNode, parent map[*analysis.F
 	info := n.Pkg.TypesInfo
 	results := resultTuple(info, n)
 
+	var concatLeft ast.Expr // left operand of the last concatenation seen
 	var walk func(node ast.Node) bool
 	walk = func(node ast.Node) bool {
 		switch v := node.(type) {
@@ -136,7 +137,12 @@ func checkNode(pass *analysis.Pass, n *analysis.FuncNode, parent map[*analysis.F
 			}
 		case *ast.BinaryExpr:
 			if v.Op == token.ADD && isString(info.TypeOf(v)) && info.Types[v].Value == nil {
-				pass.Reportf(v.Pos(), "string concatenation allocates on hot path %s", chain)
+				// a+b+c nests a+b as its left operand, and the compiler
+				// builds the whole chain in one concatenation: report it once.
+				if v != concatLeft {
+					pass.Reportf(v.Pos(), "string concatenation allocates on hot path %s", chain)
+				}
+				concatLeft = ast.Unparen(v.X)
 			}
 		case *ast.AssignStmt:
 			for i := range v.Lhs {

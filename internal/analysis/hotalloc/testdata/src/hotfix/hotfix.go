@@ -38,6 +38,8 @@ func Fire(n int, name string) {
 	_ = fmt.Sprint(n)  // want `fmt\.Sprint allocates on hot path hotfix\.Fire`
 	s := "pfx:" + name // want `string concatenation allocates on hot path hotfix\.Fire`
 	_ = s
+	s = name + ":" + name // want `string concatenation allocates on hot path hotfix\.Fire`
+	_ = s
 	var i interface{}
 	i = n // want `assignment boxes int into interface\{\} on hot path hotfix\.Fire`
 	_ = i

@@ -59,11 +59,9 @@ func (p Params) WithDefaults() Params {
 // the classic serial regime) or sharded (NewSharded: one Env, metrics
 // registry, and shard.LP per host, advanced in parallel under conservative
 // lookahead). In the sharded regime Env and Reg are nil — all state is per
-// host. The VM stack rides the shards: every VM's devices and guest kernel
-// live on its host's Env, frames between hosts cross LPs through the
-// fabric's interconnect (LP.Send), and guest window credit crosses through
-// the network's SetCrossEnv channel. VM live-migration is single-env only —
-// a cross-LP migration would span a lookahead boundary.
+// host, and frames between hosts cross LPs through the fabric's
+// interconnect (LP.Send). A sharded cluster carries hosts only: the VM
+// stack is single-env, and AddVM panics on a sharded cluster.
 type Cluster struct {
 	Env     *sim.Env
 	Reg     *metrics.Registry
@@ -141,7 +139,7 @@ func New(seed int64, params Params) *Cluster {
 		Env:     env,
 		Reg:     reg,
 		Fabric:  netsim.NewFabric(env, netsim.Config{}),
-		Network: guest.NewNetwork(env),
+		Network: guest.NewNetwork(),
 		Params:  params,
 		seed:    seed,
 	}
@@ -153,11 +151,11 @@ func New(seed int64, params Params) *Cluster {
 // fabric's interconnect is wired to the coordinator's mailboxes, with the
 // fabric's minimum link latency as the lookahead window. shards is the
 // worker count K; the run is byte-identical for every K by construction.
+// It carries hosts only: Network is nil and AddVM panics.
 func NewSharded(seed int64, params Params, shards int) *Cluster {
 	params = params.WithDefaults()
 	c := &Cluster{
 		Fabric:  netsim.NewFabric(nil, netsim.Config{}),
-		Network: guest.NewNetwork(nil),
 		Params:  params,
 		Coord:   shard.New(shard.Config{Shards: shards, Lookahead: netsim.Config{}.Lookahead()}),
 		seed:    seed,
@@ -165,11 +163,6 @@ func NewSharded(seed int64, params Params, shards int) *Cluster {
 	}
 	c.Fabric.SetInterconnect(func(src, dst string, delay time.Duration, deliver func()) {
 		c.hosts[src].LP.Send(c.hosts[dst].LP, delay, deliver)
-	})
-	// Guest window credit between kernels on different hosts rides the same
-	// mailboxes, after the same lookahead.
-	c.Network.SetCrossEnv(func(src, dst *guest.Kernel, deliver func()) {
-		c.vms[src.Name()].Host.LP.Send(c.vms[dst.Name()].Host.LP, netsim.Config{}.Lookahead(), deliver)
 	})
 	return c
 }
@@ -342,9 +335,13 @@ func (c *Cluster) AllVMs() map[string]*VM { return c.vms }
 
 // AddVM creates a 1-vCPU / 2 GB VM on the host. appTag is the metrics tag
 // for application-attributed cycles (metrics.TagClientApp or
-// metrics.TagDatanodeApp).
+// metrics.TagDatanodeApp). The VM stack is single-env: AddVM panics on a
+// sharded cluster.
 func (h *Host) AddVM(name, appTag string) *VM {
 	c := h.Cluster
+	if c.sharded {
+		panic(fmt.Sprintf("cluster: AddVM(%q) on a sharded cluster; VMs are single-env only", name))
+	}
 	if c.vms == nil {
 		c.vms = make(map[string]*VM)
 	}
@@ -362,9 +359,6 @@ func (h *Host) AddVM(name, appTag string) *VM {
 		Cache:   storage.NewPageCache(name+":guestcache", guestCacheBytes, cacheChunkBytes),
 		FS:      fsim.New(name + ":image"),
 	}
-	// Everything the VM schedules — devices, kernel, vhost — lives on its
-	// host's Env: the cluster Env in the single-env regime, the host's own
-	// LP when sharded.
 	vm.NetDev = virtio.NewNetDev(h.Env, c.Params.Virtio, name, h.Name, vm.VCPU, vm.Vhost, h.NIC, c.Fabric)
 	vm.BlkDev = virtio.NewBlkDev(h.Env, name, vm.VCPU, vm.IOTh, h.Disk)
 	vm.Kernel = guest.NewKernel(h.Env, guest.KernelParams{
@@ -394,13 +388,8 @@ func (vm *VM) HostCacheObject(ino fsim.Ino) int64 {
 // vCPU/vhost/iothread threads on the destination CPU, fresh virtio devices,
 // and a fabric re-registration. The disk image travels logically (the
 // paper's centralized NFS/iSCSI storage); the guest page cache moves with
-// the VM's memory. The VM must be quiesced (no in-flight I/O). Single-env
-// only: a cross-LP migration would move the kernel's Env mid-epoch, which
-// the lookahead contract forbids.
+// the VM's memory. The VM must be quiesced (no in-flight I/O).
 func (c *Cluster) MigrateVM(vmName string, dst *Host) {
-	if c.sharded {
-		panic(fmt.Sprintf("cluster: MigrateVM(%q) on a sharded cluster; live migration is single-env only", vmName))
-	}
 	vm := c.vms[vmName]
 	if vm == nil {
 		panic(fmt.Sprintf("cluster: unknown VM %q", vmName))

@@ -156,7 +156,6 @@ func ParseOptions(raw []byte) (Options, Scenario, *ScaleConfig, *MigrationConfig
 	var mc *MigrationConfig
 	if m := j.Migrate; m != nil {
 		mc = &MigrationConfig{
-			Seed:           j.Seed,
 			Depths:         m.Depths,
 			ReadsPerStream: m.ReadsPerStream,
 			ReadSize:       int64(m.ReadKB) << 10,

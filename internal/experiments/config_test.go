@@ -235,7 +235,7 @@ func TestParseScaleOptionsRejectsTypos(t *testing.T) {
 }
 
 // TestParseMigrateOptions covers ParseOptions' migration path: a "migrate"
-// block yields a MigrationConfig seeded from the top-level seed, with
+// block yields a MigrationConfig (the sweep's seed stays in Options), with
 // kilobyte and microsecond keys converted to bytes and durations.
 func TestParseMigrateOptions(t *testing.T) {
 	raw := []byte(`{
@@ -256,7 +256,7 @@ func TestParseMigrateOptions(t *testing.T) {
 	if mc == nil || sc != nil {
 		t.Fatalf("migrate block not selected: scale-out %+v, migration %+v", sc, mc)
 	}
-	if !opt.VRead || mc.Seed != 4 || len(mc.Depths) != 2 || mc.Depths[1] != 2 || mc.ReadsPerStream != 6 {
+	if !opt.VRead || opt.Seed != 4 || len(mc.Depths) != 2 || mc.Depths[1] != 2 || mc.ReadsPerStream != 6 {
 		t.Fatalf("opt = %+v, mc = %+v", opt, mc)
 	}
 	if mc.ReadSize != 64<<10 || mc.FileSize != 512<<10 || mc.TriggerAfter != 300*time.Microsecond {

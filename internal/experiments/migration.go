@@ -23,9 +23,8 @@ import (
 	"vread/internal/sim"
 )
 
-// MigrationConfig describes one migration sweep.
+// MigrationConfig describes one migration sweep; the seed is Options.Seed.
 type MigrationConfig struct {
-	Seed int64
 	// Depths lists the concurrent-reader-VM counts, one cell each. Default
 	// {1, 2, 4, 8}.
 	Depths []int
@@ -45,7 +44,6 @@ type MigrationConfig struct {
 
 // WithDefaults fills zero fields.
 func (c MigrationConfig) WithDefaults() MigrationConfig {
-	c.Seed = cmp.Or(c.Seed, 1)
 	if len(c.Depths) == 0 {
 		c.Depths = []int{1, 2, 4, 8}
 	}
@@ -86,7 +84,7 @@ func RunMigrationSweep(opt Options, mc MigrationConfig) ([]MigrationRow, error) 
 
 func runMigrationCell(opt Options, mc MigrationConfig, depth int) (MigrationRow, error) {
 	row := MigrationRow{Depth: depth}
-	c := cluster.New(mc.Seed, cluster.Params{FreqHz: opt.FreqHz})
+	c := cluster.New(opt.Seed, cluster.Params{FreqHz: opt.FreqHz})
 	defer opt.Stats.closeCluster(c)
 	h1 := c.AddHost("host1")
 	h2 := c.AddHost("host2")
@@ -118,7 +116,7 @@ func runMigrationCell(opt Options, mc MigrationConfig, depth int) (MigrationRow,
 	}
 	writer.SetBlockReader(libs[0])
 
-	content := data.Pattern{Seed: uint64(mc.Seed)*1000 + uint64(depth), Size: mc.FileSize}
+	content := data.Pattern{Seed: uint64(opt.Seed)*1000 + uint64(depth), Size: mc.FileSize}
 	want := data.NewSlice(content)
 	span := mc.FileSize - mc.ReadSize
 

@@ -11,7 +11,6 @@ import (
 // several streams in flight across the cutover.
 func smallMigration() MigrationConfig {
 	return MigrationConfig{
-		Seed:           7,
 		Depths:         []int{1, 3},
 		ReadsPerStream: 6,
 		FileSize:       1 << 20,

@@ -118,7 +118,7 @@ func Registry() []Experiment {
 			// prints it.
 			ID: "migrate",
 			Run: tabulate(func(o Options) ([]MigrationRow, error) {
-				return RunMigrationSweep(o, MigrationConfig{Seed: o.Seed})
+				return RunMigrationSweep(o, MigrationConfig{})
 			}, MigrationTable),
 		},
 	}

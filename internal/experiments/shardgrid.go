@@ -16,7 +16,6 @@ import (
 
 	"vread/internal/cluster"
 	"vread/internal/data"
-	"vread/internal/faults"
 	"vread/internal/netsim"
 	"vread/internal/sim"
 	"vread/internal/workload"
@@ -48,12 +47,6 @@ type ShardGridConfig struct {
 	// Shards lists the shard counts to run, one grid cell each. Default
 	// {1, 4}. Cell 0 is the serial baseline the others are compared to.
 	Shards []int
-	// Faults, when non-empty, is armed on a fresh per-host plan (disk and
-	// per-host fabric faults), so every RNG draw stays LP-local and the
-	// chaos run is as K-invariant as the quiet one. Use latency-shaping
-	// points (disk.read.slow, net.frame.delay) — the closed-loop streams
-	// have no timeout path, so a dropped frame would wedge the storm.
-	Faults faults.Spec
 }
 
 // WithDefaults fills zero fields.
@@ -156,17 +149,6 @@ func runShardCell(cfg ShardGridConfig, k int) (ShardGridCell, error) {
 	dns := hosts[:len(hosts)-cfg.ClientHosts]
 	clients := hosts[len(hosts)-cfg.ClientHosts:]
 
-	if len(cfg.Faults) > 0 {
-		for _, h := range hosts {
-			plan := faults.NewPlan(h.Env)
-			for _, r := range cfg.Faults {
-				plan.Set(r)
-			}
-			h.Disk.InjectFaults(plan)
-			c.Fabric.InjectHostFaults(h.Name, plan)
-		}
-	}
-
 	// Datanode side: per stream lane, serve reads through the host page
 	// cache with disk fills on miss. The request carries no parameters —
 	// the offset is derived from a per-(lane, source) counter, which is
@@ -257,9 +239,6 @@ func runShardCell(cfg ShardGridConfig, k int) (ShardGridCell, error) {
 		P95us:    slo.P95.Microseconds(),
 		P99us:    slo.P99.Microseconds(),
 		MaxUs:    slo.Max.Microseconds(),
-	}
-	if len(cfg.Faults) > 0 {
-		row.Phase = "chaos"
 	}
 	rows := []SLORow{row}
 

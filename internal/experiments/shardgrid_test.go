@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"vread/internal/faults"
 )
 
 // smallGrid keeps the invariance tests fast: 8 hosts, 2 client hosts, short
@@ -65,43 +63,6 @@ func TestShardGridCountInvariance(t *testing.T) {
 		pinned += fmt.Sprintf("K=%d hosts=%d fingerprint=%#016x events=%d\n%s", cell.Shards, cell.Hosts, cell.Fingerprint, cell.Events, RenderSLORows(cell.Rows))
 	}
 	checkGolden(t, "shardgrid.txt", pinned)
-}
-
-// TestShardGridChaosInvariance arms latency-shaping faults on per-host plans
-// and requires the chaos run to stay K-invariant too: every fault draw
-// happens on the host's own Env RNG, so injections land identically at any
-// shard count. The chaos fingerprint must also differ from the quiet one —
-// otherwise the faults never fired and the test would be vacuous.
-func TestShardGridChaosInvariance(t *testing.T) {
-	quiet, err := RunShardGrid(smallGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smallGrid()
-	cfg.Shards = []int{1, 3, 8}
-	cfg.Faults = faults.Spec{
-		{Point: faults.DiskReadSlow, Prob: 0.3, Delay: 2 * time.Millisecond},
-		{Point: faults.NetFrameDelay, Prob: 0.2, Delay: 500 * time.Microsecond},
-	}
-	cells, err := RunShardGrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := cells[0]
-	if base.Fingerprint == quiet[0].Fingerprint {
-		t.Fatal("chaos run matches quiet run: faults never fired")
-	}
-	if got := base.Rows[0].Phase; got != "chaos" {
-		t.Fatalf("chaos row phase = %q", got)
-	}
-	for _, cell := range cells[1:] {
-		if cell.Fingerprint != base.Fingerprint {
-			t.Errorf("chaos K=%d fingerprint %#x != serial %#x", cell.Shards, cell.Fingerprint, base.Fingerprint)
-		}
-		if cell.Events != base.Events {
-			t.Errorf("chaos K=%d fired %d events, serial fired %d", cell.Shards, cell.Events, base.Events)
-		}
-	}
 }
 
 // TestShardGridValidation covers the config guards.

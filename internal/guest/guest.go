@@ -57,34 +57,16 @@ func copyCycles(n int64) int64 { return n * copyCyclesPerKB / 1024 }
 // Network is the cluster-wide registry that lets kernels resolve peers for
 // connection bookkeeping (the data path still rides virtio/netsim).
 type Network struct {
-	env *sim.Env
-	// kernels spans every host: in the sharded regime a looked-up kernel may
-	// live on another LP's Env.
-	//
-	//lint:source lpowner(a registered kernel may live on another host's Env)
 	kernels map[string]*Kernel
-	//lint:owner(coordinator: kernel IDs are assigned at registration, before the clock starts)
 	nextKid int64
-	// crossEnv schedules a closure on the destination kernel's Env when the
-	// two kernels live on different LPs — LP.Send in the sharded regime.
-	crossEnv func(src, dst *Kernel, deliver func())
 }
 
 // NewNetwork creates an empty registry.
-func NewNetwork(env *sim.Env) *Network {
-	return &Network{env: env, kernels: make(map[string]*Kernel)}
+func NewNetwork() *Network {
+	return &Network{kernels: make(map[string]*Kernel)}
 }
 
-// SetCrossEnv installs the cross-Env scheduling channel used when two
-// connected kernels live on different Envs: deliver must run on dst's Env
-// no earlier than the fabric lookahead. Single-env clusters never need it;
-// sharded clusters wire it to LP.Send.
-func (n *Network) SetCrossEnv(fn func(src, dst *Kernel, deliver func())) { n.crossEnv = fn }
-
-// Kernel returns a registered kernel by VM name, or nil — a possibly-remote
-// handle in the sharded regime.
-//
-//lint:source lpowner(the kernel may live on another host's Env)
+// Kernel returns a registered kernel by VM name, or nil.
 func (n *Network) Kernel(vm string) *Kernel { return n.kernels[vm] }
 
 // Kernel is one VM's guest OS.
@@ -100,13 +82,10 @@ type Kernel struct {
 	fs     *fsim.FS
 	netw   *Network
 
-	//lint:owner(lp: accept queues live on the kernel's own Env)
 	listeners map[int]*sim.Queue[*Conn]
-	//lint:owner(lp: connection state is touched only by this kernel's callbacks)
-	conns map[int64]*connEnd
-	//lint:owner(lp: per-kernel conn sequence — the LP-local half of conn IDs)
-	connSeq int64
-	ra      *storage.Readahead // readahead over the guest page cache
+	conns     map[int64]*connEnd
+	connSeq   int64
+	ra        *storage.Readahead // readahead over the guest page cache
 }
 
 // KernelParams collects the pieces a Kernel is assembled from.
@@ -371,40 +350,17 @@ func (c *Conn) Recv(p *sim.Proc, max int64) (data.Slice, bool) {
 		out = data.Slice{C: parts, N: got}
 	}
 	end.recvBytes -= got
-	// Window credit back to the sender (free, as piggybacked acks). The
-	// sending end lives on the peer kernel's Env; creditPeer routes it there.
-	k.creditPeer(end.peerVM, end.key^1, got)
+	// Window credit back to the sender (free, as piggybacked acks); a torn
+	// down peer has nothing left to credit.
+	if peerK := k.netw.Kernel(end.peerVM); peerK != nil {
+		peerK.applyCredit(end.key^1, got)
+	}
 	k.vcpu.RunT(p, syscallCycles+copyCycles(got), k.appTag, end.tr)
 	return out, true
 }
 
-// creditPeer returns window credit for consumed bytes to the sending end of
-// a connection, on the Env that owns it: directly when the peer kernel
-// shares this kernel's Env, through the network's cross-Env channel (with
-// its lookahead delay) otherwise. This is the one place the socket layer
-// touches another kernel's state, which is why it is the boundary.
-//
-//lint:owner(boundary: credit applies on the Env owning the sending end — same-Env directly, else via SetCrossEnv)
-func (k *Kernel) creditPeer(peerVM string, connKey int64, bytes int64) {
-	peerK := k.netw.Kernel(peerVM)
-	if peerK == nil {
-		return // peer torn down; nothing left to credit
-	}
-	if peerK.env == k.env {
-		peerK.applyCredit(connKey, bytes)
-		return
-	}
-	if k.netw.crossEnv == nil {
-		panic(fmt.Sprintf("guest: kernels %s and %s live on different Envs and no cross-Env channel is set", k.name, peerVM))
-	}
-	k.netw.crossEnv(k, peerK, func() {
-		peerK.applyCredit(connKey, bytes)
-	})
-}
-
-// applyCredit releases window credit on the sending end. Runs on the Env
-// that owns this kernel; a missing end (closed connection) is fine — the
-// credit is moot.
+// applyCredit releases window credit on the sending end; a missing end
+// (closed connection) is fine — the credit is moot.
 func (k *Kernel) applyCredit(connKey int64, bytes int64) {
 	if end, ok := k.conns[connKey]; ok {
 		end.inflight -= bytes

@@ -102,27 +102,19 @@ const DefaultPartitionWindow = 10 * time.Millisecond
 // frame whose source and destination Envs differ is handed to the
 // interconnect hook (SetInterconnect) — the sharded engine's cross-LP
 // mailbox — instead of being scheduled locally. Everything the receive side
-// does (softirq charge, handler, endpoint delivery) runs inside the
-// delivered closure on the destination Env.
+// does (softirq charge, handler) runs inside the delivered closure on the
+// destination Env. VM endpoints are single-env: a sharded cluster registers
+// none, so only host-terminated frames cross the interconnect.
 type Fabric struct {
-	env *sim.Env
-	cfg Config
-	//lint:shared(host NIC registry; topology is frozen before the clock starts)
-	nics map[string]*NIC
-	// vms binds VM names to hosts that may live on other Envs; anything read
-	// out of it is a possibly-remote handle.
-	//
-	//lint:source lpowner(a VM registration may point at another host's Env)
-	vms map[string]vmReg
-	//lint:owner(coordinator: port bindings change only while no LP is executing)
-	ports map[hostPort]HostHandler
-	locs  map[string]hostLoc
-	//lint:owner(coordinator: dark-host set, mutated by fault actions on the fabric's own Env)
-	down map[string]bool
-	//lint:owner(coordinator: severed-until windows; domain partitions are a single-env feature)
+	env        *sim.Env
+	cfg        Config
+	nics       map[string]*NIC
+	vms        map[string]vmReg // VM name -> host and endpoint
+	ports      map[hostPort]HostHandler
+	locs       map[string]hostLoc
+	down       map[string]bool
 	partitions map[domPair]time.Duration // severed-until instant per domain pair
 	faults     *faults.Plan
-	hostFaults map[string]*faults.Plan
 	xconnect   func(src, dst string, delay time.Duration, deliver func())
 }
 
@@ -180,26 +172,6 @@ func (f *Fabric) Config() Config { return f.cfg }
 // plan disables injection.
 func (f *Fabric) InjectFaults(plan *faults.Plan) { f.faults = plan }
 
-// InjectHostFaults arms a per-host fault plan consulted for frames whose
-// send side is host, overriding the global plan for that host. Sharded runs
-// need this: a fault plan draws from its own RNG, so sharing one across
-// concurrently advancing hosts would race and break shard-count invariance.
-// One plan per host, seeded per host, keeps every draw inside its LP.
-func (f *Fabric) InjectHostFaults(host string, plan *faults.Plan) {
-	if f.hostFaults == nil {
-		f.hostFaults = make(map[string]*faults.Plan)
-	}
-	f.hostFaults[host] = plan
-}
-
-// plan returns the fault plan governing sends from host.
-func (f *Fabric) plan(host string) *faults.Plan {
-	if p, ok := f.hostFaults[host]; ok {
-		return p
-	}
-	return f.faults
-}
-
 // SetInterconnect installs the cross-Env frame handoff used when source and
 // destination NICs live on different Envs. delay is always at least the
 // config's Lookahead. Single-env fabrics never invoke it.
@@ -207,10 +179,8 @@ func (f *Fabric) SetInterconnect(fn func(src, dst string, delay time.Duration, d
 	f.xconnect = fn
 }
 
-// envFor returns the Env frames terminating at host run on — possibly
-// another LP's engine; only boundary code may schedule on it.
-//
-//lint:source lpowner(the returned Env may belong to another LP)
+// envFor returns the Env frames terminating at host run on — in the sharded
+// regime, possibly another LP's engine, reached only through deliverOn.
 func (f *Fabric) envFor(host string) *sim.Env {
 	if nic, ok := f.nics[host]; ok {
 		return nic.env
@@ -220,8 +190,6 @@ func (f *Fabric) envFor(host string) *sim.Env {
 
 // deliverOn schedules fn after delay on dst's Env: directly when dst shares
 // src's Env, through the interconnect otherwise.
-//
-//lint:owner(boundary: cross-Env delivery rides the interconnect — LP.Send in the sharded regime)
 func (f *Fabric) deliverOn(srcEnv *sim.Env, src, dst string, delay time.Duration, fn func()) {
 	dstEnv := f.envFor(dst)
 	if dstEnv == srcEnv {
@@ -252,10 +220,7 @@ func (f *Fabric) AddHostOn(name string, softirq *cpusched.Thread, env *sim.Env) 
 	return nic
 }
 
-// NIC returns the registered NIC for host, or nil. Callers name their own
-// host, so the result runs on the caller's Env — the same-Env escape hatch.
-//
-//lint:sanitizer lpowner(callers pass their own host name; the NIC lives on that host's Env)
+// NIC returns the registered NIC for host, or nil.
 func (f *Fabric) NIC(host string) *NIC { return f.nics[host] }
 
 // SetHostLocation records a host's rack and fault domain. Hosts with no
@@ -281,9 +246,9 @@ func (f *Fabric) DomainOf(host string) (string, bool) {
 // the would-have-arrived instant, so tracing invariants hold.
 func (f *Fabric) SetHostDown(host string, down bool) {
 	if down {
-		f.down[host] = true //lint:allow lpowner(rack-kill actions run on the fabric's own Env; sharded runs drive host-down between epochs)
+		f.down[host] = true
 	} else {
-		delete(f.down, host) //lint:allow lpowner(rack-kill actions run on the fabric's own Env; sharded runs drive host-down between epochs)
+		delete(f.down, host)
 	}
 }
 
@@ -317,11 +282,11 @@ func (f *Fabric) domainBlocked(fr *Frame, src, dst string) bool {
 	// The severed-until map is fabric-global; domain partitions are a
 	// single-env feature (sharded runs leave fault domains unset, so this
 	// path is never reached from a concurrently advancing host).
-	if window, ok := f.plan(src).ShouldDelay(faults.DomainPartition); ok {
+	if window, ok := f.faults.ShouldDelay(faults.DomainPartition); ok {
 		if window <= 0 {
 			window = DefaultPartitionWindow
 		}
-		f.partitions[pair] = now + window //lint:allow lpowner(single-env feature per the comment above; sharded runs leave fault domains unset)
+		f.partitions[pair] = now + window
 		fr.Trace.Event(trace.LayerNet, "fault:domain-partition-drop", 0)
 		return true
 	}
@@ -339,21 +304,13 @@ func (f *Fabric) RegisterVM(vm, host string, ep Endpoint) {
 // UnregisterVM removes a VM binding (live migration support).
 func (f *Fabric) UnregisterVM(vm string) { delete(f.vms, vm) }
 
-// HostOf returns the host a VM currently runs on. A host name is data, not
-// a schedulable handle — anything that turns it into a NIC or Env goes back
-// through the fabric's own accessors.
-//
-//lint:sanitizer lpowner(a host name is not a handle; resolving it re-routes through the fabric)
+// HostOf returns the host a VM currently runs on.
 func (f *Fabric) HostOf(vm string) (string, bool) {
 	r, ok := f.vms[vm]
 	return r.host, ok
 }
 
-// EndpointOf returns the endpoint of a VM — a possibly-remote handle: the
-// VM may live on another host's Env, and its endpoint must only be touched
-// from code already running there.
-//
-//lint:source lpowner(the endpoint may live on another host's Env)
+// EndpointOf returns the endpoint of a VM.
 func (f *Fabric) EndpointOf(vm string) (Endpoint, bool) {
 	r, ok := f.vms[vm]
 	return r.ep, ok
@@ -366,23 +323,18 @@ func (f *Fabric) BindHostPort(host string, port int, h HostHandler) {
 	if _, ok := f.ports[key]; ok {
 		panic(fmt.Sprintf("netsim: port %d already bound on %s", port, host))
 	}
-	f.ports[key] = h //lint:allow lpowner(lazy daemon-port binding during mount migration; cross-LP migration quiesces at an epoch boundary)
+	f.ports[key] = h
 }
 
 // NIC is one host's 10 Gbps port with FIFO egress pacing.
 type NIC struct {
-	fabric *Fabric
-	host   string
-	//lint:owner(lp: the host's engine — only code already on it schedules here)
-	env *sim.Env
-	//lint:owner(lp: receive processing runs on the host's own Env)
-	softirq *cpusched.Thread
-	//lint:owner(lp: egress pacing state, mutated only on the NIC's own Env)
+	fabric    *Fabric
+	host      string
+	env       *sim.Env
+	softirq   *cpusched.Thread
 	busyUntil time.Duration
-	//lint:owner(lp: egress counters, mutated only on the NIC's own Env)
-	txBytes int64
-	//lint:owner(lp: egress counters, mutated only on the NIC's own Env)
-	txFrames int64
+	txBytes   int64
+	txFrames  int64
 }
 
 // Host returns the owning host name.
@@ -427,7 +379,7 @@ func (n *NIC) SendToHost(dstHost string, port int, fr Frame, onSent func()) {
 		n.transmit(fr, onSent, nil)
 		return
 	}
-	if n.fabric.plan(n.host).Should(faults.NetFrameDrop) {
+	if n.fabric.faults.Should(faults.NetFrameDrop) {
 		fr.Trace.Event(trace.LayerNet, "fault:frame-drop", 0)
 		n.transmit(fr, onSent, nil)
 		return
@@ -466,7 +418,7 @@ func (n *NIC) transmit(fr Frame, onSent func(), deliver func(Frame)) {
 		start = n.busyUntil
 	}
 	wire := cfg.Latency
-	if extra, ok := n.fabric.plan(n.host).ShouldDelay(faults.NetFrameDelay); ok {
+	if extra, ok := n.fabric.faults.ShouldDelay(faults.NetFrameDelay); ok {
 		fr.Trace.Event(trace.LayerNet, "fault:frame-delay", 0)
 		wire += extra
 	}
@@ -567,7 +519,7 @@ func (q *QP) PostFrom(host string, fr Frame, onSent func()) {
 	fr.SrcHost = host
 	fr.DstHost = dstHost
 	nic := q.fabric.nics[host]
-	if q.fabric.plan(host).Should(faults.RDMAQPTeardown) {
+	if q.fabric.faults.Should(faults.RDMAQPTeardown) {
 		q.broken = true
 	}
 	unreachable := q.broken

@@ -198,3 +198,38 @@ func TestQFSErrors(t *testing.T) {
 		}
 	})
 }
+
+// TestQFSChunkServerCycles pins what a 1 MiB chunk costs its chunk server
+// on the application tag: 16 packets of QFS per-KB and per-packet work, plus
+// the guest kernel's syscall and copy charges for the same bytes. Only cycle
+// counts are compared, so a change to the metaserver RPC's latency moves
+// nothing here.
+func TestQFSChunkServerCycles(t *testing.T) {
+	b := newBed(t, false)
+	defer b.c.Close()
+	const (
+		packets   = 16                        // 1 MiB in 64 KiB packets
+		perPacket = (64<<10)*1800/1024 + 9000 // ioCyclesPerKB and packetCycles
+		guestW    = 579814                    // guest recv syscalls and copies
+		guestR    = 575312                    // guest file reads and sends
+	)
+	var wrote, read int64
+	b.run(t, 5*time.Minute, "cycles", func(p *sim.Proc) {
+		if err := b.cl.WriteFile(p, "/q/f", data.Pattern{Seed: 83, Size: 1 << 20}); err != nil {
+			t.Error(err)
+			return
+		}
+		wrote = b.c.Reg.Cycles("cs1", metrics.TagDatanodeApp)
+		if _, err := b.cl.ReadFile(p, "/q/f"); err != nil {
+			t.Error(err)
+			return
+		}
+		read = b.c.Reg.Cycles("cs1", metrics.TagDatanodeApp) - wrote
+	})
+	if want := int64(packets*perPacket + guestW); wrote != want {
+		t.Errorf("chunk write charged %d cycles to cs1, want %d", wrote, want)
+	}
+	if want := int64(packets*perPacket + guestR); read != want {
+		t.Errorf("chunk read charged %d cycles to cs1, want %d", read, want)
+	}
+}

@@ -58,28 +58,21 @@ type Config struct {
 
 // Coordinator owns the LPs, the shard assignment, and the epoch loop.
 type Coordinator struct {
-	cfg Config
-	//lint:shared(LP registry; frozen once the epoch loop starts)
-	lps []*LP
-	//lint:owner(coordinator: merged mailbox, filled and drained only between epochs)
+	cfg  Config
+	lps  []*LP
 	mail []msg
 }
 
 // LP is one logical process: a single-threaded Env plus its cross-LP
 // mailbox. All simulation state reachable from the Env's callbacks must be
-// private to the LP; the only sanctioned cross-LP channel is Send. The
-// lpowner analyzer machine-checks this: the annotations below are the roots
-// it propagates from.
+// private to the LP; the only sanctioned cross-LP channel is Send.
 type LP struct {
 	id    int
 	shard int
-	//lint:owner(lp: the LP's single-threaded engine — only its own callbacks schedule here)
 	env   *sim.Env
 	coord *Coordinator
-	//lint:owner(coordinator: outbox ordering state, advanced only inside Send and read at drain)
-	seq uint64
-	//lint:owner(coordinator: the outbox is filled inside Send and drained between epochs)
-	out []msg
+	seq   uint64
+	out   []msg
 }
 
 type msg struct {
@@ -129,8 +122,6 @@ func (lp *LP) Shard() int { return lp.shard }
 // the mailbox and must respect the lookahead, because the window protocol's
 // safety — no message lands inside an executing window — is exactly the
 // claim that cross-LP delays are >= L.
-//
-//lint:owner(boundary: the sanctioned cross-LP channel — fn runs on dst's Env after the lookahead)
 func (lp *LP) Send(dst *LP, delay time.Duration, fn func()) {
 	if dst == lp {
 		lp.env.Schedule(delay, fn)
@@ -173,14 +164,10 @@ func (c *Coordinator) Fired() uint64 {
 // Run advances all LPs until no events remain anywhere, mailboxes included.
 // Scenarios with self-rearming daemons never drain; bound those with
 // RunUntil instead.
-//
-//lint:owner(coordinator: the epoch loop — never reachable from an LP callback)
 func (c *Coordinator) Run() error { return c.run(-1) }
 
 // RunUntil advances all LPs through every event with timestamp <= t and
 // leaves every Env's clock at exactly t.
-//
-//lint:owner(coordinator: the epoch loop — never reachable from an LP callback)
 func (c *Coordinator) RunUntil(t time.Duration) error {
 	if t < 0 {
 		return fmt.Errorf("shard: RunUntil(%v) is negative", t)
@@ -188,7 +175,6 @@ func (c *Coordinator) RunUntil(t time.Duration) error {
 	return c.run(t)
 }
 
-//lint:owner(coordinator: the epoch loop body — barrier rounds and drains)
 func (c *Coordinator) run(horizon time.Duration) error {
 	if len(c.lps) == 0 {
 		return nil
@@ -243,8 +229,6 @@ func (c *Coordinator) run(horizon time.Duration) error {
 
 // assign buckets LPs by shard: explicit SetShard pins win, everything else
 // fills contiguous blocks in registration order.
-//
-//lint:owner(coordinator: shard assignment happens before the first epoch)
 func (c *Coordinator) assign() [][]*LP {
 	k := c.Shards()
 	byShard := make([][]*LP, k)
@@ -263,8 +247,6 @@ func (c *Coordinator) assign() [][]*LP {
 // (dst, at, src, srcSeq) order. Runs on the coordinator between rounds: no
 // LP is executing, so no locks are needed and the resulting Env sequence
 // numbering is identical for every shard count.
-//
-//lint:owner(coordinator: the mailbox drain — the other half of the Send channel)
 func (c *Coordinator) drain() {
 	c.mail = c.mail[:0]
 	for _, lp := range c.lps {
@@ -297,8 +279,6 @@ func (c *Coordinator) drain() {
 }
 
 // minNext returns the minimum NextAt bound across LPs.
-//
-//lint:owner(coordinator: window computation between epochs)
 func (c *Coordinator) minNext() (int64, bool) {
 	best, any := int64(0), false
 	for _, lp := range c.lps {

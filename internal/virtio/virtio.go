@@ -217,9 +217,9 @@ func (d *NetDev) vhostLoop(p *sim.Proc) {
 			if !d.cfg.SharedMemNet {
 				d.vhost.RunT(p, copyCycles(n), metrics.TagCopyVirtio, fr.Trace)
 			}
-			peer := d.localPeer(fr.DstVM)
+			ep, _ := d.fabric.EndpointOf(fr.DstVM)
 			d.vhost.RunT(p, irqInjectCycles, metrics.TagVhostNet, fr.Trace)
-			peer.injectRx(fr)
+			ep.(*NetDev).injectRx(fr)
 			continue
 		}
 		// Remote: pace into the physical NIC; wait for transmit-complete so
@@ -227,24 +227,6 @@ func (d *NetDev) vhostLoop(p *sim.Proc) {
 		d.nic.SendToVM(fr, p.Arm())
 		p.Await()
 	}
-}
-
-// localPeer returns the co-located destination device. Callers establish
-// co-location first (dstHost == d.host); a co-located peer shares this VM's
-// Env, so touching it directly is the same-Env escape hatch — and the
-// assertion below turns that static claim into a runtime check.
-//
-//lint:sanitizer lpowner(guarded by the co-location check — the peer shares this VM's Env)
-func (d *NetDev) localPeer(dstVM string) *NetDev {
-	ep, ok := d.fabric.EndpointOf(dstVM)
-	if !ok {
-		panic(fmt.Sprintf("virtio: unknown destination VM %q", dstVM))
-	}
-	peer := ep.(*NetDev)
-	if peer.env != d.env {
-		panic(fmt.Sprintf("virtio: %s is not co-located with %s — cross-Env delivery must ride the NIC", dstVM, d.vmName))
-	}
-	return peer
 }
 
 // DeliverFromWire implements netsim.Endpoint: a frame arriving from the

@@ -260,7 +260,6 @@ func TestSoakMigrationStorm(t *testing.T) {
 		t.Skip("migration soak skipped in -short mode")
 	}
 	mc := vread.MigrationConfig{
-		Seed:           2025,
 		Depths:         []int{1, 4, 8, 12},
 		ReadsPerStream: 20,
 	}
