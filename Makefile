@@ -70,15 +70,17 @@ chaos-smoke:
 # the event engine's heap and ready lane (firing order against a reference
 # sort by time and schedule order, across cancels, deadlines, Stop and the
 # idle hook), storage.Readahead (reads, drops and engine steps against
-# its window invariants) and vhost's check of a guest-written virtio-net tx
-# descriptor (payload length and destination). Seeds are the f.Add calls plus
+# its window invariants), vhost's check of a guest-written virtio-net tx
+# descriptor (payload length and destination) and the iothread's check of a
+# guest-written block request (size). Seeds are the f.Add calls plus
 # testdata/fuzz/<target>; a crasher is written there too and fails the
 # target.
 FUZZ_TARGETS := ./internal/faults:FuzzParseSpec ./internal/experiments:FuzzParseOptions \
 	./internal/hdfs:FuzzWriteReqRoundTrip ./internal/hdfs:FuzzReadReqRoundTrip \
 	./internal/data:FuzzPatternWindowConsistency ./internal/data:FuzzConcatSplit \
 	./internal/data:FuzzEqual ./internal/sim:FuzzQueue ./internal/sim:FuzzEventOrder \
-	./internal/storage:FuzzReadahead ./internal/virtio:FuzzSanitizeFrame
+	./internal/storage:FuzzReadahead ./internal/virtio:FuzzSanitizeFrame \
+	./internal/virtio:FuzzSanitizeBlkReq
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

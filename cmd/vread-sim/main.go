@@ -144,7 +144,7 @@ func run(args []string) error {
 	tb.Place(place)
 
 	size := c.sizeMB << 20
-	content := data.Pattern{Seed: uint64(c.seed), Size: size}
+	content := data.Pattern{Seed: uint64(tb.Opt.Seed), Size: size}
 	var writeTime, coldTime, warmTime time.Duration
 	err = tb.Run("vread-sim", 24*time.Hour, func(p *sim.Proc) error {
 		start := tb.C.Env.Now()
@@ -185,12 +185,12 @@ func run(args []string) error {
 	now := tb.C.Env.Now()
 	fmt.Println("CPU utilization during reads (fraction of one core):")
 	for _, entity := range tb.C.Reg.Entities() {
-		u := tb.C.Reg.EntityUtilization(entity, now, opt.FreqHz)
+		u := tb.C.Reg.EntityUtilization(entity, now, tb.Opt.FreqHz)
 		if u < 0.001 {
 			continue
 		}
 		fmt.Printf("%-22s %6.1f%%\n", entity, u*100)
-		fmt.Print(metrics.FormatBreakdown(tb.C.Reg.Breakdown(entity, now, opt.FreqHz)))
+		fmt.Print(metrics.FormatBreakdown(tb.C.Reg.Breakdown(entity, now, tb.Opt.FreqHz)))
 	}
 	if tb.Mgr != nil {
 		st := tb.Mgr.Daemon("client").Stats()

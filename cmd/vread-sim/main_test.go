@@ -75,3 +75,33 @@ func TestRunRejectsUnfilledReport(t *testing.T) {
 		}
 	}
 }
+
+// TestRunConfigPrintsFiniteUtilization: a -config scenario that leaves
+// freq_ghz out used to print +Inf% for every entity and tag, because run
+// divided the cycles by the un-defaulted frequency of the parsed options.
+func TestRunConfigPrintsFiniteUtilization(t *testing.T) {
+	dir := t.TempDir()
+	cfg := filepath.Join(dir, "scenario.json")
+	if err := os.WriteFile(cfg, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run([]string{"-config", cfg, "-size-mb", "1"})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), "CPU utilization") || strings.Contains(string(blob), "Inf") {
+		t.Errorf("run -config %s printed:\n%s", cfg, blob)
+	}
+}

@@ -208,6 +208,7 @@ func (c *Cluster) AddHostAt(name, rack, domain string) *Host {
 		Cache:   storage.NewPageCache(name+":pagecache", hostCacheBytes, cacheChunkBytes),
 		Softirq: cpu.NewThread(name+":softirq", name),
 	}
+	h.Disk.InjectFaults(c.faults)
 	if c.sharded {
 		h.LP = c.Coord.AddLP(env)
 		h.NIC = c.Fabric.AddHostOn(name, h.Softirq, env)
@@ -290,9 +291,16 @@ func (c *Cluster) RackHosts(rack string) []*Host { return c.racks[rack] }
 // Down reports whether the host has been killed (rack kill or explicit).
 func (h *Host) Down() bool { return h.down }
 
-// InjectFaults arms a fault plan on the cluster itself (rack.kill). Device
-// plans (disk, fabric) are armed on those layers directly.
-func (c *Cluster) InjectFaults(plan *faults.Plan) { c.faults = plan }
+// InjectFaults arms a fault plan on the whole testbed: the cluster itself
+// (rack.kill), the fabric, and the disk of every host, hosts added later
+// included.
+func (c *Cluster) InjectFaults(plan *faults.Plan) {
+	c.faults = plan
+	c.Fabric.InjectFaults(plan)
+	for _, h := range c.hostOrder {
+		h.Disk.InjectFaults(plan)
+	}
+}
 
 // KillRack takes a whole rack dark: every host in it stops exchanging
 // frames (the ToR died). In-flight frames to or from the rack are dropped

@@ -3,9 +3,11 @@ package cluster_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"vread/internal/cluster"
 	"vread/internal/faults"
+	"vread/internal/sim"
 )
 
 // TestTopologyShape checks BuildTopology's deterministic naming, dense host
@@ -113,6 +115,28 @@ func TestMaybeKillRack(t *testing.T) {
 	}
 	if !c.Host("d0r0h0").Down() || c.Host("d0r1h0").Down() {
 		t.Fatal("kill hit the wrong rack")
+	}
+}
+
+// TestInjectFaultsArmsLaterHosts: one InjectFaults call arms the fabric and
+// every host's disk, including a host added after the plan was armed.
+func TestInjectFaultsArmsLaterHosts(t *testing.T) {
+	c := cluster.New(1, cluster.Params{})
+	defer c.Close()
+	plan := faults.NewPlan(c.Env)
+	plan.Set(faults.Rule{Point: faults.DiskReadSlow, Prob: 1, Delay: 5 * time.Millisecond})
+	c.InjectFaults(plan)
+	h := c.AddHost("late")
+	var done time.Duration
+	c.Go("read", func(p *sim.Proc) {
+		h.Disk.ReadT(p, nil, 0)
+		done = c.Env.Now()
+	})
+	if err := c.Env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Fired(faults.DiskReadSlow); got != 1 || done < 5*time.Millisecond {
+		t.Fatalf("disk.read.slow fired %d times, read done at %v; want 1 and >= 5ms", got, done)
 	}
 }
 

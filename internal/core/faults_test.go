@@ -16,8 +16,8 @@ import (
 )
 
 // newFaultFixture is newFixture with a fault plan armed across every layer:
-// the plan is bound to the cluster env's RNG and injected into the fabric,
-// both host disks, and the vRead config. Tests arm rules with plan.Set AFTER
+// the plan is bound to the cluster env's RNG and armed on the cluster (its
+// fabric and both host disks) and in the vRead config. Tests arm rules with plan.Set AFTER
 // the write phase so faultpoint evaluation counts start at the read under
 // test.
 func newFaultFixture(t *testing.T, vcfg core.Config) (*fixture, *faults.Plan) {
@@ -27,9 +27,7 @@ func newFaultFixture(t *testing.T, vcfg core.Config) (*fixture, *faults.Plan) {
 	vcfg.Faults = plan
 	h1 := c.AddHost("host1")
 	h2 := c.AddHost("host2")
-	c.Fabric.InjectFaults(plan)
-	h1.Disk.InjectFaults(plan)
-	h2.Disk.InjectFaults(plan)
+	c.InjectFaults(plan)
 	clientVM := h1.AddVM("client", metrics.TagClientApp)
 	dn1VM := h1.AddVM("dn1", metrics.TagDatanodeApp)
 	dn2VM := h2.AddVM("dn2", metrics.TagDatanodeApp)

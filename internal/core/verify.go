@@ -31,12 +31,12 @@ type ReadAttempt struct {
 // VerifiedRead is the one read step every read storm shares. It opens block
 // blk at each of locs in turn, reads [off, off+n), closes the block and
 // checks the bytes against want. A refused open or a typed error fails over
-// to the next location, after failed (when non-nil) has seen the attempt;
-// correct bytes, wrong bytes or an untyped error end the read. It returns
-// the last attempt, so ReadMiss or ReadTyped means every location failed
-// that way (an empty locs is a ReadMiss).
+// to the next location, after failed (when non-nil) has seen blk and the
+// attempt; correct bytes, wrong bytes or an untyped error end the read. It
+// returns the last attempt, so ReadMiss or ReadTyped means every location
+// failed that way (an empty locs is a ReadMiss).
 func (l *Lib) VerifiedRead(p *sim.Proc, tr *trace.Trace, locs []string, blk hdfs.BlockID,
-	off, n int64, want data.Slice, failed func(ReadAttempt)) ReadAttempt {
+	off, n int64, want data.Slice, failed func(hdfs.BlockID, ReadAttempt)) ReadAttempt {
 	a := ReadAttempt{Outcome: ReadMiss}
 	for _, loc := range locs {
 		a = ReadAttempt{Loc: loc, Outcome: ReadMiss}
@@ -59,7 +59,7 @@ func (l *Lib) VerifiedRead(p *sim.Proc, tr *trace.Trace, locs []string, blk hdfs
 			return a
 		}
 		if failed != nil {
-			failed(a)
+			failed(blk, a)
 		}
 	}
 	return a

@@ -121,6 +121,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// vreadConfig is the vRead configuration o selects: VReadConfig when set,
+// with o's Transport either way.
+func (o Options) vreadConfig() core.Config {
+	var cfg core.Config
+	if o.VReadConfig != nil {
+		cfg = *o.VReadConfig
+	}
+	cfg.Transport = o.Transport
+	return cfg
+}
+
 // scaled applies the dataset scale with a floor.
 func (o Options) scaled(bytes int64, floor int64) int64 {
 	v := int64(float64(bytes) * o.Scale)
@@ -210,20 +221,13 @@ func NewTestbed(opt Options) *Testbed {
 	if len(opt.Faults) > 0 {
 		tb.Faults = opt.Faults.Plan(c.Env)
 		c.InjectFaults(tb.Faults)
-		c.Fabric.InjectFaults(tb.Faults)
-		h1.Disk.InjectFaults(tb.Faults)
-		h2.Disk.InjectFaults(tb.Faults)
 		if router != nil {
 			router.InjectFaults(tb.Faults)
 		}
 	}
 	if opt.VRead {
-		vcfg := core.Config{Transport: opt.Transport, DirectDiskBypass: opt.DirectDiskBypass}
-		if opt.VReadConfig != nil {
-			vcfg = *opt.VReadConfig
-			vcfg.Transport = opt.Transport
-			vcfg.DirectDiskBypass = opt.DirectDiskBypass
-		}
+		vcfg := opt.vreadConfig()
+		vcfg.DirectDiskBypass = opt.DirectDiskBypass
 		vcfg.Faults = tb.Faults
 		tb.Mgr = core.NewManager(c, ns, vcfg)
 		tb.Mgr.MountDatanode("dn1")

@@ -82,39 +82,47 @@ func RunMigrationSweep(opt Options, mc MigrationConfig) ([]MigrationRow, error) 
 	})
 }
 
+// BuildReaders builds the two-host reader testbed the chaos storms and the
+// migration sweep share on the empty cluster c: the reader VMs and dn1 on
+// host1, dn2 on host2, a NameNode with blockSize blocks placed by place, and
+// vRead from cfg (cfg.Faults armed on the cluster too). It returns the
+// manager, a writer on readers[0] and one lib per reader.
+func BuildReaders(c *cluster.Cluster, readers []string, blockSize int64, place hdfs.PlacementPolicy, cfg core.Config) (*core.Manager, *hdfs.Client, []*core.Lib) {
+	h1, h2 := c.AddHost("host1"), c.AddHost("host2")
+	c.InjectFaults(cfg.Faults)
+	for _, name := range readers {
+		h1.AddVM(name, metrics.TagClientApp)
+	}
+	dn1 := h1.AddVM("dn1", metrics.TagDatanodeApp)
+	dn2 := h2.AddVM("dn2", metrics.TagDatanodeApp)
+
+	nn := hdfs.NewNameNode(c.Env, hdfs.Config{BlockSize: blockSize}, c.Fabric)
+	hdfs.StartDataNode(c.Env, nn, dn1.Kernel)
+	hdfs.StartDataNode(c.Env, nn, dn2.Kernel)
+	writer := hdfs.NewClient(c.Env, nn, c.VM(readers[0]).Kernel)
+	nn.SetPlacementPolicy(place)
+
+	mgr := core.NewManager(c, nn, cfg)
+	mgr.MountDatanode("dn1")
+	mgr.MountDatanode("dn2")
+	libs := make([]*core.Lib, len(readers))
+	for i, name := range readers {
+		libs[i] = mgr.EnableClient(name)
+	}
+	writer.SetBlockReader(libs[0])
+	return mgr, writer, libs
+}
+
 func runMigrationCell(opt Options, mc MigrationConfig, depth int) (MigrationRow, error) {
 	row := MigrationRow{Depth: depth}
 	c := cluster.New(opt.Seed, cluster.Params{FreqHz: opt.FreqHz})
 	defer opt.Stats.closeCluster(c)
-	h1 := c.AddHost("host1")
-	h2 := c.AddHost("host2")
 	readers := make([]string, depth)
 	for s := range readers {
 		readers[s] = fmt.Sprintf("reader%d", s)
-		h1.AddVM(readers[s], metrics.TagClientApp)
 	}
-	dn1VM := h1.AddVM("dn1", metrics.TagDatanodeApp)
-	h2.AddVM("dn2", metrics.TagDatanodeApp)
-
-	nn := hdfs.NewNameNode(c.Env, hdfs.Config{BlockSize: 64 << 20}, c.Fabric)
-	hdfs.StartDataNode(c.Env, nn, dn1VM.Kernel)
-	hdfs.StartDataNode(c.Env, nn, c.VM("dn2").Kernel)
-	writer := hdfs.NewClient(c.Env, nn, c.VM(readers[0]).Kernel)
-	nn.SetPlacementPolicy(func(string, string, int) []string { return []string{"dn1"} })
-
-	vcfg := core.Config{Transport: opt.Transport}
-	if opt.VReadConfig != nil {
-		vcfg = *opt.VReadConfig
-		vcfg.Transport = opt.Transport
-	}
-	mgr := core.NewManager(c, nn, vcfg)
-	mgr.MountDatanode("dn1")
-	mgr.MountDatanode("dn2")
-	libs := make([]*core.Lib, depth)
-	for s, r := range readers {
-		libs[s] = mgr.EnableClient(r)
-	}
-	writer.SetBlockReader(libs[0])
+	mgr, writer, libs := BuildReaders(c, readers, 64<<20,
+		func(string, string, int) []string { return []string{"dn1"} }, opt.vreadConfig())
 
 	content := data.Pattern{Seed: uint64(opt.Seed)*1000 + uint64(depth), Size: mc.FileSize}
 	want := data.NewSlice(content)

@@ -119,76 +119,90 @@ func RunScale(opt Options, sc ScaleConfig) ([]SLORow, error) {
 	})
 }
 
+// Federation is the federated testbed RunScale and the chaos rack storm
+// share: a sharded namespace over a multi-domain topology, with vRead on
+// every datanode and client VM.
+type Federation struct {
+	Router  *hdfs.Router
+	Mgr     *core.Manager
+	Clients []*hdfs.Client // one per client VM, reading through Libs
+	Libs    []*core.Lib
+}
+
+// BuildFederation builds sc's topology on the empty cluster c, arms
+// vcfg.Faults on it and on the router (ring seeded with seed, blockSize 0
+// for the HDFS default), and adds sc.Datanodes datanode VMs "dn<i>"
+// round-robin across the racks, then one client VM per name in clients on
+// the tail hosts, away from any kill of an earlier rack.
+func BuildFederation(c *cluster.Cluster, sc ScaleConfig, seed, blockSize int64, vcfg core.Config, clients []string) *Federation {
+	hosts := c.BuildTopology(cluster.TopologySpec{
+		Domains:        sc.Domains,
+		RacksPerDomain: sc.RacksPerDomain,
+		HostsPerRack:   sc.HostsPerRack,
+	})
+	racks := c.Racks()
+	c.InjectFaults(vcfg.Faults)
+
+	dnNames := make([]string, sc.Datanodes)
+	for i := range dnNames {
+		rh := c.RackHosts(racks[i%len(racks)])
+		dnNames[i] = fmt.Sprintf("dn%d", i)
+		rh[(i/len(racks))%len(rh)].AddVM(dnNames[i], metrics.TagDatanodeApp)
+	}
+	for j, name := range clients {
+		hosts[len(hosts)-1-j%sc.HostsPerRack].AddVM(name, metrics.TagClientApp)
+	}
+
+	f := &Federation{Router: hdfs.NewRouter(c.Env, hdfs.Config{Replication: sc.Replication, BlockSize: blockSize},
+		c.Fabric, hdfs.RouterOptions{Shards: sc.Shards, RingSeed: seed, VNodes: sc.VNodes})}
+	f.Router.InjectFaults(vcfg.Faults)
+	for _, dn := range dnNames {
+		hdfs.StartDataNode(c.Env, f.Router, c.VM(dn).Kernel)
+	}
+	for _, name := range clients {
+		f.Clients = append(f.Clients, hdfs.NewClient(c.Env, f.Router, c.VM(name).Kernel))
+	}
+	f.Mgr = core.NewManager(c, f.Router, vcfg)
+	for _, dn := range dnNames {
+		f.Mgr.MountDatanode(dn)
+	}
+	for j, name := range clients {
+		f.Libs = append(f.Libs, f.Mgr.EnableClient(name))
+		f.Clients[j].SetBlockReader(f.Libs[j])
+	}
+	return f
+}
+
+// Read is one storm read through client ci: path's locations from the
+// router (billing the RPC and evaluating shard.kill), then VerifiedRead of
+// [off, off+n) of its first block across the block's locations, failed
+// seeing each failed one. A failed lookup returns a nil block and an attempt
+// carrying the error, ReadTyped for a downed shard and ReadUntyped otherwise.
+func (f *Federation) Read(p *sim.Proc, ci int, tr *trace.Trace, path string, off, n int64, want data.Slice,
+	failed func(hdfs.BlockID, core.ReadAttempt)) (*hdfs.BlockInfo, core.ReadAttempt) {
+	infos, err := f.Router.GetBlockLocations(p, f.Clients[ci].Kernel(), path)
+	if err != nil {
+		a := core.ReadAttempt{Outcome: core.ReadUntyped, Err: err}
+		if errors.Is(err, hdfs.ErrShardDown) {
+			a.Outcome = core.ReadTyped
+		}
+		return nil, a
+	}
+	blk := &infos[0]
+	return blk, f.Libs[ci].VerifiedRead(p, tr, blk.Locations, blk.ID, off, n, want, failed)
+}
+
 // runScaleCell builds the federation and drives one storm at one QPS level.
 func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 	c := cluster.New(opt.Seed, cluster.Params{FreqHz: opt.FreqHz})
 	defer opt.Stats.closeCluster(c)
-	spec := cluster.TopologySpec{
-		Domains:        sc.Domains,
-		RacksPerDomain: sc.RacksPerDomain,
-		HostsPerRack:   sc.HostsPerRack,
-	}
-	hosts := c.BuildTopology(spec)
-	racks := c.Racks()
-
-	plan := faults.NewPlan(c.Env)
-	c.InjectFaults(plan)
-	c.Fabric.InjectFaults(plan)
-	for _, h := range hosts {
-		h.Disk.InjectFaults(plan)
-	}
-
-	// Datanode VMs round-robin across racks (first hosts of each rack);
-	// client VMs on the tail hosts of the last domain, away from any
-	// earlier-domain rack kill.
-	dnNames := make([]string, sc.Datanodes)
-	for i := range dnNames {
-		rack := racks[i%len(racks)]
-		rh := c.RackHosts(rack)
-		host := rh[(i/len(racks))%len(rh)]
-		dnNames[i] = fmt.Sprintf("dn%d", i)
-		host.AddVM(dnNames[i], metrics.TagDatanodeApp)
-	}
+	vcfg := opt.vreadConfig()
+	vcfg.Faults = faults.NewPlan(c.Env)
 	clientNames := make([]string, sc.Clients)
 	for j := range clientNames {
-		host := hosts[len(hosts)-1-j%spec.HostsPerRack]
 		clientNames[j] = fmt.Sprintf("c%d", j)
-		host.AddVM(clientNames[j], metrics.TagClientApp)
 	}
-
-	hcfg := hdfs.Config{Replication: sc.Replication}
-	if opt.BlockSize != 0 {
-		hcfg.BlockSize = opt.BlockSize
-	}
-	router := hdfs.NewRouter(c.Env, hcfg, c.Fabric, hdfs.RouterOptions{
-		Shards:   sc.Shards,
-		RingSeed: opt.Seed,
-		VNodes:   sc.VNodes,
-	})
-	router.InjectFaults(plan)
-	for _, dn := range dnNames {
-		hdfs.StartDataNode(c.Env, router, c.VM(dn).Kernel)
-	}
-	clients := make([]*hdfs.Client, sc.Clients)
-	for j, name := range clientNames {
-		clients[j] = hdfs.NewClient(c.Env, router, c.VM(name).Kernel)
-	}
-
-	vcfg := core.Config{Transport: opt.Transport, Faults: plan}
-	if opt.VReadConfig != nil {
-		vcfg = *opt.VReadConfig
-		vcfg.Transport = opt.Transport
-		vcfg.Faults = plan
-	}
-	mgr := core.NewManager(c, router, vcfg)
-	for _, dn := range dnNames {
-		mgr.MountDatanode(dn)
-	}
-	libs := make([]*core.Lib, sc.Clients)
-	for j, name := range clientNames {
-		libs[j] = mgr.EnableClient(name)
-		clients[j].SetBlockReader(libs[j])
-	}
+	fed := BuildFederation(c, sc, opt.Seed, opt.BlockSize, vcfg, clientNames)
 
 	tracer := trace.NewTracer(c.Env, 1)
 	contents := make([]data.Pattern, sc.Files)
@@ -204,17 +218,17 @@ func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 		// faultpoint arms, so every later failure has known bytes to check.
 		for i := range contents {
 			contents[i] = data.Pattern{Seed: uint64(opt.Seed)*1000 + uint64(i), Size: sc.FileSize}
-			if err := clients[0].WriteFile(p, filePath(i), contents[i]); err != nil {
+			if err := fed.Clients[0].WriteFile(p, filePath(i), contents[i]); err != nil {
 				stormErr = fmt.Errorf("write f%d: %w", i, err)
 				return
 			}
-			if _, err := router.GetBlockLocations(p, clients[0].Kernel(), filePath(i)); err != nil {
+			if _, err := fed.Router.GetBlockLocations(p, fed.Clients[0].Kernel(), filePath(i)); err != nil {
 				stormErr = fmt.Errorf("locate f%d: %w", i, err)
 				return
 			}
 		}
 		for _, r := range opt.Faults {
-			plan.Set(r)
+			vcfg.Faults.Set(r)
 		}
 
 		results = workload.RunOpenLoop(p, c.Env, workload.OpenLoopConfig{
@@ -228,7 +242,7 @@ func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 			if killed {
 				phase = "degraded"
 			}
-			return phase + "/" + scaleRead(op, router, libs, clients, tracer, contents, sc, i)
+			return phase + "/" + scaleRead(op, fed, tracer, contents, sc, i)
 		})
 	})
 	if err := c.Env.RunUntil(c.Env.Now() + sc.Deadline); err != nil {
@@ -237,7 +251,7 @@ func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 	if stormErr != nil {
 		return nil, stormErr
 	}
-	if err := mgr.Drained(tracer, done); err != nil {
+	if err := fed.Mgr.Drained(tracer, done); err != nil {
 		return nil, fmt.Errorf("scale qps=%g: %w", qps, err)
 	}
 
@@ -272,36 +286,19 @@ func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 }
 
 // scaleRead performs one storm read: deterministic file/range choice from
-// the arrival index, metadata through the federation router, then the vRead
-// path's verified read with replica failover in location order. Outcomes:
-// "ok" (correct bytes), "typed" (typed error / all replicas unavailable),
-// "corrupt", "untyped" (both invariant violations).
-func scaleRead(op *sim.Proc, router *hdfs.Router, libs []*core.Lib, clients []*hdfs.Client,
-	tracer *trace.Tracer, contents []data.Pattern, sc ScaleConfig, i int) string {
+// the arrival index, then the federation's read through client i mod
+// Clients. Outcomes: "ok" (correct bytes), "typed" (typed error / all
+// replicas unavailable), "corrupt", "untyped" (both invariant violations).
+func scaleRead(op *sim.Proc, fed *Federation, tracer *trace.Tracer, contents []data.Pattern, sc ScaleConfig, i int) string {
 	fileIdx := i % sc.Files
-	ci := i % sc.Clients
-	size := sc.FileSize
-	off := int64(i*7919) % (size - 1)
-	n := size - off
-	if n > 64<<10 {
-		n = 64 << 10
-	}
+	off := int64(i*7919) % (sc.FileSize - 1)
+	n := min(sc.FileSize-off, 64<<10)
 	want := data.NewSlice(contents[fileIdx]).Sub(off, n)
 
 	tr := tracer.Request(fmt.Sprintf("scale-read-%d", i))
 	defer tr.Finish(n)
-
-	// Metadata through the router: bills the RPC and evaluates shard.kill.
-	infos, err := router.GetBlockLocations(op, clients[ci].Kernel(), fmt.Sprintf("/scale/f%d", fileIdx))
-	if err != nil {
-		if errors.Is(err, hdfs.ErrShardDown) {
-			return "typed"
-		}
-		return "untyped"
-	}
-	blk := infos[0] // files are single-block at these sizes
-
-	switch libs[ci].VerifiedRead(op, tr, blk.Locations, blk.ID, off, n, want, nil).Outcome {
+	_, a := fed.Read(op, i%sc.Clients, tr, fmt.Sprintf("/scale/f%d", fileIdx), off, n, want, nil)
+	switch a.Outcome {
 	case core.ReadOK:
 		return "ok"
 	case core.ReadCorrupt:
@@ -309,5 +306,5 @@ func scaleRead(op *sim.Proc, router *hdfs.Router, libs []*core.Lib, clients []*h
 	case core.ReadUntyped:
 		return "untyped"
 	}
-	return "typed" // every replica failed with a typed error or open miss
+	return "typed" // a downed shard, or every replica failed typed or refused the open
 }

@@ -24,6 +24,7 @@ import (
 
 	"vread/internal/core"
 	"vread/internal/data"
+	"vread/internal/experiments"
 	"vread/internal/faults"
 	"vread/internal/sim"
 )
@@ -40,13 +41,15 @@ type Options struct {
 	Deadline  time.Duration // virtual-time budget for the run (default 1h)
 }
 
-func (o Options) withDefaults() Options {
-	o.Files = cmp.Or(o.Files, 3)
-	o.FileSize = cmp.Or(o.FileSize, 1<<20)
-	o.Reads = cmp.Or(o.Reads, 30)
-	o.Deadline = cmp.Or(o.Deadline, time.Hour)
-	return o
-}
+// The defaults the storms share: Run's files and file size, which RunHostile
+// writes too, and every storm's virtual-time budget. Blocks on the two-host
+// testbed are stormBlockSize, so each file is one block.
+const (
+	stormFiles     = 3
+	stormFileSize  = 1 << 20
+	stormBlockSize = 4 << 20
+	stormDeadline  = time.Hour
+)
 
 // Result is one run's observable outcome.
 type Result struct {
@@ -74,14 +77,15 @@ func (r Result) DistinctFired() int {
 // testing APIs: violations are data, so callers can aggregate them across a
 // seed sweep before failing.
 func Run(o Options) Result {
-	o = o.withDefaults()
 	res := Result{}
 	s := newStorm(o.Seed, o.Spec, &res)
 	defer s.c.Close()
-	mgr, writer, libs := s.twoHosts([]string{"client"}, core.Config{Transport: o.Transport})
+	mgr, writer, libs := experiments.BuildReaders(s.c, []string{"client"}, stormBlockSize, s.place,
+		core.Config{Transport: o.Transport, Faults: s.plan})
 
-	s.run("chaos", writer, "/chaos", o.Files, o.FileSize, func(p *sim.Proc, rng *rand.Rand, contents []data.Pattern) {
-		for i := 0; i < o.Reads; i++ {
+	files, size := cmp.Or(o.Files, stormFiles), cmp.Or(o.FileSize, stormFileSize)
+	s.run("chaos", writer, "/chaos", files, size, func(p *sim.Proc, rng *rand.Rand, contents []data.Pattern) {
+		for i := 0; i < cmp.Or(o.Reads, 30); i++ {
 			if s.blockRead(p, rng, libs[0], contents, fmt.Sprintf("chaos-read-%d", i), fmt.Sprintf("%d|", i)) == core.ReadMiss {
 				// A miss (crash-invalidated mount) degrades; it must not
 				// corrupt. Real deployments take the vanilla socket path and
@@ -93,7 +97,7 @@ func Run(o Options) Result {
 		}
 	})
 
-	if !s.settle(o.Deadline, mgr) {
+	if !s.settle(cmp.Or(o.Deadline, stormDeadline), mgr) {
 		return res
 	}
 	client := mgr.DaemonStats("client")

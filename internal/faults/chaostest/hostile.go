@@ -9,6 +9,7 @@ import (
 
 	"vread/internal/core"
 	"vread/internal/data"
+	"vread/internal/experiments"
 	"vread/internal/faults"
 	"vread/internal/sim"
 )
@@ -26,32 +27,21 @@ var hostileGuestPoints = map[string]bool{
 
 // HostileOptions selects one hostile-guest chaos run: one hostile client VM
 // whose ring endpoints forge descriptors per the spec's hostile points, plus
-// victim client VMs reading the same blocks cleanly, all on a two-host
-// topology with alternating block placement.
+// victim client VMs reading the same blocks cleanly, all on the two-host
+// reader testbed with alternating block placement.
 type HostileOptions struct {
-	Seed      int64
-	Spec      faults.Spec
-	Transport core.Transport
-	// Victims is how many well-behaved client VMs read alongside the hostile
-	// one (default 2).
-	Victims int
+	Seed int64
+	Spec faults.Spec
 	// RevokeThreshold, when > 0, arms the daemon's auto-revocation after that
 	// many consecutive rejects on the hostile ring.
 	RevokeThreshold int
-	Files           int
-	FileSize        int64
-	Reads           int // read rounds; each round is one hostile + one read per victim
-	Deadline        time.Duration
+	Reads           int           // read rounds, each one hostile + one read per victim (default 25)
+	Deadline        time.Duration // virtual-time budget for the run (default 1h)
 }
 
-func (o HostileOptions) withDefaults() HostileOptions {
-	o.Victims = cmp.Or(o.Victims, 2)
-	o.Files = cmp.Or(o.Files, 3)
-	o.FileSize = cmp.Or(o.FileSize, 1<<20)
-	o.Reads = cmp.Or(o.Reads, 25)
-	o.Deadline = cmp.Or(o.Deadline, time.Hour)
-	return o
-}
+// hostileClients are RunHostile's client VMs: the hostile one, then the
+// well-behaved victims reading alongside it.
+var hostileClients = []string{"hostile", "victim0", "victim1"}
 
 // HostileResult extends Result with per-cohort outcome counts.
 type HostileResult struct {
@@ -84,31 +74,26 @@ func hostileOnly(spec faults.Spec) bool {
 // When the spec arms mount.migrate, each round ping-pongs dn2's mount
 // between the two hosts mid-storm.
 func RunHostile(o HostileOptions) HostileResult {
-	o = o.withDefaults()
 	res := HostileResult{}
 	s := newStorm(o.Seed, o.Spec, &res.Result)
 	defer s.c.Close()
 	s.guest = faults.NewPlan(s.c.Env)
-	clients := []string{"hostile"}
-	for i := 0; i < o.Victims; i++ {
-		clients = append(clients, fmt.Sprintf("victim%d", i))
-	}
-	mgr, writer, libs := s.twoHosts(clients, core.Config{
-		Transport:           o.Transport,
+	mgr, writer, libs := experiments.BuildReaders(s.c, hostileClients, stormBlockSize, s.place, core.Config{
 		RingRevokeThreshold: o.RevokeThreshold,
+		Faults:              s.plan,
 	})
 	// The isolation lever: the guest plan owns exactly the hostile VM's ring
 	// endpoints. Victim rings keep the manager-wide plan.
 	mgr.InjectGuestFaults("hostile", s.guest)
 
-	s.run("hostile-storm", writer, "/hostile", o.Files, o.FileSize, func(p *sim.Proc, rng *rand.Rand, contents []data.Pattern) {
+	s.run("hostile-storm", writer, "/hostile", stormFiles, stormFileSize, func(p *sim.Proc, rng *rand.Rand, contents []data.Pattern) {
 		// One read through one client. Victim blocks may live on a mount
 		// that is mid-quiesce when a migration fires — the read simply blocks
 		// through the blackout, which is exactly the property under test.
 		readOnce := func(c, i int) core.ReadOutcome {
-			return s.blockRead(p, rng, libs[c], contents, fmt.Sprintf("%s-read-%d", clients[c], i), fmt.Sprintf("%d|%s|", i, clients[c]))
+			return s.blockRead(p, rng, libs[c], contents, fmt.Sprintf("%s-read-%d", hostileClients[c], i), fmt.Sprintf("%d|%s|", i, hostileClients[c]))
 		}
-		for i := 0; i < o.Reads; i++ {
+		for i := 0; i < cmp.Or(o.Reads, 25); i++ {
 			if s.pingPong(p, mgr, i, "dn2", "host2", "host1") {
 				res.Migrations++
 			}
@@ -120,20 +105,20 @@ func RunHostile(o HostileOptions) HostileResult {
 			case core.ReadMiss:
 				res.HostileMisses++
 			}
-			for v := 1; v < len(clients); v++ {
+			for v := 1; v < len(hostileClients); v++ {
 				switch readOnce(v, i) {
 				case core.ReadOK:
 					res.VictimOKs++
 				case core.ReadTyped:
 					res.VictimErrors++
 				case core.ReadMiss:
-					s.violate("%s round %d: open denied", clients[v], i)
+					s.violate("%s round %d: open denied", hostileClients[v], i)
 				}
 			}
 		}
 	})
 
-	if !s.settle(o.Deadline, mgr) {
+	if !s.settle(cmp.Or(o.Deadline, stormDeadline), mgr) {
 		return res
 	}
 	// Per-VM isolation: under a purely hostile (plus migration) plan the
@@ -142,7 +127,7 @@ func RunHostile(o HostileOptions) HostileResult {
 		s.violate("%d victim reads failed under a hostile-only plan: isolation broken", res.VictimErrors)
 	}
 	res.Revoked = mgr.Daemon("hostile").RingState() == "revoked"
-	for _, v := range clients[1:] {
+	for _, v := range hostileClients[1:] {
 		if st := mgr.Daemon(v).RingState(); st != "attached" {
 			s.violate("victim %s ring ended the storm %s", v, st)
 		}

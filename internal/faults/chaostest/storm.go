@@ -13,7 +13,6 @@ import (
 	"vread/internal/data"
 	"vread/internal/faults"
 	"vread/internal/hdfs"
-	"vread/internal/metrics"
 	"vread/internal/sim"
 	"vread/internal/trace"
 )
@@ -46,7 +45,7 @@ type storm struct {
 	fp     hash.Hash64
 	res    *Result
 	done   bool
-	// blockDN[id-1] is block id's datanode under twoHosts' placement.
+	// blockDN[id-1] is block id's datanode under place.
 	blockDN []string
 }
 
@@ -66,45 +65,14 @@ func (s *storm) violate(format string, args ...interface{}) {
 	s.res.Violations = append(s.res.Violations, fmt.Sprintf(format, args...))
 }
 
-// twoHosts builds the topology Run and RunHostile share: the client VMs and
-// dn1 on host1, dn2 on host2, the fabric and both disks on the manager-wide
-// plan, and block placement alternating dn1, dn2, so a storm exercises both
-// the local (ring) and remote (RDMA/TCP) halves of the read path. It returns
-// the vRead manager built from cfg, a writer on clients[0], and one lib per
-// client.
-func (s *storm) twoHosts(clients []string, cfg core.Config) (*core.Manager, *hdfs.Client, []*core.Lib) {
-	c := s.c
-	h1, h2 := c.AddHost("host1"), c.AddHost("host2")
-	c.Fabric.InjectFaults(s.plan)
-	h1.Disk.InjectFaults(s.plan)
-	h2.Disk.InjectFaults(s.plan)
-	for _, name := range clients {
-		h1.AddVM(name, metrics.TagClientApp)
-	}
-	dn1 := h1.AddVM("dn1", metrics.TagDatanodeApp)
-	dn2 := h2.AddVM("dn2", metrics.TagDatanodeApp)
-
-	nn := hdfs.NewNameNode(c.Env, hdfs.Config{BlockSize: 4 << 20}, c.Fabric)
-	hdfs.StartDataNode(c.Env, nn, dn1.Kernel)
-	hdfs.StartDataNode(c.Env, nn, dn2.Kernel)
-	writer := hdfs.NewClient(c.Env, nn, c.VM(clients[0]).Kernel)
-	// The policy is called once per block in block-ID order.
-	nn.SetPlacementPolicy(func(string, string, int) []string {
-		dn := [2]string{"dn1", "dn2"}[len(s.blockDN)%2]
-		s.blockDN = append(s.blockDN, dn)
-		return []string{dn}
-	})
-
-	cfg.Faults = s.plan
-	mgr := core.NewManager(c, nn, cfg)
-	mgr.MountDatanode("dn1")
-	mgr.MountDatanode("dn2")
-	libs := make([]*core.Lib, len(clients))
-	for i, name := range clients {
-		libs[i] = mgr.EnableClient(name)
-	}
-	writer.SetBlockReader(libs[0])
-	return mgr, writer, libs
+// place is the block placement of Run and RunHostile: blocks alternate dn1,
+// dn2 (the policy is called once per block in block-ID order), so a storm
+// exercises both the local (ring) and remote (RDMA/TCP) halves of the read
+// path.
+func (s *storm) place(string, string, int) []string {
+	dn := [2]string{"dn1", "dn2"}[len(s.blockDN)%2]
+	s.blockDN = append(s.blockDN, dn)
+	return []string{dn}
 }
 
 // readRange draws a non-empty byte range of c and the bytes it must read
@@ -116,9 +84,9 @@ func readRange(rng *rand.Rand, c data.Pattern) (off, n int64, want data.Slice) {
 }
 
 // blockRead is one read of a Run or RunHostile storm: a random block under
-// twoHosts' placement, a random range of its file (one block per file at
-// these sizes), the verified read traced as name, and its outcome line
-// recorded after the runner's prefix.
+// place, a random range of its file (one block per file at these sizes),
+// the verified read traced as name, and its outcome line recorded after the
+// runner's prefix.
 func (s *storm) blockRead(p *sim.Proc, rng *rand.Rand, lib *core.Lib, contents []data.Pattern, name, prefix string) core.ReadOutcome {
 	s.res.Reads++
 	blk := int64(rng.Intn(len(s.blockDN))) + 1

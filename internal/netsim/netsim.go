@@ -310,10 +310,11 @@ func (f *Fabric) HostOf(vm string) (string, bool) {
 	return r.host, ok
 }
 
-// EndpointOf returns the endpoint of a VM.
-func (f *Fabric) EndpointOf(vm string) (Endpoint, bool) {
+// Locate returns the host a VM currently runs on and its endpoint: the one
+// lookup a frame's sender needs to route it.
+func (f *Fabric) Locate(vm string) (host string, ep Endpoint, ok bool) {
 	r, ok := f.vms[vm]
-	return r.ep, ok
+	return r.host, r.ep, ok
 }
 
 // BindHostPort registers a host-terminated service (the vRead daemon's TCP

@@ -45,3 +45,19 @@ func FuzzSanitizeFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSanitizeBlkReq feeds the iothread's check of a guest-written block
+// request a size and a write flag. No input may panic, a request is accepted
+// iff its size is in (0, blkReqBytes], and an accepted request is unchanged.
+func FuzzSanitizeBlkReq(f *testing.F) {
+	b := new(BlkDev)
+	f.Fuzz(func(t *testing.T, n int64, write bool) {
+		out, ok := b.sanitizeBlkReq(blkReq{bytes: n, write: write})
+		if valid := n > 0 && n <= blkReqBytes; ok != valid {
+			t.Fatalf("sanitizeBlkReq(size %d, write %v) accepted=%v, want %v", n, write, ok, valid)
+		}
+		if ok && (out.bytes != n || out.write != write) {
+			t.Fatalf("accepted request rewritten to size %d, write %v", out.bytes, out.write)
+		}
+	})
+}

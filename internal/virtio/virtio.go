@@ -156,12 +156,11 @@ func (d *NetDev) Transmit(p *sim.Proc, fr netsim.Frame) {
 // post asynchronously, bounded by the VF's ring depth.
 func (d *NetDev) transmitSRIOV(p *sim.Proc, fr netsim.Frame) {
 	d.vcpu.RunT(p, sriovTxCycles, metrics.TagOthers, fr.Trace)
-	ep, ok := d.fabric.EndpointOf(fr.DstVM)
+	dstHost, ep, ok := d.fabric.Locate(fr.DstVM)
 	if !ok {
 		panic(fmt.Sprintf("virtio: unknown destination VM %q", fr.DstVM))
 	}
 	peer := ep.(*NetDev)
-	dstHost, _ := d.fabric.HostOf(fr.DstVM)
 	fr.DstHost = dstHost
 	for d.sriovInflight >= netRingFrames {
 		d.sriovSig.Wait(p)
@@ -206,7 +205,9 @@ func (d *NetDev) vhostLoop(p *sim.Proc) {
 		n := fr.Payload.Len()
 		d.vhost.RunT(p, vhostFrameCycles, metrics.TagVhostNet, fr.Trace)
 		d.vhost.RunT(p, copyCycles(n), metrics.TagCopyVirtio, fr.Trace)
-		dstHost, ok := d.fabric.HostOf(fr.DstVM)
+		// Routed after the charges: the destination may have migrated while
+		// this vhost thread was busy.
+		dstHost, ep, ok := d.fabric.Locate(fr.DstVM)
 		if !ok {
 			panic(fmt.Sprintf("virtio: unknown destination VM %q", fr.DstVM))
 		}
@@ -217,7 +218,6 @@ func (d *NetDev) vhostLoop(p *sim.Proc) {
 			if !d.cfg.SharedMemNet {
 				d.vhost.RunT(p, copyCycles(n), metrics.TagCopyVirtio, fr.Trace)
 			}
-			ep, _ := d.fabric.EndpointOf(fr.DstVM)
 			d.vhost.RunT(p, irqInjectCycles, metrics.TagVhostNet, fr.Trace)
 			ep.(*NetDev).injectRx(fr)
 			continue
