@@ -22,17 +22,21 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // format are exactly the output of `vread-bench -exp all -scale 0.01` in
 // that format. Each render must also fire exactly the simulated event count
 // testdata/golden/events.txt gives for its id, so an engine change that
-// keeps every row but adds, drops or reorders wake-ups still fails here. An
-// id whose cells run outside a Testbed counts 0 events. After a deliberate
-// change to a simulated result, refresh them with
+// keeps every row but adds, drops or reorders wake-ups still fails here, and
+// resume exactly as many Proc coroutines as testdata/golden/resumes.txt
+// gives, so a change in how many events pay a coroutine switch shows as a
+// diff of that file. After a deliberate change to a simulated result, refresh
+// them with
 //
 //	go test ./cmd/vread-bench -run TestGolden -update
 //
 // and justify the diff.
 func TestGolden(t *testing.T) {
 	opt := vread.Options{Seed: 1, Scale: 0.01, Transport: vread.TransportRDMA}
-	eventsPath := filepath.Join("testdata", "golden", "events.txt")
-	events := readEvents(t, eventsPath)
+	counts := []*countGolden{
+		newCountGolden(t, "events.txt", "simulated events", (*experiments.RunStats).Events),
+		newCountGolden(t, "resumes.txt", "Proc resumes", (*experiments.RunStats).Resumes),
+	}
 	for _, e := range vread.Experiments() {
 		t.Run(e.ID, func(t *testing.T) {
 			for _, f := range []struct {
@@ -47,37 +51,42 @@ func TestGolden(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkGolden(t, filepath.Join("testdata", "golden", e.ID+f.ext), got)
-					n := o.Stats.Events()
-					if *update {
-						events[e.ID] = n
-					} else if want, ok := events[e.ID]; !ok {
-						t.Errorf("%s has no line for %s (run with -update to add it)", eventsPath, e.ID)
-					} else if n != want {
-						t.Errorf("%d simulated events, %s pins %d", n, eventsPath, want)
+					for _, c := range counts {
+						c.check(t, e.ID, o.Stats)
 					}
 				})
 			}
 		})
 	}
 	if *update {
-		var b strings.Builder
-		for _, e := range vread.Experiments() {
-			if n, ok := events[e.ID]; ok {
-				fmt.Fprintf(&b, "%s %d\n", e.ID, n)
+		for _, c := range counts {
+			var b strings.Builder
+			for _, e := range vread.Experiments() {
+				if n, ok := c.want[e.ID]; ok {
+					fmt.Fprintf(&b, "%s %d\n", e.ID, n)
+				}
 			}
+			checkGolden(t, c.path, b.String())
 		}
-		checkGolden(t, eventsPath, b.String())
 	}
 }
 
-// readEvents loads the "<id> <events>" lines of the event-count golden; a
-// missing file reads as empty, so -update can create it.
-func readEvents(t *testing.T, path string) map[string]int64 {
+// countGolden is one "<id> <count>" golden file: a per-experiment total
+// read off the RunStats of a render.
+type countGolden struct {
+	path, what string
+	get        func(*experiments.RunStats) int64
+	want       map[string]int64
+}
+
+// newCountGolden loads testdata/golden/<file>; a missing file reads as
+// empty, so -update can create it.
+func newCountGolden(t *testing.T, file, what string, get func(*experiments.RunStats) int64) *countGolden {
 	t.Helper()
-	events := map[string]int64{}
-	b, err := os.ReadFile(path)
+	c := &countGolden{path: filepath.Join("testdata", "golden", file), what: what, get: get, want: map[string]int64{}}
+	b, err := os.ReadFile(c.path)
 	if os.IsNotExist(err) {
-		return events
+		return c
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -86,11 +95,25 @@ func readEvents(t *testing.T, path string) map[string]int64 {
 		id, count, ok := strings.Cut(line, " ")
 		n, err := strconv.ParseInt(count, 10, 64)
 		if !ok || err != nil {
-			t.Fatalf("%s: malformed line %q", path, line)
+			t.Fatalf("%s: malformed line %q", c.path, line)
 		}
-		events[id] = n
+		c.want[id] = n
 	}
-	return events
+	return c
+}
+
+// check compares one render's count with the golden, or records it under
+// -update.
+func (c *countGolden) check(t *testing.T, id string, stats *experiments.RunStats) {
+	t.Helper()
+	n := c.get(stats)
+	if *update {
+		c.want[id] = n
+	} else if want, ok := c.want[id]; !ok {
+		t.Errorf("%s has no line for %s (run with -update to add it)", c.path, id)
+	} else if n != want {
+		t.Errorf("%d %s, %s pins %d", n, c.what, c.path, want)
+	}
 }
 
 // checkGolden compares got with the golden file at path, or rewrites the

@@ -288,14 +288,14 @@ func (tb *Testbed) DropAllCaches() {
 	tb.C.Host("host2").Cache.DropAll()
 }
 
-// Close shuts the testbed down, harvesting the Env's fired-event total into
-// Options.Stats. Idempotent, so error paths may close eagerly.
+// Close shuts the testbed down, harvesting the Env's fired-event and resume
+// totals into Options.Stats. Idempotent, so error paths may close eagerly.
 func (tb *Testbed) Close() {
 	if tb.closed {
 		return
 	}
 	tb.closed = true
-	tb.Opt.Stats.addEvents(int64(tb.C.Env.Fired()))
+	tb.Opt.Stats.addEnv(tb.C.Env)
 	tb.C.Close()
 }
 

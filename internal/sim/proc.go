@@ -116,6 +116,7 @@ func (e *Env) dispatch(p *Proc) {
 	if p.done {
 		return
 	}
+	e.resumes++
 	prev := e.current
 	e.current = p
 	p.next()

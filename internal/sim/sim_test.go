@@ -92,6 +92,15 @@ func TestProcSleep(t *testing.T) {
 	if env.Live() != 0 {
 		t.Fatalf("Live() = %d after Run", env.Live())
 	}
+	// Two resumes (the start and the wake from Sleep) and nothing else:
+	// a plain event resumes no Proc.
+	env.Schedule(time.Millisecond, func() {})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if env.Resumes() != 2 || env.Fired() != 3 {
+		t.Fatalf("Resumes() = %d, Fired() = %d; want 2 and 3", env.Resumes(), env.Fired())
+	}
 }
 
 func TestProcInterleaving(t *testing.T) {
