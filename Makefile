@@ -67,20 +67,23 @@ chaos-smoke:
 # pattern windows (against the per-byte formula), data.Equal (against
 # bytes.Equal, on its identity path and across its 512-byte chunk edges),
 # sim.Queue's ring (against a plain-slice FIFO at capacities 0, 1 and 3),
-# the event engine's heap and ready lane (firing order against a reference
+# sim.Queue's Notify handler consumer (against a Proc looping over Get: same
+# pops at the same virtual times, same event count), the event engine's heap and ready lane (firing order against a reference
 # sort by time and schedule order, across cancels, deadlines, Stop and the
 # idle hook), storage.Readahead (reads, drops and engine steps against
 # its window invariants), vhost's check of a guest-written virtio-net tx
-# descriptor (payload length and destination) and the iothread's check of a
-# guest-written block request (size). Seeds are the f.Add calls plus
+# descriptor (payload length and destination), the iothread's check of a
+# guest-written block request (size) and the vRead daemon's check of a
+# guest-written ring descriptor (state, opcode, key, names, byte range). Seeds are the f.Add calls plus
 # testdata/fuzz/<target>; a crasher is written there too and fails the
 # target.
 FUZZ_TARGETS := ./internal/faults:FuzzParseSpec ./internal/experiments:FuzzParseOptions \
 	./internal/hdfs:FuzzWriteReqRoundTrip ./internal/hdfs:FuzzReadReqRoundTrip \
 	./internal/data:FuzzPatternWindowConsistency ./internal/data:FuzzConcatSplit \
-	./internal/data:FuzzEqual ./internal/sim:FuzzQueue ./internal/sim:FuzzEventOrder \
-	./internal/storage:FuzzReadahead ./internal/virtio:FuzzSanitizeFrame \
-	./internal/virtio:FuzzSanitizeBlkReq
+	./internal/data:FuzzEqual ./internal/sim:FuzzQueue ./internal/sim:FuzzQueueNotify \
+	./internal/sim:FuzzEventOrder ./internal/storage:FuzzReadahead \
+	./internal/virtio:FuzzSanitizeFrame ./internal/virtio:FuzzSanitizeBlkReq \
+	./internal/core:FuzzSanitizeReq
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

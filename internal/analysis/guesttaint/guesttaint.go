@@ -14,8 +14,9 @@
 // reach a slice/array/string index, a slice bound, a copy or make length, a
 // map key (including delete), or a sim.Env schedule delay — the sinks where
 // a hostile length or offset becomes an out-of-bounds access or a stalled
-// event loop. Reports carry the pop site and, for flows through callees, the
-// call-chain witness.
+// event loop — nor be stored into host state outliving the event, where a
+// later event handler uses it out of the dataflow's sight. Reports carry the
+// pop site and, for flows through callees, the call-chain witness.
 package guesttaint
 
 import (
@@ -32,7 +33,7 @@ import (
 // Analyzer is the guest-taint invariant.
 var Analyzer = &analysis.Analyzer{
 	Name: "guesttaint",
-	Doc:  "guest-written ring values must pass a declared //lint:sanitizer guesttaint function before index, copy-length, map-key, and schedule-delay sinks",
+	Doc:  "guest-written ring values must pass a declared //lint:sanitizer guesttaint function before index, copy-length, map-key, schedule-delay, and host-state field-store sinks",
 	Run:  run,
 }
 
@@ -69,6 +70,19 @@ func run(pass *analysis.Pass) error {
 		},
 		ExprSink: exprSinks,
 		CallSink: callSinks,
+		// Host state outlives the event: a field reached through a pointer,
+		// unless it is an annotated guest-written field (values stay hostile).
+		FieldStore: func(pkg *analysis.Package, lhs *ast.SelectorExpr) string {
+			if sel, ok := pkg.TypesInfo.Selections[lhs]; !ok || sources[sel.Obj().(*types.Var)] != "" {
+				return ""
+			}
+			for x, ok := lhs, true; ok; x, ok = ast.Unparen(x.X).(*ast.SelectorExpr) {
+				if sel, isField := pkg.TypesInfo.Selections[x]; isField && sel.Indirect() {
+					return "field store"
+				}
+			}
+			return ""
+		},
 		Report: func(fn *analysis.FuncNode, f analysis.Fact, hit analysis.SinkHit) {
 			if f.Label != "guest" || pass.IsTestFile(hit.Pos) {
 				return

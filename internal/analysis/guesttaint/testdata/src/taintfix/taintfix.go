@@ -1,6 +1,7 @@
 // Package taintfix exercises the guest-taint boundary: values popped off an
 // annotated ring queue are hostile until a declared sanitizer accepts them,
-// and must not reach index, copy-length, map-key, or schedule-delay sinks.
+// and must not reach index, copy-length, map-key, or schedule-delay sinks,
+// nor be stored into host state for a later event.
 package taintfix
 
 import (
@@ -26,6 +27,12 @@ type dev struct {
 
 	mounts map[string]int
 	slots  []byte
+	// cur is host state: the descriptor in flight between event handlers.
+	cur req
+	// held is a guest-side capture area: stores into it stay hostile.
+	//
+	//lint:source guesttaint(captured descriptors are re-sanitized on replay)
+	held []req
 }
 
 // sanitize launders a descriptor by value.
@@ -122,4 +129,42 @@ func (d *dev) allowed(p *sim.Proc) {
 	}
 	//lint:allow guesttaint(fixture proves the escape hatch works)
 	_ = d.mounts[r.dn]
+}
+
+// keep stores its argument into host state; callers feeding it guest data
+// get a call-chain witness.
+func (d *dev) keep(r req) {
+	d.cur = r
+}
+
+// stored keeps popped descriptors for a later event handler: a store into
+// host state is a sink, one into a guest-side field or into the popped
+// value's own storage is not.
+func (d *dev) stored() {
+	r, ok := d.reqs.TryGet()
+	if !ok {
+		return
+	}
+	d.cur.n = r.n              // want `field store d\.cur\.n`
+	d.cur = r                  // want `field store d\.cur without a declared sanitizer`
+	d.keep(r)                  // want `field store d\.cur .*call chain: \(taintfix\.dev\)\.stored → \(taintfix\.dev\)\.keep`
+	d.held = append(d.held, r) // a guest-side capture
+	rp := &r
+	rp.n = r.off // the popped value's own storage
+	var local req
+	local.off = r.off // a local value, gone with the event
+	_ = local
+}
+
+// storedClean sanitizes before keeping the descriptor: no findings.
+func (d *dev) storedClean() {
+	r, ok := d.reqs.TryGet()
+	if !ok {
+		return
+	}
+	if r, ok = d.sanitize(r); !ok {
+		return
+	}
+	d.cur = r
+	d.keep(r)
 }

@@ -88,6 +88,8 @@ type ring struct {
 	// pending is the replayable set of descriptors captured while quiesced:
 	// drained from the descriptor area at snapshot time plus any that arrive
 	// during the blackout. RingRestore re-stamps and replays them in order.
+	//
+	//lint:source guesttaint(captured descriptors stay guest-written until replay runs them through sanitizeReq)
 	pending []ringReq
 	// badStreak counts consecutive rejected descriptors toward the
 	// revocation threshold; any accepted descriptor resets it.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -94,4 +95,60 @@ func TestRotateKeyAdvancesEpoch(t *testing.T) {
 	if r.key != mintRingKey("vm1", r.epoch) {
 		t.Fatal("rotated key does not match mint for the new epoch")
 	}
+}
+
+// FuzzSanitizeReq feeds the daemon's descriptor check a ring state, an
+// opcode, a key (the ring's own or a fuzzed one), a reply queue or none,
+// datanode and path name lengths, and a byte range. No input may panic; the
+// verdict must be the one the rules in sanitizeReq's doc comment give, each
+// rejection one of the typed verdicts; and an accepted descriptor comes back
+// unchanged, with off and n non-negative and off+n not overflowing.
+func FuzzSanitizeReq(f *testing.F) {
+	f.Add(uint8(ringAttached), int64(reqRead), true, uint64(0), false, uint16(3), uint16(2), int64(0), int64(4096))
+	f.Add(uint8(ringAttached), int64(reqOpen), true, uint64(0), false, uint16(3), uint16(2), int64(0), int64(0))
+	f.Add(uint8(ringRevoked), int64(reqRead), true, uint64(0), false, uint16(3), uint16(2), int64(0), int64(1))
+	f.Add(uint8(ringAttached), int64(reqRead), true, uint64(0), false, uint16(maxRingNameBytes+1), uint16(2), int64(0), int64(1))
+	f.Add(uint8(ringAttached), int64(reqRead), true, uint64(0), false, uint16(3), uint16(2), int64(math.MaxInt64), int64(1))
+
+	d, env := sanitizeFixture()
+	defer env.Close()
+	reply := sim.NewQueue[openResult](env, 0)
+	f.Fuzz(func(t *testing.T, state uint8, kind int64, ringKey bool, key uint64, withReply bool,
+		dnLen, pathLen uint16, off, n int64) {
+		d.ring.state = ringState(state % 3)
+		if ringKey {
+			key = d.ring.key
+		}
+		req := ringReq{kind: ringReqKind(kind), dn: strings.Repeat("d", int(dnLen)),
+			path: strings.Repeat("p", int(pathLen)), off: off, n: n, key: key}
+		if withReply {
+			req.reply = reply
+		}
+		validName := func(l uint16) bool { return l > 0 && l <= maxRingNameBytes }
+		want := reqAccept
+		switch {
+		case d.ring.state == ringRevoked:
+			want = reqDenied
+		case key != d.ring.key:
+			want = reqStaleKey
+		case req.kind != reqOpen && req.kind != reqRead,
+			req.kind == reqOpen && !withReply,
+			!validName(dnLen) || !validName(pathLen),
+			off < 0 || n < 0 || off > math.MaxInt64-n:
+			want = reqMalformed
+		}
+		out, got := d.sanitizeReq(req)
+		if got != want {
+			t.Fatalf("sanitizeReq(%+v) on a %s ring = verdict %d, want %d", req, d.ring.state, got, want)
+		}
+		if got != reqAccept {
+			return
+		}
+		if out.off < 0 || out.n < 0 || out.off > math.MaxInt64-out.n {
+			t.Fatalf("accepted range off %d n %d is negative or overflows", out.off, out.n)
+		}
+		if out != req {
+			t.Fatalf("accepted descriptor rewritten: %+v, sent %+v", out, req)
+		}
+	})
 }

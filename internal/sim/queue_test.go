@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -203,4 +204,110 @@ func panics(fn func()) (did bool) {
 	defer func() { did = recover() != nil }()
 	fn()
 	return false
+}
+
+// TestQueueOneConsumerKind pins the rule that a queue's consumers are Procs
+// in Get or one Notify handler, never both: arming a handler while a Proc
+// is parked in Get panics.
+func TestQueueOneConsumerKind(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	q := NewQueue[int](env, 0)
+	env.Go("getter", func(p *Proc) { q.Get(p) })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !panics(func() { q.Notify(func() {}) }) {
+		t.Fatal("Notify with a Proc parked in Get did not panic")
+	}
+}
+
+// FuzzQueueNotify is the differential test of Queue.Notify and Env.Later: one
+// fuzzed producer script (blocking Puts, TryPuts, sleeps and a Close) runs
+// twice, once against a Proc consumer looping over Get and once against a
+// handler consumer that pops with TryGet and re-arms with Notify. Each
+// consumer holds every item for a service time, by Sleep or by an armed
+// completion in the Proc and by Schedule or by an Env.Later completion in
+// the handler. Both runs must pop the same items at the same virtual times,
+// see the same TryPut results, and fire the same number of events.
+func FuzzQueueNotify(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 9, 6, 6, 6, 14, 0, 12, 15})
+	f.Add([]byte{6, 7, 8, 0, 1, 2, 3, 4, 5, 13})
+	f.Add([]byte{15, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		for _, capacity := range []int{0, 1, 3} {
+			procLog, procFired := runQueueScript(ops, capacity, false)
+			handlerLog, handlerFired := runQueueScript(ops, capacity, true)
+			if procLog != handlerLog || procFired != handlerFired {
+				t.Fatalf("cap %d: Get-loop consumer fired %d events:\n%s\nNotify consumer fired %d:\n%s",
+					capacity, procFired, procLog, handlerFired, handlerLog)
+			}
+		}
+	})
+}
+
+// runQueueScript runs one FuzzQueueNotify script and returns its log of
+// producer results and consumer pops, and the events fired.
+func runQueueScript(ops []byte, capacity int, handler bool) (string, uint64) {
+	env := NewEnv(1)
+	defer env.Close()
+	q := NewQueue[int](env, capacity)
+	var log strings.Builder
+	service := func(v int) time.Duration { return time.Duration(v%3) * time.Microsecond }
+	if handler {
+		var serve, serveLater func()
+		serve = func() {
+			v, ok := q.TryGet()
+			if !ok {
+				if !q.Closed() {
+					q.Notify(serve)
+				}
+				return
+			}
+			fmt.Fprintf(&log, "pop %d at %v\n", v, env.Now())
+			if v%2 == 0 {
+				env.Schedule(service(v), serve)
+			} else {
+				env.Schedule(service(v), serveLater)
+			}
+		}
+		serveLater = env.Later(serve)
+		env.Schedule(0, serve)
+	} else {
+		env.Go("consumer", func(p *Proc) {
+			for {
+				v, ok := q.Get(p)
+				if !ok {
+					return
+				}
+				fmt.Fprintf(&log, "pop %d at %v\n", v, env.Now())
+				if v%2 == 0 {
+					p.Sleep(service(v))
+				} else {
+					env.Schedule(service(v), p.Arm())
+					p.Await()
+				}
+			}
+		})
+	}
+	env.Go("producer", func(p *Proc) {
+		defer q.Close()
+		for i, op := range ops {
+			switch op % 16 {
+			case 0, 1, 2, 3, 4, 5:
+				q.Put(p, i)
+			case 6, 7, 8:
+				fmt.Fprintf(&log, "tryput %d %v at %v\n", i, q.TryPut(i), env.Now())
+			case 15:
+				return
+			default:
+				p.Sleep(time.Duration(op%16-9) * time.Microsecond)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		fmt.Fprintf(&log, "error %v\n", err)
+	}
+	return log.String(), env.Fired()
 }

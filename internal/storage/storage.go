@@ -106,13 +106,16 @@ func (d *Disk) ReadAsyncT(tr *trace.Trace, n int64, onDone func()) {
 	d.stats.BytesRead += n
 }
 
-// WriteAsync submits a write of n bytes; onDone, if not nil, fires on
-// completion.
-func (d *Disk) WriteAsync(n int64, onDone func()) {
-	if onDone == nil {
-		onDone = noop
-	}
-	d.submit(n, writeLatency, d.cfg.WriteBandwidth, onDone)
+// WriteAsyncT submits a write of n bytes with a "disk write" span (submit →
+// completion) on the request trace; onDone, if not nil, fires on completion.
+func (d *Disk) WriteAsyncT(tr *trace.Trace, n int64, onDone func()) {
+	sp := tr.Begin(trace.LayerDisk, "write")
+	d.submit(n, writeLatency, d.cfg.WriteBandwidth, func() {
+		tr.EndSpan(sp, n)
+		if onDone != nil {
+			onDone()
+		}
+	})
 	d.stats.Writes++
 	d.stats.BytesWritten += n
 }
@@ -122,15 +125,6 @@ func (d *Disk) WriteAsync(n int64, onDone func()) {
 func (d *Disk) ReadT(p *sim.Proc, tr *trace.Trace, n int64) {
 	d.ReadAsyncT(tr, n, p.Arm())
 	p.Await()
-}
-
-// WriteT blocks p for the duration of a write of n bytes, with a "disk
-// write" span on the request trace.
-func (d *Disk) WriteT(p *sim.Proc, tr *trace.Trace, n int64) {
-	sp := tr.Begin(trace.LayerDisk, "write")
-	d.WriteAsync(n, p.Arm())
-	p.Await()
-	tr.EndSpan(sp, n)
 }
 
 func (d *Disk) submit(n int64, lat time.Duration, bw int64, onDone func()) {
@@ -146,9 +140,6 @@ func (d *Disk) submit(n int64, lat time.Duration, bw int64, onDone func()) {
 	d.busyUntil = finish
 	d.env.Schedule(finish-d.env.Now(), onDone)
 }
-
-// noop is the completion of a write nobody waits for.
-func noop() {}
 
 // ---------------------------------------------------------------------------
 // Page cache.

@@ -7,6 +7,7 @@ import (
 
 	"vread/internal/faults"
 	"vread/internal/sim"
+	"vread/internal/trace"
 )
 
 func TestDiskReadTiming(t *testing.T) {
@@ -49,17 +50,22 @@ func TestDiskFIFOSerialization(t *testing.T) {
 	}
 }
 
+// TestDiskWrite: WriteAsyncT counts the write, runs onDone at completion and
+// times a "write" span from submit to completion on the request trace.
 func TestDiskWrite(t *testing.T) {
 	env := sim.NewEnv(1)
 	d := NewDisk(env, "ssd", DiskConfig{})
-	env.Go("p", func(p *sim.Proc) {
-		d.WriteT(p, nil, 1_000_000)
-	})
+	tr := trace.NewTracer(env, 1).Request("w")
+	var done time.Duration
+	d.WriteAsyncT(tr, 1_000_000, func() { done = env.Now() })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if s := d.Stats(); s.Writes != 1 || s.BytesWritten != 1_000_000 {
 		t.Fatalf("stats = %+v", s)
+	}
+	if sp := tr.Spans; done == 0 || len(sp) != 1 || sp[0].Name != "write" || sp[0].Start != 0 || sp[0].End != done || sp[0].Bytes != 1_000_000 {
+		t.Fatalf("write done at %v, spans %+v; want one write span over [0, done]", done, sp)
 	}
 	d.ResetStats()
 	if s := d.Stats(); s.Writes != 0 {
