@@ -41,7 +41,7 @@ const simPath = "vread/internal/sim"
 
 // popMethods are the sim.Queue methods that hand a guest-written element to
 // host-side code.
-var popMethods = map[string]bool{"Get": true, "TryGet": true, "GetTimeout": true, "Peek": true}
+var popMethods = map[string]bool{"Get": true, "TryGet": true, "GetTimeout": true}
 
 func run(pass *analysis.Pass) error {
 	prog := pass.Prog

@@ -35,9 +35,6 @@ func (q *Queue[T]) TryGet() (T, bool) { return q.zero, false }
 // GetTimeout pops with a deadline.
 func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) { return q.zero, false }
 
-// Peek returns the head without popping.
-func (q *Queue[T]) Peek() (T, bool) { return q.zero, false }
-
 // Put pushes one element.
 func (q *Queue[T]) Put(p *Proc, v T) {}
 

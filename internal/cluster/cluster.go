@@ -315,14 +315,6 @@ func (c *Cluster) KillRack(rack string) {
 	}
 }
 
-// ReviveRack undoes KillRack (the ToR came back).
-func (c *Cluster) ReviveRack(rack string) {
-	for _, h := range c.racks[rack] {
-		h.down = false
-		c.Fabric.SetHostDown(h.Name, false)
-	}
-}
-
 // MaybeKillRack evaluates the rack.kill faultpoint and, when it fires,
 // kills the named rack. Load generators call this per arrival so a chaos
 // spec like "rack.kill:after=40,max=1" pins the kill to an exact point in

@@ -60,7 +60,7 @@ func TestTopologyScales(t *testing.T) {
 	}
 }
 
-// TestKillRack takes a rack down and back up, checking host and fabric state.
+// TestKillRack takes a rack down, checking host and fabric state.
 func TestKillRack(t *testing.T) {
 	c := cluster.New(1, cluster.Params{})
 	defer c.Close()
@@ -74,12 +74,6 @@ func TestKillRack(t *testing.T) {
 	for _, h := range c.RackHosts("d0r0") {
 		if h.Down() || c.Fabric.HostDown(h.Name) {
 			t.Fatalf("%s down although its rack was not killed", h.Name)
-		}
-	}
-	c.ReviveRack("d0r1")
-	for _, h := range c.RackHosts("d0r1") {
-		if h.Down() || c.Fabric.HostDown(h.Name) {
-			t.Fatalf("%s still down after ReviveRack", h.Name)
 		}
 	}
 }

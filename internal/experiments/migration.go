@@ -38,9 +38,10 @@ type MigrationConfig struct {
 	// from the storm's start — deep enough into the storm that every stream
 	// has reads in flight. Default 5 ms.
 	TriggerAfter time.Duration
-	// Deadline bounds each cell in virtual time. Default 4 h.
-	Deadline time.Duration
 }
+
+// migrationDeadline bounds each cell of the sweep in virtual time.
+const migrationDeadline = 4 * time.Hour
 
 // WithDefaults fills zero fields.
 func (c MigrationConfig) WithDefaults() MigrationConfig {
@@ -51,7 +52,6 @@ func (c MigrationConfig) WithDefaults() MigrationConfig {
 	c.ReadSize = cmp.Or(c.ReadSize, 256<<10)
 	c.FileSize = cmp.Or(c.FileSize, 4<<20)
 	c.TriggerAfter = cmp.Or(c.TriggerAfter, 5*time.Millisecond)
-	c.Deadline = cmp.Or(c.Deadline, 4*time.Hour)
 	return c
 }
 
@@ -206,7 +206,7 @@ func runMigrationCell(opt Options, mc MigrationConfig, depth int) (MigrationRow,
 		row.Quiesced = mig.Quiesced
 		row.Captured = mig.Captured
 	})
-	if err := c.Env.RunUntil(storm + mc.Deadline); err != nil {
+	if err := c.Env.RunUntil(storm + migrationDeadline); err != nil {
 		return row, err
 	}
 	if ferr != nil {

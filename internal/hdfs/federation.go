@@ -1,8 +1,8 @@
-// Federated namespace: a Router fronts N namespace shards (HDFS-federation /
-// ViewFS mount-table style) and replaces topology-round-robin placement with
-// a consistent-hash ring over the datanodes (Dynamo-style virtual nodes,
-// replication factor N) that spreads replicas across fault domains
-// (WAS-style storage stamps/racks).
+// Federated namespace: a Router fronts N namespace shards (HDFS federation,
+// each path routed by a seeded hash) and replaces topology-round-robin
+// placement with a consistent-hash ring over the datanodes (Dynamo-style
+// virtual nodes, replication factor N) that spreads replicas across fault
+// domains (WAS-style storage stamps/racks).
 //
 // Determinism: the ring is built from an explicit seed, entries are kept
 // fully sorted with total-order tie-breaks, and routing hashes contain no
@@ -26,9 +26,9 @@ import (
 // shard.kill fault has taken down and whose failover has not completed yet.
 var ErrShardDown = errors.New("hdfs: namespace shard down (failover in progress)")
 
-// DefaultFailoverDelay is how long a killed shard refuses RPCs before its
-// standby takes over (lazy recovery: the window simply expires).
-const DefaultFailoverDelay = 5 * time.Millisecond
+// failoverDelay is how long a killed shard refuses RPCs before its standby
+// takes over (lazy recovery: the window simply expires).
+const failoverDelay = 5 * time.Millisecond
 
 // fnv1a is the ring/routing hash: FNV-1a 64, seed-mixed by hashing the seed
 // bytes before the key bytes, then finalized with a murmur-style mixer. The
@@ -204,12 +204,9 @@ type RouterOptions struct {
 	RingSeed int64
 	// VNodes per ring member. Default DefaultVNodes.
 	VNodes int
-	// FailoverDelay is how long a shard.kill keeps a shard down.
-	// Default DefaultFailoverDelay.
-	FailoverDelay time.Duration
 }
 
-// Router is the federated Namespace: a mount table routes each path to one
+// Router is the federated Namespace: a seeded hash routes each path to one
 // of its shards, block IDs are striped so they stay cluster-unique, and a
 // shared consistent-hash ring places replicas across fault domains.
 type Router struct {
@@ -219,17 +216,10 @@ type Router struct {
 	shards    []*NameNode
 	ring      *Ring
 	seed      int64
-	mounts    []mountEntry // longest-prefix mount table, checked in order
 	faults    *faults.Plan
-	failover  time.Duration
 	deadUntil []time.Duration
 	routed    int64
 	kills     int64
-}
-
-type mountEntry struct {
-	prefix string
-	shard  int
 }
 
 // NewRouter creates a federation of namespace shards over one topology.
@@ -237,16 +227,12 @@ func NewRouter(env *sim.Env, cfg Config, topo Topology, opt RouterOptions) *Rout
 	if opt.Shards <= 0 {
 		opt.Shards = 1
 	}
-	if opt.FailoverDelay <= 0 {
-		opt.FailoverDelay = DefaultFailoverDelay
-	}
 	ro := &Router{
 		env:       env,
 		cfg:       cfg.WithDefaults(),
 		topo:      topo,
 		ring:      NewRing(opt.RingSeed, opt.VNodes),
 		seed:      opt.RingSeed,
-		failover:  opt.FailoverDelay,
 		deadUntil: make([]time.Duration, opt.Shards),
 	}
 	for i := 0; i < opt.Shards; i++ {
@@ -273,25 +259,8 @@ func (ro *Router) Routed() int64 { return ro.routed }
 // ShardKills returns how many shard.kill faults have fired.
 func (ro *Router) ShardKills() int64 { return ro.kills }
 
-// AddMount pins a path prefix to a shard (ViewFS mount-table entry). Mounts
-// are consulted before hash routing, longest prefix first.
-func (ro *Router) AddMount(prefix string, shard int) {
-	if shard < 0 || shard >= len(ro.shards) {
-		panic(fmt.Sprintf("hdfs: mount %q → shard %d out of range", prefix, shard))
-	}
-	ro.mounts = append(ro.mounts, mountEntry{prefix: prefix, shard: shard})
-	sort.SliceStable(ro.mounts, func(i, j int) bool {
-		return len(ro.mounts[i].prefix) > len(ro.mounts[j].prefix)
-	})
-}
-
 // ShardOf returns the shard index a path routes to.
 func (ro *Router) ShardOf(path string) int {
-	for _, m := range ro.mounts {
-		if len(path) >= len(m.prefix) && path[:len(m.prefix)] == m.prefix {
-			return m.shard
-		}
-	}
 	return int(fnv1a(ro.seed, path) % uint64(len(ro.shards)))
 }
 
@@ -308,7 +277,7 @@ func (ro *Router) checkShard(p *sim.Proc, k *guest.Kernel, tr *trace.Trace, idx 
 	ro.routed++
 	if ro.faults.Should(faults.ShardKill) {
 		ro.kills++
-		until := ro.env.Now() + ro.failover
+		until := ro.env.Now() + failoverDelay
 		if until > ro.deadUntil[idx] {
 			ro.deadUntil[idx] = until
 		}

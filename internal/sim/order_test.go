@@ -21,12 +21,11 @@ func TestEventOrder(t *testing.T) {
 
 // FuzzEventOrder drives an Env with a byte-coded mix of zero and positive
 // delays, cancellations of pending heap and ready-lane events (bursts large
-// enough to compact), RunUntil deadlines, a Stop in mid-instant followed by
-// a resume, and an idle hook that schedules zero-delay work. Events fired by
-// the engine also schedule and cancel, so every kind of op happens both
-// between runs and inside an instant. The firing order must equal the
-// reference sort by (time, schedule order), and Fired, Pending and NextAt
-// must agree with the model after every op.
+// enough to compact), RunUntil deadlines, and a Stop in mid-instant followed
+// by a resume. Events fired by the engine also schedule and cancel, so every
+// kind of op happens both between runs and inside an instant. The firing
+// order must equal the reference sort by (time, schedule order), and Fired,
+// Pending and NextAt must agree with the model after every op.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 3, 0, 4, 2})
 	f.Add([]byte{6, 6, 2, 4, 1, 0, 0})
@@ -159,7 +158,7 @@ func checkEventOrder(t *testing.T, ops []byte) {
 	env := NewEnv(1)
 	m := &orderModel{t: t, env: env, ops: ops}
 	for op := 0; m.pos < len(ops); op++ {
-		switch b := m.next(); b % 7 {
+		switch b := m.next(); b % 6 {
 		case 0:
 			m.schedule(0)
 		case 1:
@@ -179,15 +178,6 @@ func checkEventOrder(t *testing.T, ops []byte) {
 			}
 			m.stopAt = 0
 		case 5:
-			budget := int(b%4) + 1
-			env.SetIdleHook(func() {
-				if budget > 0 {
-					budget--
-					m.schedule(0)
-					m.schedule(0)
-				}
-			})
-		case 6:
 			// A cancel burst past minCompact, over both structures.
 			first := len(m.evs)
 			for i := 0; i < 2*minCompact; i++ {

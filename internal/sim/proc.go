@@ -27,10 +27,9 @@ type abortSentinel struct{}
 // parks by calling yield, so a handoff is a direct coroutine switch rather
 // than a round trip through the Go scheduler.
 type Proc struct {
-	env     *Env
-	name    string
-	done    bool
-	doneSig *Signal
+	env  *Env
+	name string
+	done bool
 	// wake redispatches the process; bound once at creation so the wake-up
 	// paths (Sleep, Signal, Broadcast) schedule it without allocating a
 	// fresh closure per suspension.
@@ -75,7 +74,6 @@ func (e *Env) GoAfter(after time.Duration, name string, fn func(p *Proc)) *Proc 
 	p := &Proc{env: e, name: name}
 	p.wake = func() { e.dispatch(p) }
 	p.completion = p.complete
-	p.doneSig = NewSignal(e)
 	e.procs[p] = struct{}{}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) { p.run(yield, fn) })
 	e.Schedule(after, p.wake)
@@ -90,13 +88,9 @@ func (p *Proc) run(yield func(struct{}) bool, fn func(p *Proc)) {
 	defer func() {
 		r := recover()
 		p.finish()
-		if _, ok := r.(abortSentinel); ok {
-			return
-		}
-		if r != nil {
+		if _, abort := r.(abortSentinel); r != nil && !abort {
 			p.env.procErr = &procPanic{proc: p.name, value: r}
 		}
-		p.doneSig.Broadcast()
 	}()
 	fn(p)
 }
@@ -168,15 +162,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.checkContext()
 	p.env.Schedule(d, p.wake)
 	p.park()
-}
-
-// Join blocks until other finishes. Joining a finished process returns
-// immediately.
-func (p *Proc) Join(other *Proc) {
-	if other.done {
-		return
-	}
-	other.doneSig.Wait(p)
 }
 
 // Arm hands out p's completion callback for one operation p is about to

@@ -135,14 +135,6 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	return q.pop(), true
 }
 
-// Peek returns the oldest item without removing it.
-func (q *Queue[T]) Peek() (v T, ok bool) {
-	if q.n == 0 {
-		return v, false
-	}
-	return q.buf[q.head], true
-}
-
 // push stores v at the tail, first doubling a full ring (capped at the
 // queue's capacity) and unwrapping its items to the front of the new array.
 func (q *Queue[T]) push(v T) {

@@ -72,9 +72,6 @@ func TestQueueRingSemantics(t *testing.T) {
 	get := func(k int) {
 		t.Helper()
 		for ; k > 0; k-- {
-			if v, ok := q.Peek(); !ok || v != want {
-				t.Fatalf("Peek = %d,%v, want %d", v, ok, want)
-			}
 			if v, ok := q.TryGet(); !ok || v != want {
 				t.Fatalf("TryGet = %d,%v, want %d", v, ok, want)
 			}
@@ -133,8 +130,8 @@ func TestQueueRingSemantics(t *testing.T) {
 		}
 	}
 	checkLen(0)
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on a drained queue succeeded")
+	if _, ok := q.TryGet(); ok {
+		t.Fatal("TryGet on a drained queue succeeded")
 	}
 	defer func() {
 		if recover() == nil {
@@ -144,7 +141,7 @@ func TestQueueRingSemantics(t *testing.T) {
 	q.TryPut(0)
 }
 
-// FuzzQueue drives TryPut, TryGet, Peek, Len and Close in a fuzzed order
+// FuzzQueue drives TryPut, TryGet, Len and Close in a fuzzed order
 // against a plain-slice model, at capacities 0 (unbounded), 1 and 3. Each
 // op byte picks the call: mostly puts and gets, so the ring fills, wraps
 // and grows; Close only on one byte value in sixteen.
@@ -174,18 +171,13 @@ func FuzzQueue(f *testing.F) {
 					if ok {
 						model = append(model, i)
 					}
-				case 4, 5, 6, 7, 8, 9:
+				case 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14:
 					v, ok := q.TryGet()
 					if ok != (len(model) > 0) || ok && v != model[0] {
 						t.Fatalf("cap %d op %d: TryGet = %d,%v, model %v", capacity, i, v, ok, model)
 					}
 					if ok {
 						model = model[1:]
-					}
-				case 10, 11, 12, 13, 14:
-					v, ok := q.Peek()
-					if ok != (len(model) > 0) || ok && v != model[0] {
-						t.Fatalf("cap %d op %d: Peek = %d,%v, model %v", capacity, i, v, ok, model)
 					}
 				case 15:
 					q.Close()

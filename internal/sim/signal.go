@@ -156,12 +156,3 @@ func (m *Mutex) Unlock() {
 	m.locked = false
 	m.sig.Signal()
 }
-
-// TryLock acquires the mutex if it is free, reporting success.
-func (m *Mutex) TryLock() bool {
-	if m.locked {
-		return false
-	}
-	m.locked = true
-	return true
-}

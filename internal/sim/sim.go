@@ -45,14 +45,13 @@ type Env struct {
 	procs   map[*Proc]struct{}
 	current *Proc
 
-	stopped  bool
-	procErr  *procPanic
-	idleHook func() // invoked when the queue drains during Run*, may add events
+	stopped bool
+	procErr *procPanic
 }
 
 // NewEnv returns an empty environment with the virtual clock at zero. The
 // seed feeds the environment's deterministic random source (used only by
-// workload generators, never by the engine itself).
+// fault plans and chaos storms, never by the engine itself).
 func NewEnv(seed int64) *Env {
 	return &Env{
 		rng:   rand.New(rand.NewSource(seed)),
@@ -69,12 +68,6 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 // Stop makes the current Run call return after the event being processed
 // completes. Pending events remain queued.
 func (e *Env) Stop() { e.stopped = true }
-
-// SetIdleHook registers a function invoked whenever the event queue drains
-// while Run is active. The hook may schedule more work (for example, a
-// benchmark driver starting the next phase); if it schedules nothing, Run
-// returns. Passing nil clears the hook.
-func (e *Env) SetIdleHook(fn func()) { e.idleHook = fn }
 
 // Schedule runs fn at virtual time Now()+after. It returns a Timer that can
 // cancel the callback as long as it has not fired.
@@ -162,9 +155,9 @@ func (e *Env) Fired() uint64 { return e.fired }
 // Resumes returns the number of Proc coroutine resumes since NewEnv.
 func (e *Env) Resumes() uint64 { return e.resumes }
 
-// Run processes events until the queue is empty (and the idle hook, if any,
-// declines to add more), Stop is called, or a process panics. It returns the
-// first process panic as an error; engine-level misuse panics directly.
+// Run processes events until the queue is empty, Stop is called, or a
+// process panics. It returns the first process panic as an error;
+// engine-level misuse panics directly.
 func (e *Env) Run() error { return e.run(-1) }
 
 // RunUntil processes events with timestamps <= t, then advances the clock to
@@ -211,12 +204,6 @@ func (e *Env) run(deadline time.Duration) error {
 				panic(fmt.Sprintf("sim: event scheduled in the past (%v < %v)", ev.at, e.now))
 			}
 		default:
-			if e.idleHook != nil {
-				e.idleHook()
-				if e.queued() > 0 {
-					continue
-				}
-			}
 			return nil
 		}
 		if ev.canceled {

@@ -132,36 +132,33 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
-func TestProcJoin(t *testing.T) {
-	env := NewEnv(1)
-	var order []string
-	worker := env.Go("worker", func(p *Proc) {
-		p.Sleep(10 * time.Millisecond)
-		order = append(order, "worker-done")
-	})
-	env.Go("waiter", func(p *Proc) {
-		p.Join(worker)
-		order = append(order, "joined")
-		p.Join(worker) // join on finished proc returns immediately
-		order = append(order, "joined-again")
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != "worker-done" || order[2] != "joined-again" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
+// TestProcPanicPropagates checks that a panicking Proc ends Run with an
+// error naming the Proc and the panic, and that a second Run carries on with
+// the other Procs.
 func TestProcPanicPropagates(t *testing.T) {
 	env := NewEnv(1)
 	env.Go("bad", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		panic("boom")
 	})
+	resumed := time.Duration(-1)
+	env.Go("other", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		resumed = env.Now()
+	})
 	err := env.Run()
-	if err == nil {
-		t.Fatal("Run returned nil for panicking process")
+	var pe *procPanic
+	if !errors.As(err, &pe) || pe.proc != "bad" || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run() = %v, want the panic of process bad", err)
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if resumed != 2*time.Millisecond {
+		t.Fatalf("other resumed at %v, want 2ms", resumed)
+	}
+	if env.Live() != 0 {
+		t.Fatalf("Live() = %d, want 0", env.Live())
 	}
 }
 
@@ -249,35 +246,6 @@ func TestCloseAbortsParkedProcs(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("NumGoroutine() = %d after Close, want %d", after, before)
-	}
-}
-
-// TestJoinPanickedProc checks that a Proc joining one that panicked is woken,
-// while Run still reports the panic.
-func TestJoinPanickedProc(t *testing.T) {
-	env := NewEnv(1)
-	bad := env.Go("bad", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		panic("boom")
-	})
-	joined := time.Duration(-1)
-	env.Go("joiner", func(p *Proc) {
-		p.Join(bad)
-		joined = env.Now()
-	})
-	err := env.Run()
-	var pe *procPanic
-	if !errors.As(err, &pe) || pe.proc != "bad" || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("Run() = %v, want the panic of process bad", err)
-	}
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if joined != time.Millisecond {
-		t.Fatalf("joiner resumed at %v, want 1ms", joined)
-	}
-	if env.Live() != 0 {
-		t.Fatalf("Live() = %d, want 0", env.Live())
 	}
 }
 
@@ -402,21 +370,6 @@ func TestMutexMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
-	env := NewEnv(1)
-	mu := NewMutex(env)
-	if !mu.TryLock() {
-		t.Fatal("TryLock on free mutex failed")
-	}
-	if mu.TryLock() {
-		t.Fatal("TryLock on held mutex succeeded")
-	}
-	mu.Unlock()
-	if !mu.TryLock() {
-		t.Fatal("TryLock after Unlock failed")
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	env := NewEnv(1)
 	q := NewQueue[int](env, 0)
@@ -510,31 +463,8 @@ func TestQueueTryOps(t *testing.T) {
 	if q.TryPut(8) {
 		t.Fatal("TryPut on full queue succeeded")
 	}
-	if v, ok := q.Peek(); !ok || v != 7 {
-		t.Fatalf("Peek = %d,%v", v, ok)
-	}
 	if v, ok := q.TryGet(); !ok || v != 7 {
 		t.Fatalf("TryGet = %d,%v", v, ok)
-	}
-}
-
-func TestIdleHook(t *testing.T) {
-	env := NewEnv(1)
-	phases := 0
-	env.SetIdleHook(func() {
-		if phases < 3 {
-			phases++
-			env.Schedule(time.Millisecond, func() {})
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if phases != 3 {
-		t.Fatalf("phases = %d, want 3", phases)
-	}
-	if env.Now() != 3*time.Millisecond {
-		t.Fatalf("Now() = %v", env.Now())
 	}
 }
 

@@ -7,9 +7,17 @@ import (
 	"time"
 
 	"vread/internal/data"
-	"vread/internal/hdfs"
 	"vread/internal/mapred"
 	"vread/internal/sim"
+)
+
+// TestDFSIO's application buffer and working directory.
+const (
+	// dfsioBufferBytes is the application read buffer (the paper's 1 MB
+	// default memory buffer).
+	dfsioBufferBytes = 1 << 20
+	// dfsioDir is the HDFS working directory.
+	dfsioDir = "/benchmarks/TestDFSIO/io_data"
 )
 
 // DFSIOConfig parameterizes a TestDFSIO run.
@@ -18,11 +26,6 @@ type DFSIOConfig struct {
 	Files int
 	// FileSize is bytes per file. Default 1 GiB (the paper reads 5 GB total).
 	FileSize int64
-	// BufferBytes is the application read/write buffer (the paper's 1 MB
-	// default memory buffer).
-	BufferBytes int64
-	// Dir is the HDFS working directory.
-	Dir string
 	// Seed varies the generated payload.
 	Seed uint64
 }
@@ -35,18 +38,10 @@ func (c DFSIOConfig) WithDefaults() DFSIOConfig {
 	if c.FileSize == 0 {
 		c.FileSize = 1 << 30
 	}
-	if c.BufferBytes == 0 {
-		c.BufferBytes = 1 << 20
-	}
-	if c.Dir == "" {
-		c.Dir = "/benchmarks/TestDFSIO/io_data"
-	}
 	return c
 }
 
-func (c DFSIOConfig) filePath(i int) string {
-	return fmt.Sprintf("%s/test_io_%d", c.Dir, i)
-}
+func dfsioPath(i int) string { return fmt.Sprintf("%s/test_io_%d", dfsioDir, i) }
 
 // DFSIOResult is one TestDFSIO run's outcome.
 type DFSIOResult struct {
@@ -82,7 +77,7 @@ func RunDFSIOWrite(p *sim.Proc, e *mapred.Engine, trackers []*mapred.Tracker, cf
 		tasks[i] = mapred.Task{ID: i, Fn: func(tp *sim.Proc, tr *mapred.Tracker) (interface{}, error) {
 			start := tr.Kernel.Env().Now()
 			content := data.Pattern{Seed: cfg.Seed + uint64(i), Size: cfg.FileSize}
-			if err := tr.Client.WriteFile(tp, cfg.filePath(i), content); err != nil {
+			if err := tr.Client.WriteFile(tp, dfsioPath(i), content); err != nil {
 				return nil, err
 			}
 			return tr.Kernel.Env().Now() - start, nil
@@ -92,7 +87,7 @@ func RunDFSIOWrite(p *sim.Proc, e *mapred.Engine, trackers []*mapred.Tracker, cf
 }
 
 // RunDFSIORead reads the test files as a MapReduce job (one map per file),
-// using the paper's sequential read1 path with the configured buffer.
+// using the paper's sequential read1 path with its 1 MB buffer.
 func RunDFSIORead(p *sim.Proc, e *mapred.Engine, trackers []*mapred.Tracker, cfg DFSIOConfig) (DFSIOResult, error) {
 	cfg = cfg.WithDefaults()
 	tasks := make([]mapred.Task, cfg.Files)
@@ -100,13 +95,13 @@ func RunDFSIORead(p *sim.Proc, e *mapred.Engine, trackers []*mapred.Tracker, cfg
 		i := i
 		tasks[i] = mapred.Task{ID: i, Fn: func(tp *sim.Proc, tr *mapred.Tracker) (interface{}, error) {
 			start := tr.Kernel.Env().Now()
-			r, err := tr.Client.Open(tp, cfg.filePath(i))
+			r, err := tr.Client.Open(tp, dfsioPath(i))
 			if err != nil {
 				return nil, err
 			}
 			defer r.Close(tp)
 			for {
-				if _, err := r.Read(tp, cfg.BufferBytes); errors.Is(err, io.EOF) {
+				if _, err := r.Read(tp, dfsioBufferBytes); errors.Is(err, io.EOF) {
 					break
 				} else if err != nil {
 					return nil, err
@@ -140,15 +135,4 @@ func runDFSIO(p *sim.Proc, e *mapred.Engine, trackers []*mapred.Tracker, name st
 		res.IOTime += tr.Value.(time.Duration)
 	}
 	return res, nil
-}
-
-// CleanDFSIO removes the test files (between write and re-write runs).
-func CleanDFSIO(p *sim.Proc, client *hdfs.Client, cfg DFSIOConfig) error {
-	cfg = cfg.WithDefaults()
-	for i := 0; i < cfg.Files; i++ {
-		if err := client.DeleteFile(p, cfg.filePath(i)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

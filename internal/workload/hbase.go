@@ -9,7 +9,27 @@ import (
 	"vread/internal/hdfs"
 	"vread/internal/metrics"
 	"vread/internal/sim"
-	"vread/internal/storage"
+)
+
+// HBase-0.94 PerformanceEvaluation layout and region-server costs.
+const (
+	// hbaseRowBytes is PE's default value size.
+	hbaseRowBytes = 1 << 10
+	// hfiles is the number of store files a table is written as.
+	hfiles = 4
+	// hfileBlockBytes is the HFile block read per get or scan step
+	// (HBase-0.94's default block size).
+	hfileBlockBytes = 64 << 10
+	// getCycles is region-server CPU per get (RPC, memstore/bloom checks,
+	// KeyValue handling).
+	getCycles = 800_000
+	// scanRowCycles is per-row CPU during scans (scanner heap, KeyValue
+	// comparisons, client round trips amortized).
+	scanRowCycles = 260_000
+	// decodeCyclesPerKB decodes block bytes into KeyValues.
+	decodeCyclesPerKB = 400
+	// hbaseDir is the HDFS directory of the table.
+	hbaseDir = "/hbase/TestTable"
 )
 
 // HBaseConfig parameterizes the HBase PerformanceEvaluation emulation
@@ -21,29 +41,6 @@ type HBaseConfig struct {
 	// Rows in the table. The paper inserts 5 million. Default 100k (tests
 	// scale it up via experiments).
 	Rows int64
-	// RowBytes per row. Default 1 KiB (PE's default value size).
-	RowBytes int64
-	// HFiles is the number of store files. Default 4.
-	HFiles int
-	// BlockBytes is the HFile block read per get/scan step. Default 64 KiB
-	// (HBase-0.94's default block size).
-	BlockBytes int64
-	// OpCycles is region-server CPU per get (RPC, memstore/bloom checks,
-	// KeyValue handling). Default 800_000.
-	OpCycles int64
-	// ScanRowCycles is per-row CPU during scans (scanner heap, KeyValue
-	// comparisons, client round trips amortized). Default 260_000.
-	ScanRowCycles int64
-	// DecodeCyclesPerKB decodes block bytes into KeyValues. Default 400.
-	DecodeCyclesPerKB int64
-	// BlockCacheBytes enables the region server's LRU block cache (HBase
-	// defaults to 25% of heap; the paper's 5 GB table vs ~250 MB cache is a
-	// 20:1 ratio). 0 disables it — the calibrated Table 2 configuration.
-	BlockCacheBytes int64
-	// BlockCacheHitCycles is the cache-path cost per get. Default 60_000.
-	BlockCacheHitCycles int64
-	// Dir is the HDFS directory for the table.
-	Dir string
 	// Seed varies content and the random-read sequence.
 	Seed uint64
 }
@@ -53,71 +50,34 @@ func (c HBaseConfig) WithDefaults() HBaseConfig {
 	if c.Rows == 0 {
 		c.Rows = 100_000
 	}
-	if c.RowBytes == 0 {
-		c.RowBytes = 1 << 10
-	}
-	if c.HFiles == 0 {
-		c.HFiles = 4
-	}
-	if c.BlockBytes == 0 {
-		c.BlockBytes = 64 << 10
-	}
-	if c.OpCycles == 0 {
-		c.OpCycles = 800_000
-	}
-	if c.ScanRowCycles == 0 {
-		c.ScanRowCycles = 260_000
-	}
-	if c.DecodeCyclesPerKB == 0 {
-		c.DecodeCyclesPerKB = 400
-	}
-	if c.BlockCacheHitCycles == 0 {
-		c.BlockCacheHitCycles = 60_000
-	}
-	if c.Dir == "" {
-		c.Dir = "/hbase/TestTable"
-	}
 	return c
 }
 
 // HBase is one loaded table.
 type HBase struct {
-	cfg        HBaseConfig
-	client     *hdfs.Client
-	rowsPer    int64 // rows per HFile
-	blockCache *storage.PageCache
+	cfg     HBaseConfig
+	client  *hdfs.Client
+	rowsPer int64 // rows per HFile
 }
 
 // SetupHBase loads the table into HDFS (PE's SequentialWrite phase).
 func SetupHBase(p *sim.Proc, client *hdfs.Client, cfg HBaseConfig) (*HBase, error) {
 	cfg = cfg.WithDefaults()
-	h := &HBase{cfg: cfg, client: client, rowsPer: (cfg.Rows + int64(cfg.HFiles) - 1) / int64(cfg.HFiles)}
-	if cfg.BlockCacheBytes > 0 {
-		h.blockCache = storage.NewPageCache("hbase-blockcache", cfg.BlockCacheBytes, cfg.BlockBytes)
-	}
-	for f := 0; f < cfg.HFiles; f++ {
+	h := &HBase{cfg: cfg, client: client, rowsPer: (cfg.Rows + hfiles - 1) / hfiles}
+	for f := 0; f < hfiles; f++ {
 		rows := h.rowsInFile(f)
 		if rows == 0 {
 			continue
 		}
-		content := data.Pattern{Seed: cfg.Seed + uint64(f), Size: rows * cfg.RowBytes}
-		if err := client.WriteFile(p, h.filePath(f), content); err != nil {
+		content := data.Pattern{Seed: cfg.Seed + uint64(f), Size: rows * hbaseRowBytes}
+		if err := client.WriteFile(p, hfilePath(f), content); err != nil {
 			return nil, err
 		}
 	}
 	return h, nil
 }
 
-func (h *HBase) filePath(f int) string { return fmt.Sprintf("%s/hfile_%d", h.cfg.Dir, f) }
-
-// BlockCacheStats returns the block cache's hit/miss byte counters (zero
-// value when the cache is disabled).
-func (h *HBase) BlockCacheStats() storage.CacheStats {
-	if h.blockCache == nil {
-		return storage.CacheStats{}
-	}
-	return h.blockCache.Stats()
-}
+func hfilePath(f int) string { return fmt.Sprintf("%s/hfile_%d", hbaseDir, f) }
 
 func (h *HBase) rowsInFile(f int) int64 {
 	start := int64(f) * h.rowsPer
@@ -134,7 +94,7 @@ func (h *HBase) rowsInFile(f int) int64 {
 // locate maps a row to (file index, byte offset).
 func (h *HBase) locate(row int64) (int, int64) {
 	f := int(row / h.rowsPer)
-	return f, (row % h.rowsPer) * h.cfg.RowBytes
+	return f, (row % h.rowsPer) * hbaseRowBytes
 }
 
 // PEResult is one PerformanceEvaluation phase's outcome.
@@ -163,31 +123,28 @@ func (h *HBase) Scan(p *sim.Proc, rows int64) (PEResult, error) {
 	vcpu := h.client.Kernel().VCPU()
 	start := env.Now()
 	var scanned, carry int64
-	for f := 0; f < h.cfg.HFiles && scanned < rows; f++ {
-		r, err := h.client.Open(p, h.filePath(f))
+	for f := 0; f < hfiles && scanned < rows; f++ {
+		r, err := h.client.Open(p, hfilePath(f))
 		if err != nil {
 			return PEResult{}, err
 		}
-		size := h.rowsInFile(f) * h.cfg.RowBytes
-		for off := int64(0); off < size && scanned < rows; off += h.cfg.BlockBytes {
-			n := size - off
-			if n > h.cfg.BlockBytes {
-				n = h.cfg.BlockBytes
-			}
+		size := h.rowsInFile(f) * hbaseRowBytes
+		for off := int64(0); off < size && scanned < rows; off += hfileBlockBytes {
+			n := min(size-off, hfileBlockBytes)
 			s, err := r.ReadAt(p, off, n)
 			if err != nil {
 				r.Close(p)
 				return PEResult{}, err
 			}
 			carry += s.Len()
-			rowsInBlock := carry / h.cfg.RowBytes
-			carry -= rowsInBlock * h.cfg.RowBytes
-			vcpu.Run(p, rowsInBlock*h.cfg.ScanRowCycles+n*h.cfg.DecodeCyclesPerKB/1024, metrics.TagClientApp)
+			rowsInBlock := carry / hbaseRowBytes
+			carry -= rowsInBlock * hbaseRowBytes
+			vcpu.Run(p, rowsInBlock*scanRowCycles+n*decodeCyclesPerKB/1024, metrics.TagClientApp)
 			scanned += rowsInBlock
 		}
 		r.Close(p)
 	}
-	return PEResult{Rows: scanned, Bytes: scanned * h.cfg.RowBytes, Elapsed: env.Now() - start}, nil
+	return PEResult{Rows: scanned, Bytes: scanned * hbaseRowBytes, Elapsed: env.Now() - start}, nil
 }
 
 // SequentialRead gets rows 0..n-1 one by one (PE's sequentialRead phase).
@@ -205,7 +162,7 @@ func (h *HBase) RandomRead(p *sim.Proc, rows int64, rng *rand.Rand) (PEResult, e
 func (h *HBase) gets(p *sim.Proc, rows int64, rng *rand.Rand) (PEResult, error) {
 	env := h.client.Kernel().Env()
 	vcpu := h.client.Kernel().VCPU()
-	readers := make([]*hdfs.FileReader, h.cfg.HFiles)
+	readers := make([]*hdfs.FileReader, hfiles)
 	defer func() {
 		for _, r := range readers {
 			if r != nil {
@@ -221,36 +178,19 @@ func (h *HBase) gets(p *sim.Proc, rows int64, rng *rand.Rand) (PEResult, error) 
 		}
 		f, off := h.locate(row)
 		if readers[f] == nil {
-			r, err := h.client.Open(p, h.filePath(f))
+			r, err := h.client.Open(p, hfilePath(f))
 			if err != nil {
 				return PEResult{}, err
 			}
 			readers[f] = r
 		}
-		vcpu.Run(p, h.cfg.OpCycles, metrics.TagClientApp)
-		// pread the enclosing HFile block, unless the region server's block
-		// cache holds it.
-		blockOff := off - off%h.cfg.BlockBytes
-		n := h.cfg.BlockBytes
-		if max := h.rowsInFile(f)*h.cfg.RowBytes - blockOff; n > max {
-			n = max
+		vcpu.Run(p, getCycles, metrics.TagClientApp)
+		blockOff := off - off%hfileBlockBytes
+		n := min(hfileBlockBytes, h.rowsInFile(f)*hbaseRowBytes-blockOff)
+		if _, err := readers[f].ReadAt(p, blockOff, n); err != nil {
+			return PEResult{}, err
 		}
-		cached := false
-		if h.blockCache != nil {
-			hit, _ := h.blockCache.Lookup(int64(f), blockOff, n)
-			cached = hit == n
-		}
-		if cached {
-			vcpu.Run(p, h.cfg.BlockCacheHitCycles, metrics.TagClientApp)
-		} else {
-			if _, err := readers[f].ReadAt(p, blockOff, n); err != nil {
-				return PEResult{}, err
-			}
-			if h.blockCache != nil {
-				h.blockCache.Insert(int64(f), blockOff, n)
-			}
-			vcpu.Run(p, n*h.cfg.DecodeCyclesPerKB/1024, metrics.TagClientApp)
-		}
+		vcpu.Run(p, n*decodeCyclesPerKB/1024, metrics.TagClientApp)
 	}
-	return PEResult{Rows: rows, Bytes: rows * h.cfg.RowBytes, Elapsed: env.Now() - start}, nil
+	return PEResult{Rows: rows, Bytes: rows * hbaseRowBytes, Elapsed: env.Now() - start}, nil
 }

@@ -13,21 +13,24 @@ import (
 	"vread/internal/sim"
 )
 
+// Hive table layout and per-row costs.
+const (
+	// hiveRowBytes is one user record (id, name, birthday, ...).
+	hiveRowBytes = 350
+	// hiveFiles is the number of files the table is stored as.
+	hiveFiles = 4
+	// filterCyclesPerRow is deserialization + predicate evaluation.
+	filterCyclesPerRow = 400
+	// hiveDir is the HDFS directory of the table.
+	hiveDir = "/user/hive/warehouse/test"
+)
+
 // HiveConfig parameterizes the Hive study (Table 3, column 2): a table of
 // user records in HDFS and a `select * from test where id >= x and id <= y`
 // full scan, run as a MapReduce job (one map per table file).
 type HiveConfig struct {
 	// Rows in the table. The paper loads 30 million. Default 1M.
 	Rows int64
-	// RowBytes per record (id, name, birthday, ...). Default 350.
-	RowBytes int64
-	// Files the table is stored as. Default 4.
-	Files int
-	// FilterCyclesPerRow is deserialization + predicate evaluation.
-	// Default 400.
-	FilterCyclesPerRow int64
-	// Dir is the HDFS directory.
-	Dir string
 	// Seed varies content.
 	Seed uint64
 }
@@ -37,35 +40,20 @@ func (c HiveConfig) WithDefaults() HiveConfig {
 	if c.Rows == 0 {
 		c.Rows = 1_000_000
 	}
-	if c.RowBytes == 0 {
-		c.RowBytes = 350
-	}
-	if c.Files == 0 {
-		c.Files = 4
-	}
-	if c.FilterCyclesPerRow == 0 {
-		c.FilterCyclesPerRow = 400
-	}
-	if c.Dir == "" {
-		c.Dir = "/user/hive/warehouse/test"
-	}
 	return c
 }
 
-func (c HiveConfig) filePath(f int) string { return fmt.Sprintf("%s/part-%05d", c.Dir, f) }
+func hivePath(f int) string { return fmt.Sprintf("%s/part-%05d", hiveDir, f) }
 
 // SetupHiveTable loads the table into HDFS.
 func SetupHiveTable(p *sim.Proc, client *hdfs.Client, cfg HiveConfig) error {
 	cfg = cfg.WithDefaults()
-	perFile := (cfg.Rows + int64(cfg.Files) - 1) / int64(cfg.Files)
+	perFile := (cfg.Rows + hiveFiles - 1) / hiveFiles
 	remaining := cfg.Rows
-	for f := 0; f < cfg.Files && remaining > 0; f++ {
-		rows := perFile
-		if rows > remaining {
-			rows = remaining
-		}
-		content := data.Pattern{Seed: cfg.Seed + uint64(f), Size: rows * cfg.RowBytes}
-		if err := client.WriteFile(p, cfg.filePath(f), content); err != nil {
+	for f := 0; f < hiveFiles && remaining > 0; f++ {
+		rows := min(perFile, remaining)
+		content := data.Pattern{Seed: cfg.Seed + uint64(f), Size: rows * hiveRowBytes}
+		if err := client.WriteFile(p, hivePath(f), content); err != nil {
 			return err
 		}
 		remaining -= rows
@@ -86,11 +74,11 @@ func RunHiveSelect(p *sim.Proc, e *mapred.Engine, cfg HiveConfig) (HiveResult, e
 	cfg = cfg.WithDefaults()
 	env := p.Env()
 	start := env.Now()
-	tasks := make([]mapred.Task, cfg.Files)
+	tasks := make([]mapred.Task, hiveFiles)
 	for f := range tasks {
 		f := f
 		tasks[f] = mapred.Task{ID: f, Fn: func(tp *sim.Proc, tr *mapred.Tracker) (interface{}, error) {
-			r, err := tr.Client.Open(tp, cfg.filePath(f))
+			r, err := tr.Client.Open(tp, hivePath(f))
 			if err != nil {
 				return nil, err
 			}
@@ -105,9 +93,9 @@ func RunHiveSelect(p *sim.Proc, e *mapred.Engine, cfg HiveConfig) (HiveResult, e
 					return nil, err
 				}
 				carry += s.Len()
-				rows := carry / cfg.RowBytes
-				carry -= rows * cfg.RowBytes
-				tr.Kernel.VCPU().Run(tp, rows*cfg.FilterCyclesPerRow, metrics.TagClientApp)
+				rows := carry / hiveRowBytes
+				carry -= rows * hiveRowBytes
+				tr.Kernel.VCPU().Run(tp, rows*filterCyclesPerRow, metrics.TagClientApp)
 				scanned += rows
 			}
 			return scanned, nil
@@ -121,5 +109,5 @@ func RunHiveSelect(p *sim.Proc, e *mapred.Engine, cfg HiveConfig) (HiveResult, e
 	for _, tr := range job.Results {
 		rows += tr.Value.(int64)
 	}
-	return HiveResult{Rows: rows, Bytes: rows * cfg.RowBytes, Elapsed: env.Now() - start}, nil
+	return HiveResult{Rows: rows, Bytes: rows * hiveRowBytes, Elapsed: env.Now() - start}, nil
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vread/internal/metrics"
@@ -18,11 +17,6 @@ type OpenLoopConfig struct {
 	QPS float64
 	// Arrivals is the total operation count. Default 100.
 	Arrivals int
-	// Exponential draws interarrival gaps from an exponential distribution
-	// with mean 1/QPS (Poisson arrivals) using the environment's seeded RNG;
-	// false uses fixed spacing. Either way the schedule is deterministic for
-	// a given seed.
-	Exponential bool
 }
 
 // WithDefaults fills zero fields.
@@ -69,11 +63,7 @@ func RunOpenLoop(p *sim.Proc, env *sim.Env, cfg OpenLoopConfig, do func(p *sim.P
 			done++
 			allDone.Signal()
 		})
-		gap := period
-		if cfg.Exponential {
-			gap = time.Duration(env.Rand().ExpFloat64() * float64(period))
-		}
-		p.Sleep(gap)
+		p.Sleep(period)
 	}
 	for done < cfg.Arrivals {
 		allDone.Wait(p)
@@ -105,28 +95,4 @@ func SLOOf(results []OpResult, label string) SLO {
 		P99:   rec.Percentile(99),
 		Max:   rec.Max(),
 	}
-}
-
-// LabelCounts tallies outcome labels in deterministic (sorted-label) order.
-func LabelCounts(results []OpResult) []LabelCount {
-	counts := make(map[string]int)
-	for _, r := range results {
-		counts[r.Label]++
-	}
-	labels := make([]string, 0, len(counts))
-	for l := range counts {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	out := make([]LabelCount, 0, len(labels))
-	for _, l := range labels {
-		out = append(out, LabelCount{Label: l, Count: counts[l]})
-	}
-	return out
-}
-
-// LabelCount is one outcome label's tally.
-type LabelCount struct {
-	Label string
-	Count int
 }

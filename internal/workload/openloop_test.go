@@ -39,29 +39,6 @@ func TestOpenLoopArrivalsIndependent(t *testing.T) {
 	}
 }
 
-// TestOpenLoopExponentialDeterministic: Poisson arrivals replay exactly for
-// a fixed seed.
-func TestOpenLoopExponentialDeterministic(t *testing.T) {
-	run := func() []OpResult {
-		env := sim.NewEnv(7)
-		var results []OpResult
-		env.Go("gen", func(p *sim.Proc) {
-			results = RunOpenLoop(p, env, OpenLoopConfig{QPS: 2000, Arrivals: 20, Exponential: true},
-				func(op *sim.Proc, i int) string { return "ok" })
-		})
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("arrival %d diverged: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestSLOOf checks the nearest-rank percentiles on a known ladder.
 func TestSLOOf(t *testing.T) {
 	var results []OpResult
@@ -79,14 +56,5 @@ func TestSLOOf(t *testing.T) {
 	}
 	if empty := SLOOf(results, "nope"); empty.Count != 0 || empty.Max != 0 {
 		t.Fatalf("empty label SLO = %+v", empty)
-	}
-}
-
-// TestLabelCounts is deterministic and sorted.
-func TestLabelCounts(t *testing.T) {
-	results := []OpResult{{Label: "b"}, {Label: "a"}, {Label: "b"}}
-	got := LabelCounts(results)
-	if len(got) != 2 || got[0] != (LabelCount{"a", 1}) || got[1] != (LabelCount{"b", 2}) {
-		t.Fatalf("LabelCounts = %v", got)
 	}
 }

@@ -11,6 +11,14 @@ import (
 	"vread/internal/sim"
 )
 
+// Sqoop-1.x export costs.
+const (
+	// sqoopBatchRows is the rows per INSERT statement batch.
+	sqoopBatchRows = 1000
+	// sqoopRowCycles is Sqoop's per-record serialization cost.
+	sqoopRowCycles = 500
+)
+
 // SqoopConfig parameterizes the Sqoop export study (Table 3, column 3):
 // reading the Hive table from HDFS and inserting it into a MySQL database
 // on another machine. The database is modeled as a fixed-rate external sink
@@ -19,28 +27,18 @@ import (
 type SqoopConfig struct {
 	// Table is the Hive table layout being exported.
 	Table HiveConfig
-	// BatchRows per INSERT statement batch. Default 1000.
-	BatchRows int64
 	// SinkRowsPerSec is MySQL's per-connection insert service rate: each
 	// mapper's JDBC batches execute synchronously against it, so within a
 	// mapper reads and inserts serialize (Sqoop-1.x behavior).
 	// Default 450_000.
 	SinkRowsPerSec float64
-	// PerRowCycles is Sqoop's per-record serialization cost. Default 500.
-	PerRowCycles int64
 }
 
 // WithDefaults fills zero fields.
 func (c SqoopConfig) WithDefaults() SqoopConfig {
 	c.Table = c.Table.WithDefaults()
-	if c.BatchRows == 0 {
-		c.BatchRows = 1000
-	}
 	if c.SinkRowsPerSec == 0 {
 		c.SinkRowsPerSec = 450_000
-	}
-	if c.PerRowCycles == 0 {
-		c.PerRowCycles = 500
 	}
 	return c
 }
@@ -64,17 +62,17 @@ func RunSqoopExport(p *sim.Proc, e *mapred.Engine, cfg SqoopConfig) (SqoopResult
 		tp.Sleep(time.Duration(float64(rows) / cfg.SinkRowsPerSec * float64(time.Second)))
 	}
 	start := env.Now()
-	tasks := make([]mapred.Task, cfg.Table.Files)
+	tasks := make([]mapred.Task, hiveFiles)
 	for f := range tasks {
 		f := f
 		tasks[f] = mapred.Task{ID: f, Fn: func(tp *sim.Proc, tr *mapred.Tracker) (interface{}, error) {
-			r, err := tr.Client.Open(tp, cfg.Table.filePath(f))
+			r, err := tr.Client.Open(tp, hivePath(f))
 			if err != nil {
 				return nil, err
 			}
 			defer r.Close(tp)
 			var exported, carry int64
-			batchBytes := cfg.BatchRows * cfg.Table.RowBytes
+			const batchBytes = sqoopBatchRows * hiveRowBytes
 			for {
 				s, err := r.Read(tp, batchBytes)
 				if errors.Is(err, io.EOF) {
@@ -84,9 +82,9 @@ func RunSqoopExport(p *sim.Proc, e *mapred.Engine, cfg SqoopConfig) (SqoopResult
 					return nil, err
 				}
 				carry += s.Len()
-				rows := carry / cfg.Table.RowBytes
-				carry -= rows * cfg.Table.RowBytes
-				tr.Kernel.VCPU().Run(tp, rows*cfg.PerRowCycles, metrics.TagClientApp)
+				rows := carry / hiveRowBytes
+				carry -= rows * hiveRowBytes
+				tr.Kernel.VCPU().Run(tp, rows*sqoopRowCycles, metrics.TagClientApp)
 				// Synchronous JDBC batch insert into the external database.
 				sinkInsert(tp, rows)
 				exported += rows

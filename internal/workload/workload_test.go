@@ -17,7 +17,6 @@ import (
 // bed is a 2-host testbed with HDFS and optional vRead.
 type bed struct {
 	c      *cluster.Cluster
-	nn     *hdfs.NameNode
 	cl     *hdfs.Client
 	engine *mapred.Engine
 	tr     *mapred.Tracker
@@ -40,7 +39,7 @@ func newBed(t *testing.T, vread bool) *bed {
 	engine := mapred.NewEngine(c.Env, mapred.Config{})
 	tr := engine.AddTracker(clientVM.Kernel, cl)
 
-	b := &bed{c: c, nn: nn, cl: cl, engine: engine, tr: tr}
+	b := &bed{c: c, cl: cl, engine: engine, tr: tr}
 	if vread {
 		b.mgr = core.NewManager(c, nn, core.Config{})
 		b.mgr.MountDatanode("dn1")
@@ -128,15 +127,6 @@ func TestDFSIOWriteThenRead(t *testing.T) {
 	if rres.CPUCycles <= 0 {
 		t.Fatal("no CPU accounted to read job")
 	}
-	// Cleanup works.
-	b.run(t, 60*time.Second, "clean", func(p *sim.Proc) {
-		if err := workload.CleanDFSIO(p, b.cl, cfg); err != nil {
-			t.Error(err)
-		}
-	})
-	if b.nn.Exists("/benchmarks/TestDFSIO/io_data/test_io_0") {
-		t.Fatal("clean left files behind")
-	}
 }
 
 func TestDFSIOReadFasterWithVRead(t *testing.T) {
@@ -208,43 +198,6 @@ func TestHBasePhases(t *testing.T) {
 			t.Errorf("scan %.2f MB/s not above sequentialRead %.2f MB/s", scan.MBps(), seq.MBps())
 		}
 	})
-}
-
-func TestHBaseBlockCacheServesSequentialGets(t *testing.T) {
-	measure := func(cacheBytes int64) (time.Duration, workload.PEResult, *workload.HBase) {
-		b := newBed(t, false)
-		defer b.c.Close()
-		cfg := workload.HBaseConfig{Rows: 4000, Seed: 7, BlockCacheBytes: cacheBytes}
-		var res workload.PEResult
-		var h *workload.HBase
-		var elapsed time.Duration
-		b.run(t, 600*time.Second, "hbase-bc", func(p *sim.Proc) {
-			var err error
-			h, err = workload.SetupHBase(p, b.cl, cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			start := b.c.Env.Now()
-			res, err = h.SequentialRead(p, 2000)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			elapsed = b.c.Env.Now() - start
-		})
-		return elapsed, res, h
-	}
-	without, _, _ := measure(0)
-	with, _, h := measure(64 << 20) // cache bigger than the 4 MB table
-	if with >= without {
-		t.Fatalf("block cache did not speed up sequential gets: %v vs %v", with, without)
-	}
-	st := h.BlockCacheStats()
-	// Sequential 1 KiB gets over 64 KiB blocks: ~63/64 hit after warm-up.
-	if st.HitBytes == 0 || st.HitBytes < st.MissBytes {
-		t.Fatalf("block cache stats = %+v; expected mostly hits", st)
-	}
 }
 
 func TestHiveSelectScansAllRows(t *testing.T) {
