@@ -249,6 +249,41 @@ func TestCloseAbortsParkedProcs(t *testing.T) {
 	}
 }
 
+// TestJoinPanickedProc checks that a Proc joining one that panicked, through
+// a Signal the panicking Proc fires from a defer, is woken at the panic's
+// instant, while Run still reports the panic.
+func TestJoinPanickedProc(t *testing.T) {
+	env := NewEnv(1)
+	done := NewSignal(env)
+	bad := env.Go("bad", func(p *Proc) {
+		defer done.Broadcast()
+		p.Sleep(time.Millisecond)
+		panic("boom")
+	})
+	joined := time.Duration(-1)
+	env.Go("joiner", func(p *Proc) {
+		done.Wait(p)
+		joined = env.Now()
+	})
+	err := env.Run()
+	var pe *procPanic
+	if !errors.As(err, &pe) || pe.proc != "bad" || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run() = %v, want the panic of process bad", err)
+	}
+	if !bad.Done() {
+		t.Fatal("bad is not done after its panic")
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if joined != time.Millisecond {
+		t.Fatalf("joiner resumed at %v, want 1ms", joined)
+	}
+	if env.Live() != 0 {
+		t.Fatalf("Live() = %d, want 0", env.Live())
+	}
+}
+
 // TestWaitTimeoutRacesSignal fires a WaitTimeout's timer and a Signal at the
 // same instant, in both orders. The Proc must be woken exactly once: a stray
 // second wake would cut its following Sleep short.
