@@ -125,9 +125,13 @@ migrate-smoke:
 	./bin/vread-sim -config scenarios/migrate-smoke.json -blackout blackout-report.json
 
 # examples-smoke runs every program under examples/ once (~10 s in all on a
-# 2-vCPU VM). Nothing else executes them; each exits non-zero when its
-# scenario fails.
+# 2-vCPU VM), then README's two hdfs-cli sessions: a vRead put/stat/get/ls,
+# whose get drains through the ring, and a sharded placement. Nothing else
+# executes them; each exits non-zero when its scenario fails.
 EXAMPLES := $(wildcard examples/*)
 
 examples-smoke:
 	@for e in $(EXAMPLES); do echo "== $$e"; $(GO) run ./$$e || exit 1; done
+	@echo "== cmd/hdfs-cli"
+	$(GO) run ./cmd/hdfs-cli -vread put /a 2048 \; stat /a \; get /a \; ls
+	$(GO) run ./cmd/hdfs-cli -shards 4 -replication 2 put /a 2048 \; placement /a

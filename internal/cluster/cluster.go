@@ -311,7 +311,7 @@ func (c *Cluster) InjectFaults(plan *faults.Plan) {
 func (c *Cluster) KillRack(rack string) {
 	for _, h := range c.racks[rack] {
 		h.down = true
-		c.Fabric.SetHostDown(h.Name, true)
+		c.Fabric.SetHostDown(h.Name)
 	}
 }
 

@@ -49,7 +49,7 @@ type Daemon struct {
 	// every return to the pop loop. RingSnapshot waits on it to let the
 	// in-service request drain before the blackout starts.
 	busy bool
-	idle *sim.Signal
+	idle sim.Signal
 }
 
 func newDaemon(mgr *Manager, vm *cluster.VM) *Daemon {
@@ -63,7 +63,6 @@ func newDaemon(mgr *Manager, vm *cluster.VM) *Daemon {
 		ring:   newRing(mgr.env, mgr.cfg, vm.Name),
 		hr:     newHostReader(mgr.ensureServer(vm.Host), thread),
 		faults: mgr.cfg.Faults,
-		idle:   sim.NewSignal(mgr.env),
 	}
 	mgr.env.Go("vread-daemon:"+vm.Name, d.loop)
 	return d
@@ -509,14 +508,16 @@ func (d *Daemon) readRemote(p *sim.Proc, dnHost string, req ringReq) {
 
 // fillSlots splits a slice across ring slots, paying the per-slot lock cost
 // as one batched charge (the per-byte copy into the ring is part of
-// loopReadCycles locally, and of the transport cost remotely). Every slot of
-// one call carries the same run stamp, so the guest can rejoin them into one
-// window.
+// loopReadCycles locally, and of the transport cost remotely). It pushes the
+// slots it holds tokens for as one item; when the tokens run out midway it
+// waits for the guest to return some and pushes the rest as further items.
+// Every item of one call carries the same run stamp, so the guest can rejoin
+// them into one window.
 func (d *Daemon) fillSlots(p *sim.Proc, tr *trace.Trace, s data.Slice, last bool) {
 	if stall, ok := d.faults.ShouldDelay(faults.RingStall); ok {
-		// Ring stall: the guest stops draining for a while. With the free
-		// queue exhausted the daemon blocks on slot tokens — the ring's
-		// natural backpressure — until the guest resumes.
+		// Ring stall: the guest stops draining for a while. Once every slot
+		// token is in use, the daemon blocks in take — the ring's natural
+		// backpressure — until the guest resumes.
 		tr.Event(trace.LayerRing, "fault:ring-stall", 0)
 		p.Sleep(stall)
 	}
@@ -527,17 +528,15 @@ func (d *Daemon) fillSlots(p *sim.Proc, tr *trace.Trace, s data.Slice, last bool
 		d.thread.RunT(p, slotHeldSpinCycles, metrics.TagOthers, tr)
 		p.Sleep(hold)
 	}
-	d.thread.RunT(p, slotLockCycles*d.ring.slotsFor(s.Len()), metrics.TagOthers, tr)
+	slots := d.ring.slotsFor(s.Len())
+	d.thread.RunT(p, slotLockCycles*slots, metrics.TagOthers, tr)
 	d.ring.run++
 	run := d.ring.run
-	for off := int64(0); off < s.Len(); {
-		n := s.Len() - off
-		if n > d.cfg.SlotBytes {
-			n = d.cfg.SlotBytes
-		}
-		d.ring.free.Get(p)
-		isLast := last && off+n == s.Len()
-		d.ring.full.Put(p, ringSlot{s: s.Sub(off, n), run: run, last: isLast})
+	for off := int64(0); slots > 0; {
+		k := d.ring.take(p, slots)
+		slots -= k
+		n := min(k*d.cfg.SlotBytes, s.Len()-off)
+		d.ring.full.Put(p, ringSlot{s: s.Sub(off, n), run: run, last: last && slots == 0})
 		off += n
 	}
 }
@@ -567,7 +566,7 @@ func (d *Daemon) pushError(p *sim.Proc, tr *trace.Trace) {
 // pushErrorCode aborts the in-flight read with a specific slot code, so
 // libvread can surface the matching typed error.
 func (d *Daemon) pushErrorCode(p *sim.Proc, tr *trace.Trace, code slotCode) {
-	d.ring.free.Get(p)
+	d.ring.take(p, 1)
 	d.ring.full.Put(p, ringSlot{code: code, last: true})
 	d.doorbell(p, tr)
 }

@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"vread/internal/cluster"
 	"vread/internal/data"
@@ -202,5 +203,49 @@ func TestDrainTornReadIsShort(t *testing.T) {
 	}
 	if r := f.lib.Stats().Retries; r != int64(maxReadRetries) {
 		t.Fatalf("retries = %d, want %d", r, maxReadRetries)
+	}
+}
+
+// TestDrainRingExhaustion: with a ring smaller than one read, the daemon runs
+// out of slot tokens mid-fill and pushes the rest of the fill once the guest
+// returns some. Local and remote reads, unaligned ones included, still come
+// back exact, every token is free again afterwards, and the events, Proc
+// resumes and virtual time match the slot-at-a-time ring this one replaced
+// (the pinned values were recorded on it).
+func TestDrainRingExhaustion(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		cfg            Config
+		fired, resumes uint64
+		now            time.Duration
+	}{
+		{"4-slots", Config{RingSlots: 4}, 3974, 1929, 38143235 * time.Nanosecond},
+		{"7-slots-1KiB-batch3", Config{RingSlots: 7, SlotBytes: 1 << 10, EventBatchSlots: 3}, 43187, 12896, 52023551 * time.Nanosecond},
+		{"128-slots-1KiB-batch8", Config{RingSlots: 128, SlotBytes: 1 << 10, EventBatchSlots: 8}, 16780, 4560, 37754339 * time.Nanosecond},
+		{"defaults", Config{}, 2724, 684, 38044285 * time.Nanosecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newDrainFixture(t, tc.cfg)
+			for _, dn := range []string{"dn1", "dn2"} {
+				for _, r := range []struct{ off, n int64 }{{0, 1 << 20}, {4097, 300000}, {0, drainBlockSize}} {
+					got, err := f.read(t, dn, r.off, r.n)
+					if err != nil {
+						t.Fatalf("%s [%d,%d): %v", dn, r.off, r.off+r.n, err)
+					}
+					if !data.Equal(got, data.NewSlice(f.content).Sub(r.off, r.n)) {
+						t.Fatalf("%s [%d,%d) differs from the block", dn, r.off, r.off+r.n)
+					}
+				}
+			}
+			ring := f.lib.daemon.ring
+			if ring.free != int64(ring.cfg.RingSlots) {
+				t.Fatalf("%d of %d slot tokens free after the reads", ring.free, ring.cfg.RingSlots)
+			}
+			env := f.c.Env
+			if env.Fired() != tc.fired || env.Resumes() != tc.resumes || env.Now() != tc.now {
+				t.Fatalf("fired/resumes/now = %d/%d/%v, want %d/%d/%v",
+					env.Fired(), env.Resumes(), env.Now(), tc.fired, tc.resumes, tc.now)
+			}
+		})
 	}
 }

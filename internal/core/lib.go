@@ -251,26 +251,36 @@ func (v *VFD) readOnce(p *sim.Proc, tr *trace.Trace, off, n int64) (data.Slice, 
 //lint:hotpath
 func (v *VFD) drain(p *sim.Proc, tr *trace.Trace, ring *ring) (runs slotRuns, code slotCode) {
 	// Spinlocks and slot→application copies are charged in doorbell-batch
-	// units, matching the driver's batched consumption.
+	// units, matching the driver's batched consumption. A batch may end
+	// inside an item: the tokens of its slots go back before the charge,
+	// but the boundary slot's token only after it.
+	batch := int64(ring.cfg.EventBatchSlots)
 	var batchSlots, batchBytes int64
 	for {
-		slot, ok := ring.full.Get(p)
+		item, ok := ring.full.Get(p)
 		if !ok {
 			return runs, slotClosed
 		}
-		if slot.code != slotOK {
-			ring.free.Put(p, struct{}{})
-			return runs, slot.code
+		if item.code != slotOK {
+			ring.give(1)
+			return runs, item.code
 		}
-		runs.add(slot)
-		batchSlots++
-		batchBytes += slot.s.Len()
-		if batchSlots >= int64(v.lib.mgr.cfg.EventBatchSlots) {
+		runs.add(item)
+		for slots, bytes := ring.slotsFor(item.s.Len()), item.s.Len(); slots > 0; {
+			k := min(slots, batch-batchSlots)
+			n := min(k*ring.cfg.SlotBytes, bytes)
+			slots, bytes = slots-k, bytes-n
+			batchSlots, batchBytes = batchSlots+k, batchBytes+n
+			if batchSlots < batch {
+				ring.give(k)
+				continue
+			}
+			ring.give(k - 1)
 			v.chargeCopy(p, tr, batchSlots, batchBytes)
 			batchSlots, batchBytes = 0, 0
+			ring.give(1)
 		}
-		ring.free.Put(p, struct{}{})
-		if slot.last {
+		if item.last {
 			break
 		}
 	}
@@ -286,7 +296,7 @@ func (v *VFD) chargeCopy(p *sim.Proc, tr *trace.Trace, slots, bytes int64) {
 	v.lib.vm.VCPU.RunT(p, slotLockCycles*slots+guestCopyCycles(bytes), metrics.TagCopyVRead, tr)
 }
 
-// slotRuns joins a read's data slots back into one Slice. Slots with the
+// slotRuns joins a read's data items back into one Slice. Items with the
 // same run stamp are contiguous windows of one daemon fill, so the open run
 // just widens; only a run boundary boxes the finished run into parts.
 type slotRuns struct {

@@ -71,15 +71,21 @@ func mintRingKey(vm string, epoch int64) uint64 {
 // explicitly rather than replaying by accident.
 type ring struct {
 	cfg   Config
-	reqMu *sim.Mutex
+	reqMu sim.Mutex
 	// reqs is the descriptor area. Every field of a popped ringReq was
 	// written by guest code on the far side of the SHM boundary and is
 	// hostile until Daemon.sanitizeReq accepts it.
 	//
 	//lint:source guesttaint(descriptor area is guest-writable shared memory)
 	reqs *sim.Queue[ringReq]
-	free *sim.Queue[struct{}] // slot tokens
-	full *sim.Queue[ringSlot] // filled slots in order
+	// free counts the slot tokens the daemon may fill; freed wakes a daemon
+	// parked in take.
+	free  int64
+	freed sim.Signal
+	// full carries filled slot runs in order. A data item holds the tokens
+	// of slotsFor(its length) slots, all SlotBytes long but the last; an
+	// error item holds one.
+	full *sim.Queue[ringSlot]
 
 	vm    string // owning client VM
 	epoch int64  // key epoch; bumped by every restore
@@ -95,8 +101,8 @@ type ring struct {
 	// revocation threshold; any accepted descriptor resets it.
 	badStreak int
 	// run numbers the daemon's slot fills: each fillSlots call bumps it
-	// once and stamps every slot it emits, so the guest can tell which
-	// slots are contiguous windows of one Slice.
+	// once and stamps every item it emits, so the guest can tell which
+	// items are contiguous windows of one Slice.
 	run uint64
 }
 
@@ -146,10 +152,12 @@ const (
 	slotClosed
 )
 
-// ringSlot is one filled data slot. run is the daemon fill it came from
-// (ring.run, never zero for a data slot): consecutive slots with the same run
-// are contiguous Sub windows of one Slice. It is written host-to-guest, like
-// the slot data, so no descriptor sanitizer sees it.
+// ringSlot is a run of consecutive filled data slots, or one error slot. run
+// is the daemon fill it came from (ring.run, never zero for data): a fill that
+// runs out of tokens midway arrives as several items with the same run, each
+// a contiguous Sub window of one Slice. last marks the read's final slot. It
+// is written host-to-guest, like the slot data, so no descriptor sanitizer
+// sees it.
 type ringSlot struct {
 	s    data.Slice
 	run  uint64
@@ -160,18 +168,37 @@ type ringSlot struct {
 func newRing(env *sim.Env, cfg Config, vm string) *ring {
 	r := &ring{
 		cfg:   cfg,
-		reqMu: sim.NewMutex(env),
 		reqs:  sim.NewQueue[ringReq](env, 64),
-		free:  sim.NewQueue[struct{}](env, cfg.RingSlots),
+		free:  int64(cfg.RingSlots),
 		full:  sim.NewQueue[ringSlot](env, cfg.RingSlots),
 		vm:    vm,
 		epoch: 1,
 	}
 	r.key = mintRingKey(vm, r.epoch)
-	for i := 0; i < cfg.RingSlots; i++ {
-		r.free.TryPut(struct{}{})
-	}
 	return r
+}
+
+// take blocks p while no slot token is free, then takes up to want of them
+// and returns how many it took.
+//
+//lint:hotpath
+func (r *ring) take(p *sim.Proc, want int64) int64 {
+	for r.free == 0 {
+		r.freed.Wait(p)
+	}
+	n := min(want, r.free)
+	r.free -= n
+	return n
+}
+
+// give returns n slot tokens, waking a daemon parked in take.
+//
+//lint:hotpath
+func (r *ring) give(n int64) {
+	if n > 0 {
+		r.free += n
+		r.freed.Signal()
+	}
 }
 
 // rotateKey advances the epoch and mints the next key (RingRestore).

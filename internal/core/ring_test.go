@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"vread/internal/sim"
 )
@@ -11,34 +12,64 @@ import (
 // White-box ring tests: the shared-memory channel invariants the daemon and
 // driver rely on.
 
+// TestRingSlotTokensConserved: a daemon-like producer taking runs of up to
+// 37 tokens and a slower guest-like consumer handing each run back in two
+// pieces (k-1, then 1, as drain does around a batch charge) never create or
+// lose a token, and take never hands out more than asked or zero.
 func TestRingSlotTokensConserved(t *testing.T) {
 	env := sim.NewEnv(1)
 	cfg := Config{}.WithDefaults()
 	r := newRing(env, cfg, "vm1")
-	if r.free.Len() != cfg.RingSlots {
-		t.Fatalf("initial free slots = %d, want %d", r.free.Len(), cfg.RingSlots)
+	if r.free != int64(cfg.RingSlots) {
+		t.Fatalf("initial free slots = %d, want %d", r.free, cfg.RingSlots)
 	}
-	// A producer/consumer pair cycling many slots leaves the count intact.
+	runs := sim.NewQueue[int64](env, 0)
+	var held int64 // tokens taken and not yet given back
+	exhausted := 0
+	check := func() {
+		if r.free < 0 || r.free+held != int64(cfg.RingSlots) {
+			t.Fatalf("slot tokens leaked: free %d + held %d != %d", r.free, held, cfg.RingSlots)
+		}
+	}
 	env.Go("producer", func(p *sim.Proc) {
 		for i := 0; i < 5000; i++ {
-			r.free.Get(p)
-			r.full.Put(p, ringSlot{})
+			want := int64(1 + i%37)
+			k := r.take(p, want)
+			if k < 1 || k > want {
+				t.Errorf("take(%d) = %d", want, k)
+			}
+			held += k
+			if r.free == 0 {
+				exhausted++
+			}
+			check()
+			runs.Put(p, k)
 		}
+		runs.Close()
 	})
 	env.Go("consumer", func(p *sim.Proc) {
-		for i := 0; i < 5000; i++ {
-			r.full.Get(p)
-			r.free.Put(p, struct{}{})
+		for {
+			k, ok := runs.Get(p)
+			if !ok {
+				return
+			}
+			held -= k - 1
+			r.give(k - 1)
+			check()
+			p.Sleep(time.Microsecond)
+			held--
+			r.give(1)
+			check()
 		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.free.Len()+r.full.Len() != cfg.RingSlots {
-		t.Fatalf("slot tokens leaked: free %d + full %d != %d", r.free.Len(), r.full.Len(), cfg.RingSlots)
+	if exhausted == 0 {
+		t.Fatal("the producer never ran the ring out of tokens")
 	}
-	if r.free.Len() != cfg.RingSlots {
-		t.Fatalf("ring not drained: %d free", r.free.Len())
+	if r.free != int64(cfg.RingSlots) {
+		t.Fatalf("ring not drained: %d free", r.free)
 	}
 }
 

@@ -374,7 +374,7 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				th := cpu.NewThread(fmt.Sprintf("t%d", i), "vm")
 				threads = append(threads, th)
-				sig := sim.NewSignal(env)
+				var sig sim.Signal
 				done := 0
 				onDone := func() { done++; sig.Signal() }
 				env.Go(th.Name(), func(p *sim.Proc) {

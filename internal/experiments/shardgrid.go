@@ -197,7 +197,7 @@ func runShardCell(cfg ShardGridConfig, k int) (ShardGridCell, error) {
 			s := s
 			stream := ci*cfg.StreamsPerHost + s
 			arrived := 0
-			sig := sim.NewSignal(h.Env)
+			var sig sim.Signal
 			c.Fabric.BindHostPort(h.Name, shardGridRespPort+s, func(fr netsim.Frame) {
 				arrived++
 				sig.Signal()

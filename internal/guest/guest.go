@@ -182,10 +182,10 @@ type connEnd struct {
 	key          int64        // id<<1 | role; role 0 = dialer, 1 = acceptor
 	recvQ        []data.Slice
 	recvBytes    int64
-	recvSig      *sim.Signal
+	recvSig      sim.Signal
 	inflight     int64 // bytes sent, not yet consumed by peer app
-	windowSig    *sim.Signal
-	synSig       *sim.Signal
+	windowSig    sim.Signal
+	synSig       sim.Signal
 	synOK        bool
 	synDone      bool
 	remoteClosed bool
@@ -255,9 +255,6 @@ func (k *Kernel) DialT(p *sim.Proc, tr *trace.Trace, dstVM string, port int) (*C
 	id := k.id<<32 | k.connSeq
 	end := &connEnd{
 		kernel: k, peerVM: dstVM, tr: tr, key: id << 1,
-		recvSig:   sim.NewSignal(k.env),
-		windowSig: sim.NewSignal(k.env),
-		synSig:    sim.NewSignal(k.env),
 	}
 	k.conns[end.key] = end
 	sp := tr.Begin(trace.LayerGuest, "dial")
@@ -454,9 +451,6 @@ func (k *Kernel) acceptSYN(fr netsim.Frame, meta segMeta) {
 	}
 	end := &connEnd{
 		kernel: k, peerVM: meta.srcVM, tr: fr.Trace, key: meta.connID, // SYN targeted this key
-		recvSig:   sim.NewSignal(k.env),
-		windowSig: sim.NewSignal(k.env),
-		synSig:    sim.NewSignal(k.env),
 	}
 	k.conns[end.key] = end
 	k.env.Go(fmt.Sprintf("%s:synack", k.name), func(p *sim.Proc) {

@@ -387,7 +387,7 @@ func (r *FileReader) streamRead(p *sim.Proc, tr *trace.Trace, blk BlockInfo, dn 
 func (r *FileReader) oneShotRead(p *sim.Proc, tr *trace.Trace, blk BlockInfo, dn string, off, n int64) (data.Slice, error) {
 	mu := r.c.preadMu[dn]
 	if mu == nil {
-		mu = sim.NewMutex(r.c.env)
+		mu = new(sim.Mutex)
 		r.c.preadMu[dn] = mu
 	}
 	mu.Lock(p)

@@ -102,9 +102,9 @@ type fixedTopo struct{}
 
 func (fixedTopo) HostOf(vm string) (string, bool) { return "h", true }
 
-// TestRouterMountsAndStripes: hash routing spreads paths over the shards,
-// and the block-ID stripe is invertible.
-func TestRouterMountsAndStripes(t *testing.T) {
+// TestRouterHashRoutingAndStripes: hash routing spreads paths over the
+// shards, and the block-ID stripe is invertible.
+func TestRouterHashRoutingAndStripes(t *testing.T) {
 	env := sim.NewEnv(1)
 	ro := NewRouter(env, Config{}, fixedTopo{}, RouterOptions{Shards: 4, RingSeed: 9})
 	seen := map[int]bool{}

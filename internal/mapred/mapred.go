@@ -122,7 +122,7 @@ func (e *Engine) Run(p *sim.Proc, name string, tasks []Task) JobResult {
 		queue.TryPut(&taskState{task: tasks[i]})
 	}
 	remaining := len(tasks)
-	done := sim.NewSignal(e.env)
+	var done sim.Signal
 	results := make([]TaskResult, 0, len(tasks))
 
 	for ti, tr := range e.trackers {

@@ -243,14 +243,9 @@ func (f *Fabric) DomainOf(host string) (string, bool) {
 
 // SetHostDown marks a host dark (rack kill): every frame to or from it —
 // guest, daemon TCP, or RDMA — is dropped in flight. Spans still close at
-// the would-have-arrived instant, so tracing invariants hold.
-func (f *Fabric) SetHostDown(host string, down bool) {
-	if down {
-		f.down[host] = true
-	} else {
-		delete(f.down, host)
-	}
-}
+// the would-have-arrived instant, so tracing invariants hold. A dark host
+// stays dark for the rest of the run.
+func (f *Fabric) SetHostDown(host string) { f.down[host] = true }
 
 // HostDown reports whether the host is marked dark.
 func (f *Fabric) HostDown(host string) bool { return f.down[host] }

@@ -47,7 +47,7 @@ func TestAwaitMatchesSignalIdiom(t *testing.T) {
 			if arm {
 				complete, wait = p.Arm(), p.Await
 			} else {
-				sig := NewSignal(env)
+				var sig Signal
 				done := false
 				complete = func() { done = true; sig.Broadcast() }
 				wait = func() {

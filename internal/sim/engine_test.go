@@ -617,7 +617,7 @@ func TestSignalZeroAlloc(t *testing.T) {
 	for _, broadcast := range []bool{false, true} {
 		t.Run(fmt.Sprintf("broadcast=%v", broadcast), func(t *testing.T) {
 			env := NewEnv(1)
-			sig := NewSignal(env)
+			var sig Signal
 			for i := 0; i < 2; i++ {
 				env.Go("waiter", func(p *Proc) {
 					for {
@@ -649,4 +649,46 @@ func TestSignalZeroAlloc(t *testing.T) {
 			env.Close()
 		})
 	}
+}
+
+// TestWaitTimeoutZeroAlloc asserts that timed waits allocate nothing at
+// steady state, whether they time out (Signal.WaitTimeout) or are ended by
+// a push (Queue.GetTimeout): the timer runs the Proc's prebound timeout
+// callback, and the wait's state lives in the Proc.
+func TestWaitTimeoutZeroAlloc(t *testing.T) {
+	env := NewEnv(1)
+	var sig Signal
+	q := NewQueue[int](env, 0)
+	var timeouts, gets int
+	env.Go("waiter", func(p *Proc) {
+		for {
+			if !sig.WaitTimeout(p, 2*time.Microsecond) {
+				timeouts++
+			}
+			if _, ok := q.GetTimeout(p, 10*time.Microsecond); ok {
+				gets++
+			}
+		}
+	})
+	env.Go("producer", func(p *Proc) {
+		for {
+			p.Sleep(8 * time.Microsecond)
+			q.Put(p, 1)
+		}
+	})
+	if err := env.RunFor(256 * time.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := env.RunFor(8 * time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("timed waits allocate %v objects at steady state, want 0", allocs)
+	}
+	if timeouts < 1000 || gets < 1000 {
+		t.Fatalf("timeouts %d, gets %d: want both paths taken every cycle", timeouts, gets)
+	}
+	env.Close()
 }

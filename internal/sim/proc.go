@@ -50,6 +50,12 @@ type Proc struct {
 	// outstanding.
 	completion func()
 	arm        armState
+	// timeout is p.expire, bound once at creation so WaitTimeout schedules
+	// it without allocating; timedWait is the Signal wait it may end, and
+	// timedOut records that it did.
+	timeout   func()
+	timedWait waiter
+	timedOut  bool
 }
 
 // armState is where a Proc's completion stands between Arm and the return
@@ -74,6 +80,7 @@ func (e *Env) GoAfter(after time.Duration, name string, fn func(p *Proc)) *Proc 
 	p := &Proc{env: e, name: name}
 	p.wake = func() { e.dispatch(p) }
 	p.completion = p.complete
+	p.timeout = p.expire
 	e.procs[p] = struct{}{}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) { p.run(yield, fn) })
 	e.Schedule(after, p.wake)
@@ -211,6 +218,17 @@ func (p *Proc) complete() {
 	default:
 		panic(fmt.Sprintf("sim: completion of process %q ran twice", p.name))
 	}
+}
+
+// expire is the timer callback of WaitTimeout: if the timed wait is still
+// live it consumes the wait and resumes p at once, marked timed out.
+func (p *Proc) expire() {
+	if !p.timedWait.live() {
+		return
+	}
+	p.waitGen++
+	p.timedOut = true
+	p.env.dispatch(p)
 }
 
 // checkContext panics if a blocking method is invoked from outside the

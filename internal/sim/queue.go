@@ -15,20 +15,15 @@ type Queue[T any] struct {
 	head     int
 	n        int
 	capacity int
-	notEmpty *Signal
-	notFull  *Signal
+	notEmpty Signal
+	notFull  Signal
 	closed   bool
 	notify   func() // the handler consumer armed by Notify, if any
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
 func NewQueue[T any](env *Env, capacity int) *Queue[T] {
-	return &Queue[T]{
-		env:      env,
-		capacity: capacity,
-		notEmpty: NewSignal(env),
-		notFull:  NewSignal(env),
-	}
+	return &Queue[T]{env: env, capacity: capacity}
 }
 
 // Len returns the number of queued items.
@@ -113,6 +108,8 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 }
 
 // GetTimeout is Get with a deadline; ok is false on timeout or closed-empty.
+//
+//lint:hotpath
 func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool) {
 	deadline := q.env.Now() + d
 	for q.n == 0 && !q.closed {

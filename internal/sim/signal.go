@@ -24,7 +24,9 @@ type waiter struct {
 
 func (w waiter) live() bool { return w.p.waitGen == w.gen }
 
-// NewSignal returns a new Signal for the processes of env.
+// NewSignal returns a new Signal. env is unused: the zero Signal is ready to
+// use, and the simulator itself declares Signal values. NewSignal stays only
+// for the benchmark harness's callers (bench/micro.go).
 func NewSignal(env *Env) *Signal { return &Signal{} }
 
 // enqueue starts a new wait of p on s. Before the slice would grow, dead
@@ -68,22 +70,17 @@ func (s *Signal) Wait(p *Proc) {
 }
 
 // WaitTimeout suspends p until the next Signal/Broadcast or until d elapses.
-// It reports false on timeout.
+// It reports false on timeout. The timer runs p's prebound timeout callback
+// and the wait's state lives in p, so a timed wait allocates nothing.
+//
+//lint:hotpath
 func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 	p.checkContext()
-	w := s.enqueue(p)
-	timedOut := false
-	timer := p.env.Schedule(d, func() {
-		if !w.live() {
-			return
-		}
-		p.waitGen++
-		timedOut = true
-		p.env.dispatch(p)
-	})
+	p.timedWait, p.timedOut = s.enqueue(p), false
+	timer := p.env.Schedule(d, p.timeout)
 	p.park()
 	timer.Cancel()
-	return !timedOut
+	return !p.timedOut
 }
 
 // Signal wakes exactly one waiting process (the longest-waiting one). It
@@ -127,14 +124,12 @@ func (s *Signal) Waiters() int {
 	return n
 }
 
-// Mutex is a simulated mutual-exclusion lock. Lock order is FIFO.
+// Mutex is a simulated mutual-exclusion lock. Lock order is FIFO. The zero
+// Mutex is unlocked and ready to use.
 type Mutex struct {
 	locked bool
-	sig    *Signal
+	sig    Signal
 }
-
-// NewMutex returns an unlocked mutex.
-func NewMutex(env *Env) *Mutex { return &Mutex{sig: NewSignal(env)} }
 
 // Lock blocks p until the mutex is acquired.
 //

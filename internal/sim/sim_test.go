@@ -216,7 +216,7 @@ func TestStop(t *testing.T) {
 func TestCloseAbortsParkedProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv(1)
-	sig := NewSignal(env)
+	var sig Signal
 	deferred := 0
 	for i := 0; i < 4; i++ {
 		env.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -254,7 +254,7 @@ func TestCloseAbortsParkedProcs(t *testing.T) {
 // instant, while Run still reports the panic.
 func TestJoinPanickedProc(t *testing.T) {
 	env := NewEnv(1)
-	done := NewSignal(env)
+	var done Signal
 	bad := env.Go("bad", func(p *Proc) {
 		defer done.Broadcast()
 		p.Sleep(time.Millisecond)
@@ -291,7 +291,7 @@ func TestWaitTimeoutRacesSignal(t *testing.T) {
 	for _, signalFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("signalFirst=%v", signalFirst), func(t *testing.T) {
 			env := NewEnv(1)
-			sig := NewSignal(env)
+			var sig Signal
 			found := false
 			signal := func() { found = sig.Signal() }
 			if signalFirst {
@@ -328,7 +328,7 @@ func TestWaitTimeoutRacesSignal(t *testing.T) {
 
 func TestSignalWakeOrder(t *testing.T) {
 	env := NewEnv(1)
-	sig := NewSignal(env)
+	var sig Signal
 	var got []string
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
@@ -356,7 +356,7 @@ func TestSignalWakeOrder(t *testing.T) {
 
 func TestSignalWaitTimeout(t *testing.T) {
 	env := NewEnv(1)
-	sig := NewSignal(env)
+	var sig Signal
 	var timedOut, signalled bool
 	env.Go("timeout", func(p *Proc) {
 		timedOut = !sig.WaitTimeout(p, time.Millisecond)
@@ -379,7 +379,7 @@ func TestSignalWaitTimeout(t *testing.T) {
 
 func TestMutexMutualExclusion(t *testing.T) {
 	env := NewEnv(1)
-	mu := NewMutex(env)
+	var mu Mutex
 	inside := 0
 	maxInside := 0
 	for i := 0; i < 5; i++ {
@@ -510,7 +510,7 @@ func TestDeterminism(t *testing.T) {
 		env := NewEnv(42)
 		var trace []string
 		q := NewQueue[int](env, 4)
-		sig := NewSignal(env)
+		var sig Signal
 		for i := 0; i < 5; i++ {
 			i := i
 			env.Go(fmt.Sprintf("prod%d", i), func(p *Proc) {

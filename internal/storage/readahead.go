@@ -28,7 +28,7 @@ type raWindow struct {
 	start, end int64
 	finished   bool
 	canceled   bool // dropped while in flight: completes, but does not insert
-	done       *sim.Signal
+	done       sim.Signal
 }
 
 // NewReadahead creates the readahead for cache with the given window size,
@@ -109,7 +109,7 @@ func (r *Readahead) Advance(obj, size, off, n int64, issue func(n int64, done fu
 		o.raIssued = raEnd
 		return
 	}
-	w := &raWindow{start: raStart, end: raEnd, done: sim.NewSignal(r.env)}
+	w := &raWindow{start: raStart, end: raEnd}
 	if issue(raEnd-raStart, func() { r.finish(obj, o, w) }) {
 		o.raFlight = append(o.raFlight, w)
 		o.raIssued = raEnd

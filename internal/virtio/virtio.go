@@ -101,7 +101,7 @@ type NetDev struct {
 	peer      *NetDev
 
 	sriovInflight int
-	sriovSig      *sim.Signal
+	sriovSig      sim.Signal
 	sriovDone     func()             // prebound descriptor-retire hook (no per-frame closure)
 	rxFn          func(netsim.Frame) // prebound injectRx method value (no per-frame binding)
 }
@@ -113,8 +113,7 @@ func NewNetDev(env *sim.Env, cfg Config, vmName, host string,
 	d := &NetDev{
 		env: env, cfg: cfg, vmName: vmName, host: host,
 		vcpu: vcpu, vhost: vhost, nic: nic, fabric: fabric,
-		tx:       sim.NewQueue[netsim.Frame](env, netRingFrames),
-		sriovSig: sim.NewSignal(env),
+		tx: sim.NewQueue[netsim.Frame](env, netRingFrames),
 	}
 	d.sriovDone = func() {
 		d.sriovInflight--
@@ -366,7 +365,7 @@ func (b *BlkDev) transfer(p *sim.Proc, tr *trace.Trace, n int64, write bool) {
 		return
 	}
 	remaining := 0
-	done := sim.NewSignal(b.env)
+	var done sim.Signal
 	for n > 0 {
 		req := n
 		if req > blkReqBytes {

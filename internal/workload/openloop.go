@@ -51,7 +51,7 @@ func RunOpenLoop(p *sim.Proc, env *sim.Env, cfg OpenLoopConfig, do func(p *sim.P
 	period := time.Duration(float64(time.Second) / cfg.QPS)
 	results := make([]OpResult, cfg.Arrivals)
 	done := 0
-	allDone := sim.NewSignal(env)
+	var allDone sim.Signal
 	for i := 0; i < cfg.Arrivals; i++ {
 		i := i
 		start := env.Now()
