@@ -85,7 +85,7 @@ FUZZ_TARGETS := ./internal/faults:FuzzParseSpec ./internal/experiments:FuzzParse
 	./internal/hdfs:FuzzWriteReqRoundTrip ./internal/hdfs:FuzzReadReqRoundTrip \
 	./internal/data:FuzzPatternWindowConsistency ./internal/data:FuzzConcatSplit \
 	./internal/data:FuzzEqual ./internal/sim:FuzzQueue ./internal/sim:FuzzQueueNotify \
-	./internal/sim:FuzzEventOrder ./internal/storage:FuzzReadahead \
+	./internal/sim:FuzzSignalNotify ./internal/sim:FuzzEventOrder ./internal/storage:FuzzReadahead \
 	./internal/virtio:FuzzSanitizeFrame ./internal/virtio:FuzzSanitizeBlkReq \
 	./internal/core:FuzzSanitizeReq
 

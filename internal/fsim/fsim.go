@@ -37,11 +37,19 @@ type Ino int64
 // Inode is a file or directory. Files accumulate immutable content chunks
 // (append-only, matching HDFS block files); directories map names to inodes.
 type Inode struct {
-	ino     Ino
-	isDir   bool
-	chunks  data.Concat
+	ino    Ino
+	isDir  bool
+	chunks data.Concat
+	// content is chunks boxed once per change, so a read hands out a Slice
+	// without converting chunks to an interface each time.
+	content data.Content
 	size    int64
 	entries map[string]*Inode
+}
+
+// setChunks replaces the file's chunks and size.
+func (n *Inode) setChunks(chunks data.Concat, size int64) {
+	n.chunks, n.content, n.size = chunks, chunks, size
 }
 
 // Ino returns the inode number.
@@ -155,6 +163,7 @@ func (fs *FS) Create(path string) (*Inode, error) {
 	}
 	fs.nextIno++
 	node := &Inode{ino: fs.nextIno}
+	node.setChunks(nil, 0)
 	dir.entries[name] = node
 	fs.files++
 	return node, nil
@@ -169,8 +178,7 @@ func (fs *FS) Append(path string, c data.Content) error {
 	if node.isDir {
 		return fmt.Errorf("%w: %s", ErrIsDir, path)
 	}
-	node.chunks = append(node.chunks, c)
-	node.size += c.Len()
+	node.setChunks(append(node.chunks, c), node.size+c.Len())
 	return nil
 }
 
@@ -180,16 +188,14 @@ func (fs *FS) WriteFile(path string, c data.Content) error {
 		if node.isDir {
 			return fmt.Errorf("%w: %s", ErrIsDir, path)
 		}
-		node.chunks = data.Concat{c}
-		node.size = c.Len()
+		node.setChunks(data.Concat{c}, c.Len())
 		return nil
 	}
 	node, err := fs.Create(path)
 	if err != nil {
 		return err
 	}
-	node.chunks = data.Concat{c}
-	node.size = c.Len()
+	node.setChunks(data.Concat{c}, c.Len())
 	return nil
 }
 
@@ -202,6 +208,12 @@ func (fs *FS) ReadAt(path string, off, n int64) (data.Slice, error) {
 	return readInode(node, off, n, node.size, path)
 }
 
+// ReadNode is ReadAt on an inode already resolved from path (path only
+// names it in errors), so a caller holding one walks no path.
+func ReadNode(node *Inode, path string, off, n int64) (data.Slice, error) {
+	return readInode(node, off, n, node.size, path)
+}
+
 func readInode(node *Inode, off, n, limit int64, path string) (data.Slice, error) {
 	if node.isDir {
 		return data.Slice{}, fmt.Errorf("%w: %s", ErrIsDir, path)
@@ -209,7 +221,7 @@ func readInode(node *Inode, off, n, limit int64, path string) (data.Slice, error
 	if off < 0 || n < 0 || off+n > limit {
 		return data.Slice{}, fmt.Errorf("%w: [%d,%d) of %d in %s", ErrRange, off, off+n, limit, path)
 	}
-	return data.Slice{C: node.chunks, Off: off, N: n}, nil
+	return data.Slice{C: node.content, Off: off, N: n}, nil
 }
 
 // Stat returns the inode for path.

@@ -86,6 +86,7 @@ type Kernel struct {
 	conns     map[int64]*connEnd
 	connSeq   int64
 	ra        *storage.Readahead // readahead over the guest page cache
+	spare     *FileOp            // the blocking file calls' state, reused
 }
 
 // KernelParams collects the pieces a Kernel is assembled from.
@@ -180,7 +181,8 @@ type connEnd struct {
 	peerVM       string
 	tr           *trace.Trace // request currently attributed to this end
 	key          int64        // id<<1 | role; role 0 = dialer, 1 = acceptor
-	recvQ        []data.Slice
+	recvQ        []data.Slice // recvQ[recvHead:] are not yet consumed
+	recvHead     int
 	recvBytes    int64
 	recvSig      sim.Signal
 	inflight     int64 // bytes sent, not yet consumed by peer app
@@ -190,6 +192,32 @@ type connEnd struct {
 	synDone      bool
 	remoteClosed bool
 	localClosed  bool
+
+	// One send and one receive at a time, in continuation form.
+	send      cpusched.Steps[*connEnd]
+	tx        virtio.Tx
+	frame     netsim.Frame // the segment in flight, then segNext
+	segNext   func(*connEnd)
+	sendS     data.Slice // what is left to send
+	sendErr   error
+	sendDone  func()
+	recv      cpusched.Steps[*connEnd]
+	recvN     int64 // bytes wanted; a RecvFull wants all of them
+	recvFull  bool
+	recvGot   int64
+	recvParts data.Concat
+	recvS     data.Slice
+	recvOK    bool
+	recvDone  func()
+}
+
+// newEnd creates and registers one end of a connection.
+func (k *Kernel) newEnd(peerVM string, tr *trace.Trace, key int64) *connEnd {
+	end := &connEnd{kernel: k, peerVM: peerVM, tr: tr, key: key}
+	end.send.Bind(k.env, end)
+	end.recv.Bind(k.env, end)
+	k.conns[key] = end
+	return end
 }
 
 // Conn is one end of an established stream.
@@ -253,13 +281,10 @@ func (k *Kernel) DialT(p *sim.Proc, tr *trace.Trace, dstVM string, port int) (*C
 	// and the numbering is identical at every shard count.
 	k.connSeq++
 	id := k.id<<32 | k.connSeq
-	end := &connEnd{
-		kernel: k, peerVM: dstVM, tr: tr, key: id << 1,
-	}
-	k.conns[end.key] = end
+	end := k.newEnd(dstVM, tr, id<<1)
 	sp := tr.Begin(trace.LayerGuest, "dial")
 	// The SYN targets the not-yet-existing acceptor end (key id<<1|1).
-	k.sendSegment(p, tr, dstVM, data.NewSlice(data.Zero(64)), segMeta{kind: segSYN, connID: end.key | 1, port: port, srcVM: k.name})
+	end.sendSegment(p, data.NewSlice(data.Zero(64)), segMeta{kind: segSYN, connID: end.key | 1, port: port, srcVM: k.name})
 	for !end.synDone {
 		end.synSig.Wait(p)
 	}
@@ -273,65 +298,145 @@ func (k *Kernel) DialT(p *sim.Proc, tr *trace.Trace, dstVM string, port int) (*C
 
 // Send writes the slice to the stream, blocking on the send window and the
 // virtio ring. Tags: syscall+user-copy to the app tag, TCP processing to
-// "others".
+// "others". It is a thin Proc wrapper over SendThen.
 func (c *Conn) Send(p *sim.Proc, s data.Slice) error {
-	end := c.end
-	k := end.kernel
-	if end.localClosed {
-		return ErrClosed
-	}
-	for off := int64(0); off < s.Len(); {
-		seg := s.Len() - off
-		if seg > segmentBytes {
-			seg = segmentBytes
-		}
-		for end.inflight+seg > sockBufBytes && !end.remoteClosed {
-			end.windowSig.Wait(p)
-		}
-		if end.remoteClosed {
-			return ErrClosed // peer went away; stop streaming
-		}
-		end.inflight += seg
-		k.sendSegment(p, end.tr, end.peerVM, s.Sub(off, seg), segMeta{kind: segData, connID: end.key ^ 1})
-		off += seg
-	}
-	return nil
+	c.SendThen(s, p.ArmInline())
+	p.Await()
+	return c.SendErr()
 }
 
-// sendSegment pays the guest transmit path and hands the frame to virtio.
-// The frame carries the request trace so every downstream hop (vhost, wire,
-// the receiving guest) charges against it.
-func (k *Kernel) sendSegment(p *sim.Proc, tr *trace.Trace, dstVM string, payload data.Slice, meta segMeta) {
-	k.vcpu.RunT(p, syscallCycles+copyCycles(payload.Len()), k.appTag, tr)
-	k.vcpu.RunT(p, tcpTxSegCycles, metrics.TagOthers, tr)
-	k.net.Transmit(p, netsim.Frame{DstVM: dstVM, Payload: payload, Meta: meta, Trace: tr})
+// SendThen is Send in continuation form: done runs where Send would have
+// returned, and SendErr then returns Send's error.
+func (c *Conn) SendThen(s data.Slice, done func()) {
+	end := c.end
+	end.sendS, end.sendErr, end.sendDone = s, nil, done
+	if end.localClosed {
+		end.sendErr = ErrClosed
+		end.finishSend()
+		return
+	}
+	end.sendNext()
+}
+
+// SendErr returns the error of the last SendThen.
+func (c *Conn) SendErr() error { return c.end.sendErr }
+
+// sendNext sends the next segment once the window has room for it.
+func (end *connEnd) sendNext() {
+	seg := min(end.sendS.Len(), segmentBytes)
+	switch {
+	case seg == 0:
+		end.finishSend()
+	case end.inflight+seg > sockBufBytes && !end.remoteClosed:
+		end.windowSig.Notify(end.kernel.env, end.send.Direct((*connEnd).sendNext))
+	case end.remoteClosed:
+		end.sendErr = ErrClosed // peer went away; stop streaming
+		end.finishSend()
+	default:
+		end.inflight += seg
+		end.segment(end.sendS.Sub(0, seg), segMeta{kind: segData, connID: end.key ^ 1}, (*connEnd).sentSegment)
+	}
+}
+
+func (end *connEnd) sentSegment() {
+	n := end.frame.Payload.Len()
+	end.sendS = end.sendS.Sub(n, end.sendS.Len()-n)
+	end.sendNext()
+}
+
+func (end *connEnd) finishSend() {
+	done := end.sendDone
+	end.sendS, end.frame, end.sendDone = data.Slice{}, netsim.Frame{}, nil
+	done()
+}
+
+// sendSegment is segment for a control segment sent from a Proc.
+func (end *connEnd) sendSegment(p *sim.Proc, payload data.Slice, meta segMeta) {
+	end.sendDone = p.ArmInline()
+	end.segment(payload, meta, (*connEnd).finishSend)
+	p.Await()
+}
+
+// segment pays the guest transmit path and hands the frame to virtio, then
+// continues with next. The frame carries the end's current request trace so
+// every downstream hop (vhost, wire, the receiving guest) charges against it.
+func (end *connEnd) segment(payload data.Slice, meta segMeta, next func(*connEnd)) {
+	k := end.kernel
+	end.frame = netsim.Frame{DstVM: end.peerVM, Payload: payload, Meta: meta, Trace: end.tr}
+	end.segNext = next
+	end.send.Charge(k.vcpu, syscallCycles+copyCycles(payload.Len()), k.appTag, end.tr, (*connEnd).segmentTCP)
+}
+
+func (end *connEnd) segmentTCP() {
+	end.send.Charge(end.kernel.vcpu, tcpTxSegCycles, metrics.TagOthers, end.frame.Trace, (*connEnd).transmit)
+}
+
+func (end *connEnd) transmit() {
+	end.kernel.net.TransmitThen(&end.tx, end.frame, end.send.Direct(end.segNext))
 }
 
 // Recv returns up to max bytes, blocking until data or EOF. ok is false at
 // EOF (peer closed and buffer drained).
 func (c *Conn) Recv(p *sim.Proc, max int64) (data.Slice, bool) {
-	end := c.end
+	c.end.startRecv(max, false, p.ArmInline())
+	p.Await()
+	return c.Received()
+}
+
+// RecvFull reads exactly n bytes (or returns ok=false at premature EOF). It
+// is a thin Proc wrapper over RecvFullThen.
+func (c *Conn) RecvFull(p *sim.Proc, n int64) (data.Slice, bool) {
+	c.RecvFullThen(n, p.ArmInline())
+	p.Await()
+	return c.Received()
+}
+
+// RecvFullThen is RecvFull in continuation form: done runs where RecvFull
+// would have returned, and Received then returns its results.
+func (c *Conn) RecvFullThen(n int64, done func()) { c.end.startRecv(n, true, done) }
+
+// Received returns the results of the last receive.
+func (c *Conn) Received() (data.Slice, bool) {
+	s := c.end.recvS
+	c.end.recvS = data.Slice{}
+	return s, c.end.recvOK
+}
+
+func (end *connEnd) startRecv(n int64, full bool, done func()) {
+	end.recvN, end.recvFull, end.recvGot, end.recvDone = n, full, 0, done
+	end.recvNext()
+}
+
+// recvNext takes up to the wanted bytes once there are any; a RecvFull
+// repeats it until it has them all.
+func (end *connEnd) recvNext() {
 	k := end.kernel
-	for end.recvBytes == 0 && !end.remoteClosed {
-		end.recvSig.Wait(p)
-	}
-	if end.recvBytes == 0 {
-		return data.Slice{}, false
+	switch {
+	case end.recvFull && end.recvGot >= end.recvN:
+		end.finishRecv(data.Slice{C: end.recvParts, N: end.recvGot}, true)
+		return
+	case end.recvBytes == 0 && !end.remoteClosed:
+		end.recvSig.Notify(k.env, end.recv.Direct((*connEnd).recvNext))
+		return
+	case end.recvBytes == 0:
+		end.finishRecv(data.Slice{}, false)
+		return
 	}
 	// The first piece taken is held as it is; a Concat is built only when a
 	// second piece joins it, so a read one piece covers returns that piece.
 	var out data.Slice
 	var parts data.Concat
 	var got int64
-	for got < max && len(end.recvQ) > 0 {
-		head := end.recvQ[0]
+	for max := end.recvN - end.recvGot; got < max && end.recvHead < len(end.recvQ); {
+		head := end.recvQ[end.recvHead]
 		take := head.Len()
 		if take > max-got {
 			take = max - got
-			end.recvQ[0] = head.Sub(take, head.Len()-take)
+			end.recvQ[end.recvHead] = head.Sub(take, head.Len()-take)
 			head = head.Sub(0, take)
 		} else {
-			end.recvQ = end.recvQ[1:]
+			end.recvQ[end.recvHead] = data.Slice{}
+			end.recvHead++
 		}
 		switch {
 		case got == 0:
@@ -343,6 +448,9 @@ func (c *Conn) Recv(p *sim.Proc, max int64) (data.Slice, bool) {
 		}
 		got += take
 	}
+	if end.recvHead == len(end.recvQ) {
+		end.recvQ, end.recvHead = end.recvQ[:0], 0
+	}
 	if parts != nil {
 		out = data.Slice{C: parts, N: got}
 	}
@@ -352,8 +460,24 @@ func (c *Conn) Recv(p *sim.Proc, max int64) (data.Slice, bool) {
 	if peerK := k.netw.Kernel(end.peerVM); peerK != nil {
 		peerK.applyCredit(end.key^1, got)
 	}
-	k.vcpu.RunT(p, syscallCycles+copyCycles(got), k.appTag, end.tr)
-	return out, true
+	end.recvS = out
+	end.recv.Charge(k.vcpu, syscallCycles+copyCycles(got), k.appTag, end.tr, (*connEnd).received)
+}
+
+func (end *connEnd) received() {
+	if s := end.recvS; end.recvFull && s.Len() != end.recvN {
+		end.recvParts = append(end.recvParts, s.Content())
+		end.recvGot += s.Len()
+		end.recvNext()
+		return
+	}
+	end.finishRecv(end.recvS, true)
+}
+
+func (end *connEnd) finishRecv(s data.Slice, ok bool) {
+	done := end.recvDone
+	end.recvS, end.recvOK, end.recvParts, end.recvDone = s, ok, nil, nil
+	done()
 }
 
 // applyCredit releases window credit on the sending end; a missing end
@@ -365,24 +489,6 @@ func (k *Kernel) applyCredit(connKey int64, bytes int64) {
 	}
 }
 
-// RecvFull reads exactly n bytes (or returns ok=false at premature EOF).
-func (c *Conn) RecvFull(p *sim.Proc, n int64) (data.Slice, bool) {
-	var parts data.Concat
-	var got int64
-	for got < n {
-		s, ok := c.Recv(p, n-got)
-		if !ok {
-			return data.Slice{}, false
-		}
-		if s.Len() == n {
-			return s, true // one Recv covered the whole read
-		}
-		parts = append(parts, s.Content())
-		got += s.Len()
-	}
-	return data.Slice{C: parts, N: got}, true
-}
-
 // Close sends FIN. Reads on the peer drain and then report EOF.
 func (c *Conn) Close(p *sim.Proc) {
 	end := c.end
@@ -390,7 +496,7 @@ func (c *Conn) Close(p *sim.Proc) {
 		return
 	}
 	end.localClosed = true
-	end.kernel.sendSegment(p, end.tr, end.peerVM, data.Slice{C: data.Zero(0)}, segMeta{kind: segFIN, connID: end.key ^ 1})
+	end.sendSegment(p, data.Slice{C: data.Zero(0)}, segMeta{kind: segFIN, connID: end.key ^ 1})
 }
 
 // handleFrame is the virtio deliver hook: runs in event context after the
@@ -425,6 +531,11 @@ func (k *Kernel) processSegment(fr netsim.Frame, meta segMeta) {
 		// Adopt the arriving segment's trace: the app work this data causes
 		// (Recv copies, the reply it triggers) belongs to that request.
 		end.tr = fr.Trace
+		if len(end.recvQ) == cap(end.recvQ) && end.recvHead > 0 {
+			n := copy(end.recvQ, end.recvQ[end.recvHead:])
+			clear(end.recvQ[n:])
+			end.recvQ, end.recvHead = end.recvQ[:n], 0
+		}
 		end.recvQ = append(end.recvQ, fr.Payload)
 		end.recvBytes += fr.Payload.Len()
 		end.recvSig.Broadcast()
@@ -444,17 +555,17 @@ func (k *Kernel) processSegment(fr netsim.Frame, meta segMeta) {
 func (k *Kernel) acceptSYN(fr netsim.Frame, meta segMeta) {
 	q, ok := k.listeners[meta.port]
 	if !ok {
+		// The reset goes out through a connection end nobody registers.
+		rst := &connEnd{kernel: k, peerVM: meta.srcVM, tr: fr.Trace}
+		rst.send.Bind(k.env, rst)
 		k.env.Go(fmt.Sprintf("%s:rst", k.name), func(p *sim.Proc) {
-			k.sendSegment(p, fr.Trace, meta.srcVM, data.Slice{C: data.Zero(0)}, segMeta{kind: segRST, connID: meta.connID ^ 1})
+			rst.sendSegment(p, data.Slice{C: data.Zero(0)}, segMeta{kind: segRST, connID: meta.connID ^ 1})
 		})
 		return
 	}
-	end := &connEnd{
-		kernel: k, peerVM: meta.srcVM, tr: fr.Trace, key: meta.connID, // SYN targeted this key
-	}
-	k.conns[end.key] = end
+	end := k.newEnd(meta.srcVM, fr.Trace, meta.connID) // SYN targeted this key
 	k.env.Go(fmt.Sprintf("%s:synack", k.name), func(p *sim.Proc) {
-		k.sendSegment(p, fr.Trace, meta.srcVM, data.NewSlice(data.Zero(64)), segMeta{kind: segSYNACK, connID: meta.connID ^ 1})
+		end.sendSegment(p, data.NewSlice(data.Zero(64)), segMeta{kind: segSYNACK, connID: meta.connID ^ 1})
 	})
 	q.TryPut(&Conn{end: end})
 }
@@ -471,62 +582,160 @@ func (k *Kernel) ReadFileAt(p *sim.Proc, path string, off, n int64) (data.Slice,
 
 // ReadFileAtT is ReadFileAt attributed to a request trace: the read becomes
 // one guest-layer span, page-cache hits and misses become events, and the
-// virtio-blk round trip charges against the request.
+// virtio-blk round trip charges against the request. It is a thin Proc
+// wrapper over ReadFileAtThen.
 func (k *Kernel) ReadFileAtT(p *sim.Proc, tr *trace.Trace, path string, off, n int64) (data.Slice, error) {
-	sp := tr.Begin(trace.LayerGuest, "file-read")
-	k.vcpu.RunT(p, syscallCycles, k.appTag, tr)
-	node, err := k.fs.Stat(path)
-	if err != nil {
-		tr.EndSpan(sp, 0)
-		return data.Slice{}, err
+	op := k.takeOp()
+	k.ReadFileAtThen(op, tr, path, off, n, p.ArmInline())
+	p.Await()
+	k.spare = op
+	return op.S, op.Err
+}
+
+// AppendFile appends content to a file: user→kernel copy, page-cache
+// insertion, and asynchronous writeback to virtio-blk. It is a thin Proc
+// wrapper over AppendFileThen.
+func (k *Kernel) AppendFile(p *sim.Proc, path string, c data.Content) error {
+	op := k.takeOp()
+	k.AppendFileThen(op, path, c, p.ArmInline())
+	p.Await()
+	k.spare = op
+	return op.Err
+}
+
+// takeOp returns the kernel's spare FileOp, or a new one.
+func (k *Kernel) takeOp() (op *FileOp) {
+	if op, k.spare = k.spare, nil; op == nil {
+		op = new(FileOp)
 	}
-	obj := int64(node.Ino())
-	hit, miss := k.cache.Lookup(obj, off, n)
+	return op
+}
+
+// FileOp is a ReadFileAtT or AppendFile in continuation form, with the
+// result in S and Err once done has run; its owner runs one at a time.
+type FileOp struct {
+	S   data.Slice
+	Err error
+
+	k      *Kernel
+	st     cpusched.Steps[*FileOp]
+	blk    virtio.BlkIO
+	issue  func(n int64, done func()) bool // readahead submit, bound once
+	tr     *trace.Trace
+	sp     int
+	path   string
+	node   *fsim.Inode
+	off, n int64
+	c      data.Content
+	done   func()
+}
+
+// start takes one call's arguments; sp is its span, which read ends.
+func (op *FileOp) start(k *Kernel, tr *trace.Trace, sp int, path string, done func()) {
+	if op.issue == nil {
+		op.st.Bind(k.env, op)
+		op.issue = func(n int64, done func()) bool { return op.k.blk.TryReadAsyncT(op.tr, n, done) }
+	}
+	op.k, op.tr, op.sp, op.path, op.done, op.S = k, tr, sp, path, done, data.Slice{}
+}
+
+// ReadFileAtThen is ReadFileAtT in continuation form: done runs where
+// ReadFileAtT would have returned, with the result in op.S and op.Err.
+func (k *Kernel) ReadFileAtThen(op *FileOp, tr *trace.Trace, path string, off, n int64, done func()) {
+	sp := tr.Begin(trace.LayerGuest, "file-read")
+	op.start(k, tr, sp, path, done)
+	op.off, op.n = off, n
+	op.st.Charge(k.vcpu, syscallCycles, k.appTag, tr, (*FileOp).lookup)
+}
+
+func (op *FileOp) lookup() {
+	k, tr := op.k, op.tr
+	node, err := k.fs.Stat(op.path)
+	if err != nil {
+		tr.EndSpan(op.sp, 0)
+		op.finish(err)
+		return
+	}
+	op.node = node
+	hit, miss := k.cache.Lookup(int64(node.Ino()), op.off, op.n)
 	if hit > 0 {
 		tr.Event(trace.LayerGuest, "page-cache-hit", hit)
 	}
 	if miss > 0 {
 		tr.Event(trace.LayerGuest, "page-cache-miss", miss)
-		// Wait for any overlapping in-flight readahead before touching the
-		// device ourselves.
-		k.ra.Wait(p, obj, off, n)
-		if _, miss = k.cache.Lookup(obj, off, n); miss > 0 {
-			k.blk.ReadT(p, tr, miss)
-			k.cache.Insert(obj, off, n)
+		op.miss()
+		return
+	}
+	op.advance()
+}
+
+// miss waits for any overlapping in-flight readahead before touching the
+// device itself.
+func (op *FileOp) miss() {
+	k, obj := op.k, int64(op.node.Ino())
+	if s := k.ra.Pending(obj, op.off, op.n); s != nil {
+		s.Notify(k.env, op.st.Direct((*FileOp).miss))
+		return
+	}
+	if _, miss := k.cache.Lookup(obj, op.off, op.n); miss > 0 {
+		k.blk.Transfer(&op.blk, op.tr, miss, false, op.st.Direct((*FileOp).fill))
+		return
+	}
+	op.advance()
+}
+
+func (op *FileOp) fill() {
+	op.k.cache.Insert(int64(op.node.Ino()), op.off, op.n)
+	op.advance()
+}
+
+func (op *FileOp) advance() {
+	k := op.k
+	k.ra.Advance(int64(op.node.Ino()), op.node.Size(), op.off, op.n, op.issue)
+	op.st.Charge(k.vcpu, copyCycles(op.n), k.appTag, op.tr, (*FileOp).read)
+}
+
+func (op *FileOp) read() {
+	op.S, op.Err = fsim.ReadNode(op.node, op.path, op.off, op.n)
+	op.tr.EndSpan(op.sp, op.n)
+	op.finish(op.Err)
+}
+
+func (op *FileOp) finish(err error) {
+	done := op.done
+	op.Err, op.tr, op.node, op.c, op.done = err, nil, nil, nil, nil
+	done()
+}
+
+// AppendFileThen is AppendFile in continuation form: done runs where
+// AppendFile would have returned, with its error in op.Err.
+func (k *Kernel) AppendFileThen(op *FileOp, path string, c data.Content, done func()) {
+	op.start(k, nil, -1, path, done)
+	op.c = c
+	op.st.Charge(k.vcpu, syscallCycles+copyCycles(c.Len()), k.appTag, nil, (*FileOp).append)
+}
+
+func (op *FileOp) append() {
+	k, n := op.k, op.c.Len()
+	node, err := k.fs.Stat(op.path)
+	if err == nil {
+		oldSize := node.Size()
+		if err = k.fs.Append(op.path, op.c); err == nil {
+			k.cache.Insert(int64(node.Ino()), oldSize, n)
+			k.blk.Transfer(&op.blk, nil, n, true, op.st.Direct((*FileOp).appended))
+			return
 		}
 	}
-	k.ra.Advance(obj, node.Size(), off, n, func(n int64, done func()) bool {
-		return k.blk.TryReadAsyncT(tr, n, done)
-	})
-	k.vcpu.RunT(p, copyCycles(n), k.appTag, tr)
-	s, err := k.fs.ReadAt(path, off, n)
-	tr.EndSpan(sp, n)
-	return s, err
+	op.finish(err)
 }
+
+func (op *FileOp) appended() { op.finish(nil) }
 
 // CreateFile creates an empty file (metadata only).
 func (k *Kernel) CreateFile(p *sim.Proc, path string) error {
 	k.vcpu.Run(p, syscallCycles, k.appTag)
 	_, err := k.fs.Create(path)
 	return err
-}
-
-// AppendFile appends content to a file: user→kernel copy, page-cache
-// insertion, and asynchronous writeback to virtio-blk.
-func (k *Kernel) AppendFile(p *sim.Proc, path string, c data.Content) error {
-	n := c.Len()
-	k.vcpu.Run(p, syscallCycles+copyCycles(n), k.appTag)
-	node, err := k.fs.Stat(path)
-	if err != nil {
-		return err
-	}
-	oldSize := node.Size()
-	if err := k.fs.Append(path, c); err != nil {
-		return err
-	}
-	k.cache.Insert(int64(node.Ino()), oldSize, n)
-	k.blk.WriteAsync(p, n)
-	return nil
 }
 
 // MkdirAll creates directories (metadata only).

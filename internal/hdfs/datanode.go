@@ -3,6 +3,8 @@ package hdfs
 import (
 	"fmt"
 
+	"vread/internal/cpusched"
+	"vread/internal/data"
 	"vread/internal/guest"
 	"vread/internal/metrics"
 	"vread/internal/sim"
@@ -52,18 +54,9 @@ func (dn *DataNode) Stop() {
 	dn.listener.Close()
 }
 
-// HasBlock reports whether the datanode stores the block.
-func (dn *DataNode) HasBlock(id BlockID) bool {
-	_, ok := dn.blocks[id]
-	return ok
-}
-
 // ServedBytes returns total bytes streamed to readers over TCP (zero when
 // every read went through vRead).
 func (dn *DataNode) ServedBytes() int64 { return dn.served }
-
-// AcceptedConns returns how many DataXceiver sessions were opened.
-func (dn *DataNode) AcceptedConns() int64 { return dn.accepted }
 
 // serve accepts connections, one handler process each.
 func (dn *DataNode) serve(p *sim.Proc) {
@@ -73,16 +66,112 @@ func (dn *DataNode) serve(p *sim.Proc) {
 			return
 		}
 		dn.accepted++
+		x := &xceiver{dn: dn, conn: conn}
+		x.st.Bind(dn.env, x)
 		dn.env.Go(fmt.Sprintf("dn:%s:xceiver", dn.Name()), func(hp *sim.Proc) {
-			dn.handle(hp, conn)
+			dn.handle(hp, x)
 		})
 	}
+}
+
+// xceiver is one DataXceiver session. The session is a straight-line Proc;
+// its packet loops run as the event handlers below, firing the events the
+// Proc's loops did, while the Proc parks once per block.
+type xceiver struct {
+	dn         *DataNode
+	conn, next *guest.Conn
+	st         cpusched.Steps[*xceiver]
+	file       guest.FileOp
+	tr         *trace.Trace
+	path       string
+	write      bool
+	off, n     int64
+	moved      int64 // bytes streamed so far
+	pkt        data.Slice
+	failed     bool
+	wake       func() // the session Proc's inline completion
+}
+
+// stream runs a packet loop over [x.off, x.off+x.n) and parks p until it
+// ends.
+func (x *xceiver) stream(p *sim.Proc, write bool) {
+	x.write, x.moved, x.failed, x.wake = write, 0, false, p.ArmInline()
+	x.nextPacket()
+	p.Await()
+	x.pkt = data.Slice{}
+}
+
+func (x *xceiver) nextPacket() {
+	pkt := min(x.n-x.moved, packetBytes)
+	switch {
+	case pkt <= 0:
+		x.wake()
+	case x.write:
+		x.conn.RecvFullThen(pkt, x.st.Direct((*xceiver).received))
+	default:
+		x.dn.kernel.ReadFileAtThen(&x.file, x.tr, x.path, x.off+x.moved, pkt, x.st.Direct((*xceiver).readDone))
+	}
+}
+
+func (x *xceiver) stop() {
+	x.failed = true
+	x.wake()
+}
+
+func (x *xceiver) readDone() {
+	if x.pkt = x.file.S; x.file.Err != nil {
+		x.stop()
+		return
+	}
+	x.st.Charge(x.dn.kernel.VCPU(), dnSendCycles(x.pkt.Len()), metrics.TagDatanodeApp, x.tr, (*xceiver).send)
+}
+
+func (x *xceiver) send() { x.conn.SendThen(x.pkt, x.st.Direct((*xceiver).sent)) }
+
+func (x *xceiver) received() {
+	var ok bool
+	if x.pkt, ok = x.conn.Received(); !ok {
+		x.stop()
+		return
+	}
+	x.st.Charge(x.dn.kernel.VCPU(), checksumCycles(x.pkt.Len()), metrics.TagDatanodeApp, nil, (*xceiver).store)
+}
+
+func (x *xceiver) store() {
+	x.dn.kernel.AppendFileThen(&x.file, x.path, x.pkt.Content(), x.st.Direct((*xceiver).forward))
+}
+
+func (x *xceiver) forward() {
+	switch {
+	case x.file.Err != nil:
+		x.stop()
+	case x.next != nil:
+		x.next.SendThen(x.pkt, x.st.Direct((*xceiver).sent))
+	default:
+		x.sent()
+	}
+}
+
+// sent moves on once the packet has gone out, to the client on a read and
+// down the pipeline on a write.
+func (x *xceiver) sent() {
+	out := x.conn
+	if x.write {
+		out = x.next
+	}
+	if out != nil && out.SendErr() != nil {
+		x.stop()
+		return
+	}
+	x.moved += x.pkt.Len()
+	x.nextPacket()
 }
 
 // handle processes one DataXceiver session. Read sessions serve requests in
 // a loop until the client closes (connection reuse for positional reads);
 // write sessions carry one block and then close.
-func (dn *DataNode) handle(p *sim.Proc, conn *guest.Conn) {
+func (dn *DataNode) handle(p *sim.Proc, x *xceiver) {
+	conn := x.conn
 	for {
 		hdr, ok := conn.RecvFull(p, readReqSize)
 		if !ok {
@@ -91,7 +180,7 @@ func (dn *DataNode) handle(p *sim.Proc, conn *guest.Conn) {
 		head := hdr.Bytes()
 		switch decodeOp(head) {
 		case opRead:
-			if !dn.handleRead(p, conn, decodeReadReq(head)) {
+			if !dn.handleRead(p, x, decodeReadReq(head)) {
 				return
 			}
 		case opWrite:
@@ -99,7 +188,7 @@ func (dn *DataNode) handle(p *sim.Proc, conn *guest.Conn) {
 			if !ok {
 				return
 			}
-			dn.handleWrite(p, conn, decodeWriteReq(append(head, rest.Bytes()...)))
+			dn.handleWrite(p, x, decodeWriteReq(append(head, rest.Bytes()...)))
 			return
 		default:
 			_ = conn.Send(p, encodeResp(statusErr, 0))
@@ -112,7 +201,8 @@ func (dn *DataNode) handle(p *sim.Proc, conn *guest.Conn) {
 // DataXceiver setup, per-packet file read (guest cache or virtio-blk),
 // checksum generation, and socket send. It reports whether the connection
 // is still usable for further requests.
-func (dn *DataNode) handleRead(p *sim.Proc, conn *guest.Conn, req readReq) bool {
+func (dn *DataNode) handleRead(p *sim.Proc, x *xceiver, req readReq) bool {
+	conn := x.conn
 	// The connection adopted the client request's trace when the request
 	// segment arrived, so server-side work attributes to that request.
 	tr := conn.Trace()
@@ -128,35 +218,25 @@ func (dn *DataNode) handleRead(p *sim.Proc, conn *guest.Conn, req readReq) bool 
 		tr.EndSpan(sp, 0)
 		return false
 	}
-	sent := int64(0)
-	for sent < req.n {
-		pkt := req.n - sent
-		if pkt > packetBytes {
-			pkt = packetBytes
-		}
-		s, err := dn.kernel.ReadFileAtT(p, tr, path, req.off+sent, pkt)
-		if err != nil {
+	x.tr, x.path, x.off, x.n = tr, path, req.off, req.n
+	x.stream(p, false)
+	tr.EndSpan(sp, x.moved)
+	if x.failed {
+		if x.file.Err != nil {
 			// Header already promised n bytes; this is a stream-level
 			// failure (client sees premature EOF).
-			tr.EndSpan(sp, sent)
 			conn.Close(p)
-			return false
 		}
-		dn.kernel.VCPU().RunT(p, dnSendCycles(pkt), metrics.TagDatanodeApp, tr)
-		if err := conn.Send(p, s); err != nil {
-			tr.EndSpan(sp, sent)
-			return false
-		}
-		sent += pkt
+		return false
 	}
-	tr.EndSpan(sp, sent)
-	dn.served += sent
+	dn.served += x.moved
 	return true
 }
 
 // handleWrite receives a block (possibly forwarding down a pipeline), stores
 // it as a file, reports to the namenode, and acks upstream.
-func (dn *DataNode) handleWrite(p *sim.Proc, conn *guest.Conn, req writeReq) {
+func (dn *DataNode) handleWrite(p *sim.Proc, x *xceiver, req writeReq) {
+	conn := x.conn
 	dn.kernel.VCPU().Run(p, requestCycles, metrics.TagDatanodeApp)
 	path := blockPath(req.id)
 	if err := dn.kernel.CreateFile(p, path); err != nil {
@@ -178,29 +258,11 @@ func (dn *DataNode) handleWrite(p *sim.Proc, conn *guest.Conn, req writeReq) {
 			return
 		}
 	}
-	received := int64(0)
-	for received < req.n {
-		pkt := req.n - received
-		if pkt > packetBytes {
-			pkt = packetBytes
-		}
-		s, ok := conn.RecvFull(p, pkt)
-		if !ok {
-			conn.Close(p)
-			return
-		}
-		dn.kernel.VCPU().Run(p, checksumCycles(pkt), metrics.TagDatanodeApp)
-		if err := dn.kernel.AppendFile(p, path, s.Content()); err != nil {
-			conn.Close(p)
-			return
-		}
-		if next != nil {
-			if err := next.Send(p, s); err != nil {
-				conn.Close(p)
-				return
-			}
-		}
-		received += pkt
+	x.tr, x.path, x.n, x.next = nil, path, req.n, next
+	x.stream(p, true)
+	if x.failed {
+		conn.Close(p)
+		return
 	}
 	if next != nil {
 		if ack, ok := next.RecvFull(p, ackSize); !ok || decodeAck(ack.Bytes()) != statusOK {

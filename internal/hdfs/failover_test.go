@@ -21,7 +21,7 @@ func TestReadFailsOverToSecondReplica(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if !tc.dn1.HasBlock(1) || !tc.dn2.HasBlock(1) {
+	if !hdfs.HasBlock(tc.dn1, 1) || !hdfs.HasBlock(tc.dn2, 1) {
 		t.Fatal("replicas not on both datanodes")
 	}
 

@@ -26,10 +26,16 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, cfg hdfs.Config) *testCluster {
 	t.Helper()
+	return newTestClusterParams(t, cfg, cluster.Params{})
+}
+
+// newTestClusterParams is newTestCluster on a cluster built with params.
+func newTestClusterParams(t *testing.T, cfg hdfs.Config, params cluster.Params) *testCluster {
+	t.Helper()
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 4 << 20
 	}
-	c := cluster.New(1, cluster.Params{})
+	c := cluster.New(1, params)
 	h1 := c.AddHost("host1")
 	h2 := c.AddHost("host2")
 	clientVM := h1.AddVM("client", metrics.TagClientApp)
@@ -170,10 +176,10 @@ func TestPlacementPrefersColocated(t *testing.T) {
 		}
 	})
 	// Default placement must have chosen dn1 (same host as client).
-	if !tc.dn1.HasBlock(1) {
+	if !hdfs.HasBlock(tc.dn1, 1) {
 		t.Fatal("block not placed on co-located datanode")
 	}
-	if tc.dn2.HasBlock(1) {
+	if hdfs.HasBlock(tc.dn2, 1) {
 		t.Fatal("replication-1 block also on remote datanode")
 	}
 }
@@ -187,7 +193,7 @@ func TestReplicationPipeline(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if !tc.dn1.HasBlock(1) || !tc.dn2.HasBlock(1) {
+	if !hdfs.HasBlock(tc.dn1, 1) || !hdfs.HasBlock(tc.dn2, 1) {
 		t.Fatal("replica missing from a pipeline member")
 	}
 	// Both copies hold identical bytes.
@@ -213,7 +219,7 @@ func TestRemoteRead(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if !tc.dn2.HasBlock(1) || tc.dn1.HasBlock(1) {
+	if !hdfs.HasBlock(tc.dn2, 1) || hdfs.HasBlock(tc.dn1, 1) {
 		t.Fatal("placement override ignored")
 	}
 	tc.run(t, 30*time.Second, "reader", func(p *sim.Proc) {
@@ -271,7 +277,7 @@ func TestDeleteFileRemovesBlocks(t *testing.T) {
 	if tc.nn.Exists("/f") {
 		t.Fatal("file metadata survives delete")
 	}
-	if tc.dn1.HasBlock(1) {
+	if hdfs.HasBlock(tc.dn1, 1) {
 		t.Fatal("block survives delete")
 	}
 	if _, err := tc.dn1.Kernel().FS().Stat(hdfs.BlockPath(1)); err == nil {

@@ -61,7 +61,7 @@ func TestPreadConnectionReuse(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	before := tc.dn1.AcceptedConns()
+	before := hdfs.AcceptedConns(tc.dn1)
 	tc.run(t, 120*time.Second, "preader", func(p *sim.Proc) {
 		r, err := tc.cl.Open(p, "/f")
 		if err != nil {
@@ -82,7 +82,7 @@ func TestPreadConnectionReuse(t *testing.T) {
 			}
 		}
 	})
-	if got := tc.dn1.AcceptedConns() - before; got != 1 {
+	if got := hdfs.AcceptedConns(tc.dn1) - before; got != 1 {
 		t.Fatalf("50 preads opened %d connections, want 1 (reuse)", got)
 	}
 }

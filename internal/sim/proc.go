@@ -45,11 +45,11 @@ type Proc struct {
 	// an entry left behind in another Signal (a timed-out wait) can never
 	// wake a later wait.
 	waitGen uint64
-	// completion is p.complete, bound once at creation so Arm hands it out
-	// without allocating; arm tracks the one completion it may have
-	// outstanding.
-	completion func()
-	arm        armState
+	// completion is p.complete and inline p.resume, bound once at creation
+	// so Arm and ArmInline hand them out without allocating; arm tracks the
+	// one completion p may have outstanding.
+	completion, inline func()
+	arm                armState
 	// timeout is p.expire, bound once at creation so WaitTimeout schedules
 	// it without allocating; timedWait is the Signal wait it may end, and
 	// timedOut records that it did.
@@ -79,7 +79,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 func (e *Env) GoAfter(after time.Duration, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name}
 	p.wake = func() { e.dispatch(p) }
-	p.completion = p.complete
+	p.completion, p.inline = p.complete, p.resume
 	p.timeout = p.expire
 	e.procs[p] = struct{}{}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) { p.run(yield, fn) })
@@ -203,21 +203,48 @@ func (p *Proc) Await() {
 	}
 }
 
+// ArmInline is Arm for a completion that runs in the event that would have
+// resumed p: parked, p resumes inside the completion's call, with no
+// zero-delay hop. It is what a continuation chain hands its last step when
+// a blocking call is a thin Proc wrapper over it.
+//
+//lint:hotpath
+func (p *Proc) ArmInline() func() {
+	p.Arm()
+	return p.inline
+}
+
 // complete is the callback Arm hands out. If p is parked in Await it
 // schedules p's wake-up as a zero-delay event, the one event a Signal
-// Broadcast schedules for a sole waiter; otherwise it only records that
-// the completion has run. After Close has aborted p it does nothing.
+// Broadcast schedules for a sole waiter.
 func (p *Proc) complete() {
+	if p.settle() {
+		p.env.Schedule(0, p.wake)
+	}
+}
+
+// resume is the callback ArmInline hands out: it resumes a parked p at once.
+func (p *Proc) resume() {
+	if p.settle() {
+		p.env.dispatch(p)
+	}
+}
+
+// settle records that p's completion has run and reports whether p is
+// parked in Await, waiting to be resumed. After Close has aborted p it
+// does nothing.
+func (p *Proc) settle() bool {
 	switch {
 	case p.done:
 	case p.arm == armArmed:
 		p.arm = armFired
 	case p.arm == armParked:
 		p.arm = armIdle
-		p.env.Schedule(0, p.wake)
+		return true
 	default:
 		panic(fmt.Sprintf("sim: completion of process %q ran twice", p.name))
 	}
+	return false
 }
 
 // expire is the timer callback of WaitTimeout: if the timed wait is still

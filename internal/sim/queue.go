@@ -72,14 +72,15 @@ func (q *Queue[T]) wakeConsumer() {
 //
 //lint:hotpath
 func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.full() && !q.closed {
+	for !q.TryPut(v) {
 		q.notFull.Wait(p)
 	}
-	if q.closed {
-		panic("sim: Put on closed Queue")
-	}
-	q.push(v)
 }
+
+// NotifyNotFull is Put's wait in continuation form: after a failed TryPut,
+// fn runs on the wake-up that would have resumed a Put parked on the full
+// queue, and should TryPut again.
+func (q *Queue[T]) NotifyNotFull(fn func()) { q.notFull.Notify(q.env, fn) }
 
 // TryPut appends v if space is available, reporting success.
 func (q *Queue[T]) TryPut(v T) bool {

@@ -303,3 +303,75 @@ func runQueueScript(ops []byte, capacity int, handler bool) (string, uint64) {
 	}
 	return log.String(), env.Fired()
 }
+
+// FuzzSignalNotify runs one script of waits and wakes on a Signal whose four
+// waiters are Procs in Wait or Notify handlers, in every mix, and requires
+// the wake order, the virtual times and Env.Fired() of the all-Proc run.
+func FuzzSignalNotify(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 3, 6, 1, 7, 4, 0, 0})
+	f.Add([]byte{3, 3, 3, 5, 5, 0, 1, 2})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		procLog, procFired := runSignalScript(ops, 0)
+		for mask := 1; mask < 16; mask++ {
+			log, fired := runSignalScript(ops, mask)
+			if log != procLog || fired != procFired {
+				t.Fatalf("handler mask %04b fired %d events:\n%s\nall-Proc run fired %d:\n%s",
+					mask, fired, log, procFired, procLog)
+			}
+		}
+	})
+}
+
+// runSignalScript runs one FuzzSignalNotify script with waiter i a Notify
+// handler when bit i of mask is set, else a Proc, and returns its log of
+// wakes and signal results and the events fired. Waiter i waits again i µs
+// after each wake, three wakes in all.
+func runSignalScript(ops []byte, mask int) (string, uint64) {
+	env := NewEnv(1)
+	defer env.Close()
+	var s Signal
+	var log strings.Builder
+	for i := 0; i < 4; i++ {
+		gap := time.Duration(i) * time.Microsecond
+		if mask&(1<<i) != 0 {
+			wakes := 0
+			var wait, woke func()
+			wait = func() { s.Notify(env, woke) }
+			woke = func() {
+				fmt.Fprintf(&log, "wake %d at %v\n", i, env.Now())
+				if wakes++; wakes < 3 {
+					env.Schedule(gap, wait)
+				}
+			}
+			env.Schedule(0, wait)
+			continue
+		}
+		env.Go("waiter", func(p *Proc) {
+			for wakes := 0; wakes < 3; wakes++ {
+				if wakes > 0 {
+					p.Sleep(gap)
+				}
+				s.Wait(p)
+				fmt.Fprintf(&log, "wake %d at %v\n", i, env.Now())
+			}
+		})
+	}
+	env.Go("driver", func(p *Proc) {
+		for _, op := range ops {
+			switch op % 8 {
+			case 0, 1, 2:
+				fmt.Fprintf(&log, "signal %v of %d at %v\n", s.Signal(), s.Waiters(), env.Now())
+			case 3, 4:
+				fmt.Fprintf(&log, "broadcast to %d at %v\n", s.Waiters(), env.Now())
+				s.Broadcast()
+			default:
+				p.Sleep(time.Duration(op%8-5) * time.Microsecond)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		fmt.Fprintf(&log, "error %v\n", err)
+	}
+	return log.String(), env.Fired()
+}

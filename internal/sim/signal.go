@@ -13,16 +13,19 @@ type Signal struct {
 	// waiters[head:] is the FIFO of waits; entries before head are consumed.
 	waiters []waiter
 	head    int
+	env     *Env // where Notify handlers are scheduled
 }
 
 // waiter is one wait of p, identified by p's wait generation at the time it
-// began. The entry is live only while p.waitGen still equals gen.
+// began, or one Notify handler fn (p nil). A Proc's entry is live only
+// while p.waitGen still equals gen; a handler's until it is woken.
 type waiter struct {
 	p   *Proc
 	gen uint64
+	fn  func()
 }
 
-func (w waiter) live() bool { return w.p.waitGen == w.gen }
+func (w waiter) live() bool { return w.p == nil || w.p.waitGen == w.gen }
 
 // NewSignal returns a new Signal. env is unused: the zero Signal is ready to
 // use, and the simulator itself declares Signal values. NewSignal stays only
@@ -33,6 +36,14 @@ func NewSignal(env *Env) *Signal { return &Signal{} }
 // entries (consumed, or left behind by timed-out waits) are squeezed out,
 // so a Signal's list stays proportional to its live waiters.
 func (s *Signal) enqueue(p *Proc) waiter {
+	p.waitGen++
+	w := waiter{p: p, gen: p.waitGen}
+	s.push(w)
+	return w
+}
+
+// push appends w to the FIFO.
+func (s *Signal) push(w waiter) {
 	if len(s.waiters) == cap(s.waiters) {
 		kept := s.waiters[:0]
 		for _, w := range s.waiters[s.head:] {
@@ -43,17 +54,29 @@ func (s *Signal) enqueue(p *Proc) waiter {
 		clear(s.waiters[len(kept):])
 		s.waiters, s.head = kept, 0
 	}
-	p.waitGen++
-	w := waiter{p: p, gen: p.waitGen}
 	s.waiters = append(s.waiters, w) //lint:allow hotalloc(amortized into the signal's waiter working set)
-	return w
 }
 
-// wake consumes w's wait and schedules its Proc, reporting false when the
-// wait was already woken or timed out.
-func (w waiter) wake() bool {
+// Notify queues fn as a one-shot waiter in the same FIFO as Procs in Wait:
+// the Signal or Broadcast that would have resumed a Proc in its place
+// schedules fn at zero delay on env instead, so a handler that re-checks
+// its condition and notifies again fires a Wait loop's events.
+//
+//lint:hotpath
+func (s *Signal) Notify(env *Env, fn func()) {
+	s.env = env
+	s.push(waiter{fn: fn})
+}
+
+// wake consumes w's wait and schedules its Proc or handler, reporting false
+// when the wait was already woken or timed out.
+func (s *Signal) wake(w waiter) bool {
 	if !w.live() {
 		return false
+	}
+	if w.p == nil {
+		s.env.Schedule(0, w.fn)
+		return true
 	}
 	w.p.waitGen++
 	w.p.env.Schedule(0, w.p.wake)
@@ -94,7 +117,7 @@ func (s *Signal) Signal() bool {
 		w := s.waiters[s.head]
 		s.waiters[s.head] = waiter{}
 		s.head++
-		woke = w.wake()
+		woke = s.wake(w)
 	}
 	if s.head == len(s.waiters) {
 		s.waiters, s.head = s.waiters[:0], 0
@@ -107,13 +130,13 @@ func (s *Signal) Signal() bool {
 //lint:hotpath
 func (s *Signal) Broadcast() {
 	for _, w := range s.waiters[s.head:] {
-		w.wake()
+		s.wake(w)
 	}
 	clear(s.waiters)
 	s.waiters, s.head = s.waiters[:0], 0
 }
 
-// Waiters returns the number of processes currently waiting.
+// Waiters returns the number of processes and handlers currently waiting.
 func (s *Signal) Waiters() int {
 	n := 0
 	for _, w := range s.waiters[s.head:] {

@@ -50,25 +50,26 @@ func (r *Readahead) object(obj int64) *raObject {
 // [off, off+n) — the kernel's lock_page-on-readahead behavior, so a read
 // never re-issues disk work already in flight.
 func (r *Readahead) Wait(p *sim.Proc, obj, off, n int64) {
+	for s := r.Pending(obj, off, n); s != nil; s = r.Pending(obj, off, n) {
+		s.Wait(p)
+	}
+}
+
+// Pending is Wait in continuation form: it returns the completion Signal of
+// the first unfinished window of obj overlapping [off, off+n), or nil when
+// there is none. A handler Notifies on it and calls Pending again when
+// woken, as Wait's loop does.
+func (r *Readahead) Pending(obj, off, n int64) *sim.Signal {
 	o := r.objs[obj]
 	if o == nil {
-		return
+		return nil
 	}
-	for {
-		var w *raWindow
-		for _, cand := range o.raFlight {
-			if !cand.finished && cand.start < off+n && off < cand.end {
-				w = cand
-				break
-			}
-		}
-		if w == nil {
-			return
-		}
-		for !w.finished {
-			w.done.Wait(p)
+	for _, w := range o.raFlight {
+		if !w.finished && w.start < off+n && off < w.end {
+			return &w.done
 		}
 	}
+	return nil
 }
 
 // Advance records a read of [off, off+n) of obj (size bytes long) and, when

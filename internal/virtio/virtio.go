@@ -96,7 +96,7 @@ type NetDev struct {
 
 	// vhostLoop runs vhost-net as event handlers from Start on; fr is the
 	// frame in flight and peer its co-located destination.
-	vhostLoop steps[*NetDev]
+	vhostLoop cpusched.Steps[*NetDev]
 	fr        netsim.Frame
 	peer      *NetDev
 
@@ -104,6 +104,7 @@ type NetDev struct {
 	sriovSig      sim.Signal
 	sriovDone     func()             // prebound descriptor-retire hook (no per-frame closure)
 	rxFn          func(netsim.Frame) // prebound injectRx method value (no per-frame binding)
+	spare         *Tx                // Transmit's state, reused across calls
 }
 
 // NewNetDev creates the device. vcpu is the VM's vCPU thread (guest IRQ
@@ -129,42 +130,88 @@ func NewNetDev(env *sim.Env, cfg Config, vmName, host string,
 func (d *NetDev) SetDeliver(fn func(fr netsim.Frame)) { d.deliver = fn }
 
 // Start launches the vhost-net service loop.
-func (d *NetDev) Start() { d.vhostLoop.start(d.env, d, (*NetDev).serve) }
+func (d *NetDev) Start() {
+	d.vhostLoop.Bind(d.env, d)
+	d.env.Schedule(0, d.vhostLoop.Direct((*NetDev).serve))
+}
 
 // Transmit hands a frame to the device: the caller pays the kick (VM exit)
-// on the vCPU and blocks while the tx ring is full. It is not //lint:hotpath:
-// charging the kick posts scheduler work items, so the no-alloc contract
-// cannot hold through its callees (the per-frame cost lives in the cycle
-// model, not in allocator pressure).
+// on the vCPU and blocks while the tx ring is full. It is a thin Proc
+// wrapper over TransmitThen.
 func (d *NetDev) Transmit(p *sim.Proc, fr netsim.Frame) {
+	t := d.spare
+	if t == nil {
+		t = new(Tx)
+	}
+	d.spare = nil
+	d.TransmitThen(t, fr, p.ArmInline())
+	p.Await()
+	d.spare = t
+}
+
+// Tx is a Transmit in continuation form; its owner (the guest: one per
+// connection end) sends one frame at a time through it.
+type Tx struct {
+	d    *NetDev
+	fr   netsim.Frame
+	peer *NetDev
+	done func()
+	st   cpusched.Steps[*Tx]
+}
+
+// TransmitThen is Transmit in continuation form: done runs where Transmit
+// would have returned.
+func (d *NetDev) TransmitThen(t *Tx, fr netsim.Frame, done func()) {
 	if fr.Payload.Len() > segmentBytes {
 		panic(fmt.Sprintf("virtio: frame %d exceeds segment size %d", fr.Payload.Len(), segmentBytes))
 	}
+	t.st.Bind(d.env, t)
+	t.d, t.fr, t.done = d, fr, done
 	if d.cfg.SRIOV {
-		d.transmitSRIOV(p, fr)
+		t.st.Charge(d.vcpu, sriovTxCycles, metrics.TagOthers, fr.Trace, (*Tx).locate)
 		return
 	}
-	d.vcpu.RunT(p, kickCycles, metrics.TagOthers, fr.Trace)
-	d.tx.Put(p, fr)
+	t.st.Charge(d.vcpu, kickCycles, metrics.TagOthers, fr.Trace, (*Tx).put)
 }
 
-// transmitSRIOV drives the VF directly: no VM exit, no vhost, no host-side
-// copies — the device DMAs from guest memory through the NIC (hairpinning
-// locally for co-located peers) into the peer guest's buffers. Descriptors
-// post asynchronously, bounded by the VF's ring depth.
-func (d *NetDev) transmitSRIOV(p *sim.Proc, fr netsim.Frame) {
-	d.vcpu.RunT(p, sriovTxCycles, metrics.TagOthers, fr.Trace)
-	dstHost, ep, ok := d.fabric.Locate(fr.DstVM)
-	if !ok {
-		panic(fmt.Sprintf("virtio: unknown destination VM %q", fr.DstVM))
+// put places the frame on the tx ring, or waits for a free slot.
+func (t *Tx) put() {
+	if !t.d.tx.TryPut(t.fr) {
+		t.d.tx.NotifyNotFull(t.st.Direct((*Tx).put))
+		return
 	}
-	peer := ep.(*NetDev)
-	fr.DstHost = dstHost
-	for d.sriovInflight >= netRingFrames {
-		d.sriovSig.Wait(p)
+	t.finish()
+}
+
+func (t *Tx) finish() {
+	done := t.done
+	t.fr, t.peer, t.done = netsim.Frame{}, nil, nil
+	done()
+}
+
+// locate starts the SR-IOV path, which drives the VF directly: no VM exit,
+// no vhost, no host-side copies — the device DMAs from guest memory through
+// the NIC (hairpinning locally for co-located peers) into the peer guest's
+// buffers. Descriptors post asynchronously, bounded by the VF's ring depth.
+func (t *Tx) locate() {
+	dstHost, ep, ok := t.d.fabric.Locate(t.fr.DstVM)
+	if !ok {
+		panic(fmt.Sprintf("virtio: unknown destination VM %q", t.fr.DstVM))
+	}
+	t.peer = ep.(*NetDev)
+	t.fr.DstHost = dstHost
+	t.post()
+}
+
+func (t *Tx) post() {
+	d := t.d
+	if d.sriovInflight >= netRingFrames {
+		d.sriovSig.Notify(d.env, t.st.Direct((*Tx).post))
+		return
 	}
 	d.sriovInflight++
-	d.nic.SendDMA(fr, d.sriovDone, peer.rxFn)
+	d.nic.SendDMA(t.fr, d.sriovDone, t.peer.rxFn)
+	t.finish()
 }
 
 // sanitizeFrame is the host-side check of one guest-written tx descriptor:
@@ -194,7 +241,7 @@ func (d *NetDev) serve() {
 		fr, ok := d.tx.TryGet()
 		if !ok {
 			if !d.tx.Closed() {
-				d.tx.Notify(d.vhostLoop.serve)
+				d.tx.Notify(d.vhostLoop.Direct((*NetDev).serve))
 			}
 			return
 		}
@@ -205,14 +252,14 @@ func (d *NetDev) serve() {
 			continue
 		}
 		d.fr = fr
-		d.vhostLoop.charge(d.vhost, vhostFrameCycles, metrics.TagVhostNet, fr.Trace, (*NetDev).copyIn)
+		d.vhostLoop.Charge(d.vhost, vhostFrameCycles, metrics.TagVhostNet, fr.Trace, (*NetDev).copyIn)
 		return
 	}
 }
 
 //lint:hotpath
 func (d *NetDev) copyIn() {
-	d.vhostLoop.charge(d.vhost, copyCycles(d.fr.Payload.Len()), metrics.TagCopyVirtio, d.fr.Trace, (*NetDev).route)
+	d.vhostLoop.Charge(d.vhost, copyCycles(d.fr.Payload.Len()), metrics.TagCopyVirtio, d.fr.Trace, (*NetDev).route)
 }
 
 // route runs after the charges, as the destination may have migrated
@@ -222,7 +269,7 @@ func (d *NetDev) route() {
 	if dstHost != d.host {
 		// Remote: pace into the physical NIC; wait for transmit-complete so
 		// the vhost thread applies backpressure like a bounded device queue.
-		d.nic.SendToVM(d.fr, d.vhostLoop.then((*NetDev).serve))
+		d.nic.SendToVM(d.fr, d.vhostLoop.Then((*NetDev).serve))
 		return
 	}
 	// Co-located: the sender's vhost writes straight into the peer VM's
@@ -233,12 +280,12 @@ func (d *NetDev) route() {
 	if d.cfg.SharedMemNet {
 		c = 0
 	}
-	d.vhostLoop.charge(d.vhost, c, metrics.TagCopyVirtio, d.fr.Trace, (*NetDev).inject)
+	d.vhostLoop.Charge(d.vhost, c, metrics.TagCopyVirtio, d.fr.Trace, (*NetDev).inject)
 }
 
 //lint:hotpath
 func (d *NetDev) inject() {
-	d.vhostLoop.charge(d.vhost, irqInjectCycles, metrics.TagVhostNet, d.fr.Trace, (*NetDev).handOff)
+	d.vhostLoop.Charge(d.vhost, irqInjectCycles, metrics.TagVhostNet, d.fr.Trace, (*NetDev).handOff)
 }
 
 func (d *NetDev) handOff() {
@@ -293,7 +340,7 @@ type BlkDev struct {
 
 	// ioLoop runs the iothread as event handlers from Start on; req is the
 	// request in flight.
-	ioLoop steps[*BlkDev]
+	ioLoop cpusched.Steps[*BlkDev]
 	req    blkReq
 }
 
@@ -315,13 +362,9 @@ func NewBlkDev(env *sim.Env, vmName string,
 }
 
 // Start launches the iothread service loop.
-func (b *BlkDev) Start() { b.ioLoop.start(b.env, b, (*BlkDev).serve) }
-
-// ReadT performs a guest block read of n bytes attributed to a request
-// trace, blocking p until the data is in guest memory. Large reads split
-// into blkReqBytes requests that pipeline through the ring.
-func (b *BlkDev) ReadT(p *sim.Proc, tr *trace.Trace, n int64) {
-	b.transfer(p, tr, n, false)
+func (b *BlkDev) Start() {
+	b.ioLoop.Bind(b.env, b)
+	b.env.Schedule(0, b.ioLoop.Direct((*BlkDev).serve))
 }
 
 // MaxRequestBytes returns the largest single block request.
@@ -343,45 +386,72 @@ func (b *BlkDev) TryReadAsyncT(tr *trace.Trace, n int64, onDone func()) bool {
 	return true
 }
 
-// WriteAsync submits a write without waiting for completion (guest
-// writeback flusher behavior). It still blocks while the ring is full,
-// which is the dirty-page throttling bound.
-func (b *BlkDev) WriteAsync(p *sim.Proc, n int64) {
-	for n > 0 {
-		req := n
-		if req > blkReqBytes {
-			req = blkReqBytes
-		}
-		n -= req
-		b.vcpu.Run(p, kickCycles, metrics.TagOthers)
-		b.reqs.Put(p, blkReq{bytes: req, write: true, onDone: noop})
-	}
+// BlkIO is a block transfer in continuation form; its owner (a guest
+// FileOp) runs one transfer at a time through it.
+type BlkIO struct {
+	b       *BlkDev
+	tr      *trace.Trace
+	left    int64 // bytes not yet submitted
+	write   bool
+	pending int // submitted reads not yet complete
+	sig     sim.Signal
+	done    func()
+	reqDone func()
+	st      cpusched.Steps[*BlkIO]
 }
 
-// transfer moves n bytes through the ring in blkReqBytes requests and blocks
-// p until the device has completed every one of them.
-func (b *BlkDev) transfer(p *sim.Proc, tr *trace.Trace, n int64, write bool) {
-	if n <= 0 {
+// Transfer moves n bytes through the ring in blkReqBytes requests, each
+// after its kick, blocking while the ring is full, and then runs done: for
+// a read once the device has completed every request and the data is in
+// guest memory; for a write (the guest writeback flusher) once the last
+// request is on the ring, so a full ring is the dirty-page throttle.
+func (b *BlkDev) Transfer(io *BlkIO, tr *trace.Trace, n int64, write bool, done func()) {
+	if io.reqDone == nil {
+		io.st.Bind(b.env, io)
+		io.reqDone = func() {
+			io.pending--
+			io.sig.Broadcast()
+		}
+	}
+	io.b, io.tr, io.left, io.write, io.done = b, tr, n, write, done
+	io.kick()
+}
+
+func (io *BlkIO) kick() {
+	if io.left <= 0 {
+		io.wait()
 		return
 	}
-	remaining := 0
-	var done sim.Signal
-	for n > 0 {
-		req := n
-		if req > blkReqBytes {
-			req = blkReqBytes
-		}
-		n -= req
-		remaining++
-		b.vcpu.RunT(p, kickCycles, metrics.TagOthers, tr)
-		b.reqs.Put(p, blkReq{bytes: req, write: write, tr: tr, onDone: func() {
-			remaining--
-			done.Broadcast()
-		}})
+	io.st.Charge(io.b.vcpu, kickCycles, metrics.TagOthers, io.tr, (*BlkIO).put)
+}
+
+// put places the next request on the ring, or waits for a free slot.
+func (io *BlkIO) put() {
+	req := min(io.left, blkReqBytes)
+	onDone := noop
+	if !io.write {
+		onDone = io.reqDone
 	}
-	for remaining > 0 {
-		done.Wait(p)
+	if !io.b.reqs.TryPut(blkReq{bytes: req, write: io.write, tr: io.tr, onDone: onDone}) {
+		io.b.reqs.NotifyNotFull(io.st.Direct((*BlkIO).put))
+		return
 	}
+	io.left -= req
+	if !io.write {
+		io.pending++
+	}
+	io.kick()
+}
+
+// wait continues the caller once every submitted read has completed.
+func (io *BlkIO) wait() {
+	if io.pending > 0 {
+		io.sig.Notify(io.b.env, io.st.Direct((*BlkIO).wait))
+		return
+	}
+	done := io.done
+	io.tr, io.done = nil, nil
+	done()
 }
 
 // sanitizeBlkReq is the host-side check of one guest-written block request:
@@ -406,7 +476,7 @@ func (b *BlkDev) serve() {
 		req, ok := b.reqs.TryGet()
 		if !ok {
 			if !b.reqs.Closed() {
-				b.reqs.Notify(b.ioLoop.serve)
+				b.reqs.Notify(b.ioLoop.Direct((*BlkDev).serve))
 			}
 			return
 		}
@@ -418,29 +488,29 @@ func (b *BlkDev) serve() {
 			continue
 		}
 		b.req = req
-		b.ioLoop.charge(b.iothread, blkReqCycles, metrics.TagDiskRead, req.tr, (*BlkDev).doIO)
+		b.ioLoop.Charge(b.iothread, blkReqCycles, metrics.TagDiskRead, req.tr, (*BlkDev).doIO)
 		return
 	}
 }
 
 func (b *BlkDev) doIO() {
 	if b.req.write {
-		b.ioLoop.charge(b.iothread, copyCycles(b.req.bytes), metrics.TagCopyVirtio, b.req.tr, (*BlkDev).finishIO)
+		b.ioLoop.Charge(b.iothread, copyCycles(b.req.bytes), metrics.TagCopyVirtio, b.req.tr, (*BlkDev).finishIO)
 	} else {
-		b.disk.ReadAsyncT(b.req.tr, b.req.bytes, b.ioLoop.then((*BlkDev).finishIO))
+		b.disk.ReadAsyncT(b.req.tr, b.req.bytes, b.ioLoop.Then((*BlkDev).finishIO))
 	}
 }
 
 func (b *BlkDev) finishIO() {
 	if b.req.write {
-		b.disk.WriteAsyncT(b.req.tr, b.req.bytes, b.ioLoop.then((*BlkDev).irq))
+		b.disk.WriteAsyncT(b.req.tr, b.req.bytes, b.ioLoop.Then((*BlkDev).irq))
 	} else {
-		b.ioLoop.charge(b.iothread, copyCycles(b.req.bytes), metrics.TagCopyVirtio, b.req.tr, (*BlkDev).irq)
+		b.ioLoop.Charge(b.iothread, copyCycles(b.req.bytes), metrics.TagCopyVirtio, b.req.tr, (*BlkDev).irq)
 	}
 }
 
 func (b *BlkDev) irq() {
-	b.ioLoop.charge(b.iothread, irqInjectCycles, metrics.TagOthers, b.req.tr, (*BlkDev).complete)
+	b.ioLoop.Charge(b.iothread, irqInjectCycles, metrics.TagOthers, b.req.tr, (*BlkDev).complete)
 }
 
 func (b *BlkDev) complete() {
@@ -450,40 +520,6 @@ func (b *BlkDev) complete() {
 
 // noop completes a write nobody waits on, still as one guest IRQ event.
 func noop() {}
-
-// steps runs a device loop on dev as event handlers firing a Proc loop's
-// events: serve is the loop's head, and resume (bound once by Env.Later)
-// continues with next one zero-delay event after a completion.
-type steps[D any] struct {
-	dev           D
-	next          func(D)
-	serve, resume func()
-}
-
-// start binds the loop to dev, once, and schedules its head at zero delay.
-func (s *steps[D]) start(env *sim.Env, dev D, serve func(D)) {
-	if s.serve != nil {
-		return
-	}
-	s.dev, s.serve, s.resume = dev, func() { serve(dev) }, env.Later(func() { s.next(dev) })
-	env.Schedule(0, s.serve)
-}
-
-// then returns the completion that continues with next.
-func (s *steps[D]) then(next func(D)) func() {
-	s.next = next
-	return s.resume
-}
-
-// charge runs cycles on t, then continues with next as RunT did: one
-// zero-delay event after the work completes, or at once when there is none.
-func (s *steps[D]) charge(t *cpusched.Thread, cycles int64, tag string, tr *trace.Trace, next func(D)) {
-	if cycles <= 0 {
-		next(s.dev)
-		return
-	}
-	t.PostT(cycles, tag, tr, s.then(next))
-}
 
 // Stop closes the request ring, terminating the iothread loop once drained.
 func (b *BlkDev) Stop() { b.reqs.Close() }

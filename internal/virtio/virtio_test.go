@@ -169,7 +169,7 @@ func TestBlkReadHitsDisk(t *testing.T) {
 	var elapsed time.Duration
 	fx.env.Go("reader", func(p *sim.Proc) {
 		start := fx.env.Now()
-		fx.dev.ReadT(p, nil, 10<<20) // 10 MiB
+		transfer(p, fx.dev, 10<<20, false) // 10 MiB
 		elapsed = fx.env.Now() - start
 	})
 	if err := fx.env.RunUntil(time.Second); err != nil {
@@ -194,7 +194,7 @@ func TestBlkReadHitsDisk(t *testing.T) {
 func TestBlkWrite(t *testing.T) {
 	fx := newBlkFixture(t, storage.DiskConfig{})
 	fx.env.Go("writer", func(p *sim.Proc) {
-		fx.dev.transfer(p, nil, 1<<20, true) // the blocking write
+		transfer(p, fx.dev, 1<<20, true)
 	})
 	if err := fx.env.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
@@ -206,11 +206,12 @@ func TestBlkWrite(t *testing.T) {
 }
 
 func TestBlkWriteAsyncReturnsBeforeDiskDone(t *testing.T) {
-	// Slow disk: WriteAsync should return long before the device finishes.
+	// Slow disk: a write transfer should return long before the device
+	// finishes.
 	fx := newBlkFixture(t, storage.DiskConfig{WriteBandwidth: 10_000_000}) // 10MB/s
 	var submitted time.Duration
 	fx.env.Go("writer", func(p *sim.Proc) {
-		fx.dev.WriteAsync(p, 10<<20) // 1s of device time
+		transfer(p, fx.dev, 10<<20, true) // 1s of device time
 		submitted = fx.env.Now()
 	})
 	if err := fx.env.RunUntil(5 * time.Second); err != nil {
@@ -218,7 +219,7 @@ func TestBlkWriteAsyncReturnsBeforeDiskDone(t *testing.T) {
 	}
 	fx.env.Close()
 	if submitted > 100*time.Millisecond {
-		t.Fatalf("WriteAsync blocked until %v", submitted)
+		t.Fatalf("write transfer blocked until %v", submitted)
 	}
 	if s := fx.disk.Stats(); s.BytesWritten != 10<<20 {
 		t.Fatalf("disk wrote %d bytes", s.BytesWritten)
@@ -228,7 +229,7 @@ func TestBlkWriteAsyncReturnsBeforeDiskDone(t *testing.T) {
 func TestBlkRequestSplitting(t *testing.T) {
 	fx := newBlkFixture(t, storage.DiskConfig{})
 	fx.env.Go("reader", func(p *sim.Proc) {
-		fx.dev.ReadT(p, nil, 3<<20) // 3 MiB = 6 requests of 512 KiB
+		transfer(p, fx.dev, 3<<20, false) // 3 MiB = 6 requests of 512 KiB
 	})
 	if err := fx.env.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
@@ -237,4 +238,10 @@ func TestBlkRequestSplitting(t *testing.T) {
 	if s := fx.disk.Stats(); s.Reads != 6 {
 		t.Fatalf("disk request count = %d, want 6", s.Reads)
 	}
+}
+
+// transfer runs one block transfer from p.
+func transfer(p *sim.Proc, dev *BlkDev, n int64, write bool) {
+	dev.Transfer(new(BlkIO), nil, n, write, p.ArmInline())
+	p.Await()
 }
