@@ -199,9 +199,9 @@ func run(dir string, cmd ...string) (string, error) {
 	return string(out), err
 }
 
-// copyTree copies the module at src to dst, leaving out .git, the build
-// outputs .gitignore names, and nested modules, which go test ./... does not
-// enter.
+// copyTree copies the module at src to dst, leaving out .git and the build
+// outputs .gitignore names. The nested bench/ module comes along: go test
+// ./... does not enter it, but TestExportedSurface loads it as a caller.
 func copyTree(dst, src string) error {
 	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -222,9 +222,6 @@ func copyTree(dst, src string) error {
 		case rel == ".":
 			return nil
 		case rel == ".git" || rel == "bin" || rel == ".bench_build":
-			return filepath.SkipDir
-		}
-		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 			return filepath.SkipDir
 		}
 		return os.Mkdir(to, 0o755)

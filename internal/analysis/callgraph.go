@@ -64,9 +64,6 @@ type CallGraph struct {
 	callees map[*FuncNode][]*FuncNode // sorted by Name, deduplicated
 }
 
-// Lookup returns the node with the given stable name, or nil.
-func (g *CallGraph) Lookup(name string) *FuncNode { return g.byName[name] }
-
 // NodeOf returns the node for a declared function object (resolving generic
 // instantiations to their origin), or nil for functions outside the program.
 // The loader type-checks each package from source but resolves its imports
@@ -83,9 +80,6 @@ func (g *CallGraph) NodeOf(fn *types.Func) *FuncNode {
 	}
 	return g.byName[funcName(fn)]
 }
-
-// Callees returns n's direct callees, sorted by name.
-func (g *CallGraph) Callees(n *FuncNode) []*FuncNode { return g.callees[n] }
 
 // ReachableFrom walks the graph breadth-first from the roots, never entering
 // a callee that skip (when non-nil) rejects, and returns the BFS tree as a

@@ -112,7 +112,6 @@ type Host struct {
 	NIC     *netsim.NIC
 	Softirq *cpusched.Thread
 	VMs     []*VM
-	down    bool
 }
 
 // VM is one virtual machine.
@@ -288,9 +287,6 @@ func (c *Cluster) Racks() []string { return c.rackOrder }
 // RackHosts returns the hosts of one rack in insertion order.
 func (c *Cluster) RackHosts(rack string) []*Host { return c.racks[rack] }
 
-// Down reports whether the host has been killed (rack kill or explicit).
-func (h *Host) Down() bool { return h.down }
-
 // InjectFaults arms a fault plan on the whole testbed: the cluster itself
 // (rack.kill), the fabric, and the disk of every host, hosts added later
 // included.
@@ -310,7 +306,6 @@ func (c *Cluster) InjectFaults(plan *faults.Plan) {
 // timeout/degradation machinery.
 func (c *Cluster) KillRack(rack string) {
 	for _, h := range c.racks[rack] {
-		h.down = true
 		c.Fabric.SetHostDown(h.Name)
 	}
 }
@@ -357,7 +352,7 @@ func (h *Host) AddVM(name, appTag string) *VM {
 		Vhost:   h.CPU.NewThread(name+":vhost", name),
 		IOTh:    h.CPU.NewThread(name+":iothread", name),
 		Cache:   storage.NewPageCache(name+":guestcache", guestCacheBytes, cacheChunkBytes),
-		FS:      fsim.New(name + ":image"),
+		FS:      fsim.New(),
 	}
 	vm.NetDev = virtio.NewNetDev(h.Env, c.Params.Virtio, name, h.Name, vm.VCPU, vm.Vhost, h.NIC, c.Fabric)
 	vm.BlkDev = virtio.NewBlkDev(h.Env, name, vm.VCPU, vm.IOTh, h.Disk)

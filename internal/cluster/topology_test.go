@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"vread/internal/cluster"
+	"vread/internal/data"
 	"vread/internal/faults"
+	"vread/internal/netsim"
 	"vread/internal/sim"
 )
 
@@ -60,22 +62,40 @@ func TestTopologyScales(t *testing.T) {
 	}
 }
 
-// TestKillRack takes a rack down, checking host and fabric state.
+// TestKillRack takes a rack down: a frame to each of its hosts is dropped,
+// while the hosts of another rack still receive theirs.
 func TestKillRack(t *testing.T) {
 	c := cluster.New(1, cluster.Params{})
 	defer c.Close()
 	c.BuildTopology(cluster.TopologySpec{Domains: 2, RacksPerDomain: 2, HostsPerRack: 2})
 	c.KillRack("d0r1")
+	got := delivered(t, c, c.Host("d1r0h0"), append(c.RackHosts("d0r0"), c.RackHosts("d0r1")...))
 	for _, h := range c.RackHosts("d0r1") {
-		if !h.Down() || !c.Fabric.HostDown(h.Name) {
-			t.Fatalf("%s not down after KillRack", h.Name)
+		if got[h.Name] {
+			t.Fatalf("%s received a frame after KillRack", h.Name)
 		}
 	}
 	for _, h := range c.RackHosts("d0r0") {
-		if h.Down() || c.Fabric.HostDown(h.Name) {
-			t.Fatalf("%s down although its rack was not killed", h.Name)
+		if !got[h.Name] {
+			t.Fatalf("%s lost a frame although its rack was not killed", h.Name)
 		}
 	}
+}
+
+// delivered sends one frame from src to each of dsts and reports which
+// hosts received theirs.
+func delivered(t *testing.T, c *cluster.Cluster, src *cluster.Host, dsts []*cluster.Host) map[string]bool {
+	t.Helper()
+	got := map[string]bool{}
+	for _, h := range dsts {
+		name := h.Name
+		c.Fabric.BindHostPort(name, 9, func(netsim.Frame) { got[name] = true })
+		src.NIC.SendToHost(name, 9, netsim.Frame{Payload: data.NewSlice(data.Bytes("x"))}, nil)
+	}
+	if err := c.Env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 // TestMaybeKillRack arms the rack.kill faultpoint and checks the kill fires
@@ -83,7 +103,7 @@ func TestKillRack(t *testing.T) {
 func TestMaybeKillRack(t *testing.T) {
 	c := cluster.New(1, cluster.Params{})
 	defer c.Close()
-	c.BuildTopology(cluster.TopologySpec{Domains: 1, RacksPerDomain: 2, HostsPerRack: 1})
+	c.BuildTopology(cluster.TopologySpec{Domains: 1, RacksPerDomain: 3, HostsPerRack: 1})
 	plan := faults.NewPlan(c.Env)
 	c.InjectFaults(plan)
 
@@ -107,8 +127,8 @@ func TestMaybeKillRack(t *testing.T) {
 	if fmt.Sprint(fired) != "[2]" {
 		t.Fatalf("rack.kill fired at %v, want exactly [2]", fired)
 	}
-	if !c.Host("d0r0h0").Down() || c.Host("d0r1h0").Down() {
-		t.Fatal("kill hit the wrong rack")
+	if got := delivered(t, c, c.Host("d0r2h0"), []*cluster.Host{c.Host("d0r0h0"), c.Host("d0r1h0")}); got["d0r0h0"] || !got["d0r1h0"] {
+		t.Fatalf("kill hit the wrong rack: delivered %v", got)
 	}
 }
 

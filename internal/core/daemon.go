@@ -71,9 +71,6 @@ func newDaemon(mgr *Manager, vm *cluster.VM) *Daemon {
 // RingState exposes the ring's permission state (tests and tooling).
 func (d *Daemon) RingState() string { return d.ring.state.String() }
 
-// RingKey exposes the current ring key (tests and tooling).
-func (d *Daemon) RingKey() uint64 { return d.ring.key }
-
 // emit adds n to one of the daemon's counters and, when the request is
 // sampled, marks the event on its trace.
 func emit(tr *trace.Trace, counter *int64, name string, n int64) {

@@ -146,9 +146,6 @@ type VFD struct {
 
 var _ hdfs.BlockHandle = (*VFD)(nil)
 
-// Size returns the block file size at open time.
-func (v *VFD) Size() int64 { return v.size }
-
 // Seek is vRead_seek: set the descriptor's file offset, returning the
 // resulting offset (Table 1's contract).
 func (v *VFD) Seek(p *sim.Proc, off int64) (int64, error) {

@@ -68,9 +68,6 @@ func NewManager(cl *cluster.Cluster, nn hdfs.Namespace, cfg Config) *Manager {
 	return m
 }
 
-// Config returns the manager's configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 func (m *Manager) fabric() *netsim.Fabric { return m.cl.Fabric }
 
 // ensureServer installs the per-host daemon server (idempotent).
@@ -116,9 +113,6 @@ func (m *Manager) hostMounts(host string) map[string]*fsim.HostMount {
 
 // mount resolves the mount table entry for (host, datanode).
 func (m *Manager) mount(host, dn string) *fsim.HostMount { return m.hostMounts(host)[dn] }
-
-// Mount exposes the mount table entry for tests and tooling.
-func (m *Manager) Mount(host, dn string) *fsim.HostMount { return m.mount(host, dn) }
 
 // EnableClient creates the client VM's ring, daemon and libvread, returning
 // the BlockReader to install on its DFSClient.
@@ -174,9 +168,6 @@ func (m *Manager) LibStats(vmName string) LibStats {
 	}
 	return LibStats{}
 }
-
-// Lib returns a client VM's libvread (nil if not enabled).
-func (m *Manager) Lib(vmName string) *Lib { return m.libs[vmName] }
 
 // Refreshes returns the number of dentry refresh operations triggered by
 // namenode block events (fig13's write-path overhead).

@@ -21,13 +21,9 @@ import (
 // key epoch it was taken under; a restore with a stale snapshot (the ring
 // was restored by someone else in between) is refused.
 type RingSnapshot struct {
-	vm      string
-	epoch   int64
-	pending int
+	vm    string
+	epoch int64
 }
-
-// VM returns the client VM whose ring was quiesced.
-func (s *RingSnapshot) VM() string { return s.vm }
 
 // daemonFor resolves a VM name to its daemon, or nil when unknown. The name
 // may ride in a RingSnapshot alongside captured guest descriptors, so the
@@ -36,10 +32,6 @@ func (s *RingSnapshot) VM() string { return s.vm }
 //
 //lint:sanitizer guesttaint(VM names resolve only through a nil-checked daemon-table lookup)
 func (m *Manager) daemonFor(vm string) *Daemon { return m.daemons[vm] }
-
-// Pending returns how many descriptors were already captured at snapshot
-// time (more may arrive during the blackout).
-func (s *RingSnapshot) Pending() int { return s.pending }
 
 // RingSnapshot quiesces one client VM's ring: the state flips to quiesced,
 // descriptors already in the descriptor area drain into the pending set, and
@@ -71,7 +63,7 @@ func (m *Manager) RingSnapshot(p *sim.Proc, vm string) (*RingSnapshot, error) {
 	for d.busy {
 		d.idle.Wait(p)
 	}
-	return &RingSnapshot{vm: vm, epoch: r.epoch, pending: len(r.pending)}, nil
+	return &RingSnapshot{vm: vm, epoch: r.epoch}, nil
 }
 
 // RingRestore re-attaches a quiesced ring: the key rotates to the next

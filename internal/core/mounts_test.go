@@ -62,7 +62,7 @@ func TestTwoDatanodesShareTheHostMountMap(t *testing.T) {
 
 	c, m, plan := setup()
 	defer c.Close()
-	lib := m.Lib("client")
+	lib := m.libs["client"]
 	blocks := burst(c, m, 2)
 	if got := m.servers["host1"].thread.Pending(); got != oneWakeup {
 		t.Fatalf("burst of %d ops queued %d server-thread cycles, one wakeup queues %d", len(blocks), got, oneWakeup)
@@ -76,7 +76,7 @@ func TestTwoDatanodesShareTheHostMountMap(t *testing.T) {
 	resolves := func(when string, want bool) {
 		t.Helper()
 		for _, b := range blocks {
-			if _, ok := m.Mount("host1", b.dn).Lookup(b.path); ok != want {
+			if _, ok := m.mount("host1", b.dn).Lookup(b.path); ok != want {
 				t.Fatalf("%s: %s on %s resolves = %v, want %v", when, b.path, b.dn, ok, want)
 			}
 		}

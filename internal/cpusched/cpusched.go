@@ -211,14 +211,8 @@ func New(env *sim.Env, reg *metrics.Registry, cores int, freqHz int64, cfg Confi
 	return c
 }
 
-// FreqHz returns the clock frequency.
-func (c *CPU) FreqHz() int64 { return c.freqHz }
-
 // Env returns the simulation environment.
 func (c *CPU) Env() *sim.Env { return c.env }
-
-// Registry returns the metrics registry charged by this CPU.
-func (c *CPU) Registry() *metrics.Registry { return c.reg }
 
 // CyclesFor converts a duration at this CPU's frequency into cycles.
 func (c *CPU) CyclesFor(d time.Duration) int64 {
@@ -241,12 +235,6 @@ func (c *CPU) DurFor(cycles int64) time.Duration {
 func (c *CPU) NewThread(name, entity string) *Thread {
 	return &Thread{cpu: c, name: name, entity: entity, acct: c.reg.Account(entity)}
 }
-
-// Name returns the thread name.
-func (t *Thread) Name() string { return t.name }
-
-// Entity returns the accounting entity.
-func (t *Thread) Entity() string { return t.entity }
 
 // Consumed returns lifetime cycles consumed by the thread.
 func (t *Thread) Consumed() int64 { return t.consumed }

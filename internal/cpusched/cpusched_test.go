@@ -377,7 +377,7 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 				var sig sim.Signal
 				done := 0
 				onDone := func() { done++; sig.Signal() }
-				env.Go(th.Name(), func(p *sim.Proc) {
+				env.Go(th.name, func(p *sim.Proc) {
 					for {
 						if !post {
 							th.RunT(p, 2000, metrics.TagOthers, nil)
@@ -429,7 +429,7 @@ func TestSchedulerCyclesLandInOthers(t *testing.T) {
 		ths := [2]*Thread{cpu.NewThread("a", "vm-a"), cpu.NewThread("b", "vm-b")}
 		for i, th := range ths {
 			th, tag := th, tags[i]
-			env.Go(th.Name(), func(p *sim.Proc) {
+			env.Go(th.name, func(p *sim.Proc) {
 				for r := 0; r < rounds; r++ {
 					th.Run(p, work, tag)
 					p.Sleep(50 * time.Microsecond)
@@ -451,15 +451,15 @@ func TestSchedulerCyclesLandInOthers(t *testing.T) {
 	} {
 		reg, ths := run(tc.cfg)
 		for i, th := range ths {
-			e, tag := th.Entity(), tags[i]
-			if got, want := reg.EntityCycles(e), th.Consumed(); got != want {
+			e, tag := th.entity, tags[i]
+			if got, want := reg.WindowEntityCycles(e), th.Consumed(); got != want {
 				t.Errorf("%s: %s registry total %d, Consumed %d", tc.name, e, got, want)
 			}
 			if got := reg.Cycles(e, tag); got != rounds*work {
 				t.Errorf("%s: %s/%s = %d, want %d", tc.name, e, tag, got, rounds*work)
 			}
 			others := reg.Cycles(e, metrics.TagOthers)
-			if rest := reg.EntityCycles(e) - reg.Cycles(e, tag) - others; rest != 0 {
+			if rest := reg.WindowEntityCycles(e) - reg.Cycles(e, tag) - others; rest != 0 {
 				t.Errorf("%s: %s has %d cycles under tags other than %q and others (%v)", tc.name, e, rest, tag, reg.Tags(e))
 			}
 			if tc.others && others == 0 {

@@ -34,7 +34,7 @@ func TestFairShareProperty(t *testing.T) {
 		env.Close()
 		var min, max int64
 		for i := 0; i < n; i++ {
-			c := reg.EntityCycles(fmt.Sprintf("e%d", i))
+			c := reg.WindowEntityCycles(fmt.Sprintf("e%d", i))
 			if i == 0 || c < min {
 				min = c
 			}
@@ -79,7 +79,7 @@ func TestWorkConservationProperty(t *testing.T) {
 		}
 		env.Close()
 		capacity := int64(cores) * ghz // cycles in 1s
-		return reg.EntityCycles("all") >= capacity*95/100
+		return reg.WindowEntityCycles("all") >= capacity*95/100
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 16}); err != nil {
 		t.Fatal(err)

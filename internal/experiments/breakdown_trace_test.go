@@ -107,13 +107,18 @@ func TestBreakdownTraceDeterminism(t *testing.T) {
 	t.Logf("deterministic trace export: %d bytes", len(a))
 }
 
-// TestDelayStages exercises the per-stage percentile reducer end to end on
-// the Figure 9 workload.
+// TestDelayStages exercises the per-stage percentile reducer (the facade's
+// TraceStages) end to end on a traced co-located vRead read.
 func TestDelayStages(t *testing.T) {
-	stats, err := RunDelayStages(tiny(), 1<<20, true)
+	o := tiny()
+	o.Traces = &trace.Collector{}
+	o.TraceEvery = 1
+	tb, err := breakdownRead(o, "fig6", Colocated, core.TransportRDMA, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb.Close()
+	stats := trace.Stages(o.Traces.Traces)
 	if len(stats) == 0 {
 		t.Fatal("no stages")
 	}

@@ -10,8 +10,8 @@ import (
 // RunStats accumulates engine-level totals across every testbed an
 // experiment builds. It is safe to share one RunStats across concurrently
 // running cells (the counters inside are par.Counters) and across several
-// Run* calls — the bench harness uses that to report simulated-events/sec
-// for a whole grid.
+// Run* calls — the golden tests use that to pin each experiment's event and
+// Proc resume counts.
 type RunStats struct {
 	events  par.Counter
 	resumes par.Counter

@@ -337,14 +337,3 @@ func (p *Plan) TotalFired() int64 {
 	}
 	return n
 }
-
-// DistinctFired counts points that fired at least once.
-func (p *Plan) DistinctFired() int {
-	n := 0
-	for _, c := range p.Counts() {
-		if c.Fires > 0 {
-			n++
-		}
-	}
-	return n
-}

@@ -55,32 +55,21 @@ func (n *Inode) setChunks(chunks data.Concat, size int64) {
 // Ino returns the inode number.
 func (n *Inode) Ino() Ino { return n.ino }
 
-// IsDir reports whether the inode is a directory.
-func (n *Inode) IsDir() bool { return n.isDir }
-
 // Size returns the file size in bytes (0 for directories).
 func (n *Inode) Size() int64 { return n.size }
 
 // FS is one file system instance.
 type FS struct {
-	name    string
 	nextIno Ino
 	root    *Inode
-	files   int
 }
 
 // New creates an empty file system.
-func New(name string) *FS {
-	fs := &FS{name: name, nextIno: 1}
+func New() *FS {
+	fs := &FS{nextIno: 1}
 	fs.root = &Inode{ino: 1, isDir: true, entries: make(map[string]*Inode)}
 	return fs
 }
-
-// Name returns the FS label.
-func (fs *FS) Name() string { return fs.name }
-
-// FileCount returns the number of regular files.
-func (fs *FS) FileCount() int { return fs.files }
 
 func splitPath(path string) []string {
 	var parts []string
@@ -165,7 +154,6 @@ func (fs *FS) Create(path string) (*Inode, error) {
 	node := &Inode{ino: fs.nextIno}
 	node.setChunks(nil, 0)
 	dir.entries[name] = node
-	fs.files++
 	return node, nil
 }
 
@@ -199,17 +187,9 @@ func (fs *FS) WriteFile(path string, c data.Content) error {
 	return nil
 }
 
-// ReadAt returns the byte window [off, off+n) of the file at path.
-func (fs *FS) ReadAt(path string, off, n int64) (data.Slice, error) {
-	node, err := fs.lookup(path)
-	if err != nil {
-		return data.Slice{}, err
-	}
-	return readInode(node, off, n, node.size, path)
-}
-
-// ReadNode is ReadAt on an inode already resolved from path (path only
-// names it in errors), so a caller holding one walks no path.
+// ReadNode returns the byte window [off, off+n) of a file inode already
+// resolved from path (path only names it in errors), so a caller holding
+// one walks no path.
 func ReadNode(node *Inode, path string, off, n int64) (data.Slice, error) {
 	return readInode(node, off, n, node.size, path)
 }
@@ -241,49 +221,7 @@ func (fs *FS) Remove(path string) error {
 		return fmt.Errorf("fsim: directory not empty: %s", path)
 	}
 	delete(dir.entries, name)
-	if !node.isDir {
-		fs.files--
-	}
 	return nil
-}
-
-// Rename moves a file or directory. The destination must not exist.
-func (fs *FS) Rename(oldPath, newPath string) error {
-	oldDir, oldName, err := fs.lookupParent(oldPath)
-	if err != nil {
-		return err
-	}
-	node, ok := oldDir.entries[oldName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, oldPath)
-	}
-	newDir, newName, err := fs.lookupParent(newPath)
-	if err != nil {
-		return err
-	}
-	if _, ok := newDir.entries[newName]; ok {
-		return fmt.Errorf("%w: %s", ErrExist, newPath)
-	}
-	delete(oldDir.entries, oldName)
-	newDir.entries[newName] = node
-	return nil
-}
-
-// List returns the sorted entry names of a directory.
-func (fs *FS) List(path string) ([]string, error) {
-	node, err := fs.lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if !node.isDir {
-		return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
-	}
-	names := make([]string, 0, len(node.entries))
-	for name := range node.entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // Walk visits every regular file (sorted, depth-first) with its full path.
@@ -322,16 +260,14 @@ type MountEntry struct {
 // HostMount is the hypervisor's read-only view of a guest FS, as produced by
 // losetup/kpartx plus a read-only mount in the paper's prototype.
 type HostMount struct {
-	fs        *FS
-	dentries  map[string]MountEntry
-	refreshes int
+	fs       *FS
+	dentries map[string]MountEntry
 }
 
 // MountRO snapshots the FS's current files into a new mount.
 func MountRO(fs *FS) *HostMount {
 	m := &HostMount{fs: fs, dentries: make(map[string]MountEntry)}
 	m.RefreshAll()
-	m.refreshes = 0
 	return m
 }
 
@@ -354,7 +290,6 @@ func (m *HostMount) ReadAt(path string, off, n int64) (data.Slice, error) {
 
 // RefreshAll re-snapshots every file (a full remount).
 func (m *HostMount) RefreshAll() {
-	m.refreshes++
 	m.dentries = make(map[string]MountEntry)
 	m.fs.Walk(func(path string, node *Inode) {
 		m.dentries[path] = MountEntry{Node: node, Size: node.size}
@@ -365,7 +300,6 @@ func (m *HostMount) RefreshAll() {
 // per-new-block update that vRead_update performs. It reports whether the
 // path exists in the live FS.
 func (m *HostMount) RefreshPath(path string) bool {
-	m.refreshes++
 	node, err := m.fs.lookup(path)
 	if err != nil || node.isDir {
 		delete(m.dentries, canonical(path))
@@ -382,13 +316,6 @@ func (m *HostMount) RefreshPath(path string) bool {
 func (m *HostMount) Invalidate() {
 	m.dentries = make(map[string]MountEntry)
 }
-
-// Refreshes returns how many refresh operations have run (fig13 verifies the
-// write-path overhead stays negligible).
-func (m *HostMount) Refreshes() int { return m.refreshes }
-
-// Entries returns the number of cached dentries.
-func (m *HostMount) Entries() int { return len(m.dentries) }
 
 // canonical normalizes a path to the /a/b/c form Walk produces, returning an
 // already canonical path unchanged.

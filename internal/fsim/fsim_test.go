@@ -3,15 +3,25 @@ package fsim
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"vread/internal/data"
 )
 
+// readAt returns the byte window [off, off+n) of the file at path.
+func readAt(fs *FS, path string, off, n int64) (data.Slice, error) {
+	node, err := fs.lookup(path)
+	if err != nil {
+		return data.Slice{}, err
+	}
+	return ReadNode(node, path, off, n)
+}
+
 func newHadoopFS(t *testing.T) *FS {
 	t.Helper()
-	fs := New("dn1")
+	fs := New()
 	if err := fs.MkdirAll("/hadoop/dfs/data"); err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +33,7 @@ func TestCreateWriteRead(t *testing.T) {
 	if err := fs.WriteFile("/hadoop/dfs/data/blk_1", data.Bytes("hello block")); err != nil {
 		t.Fatal(err)
 	}
-	s, err := fs.ReadAt("/hadoop/dfs/data/blk_1", 6, 5)
+	s, err := readAt(fs, "/hadoop/dfs/data/blk_1", 6, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +44,8 @@ func TestCreateWriteRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node.Size() != 11 || node.IsDir() {
-		t.Fatalf("stat = size %d isDir %v", node.Size(), node.IsDir())
-	}
-	if fs.FileCount() != 1 {
-		t.Fatalf("FileCount = %d", fs.FileCount())
+	if node.Size() != 11 || node.isDir {
+		t.Fatalf("stat = size %d isDir %v", node.Size(), node.isDir)
 	}
 }
 
@@ -52,7 +59,7 @@ func TestAppendAccumulates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := fs.ReadAt("/hadoop/dfs/data/blk_2", 0, 18)
+	s, err := readAt(fs, "/hadoop/dfs/data/blk_2", 0, 18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +70,7 @@ func TestAppendAccumulates(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	fs := newHadoopFS(t)
-	if _, err := fs.ReadAt("/nope", 0, 1); !errors.Is(err, ErrNotExist) {
+	if _, err := readAt(fs, "/nope", 0, 1); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("missing file error = %v", err)
 	}
 	if _, err := fs.Create("/no/parents/here"); !errors.Is(err, ErrNotExist) {
@@ -78,39 +85,31 @@ func TestErrors(t *testing.T) {
 	if _, err := fs.Create("/hadoop/dfs/data/f"); !errors.Is(err, ErrExist) {
 		t.Fatalf("duplicate create error = %v", err)
 	}
-	if _, err := fs.ReadAt("/hadoop/dfs/data/f", 2, 5); !errors.Is(err, ErrRange) {
+	if _, err := readAt(fs, "/hadoop/dfs/data/f", 2, 5); !errors.Is(err, ErrRange) {
 		t.Fatalf("range error = %v", err)
 	}
-	if _, err := fs.List("/hadoop/dfs/data/f"); !errors.Is(err, ErrNotDir) {
-		t.Fatalf("list file error = %v", err)
+	if _, err := fs.Create("/hadoop/dfs/data/f/g"); !errors.Is(err, ErrNotDir) {
+		t.Fatalf("create under a file error = %v", err)
 	}
 	if err := fs.Remove("/hadoop"); err == nil {
 		t.Fatal("removing non-empty dir succeeded")
 	}
 }
 
-func TestRemoveAndRename(t *testing.T) {
+func TestRemove(t *testing.T) {
 	fs := newHadoopFS(t)
 	if err := fs.WriteFile("/hadoop/dfs/data/blk_tmp", data.Bytes("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Rename("/hadoop/dfs/data/blk_tmp", "/hadoop/dfs/data/blk_final"); err != nil {
+	if err := fs.Remove("/hadoop/dfs/data/blk_tmp"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fs.Stat("/hadoop/dfs/data/blk_tmp"); !errors.Is(err, ErrNotExist) {
-		t.Fatal("old name still exists after rename")
-	}
-	if _, err := fs.Stat("/hadoop/dfs/data/blk_final"); err != nil {
-		t.Fatal("new name missing after rename")
-	}
-	if err := fs.Remove("/hadoop/dfs/data/blk_final"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.FileCount() != 0 {
-		t.Fatalf("FileCount = %d after remove", fs.FileCount())
+		t.Fatal("file still exists after remove")
 	}
 }
 
+// TestListSorted: Walk lists a directory's files in sorted order.
 func TestListSorted(t *testing.T) {
 	fs := newHadoopFS(t)
 	for _, name := range []string{"blk_9", "blk_1", "blk_5"} {
@@ -118,15 +117,10 @@ func TestListSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	names, err := fs.List("/hadoop/dfs/data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"blk_1", "blk_5", "blk_9"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("List = %v", names)
-		}
+	var names []string
+	fs.Walk(func(path string, _ *Inode) { names = append(names, path) })
+	if got := strings.Join(names, " "); got != "/hadoop/dfs/data/blk_1 /hadoop/dfs/data/blk_5 /hadoop/dfs/data/blk_9" {
+		t.Fatalf("Walk = %s", got)
 	}
 }
 
@@ -233,12 +227,12 @@ func TestMountRefreshAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Entries() != 0 {
-		t.Fatalf("Entries = %d before refresh", m.Entries())
+	if len(m.dentries) != 0 {
+		t.Fatalf("Entries = %d before refresh", len(m.dentries))
 	}
 	m.RefreshAll()
-	if m.Entries() != 5 {
-		t.Fatalf("Entries = %d after RefreshAll", m.Entries())
+	if len(m.dentries) != 5 {
+		t.Fatalf("Entries = %d after RefreshAll", len(m.dentries))
 	}
 	if _, ok := m.Lookup("/hadoop/dfs/data/blk_3"); !ok {
 		t.Fatal("Lookup failed after RefreshAll")
@@ -311,7 +305,7 @@ func TestCanonical(t *testing.T) {
 // through both the live FS and a fresh mount matches the written bytes.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(sizes []uint16, seed uint64) bool {
-		fs := New("p")
+		fs := New()
 		if err := fs.MkdirAll("/d"); err != nil {
 			return false
 		}
@@ -333,7 +327,7 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		m := MountRO(fs)
 		for _, fl := range files {
-			live, err := fs.ReadAt(fl.path, 0, fl.content.Size)
+			live, err := readAt(fs, fl.path, 0, fl.content.Size)
 			if err != nil {
 				return false
 			}

@@ -150,9 +150,6 @@ func (k *Kernel) VCPU() *cpusched.Thread { return k.vcpu }
 // FS returns the VM's file system.
 func (k *Kernel) FS() *fsim.FS { return k.fs }
 
-// Cache returns the guest page cache.
-func (k *Kernel) Cache() *storage.PageCache { return k.cache }
-
 // Env returns the simulation environment.
 func (k *Kernel) Env() *sim.Env { return k.env }
 
@@ -202,8 +199,7 @@ type connEnd struct {
 	sendErr   error
 	sendDone  func()
 	recv      cpusched.Steps[*connEnd]
-	recvN     int64 // bytes wanted; a RecvFull wants all of them
-	recvFull  bool
+	recvN     int64 // bytes wanted
 	recvGot   int64
 	recvParts data.Concat
 	recvS     data.Slice
@@ -222,9 +218,6 @@ func (k *Kernel) newEnd(peerVM string, tr *trace.Trace, key int64) *connEnd {
 
 // Conn is one end of an established stream.
 type Conn struct{ end *connEnd }
-
-// PeerVM returns the VM name of the other end.
-func (c *Conn) PeerVM() string { return c.end.peerVM }
 
 // SetTrace attributes subsequent socket work on this end to the request
 // trace (nil detaches). The passive end of a connection needs no SetTrace
@@ -375,14 +368,6 @@ func (end *connEnd) transmit() {
 	end.kernel.net.TransmitThen(&end.tx, end.frame, end.send.Direct(end.segNext))
 }
 
-// Recv returns up to max bytes, blocking until data or EOF. ok is false at
-// EOF (peer closed and buffer drained).
-func (c *Conn) Recv(p *sim.Proc, max int64) (data.Slice, bool) {
-	c.end.startRecv(max, false, p.ArmInline())
-	p.Await()
-	return c.Received()
-}
-
 // RecvFull reads exactly n bytes (or returns ok=false at premature EOF). It
 // is a thin Proc wrapper over RecvFullThen.
 func (c *Conn) RecvFull(p *sim.Proc, n int64) (data.Slice, bool) {
@@ -393,7 +378,7 @@ func (c *Conn) RecvFull(p *sim.Proc, n int64) (data.Slice, bool) {
 
 // RecvFullThen is RecvFull in continuation form: done runs where RecvFull
 // would have returned, and Received then returns its results.
-func (c *Conn) RecvFullThen(n int64, done func()) { c.end.startRecv(n, true, done) }
+func (c *Conn) RecvFullThen(n int64, done func()) { c.end.startRecv(n, done) }
 
 // Received returns the results of the last receive.
 func (c *Conn) Received() (data.Slice, bool) {
@@ -402,17 +387,17 @@ func (c *Conn) Received() (data.Slice, bool) {
 	return s, c.end.recvOK
 }
 
-func (end *connEnd) startRecv(n int64, full bool, done func()) {
-	end.recvN, end.recvFull, end.recvGot, end.recvDone = n, full, 0, done
+func (end *connEnd) startRecv(n int64, done func()) {
+	end.recvN, end.recvGot, end.recvDone = n, 0, done
 	end.recvNext()
 }
 
-// recvNext takes up to the wanted bytes once there are any; a RecvFull
-// repeats it until it has them all.
+// recvNext takes up to the wanted bytes once there are any, and repeats
+// until it has them all.
 func (end *connEnd) recvNext() {
 	k := end.kernel
 	switch {
-	case end.recvFull && end.recvGot >= end.recvN:
+	case end.recvGot >= end.recvN:
 		end.finishRecv(data.Slice{C: end.recvParts, N: end.recvGot}, true)
 		return
 	case end.recvBytes == 0 && !end.remoteClosed:
@@ -465,7 +450,7 @@ func (end *connEnd) recvNext() {
 }
 
 func (end *connEnd) received() {
-	if s := end.recvS; end.recvFull && s.Len() != end.recvN {
+	if s := end.recvS; s.Len() != end.recvN {
 		end.recvParts = append(end.recvParts, s.Content())
 		end.recvGot += s.Len()
 		end.recvNext()
@@ -551,23 +536,28 @@ func (k *Kernel) processSegment(fr netsim.Frame, meta segMeta) {
 }
 
 // acceptSYN creates the passive end and replies (SYN-ACK or RST). The reply
-// is sent by a short-lived kernel process so it pays the normal path.
+// pays the normal transmit path from a zero-delay handler.
 func (k *Kernel) acceptSYN(fr netsim.Frame, meta segMeta) {
 	q, ok := k.listeners[meta.port]
 	if !ok {
 		// The reset goes out through a connection end nobody registers.
 		rst := &connEnd{kernel: k, peerVM: meta.srcVM, tr: fr.Trace}
 		rst.send.Bind(k.env, rst)
-		k.env.Go(fmt.Sprintf("%s:rst", k.name), func(p *sim.Proc) {
-			rst.sendSegment(p, data.Slice{C: data.Zero(0)}, segMeta{kind: segRST, connID: meta.connID ^ 1})
-		})
+		rst.reply(data.Slice{C: data.Zero(0)}, segMeta{kind: segRST, connID: meta.connID ^ 1})
 		return
 	}
 	end := k.newEnd(meta.srcVM, fr.Trace, meta.connID) // SYN targeted this key
-	k.env.Go(fmt.Sprintf("%s:synack", k.name), func(p *sim.Proc) {
-		end.sendSegment(p, data.NewSlice(data.Zero(64)), segMeta{kind: segSYNACK, connID: meta.connID ^ 1})
-	})
+	end.reply(data.NewSlice(data.Zero(64)), segMeta{kind: segSYNACK, connID: meta.connID ^ 1})
 	q.TryPut(&Conn{end: end})
+}
+
+// reply sends a control segment from a zero-delay handler, which nothing
+// waits on.
+func (end *connEnd) reply(payload data.Slice, meta segMeta) {
+	end.kernel.env.Schedule(0, func() {
+		end.sendDone = func() {}
+		end.segment(payload, meta, (*connEnd).finishSend)
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -736,12 +726,6 @@ func (k *Kernel) CreateFile(p *sim.Proc, path string) error {
 	k.vcpu.Run(p, syscallCycles, k.appTag)
 	_, err := k.fs.Create(path)
 	return err
-}
-
-// MkdirAll creates directories (metadata only).
-func (k *Kernel) MkdirAll(p *sim.Proc, path string) error {
-	k.vcpu.Run(p, syscallCycles, k.appTag)
-	return k.fs.MkdirAll(path)
 }
 
 // RemoveFile deletes a file.

@@ -145,9 +145,9 @@ func TestCloseGivesEOF(t *testing.T) {
 	c.Go("server", func(p *sim.Proc) {
 		l := c.VM("dn1").Kernel.Listen(50010)
 		conn, _ := l.Accept(p)
-		s, ok := conn.Recv(p, 1024)
+		s, ok := conn.RecvFull(p, 5)
 		sawData = ok && s.Len() == 5
-		_, ok = conn.Recv(p, 1024)
+		_, ok = conn.RecvFull(p, 1)
 		sawEOF = !ok
 	})
 	c.Go("client", func(p *sim.Proc) {
@@ -215,7 +215,7 @@ func TestTwoConnectionsIndependent(t *testing.T) {
 			conn, _ := l.Accept(p)
 			c.Go("handler", func(p *sim.Proc) {
 				s, _ := conn.RecvFull(p, 2)
-				results[conn.PeerVM()+string(s.Bytes())] = "yes"
+				results[string(s.Bytes())] = "yes"
 			})
 		}
 	})
@@ -236,7 +236,7 @@ func TestTwoConnectionsIndependent(t *testing.T) {
 	if err := c.Env.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if results["clientcl"] != "yes" || results["dn2dn"] != "yes" {
+	if results["cl"] != "yes" || results["dn"] != "yes" {
 		t.Fatalf("results = %v", results)
 	}
 }

@@ -58,7 +58,7 @@ func TestStreamIntegrityProperty(t *testing.T) {
 				if want > recvChunk {
 					want = recvChunk
 				}
-				s, ok := conn.Recv(p, want)
+				s, ok := conn.RecvFull(p, want)
 				if !ok {
 					okRun = false
 					return

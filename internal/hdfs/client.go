@@ -62,14 +62,8 @@ func (c *Client) SetBlockReader(r BlockReader) { c.reader = r }
 // Read (read1) and ReadAt (read2) call becomes a sampling candidate.
 func (c *Client) SetTracer(t *trace.Tracer) { c.tracer = t }
 
-// Tracer returns the installed request tracer (nil when untraced).
-func (c *Client) Tracer() *trace.Tracer { return c.tracer }
-
 // Kernel returns the client's VM kernel.
 func (c *Client) Kernel() *guest.Kernel { return c.kernel }
-
-// Namespace returns the metadata service the client is bound to.
-func (c *Client) Namespace() Namespace { return c.nn }
 
 // ---------------------------------------------------------------------------
 // Write path.
@@ -175,9 +169,6 @@ func (c *Client) Open(p *sim.Proc, path string) (*FileReader, error) {
 
 // Size returns the file length.
 func (r *FileReader) Size() int64 { return r.size }
-
-// Pos returns the stream position.
-func (r *FileReader) Pos() int64 { return r.pos }
 
 // Seek repositions the sequential stream (vRead_seek; the socket stream, if
 // any, is abandoned like HDFS does on seek).

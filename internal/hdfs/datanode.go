@@ -45,15 +45,6 @@ func StartDataNode(env *sim.Env, nn Namespace, kernel *guest.Kernel) *DataNode {
 // Name returns the datanode's VM name (its ID in the paper's terms).
 func (dn *DataNode) Name() string { return dn.kernel.Name() }
 
-// Kernel returns the VM kernel the datanode runs in.
-func (dn *DataNode) Kernel() *guest.Kernel { return dn.kernel }
-
-// Stop simulates a datanode crash: the listener closes, so new connections
-// are refused. Readers fail over to other replicas.
-func (dn *DataNode) Stop() {
-	dn.listener.Close()
-}
-
 // ServedBytes returns total bytes streamed to readers over TCP (zero when
 // every read went through vRead).
 func (dn *DataNode) ServedBytes() int64 { return dn.served }

@@ -1,5 +1,14 @@
 package hdfs
 
+import "vread/internal/guest"
+
+// Kernel returns the VM kernel the datanode runs in.
+func (dn *DataNode) Kernel() *guest.Kernel { return dn.kernel }
+
+// Stop simulates a datanode crash: the listener closes, so new connections
+// are refused. Readers fail over to other replicas.
+func (dn *DataNode) Stop() { dn.listener.Close() }
+
 // HasBlock reports whether dn stores block id.
 func HasBlock(dn *DataNode, id BlockID) bool {
 	_, ok := dn.blocks[id]

@@ -6,8 +6,8 @@
 //
 // Determinism: the ring is built from an explicit seed, entries are kept
 // fully sorted with total-order tie-breaks, and routing hashes contain no
-// map iteration — two same-seed constructions are byte-identical
-// (Ring.Marshal) and every placement decision replays exactly.
+// map iteration — two same-seed constructions are identical and every
+// placement decision replays exactly.
 package hdfs
 
 import (
@@ -111,30 +111,6 @@ func (r *Ring) AddNode(node, domain string) {
 	})
 }
 
-// RemoveNode drops a node and its virtual nodes (host death / decommission).
-func (r *Ring) RemoveNode(node string) {
-	if _, ok := r.domains[node]; !ok {
-		return
-	}
-	delete(r.domains, node)
-	for i, n := range r.order {
-		if n == node {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	kept := r.entries[:0]
-	for _, e := range r.entries {
-		if e.node != node {
-			kept = append(kept, e)
-		}
-	}
-	r.entries = kept
-}
-
-// DomainOf returns a member's fault domain.
-func (r *Ring) DomainOf(node string) string { return r.domains[node] }
-
 // KeyPos returns the ring position a key hashes to.
 func (r *Ring) KeyPos(key string) uint64 { return fnv1a(r.seed, key) }
 
@@ -177,20 +153,6 @@ func (r *Ring) Place(key string, n int) []string {
 		out = append(out, e.node)
 	}
 	return out
-}
-
-// Marshal renders the full ring state as deterministic bytes — the byte-
-// identity witness for same-seed constructions.
-func (r *Ring) Marshal() []byte {
-	var b []byte
-	b = append(b, fmt.Sprintf("ring seed=%d vnodes=%d\n", r.seed, r.vnodes)...)
-	for _, n := range r.order {
-		b = append(b, fmt.Sprintf("node %s domain=%s\n", n, r.domains[n])...)
-	}
-	for _, e := range r.entries {
-		b = append(b, fmt.Sprintf("%016x %s#%d\n", e.hash, e.node, e.vidx)...)
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -249,9 +211,6 @@ func (ro *Router) InjectFaults(plan *faults.Plan) { ro.faults = plan }
 
 // NumShards returns the shard count.
 func (ro *Router) NumShards() int { return len(ro.shards) }
-
-// Ring returns the placement ring (read-only use).
-func (ro *Router) Ring() *Ring { return ro.ring }
 
 // Routed returns how many namespace RPCs were routed.
 func (ro *Router) Routed() int64 { return ro.routed }
@@ -454,9 +413,4 @@ func (ro *Router) DeleteFile(p *sim.Proc, k *guest.Kernel, path string) error {
 // FileSize peeks the owning shard (pure metadata, no RPC billed).
 func (ro *Router) FileSize(path string) (int64, bool) {
 	return ro.shards[ro.ShardOf(path)].FileSize(path)
-}
-
-// Exists peeks the owning shard.
-func (ro *Router) Exists(path string) bool {
-	return ro.shards[ro.ShardOf(path)].Exists(path)
 }

@@ -1,8 +1,8 @@
 package hdfs
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -24,10 +24,10 @@ func ringOf(seed int64, nodes int) *Ring {
 // the seed actually matters.
 func TestRingDeterminism(t *testing.T) {
 	a, b := ringOf(42, 10), ringOf(42, 10)
-	if !bytes.Equal(a.Marshal(), b.Marshal()) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same-seed rings differ")
 	}
-	if bytes.Equal(a.Marshal(), ringOf(43, 10).Marshal()) {
+	if reflect.DeepEqual(a.entries, ringOf(43, 10).entries) {
 		t.Fatal("different seeds produced identical rings")
 	}
 	for i := 0; i < 50; i++ {
@@ -39,31 +39,31 @@ func TestRingDeterminism(t *testing.T) {
 	}
 }
 
-// TestRingRebalanceBound: removing one of N nodes moves only the keys it
-// owned — about K/N of them, and never a key another node owned.
+// TestRingRebalanceBound: adding an Nth node moves only the keys it now
+// owns — about K/N of them, and every moved key moves to the new node.
 func TestRingRebalanceBound(t *testing.T) {
 	const nodes, keys = 10, 2000
-	r := ringOf(7, nodes)
+	r := ringOf(7, nodes-1)
 	before := make([]string, keys)
 	for i := range before {
 		before[i] = r.Place(fmt.Sprintf("key-%d", i), 1)[0]
 	}
-	const victim = "dn4"
-	r.RemoveNode(victim)
+	const added = "dn-new"
+	r.AddNode(added, "d0")
 	moved := 0
 	for i := range before {
 		after := r.Place(fmt.Sprintf("key-%d", i), 1)[0]
 		if after == before[i] {
 			continue
 		}
-		if before[i] != victim {
-			t.Fatalf("key-%d moved from %s to %s although %s was the node removed", i, before[i], after, victim)
+		if after != added {
+			t.Fatalf("key-%d moved from %s to %s although %s was the node added", i, before[i], after, added)
 		}
 		moved++
 	}
 	// Expect ~K/N = 200 moves; allow 2× slack for hash imbalance.
 	if moved == 0 || moved > 2*keys/nodes {
-		t.Fatalf("removal moved %d of %d keys, want ~%d (≤ %d)", moved, keys, keys/nodes, 2*keys/nodes)
+		t.Fatalf("addition moved %d of %d keys, want ~%d (≤ %d)", moved, keys, keys/nodes, 2*keys/nodes)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestRingDomainSpread(t *testing.T) {
 		}
 		doms := map[string]bool{}
 		for _, n := range reps {
-			doms[r.DomainOf(n)] = true
+			doms[r.domains[n]] = true
 		}
 		if len(doms) != 3 {
 			t.Fatalf("%s: replicas %v span only domains %v", key, reps, doms)

@@ -147,7 +147,6 @@ type Namespace interface {
 	CompleteFile(p *sim.Proc, k *guest.Kernel, path string) error
 	DeleteFile(p *sim.Proc, k *guest.Kernel, path string) error
 	FileSize(path string) (int64, bool)
-	Exists(path string) bool
 
 	getBlockLocations(p *sim.Proc, k *guest.Kernel, tr *trace.Trace, path string) ([]BlockInfo, error)
 	registerDataNode(dn *DataNode)
@@ -407,12 +406,6 @@ func (nn *NameNode) FileSize(path string) (int64, bool) {
 		n += b.Size
 	}
 	return n, true
-}
-
-// Exists reports whether a path is registered.
-func (nn *NameNode) Exists(path string) bool {
-	_, ok := nn.files[path]
-	return ok
 }
 
 // DataDir is where datanodes keep block files inside their VM.

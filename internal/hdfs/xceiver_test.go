@@ -67,7 +67,7 @@ func TestXceiverBranches(t *testing.T) {
 		}
 	}
 	expectEOF := func(conn *guest.Conn, p *sim.Proc) {
-		if s, ok := conn.Recv(p, 1); ok {
+		if s, ok := conn.RecvFull(p, 1); ok {
 			panic(fmt.Sprintf("received %v after the datanode should have closed", s.Bytes()))
 		}
 	}

@@ -118,26 +118,6 @@ func (r *Registry) Cycles(entity, tag string) int64 {
 	return 0
 }
 
-// EntityCycles returns total cycles charged to an entity across all tags.
-func (r *Registry) EntityCycles(entity string) int64 {
-	var sum int64
-	if a := r.accounts[entity]; a != nil {
-		for _, c := range a.cells {
-			sum += c.cycles
-		}
-	}
-	return sum
-}
-
-// TotalCycles returns the grand total across all entities.
-func (r *Registry) TotalCycles() int64 {
-	var sum int64
-	for e := range r.accounts {
-		sum += r.EntityCycles(e)
-	}
-	return sum
-}
-
 // Entities returns the names of all entities charged at least once, sorted.
 func (r *Registry) Entities() []string {
 	out := make([]string, 0, len(r.accounts))
@@ -285,15 +265,6 @@ func (l *LatencyRecorder) Mean() time.Duration {
 	return sum / time.Duration(len(l.samples))
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (l *LatencyRecorder) Min() time.Duration {
-	l.sort()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	return l.samples[0]
-}
-
 // Max returns the largest sample, or 0 with no samples.
 func (l *LatencyRecorder) Max() time.Duration {
 	l.sort()
@@ -339,13 +310,4 @@ func Throughput(bytes int64, elapsed time.Duration) float64 {
 		return 0
 	}
 	return float64(bytes) / 1e6 / elapsed.Seconds()
-}
-
-// Rate converts a count of operations in elapsed virtual time to ops/second
-// (the transaction-rate axis of Figure 3).
-func Rate(ops int64, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(ops) / elapsed.Seconds()
 }

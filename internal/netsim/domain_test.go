@@ -33,9 +33,15 @@ func TestHostDownDropsFrames(t *testing.T) {
 	if !sent {
 		t.Fatal("onSent never fired for the dropped frame")
 	}
-	if !fx.fab.HostDown("host2") || fx.fab.HostDown("host1") {
+	if !fx.fab.down["host2"] || fx.fab.down["host1"] {
 		t.Fatal("down bookkeeping wrong")
 	}
+}
+
+// partitionActive reports whether the two domains are currently severed.
+func partitionActive(f *Fabric, d1, d2 string) bool {
+	until, ok := f.partitions[pairOf(d1, d2)]
+	return ok && f.env.Now() < until
 }
 
 // TestDomainPartitionFault: a fired domain.partition severs inter-domain
@@ -58,7 +64,7 @@ func TestDomainPartitionFault(t *testing.T) {
 	if len(at) != 0 {
 		t.Fatalf("%d frames crossed an active partition", len(at))
 	}
-	if !fx.fab.PartitionActive("d0", "d1") || !fx.fab.PartitionActive("d1", "d0") {
+	if !partitionActive(fx.fab, "d0", "d1") || !partitionActive(fx.fab, "d1", "d0") {
 		t.Fatal("partition not active (or not symmetric)")
 	}
 
@@ -68,7 +74,7 @@ func TestDomainPartitionFault(t *testing.T) {
 	if err := fx.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fx.fab.PartitionActive("d0", "d1") {
+	if partitionActive(fx.fab, "d0", "d1") {
 		t.Fatal("partition still active after its window")
 	}
 	fx.nic1.SendToHost("host2", 9999, Frame{Payload: pl}, nil)
@@ -127,7 +133,7 @@ func TestDomainPartitionSeversRDMA(t *testing.T) {
 	if delivered != 0 || sent != 1 {
 		t.Fatalf("partitioned QP: delivered=%d sent=%d", delivered, sent)
 	}
-	if qp.Broken() {
+	if qp.broken {
 		t.Fatal("partition must not break the QP")
 	}
 	fx.env.Go("later", func(p *sim.Proc) { p.Sleep(2 * time.Millisecond) })

@@ -159,9 +159,6 @@ func NewFabric(env *sim.Env, cfg Config) *Fabric {
 	}
 }
 
-// Config returns the fabric parameters.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // InjectFaults arms the network faultpoints from plan: net.frame.delay on
 // every transmit, net.frame.drop on host-terminated frames (the vRead
 // daemons' TCP transport, which carries its own timeout/retry — guest TCP
@@ -247,15 +244,6 @@ func (f *Fabric) DomainOf(host string) (string, bool) {
 // stays dark for the rest of the run.
 func (f *Fabric) SetHostDown(host string) { f.down[host] = true }
 
-// HostDown reports whether the host is marked dark.
-func (f *Fabric) HostDown(host string) bool { return f.down[host] }
-
-// PartitionActive reports whether the two domains are currently severed.
-func (f *Fabric) PartitionActive(d1, d2 string) bool {
-	until, ok := f.partitions[pairOf(d1, d2)]
-	return ok && f.env.Now() < until
-}
-
 // domainBlocked reports whether an inter-domain host/RDMA frame between the
 // two hosts must be dropped. Inside an active partition window every such
 // frame drops without drawing randomness; otherwise the domain.partition
@@ -329,15 +317,8 @@ type NIC struct {
 	env       *sim.Env
 	softirq   *cpusched.Thread
 	busyUntil time.Duration
-	txBytes   int64
 	txFrames  int64
 }
-
-// Host returns the owning host name.
-func (n *NIC) Host() string { return n.host }
-
-// TxBytes returns total bytes transmitted.
-func (n *NIC) TxBytes() int64 { return n.txBytes }
 
 // TxFrames returns total frames transmitted.
 func (n *NIC) TxFrames() int64 { return n.txFrames }
@@ -421,7 +402,6 @@ func (n *NIC) transmit(fr Frame, onSent func(), deliver func(Frame)) {
 	txTime := time.Duration(float64(fr.Payload.Len()) / float64(bandwidth) * float64(time.Second))
 	done := start + txTime
 	n.busyUntil = done
-	n.txBytes += fr.Payload.Len()
 	n.txFrames++
 	if onSent != nil {
 		n.env.Schedule(done-now, onSent)
@@ -448,18 +428,19 @@ func (n *NIC) transmit(fr Frame, onSent func(), deliver func(Frame)) {
 
 // QP is a reliable-connected RDMA queue pair between two hosts. Work
 // requests pay small per-op CPU on the posting thread and are transferred by
-// NIC hardware (wire pacing, no softirq, no copies).
+// NIC hardware (wire pacing, no softirq, no copies). A QP torn down by an
+// injected rdma.qp.teardown fault is broken: it accepts posts (the sender's
+// verbs library doesn't learn synchronously) but delivers nothing; the
+// caller's timeout is what detects it, as in the paper's RDMA→TCP fallback.
 type QP struct {
-	fabric   *Fabric
-	hostA    string
-	hostB    string
-	recvA    func(Frame)
-	recvB    func(Frame)
-	threadA  *cpusched.Thread
-	threadB  *cpusched.Thread
-	ops      int64
-	opsBytes int64
-	broken   bool
+	fabric  *Fabric
+	hostA   string
+	hostB   string
+	recvA   func(Frame)
+	recvB   func(Frame)
+	threadA *cpusched.Thread
+	threadB *cpusched.Thread
+	broken  bool
 }
 
 // NewQP connects two hosts. threadX is the thread whose entity RDMA CPU is
@@ -470,7 +451,7 @@ func (f *Fabric) NewQP(hostA string, threadA *cpusched.Thread, recvA func(Frame)
 		panic("netsim: QP hosts must be registered")
 	}
 	if f.nics[hostA].env != f.nics[hostB].env {
-		// A QP's op counters and broken flag are one shared structure
+		// A QP's broken flag is one shared structure
 		// mutated from both ends; splitting them per side is what a
 		// cross-shard QP would need, and nothing needs it yet.
 		panic(fmt.Sprintf("netsim: QP between %q and %q crosses Envs; RDMA endpoints must share a shard", hostA, hostB))
@@ -480,18 +461,6 @@ func (f *Fabric) NewQP(hostA string, threadA *cpusched.Thread, recvA func(Frame)
 		recvA: recvA, recvB: recvB, threadA: threadA, threadB: threadB,
 	}
 }
-
-// Ops returns the number of posted work requests.
-func (q *QP) Ops() int64 { return q.ops }
-
-// Broken reports whether the QP has been torn down by an injected
-// rdma.qp.teardown fault. A broken QP accepts posts (the sender's verbs
-// library doesn't learn synchronously) but delivers nothing; the caller's
-// timeout is what detects it, as in the paper's RDMA→TCP fallback.
-func (q *QP) Broken() bool { return q.broken }
-
-// OpsBytes returns total bytes moved through the QP.
-func (q *QP) OpsBytes() int64 { return q.opsBytes }
 
 // PostFrom posts a send/write work request from the given side ("A" side is
 // hostA). The posting thread pays rdmaPostCycles; the NIC DMAs the payload
@@ -510,8 +479,6 @@ func (q *QP) PostFrom(host string, fr Frame, onSent func()) {
 	default:
 		panic(fmt.Sprintf("netsim: host %q not part of QP", host))
 	}
-	q.ops++
-	q.opsBytes += fr.Payload.Len()
 	fr.SrcHost = host
 	fr.DstHost = dstHost
 	nic := q.fabric.nics[host]
@@ -549,7 +516,6 @@ func (q *QP) PostFrom(host string, fr Frame, onSent func()) {
 		txTime := time.Duration(float64(fr.Payload.Len()) / float64(bandwidth) * float64(time.Second))
 		done := start + txTime
 		nic.busyUntil = done
-		nic.txBytes += fr.Payload.Len()
 		nic.txFrames++
 		if onSent != nil {
 			nic.env.Schedule(done-now, onSent)

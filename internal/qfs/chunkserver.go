@@ -8,7 +8,6 @@ import (
 	"vread/internal/guest"
 	"vread/internal/metrics"
 	"vread/internal/sim"
-	"vread/internal/trace"
 )
 
 // Wire protocol: fixed 32-byte headers (op, chunkID, off, n), raw data.
@@ -98,34 +97,27 @@ func (cs *ChunkServer) handle(p *sim.Proc, conn *guest.Conn) {
 }
 
 func (cs *ChunkServer) handleRead(p *sim.Proc, conn *guest.Conn, id ChunkID, off, n int64) bool {
-	// The connection adopted the client request's trace with the arriving
-	// header segment.
-	tr := conn.Trace()
 	path := id.Path()
 	if _, err := cs.kernel.FS().Stat(path); err != nil {
 		return false
 	}
-	sp := tr.Begin(trace.LayerServer, "cs-read")
 	sent := int64(0)
 	for sent < n {
 		pkt := n - sent
 		if pkt > packetBytes {
 			pkt = packetBytes
 		}
-		s, err := cs.kernel.ReadFileAtT(p, tr, path, off+sent, pkt)
+		s, err := cs.kernel.ReadFileAt(p, path, off+sent, pkt)
 		if err != nil {
-			tr.EndSpan(sp, sent)
 			conn.Close(p)
 			return false
 		}
-		cs.kernel.VCPU().RunT(p, ioCycles(pkt), metrics.TagDatanodeApp, tr)
+		cs.kernel.VCPU().Run(p, ioCycles(pkt), metrics.TagDatanodeApp)
 		if err := conn.Send(p, s); err != nil {
-			tr.EndSpan(sp, sent)
 			return false
 		}
 		sent += pkt
 	}
-	tr.EndSpan(sp, sent)
 	cs.served += sent
 	return true
 }

@@ -39,7 +39,6 @@ type Client struct {
 	ms     *MetaServer
 	kernel *guest.Kernel
 	reader PathReader
-	tracer *trace.Tracer
 }
 
 // NewClient creates a client inside the VM kernel.
@@ -49,16 +48,6 @@ func NewClient(env *sim.Env, ms *MetaServer, kernel *guest.Kernel) *Client {
 
 // SetPathReader installs (or removes, with nil) the vRead shortcut.
 func (c *Client) SetPathReader(r PathReader) { c.reader = r }
-
-// SetTracer installs (or removes, with nil) the request tracer. Each
-// ReadFile and ReadAt call becomes a sampling candidate.
-func (c *Client) SetTracer(t *trace.Tracer) { c.tracer = t }
-
-// Tracer returns the installed request tracer (nil when untraced).
-func (c *Client) Tracer() *trace.Tracer { return c.tracer }
-
-// Kernel returns the client's VM kernel.
-func (c *Client) Kernel() *guest.Kernel { return c.kernel }
 
 // WriteFile stripes content across chunk servers.
 func (c *Client) WriteFile(p *sim.Proc, path string, content data.Content) error {
@@ -114,23 +103,17 @@ func (c *Client) writeChunk(p *sim.Proc, info ChunkInfo, s data.Slice) error {
 }
 
 // ReadFile reads the whole file, chunk by chunk, preferring vRead
-// descriptors and falling back to chunk-server sockets.
+// descriptors and falling back to chunk-server sockets. QFS reads are not
+// traced.
 func (c *Client) ReadFile(p *sim.Proc, path string) (data.Slice, error) {
-	tr := c.tracer.Request("qfs-read")
-	s, err := c.readFile(p, tr, path)
-	tr.Finish(s.Len())
-	return s, err
-}
-
-func (c *Client) readFile(p *sim.Proc, tr *trace.Trace, path string) (data.Slice, error) {
-	chunks, err := c.ms.getChunks(p, c.kernel, tr, path)
+	chunks, err := c.ms.getChunks(p, c.kernel, path)
 	if err != nil {
 		return data.Slice{}, err
 	}
 	var parts data.Concat
 	var total int64
 	for _, ch := range chunks {
-		s, err := c.readChunk(p, tr, ch, 0, ch.Size)
+		s, err := c.readChunk(p, ch)
 		if err != nil {
 			return data.Slice{}, err
 		}
@@ -140,75 +123,30 @@ func (c *Client) readFile(p *sim.Proc, tr *trace.Trace, path string) (data.Slice
 	return data.Slice{C: parts, N: total}, nil
 }
 
-// ReadAt reads [off, off+n) of a file.
-func (c *Client) ReadAt(p *sim.Proc, path string, off, n int64) (data.Slice, error) {
-	tr := c.tracer.Request("qfs-pread")
-	s, err := c.readAt(p, tr, path, off, n)
-	tr.Finish(s.Len())
-	return s, err
-}
-
-func (c *Client) readAt(p *sim.Proc, tr *trace.Trace, path string, off, n int64) (data.Slice, error) {
-	chunks, err := c.ms.getChunks(p, c.kernel, tr, path)
-	if err != nil {
-		return data.Slice{}, err
-	}
-	var parts data.Concat
-	var got int64
-	for _, ch := range chunks {
-		if off >= ch.FileOffset+ch.Size || off+n <= ch.FileOffset {
-			continue
-		}
-		start := off - ch.FileOffset
-		if start < 0 {
-			start = 0
-		}
-		end := off + n - ch.FileOffset
-		if end > ch.Size {
-			end = ch.Size
-		}
-		s, err := c.readChunk(p, tr, ch, start, end-start)
-		if err != nil {
-			return data.Slice{}, err
-		}
-		parts = append(parts, s.Content())
-		got += s.Len()
-	}
-	if got != n {
-		return data.Slice{}, fmt.Errorf("qfs: read [%d,%d) of %s returned %d bytes", off, off+n, path, got)
-	}
-	return data.Slice{C: parts, N: got}, nil
-}
-
-func (c *Client) readChunk(p *sim.Proc, tr *trace.Trace, ch ChunkInfo, off, n int64) (data.Slice, error) {
+// readChunk reads a whole chunk.
+func (c *Client) readChunk(p *sim.Proc, ch ChunkInfo) (data.Slice, error) {
 	if c.reader != nil {
-		if h, ok := c.reader.OpenPath(p, tr, ch.Server, ch.ID.Path(), fmt.Sprintf("qfs-chunk-%d", ch.ID)); ok {
-			tr.Event(trace.LayerClient, "path:vread", n)
-			s, err := h.ReadAt(p, tr, off, n)
-			h.Close(p, tr)
+		if h, ok := c.reader.OpenPath(p, nil, ch.Server, ch.ID.Path(), fmt.Sprintf("qfs-chunk-%d", ch.ID)); ok {
+			s, err := h.ReadAt(p, nil, 0, ch.Size)
+			h.Close(p, nil)
 			if err == nil {
 				return s, nil
 			}
 		}
 	}
 	// Vanilla socket path.
-	tr.Event(trace.LayerClient, "path:socket", n)
-	conn, err := c.kernel.DialT(p, tr, ch.Server, ChunkPort)
+	conn, err := c.kernel.Dial(p, ch.Server, ChunkPort)
 	if err != nil {
 		return data.Slice{}, err
 	}
 	defer conn.Close(p)
-	sp := tr.Begin(trace.LayerClient, "socket-chunk")
-	if err := conn.Send(p, encodeHdr(opReadChunk, ch.ID, off, n)); err != nil {
-		tr.EndSpan(sp, 0)
+	if err := conn.Send(p, encodeHdr(opReadChunk, ch.ID, 0, ch.Size)); err != nil {
 		return data.Slice{}, err
 	}
-	s, ok := conn.RecvFull(p, n)
+	s, ok := conn.RecvFull(p, ch.Size)
 	if !ok {
-		tr.EndSpan(sp, 0)
 		return data.Slice{}, fmt.Errorf("qfs: chunk %d stream ended early", ch.ID)
 	}
-	c.kernel.VCPU().RunT(p, ioCycles(n), metrics.TagClientApp, tr)
-	tr.EndSpan(sp, n)
+	c.kernel.VCPU().Run(p, ioCycles(ch.Size), metrics.TagClientApp)
 	return s, nil
 }

@@ -19,7 +19,6 @@ import (
 	"vread/internal/guest"
 	"vread/internal/metrics"
 	"vread/internal/sim"
-	"vread/internal/trace"
 )
 
 // Errors returned by QFS operations.
@@ -83,11 +82,11 @@ type ChunkInfo struct {
 	Server     string // chunk server VM name
 }
 
-// FileEventListener observes chunk lifecycle (the vRead manager implements
-// the same shape for HDFS; adapt with ListenerFunc).
+// FileEventListener observes new chunks (vRead's refresh hook; the vRead
+// manager implements it as it does HDFS's BlockEventListener). QFS has no
+// delete, so no chunk is ever removed.
 type FileEventListener interface {
 	BlockAdded(server, path string)
-	BlockRemoved(server, path string)
 }
 
 // MetaServer tracks file → chunk metadata. As with the HDFS namenode,
@@ -118,24 +117,14 @@ func NewMetaServer(env *sim.Env, cfg Config) *MetaServer {
 	}
 }
 
-// Config returns the cluster configuration.
-func (ms *MetaServer) Config() Config { return ms.cfg }
-
 // AddListener subscribes to chunk lifecycle events (vRead's refresh hook).
 func (ms *MetaServer) AddListener(l FileEventListener) {
 	ms.listeners = append(ms.listeners, l)
 }
 
 func (ms *MetaServer) rpc(p *sim.Proc, k *guest.Kernel) {
-	ms.rpcT(p, k, nil)
-}
-
-// rpcT is rpc attributing the round trip to a request trace.
-func (ms *MetaServer) rpcT(p *sim.Proc, k *guest.Kernel, tr *trace.Trace) {
-	sp := tr.Begin(trace.LayerClient, "metaserver-rpc")
-	k.VCPU().RunT(p, rpcCycles, metrics.TagOthers, tr)
+	k.VCPU().Run(p, rpcCycles, metrics.TagOthers)
 	p.Sleep(rpcLatency)
-	tr.EndSpan(sp, 0)
 }
 
 // allocateChunk assigns the next chunk round-robin across chunk servers.
@@ -173,24 +162,11 @@ func (ms *MetaServer) chunkWritten(server string, id ChunkID, size int64) {
 	}
 }
 
-func (ms *MetaServer) getChunks(p *sim.Proc, k *guest.Kernel, tr *trace.Trace, path string) ([]ChunkInfo, error) {
-	ms.rpcT(p, k, tr)
+func (ms *MetaServer) getChunks(p *sim.Proc, k *guest.Kernel, path string) ([]ChunkInfo, error) {
+	ms.rpc(p, k)
 	meta, ok := ms.files[path]
 	if !ok || !meta.complete {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	return append([]ChunkInfo(nil), meta.chunks...), nil
-}
-
-// FileSize returns a file's total size.
-func (ms *MetaServer) FileSize(path string) (int64, bool) {
-	meta, ok := ms.files[path]
-	if !ok {
-		return 0, false
-	}
-	var n int64
-	for _, c := range meta.chunks {
-		n += c.Size
-	}
-	return n, true
 }

@@ -15,7 +15,6 @@ import (
 
 type bed struct {
 	c   *cluster.Cluster
-	ms  *qfs.MetaServer
 	cs1 *qfs.ChunkServer
 	cs2 *qfs.ChunkServer
 	cl  *qfs.Client
@@ -37,7 +36,7 @@ func newBed(t *testing.T, vread bool) *bed {
 	cs2 := qfs.StartChunkServer(c.Env, ms, cs2VM.Kernel)
 	cl := qfs.NewClient(c.Env, ms, clientVM.Kernel)
 
-	b := &bed{c: c, ms: ms, cs1: cs1, cs2: cs2, cl: cl}
+	b := &bed{c: c, cs1: cs1, cs2: cs2, cl: cl}
 	if vread {
 		b.mgr = core.NewManager(c, nil, core.Config{}) // no HDFS namenode
 		b.mgr.MountDatanode("cs1")
@@ -84,35 +83,10 @@ func TestQFSRoundTrip(t *testing.T) {
 			t.Error("QFS round trip corrupted")
 		}
 	})
-	if size, ok := b.ms.FileSize("/q/f"); !ok || size != content.Size {
-		t.Fatalf("FileSize = %d,%v", size, ok)
-	}
 	// Striping used both servers.
 	if b.cs1.ServedBytes() == 0 || b.cs2.ServedBytes() == 0 {
 		t.Fatalf("striping broken: served %d / %d", b.cs1.ServedBytes(), b.cs2.ServedBytes())
 	}
-}
-
-func TestQFSPositionalRead(t *testing.T) {
-	b := newBed(t, false)
-	defer b.c.Close()
-	content := data.Pattern{Seed: 82, Size: 9 << 20}
-	b.run(t, 5*time.Minute, "pread", func(p *sim.Proc) {
-		if err := b.cl.WriteFile(p, "/q/f", content); err != nil {
-			t.Error(err)
-			return
-		}
-		// Cross-chunk positional read.
-		off, n := int64(4<<20)-512, int64(2048)
-		got, err := b.cl.ReadAt(p, "/q/f", off, n)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if !data.Equal(got, data.NewSlice(content).Sub(off, n)) {
-			t.Error("cross-chunk pread corrupted")
-		}
-	})
 }
 
 func TestQFSWithVReadBypassesChunkServers(t *testing.T) {

@@ -67,15 +67,25 @@ func TestScheduleCancelZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTimerWhenSafe covers the Timer.When contract: the zero Timer, a nil
-// *Timer, and fired or cancelled timers all report 0 instead of panicking.
+// when returns the virtual time t is scheduled to fire at, or 0 when it is
+// not pending.
+func when(t *Timer) time.Duration {
+	if !t.pending() {
+		return 0
+	}
+	return t.ev.at
+}
+
+// TestTimerWhenSafe covers Timer.pending, the check behind Cancel: the zero
+// Timer, a nil *Timer, and fired or cancelled timers all report not pending
+// instead of panicking.
 func TestTimerWhenSafe(t *testing.T) {
 	var zero Timer
-	if got := zero.When(); got != 0 {
+	if got := when(&zero); got != 0 {
 		t.Fatalf("zero Timer When() = %v, want 0", got)
 	}
 	var nilTimer *Timer
-	if got := nilTimer.When(); got != 0 {
+	if got := when(nilTimer); got != 0 {
 		t.Fatalf("nil *Timer When() = %v, want 0", got)
 	}
 	if nilTimer.Cancel() {
@@ -84,19 +94,19 @@ func TestTimerWhenSafe(t *testing.T) {
 
 	env := NewEnv(1)
 	tm := env.Schedule(3*time.Millisecond, func() {})
-	if got := tm.When(); got != 3*time.Millisecond {
+	if got := when(&tm); got != 3*time.Millisecond {
 		t.Fatalf("pending When() = %v, want 3ms", got)
 	}
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tm.When(); got != 0 {
+	if got := when(&tm); got != 0 {
 		t.Fatalf("fired When() = %v, want 0", got)
 	}
 
 	tm2 := env.Schedule(time.Millisecond, func() {})
 	tm2.Cancel()
-	if got := tm2.When(); got != 0 {
+	if got := when(&tm2); got != 0 {
 		t.Fatalf("cancelled When() = %v, want 0", got)
 	}
 }
@@ -119,7 +129,7 @@ func TestStaleTimerCannotResurrect(t *testing.T) {
 	if stale.Cancel() {
 		t.Fatal("stale Timer cancelled a recycled event")
 	}
-	if got := stale.When(); got != 0 {
+	if got := when(&stale); got != 0 {
 		t.Fatalf("stale When() = %v, want 0", got)
 	}
 	if err := env.Run(); err != nil {

@@ -156,12 +156,6 @@ func (e *Env) Live() int { return len(e.procs) }
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
 
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// Done reports whether the process function has returned.
-func (p *Proc) Done() bool { return p.done }
-
 // Sleep suspends the process for d of virtual time.
 //
 //lint:hotpath

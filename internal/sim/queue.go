@@ -26,9 +26,6 @@ func NewQueue[T any](env *Env, capacity int) *Queue[T] {
 	return &Queue[T]{env: env, capacity: capacity}
 }
 
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return q.n }
-
 func (q *Queue[T]) full() bool { return q.capacity > 0 && q.n >= q.capacity }
 
 // Close marks the queue closed: pending and future Gets drain remaining items

@@ -64,7 +64,7 @@ func TestQueueRingSemantics(t *testing.T) {
 		t.Helper()
 		for ; k > 0; k-- {
 			if !q.TryPut(next) {
-				t.Fatalf("TryPut(%d) refused at Len %d", next, q.Len())
+				t.Fatalf("TryPut(%d) refused at Len %d", next, q.n)
 			}
 			next++
 		}
@@ -80,8 +80,8 @@ func TestQueueRingSemantics(t *testing.T) {
 	}
 	checkLen := func(n int) {
 		t.Helper()
-		if q.Len() != n {
-			t.Fatalf("Len = %d, want %d", q.Len(), n)
+		if q.n != n {
+			t.Fatalf("Len = %d, want %d", q.n, n)
 		}
 	}
 	put(3) // the ring grows 1 → 2 → 4
@@ -183,8 +183,8 @@ func FuzzQueue(f *testing.F) {
 					q.Close()
 					closed = true
 				}
-				if q.Len() != len(model) {
-					t.Fatalf("cap %d op %d: Len = %d, model %d", capacity, i, q.Len(), len(model))
+				if q.n != len(model) {
+					t.Fatalf("cap %d op %d: Len = %d, model %d", capacity, i, q.n, len(model))
 				}
 			}
 			env.Close()

@@ -349,12 +349,3 @@ func (t *Timer) Cancel() bool {
 // minCompact is the cancelled-entry count below which compaction is not
 // worth the reshuffle (the run loop discards small residues for free).
 const minCompact = 32
-
-// When returns the virtual time the timer is scheduled to fire at, or 0 when
-// the timer is not pending (zero Timer, already fired, or cancelled).
-func (t *Timer) When() time.Duration {
-	if !t.pending() {
-		return 0
-	}
-	return t.ev.at
-}

@@ -270,7 +270,7 @@ func TestJoinPanickedProc(t *testing.T) {
 	if !errors.As(err, &pe) || pe.proc != "bad" || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("Run() = %v, want the panic of process bad", err)
 	}
-	if !bad.Done() {
+	if !bad.done {
 		t.Fatal("bad is not done after its panic")
 	}
 	if err := env.Run(); err != nil {

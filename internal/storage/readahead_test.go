@@ -252,8 +252,8 @@ func TestReadaheadDropCancelsInflight(t *testing.T) {
 		if !w.finished || f.env.Now() == start {
 			t.Errorf("overlapping read did not wait for the canceled window")
 		}
-		if f.cache.Len() != 0 {
-			t.Errorf("canceled window refilled the cache: %d chunks", f.cache.Len())
+		if len(f.cache.entries) != 0 {
+			t.Errorf("canceled window refilled the cache: %d chunks", len(f.cache.entries))
 		}
 
 		f.ra.Advance(raObj, raFileSize, 0, raChunk, f.issue)
@@ -331,9 +331,9 @@ func FuzzReadahead(f *testing.F) {
 				disk.ReadAsync(n, func() {
 					outstanding--
 					w := *cell
-					chunks := cache.Len()
+					chunks := len(cache.entries)
 					done()
-					if w.canceled && cache.Len() != chunks {
+					if w.canceled && len(cache.entries) != chunks {
 						t.Fatalf("obj %d: canceled window [%d,%d) inserted into the cache", obj, w.start, w.end)
 					}
 					if !w.canceled && !cache.Contains(obj, w.start, w.end-w.start) {

@@ -68,18 +68,12 @@ func NewDisk(env *sim.Env, name string, cfg DiskConfig) *Disk {
 	return &Disk{env: env, cfg: cfg.withDefaults(), name: name}
 }
 
-// Name returns the device name.
-func (d *Disk) Name() string { return d.name }
-
 // InjectFaults arms the device's faultpoints (disk.read.slow) from plan.
 // A nil plan disables injection.
 func (d *Disk) InjectFaults(plan *faults.Plan) { d.faults = plan }
 
 // Stats returns a copy of the activity counters.
 func (d *Disk) Stats() DiskStats { return d.stats }
-
-// ResetStats zeroes the activity counters.
-func (d *Disk) ResetStats() { d.stats = DiskStats{} }
 
 // ReadAsync submits a read of n bytes; onDone fires when the device
 // completes it (FIFO behind earlier requests).
@@ -192,20 +186,8 @@ func NewPageCache(name string, capacityBytes, chunkSize int64) *PageCache {
 	}
 }
 
-// Name returns the cache name.
-func (c *PageCache) Name() string { return c.name }
-
-// ChunkSize returns the cache granularity in bytes.
-func (c *PageCache) ChunkSize() int64 { return c.chunkSize }
-
-// Len returns the number of cached chunks.
-func (c *PageCache) Len() int { return len(c.entries) }
-
 // Stats returns a copy of the byte counters.
 func (c *PageCache) Stats() CacheStats { return c.stats }
-
-// ResetStats zeroes the byte counters.
-func (c *PageCache) ResetStats() { c.stats = CacheStats{} }
 
 // Lookup classifies the byte range [off, off+n) of object into cached and
 // uncached bytes, promoting hits in LRU order. It does not insert.

@@ -67,7 +67,7 @@ func TestDiskWrite(t *testing.T) {
 	if sp := tr.Spans; done == 0 || len(sp) != 1 || sp[0].Name != "write" || sp[0].Start != 0 || sp[0].End != done || sp[0].Bytes != 1_000_000 {
 		t.Fatalf("write done at %v, spans %+v; want one write span over [0, done]", done, sp)
 	}
-	d.ResetStats()
+	d.stats = DiskStats{}
 	if s := d.Stats(); s.Writes != 0 {
 		t.Fatalf("stats after reset = %+v", s)
 	}
@@ -115,8 +115,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.Contains(1, 64<<10, 64<<10) {
 		t.Fatal("LRU chunk 1 survived eviction")
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", c.Len())
+	if len(c.entries) != 4 {
+		t.Fatalf("Len = %d, want 4", len(c.entries))
 	}
 }
 
@@ -132,8 +132,8 @@ func TestCacheInvalidateObject(t *testing.T) {
 		t.Fatal("other object dropped by InvalidateObject")
 	}
 	c.DropAll()
-	if c.Len() != 0 {
-		t.Fatalf("Len after DropAll = %d", c.Len())
+	if len(c.entries) != 0 {
+		t.Fatalf("Len after DropAll = %d", len(c.entries))
 	}
 }
 
@@ -146,7 +146,7 @@ func TestCacheStatsAccumulate(t *testing.T) {
 	if s.MissBytes != 100 || s.HitBytes != 100 {
 		t.Fatalf("stats = %+v", s)
 	}
-	c.ResetStats()
+	c.stats = CacheStats{}
 	if s := c.Stats(); s.HitBytes != 0 || s.MissBytes != 0 {
 		t.Fatalf("stats after reset = %+v", s)
 	}
@@ -188,7 +188,7 @@ func TestCacheCapacityProperty(t *testing.T) {
 		c := NewPageCache("g", 8*64<<10, 0) // 8 chunks
 		for _, ins := range inserts {
 			c.Insert(int64(ins%4), int64(ins)*13, 64<<10)
-			if c.Len() > 8 {
+			if len(c.entries) > 8 {
 				return false
 			}
 		}

@@ -169,18 +169,6 @@ func (t *Trace) AddCycles(entity, tag string, n int64) {
 	t.Charges = append(t.Charges, CycleCharge{Entity: entity, Tag: tag, Cycles: n}) //lint:allow hotalloc(one bucket per distinct entity×tag pair, merged in place thereafter)
 }
 
-// TotalCycles sums all cycle charges on the trace.
-func (t *Trace) TotalCycles() int64 {
-	if t == nil {
-		return 0
-	}
-	var sum int64
-	for _, c := range t.Charges {
-		sum += c.Cycles
-	}
-	return sum
-}
-
 // Finish closes the request, recording its total bytes. Late asynchronous
 // charges (readahead completions) may still arrive after Finish; they are
 // accepted, since they were performed on the request's behalf.
@@ -273,26 +261,10 @@ func (tc *Tracer) Request(name string) *Trace {
 	return t
 }
 
-// Seen returns how many requests have passed the tracer (sampled or not).
-func (tc *Tracer) Seen() int64 {
-	if tc == nil {
-		return 0
-	}
-	return tc.seen
-}
-
 // Traces returns the collected traces in creation order.
 func (tc *Tracer) Traces() []*Trace {
 	if tc == nil {
 		return nil
 	}
 	return tc.col.Traces
-}
-
-// Collector returns the underlying collector.
-func (tc *Tracer) Collector() *Collector {
-	if tc == nil {
-		return nil
-	}
-	return tc.col
 }

@@ -96,8 +96,8 @@ func TestSRIOVCheaperThanVirtioForRemote(t *testing.T) {
 		if err := fx.env.RunUntil(time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return fx.reg.EntityCycles("vmA") + fx.reg.EntityCycles("vmC") +
-			fx.reg.EntityCycles("host1") + fx.reg.EntityCycles("host2")
+		return fx.reg.WindowEntityCycles("vmA") + fx.reg.WindowEntityCycles("vmC") +
+			fx.reg.WindowEntityCycles("host1") + fx.reg.WindowEntityCycles("host2")
 	}
 	virtio := measure(false)
 	sriov := measure(true)
