@@ -1,9 +1,10 @@
 // Package guesttaint machine-checks the simulator's trust boundary: the
-// guest↔daemon shared-memory ring. Every queue field annotated
+// guest↔daemon shared-memory ring. Every field annotated
 //
 //	//lint:source guesttaint(reason)
 //
-// holds guest-written descriptors; values popped off it are hostile until
+// holds guest-written descriptors; values popped off such a queue, or read
+// from such a field of another type (a captured set), are hostile until
 // they pass a function annotated
 //
 //	//lint:sanitizer guesttaint(reason)
@@ -41,7 +42,7 @@ const simPath = "vread/internal/sim"
 
 // popMethods are the sim.Queue methods that hand a guest-written element to
 // host-side code.
-var popMethods = map[string]bool{"Get": true, "TryGet": true, "GetTimeout": true}
+var popMethods = map[string]bool{"Get": true, "TryGet": true}
 
 func run(pass *analysis.Pass) error {
 	prog := pass.Prog
@@ -51,18 +52,20 @@ func run(pass *analysis.Pass) error {
 
 	analysis.RunDataflow(prog, pass.Graph, analysis.DataflowSpec{
 		SourceFacts: func(pkg *analysis.Package, e ast.Expr) []analysis.Fact {
-			call, ok := e.(*ast.CallExpr)
-			if !ok {
-				return nil
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				// A read of an annotated field holding descriptors; a queue
+				// field's descriptors are hostile at the pop instead.
+				if v, ok := pkg.TypesInfo.Uses[x.Sel].(*types.Var); ok && sources[v] != "" && !isQueue(v.Type()) {
+					return []analysis.Fact{{Label: "guest", Pos: x.Pos()}}
+				}
+			case *ast.CallExpr:
+				recvPath, recvType, name, sel, ok := analysis.CallMethod(pkg.TypesInfo, x)
+				if ok && recvPath == simPath && recvType == "Queue" && popMethods[name] && refsSourceField(pkg, sel.X, sources) {
+					return []analysis.Fact{{Label: "guest", Pos: x.Pos()}}
+				}
 			}
-			recvPath, recvType, name, sel, ok := analysis.CallMethod(pkg.TypesInfo, call)
-			if !ok || recvPath != simPath || recvType != "Queue" || !popMethods[name] {
-				return nil
-			}
-			if !refsSourceField(pkg, sel.X, sources) {
-				return nil
-			}
-			return []analysis.Fact{{Label: "guest", Pos: call.Pos()}}
+			return nil
 		},
 		IsSanitizer: func(fn *types.Func) bool {
 			_, ok := sanitizers[fn.Origin()]
@@ -88,7 +91,7 @@ func run(pass *analysis.Pass) error {
 				return
 			}
 			src := prog.Fset.Position(f.Pos)
-			msg := fmt.Sprintf("guest-controlled value (ring pop at %s:%d) reaches %s %s without a declared sanitizer; validate it through a //lint:sanitizer guesttaint function",
+			msg := fmt.Sprintf("guest-controlled value (read from the ring at %s:%d) reaches %s %s without a declared sanitizer; validate it through a //lint:sanitizer guesttaint function",
 				filepath.Base(src.Filename), src.Line, hit.Kind, hit.Detail)
 			if len(hit.Chain) > 0 {
 				msg += "; call chain: " + fn.Name + " → " + strings.Join(hit.Chain, " → ")
@@ -97,6 +100,16 @@ func run(pass *analysis.Pass) error {
 		},
 	})
 	return nil
+}
+
+// isQueue reports whether t is a *sim.Queue.
+func isQueue(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == simPath && named.Obj().Name() == "Queue"
 }
 
 // refsSourceField reports whether the receiver expression reads through an
@@ -201,7 +214,7 @@ func callSinks(pkg *analysis.Package, call *ast.CallExpr) []analysis.Sink {
 	switch recvType + "." + name {
 	case "Env.Schedule", "Env.RunFor", "Env.RunUntil", "Proc.Sleep":
 		return sink(0)
-	case "Queue.GetTimeout", "Signal.WaitTimeout":
+	case "Queue.GetTimeoutThen":
 		return sink(1)
 	}
 	return nil

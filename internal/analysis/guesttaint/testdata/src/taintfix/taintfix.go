@@ -1,5 +1,6 @@
 // Package taintfix exercises the guest-taint boundary: values popped off an
-// annotated ring queue are hostile until a declared sanitizer accepts them,
+// annotated ring queue, or read from an annotated capture area, are hostile
+// until a declared sanitizer accepts them,
 // and must not reach index, copy-length, map-key, or schedule-delay sinks,
 // nor be stored into host state for a later event.
 package taintfix
@@ -167,4 +168,27 @@ func (d *dev) storedClean() {
 	}
 	d.cur = r
 	d.keep(r)
+}
+
+// replayed serves a captured descriptor straight from the guest-side
+// capture area: reading an annotated field is a source, like a pop.
+func (d *dev) replayed() {
+	if len(d.held) == 0 {
+		return
+	}
+	r := d.held[0]
+	d.held = d.held[1:]
+	d.cur = r // want `field store d\.cur without a declared sanitizer`
+}
+
+// replayedClean sanitizes the captured descriptor first: no findings.
+func (d *dev) replayedClean() {
+	if len(d.held) == 0 {
+		return
+	}
+	r, ok := d.sanitize(d.held[0])
+	d.held = d.held[1:]
+	if ok {
+		d.cur = r
+	}
 }

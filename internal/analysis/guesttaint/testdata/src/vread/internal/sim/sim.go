@@ -32,14 +32,11 @@ func (q *Queue[T]) Get(p *Proc) (T, bool) { return q.zero, false }
 // TryGet pops without blocking.
 func (q *Queue[T]) TryGet() (T, bool) { return q.zero, false }
 
-// GetTimeout pops with a deadline.
-func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) { return q.zero, false }
+// GetTimeoutThen runs fn once an element is queued or d has elapsed.
+func (q *Queue[T]) GetTimeoutThen(w *TimedWait, d time.Duration, fn func()) {}
 
 // Put pushes one element.
 func (q *Queue[T]) Put(p *Proc, v T) {}
 
-// Signal is the condition-variable stub.
-type Signal struct{}
-
-// WaitTimeout waits with a deadline.
-func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool { return false }
+// TimedWait is the timed-wait state stub.
+type TimedWait struct{}

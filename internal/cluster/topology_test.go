@@ -143,7 +143,8 @@ func TestInjectFaultsArmsLaterHosts(t *testing.T) {
 	h := c.AddHost("late")
 	var done time.Duration
 	c.Go("read", func(p *sim.Proc) {
-		h.Disk.ReadT(p, nil, 0)
+		h.Disk.ReadAsync(0, p.Arm())
+		p.Await()
 		done = c.Env.Now()
 	})
 	if err := c.Env.Run(); err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"vread/internal/cluster"
 	"vread/internal/cpusched"
 	"vread/internal/data"
@@ -31,7 +33,9 @@ type DaemonStats struct {
 
 // Daemon is the per-VM hypervisor daemon (§3.2): it owns the shared-memory
 // ring of one client VM and serves its vRead requests from mounted datanode
-// images (local) or peer daemons (remote).
+// images (local) or peer daemons (remote). It runs as a chain of event
+// handlers that fires the events a serve-loop Proc would: one descriptor
+// in service at a time, with its progress in the fields below.
 type Daemon struct {
 	cfg    Config
 	mgr    *Manager
@@ -40,6 +44,7 @@ type Daemon struct {
 	thread *cpusched.Thread
 	ring   *ring
 	hr     *hostReader
+	out    frameOut
 	stats  DaemonStats
 	// faults is the plan evaluated at this daemon's (and its guest's)
 	// faultpoints — the manager-wide plan unless InjectGuestFaults armed a
@@ -50,6 +55,37 @@ type Daemon struct {
 	// in-service request drain before the blackout starts.
 	busy bool
 	idle sim.Signal
+
+	// st runs the serve chain. req is the sanitized descriptor in service
+	// and verdict sanitizeReq's ruling on it; then is where a slot fill, a
+	// doorbell or an open reply continues.
+	st      cpusched.Steps[*Daemon]
+	req     ringReq
+	verdict reqVerdict
+	then    func(*Daemon)
+	res     openResult
+	// A read in progress: its span, the mounted file of a local read, the
+	// cursor, the batch or window in flight and the bytes of it delivered,
+	// and a remote read's peer host and retries.
+	sp             int
+	f              mountedFile
+	off, want, got int64
+	dnHost         string
+	retries        int
+	// A slot fill in progress: the data and how much of it is pushed, the
+	// slot tokens still to take, the item being put, and the code of an
+	// error slot (slotOK for data).
+	fill          data.Slice
+	filled, slots int64
+	last          bool
+	code          slotCode
+	item          ringSlot
+	hold          time.Duration
+	// chunks receives the replies to the daemon's one outstanding remote
+	// request, reqID; tw is the timed wait on it.
+	chunks *sim.Queue[chunkMsg]
+	tw     sim.TimedWait
+	reqID  int64
 }
 
 func newDaemon(mgr *Manager, vm *cluster.VM) *Daemon {
@@ -63,8 +99,11 @@ func newDaemon(mgr *Manager, vm *cluster.VM) *Daemon {
 		ring:   newRing(mgr.env, mgr.cfg, vm.Name),
 		hr:     newHostReader(mgr.ensureServer(vm.Host), thread),
 		faults: mgr.cfg.Faults,
+		chunks: sim.NewQueue[chunkMsg](mgr.env, 0),
 	}
-	mgr.env.Go("vread-daemon:"+vm.Name, d.loop)
+	d.out.bind(mgr, vm.Host.Name, thread)
+	d.st.Bind(mgr.env, d)
+	mgr.env.Schedule(0, d.st.Direct((*Daemon).pop))
 	return d
 }
 
@@ -81,7 +120,7 @@ func emit(tr *trace.Trace, counter *int64, name string, n int64) {
 // hostReader is the shared "read a mounted image through the host FS"
 // machinery used by both local daemons and the per-host remote server:
 // host page cache, disk misses, loop-device CPU, and the host file system's
-// sequential readahead.
+// sequential readahead. It reads one chunk at a time, as event handlers.
 type hostReader struct {
 	cfg    Config
 	cl     *cluster.Cluster
@@ -89,15 +128,35 @@ type hostReader struct {
 	mounts map[string]*fsim.HostMount // the host's mount map, owned by its server
 	thread *cpusched.Thread
 	ra     *storage.Readahead
+	st     cpusched.Steps[*hostReader]
+	issue  func(n int64, done func()) bool // h.readahead, bound once
+	// The chunk read in progress: its trace, span, fault plan and fault
+	// layer, the file and range, the bytes the host cache missed, and where
+	// it continues.
+	tr           *trace.Trace
+	sp           int
+	plan         *faults.Plan
+	layer        trace.Layer
+	f            mountedFile
+	off, n, miss int64
+	done         func()
+	// The chunk once done runs: its bytes, or its first half with torn
+	// set, or err.
+	s    data.Slice
+	torn bool
+	err  error
 }
 
 // newHostReader returns a reader over srv's host and mount map that charges
 // its work to thread.
 func newHostReader(srv *hostServer, thread *cpusched.Thread) *hostReader {
-	return &hostReader{
+	h := &hostReader{
 		cfg: srv.mgr.cfg, cl: srv.mgr.cl, host: srv.host, mounts: srv.mounts, thread: thread,
 		ra: storage.NewReadahead(srv.host.CPU.Env(), srv.host.Cache, hostReadaheadBytes, 0),
 	}
+	h.st.Bind(srv.mgr.env, h)
+	h.issue = h.readahead
+	return h
 }
 
 // mountedFile is a block file resolved through the host's mount: the path's
@@ -125,138 +184,202 @@ func (h *hostReader) lookup(dn, path string) (mountedFile, bool) {
 	return mountedFile{mnt: mnt, path: path, size: e.Size, obj: h.cl.VM(dn).HostCacheObject(e.Node.Ino())}, true
 }
 
-// readChunk reads [off, off+n) of f: the host-side cost (read), the bytes
-// from the mount, then plan's disk.read.error and disk.read.torn
-// faultpoints, each firing marked on tr at layer. An error fails the chunk;
-// a torn read returns only the chunk's first half, with torn set.
-func (h *hostReader) readChunk(p *sim.Proc, tr *trace.Trace, plan *faults.Plan, layer trace.Layer, f mountedFile, off, n int64) (s data.Slice, torn bool, err error) {
-	h.read(p, tr, f.obj, f.size, off, n)
-	s, err = f.mnt.ReadAt(f.path, off, n)
-	if err == nil && plan.Should(faults.DiskReadError) {
-		tr.Event(layer, "fault:disk-error", 0)
-		err = fsim.ErrStale
-	}
-	if err != nil {
-		return data.Slice{}, false, err
-	}
-	if n > 1 && plan.Should(faults.DiskReadTorn) {
-		tr.Event(layer, "fault:disk-torn", 0)
-		return s.Sub(0, n/2), true, nil
-	}
-	return s, false, nil
+// readChunk reads [off, off+n) of f: the host-side cost, the bytes from the
+// mount, then plan's disk.read.error and disk.read.torn faultpoints, each
+// firing marked on tr at layer. done runs with the chunk in h.s, h.torn and
+// h.err: an error fails the chunk, and a torn read holds only its first
+// half.
+func (h *hostReader) readChunk(tr *trace.Trace, plan *faults.Plan, layer trace.Layer, f mountedFile, off, n int64, done func()) {
+	h.tr, h.plan, h.layer, h.f, h.off, h.n, h.done = tr, plan, layer, f, off, n, done
+	h.read(tr.Begin(trace.LayerHostFS, "host-read"))
 }
 
-// read charges the full host-side cost of reading [off, off+n) of the
-// mounted file cached as obj, with snapshot size fileSize.
-func (h *hostReader) read(p *sim.Proc, tr *trace.Trace, obj, fileSize, off, n int64) {
-	sp := tr.Begin(trace.LayerHostFS, "host-read")
+// read charges the chunk's host-side cost under span sp, first the host
+// page cache or, with DirectDiskBypass, the raw device.
+func (h *hostReader) read(sp int) {
+	h.sp = sp
 	if h.cfg.DirectDiskBypass {
 		// §6: raw device read — no host cache, triple address translation.
-		h.thread.RunT(p, addrTranslateCycles, metrics.TagOthers, tr)
-		h.thread.RunT(p, diskSubmitCycles, metrics.TagDiskRead, tr)
-		h.host.Disk.ReadT(p, tr, n)
-	} else {
-		_, miss := h.host.Cache.Lookup(obj, off, n)
-		if miss > 0 {
-			h.ra.Wait(p, obj, off, n)
-			if _, miss = h.host.Cache.Lookup(obj, off, n); miss > 0 {
-				tr.Event(trace.LayerHostFS, "host-cache-miss", miss)
-				h.thread.RunT(p, diskSubmitCycles, metrics.TagDiskRead, tr)
-				h.host.Disk.ReadT(p, tr, miss)
-				h.host.Cache.Insert(obj, off, n)
-			} else {
-				tr.Event(trace.LayerHostFS, "host-cache-hit", n)
-			}
-		} else {
-			tr.Event(trace.LayerHostFS, "host-cache-hit", n)
-		}
-		// The readahead's submit and disk time charge to the triggering
-		// request's trace: the I/O runs on its behalf even though it
-		// completes asynchronously.
-		h.ra.Advance(obj, fileSize, off, n, func(n int64, done func()) bool {
-			h.thread.PostT(diskSubmitCycles, metrics.TagDiskRead, tr, nil)
-			h.host.Disk.ReadAsyncT(tr, n, done)
-			return true
-		})
+		h.miss = h.n
+		h.st.Charge(h.thread, addrTranslateCycles, metrics.TagOthers, h.tr, (*hostReader).submit)
+		return
 	}
-	h.thread.RunT(p, loopReadCycles(n), metrics.TagLoopDevice, tr)
-	tr.EndSpan(sp, n)
+	if _, miss := h.host.Cache.Lookup(h.f.obj, h.off, h.n); miss > 0 {
+		h.waitReadahead()
+		return
+	}
+	h.tr.Event(trace.LayerHostFS, "host-cache-hit", h.n)
+	h.advance()
+}
+
+// waitReadahead waits out every in-flight readahead window overlapping the
+// chunk, then reads what the cache still misses from the disk.
+func (h *hostReader) waitReadahead() {
+	if s := h.ra.Pending(h.f.obj, h.off, h.n); s != nil {
+		s.Notify(h.host.CPU.Env(), h.st.Direct((*hostReader).waitReadahead))
+		return
+	}
+	if _, h.miss = h.host.Cache.Lookup(h.f.obj, h.off, h.n); h.miss == 0 {
+		h.tr.Event(trace.LayerHostFS, "host-cache-hit", h.n)
+		h.advance()
+		return
+	}
+	h.tr.Event(trace.LayerHostFS, "host-cache-miss", h.miss)
+	h.submit()
+}
+
+func (h *hostReader) submit() {
+	h.st.Charge(h.thread, diskSubmitCycles, metrics.TagDiskRead, h.tr, (*hostReader).readDisk)
+}
+
+func (h *hostReader) readDisk() {
+	h.host.Disk.ReadAsyncT(h.tr, h.miss, h.st.Then((*hostReader).diskDone))
+}
+
+func (h *hostReader) diskDone() {
+	if h.cfg.DirectDiskBypass {
+		h.copyOut()
+		return
+	}
+	h.host.Cache.Insert(h.f.obj, h.off, h.n)
+	h.advance()
+}
+
+func (h *hostReader) advance() {
+	h.ra.Advance(h.f.obj, h.f.size, h.off, h.n, h.issue)
+	h.copyOut()
+}
+
+// readahead submits one readahead window. Its submit and disk time charge
+// to the triggering request's trace: the I/O runs on its behalf even though
+// it completes asynchronously.
+func (h *hostReader) readahead(n int64, done func()) bool {
+	h.thread.PostT(diskSubmitCycles, metrics.TagDiskRead, h.tr, nil)
+	h.host.Disk.ReadAsyncT(h.tr, n, done)
+	return true
+}
+
+func (h *hostReader) copyOut() {
+	h.st.Charge(h.thread, loopReadCycles(h.n), metrics.TagLoopDevice, h.tr, (*hostReader).finish)
+}
+
+// finish ends the span, reads the chunk's bytes from the mount and
+// evaluates the faultpoints.
+func (h *hostReader) finish() {
+	tr := h.tr
+	tr.EndSpan(h.sp, h.n)
+	h.s, h.torn = data.Slice{}, false
+	s, err := h.f.mnt.ReadAt(h.f.path, h.off, h.n)
+	if err == nil && h.plan.Should(faults.DiskReadError) {
+		tr.Event(h.layer, "fault:disk-error", 0)
+		err = fsim.ErrStale
+	}
+	switch h.err = err; {
+	case err != nil:
+	case h.n > 1 && h.plan.Should(faults.DiskReadTorn):
+		tr.Event(h.layer, "fault:disk-torn", 0)
+		h.s, h.torn = s.Sub(0, h.n/2), true
+	default:
+		h.s = s
+	}
+	done := h.done
+	h.tr, h.plan, h.done = nil, nil, nil
+	done()
 }
 
 // Stats returns a copy of the daemon's counters.
 func (d *Daemon) Stats() DaemonStats { return d.stats }
 
-// loop services ring requests, one at a time (the ring serializes). The
-// state machine sits here: a resume kick replays the pending set, a quiesced
-// ring captures instead of serving, and everything else goes through serve.
-func (d *Daemon) loop(p *sim.Proc) {
+// pop heads the serve loop: it takes descriptors off the ring until one
+// starts a service. The state machine sits here: a resume kick replays the
+// pending set, a quiesced ring captures instead of serving, and everything
+// else is sanitized and served.
+func (d *Daemon) pop() {
+	r := d.ring
 	for {
-		req, ok := d.ring.reqs.Get(p)
+		req, ok := r.reqs.TryGet()
 		if !ok {
+			r.reqs.Notify(d.st.Direct((*Daemon).pop))
 			return
 		}
 		if req.kind == reqResume {
 			// Only the restore path knows the freshly rotated key; a guest
 			// forging the kind fails this guard and is dropped like a
 			// corrupt doorbell write.
-			if req.key == d.ring.key && d.ring.state == ringAttached {
-				d.replayPending(p)
+			if req.key == r.key && r.state == ringAttached {
+				r.replay, r.pending = r.pending, nil
+				d.busy = true
+				d.served()
+				return
 			}
 			continue
 		}
-		if d.ring.state == ringQuiesced {
-			d.ring.pending = append(d.ring.pending, req)
+		if r.state == ringQuiesced {
+			r.pending = append(r.pending, req)
 			emit(req.tr, &d.stats.QuiesceHolds, "ring-quiesce-hold", 1)
 			continue
 		}
 		d.busy = true
-		d.serve(p, req)
-		d.busy = false
-		d.idle.Broadcast()
+		d.req, d.verdict = d.sanitizeReq(req)
+		d.serve()
+		return
 	}
 }
 
-// replayPending serves the descriptors captured across a quiesce, in arrival
-// order, re-stamped with the rotated key (the restore re-admits them — the
-// old key is dead). A re-quiesce mid-replay re-captures the remainder.
-func (d *Daemon) replayPending(p *sim.Proc) {
-	pend := d.ring.pending
-	d.ring.pending = nil
-	d.busy = true
-	for i, pr := range pend {
-		if d.ring.state != ringAttached {
-			d.ring.pending = append(d.ring.pending, pend[i:]...)
-			break
+// served ends one descriptor's service. A replay then serves the next
+// captured descriptor, in arrival order, re-stamped with the rotated key
+// (the restore re-admits them — the old key is dead); a re-quiesce
+// mid-replay re-captures the remainder. Otherwise the daemon goes idle and
+// pops again.
+func (d *Daemon) served() {
+	if r := d.ring; len(r.replay) > 0 {
+		if r.state == ringAttached {
+			pr := r.replay[0]
+			r.replay = r.replay[1:]
+			pr.key = r.key
+			emit(pr.tr, &d.stats.Replayed, "ring-replay", 1)
+			d.req, d.verdict = d.sanitizeReq(pr)
+			d.serve()
+			return
 		}
-		pr.key = d.ring.key
-		emit(pr.tr, &d.stats.Replayed, "ring-replay", 1)
-		d.serve(p, pr)
+		r.pending = append(r.pending, r.replay...)
+		r.replay = nil
 	}
 	d.busy = false
 	d.idle.Broadcast()
+	d.pop()
 }
 
-// serve handles one descriptor: sanitize, evaluate the crash fault, then
-// dispatch.
-func (d *Daemon) serve(p *sim.Proc, req ringReq) {
-	req, verdict := d.sanitizeReq(req)
-	// Wake from the guest's doorbell.
-	d.thread.RunT(p, eventFdCycles, metrics.TagOthers, req.tr)
-	if verdict != reqAccept {
-		d.rejectReq(p, req, verdict)
+// serve wakes on the guest's doorbell, then rejects d.req, crashes under
+// it, or dispatches it.
+func (d *Daemon) serve() {
+	d.st.Charge(d.thread, eventFdCycles, metrics.TagOthers, d.req.tr, (*Daemon).dispatch)
+}
+
+func (d *Daemon) dispatch() {
+	if d.verdict != reqAccept {
+		d.rejectReq()
 		return
 	}
 	d.ring.badStreak = 0
 	if d.faults.Should(faults.DaemonCrash) {
-		d.crashRestart(p, req)
+		d.crashRestart()
 		return
 	}
-	switch req.kind {
+	switch d.req.kind {
 	case reqOpen:
-		d.handleOpen(p, req)
+		d.handleOpen(d.req.tr.Begin(trace.LayerDaemon, "open"))
 	case reqRead:
-		d.handleRead(p, req)
+		d.handleRead()
 	}
+}
+
+// resume continues with the step a slot fill, doorbell or reply was
+// handed.
+func (d *Daemon) resume() {
+	next := d.then
+	d.then = nil
+	next(d)
 }
 
 // maxRingNameBytes bounds the dn and path strings one descriptor may carry,
@@ -316,10 +439,11 @@ func (d *Daemon) sanitizeReq(req ringReq) (ringReq, reqVerdict) {
 // gets an error slot — except an open-like descriptor with no reply channel,
 // which is dropped like a corrupt doorbell write (nothing is waiting on it;
 // an error slot would poison the next real read's stream).
-func (d *Daemon) rejectReq(p *sim.Proc, req ringReq, verdict reqVerdict) {
+func (d *Daemon) rejectReq() {
+	req := d.req
 	emit(req.tr, &d.stats.RingRejects, "ring-reject", 1)
 	code := slotFailed
-	switch verdict {
+	switch d.verdict {
 	case reqStaleKey:
 		code = slotBadKey
 		emit(req.tr, &d.stats.StaleKeys, "ring-stale-key", 1)
@@ -340,11 +464,12 @@ func (d *Daemon) rejectReq(p *sim.Proc, req ringReq, verdict reqVerdict) {
 	}
 	switch {
 	case req.reply != nil:
-		req.reply.Put(p, openResult{})
+		d.putReply(openResult{}, (*Daemon).served)
 	case req.kind == reqOpen:
 		// Junk no-reply open: dropped; no reader is blocked on it.
+		d.served()
 	default:
-		d.pushErrorCode(p, req.tr, code)
+		d.pushErrorCode(code, (*Daemon).served)
 	}
 }
 
@@ -353,99 +478,154 @@ func (d *Daemon) rejectReq(p *sim.Proc, req ringReq, verdict reqVerdict) {
 // falls back), the host's cached mount metadata is lost — every mount stale
 // until vRead_update or a resync — and the ring goes quiet for the restart
 // delay.
-func (d *Daemon) crashRestart(p *sim.Proc, req ringReq) {
-	emit(req.tr, &d.stats.Crashes, "crash", 1)
-	req.tr.Event(trace.LayerDaemon, "fault:daemon-crash", 0)
+func (d *Daemon) crashRestart() {
+	emit(d.req.tr, &d.stats.Crashes, "crash", 1)
+	d.req.tr.Event(trace.LayerDaemon, "fault:daemon-crash", 0)
 	d.mgr.invalidateMounts(d.host.Name)
-	switch req.kind {
-	case reqOpen:
-		req.reply.Put(p, openResult{})
-	case reqRead:
-		d.pushError(p, req.tr)
+	if d.req.kind == reqOpen {
+		d.putReply(openResult{}, (*Daemon).restart)
+		return
 	}
-	p.Sleep(daemonRestartDelay)
+	d.pushErrorCode(slotFailed, (*Daemon).restart)
 }
+
+func (d *Daemon) restart() { d.mgr.env.Schedule(daemonRestartDelay, d.st.Direct((*Daemon).served)) }
 
 // InjectFaults arms a plan on this daemon's faultpoints (per-VM targeting;
 // the manager-wide plan is the default).
 func (d *Daemon) InjectFaults(plan *faults.Plan) { d.faults = plan }
 
 // handleOpen resolves a block file against the mount hash (local) or a peer
-// daemon (remote) and replies through the ring.
-func (d *Daemon) handleOpen(p *sim.Proc, req ringReq) {
-	sp := req.tr.Begin(trace.LayerDaemon, "open")
-	d.thread.RunT(p, openCycles, metrics.TagOthers, req.tr)
+// daemon (remote) under span sp and replies through the ring.
+func (d *Daemon) handleOpen(sp int) {
+	d.sp = sp
+	d.st.Charge(d.thread, openCycles, metrics.TagOthers, d.req.tr, (*Daemon).resolve)
+}
+
+func (d *Daemon) resolve() {
+	req := d.req
 	emit(req.tr, &d.stats.Opens, "open", 1)
-	res := openResult{}
 	dnHost, known := d.mgr.fabric().HostOf(req.dn)
 	switch {
 	case !known:
 		// Unknown datanode: fall back.
+		d.opened(openResult{})
 	case dnHost == d.host.Name:
-		if f, ok := d.hr.lookup(req.dn, req.path); ok {
-			res = openResult{ok: true, size: f.size}
-		}
+		f, ok := d.hr.lookup(req.dn, req.path)
+		d.opened(openResult{ok: ok, size: f.size})
 	default:
-		res = d.mgr.remoteOpen(p, d, dnHost, req)
+		d.dnHost = dnHost
+		d.remoteRequest(remoteReq{dn: req.dn, path: req.path, open: true, tr: req.tr}, (*Daemon).awaitOpen)
 	}
+}
+
+func (d *Daemon) awaitOpen() {
+	d.chunks.GetTimeoutThen(&d.tw, openTimeout, d.st.Direct((*Daemon).openReplied))
+}
+
+// openReplied takes the peer's open reply. No reply at all makes the
+// transport suspect, so subsequent reads to that host start on the TCP
+// fallback.
+func (d *Daemon) openReplied() {
+	msg, ok := d.chunks.TryGet()
+	d.finishRemote()
+	if !ok {
+		d.mgr.noteRemoteFailureT(d.req.tr, d.host.Name, d.dnHost)
+	}
+	if msg.err {
+		msg = chunkMsg{}
+	}
+	d.opened(openResult{ok: msg.openOK, size: msg.size})
+}
+
+func (d *Daemon) opened(res openResult) {
 	if !res.ok {
-		emit(req.tr, &d.stats.OpenMisses, "open-miss", 1)
+		emit(d.req.tr, &d.stats.OpenMisses, "open-miss", 1)
 	}
-	req.tr.EndSpan(sp, 0)
-	req.reply.Put(p, res)
+	d.req.tr.EndSpan(d.sp, 0)
+	d.putReply(res, (*Daemon).served)
+}
+
+// putReply answers an open through its reply queue, then continues with
+// then.
+func (d *Daemon) putReply(res openResult, then func(*Daemon)) {
+	d.res, d.then = res, then
+	d.reply()
+}
+
+func (d *Daemon) reply() {
+	if !d.req.reply.TryPut(d.res) {
+		d.req.reply.NotifyNotFull(d.st.Direct((*Daemon).reply))
+		return
+	}
+	d.resume()
 }
 
 // handleRead serves one read request into the ring.
-func (d *Daemon) handleRead(p *sim.Proc, req ringReq) {
-	dnHost, known := d.mgr.fabric().HostOf(req.dn)
-	if !known {
-		d.pushError(p, req.tr)
-		return
+func (d *Daemon) handleRead() {
+	dnHost, known := d.mgr.fabric().HostOf(d.req.dn)
+	switch {
+	case !known:
+		d.pushError()
+	case dnHost == d.host.Name:
+		d.readLocal()
+	default:
+		d.readRemote(dnHost)
 	}
-	if dnHost == d.host.Name {
-		d.readLocal(p, req)
-		return
-	}
-	d.readRemote(p, dnHost, req)
 }
 
+// start opens a read's progress at the descriptor's offset, under span sp.
+func (d *Daemon) start(sp int) { d.sp, d.off, d.retries = sp, d.req.off, 0 }
+
 // readLocal reads from the loop-mounted image through the host page cache
-// (or the raw device with DirectDiskBypass) and fills ring slots.
-func (d *Daemon) readLocal(p *sim.Proc, req ringReq) {
-	f, ok := d.hr.lookup(req.dn, req.path)
+// (or the raw device with DirectDiskBypass) and fills ring slots, one
+// doorbell batch at a time.
+func (d *Daemon) readLocal() {
+	f, ok := d.hr.lookup(d.req.dn, d.req.path)
 	if !ok {
-		d.pushError(p, req.tr)
+		d.pushError()
 		return
 	}
-	sp := req.tr.Begin(trace.LayerDaemon, "read-local")
-	batch := int64(d.cfg.EventBatchSlots) * d.cfg.SlotBytes
-	for off := req.off; off < req.off+req.n; {
-		want := req.off + req.n - off
-		if want > batch {
-			want = batch
-		}
-		s, torn, err := d.hr.readChunk(p, req.tr, d.faults, trace.LayerDaemon, f, off, want)
-		if err != nil {
-			req.tr.EndSpan(sp, off-req.off)
-			d.pushError(p, req.tr)
-			return
-		}
-		if torn {
-			// Torn read: a prefix lands in the ring, then the stream ends.
-			// libvread's byte-count check turns it into ErrShortRead and
-			// retries — never silent truncation.
-			d.fillSlots(p, req.tr, s, true)
-			d.doorbell(p, req.tr)
-			req.tr.EndSpan(sp, off-req.off+s.Len())
-			return
-		}
-		last := off+want == req.off+req.n
-		d.fillSlots(p, req.tr, s, last)
-		d.doorbell(p, req.tr)
-		d.stats.BytesLocal += want
-		off += want
+	d.f = f
+	d.start(d.req.tr.Begin(trace.LayerDaemon, "read-local"))
+	d.readBatch()
+}
+
+func (d *Daemon) readBatch() {
+	req := d.req
+	if d.off >= req.off+req.n {
+		req.tr.EndSpan(d.sp, req.n)
+		d.served()
+		return
 	}
-	req.tr.EndSpan(sp, req.n)
+	d.want = min(req.off+req.n-d.off, int64(d.cfg.EventBatchSlots)*d.cfg.SlotBytes)
+	d.hr.readChunk(req.tr, d.faults, trace.LayerDaemon, d.f, d.off, d.want, d.st.Direct((*Daemon).batchRead))
+}
+
+func (d *Daemon) batchRead() {
+	req, h := d.req, d.hr
+	if h.err != nil {
+		req.tr.EndSpan(d.sp, d.off-req.off)
+		d.pushError()
+		return
+	}
+	// Torn read: a prefix lands in the ring, then the stream ends.
+	// libvread's byte-count check turns it into ErrShortRead and retries —
+	// never silent truncation.
+	d.fillSlots(h.s, h.torn || d.off+d.want == req.off+req.n, (*Daemon).batchFilled)
+}
+
+func (d *Daemon) batchFilled() { d.doorbell((*Daemon).batchSignalled) }
+
+func (d *Daemon) batchSignalled() {
+	if h := d.hr; h.torn {
+		d.req.tr.EndSpan(d.sp, d.off-d.req.off+h.s.Len())
+		d.served()
+		return
+	}
+	d.stats.BytesLocal += d.want
+	d.off += d.want
+	d.readBatch()
 }
 
 // readRemote pulls windows of the range from the peer daemon and relays the
@@ -455,115 +635,186 @@ func (d *Daemon) readLocal(p *sim.Proc, req ringReq) {
 //
 // Degradation: each chunk wait is bounded by remoteReadTimeout and verified
 // contiguous via its offset. A timeout, error chunk, or gap retires the
-// window (finishRemote on every path — a dropped final chunk can never leave
-// a blocked queue reader behind), notes the transport failure (RDMA pairs
-// downgrade to TCP), and re-requests the remainder from the end of the
-// delivered prefix — slots already in the ring are never re-sent, so the
-// guest stream stays exact. maxReadRetries exhausted → error slot → the
-// guest falls back.
-func (d *Daemon) readRemote(p *sim.Proc, dnHost string, req ringReq) {
-	sp := req.tr.Begin(trace.LayerDaemon, "read-remote")
-	req.tr.Annotate(sp, "peer", dnHost)
-	retries := 0
-	for off := req.off; off < req.off+req.n; {
-		win := req.off + req.n - off
-		if win > d.cfg.RemoteWindowBytes {
-			win = d.cfg.RemoteWindowBytes
-		}
-		id, chunks := d.mgr.remoteRequest(p, d, dnHost, remoteReq{dn: req.dn, path: req.path, off: off, n: win, tr: req.tr})
-		var got int64
-		failed := false
-		for got < win {
-			msg, ok := chunks.GetTimeout(p, remoteReadTimeout)
-			if !ok || msg.err || msg.off != off+got {
-				failed = true
-				break
-			}
-			last := off+got+msg.payload.Len() == req.off+req.n
-			d.fillSlots(p, req.tr, msg.payload, last)
-			got += msg.payload.Len()
-			d.stats.BytesRemote += msg.payload.Len()
-		}
-		d.mgr.finishRemote(id)
-		if failed {
-			d.mgr.noteRemoteFailureT(req.tr, d.host.Name, dnHost)
-			retries++
-			if retries > maxReadRetries {
-				req.tr.EndSpan(sp, off+got-req.off)
-				d.pushError(p, req.tr)
-				return
-			}
-			emit(req.tr, &d.stats.RemoteRetries, "remote-retry", 1)
-			off += got // keep the delivered contiguous prefix
-			continue
-		}
-		d.doorbell(p, req.tr)
-		off += win
-	}
-	req.tr.EndSpan(sp, req.n)
+// window (finishRemote on every path, so a late chunk is dropped), notes
+// the transport failure (RDMA pairs downgrade to TCP), and re-requests the
+// remainder from the end of the delivered prefix — slots already in the
+// ring are never re-sent, so the guest stream stays exact. maxReadRetries
+// exhausted → error slot → the guest falls back.
+func (d *Daemon) readRemote(dnHost string) {
+	d.dnHost = dnHost
+	sp := d.req.tr.Begin(trace.LayerDaemon, "read-remote")
+	d.req.tr.Annotate(sp, "peer", dnHost)
+	d.start(sp)
+	d.requestWindow()
 }
 
-// fillSlots splits a slice across ring slots, paying the per-slot lock cost
-// as one batched charge (the per-byte copy into the ring is part of
-// loopReadCycles locally, and of the transport cost remotely). It pushes the
-// slots it holds tokens for as one item; when the tokens run out midway it
-// waits for the guest to return some and pushes the rest as further items.
-// Every item of one call carries the same run stamp, so the guest can rejoin
-// them into one window.
-func (d *Daemon) fillSlots(p *sim.Proc, tr *trace.Trace, s data.Slice, last bool) {
+func (d *Daemon) requestWindow() {
+	req := d.req
+	if d.off >= req.off+req.n {
+		req.tr.EndSpan(d.sp, req.n)
+		d.served()
+		return
+	}
+	d.want, d.got = min(req.off+req.n-d.off, d.cfg.RemoteWindowBytes), 0
+	d.remoteRequest(remoteReq{dn: req.dn, path: req.path, off: d.off, n: d.want, tr: req.tr}, (*Daemon).awaitChunk)
+}
+
+func (d *Daemon) awaitChunk() {
+	if d.got >= d.want {
+		d.finishRemote()
+		d.doorbell((*Daemon).windowDone)
+		return
+	}
+	d.chunks.GetTimeoutThen(&d.tw, remoteReadTimeout, d.st.Direct((*Daemon).remoteChunk))
+}
+
+func (d *Daemon) remoteChunk() {
+	msg, ok := d.chunks.TryGet()
+	if !ok || msg.err || msg.off != d.off+d.got {
+		d.windowFailed()
+		return
+	}
+	n := msg.payload.Len()
+	last := d.off+d.got+n == d.req.off+d.req.n
+	d.got += n
+	d.stats.BytesRemote += n
+	d.fillSlots(msg.payload, last, (*Daemon).awaitChunk)
+}
+
+func (d *Daemon) windowDone() {
+	d.off += d.want
+	d.requestWindow()
+}
+
+func (d *Daemon) windowFailed() {
+	req := d.req
+	d.finishRemote()
+	d.mgr.noteRemoteFailureT(req.tr, d.host.Name, d.dnHost)
+	if d.retries++; d.retries > maxReadRetries {
+		req.tr.EndSpan(d.sp, d.off+d.got-req.off)
+		d.pushError()
+		return
+	}
+	emit(req.tr, &d.stats.RemoteRetries, "remote-retry", 1)
+	d.off += d.got // keep the delivered contiguous prefix
+	d.requestWindow()
+}
+
+// fillSlots splits s across ring slots, paying the per-slot lock cost as
+// one batched charge (the per-byte copy into the ring is part of
+// loopReadCycles locally, and of the transport cost remotely), then
+// continues with then. It pushes the slots it holds tokens for as one item;
+// when the tokens run out midway it waits for the guest to return some and
+// pushes the rest as further items. Every item of one fill carries the same
+// run stamp, so the guest can rejoin them into one window.
+func (d *Daemon) fillSlots(s data.Slice, last bool, then func(*Daemon)) {
+	d.fill, d.filled, d.last, d.code, d.then = s, 0, last, slotOK, then
 	if stall, ok := d.faults.ShouldDelay(faults.RingStall); ok {
 		// Ring stall: the guest stops draining for a while. Once every slot
-		// token is in use, the daemon blocks in take — the ring's natural
+		// token is in use, the daemon waits for tokens — the ring's natural
 		// backpressure — until the guest resumes.
-		tr.Event(trace.LayerRing, "fault:ring-stall", 0)
-		p.Sleep(stall)
+		d.req.tr.Event(trace.LayerRing, "fault:ring-stall", 0)
+		d.mgr.env.Schedule(stall, d.st.Direct((*Daemon).slotHeld))
+		return
 	}
-	if hold, ok := d.faults.ShouldDelay(faults.RingSlotHeld); ok {
-		// Slot spinlock held by the guest: unlike a stall, the daemon burns
-		// CPU spinning on the lock, then waits out the hold.
-		tr.Event(trace.LayerRing, "fault:slot-held", 0)
-		d.thread.RunT(p, slotHeldSpinCycles, metrics.TagOthers, tr)
-		p.Sleep(hold)
-	}
-	slots := d.ring.slotsFor(s.Len())
-	d.thread.RunT(p, slotLockCycles*slots, metrics.TagOthers, tr)
-	d.ring.run++
-	run := d.ring.run
-	for off := int64(0); slots > 0; {
-		k := d.ring.take(p, slots)
-		slots -= k
-		n := min(k*d.cfg.SlotBytes, s.Len()-off)
-		d.ring.full.Put(p, ringSlot{s: s.Sub(off, n), run: run, last: last && slots == 0})
-		off += n
-	}
+	d.slotHeld()
 }
 
-// doorbell signals the guest: eventfd on the daemon side, virtual interrupt
-// on the vCPU. A lost doorbell (injected) costs the eventfd write but the
-// interrupt only arrives when the guest driver's watchdog poll notices the
-// filled slots — doorbellWatchdog of extra latency, never a hang.
-func (d *Daemon) doorbell(p *sim.Proc, tr *trace.Trace) {
-	d.thread.RunT(p, eventFdCycles, metrics.TagOthers, tr)
+// slotHeld evaluates the held-spinlock fault: unlike a stall, the daemon
+// burns CPU spinning on the guest's slot lock, then waits out the hold.
+func (d *Daemon) slotHeld() {
+	hold, ok := d.faults.ShouldDelay(faults.RingSlotHeld)
+	if !ok {
+		d.lockSlots()
+		return
+	}
+	d.req.tr.Event(trace.LayerRing, "fault:slot-held", 0)
+	d.hold = hold
+	d.st.Charge(d.thread, slotHeldSpinCycles, metrics.TagOthers, d.req.tr, (*Daemon).waitHold)
+}
+
+func (d *Daemon) waitHold() { d.mgr.env.Schedule(d.hold, d.st.Direct((*Daemon).lockSlots)) }
+
+func (d *Daemon) lockSlots() {
+	d.slots = d.ring.slotsFor(d.fill.Len())
+	d.st.Charge(d.thread, slotLockCycles*d.slots, metrics.TagOthers, d.req.tr, (*Daemon).stampRun)
+}
+
+func (d *Daemon) stampRun() {
+	d.ring.run++
+	d.pushSlots()
+}
+
+// pushSlots takes slot tokens, waiting on the guest while none is free,
+// and puts the fill's next item, or the error slot; once every slot is in
+// the ring it continues, through the doorbell after an error slot.
+func (d *Daemon) pushSlots() {
+	if d.slots == 0 {
+		d.fill = data.Slice{}
+		if d.code != slotOK {
+			d.doorbell(d.then)
+			return
+		}
+		d.resume()
+		return
+	}
+	k := d.ring.take(d.slots)
+	if k == 0 {
+		d.ring.freed.Notify(d.mgr.env, d.st.Direct((*Daemon).pushSlots))
+		return
+	}
+	d.slots -= k
+	d.item = ringSlot{code: d.code, last: d.last && d.slots == 0}
+	if d.code == slotOK {
+		n := min(k*d.cfg.SlotBytes, d.fill.Len()-d.filled)
+		d.item.s, d.item.run = d.fill.Sub(d.filled, n), d.ring.run
+		d.filled += n
+	}
+	d.putSlot()
+}
+
+func (d *Daemon) putSlot() {
+	if !d.ring.full.TryPut(d.item) {
+		d.ring.full.NotifyNotFull(d.st.Direct((*Daemon).putSlot))
+		return
+	}
+	d.item = ringSlot{}
+	d.pushSlots()
+}
+
+// doorbell signals the guest, then continues with then: eventfd on the
+// daemon side, virtual interrupt on the vCPU.
+func (d *Daemon) doorbell(then func(*Daemon)) {
+	d.then = then
+	d.st.Charge(d.thread, eventFdCycles, metrics.TagOthers, d.req.tr, (*Daemon).interrupt)
+}
+
+// interrupt raises the guest's virtual interrupt. A lost doorbell
+// (injected) has cost the eventfd write, but the interrupt only arrives when
+// the guest driver's watchdog poll notices the filled slots —
+// doorbellWatchdog of extra latency, never a hang.
+func (d *Daemon) interrupt() {
+	tr := d.req.tr
 	if d.faults.Should(faults.RingDoorbellLost) {
 		emit(tr, &d.stats.DoorbellsLost, "doorbell-lost", 1)
 		tr.Event(trace.LayerRing, "fault:doorbell-lost", 0)
 		d.mgr.env.Schedule(doorbellWatchdog, func() {
 			d.vm.VCPU.PostT(guestIRQCycles, metrics.TagOthers, tr, nil)
 		})
-		return
+	} else {
+		d.vm.VCPU.PostT(guestIRQCycles, metrics.TagOthers, tr, nil)
 	}
-	d.vm.VCPU.PostT(guestIRQCycles, metrics.TagOthers, tr, nil)
+	d.resume()
 }
 
-// pushError aborts the in-flight read on the guest side.
-func (d *Daemon) pushError(p *sim.Proc, tr *trace.Trace) {
-	d.pushErrorCode(p, tr, slotFailed)
-}
+// pushError aborts the in-flight read on the guest side, ending the
+// service.
+func (d *Daemon) pushError() { d.pushErrorCode(slotFailed, (*Daemon).served) }
 
 // pushErrorCode aborts the in-flight read with a specific slot code, so
-// libvread can surface the matching typed error.
-func (d *Daemon) pushErrorCode(p *sim.Proc, tr *trace.Trace, code slotCode) {
-	d.ring.take(p, 1)
-	d.ring.full.Put(p, ringSlot{code: code, last: true})
-	d.doorbell(p, tr)
+// libvread can surface the matching typed error; it rings the doorbell and
+// continues with then.
+func (d *Daemon) pushErrorCode(code slotCode, then func(*Daemon)) {
+	d.fill, d.slots, d.last, d.code, d.then = data.Slice{}, 1, true, code, then
+	d.pushSlots()
 }

@@ -209,9 +209,10 @@ func TestDrainTornReadIsShort(t *testing.T) {
 // TestDrainRingExhaustion: with a ring smaller than one read, the daemon runs
 // out of slot tokens mid-fill and pushes the rest of the fill once the guest
 // returns some. Local and remote reads, unaligned ones included, still come
-// back exact, every token is free again afterwards, and the events, Proc
-// resumes and virtual time match the slot-at-a-time ring this one replaced
-// (the pinned values were recorded on it).
+// back exact, every token is free again afterwards, and the events and
+// virtual time match the slot-at-a-time ring this one replaced (the pinned
+// values were recorded on it). The Proc resumes pinned then are a ceiling:
+// the daemon has since become event handlers.
 func TestDrainRingExhaustion(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -242,8 +243,8 @@ func TestDrainRingExhaustion(t *testing.T) {
 				t.Fatalf("%d of %d slot tokens free after the reads", ring.free, ring.cfg.RingSlots)
 			}
 			env := f.c.Env
-			if env.Fired() != tc.fired || env.Resumes() != tc.resumes || env.Now() != tc.now {
-				t.Fatalf("fired/resumes/now = %d/%d/%v, want %d/%d/%v",
+			if env.Fired() != tc.fired || env.Resumes() > tc.resumes || env.Now() != tc.now {
+				t.Fatalf("fired/resumes/now = %d/%d/%v, want %d/≤%d/%v",
 					env.Fired(), env.Resumes(), env.Now(), tc.fired, tc.resumes, tc.now)
 			}
 		})

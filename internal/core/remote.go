@@ -41,7 +41,7 @@ type remoteChunk struct {
 	size   int64
 }
 
-// chunkMsg is what lands on a pending request's queue.
+// chunkMsg is what lands on the requesting daemon's chunk queue.
 type chunkMsg struct {
 	payload data.Slice
 	off     int64
@@ -54,17 +54,30 @@ type chunkMsg struct {
 // the remote half of Figures 7/8 (the "vRead-daemon" bar on the datanode
 // side). It also owns the host's datanode-ID → mount-point hash (§3.2),
 // which every daemon on the host reads through, and the host's batch of
-// queued dentry refreshes.
+// queued dentry refreshes. Like a daemon, it serves as a chain of event
+// handlers, one request at a time.
 type hostServer struct {
 	mgr       *Manager
 	host      *cluster.Host
 	thread    *cpusched.Thread
 	reqs      *sim.Queue[remoteReq]
 	hr        *hostReader
+	out       frameOut
 	mounts    map[string]*fsim.HostMount
 	pending   []refreshOp // refreshes waiting for the scheduled drain
 	scheduled bool
+	// st runs the serve chain; req is the request in service, and a read's
+	// span, file and cursor follow it.
+	st  cpusched.Steps[*hostServer]
+	req remoteReq
+	sp  int
+	f   mountedFile
+	off int64
 }
+
+// requestPayload is the body of every request frame; replies that carry no
+// data send emptyPayload.
+var requestPayload, emptyPayload = data.NewSlice(data.Zero(64)), data.Slice{C: data.Zero(0)}
 
 func newHostServer(mgr *Manager, host *cluster.Host) *hostServer {
 	s := &hostServer{
@@ -75,94 +88,139 @@ func newHostServer(mgr *Manager, host *cluster.Host) *hostServer {
 		mounts: make(map[string]*fsim.HostMount),
 	}
 	s.hr = newHostReader(s, s.thread)
-	mgr.env.Go("vread-server:"+host.Name, s.loop)
+	s.out.bind(mgr, host.Name, s.thread)
+	s.st.Bind(mgr.env, s)
+	mgr.env.Schedule(0, s.st.Direct((*hostServer).pop))
 	return s
 }
 
-func (s *hostServer) loop(p *sim.Proc) {
-	for {
-		req, ok := s.reqs.Get(p)
-		if !ok {
-			return
-		}
-		if req.open {
-			s.handleOpen(p, req)
-		} else {
-			s.handleRead(p, req)
-		}
+func (s *hostServer) pop() {
+	req, ok := s.reqs.TryGet()
+	if !ok {
+		s.reqs.Notify(s.st.Direct((*hostServer).pop))
+		return
+	}
+	s.req = req
+	if req.open {
+		s.handleOpen(req.tr.Begin(trace.LayerRemote, "serve-open"))
+	} else {
+		s.handleRead()
 	}
 }
 
-// handleOpen checks the local mount table and replies with a header chunk.
-func (s *hostServer) handleOpen(p *sim.Proc, req remoteReq) {
-	sp := req.tr.Begin(trace.LayerRemote, "serve-open")
-	s.thread.RunT(p, openCycles, metrics.TagOthers, req.tr)
+// handleOpen checks the local mount table under span sp and replies with a
+// header chunk.
+func (s *hostServer) handleOpen(sp int) {
+	s.sp = sp
+	s.st.Charge(s.thread, openCycles, metrics.TagOthers, s.req.tr, (*hostServer).openReply)
+}
+
+func (s *hostServer) openReply() {
+	req := s.req
 	reply := remoteChunk{reqID: req.reqID}
 	if f, ok := s.hr.lookup(req.dn, req.path); ok {
-		reply.openOK = true
-		reply.size = f.size
+		reply.openOK, reply.size = true, f.size
 	}
-	req.tr.EndSpan(sp, 0)
-	s.send(p, req.tr, req.fromHost, data.Slice{C: data.Zero(0)}, reply)
+	req.tr.EndSpan(s.sp, 0)
+	s.send(emptyPayload, reply, (*hostServer).pop)
 }
 
 // handleRead reads the requested window from the local mount (host page
 // cache + disk) and actively pushes chunks to the requesting host — the
 // paper's "active model for RDMA data exchange on the datanode side".
-func (s *hostServer) handleRead(p *sim.Proc, req remoteReq) {
+func (s *hostServer) handleRead() {
+	req := s.req
 	f, ok := s.hr.lookup(req.dn, req.path)
 	if !ok {
-		s.send(p, req.tr, req.fromHost, data.Slice{C: data.Zero(0)}, remoteChunk{reqID: req.reqID, err: true})
+		s.send(emptyPayload, remoteChunk{reqID: req.reqID, err: true}, (*hostServer).pop)
 		return
 	}
-	sp := req.tr.Begin(trace.LayerRemote, "serve-read")
-	for off := req.off; off < req.off+req.n; {
-		chunk := req.off + req.n - off
-		if chunk > remoteChunkBytes {
-			chunk = remoteChunkBytes
-		}
-		// A torn chunk arrives short: the receiving daemon's contiguity
-		// check catches the gap at the next chunk (or its window timeout,
-		// if this was the last) and re-requests from the end of the
-		// delivered prefix.
-		payload, _, err := s.hr.readChunk(p, req.tr, s.mgr.cfg.Faults, trace.LayerRemote, f, off, chunk)
-		if err != nil {
-			req.tr.EndSpan(sp, off-req.off)
-			s.send(p, req.tr, req.fromHost, data.Slice{C: data.Zero(0)}, remoteChunk{reqID: req.reqID, err: true})
-			return
-		}
-		s.send(p, req.tr, req.fromHost, payload, remoteChunk{reqID: req.reqID, off: off})
-		off += chunk
-	}
-	req.tr.EndSpan(sp, req.n)
+	s.f, s.off = f, req.off
+	s.stream(req.tr.Begin(trace.LayerRemote, "serve-read"))
 }
 
-// send pushes one frame to a peer host over the configured transport.
-func (s *hostServer) send(p *sim.Proc, tr *trace.Trace, dstHost string, payload data.Slice, meta remoteChunk) {
-	s.mgr.sendFrame(p, s.host.Name, s.thread, dstHost, netsim.Frame{Payload: payload, Meta: meta, Trace: tr})
+// stream reads and sends the window's chunks under span sp.
+func (s *hostServer) stream(sp int) {
+	s.sp = sp
+	s.readChunk()
+}
+
+func (s *hostServer) readChunk() {
+	req := s.req
+	if s.off >= req.off+req.n {
+		req.tr.EndSpan(s.sp, req.n)
+		s.pop()
+		return
+	}
+	n := min(req.off+req.n-s.off, remoteChunkBytes)
+	s.hr.readChunk(req.tr, s.mgr.cfg.Faults, trace.LayerRemote, s.f, s.off, n, s.st.Direct((*hostServer).chunkRead))
+}
+
+// chunkRead sends the chunk read. A torn chunk arrives short: the receiving
+// daemon's contiguity check catches the gap at the next chunk (or its
+// window timeout, if this was the last) and re-requests from the end of the
+// delivered prefix.
+func (s *hostServer) chunkRead() {
+	req, h := s.req, s.hr
+	if h.err != nil {
+		req.tr.EndSpan(s.sp, s.off-req.off)
+		s.send(emptyPayload, remoteChunk{reqID: req.reqID, err: true}, (*hostServer).pop)
+		return
+	}
+	s.send(h.s, remoteChunk{reqID: req.reqID, off: s.off}, (*hostServer).chunkSent)
+}
+
+func (s *hostServer) chunkSent() {
+	s.off += s.hr.n
+	s.readChunk()
+}
+
+// send pushes one frame to the requesting host, then continues with then.
+func (s *hostServer) send(payload data.Slice, meta remoteChunk, then func(*hostServer)) {
+	s.out.send(s.req.fromHost, netsim.Frame{Payload: payload, Meta: meta, Trace: s.req.tr}, s.st.Then(then))
 }
 
 // ---------------------------------------------------------------------------
-// Manager-side transport plumbing.
+// Transport plumbing.
 
-// sendFrame transmits a request or chunk frame daemon-to-daemon over the
-// pair's current transport (RDMA, or TCP while a downgrade is active).
-func (m *Manager) sendFrame(p *sim.Proc, srcHost string, srcThread *cpusched.Thread, dstHost string, fr netsim.Frame) {
-	switch m.transportTo(srcHost, dstHost) {
+// frameOut is one endpoint's daemon-to-daemon transmit: a daemon sends its
+// requests, and a host server its chunks, one frame at a time.
+type frameOut struct {
+	m      *Manager
+	host   string
+	thread *cpusched.Thread
+	st     cpusched.Steps[*frameOut]
+	dst    string
+	fr     netsim.Frame
+	done   func()
+}
+
+func (o *frameOut) bind(m *Manager, host string, thread *cpusched.Thread) {
+	o.m, o.host, o.thread = m, host, thread
+	o.st.Bind(m.env, o)
+}
+
+// send transmits fr to host dst over the pair's current transport (RDMA, or
+// TCP while a downgrade is active). done runs at local transmit-complete;
+// a Steps.Then completion resumes the chain where a sending Proc would.
+func (o *frameOut) send(dst string, fr netsim.Frame, done func()) {
+	switch o.m.transportTo(o.host, dst) {
 	case TransportRDMA:
-		qp := m.qpFor(srcHost, dstHost)
-		qp.PostFrom(srcHost, fr, p.Arm())
-		p.Await()
+		o.m.qpFor(o.host, dst).PostFrom(o.host, fr, done)
 	case TransportTCP:
 		// User-level TCP: per-segment syscall + copy cost on the sending
 		// daemon, then the host kernel path.
-		srcThread.RunT(p, tcpSegCycles, metrics.TagVReadNet, fr.Trace)
-		nic := m.fabric().NIC(srcHost)
-		nic.SendToHost(dstHost, VReadPort, fr, p.Arm())
-		p.Await()
+		o.dst, o.fr, o.done = dst, fr, done
+		o.st.Charge(o.thread, tcpSegCycles, metrics.TagVReadNet, fr.Trace, (*frameOut).sendTCP)
 	default:
-		panic(fmt.Sprintf("core: unknown transport %v", m.cfg.Transport))
+		panic(fmt.Sprintf("core: unknown transport %v", o.m.cfg.Transport))
 	}
+}
+
+func (o *frameOut) sendTCP() {
+	fr, done := o.fr, o.done
+	o.fr, o.done = netsim.Frame{}, nil
+	o.m.fabric().NIC(o.host).SendToHost(o.dst, VReadPort, fr, done)
 }
 
 // noteRemoteFailureT is noteRemoteFailure plus the once-per-transition trace
@@ -233,38 +291,26 @@ func (m *Manager) onTCPFrame(host string) netsim.HostHandler {
 	}
 }
 
-// remoteOpen sends an open probe to the peer host and waits for the reply.
-func (m *Manager) remoteOpen(p *sim.Proc, d *Daemon, dnHost string, req ringReq) openResult {
-	id, pend := m.remoteRequest(p, d, dnHost, remoteReq{dn: req.dn, path: req.path, open: true, tr: req.tr})
-	defer m.finishRemote(id)
-	msg, ok := pend.GetTimeout(p, openTimeout)
-	if !ok {
-		// No reply at all: treat the transport as suspect so subsequent
-		// reads to that host start on the TCP fallback.
-		m.noteRemoteFailureT(req.tr, d.host.Name, dnHost)
-		return openResult{}
-	}
-	if msg.err {
-		return openResult{}
-	}
-	return openResult{ok: msg.openOK, size: msg.size}
-}
-
-// remoteRequest sends req from d's host to the peer host's server under a
-// fresh request id, and returns the id and the queue its replies arrive on.
-// The caller must call finishRemote with the id when done.
-func (m *Manager) remoteRequest(p *sim.Proc, d *Daemon, dnHost string, req remoteReq) (int64, *sim.Queue[chunkMsg]) {
+// remoteRequest sends req from the daemon's host to the peer's server
+// under a fresh request id, its replies to arrive on d.chunks, and
+// continues with then once the frame is sent. finishRemote retires the id.
+func (d *Daemon) remoteRequest(req remoteReq, then func(*Daemon)) {
+	m := d.mgr
 	m.nextReq++
 	req.reqID, req.fromHost = m.nextReq, d.host.Name
-	pend := sim.NewQueue[chunkMsg](m.env, 0)
-	m.pending[req.reqID] = pend
-	m.sendFrame(p, d.host.Name, d.thread, dnHost, netsim.Frame{
-		Payload: data.NewSlice(data.Zero(64)),
-		Meta:    req,
-		Trace:   req.tr,
-	})
-	return req.reqID, pend
+	d.reqID = req.reqID
+	m.pending[req.reqID] = d.chunks
+	d.out.send(d.dnHost, netsim.Frame{Payload: requestPayload, Meta: req, Trace: req.tr}, d.st.Then(then))
 }
 
-// finishRemote retires a pending remote request.
-func (m *Manager) finishRemote(id int64) { delete(m.pending, id) }
+// finishRemote retires the daemon's remote request: later chunks of its id
+// are dropped on arrival, and the ones already queued are discarded, so the
+// next request starts on an empty queue.
+func (d *Daemon) finishRemote() {
+	delete(d.mgr.pending, d.reqID)
+	for {
+		if _, ok := d.chunks.TryGet(); !ok {
+			return
+		}
+	}
+}

@@ -79,7 +79,7 @@ type ring struct {
 	//lint:source guesttaint(descriptor area is guest-writable shared memory)
 	reqs *sim.Queue[ringReq]
 	// free counts the slot tokens the daemon may fill; freed wakes a daemon
-	// parked in take.
+	// waiting for one.
 	free  int64
 	freed sim.Signal
 	// full carries filled slot runs in order. A data item holds the tokens
@@ -97,6 +97,11 @@ type ring struct {
 	//
 	//lint:source guesttaint(captured descriptors stay guest-written until replay runs them through sanitizeReq)
 	pending []ringReq
+	// replay is the pending set a restore handed the daemon, still to be
+	// served in order.
+	//
+	//lint:source guesttaint(replayed descriptors stay guest-written until the replay step sanitizes each one)
+	replay []ringReq
 	// badStreak counts consecutive rejected descriptors toward the
 	// revocation threshold; any accepted descriptor resets it.
 	badStreak int
@@ -178,20 +183,17 @@ func newRing(env *sim.Env, cfg Config, vm string) *ring {
 	return r
 }
 
-// take blocks p while no slot token is free, then takes up to want of them
-// and returns how many it took.
+// take takes up to want free slot tokens and returns how many it took:
+// none while the ring has none free, and the daemon then waits on freed.
 //
 //lint:hotpath
-func (r *ring) take(p *sim.Proc, want int64) int64 {
-	for r.free == 0 {
-		r.freed.Wait(p)
-	}
+func (r *ring) take(want int64) int64 {
 	n := min(want, r.free)
 	r.free -= n
 	return n
 }
 
-// give returns n slot tokens, waking a daemon parked in take.
+// give returns n slot tokens, waking a daemon waiting for one.
 //
 //lint:hotpath
 func (r *ring) give(n int64) {

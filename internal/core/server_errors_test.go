@@ -41,25 +41,17 @@ func newServerFixture(t *testing.T) *serverFixture {
 	return fx
 }
 
-// call runs one handler invocation to completion and returns every chunk the
-// requesting host received.
+// call serves one request through the server's queue to completion and
+// returns every chunk the requesting host received.
 func (fx *serverFixture) call(t *testing.T, req remoteReq) []chunkMsg {
 	t.Helper()
 	req.reqID = fx.m.nextReq
 	req.fromHost = "host2"
-	done := false
-	fx.c.Go("driver", func(p *sim.Proc) {
-		if req.open {
-			fx.srv.handleOpen(p, req)
-		} else {
-			fx.srv.handleRead(p, req)
-		}
-		done = true
-	})
+	fx.srv.reqs.TryPut(req)
 	if err := fx.c.Env.RunUntil(fx.c.Env.Now() + 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !done {
+	if fx.c.Env.Pending() != 0 {
 		t.Fatal("handler did not finish")
 	}
 	var got []chunkMsg

@@ -193,16 +193,18 @@ func TestCancelHeavyTimeoutWorkload(t *testing.T) {
 		}
 		q.Close()
 	})
-	env.Go("consumer", func(p *Proc) {
-		for {
-			// Every GetTimeout arms a timer that the wake-up path cancels.
-			v, ok := q.GetTimeout(p, time.Second)
-			if !ok {
-				return
-			}
-			got = append(got, v)
+	var w TimedWait
+	var consume func()
+	consume = func() {
+		v, ok := q.TryGet()
+		if !ok {
+			return
 		}
-	})
+		got = append(got, v)
+		// Every wait arms a timer that the wake-up path cancels.
+		q.GetTimeoutThen(&w, time.Second, consume)
+	}
+	env.Schedule(0, func() { q.GetTimeoutThen(&w, time.Second, consume) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -662,24 +664,30 @@ func TestSignalZeroAlloc(t *testing.T) {
 }
 
 // TestWaitTimeoutZeroAlloc asserts that timed waits allocate nothing at
-// steady state, whether they time out (Signal.WaitTimeout) or are ended by
-// a push (Queue.GetTimeout): the timer runs the Proc's prebound timeout
-// callback, and the wait's state lives in the Proc.
+// steady state, whether they time out (on a Signal) or are ended by a push
+// (Queue.GetTimeoutThen): the timer and the wake-up run the TimedWait's
+// callbacks, bound on its first wait.
 func TestWaitTimeoutZeroAlloc(t *testing.T) {
 	env := NewEnv(1)
 	var sig Signal
 	q := NewQueue[int](env, 0)
+	var w TimedWait
 	var timeouts, gets int
-	env.Go("waiter", func(p *Proc) {
-		for {
-			if !sig.WaitTimeout(p, 2*time.Microsecond) {
-				timeouts++
-			}
-			if _, ok := q.GetTimeout(p, 10*time.Microsecond); ok {
-				gets++
-			}
+	var waitSig, waitQ, got func()
+	waitSig = func() { sig.notifyTimeout(env, &w, 2*time.Microsecond, waitQ) }
+	waitQ = func() {
+		if w.expired {
+			timeouts++
 		}
-	})
+		q.GetTimeoutThen(&w, 10*time.Microsecond, got)
+	}
+	got = func() {
+		if _, ok := q.TryGet(); ok {
+			gets++
+		}
+		waitSig()
+	}
+	env.Schedule(0, waitSig)
 	env.Go("producer", func(p *Proc) {
 		for {
 			p.Sleep(8 * time.Microsecond)

@@ -40,22 +40,11 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	// waitGen identifies the Proc's current Signal wait: a waiter entry is
-	// live only while its gen equals waitGen, and waking bumps waitGen, so
-	// an entry left behind in another Signal (a timed-out wait) can never
-	// wake a later wait.
-	waitGen uint64
 	// completion is p.complete and inline p.resume, bound once at creation
 	// so Arm and ArmInline hand them out without allocating; arm tracks the
 	// one completion p may have outstanding.
 	completion, inline func()
 	arm                armState
-	// timeout is p.expire, bound once at creation so WaitTimeout schedules
-	// it without allocating; timedWait is the Signal wait it may end, and
-	// timedOut records that it did.
-	timeout   func()
-	timedWait waiter
-	timedOut  bool
 }
 
 // armState is where a Proc's completion stands between Arm and the return
@@ -80,7 +69,6 @@ func (e *Env) GoAfter(after time.Duration, name string, fn func(p *Proc)) *Proc 
 	p := &Proc{env: e, name: name}
 	p.wake = func() { e.dispatch(p) }
 	p.completion, p.inline = p.complete, p.resume
-	p.timeout = p.expire
 	e.procs[p] = struct{}{}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) { p.run(yield, fn) })
 	e.Schedule(after, p.wake)
@@ -239,17 +227,6 @@ func (p *Proc) settle() bool {
 		panic(fmt.Sprintf("sim: completion of process %q ran twice", p.name))
 	}
 	return false
-}
-
-// expire is the timer callback of WaitTimeout: if the timed wait is still
-// live it consumes the wait and resumes p at once, marked timed out.
-func (p *Proc) expire() {
-	if !p.timedWait.live() {
-		return
-	}
-	p.waitGen++
-	p.timedOut = true
-	p.env.dispatch(p)
 }
 
 // checkContext panics if a blocking method is invoked from outside the

@@ -105,21 +105,17 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	return q.pop(), true
 }
 
-// GetTimeout is Get with a deadline; ok is false on timeout or closed-empty.
-//
-//lint:hotpath
-func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool) {
-	deadline := q.env.Now() + d
-	for q.n == 0 && !q.closed {
-		remaining := deadline - q.env.Now()
-		if remaining <= 0 || !q.notEmpty.WaitTimeout(p, remaining) {
-			return v, false
-		}
+// GetTimeoutThen is a Get with a deadline in continuation form: fn runs
+// where such a Get would return, at once when an item is queued, else on
+// the wake-up of the next push, or inside the timer event when d elapses
+// first. fn pops with TryGet, and an empty queue then means the wait timed
+// out. w carries the wait's state, so a handler binds one and reuses it.
+func (q *Queue[T]) GetTimeoutThen(w *TimedWait, d time.Duration, fn func()) {
+	if q.n > 0 || q.closed {
+		fn()
+		return
 	}
-	if q.n == 0 {
-		return v, false
-	}
-	return q.pop(), true
+	q.notEmpty.notifyTimeout(q.env, w, d, fn)
 }
 
 // TryGet removes and returns the oldest item without blocking.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -306,13 +307,25 @@ func runQueueScript(ops []byte, capacity int, handler bool) (string, uint64) {
 
 // FuzzSignalNotify runs one script of waits and wakes on a Signal whose four
 // waiters are Procs in Wait or Notify handlers, in every mix, and requires
-// the wake order, the virtual times and Env.Fired() of the all-Proc run.
+// the wake order, the virtual times and Env.Fired() of the all-Proc run. A
+// Proc's timed wait parks on the handlers' TimedWait through ArmInline.
+// The pinned seeds time out, and wake at their deadline's instant from
+// either side; their logs and Fired() were recorded with Procs in
+// Signal.WaitTimeout, the blocking timed wait this replaced.
 func FuzzSignalNotify(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 3, 6, 1, 7, 4, 0, 0})
 	f.Add([]byte{3, 3, 3, 5, 5, 0, 1, 2})
 	f.Add([]byte{})
+	for _, pin := range signalPins {
+		f.Add(pin.ops)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		procLog, procFired := runSignalScript(ops, 0)
+		for _, pin := range signalPins {
+			if bytes.Equal(ops, pin.ops) && (procLog != pin.log || procFired != pin.fired) {
+				t.Fatalf("all-Proc run fired %d events:\n%s\nWaitTimeout run fired %d:\n%s", procFired, procLog, pin.fired, pin.log)
+			}
+		}
 		for mask := 1; mask < 16; mask++ {
 			log, fired := runSignalScript(ops, mask)
 			if log != procLog || fired != procFired {
@@ -323,23 +336,140 @@ func FuzzSignalNotify(f *testing.F) {
 	})
 }
 
+// signalPins are FuzzSignalNotify seeds with timed waits, pinned to the
+// all-Proc log and Fired() recorded with Signal.WaitTimeout.
+var signalPins = []struct {
+	ops   []byte
+	log   string
+	fired uint64
+}{
+	// Every wait after the broadcast times out.
+	{
+		ops: []byte{131, 3, 7, 7, 7, 7, 7},
+		log: "" +
+			"broadcast to 4 at 0s\n" +
+			"wake 0 at 0s\n" +
+			"wake 1 at 0s\n" +
+			"wake 2 at 0s\n" +
+			"wake 3 at 0s\n" +
+			"timeout 0 at 3µs\n" +
+			"timeout 1 at 4µs\n" +
+			"timeout 2 at 5µs\n" +
+			"timeout 3 at 6µs\n" +
+			"timeout 0 at 6µs\n" +
+			"timeout 1 at 8µs\n" +
+			"timeout 2 at 10µs\n" +
+			"timeout 3 at 12µs\n",
+		fired: 30,
+	},
+	// Waiter 0's deadline meets a Signal queued before its timer: woken.
+	{
+		ops: []byte{130, 3, 7, 0, 7, 0, 7, 0, 3},
+		log: "" +
+			"broadcast to 4 at 0s\n" +
+			"wake 0 at 0s\n" +
+			"wake 1 at 0s\n" +
+			"wake 2 at 0s\n" +
+			"wake 3 at 0s\n" +
+			"signal true of 1 at 2µs\n" +
+			"wake 0 at 2µs\n" +
+			"timeout 1 at 3µs\n" +
+			"signal true of 2 at 4µs\n" +
+			"timeout 0 at 4µs\n" +
+			"wake 2 at 4µs\n" +
+			"timeout 3 at 5µs\n" +
+			"signal true of 0 at 6µs\n" +
+			"broadcast to 0 at 6µs\n" +
+			"wake 1 at 6µs\n" +
+			"timeout 2 at 8µs\n" +
+			"timeout 3 at 10µs\n",
+		fired: 31,
+	},
+	// Waiter 0's timer precedes a Signal at its deadline: timed out, and the
+	// Signal wakes waiter 1.
+	{
+		ops: []byte{130, 3, 5, 6, 6, 0, 6, 0, 6, 3, 7, 3},
+		log: "" +
+			"broadcast to 4 at 0s\n" +
+			"wake 0 at 0s\n" +
+			"wake 1 at 0s\n" +
+			"wake 2 at 0s\n" +
+			"wake 3 at 0s\n" +
+			"timeout 0 at 2µs\n" +
+			"signal true of 1 at 2µs\n" +
+			"wake 1 at 2µs\n" +
+			"signal true of 2 at 3µs\n" +
+			"wake 2 at 3µs\n" +
+			"timeout 0 at 4µs\n" +
+			"broadcast to 2 at 4µs\n" +
+			"wake 3 at 4µs\n" +
+			"wake 1 at 4µs\n" +
+			"broadcast to 1 at 6µs\n" +
+			"wake 2 at 6µs\n" +
+			"timeout 3 at 9µs\n",
+		fired: 31,
+	},
+	// Timeouts and wakes interleaved at 1µs deadlines.
+	{
+		ops: []byte{129, 3, 6, 0, 6, 0, 6, 0, 6, 3, 3, 3},
+		log: "" +
+			"broadcast to 4 at 0s\n" +
+			"wake 0 at 0s\n" +
+			"wake 1 at 0s\n" +
+			"wake 2 at 0s\n" +
+			"wake 3 at 0s\n" +
+			"signal true of 0 at 1µs\n" +
+			"wake 0 at 1µs\n" +
+			"signal true of 2 at 2µs\n" +
+			"timeout 0 at 2µs\n" +
+			"wake 1 at 2µs\n" +
+			"timeout 2 at 3µs\n" +
+			"signal true of 0 at 3µs\n" +
+			"wake 3 at 3µs\n" +
+			"broadcast to 1 at 4µs\n" +
+			"broadcast to 0 at 4µs\n" +
+			"broadcast to 0 at 4µs\n" +
+			"wake 1 at 4µs\n" +
+			"timeout 2 at 6µs\n" +
+			"timeout 3 at 7µs\n",
+		fired: 32,
+	},
+}
+
 // runSignalScript runs one FuzzSignalNotify script with waiter i a Notify
 // handler when bit i of mask is set, else a Proc, and returns its log of
-// wakes and signal results and the events fired. Waiter i waits again i µs
-// after each wake, three wakes in all.
+// wakes, timeouts and signal results and the events fired. Waiter i waits
+// again i µs after each wake or timeout, three waits in all; an op of 128 or
+// more makes the waits that start from then on time out after op%8 µs (0:
+// never).
 func runSignalScript(ops []byte, mask int) (string, uint64) {
 	env := NewEnv(1)
 	defer env.Close()
 	var s Signal
 	var log strings.Builder
+	var timeout time.Duration
+	woke := func(i int, expired bool) {
+		what := "wake"
+		if expired {
+			what = "timeout"
+		}
+		fmt.Fprintf(&log, "%s %d at %v\n", what, i, env.Now())
+	}
 	for i := 0; i < 4; i++ {
 		gap := time.Duration(i) * time.Microsecond
+		var w TimedWait
 		if mask&(1<<i) != 0 {
-			wakes := 0
-			var wait, woke func()
-			wait = func() { s.Notify(env, woke) }
-			woke = func() {
-				fmt.Fprintf(&log, "wake %d at %v\n", i, env.Now())
+			wakes, timed := 0, false
+			var wait, wake func()
+			wait = func() {
+				if timed = timeout > 0; timed {
+					s.notifyTimeout(env, &w, timeout, wake)
+				} else {
+					s.Notify(env, wake)
+				}
+			}
+			wake = func() {
+				woke(i, timed && w.expired)
 				if wakes++; wakes < 3 {
 					env.Schedule(gap, wait)
 				}
@@ -352,17 +482,25 @@ func runSignalScript(ops []byte, mask int) (string, uint64) {
 				if wakes > 0 {
 					p.Sleep(gap)
 				}
-				s.Wait(p)
-				fmt.Fprintf(&log, "wake %d at %v\n", i, env.Now())
+				if timeout == 0 {
+					s.Wait(p)
+					woke(i, false)
+					continue
+				}
+				s.notifyTimeout(env, &w, timeout, p.ArmInline())
+				p.Await()
+				woke(i, w.expired)
 			}
 		})
 	}
 	env.Go("driver", func(p *Proc) {
 		for _, op := range ops {
-			switch op % 8 {
-			case 0, 1, 2:
+			switch {
+			case op >= 128:
+				timeout = time.Duration(op%8) * time.Microsecond
+			case op%8 <= 2:
 				fmt.Fprintf(&log, "signal %v of %d at %v\n", s.Signal(), s.Waiters(), env.Now())
-			case 3, 4:
+			case op%8 <= 4:
 				fmt.Fprintf(&log, "broadcast to %d at %v\n", s.Waiters(), env.Now())
 				s.Broadcast()
 			default:

@@ -8,41 +8,34 @@ import "time"
 // variable.
 //
 // The zero Signal is ready to use: a Signal schedules wake-ups on the Env of
-// the Procs that wait on it.
+// the Procs and handlers that wait on it.
 type Signal struct {
 	// waiters[head:] is the FIFO of waits; entries before head are consumed.
 	waiters []waiter
 	head    int
-	env     *Env // where Notify handlers are scheduled
+	env     *Env // where wake-ups are scheduled
 }
 
-// waiter is one wait of p, identified by p's wait generation at the time it
-// began, or one Notify handler fn (p nil). A Proc's entry is live only
-// while p.waitGen still equals gen; a handler's until it is woken.
+// waiter is one wait: fn runs on its wake-up, a Proc's wake or a Notify
+// handler. A timed wait's entry (t non-nil) is live only while t is still
+// in the wait the entry began, numbered gen; every other entry stays live
+// until it is woken.
 type waiter struct {
-	p   *Proc
-	gen uint64
 	fn  func()
+	t   *TimedWait
+	gen uint64
 }
 
-func (w waiter) live() bool { return w.p == nil || w.p.waitGen == w.gen }
+func (w waiter) live() bool { return w.t == nil || w.t.waiting && w.t.gen == w.gen }
 
 // NewSignal returns a new Signal. env is unused: the zero Signal is ready to
 // use, and the simulator itself declares Signal values. NewSignal stays only
 // for the benchmark harness's callers (bench/micro.go).
 func NewSignal(env *Env) *Signal { return &Signal{} }
 
-// enqueue starts a new wait of p on s. Before the slice would grow, dead
-// entries (consumed, or left behind by timed-out waits) are squeezed out,
-// so a Signal's list stays proportional to its live waiters.
-func (s *Signal) enqueue(p *Proc) waiter {
-	p.waitGen++
-	w := waiter{p: p, gen: p.waitGen}
-	s.push(w)
-	return w
-}
-
-// push appends w to the FIFO.
+// push appends w to the FIFO. Before the slice would grow, dead entries
+// (consumed, or left behind by timed-out waits) are squeezed out, so a
+// Signal's list stays proportional to its live waiters.
 func (s *Signal) push(w waiter) {
 	if len(s.waiters) == cap(s.waiters) {
 		kept := s.waiters[:0]
@@ -68,18 +61,60 @@ func (s *Signal) Notify(env *Env, fn func()) {
 	s.push(waiter{fn: fn})
 }
 
-// wake consumes w's wait and schedules its Proc or handler, reporting false
-// when the wait was already woken or timed out.
+// TimedWait is a handler's wait with a deadline: the continuation form of a
+// Proc's timed wait. One TimedWait serves one wait at a time; its wake-up
+// and timer callbacks are bound on first use, so waiting allocates nothing.
+// The zero TimedWait is ready to use.
+type TimedWait struct {
+	fn      func()
+	timer   Timer
+	gen     uint64 // numbers the waits; an entry of an earlier one is dead
+	waiting bool   // the current wait is neither woken nor expired
+	expired bool   // the last wait ended at its deadline
+	woken   func() // w.wake, bound once
+	timeout func() // w.expire, bound once
+}
+
+// notifyTimeout queues fn as a one-shot waiter for at most d. A Signal or
+// Broadcast schedules its wake-up at zero delay, as for a Proc, and that
+// event cancels the timer before fn runs. If d elapses first, fn runs inside
+// the timer event, where a timed-out Proc would resume, with w.expired set.
+func (s *Signal) notifyTimeout(env *Env, w *TimedWait, d time.Duration, fn func()) {
+	if w.woken == nil {
+		w.woken, w.timeout = w.wake, w.expire
+	}
+	w.gen++
+	w.fn, w.waiting, w.expired = fn, true, false
+	s.env = env
+	s.push(waiter{fn: w.woken, t: w, gen: w.gen})
+	w.timer = env.Schedule(d, w.timeout)
+}
+
+// wake is a woken timed wait's zero-delay event: the deadline is void.
+func (w *TimedWait) wake() {
+	w.timer.Cancel()
+	w.fn()
+}
+
+// expire is the timer event: a wait still live ends here, timed out.
+func (w *TimedWait) expire() {
+	if !w.waiting {
+		return
+	}
+	w.waiting, w.expired = false, true
+	w.fn()
+}
+
+// wake consumes w's wait and schedules its wake-up, reporting false when
+// the wait was already woken or timed out.
 func (s *Signal) wake(w waiter) bool {
 	if !w.live() {
 		return false
 	}
-	if w.p == nil {
-		s.env.Schedule(0, w.fn)
-		return true
+	if w.t != nil {
+		w.t.waiting = false
 	}
-	w.p.waitGen++
-	w.p.env.Schedule(0, w.p.wake)
+	s.env.Schedule(0, w.fn)
 	return true
 }
 
@@ -88,22 +123,9 @@ func (s *Signal) wake(w waiter) bool {
 //lint:hotpath
 func (s *Signal) Wait(p *Proc) {
 	p.checkContext()
-	s.enqueue(p)
+	s.env = p.env
+	s.push(waiter{fn: p.wake})
 	p.park()
-}
-
-// WaitTimeout suspends p until the next Signal/Broadcast or until d elapses.
-// It reports false on timeout. The timer runs p's prebound timeout callback
-// and the wait's state lives in p, so a timed wait allocates nothing.
-//
-//lint:hotpath
-func (s *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
-	p.checkContext()
-	p.timedWait, p.timedOut = s.enqueue(p), false
-	timer := p.env.Schedule(d, p.timeout)
-	p.park()
-	timer.Cancel()
-	return !p.timedOut
 }
 
 // Signal wakes exactly one waiting process (the longest-waiting one). It

@@ -284,7 +284,7 @@ func TestJoinPanickedProc(t *testing.T) {
 	}
 }
 
-// TestWaitTimeoutRacesSignal fires a WaitTimeout's timer and a Signal at the
+// TestWaitTimeoutRacesSignal fires a timed wait's timer and a Signal at the
 // same instant, in both orders. The Proc must be woken exactly once: a stray
 // second wake would cut its following Sleep short.
 func TestWaitTimeoutRacesSignal(t *testing.T) {
@@ -301,7 +301,7 @@ func TestWaitTimeoutRacesSignal(t *testing.T) {
 			var ok bool
 			var woke, slept time.Duration
 			env.Go("waiter", func(p *Proc) {
-				ok = sig.WaitTimeout(p, time.Millisecond)
+				ok = waitTimeout(p, &sig, time.Millisecond)
 				woke = env.Now()
 				p.Sleep(time.Millisecond)
 				slept = env.Now()
@@ -314,7 +314,7 @@ func TestWaitTimeoutRacesSignal(t *testing.T) {
 				t.Fatal(err)
 			}
 			if ok != signalFirst || found != signalFirst {
-				t.Fatalf("WaitTimeout = %v, Signal found a waiter = %v; want both %v", ok, found, signalFirst)
+				t.Fatalf("timed wait = %v, Signal found a waiter = %v; want both %v", ok, found, signalFirst)
 			}
 			if woke != time.Millisecond || slept != 2*time.Millisecond {
 				t.Fatalf("woke at %v, slept until %v; want 1ms and 2ms", woke, slept)
@@ -324,6 +324,15 @@ func TestWaitTimeoutRacesSignal(t *testing.T) {
 			}
 		})
 	}
+}
+
+// waitTimeout is a Proc's timed wait on s, the continuation form parked on
+// with ArmInline: it reports false when d elapsed first.
+func waitTimeout(p *Proc, s *Signal, d time.Duration) bool {
+	var w TimedWait
+	s.notifyTimeout(p.env, &w, d, p.ArmInline())
+	p.Await()
+	return !w.expired
 }
 
 func TestSignalWakeOrder(t *testing.T) {
@@ -359,11 +368,11 @@ func TestSignalWaitTimeout(t *testing.T) {
 	var sig Signal
 	var timedOut, signalled bool
 	env.Go("timeout", func(p *Proc) {
-		timedOut = !sig.WaitTimeout(p, time.Millisecond)
+		timedOut = !waitTimeout(p, &sig, time.Millisecond)
 	})
 	env.Go("signalled", func(p *Proc) {
 		p.Sleep(2 * time.Millisecond) // first waiter already timed out
-		signalled = sig.WaitTimeout(p, 10*time.Millisecond)
+		signalled = waitTimeout(p, &sig, 10*time.Millisecond)
 	})
 	env.Schedule(5*time.Millisecond, func() { sig.Broadcast() })
 	if err := env.Run(); err != nil {
@@ -466,11 +475,16 @@ func TestQueueBlockingBounded(t *testing.T) {
 func TestQueueGetTimeout(t *testing.T) {
 	env := NewEnv(1)
 	q := NewQueue[string](env, 0)
+	var w TimedWait
 	var ok1, ok2 bool
-	env.Go("consumer", func(p *Proc) {
-		_, ok1 = q.GetTimeout(p, time.Millisecond)
-		_, ok2 = q.GetTimeout(p, 10*time.Millisecond)
-	})
+	var at1, at2 time.Duration
+	second := func() { _, ok2 = q.TryGet(); at2 = env.Now() }
+	first := func() {
+		_, ok1 = q.TryGet()
+		at1 = env.Now()
+		q.GetTimeoutThen(&w, 10*time.Millisecond, second)
+	}
+	env.Schedule(0, func() { q.GetTimeoutThen(&w, time.Millisecond, first) })
 	env.Go("producer", func(p *Proc) {
 		p.Sleep(5 * time.Millisecond)
 		q.Put(p, "hello")
@@ -478,11 +492,14 @@ func TestQueueGetTimeout(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ok1 {
-		t.Fatal("first GetTimeout should have timed out")
+	if ok1 || at1 != time.Millisecond {
+		t.Fatalf("first wait got an item = %v at %v; want a timeout at 1ms", ok1, at1)
 	}
-	if !ok2 {
-		t.Fatal("second GetTimeout should have received the item")
+	if !ok2 || at2 != 5*time.Millisecond {
+		t.Fatalf("second wait got an item = %v at %v; want the item at 5ms", ok2, at2)
+	}
+	if env.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the run: the woken wait's timer was not cancelled", env.Pending())
 	}
 }
 

@@ -46,19 +46,11 @@ func (r *Readahead) object(obj int64) *raObject {
 	return o
 }
 
-// Wait blocks p until no unfinished readahead window of obj overlaps
-// [off, off+n) — the kernel's lock_page-on-readahead behavior, so a read
-// never re-issues disk work already in flight.
-func (r *Readahead) Wait(p *sim.Proc, obj, off, n int64) {
-	for s := r.Pending(obj, off, n); s != nil; s = r.Pending(obj, off, n) {
-		s.Wait(p)
-	}
-}
-
-// Pending is Wait in continuation form: it returns the completion Signal of
-// the first unfinished window of obj overlapping [off, off+n), or nil when
-// there is none. A handler Notifies on it and calls Pending again when
-// woken, as Wait's loop does.
+// Pending returns the completion Signal of the first unfinished window of
+// obj overlapping [off, off+n), or nil when there is none. A reader waits
+// on it and calls Pending again when woken, until none is left: the
+// kernel's lock_page-on-readahead behavior, so a read never re-issues disk
+// work already in flight.
 func (r *Readahead) Pending(obj, off, n int64) *sim.Signal {
 	o := r.objs[obj]
 	if o == nil {

@@ -60,10 +60,10 @@ func (f *raFixture) run(t *testing.T, fn func(p *sim.Proc)) {
 func (f *raFixture) read(p *sim.Proc, off int64) (missed, diskRead bool) {
 	if _, miss := f.cache.Lookup(raObj, off, raChunk); miss > 0 {
 		missed = true
-		f.ra.Wait(p, raObj, off, raChunk)
+		waitRA(p, f.ra, raObj, off, raChunk)
 		if _, miss = f.cache.Lookup(raObj, off, raChunk); miss > 0 {
 			diskRead = true
-			f.disk.ReadT(p, nil, miss)
+			readT(p, f.disk, miss)
 			f.cache.Insert(raObj, off, raChunk)
 		}
 	}
@@ -248,7 +248,7 @@ func TestReadaheadDropCancelsInflight(t *testing.T) {
 		}
 
 		start := f.env.Now()
-		f.ra.Wait(p, raObj, raChunk, raChunk)
+		waitRA(p, f.ra, raObj, raChunk, raChunk)
 		if !w.finished || f.env.Now() == start {
 			t.Errorf("overlapping read did not wait for the canceled window")
 		}
@@ -375,14 +375,14 @@ func FuzzReadahead(f *testing.F) {
 						n = size - off
 					}
 					if _, miss := cache.Lookup(obj, off, n); miss > 0 {
-						ra.Wait(p, obj, off, n)
+						waitRA(p, ra, obj, off, n)
 						for _, w := range ra.object(obj).raFlight {
 							if !w.finished && w.start < off+n && off < w.end {
-								t.Fatalf("obj %d: Wait returned with [%d,%d) in flight over [%d,%d)", obj, w.start, w.end, off, off+n)
+								t.Fatalf("obj %d: the wait returned with [%d,%d) in flight over [%d,%d)", obj, w.start, w.end, off, off+n)
 							}
 						}
 						if _, miss = cache.Lookup(obj, off, n); miss > 0 {
-							disk.ReadT(p, nil, miss)
+							readT(p, disk, miss)
 							cache.Insert(obj, off, n)
 						}
 					}

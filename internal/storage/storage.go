@@ -114,13 +114,6 @@ func (d *Disk) WriteAsyncT(tr *trace.Trace, n int64, onDone func()) {
 	d.stats.BytesWritten += n
 }
 
-// ReadT blocks p for the duration of a read of n bytes, with a "disk read"
-// span on the request trace.
-func (d *Disk) ReadT(p *sim.Proc, tr *trace.Trace, n int64) {
-	d.ReadAsyncT(tr, n, p.Arm())
-	p.Await()
-}
-
 func (d *Disk) submit(n int64, lat time.Duration, bw int64, onDone func()) {
 	if n < 0 {
 		panic(fmt.Sprintf("storage: negative I/O size %d", n))

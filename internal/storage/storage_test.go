@@ -15,7 +15,7 @@ func TestDiskReadTiming(t *testing.T) {
 	d := NewDisk(env, "ssd", DiskConfig{})
 	var done time.Duration
 	env.Go("p", func(p *sim.Proc) {
-		d.ReadT(p, nil, 500_000_000) // 500MB at 500MB/s = 1s + 100µs latency
+		readT(p, d, 500_000_000) // 500MB at 500MB/s = 1s + 100µs latency
 		done = env.Now()
 	})
 	if err := env.Run(); err != nil {
@@ -35,11 +35,11 @@ func TestDiskFIFOSerialization(t *testing.T) {
 	d := NewDisk(env, "ssd", DiskConfig{ReadLatency: time.Millisecond, ReadBandwidth: 1_000_000_000})
 	var first, second time.Duration
 	env.Go("a", func(p *sim.Proc) {
-		d.ReadT(p, nil, 0)
+		readT(p, d, 0)
 		first = env.Now()
 	})
 	env.Go("b", func(p *sim.Proc) {
-		d.ReadT(p, nil, 0)
+		readT(p, d, 0)
 		second = env.Now()
 	})
 	if err := env.Run(); err != nil {
@@ -207,7 +207,7 @@ func TestDiskSlowFaultAddsLatency(t *testing.T) {
 	d.InjectFaults(plan)
 	var done time.Duration
 	env.Go("p", func(p *sim.Proc) {
-		d.ReadT(p, nil, 0)
+		readT(p, d, 0)
 		done = env.Now()
 	})
 	if err := env.Run(); err != nil {
@@ -228,7 +228,7 @@ func TestDiskNilPlanUnchanged(t *testing.T) {
 	d.InjectFaults(nil)
 	var done time.Duration
 	env.Go("p", func(p *sim.Proc) {
-		d.ReadT(p, nil, 0)
+		readT(p, d, 0)
 		done = env.Now()
 	})
 	if err := env.Run(); err != nil {
@@ -236,5 +236,18 @@ func TestDiskNilPlanUnchanged(t *testing.T) {
 	}
 	if done != 100*time.Microsecond {
 		t.Fatalf("read finished at %v, want bare latency", done)
+	}
+}
+
+// readT blocks p for one read of n bytes, as a Proc reader of the disk does.
+func readT(p *sim.Proc, d *Disk, n int64) {
+	d.ReadAsync(n, p.Arm())
+	p.Await()
+}
+
+// waitRA blocks p while a readahead window of obj overlaps [off, off+n).
+func waitRA(p *sim.Proc, ra *Readahead, obj, off, n int64) {
+	for s := ra.Pending(obj, off, n); s != nil; s = ra.Pending(obj, off, n) {
+		s.Wait(p)
 	}
 }
