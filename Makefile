@@ -10,7 +10,7 @@
 GO ?= go
 RACE_PKGS := ./internal/sim ./internal/data ./internal/metrics ./internal/trace ./internal/par ./internal/sim/shard ./internal/netsim ./internal/experiments ./internal/workload ./internal/cluster ./internal/hdfs ./internal/faults ./internal/faults/chaostest
 
-.PHONY: tier1 fmt vet build lint lint-evidence test race bench-smoke chaos-smoke fuzz-smoke scale-smoke migrate-smoke examples-smoke
+.PHONY: tier1 fmt vet build lint lint-evidence test race bench-smoke chaos-smoke fuzz-smoke scale-smoke migrate-smoke examples-smoke lines
 
 tier1: fmt vet build lint test race
 
@@ -135,3 +135,15 @@ examples-smoke:
 	@echo "== cmd/hdfs-cli"
 	$(GO) run ./cmd/hdfs-cli -vread put /a 2048 \; stat /a \; get /a \; ls
 	$(GO) run ./cmd/hdfs-cli -shards 4 -replication 2 put /a 2048 \; placement /a
+
+# lines prints the non-test Go line counts ROADMAP's line bars are set
+# against, all outside bench/ (its own module) and testdata/: one row per
+# package directory, then the internal/analysis tree (the linter and its
+# analyzers) and the total.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './bench/*' ! -path '*/testdata/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { \
+			d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "."; \
+			n[d] += $$1; t += $$1; if (d ~ /^internal\/analysis(\/|$$)/) a += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%7d internal/analysis/...\n%7d total\n", a, t }'

@@ -32,7 +32,7 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 //
 // and justify the diff.
 func TestGolden(t *testing.T) {
-	opt := vread.Options{Seed: 1, Scale: 0.01, Transport: vread.TransportRDMA}
+	opt := vread.Options{Seed: 1, Scale: 0.01, VReadConfig: vread.VReadConfig{Transport: vread.TransportRDMA}}
 	counts := []*countGolden{
 		newCountGolden(t, "events.txt", "simulated events", (*experiments.RunStats).Events),
 		newCountGolden(t, "resumes.txt", "Proc resumes", (*experiments.RunStats).Resumes),

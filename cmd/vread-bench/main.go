@@ -86,9 +86,9 @@ func run(args []string) error {
 	}
 	switch *transport {
 	case "rdma":
-		opt.Transport = vread.TransportRDMA
+		opt.VReadConfig.Transport = vread.TransportRDMA
 	case "tcp":
-		opt.Transport = vread.TransportTCP
+		opt.VReadConfig.Transport = vread.TransportTCP
 	default:
 		return fmt.Errorf("-transport: unknown transport %q (want rdma or tcp)", *transport)
 	}

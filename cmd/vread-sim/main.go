@@ -120,14 +120,14 @@ func run(args []string) error {
 		return runMigrate(opt, *mc, c.blackoutPath)
 	case c.configPath == "":
 		opt = vread.Options{
-			Seed:             c.seed,
-			FreqHz:           int64(c.freqGHz * 1e9),
-			ExtraVMs:         c.hogs,
-			VRead:            c.useVRead,
-			DirectDiskBypass: c.bypass,
+			Seed:        c.seed,
+			FreqHz:      int64(c.freqGHz * 1e9),
+			ExtraVMs:    c.hogs,
+			VRead:       c.useVRead,
+			VReadConfig: vread.VReadConfig{DirectDiskBypass: c.bypass},
 		}
 		if c.transport == "tcp" {
-			opt.Transport = vread.TransportTCP
+			opt.VReadConfig.Transport = vread.TransportTCP
 		}
 		place = c.place
 		if c.faultSpec != "" {

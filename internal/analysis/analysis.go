@@ -12,6 +12,8 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -53,96 +55,137 @@ const ReportVersion = 2
 // AnalyzerTiming is one analyzer's wall-clock cost and surviving finding
 // count for the report's timing rows.
 type AnalyzerTiming struct {
-	Analyzer string
-	Millis   int64
-	Findings int
+	Analyzer string `json:"analyzer"`
+	Millis   int64  `json:"ms"`
+	Findings int    `json:"findings"`
+}
+
+// reportDiagnostic is a Diagnostic's report row, in its fixed field order.
+type reportDiagnostic struct {
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 // MarshalReport renders the versioned lint report: a fixed-field-order
-// object wrapping the timing and diagnostics arrays. The diagnostics bytes
-// are identical on every run over the same tree — the golden test pins
-// them; the timing rows are the report's one wall-clock-dependent part
-// (their ms values vary run to run, their order and fields do not).
+// object wrapping the timing and diagnostics arrays, one row per line. The
+// diagnostics must already be sorted (RunSuite output is); their bytes are
+// identical on every run over the same tree, which is what lets CI diff
+// lint-report.json artifacts across builds — the golden test pins them. The
+// timing rows are the report's one wall-clock-dependent part (their ms
+// values vary run to run, their order and fields do not).
 func MarshalReport(diags []Diagnostic, timings []AnalyzerTiming) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "{\"version\":%d,\n\"timings\":[", ReportVersion)
-	for i, tr := range timings {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n  ")
-		fmt.Fprintf(&b, `{"analyzer":%s,"ms":%d,"findings":%d}`,
-			jsonString(tr.Analyzer), tr.Millis, tr.Findings)
-	}
-	if len(timings) > 0 {
-		b.WriteString("\n")
-	}
-	b.WriteString("],\n\"diagnostics\":")
-	b.Write(MarshalDiagnostics(diags))
-	b.WriteString("}\n")
-	return []byte(b.String())
-}
-
-// MarshalDiagnostics renders diagnostics as a JSON array with a fixed field
-// order (file, line, col, analyzer, message) and one object per line. The
-// input must already be sorted (RunSuite output is); given the
-// same diagnostics the bytes are identical on every run, which is what lets
-// CI diff lint-report.json artifacts across builds.
-func MarshalDiagnostics(diags []Diagnostic) []byte {
-	var b strings.Builder
-	b.WriteString("[")
+	rows := make([]reportDiagnostic, len(diags))
 	for i, d := range diags {
+		rows[i] = reportDiagnostic{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message}
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "{\"version\":%d,\n\"timings\":", ReportVersion)
+	writeRows(&b, timings)
+	b.WriteString(",\n\"diagnostics\":")
+	writeRows(&b, rows)
+	b.WriteString("\n}\n")
+	return b.Bytes()
+}
+
+// writeRows writes rows as a JSON array with one object per line.
+func writeRows[T any](b *bytes.Buffer, rows []T) {
+	enc := json.NewEncoder(b)
+	enc.SetEscapeHTML(false)
+	b.WriteString("[")
+	for i, r := range rows {
 		if i > 0 {
 			b.WriteString(",")
 		}
 		b.WriteString("\n  ")
-		fmt.Fprintf(&b, `{"file":%s,"line":%d,"col":%d,"analyzer":%s,"message":%s}`,
-			jsonString(d.Pos.Filename), d.Pos.Line, d.Pos.Column,
-			jsonString(d.Analyzer), jsonString(d.Message))
+		_ = enc.Encode(r)       // strings and integers always encode
+		b.Truncate(b.Len() - 1) // Encode's newline: the separator comes first
 	}
-	if len(diags) > 0 {
+	if len(rows) > 0 {
 		b.WriteString("\n")
 	}
-	b.WriteString("]\n")
-	return []byte(b.String())
+	b.WriteString("]")
 }
 
-// jsonString quotes s as a JSON string (the subset of escaping Go source
-// positions and lint messages can contain).
-func jsonString(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		case '\r':
-			b.WriteString(`\r`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
+// ---------------------------------------------------------------------------
+// The //lint: directive grammar.
+
+// directiveRx matches the one //lint: grammar: a bare //lint:hotpath, or
+// //lint:<kind> <analyzer>(<reason>) for every other kind. A kind written
+// without its analyzer(reason) is not a directive.
+var directiveRx = regexp.MustCompile(`^//\s*lint:(?:(hotpath)|(allow|sanitizer|source|converter)\s+([A-Za-z0-9_-]+)\s*\(([^)]*)\))`)
+
+// Directive is one parsed //lint: comment.
+type Directive struct {
+	Kind     string // "allow", "sanitizer", "source", "converter" or "hotpath"
+	Analyzer string // empty for hotpath
+	Reason   string // space-trimmed; empty for hotpath
+	Pos      token.Pos
+}
+
+// Directives parses the //lint: directives of the comment groups, in order.
+// Nil groups are skipped.
+func Directives(groups ...*ast.CommentGroup) []Directive {
+	var out []Directive
+	for _, g := range groups {
+		if g == nil {
+			continue
+		}
+		for _, c := range g.List {
+			if m := directiveRx.FindStringSubmatch(c.Text); m != nil {
+				// One of m[1] (hotpath) and m[2] (the other kinds) is empty.
+				out = append(out, Directive{Kind: m[1] + m[2], Analyzer: m[3], Reason: strings.TrimSpace(m[4]), Pos: c.Pos()})
 			}
 		}
 	}
-	b.WriteByte('"')
-	return b.String()
+	return out
+}
+
+// Annotated collects every function (by its doc comment) and struct field
+// (by its doc or line comment) in the program that carries a //lint:<kind>
+// <analyzer>(reason) directive, mapped to the reason. A directive with an
+// empty reason is reported through report instead: the reason is the review
+// trail.
+func Annotated(prog *Program, kind, analyzer string, report func(pos token.Pos, msg string)) map[types.Object]string {
+	out := make(map[types.Object]string)
+	for _, pkg := range prog.Pkgs {
+		mark := func(names []*ast.Ident, groups ...*ast.CommentGroup) {
+			for _, d := range Directives(groups...) {
+				if d.Kind != kind || d.Analyzer != analyzer {
+					continue
+				}
+				if d.Reason == "" {
+					report(d.Pos, fmt.Sprintf("lint:%s %s() needs a reason: write //lint:%s %s(why)", kind, analyzer, kind, analyzer))
+					continue
+				}
+				for _, name := range names {
+					if obj := pkg.TypesInfo.Defs[name]; obj != nil {
+						out[obj] = d.Reason
+					}
+				}
+			}
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					mark([]*ast.Ident{n.Name}, n.Doc)
+				case *ast.StructType:
+					for _, field := range n.Fields.List {
+						mark(field.Names, field.Doc, field.Comment)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
 // Running analyzers with suppression.
-
-// allowRx matches //lint:allow <analyzer>(<reason>) directives. The reason
-// is mandatory: a suppression with no recorded justification is itself a
-// finding.
-var allowRx = regexp.MustCompile(`^//\s*lint:allow\s+([A-Za-z0-9_-]+)\s*\(([^)]*)\)`)
 
 // allowDirective is one //lint:allow comment: its claim (analyzer, file, the
 // two lines it covers) plus whether any diagnostic actually hit it — the
@@ -168,36 +211,33 @@ func buildSuppressions(fset *token.FileSet, files []*ast.File) (*suppressions, [
 	sup := &suppressions{byKey: map[string]map[string]map[int]*allowDirective{}}
 	var bad []Diagnostic
 	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowRx.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				if strings.TrimSpace(m[2]) == "" {
-					bad = append(bad, Diagnostic{
-						Analyzer: "lint",
-						Pos:      pos,
-						Message:  fmt.Sprintf("lint:allow %s() needs a reason: write //lint:allow %s(why this is safe)", m[1], m[1]),
-					})
-					continue
-				}
-				d := &allowDirective{analyzer: m[1], pos: pos}
-				sup.directives = append(sup.directives, d)
-				byFile := sup.byKey[m[1]]
-				if byFile == nil {
-					byFile = map[string]map[int]*allowDirective{}
-					sup.byKey[m[1]] = byFile
-				}
-				lines := byFile[pos.Filename]
-				if lines == nil {
-					lines = map[int]*allowDirective{}
-					byFile[pos.Filename] = lines
-				}
-				lines[pos.Line] = d
-				lines[pos.Line+1] = d
+		for _, dir := range Directives(f.Comments...) {
+			if dir.Kind != "allow" {
+				continue
 			}
+			pos := fset.Position(dir.Pos)
+			if dir.Reason == "" {
+				bad = append(bad, Diagnostic{
+					Analyzer: "lint",
+					Pos:      pos,
+					Message:  fmt.Sprintf("lint:allow %s() needs a reason: write //lint:allow %s(why this is safe)", dir.Analyzer, dir.Analyzer),
+				})
+				continue
+			}
+			d := &allowDirective{analyzer: dir.Analyzer, pos: pos}
+			sup.directives = append(sup.directives, d)
+			byFile := sup.byKey[d.analyzer]
+			if byFile == nil {
+				byFile = map[string]map[int]*allowDirective{}
+				sup.byKey[d.analyzer] = byFile
+			}
+			lines := byFile[pos.Filename]
+			if lines == nil {
+				lines = map[int]*allowDirective{}
+				byFile[pos.Filename] = lines
+			}
+			lines[pos.Line] = d
+			lines[pos.Line+1] = d
 		}
 	}
 	return sup, bad
@@ -251,41 +291,31 @@ func PkgFunc(info *types.Info, sel *ast.SelectorExpr) (path, name string, ok boo
 	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
-// Method resolves a method selector to (receiver type package path, receiver
-// type name, method name). ok is false when sel is not a method on a named
-// type.
-func Method(info *types.Info, sel *ast.SelectorExpr) (recvPath, recvType, name string, ok bool) {
+// CallMethod resolves a call's callee, when it is a method selector on a
+// named type, to (receiver type package path, receiver type name, method
+// name, the selector).
+func CallMethod(info *types.Info, call *ast.CallExpr) (recvPath, recvType, name string, sel *ast.SelectorExpr, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", "", nil, false
+	}
 	fn, isFn := info.Uses[sel.Sel].(*types.Func)
 	if !isFn {
-		return "", "", "", false
+		return "", "", "", nil, false
 	}
 	sig, isSig := fn.Type().(*types.Signature)
 	if !isSig || sig.Recv() == nil {
-		return "", "", "", false
+		return "", "", "", nil, false
 	}
 	t := sig.Recv().Type()
 	if ptr, isPtr := t.(*types.Pointer); isPtr {
 		t = ptr.Elem()
 	}
 	named, isNamed := t.(*types.Named)
-	if !isNamed {
-		return "", "", "", false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return "", "", "", false
-	}
-	return obj.Pkg().Path(), obj.Name(), fn.Name(), true
-}
-
-// CallMethod is Method applied to a call expression's callee.
-func CallMethod(info *types.Info, call *ast.CallExpr) (recvPath, recvType, name string, sel *ast.SelectorExpr, ok bool) {
-	s, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
+	if !isNamed || named.Obj().Pkg() == nil {
 		return "", "", "", nil, false
 	}
-	recvPath, recvType, name, ok = Method(info, s)
-	return recvPath, recvType, name, s, ok
+	return named.Obj().Pkg().Path(), named.Obj().Name(), fn.Name(), sel, true
 }
 
 // IsMap reports whether the expression has map type.

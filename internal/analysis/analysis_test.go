@@ -4,6 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -61,5 +64,93 @@ func TestProgramPassIsTestFile(t *testing.T) {
 	}
 	if !pass.IsTestFile(external.Name.Pos()) {
 		t.Errorf("external.go (package bar_test) not classified as a test file")
+	}
+}
+
+// TestDirectives pins the one //lint: grammar every analyzer reads: each
+// kind, an empty reason, an allow without its analyzer(reason) (ignored),
+// a field's line comment, and plain comments that are not directives. It
+// then checks what Annotated reads of it: function doc comments and struct
+// field doc and line comments, never a parameter's comment.
+func TestDirectives(t *testing.T) {
+	const src = `package p
+
+//lint:allow hotalloc(cold path)
+//lint:sanitizer guesttaint(checks the range)
+//lint:source guesttaint( spaced reason )
+//lint:converter unitflow(cycles to time)
+//lint:hotpath
+//lint:allow determinism()
+//lint:allow determinism
+// lint:allow  spaced-name (reason)
+// A plain comment that mentions lint:allow x(y).
+//lintallow x(y)
+func f(
+	n int, //lint:source guesttaint(parameters are not read)
+) {
+}
+
+type T struct {
+	//lint:source guesttaint(doc comment)
+	a int
+	b int //lint:source guesttaint(line comment)
+	c int //lint:source guesttaint()
+	d int // lint is a plain word here
+}
+`
+	file := filepath.Join(t.TempDir(), "p.go")
+	if err := os.WriteFile(file, []byte(src), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	pkg, err := Check(fset, nil, "p", filepath.Dir(file), []string{file})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type dir struct {
+		line                   int
+		kind, analyzer, reason string
+	}
+	want := []dir{
+		{3, "allow", "hotalloc", "cold path"},
+		{4, "sanitizer", "guesttaint", "checks the range"},
+		{5, "source", "guesttaint", "spaced reason"},
+		{6, "converter", "unitflow", "cycles to time"},
+		{7, "hotpath", "", ""},
+		{8, "allow", "determinism", ""},
+		{10, "allow", "spaced-name", "reason"},
+		{14, "source", "guesttaint", "parameters are not read"},
+		{19, "source", "guesttaint", "doc comment"},
+		{21, "source", "guesttaint", "line comment"},
+		{22, "source", "guesttaint", ""},
+	}
+	var got []dir
+	for _, d := range Directives(pkg.Files[0].Comments...) {
+		got = append(got, dir{fset.Position(d.Pos).Line, d.Kind, d.Analyzer, d.Reason})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Directives:\ngot  %v\nwant %v", got, want)
+	}
+
+	prog := NewProgram([]*Package{pkg})
+	annotated := func(kind, analyzer string) (map[string]string, []int) {
+		var reported []int
+		out := map[string]string{}
+		for obj, reason := range Annotated(prog, kind, analyzer, func(pos token.Pos, msg string) {
+			reported = append(reported, fset.Position(pos).Line)
+		}) {
+			out[obj.Name()] = reason
+		}
+		return out, reported
+	}
+	sources, reported := annotated("source", "guesttaint")
+	if want := map[string]string{"f": "spaced reason", "a": "doc comment", "b": "line comment"}; !reflect.DeepEqual(sources, want) {
+		t.Errorf("Annotated(source, guesttaint) = %v, want %v", sources, want)
+	}
+	if !reflect.DeepEqual(reported, []int{22}) {
+		t.Errorf("empty-reason reports on lines %v, want [22]", reported)
+	}
+	if sanitizers, _ := annotated("sanitizer", "guesttaint"); !reflect.DeepEqual(sanitizers, map[string]string{"f": "checks the range"}) {
+		t.Errorf("Annotated(sanitizer, guesttaint) = %v", sanitizers)
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"go/token"
 	"go/types"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -68,7 +67,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 		fset:    fset,
 		srcRoot: filepath.Join(testdata, "src"),
 		cache:   map[string]*analysis.Package{},
-		exports: map[string]string{},
+		exports: analysis.ExportImporter(fset, "", map[string]string{}),
 	}
 	var pkgs []*analysis.Package
 	for _, path := range pkgPaths {
@@ -92,11 +91,10 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 // fixtureImporter resolves imports from testdata/src first, then from the
 // surrounding module's compiled export data.
 type fixtureImporter struct {
-	fset     *token.FileSet
-	srcRoot  string
-	cache    map[string]*analysis.Package
-	exports  map[string]string // import path -> export data file, via go list
-	fallback types.Importer
+	fset    *token.FileSet
+	srcRoot string
+	cache   map[string]*analysis.Package
+	exports types.Importer // the module's packages, listed on first import
 }
 
 var _ types.Importer = (*fixtureImporter)(nil)
@@ -112,7 +110,7 @@ func (im *fixtureImporter) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return im.importExport(path)
+	return im.exports.Import(path)
 }
 
 func (im *fixtureImporter) loadFixture(path string) (*analysis.Package, error) {
@@ -141,40 +139,6 @@ func (im *fixtureImporter) loadFixture(path string) (*analysis.Package, error) {
 	}
 	im.cache[path] = pkg
 	return pkg, nil
-}
-
-// importExport resolves a real package from its compiled export data,
-// querying `go list -export` lazily — once per missing path, with its
-// dependency closure batched in.
-func (im *fixtureImporter) importExport(path string) (*types.Package, error) {
-	if im.fallback == nil {
-		im.fallback = analysis.ExportImporter(im.fset, func(p string) (string, bool) {
-			if f, ok := im.exports[p]; ok {
-				return f, true
-			}
-			if err := im.list(p); err != nil {
-				return "", false
-			}
-			f, ok := im.exports[p]
-			return f, ok
-		})
-	}
-	return im.fallback.Import(path)
-}
-
-func (im *fixtureImporter) list(path string) error {
-	out, err := exec.Command("go", "list", "-e", "-export", "-deps", "-f",
-		"{{.ImportPath}}\t{{.Export}}", path).Output()
-	if err != nil {
-		return fmt.Errorf("go list %s: %v", path, err)
-	}
-	for _, line := range strings.Split(string(out), "\n") {
-		p, f, ok := strings.Cut(line, "\t")
-		if ok && f != "" {
-			im.exports[p] = f
-		}
-	}
-	return nil
 }
 
 func isDir(path string) bool {

@@ -33,7 +33,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -229,7 +228,7 @@ func (d *Dataflow) analyze(n *FuncNode) *Summary {
 	}
 	WalkPaths(n.Body, FlowHooks{
 		Init: init,
-		ClassifyState: func(stmt ast.Stmt, isDefer bool, held []Held) ([]Held, []interface{}) {
+		Classify: func(stmt ast.Stmt, isDefer bool, held []Held) ([]Held, []interface{}) {
 			return fa.transfer(stmt, held)
 		},
 		Cond: func(e ast.Expr, held []Held) ([]Held, []interface{}) {
@@ -827,102 +826,6 @@ func (fa *funcAnalysis) killsOfCall(call *ast.CallExpr, v view) []interface{} {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if sig, _ := callee.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
 			kill(sel.X)
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Annotation directives shared by the dataflow analyzers.
-
-// directiveRx matches //lint:<kind> <analyzer>(<reason>) directives —
-// sanitizer, source, and converter declarations in doc comments.
-var directiveRx = regexp.MustCompile(`^//\s*lint:(sanitizer|source|converter)\s+([A-Za-z0-9_-]+)\s*\(([^)]*)\)`)
-
-// Directive is one parsed //lint:sanitizer|source|converter comment.
-type Directive struct {
-	Kind     string // "sanitizer", "source", "converter"
-	Analyzer string
-	Reason   string
-	Pos      token.Pos
-}
-
-// directivesIn parses the directives of one comment group.
-func directivesIn(doc *ast.CommentGroup) []Directive {
-	if doc == nil {
-		return nil
-	}
-	var out []Directive
-	for _, c := range doc.List {
-		if m := directiveRx.FindStringSubmatch(c.Text); m != nil {
-			out = append(out, Directive{Kind: m[1], Analyzer: m[2], Reason: strings.TrimSpace(m[3]), Pos: c.Pos()})
-		}
-	}
-	return out
-}
-
-// AnnotatedFuncs collects every declared function in the program carrying a
-// //lint:<kind> <analyzer>(reason) doc directive. Directives with an empty
-// reason are reported through report (the reason is the review trail).
-func AnnotatedFuncs(prog *Program, kind, analyzer string, report func(pos token.Pos, msg string)) map[*types.Func]string {
-	out := make(map[*types.Func]string)
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				for _, d := range directivesIn(fd.Doc) {
-					if d.Kind != kind || d.Analyzer != analyzer {
-						continue
-					}
-					if d.Reason == "" && report != nil {
-						report(d.Pos, fmt.Sprintf("lint:%s %s() needs a reason: write //lint:%s %s(why)", kind, analyzer, kind, analyzer))
-						continue
-					}
-					if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-						out[fn] = d.Reason
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// AnnotatedFields collects every struct field in the program carrying a
-// //lint:<kind> <analyzer>(reason) directive in its doc or line comment.
-func AnnotatedFields(prog *Program, kind, analyzer string, report func(pos token.Pos, msg string)) map[*types.Var]string {
-	out := make(map[*types.Var]string)
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				st, ok := n.(*ast.StructType)
-				if !ok || st.Fields == nil {
-					return true
-				}
-				for _, field := range st.Fields.List {
-					var ds []Directive
-					ds = append(ds, directivesIn(field.Doc)...)
-					ds = append(ds, directivesIn(field.Comment)...)
-					for _, d := range ds {
-						if d.Kind != kind || d.Analyzer != analyzer {
-							continue
-						}
-						if d.Reason == "" && report != nil {
-							report(d.Pos, fmt.Sprintf("lint:%s %s() needs a reason: write //lint:%s %s(why)", kind, analyzer, kind, analyzer))
-							continue
-						}
-						for _, name := range field.Names {
-							if v, ok := pkg.TypesInfo.Defs[name].(*types.Var); ok {
-								out[v] = d.Reason
-							}
-						}
-					}
-				}
-				return true
-			})
 		}
 	}
 	return out

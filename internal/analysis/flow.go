@@ -30,21 +30,18 @@ type Held struct {
 
 // FlowHooks parameterizes the walk.
 type FlowHooks struct {
-	// Classify inspects one non-control-flow statement and returns the
-	// resource keys it acquires and releases. The walker calls it for
-	// expression, assignment, declaration, and (with isDefer set) defer
-	// statements.
-	Classify func(stmt ast.Stmt, isDefer bool) (acquired []Held, released []interface{})
+	// Classify inspects one non-control-flow statement, given the held set
+	// before it, and returns the resource keys it acquires and releases
+	// (releases apply first). The walker calls it for expression,
+	// assignment, declaration, and (with isDefer set) defer statements, and
+	// for range statements (to bind the iteration variables) before the
+	// body is walked. The held set is the transfer-function input the
+	// dataflow layer needs, where what a statement generates depends on
+	// what its operands already carry.
+	Classify func(stmt ast.Stmt, isDefer bool, held []Held) (acquired []Held, released []interface{})
 	// AtExit is invoked with the held resources at every return statement
 	// (ret non-nil) and at an implicit fall-off-the-end exit (ret nil).
 	AtExit func(ret *ast.ReturnStmt, held []Held)
-	// ClassifyState is Classify with the current held set visible — the
-	// transfer-function form the dataflow layer needs, where what a
-	// statement generates depends on what its operands already carry.
-	// Both hooks may be set; releases apply before acquisitions either way.
-	// ClassifyState is additionally called for range statements (to bind
-	// the iteration variables) before the body is walked.
-	ClassifyState func(stmt ast.Stmt, isDefer bool, held []Held) (acquired []Held, released []interface{})
 	// Cond, when set, is invoked for branch conditions — if and for
 	// conditions, switch tags, and range operands — with the held set at
 	// the branch point. Its effects apply to every outgoing branch; a
@@ -143,16 +140,7 @@ func (w *flowWalker) walkList(stmts []ast.Stmt, held *heldSet) bool {
 }
 
 func (w *flowWalker) classify(s ast.Stmt, isDefer bool, held *heldSet) {
-	var acq []Held
-	var rel []interface{}
-	if w.hooks.Classify != nil {
-		acq, rel = w.hooks.Classify(s, isDefer)
-	}
-	if w.hooks.ClassifyState != nil {
-		a, r := w.hooks.ClassifyState(s, isDefer, held.items())
-		acq = append(acq, a...)
-		rel = append(rel, r...)
-	}
+	acq, rel := w.hooks.Classify(s, isDefer, held.items())
 	for _, k := range rel {
 		if isDefer {
 			w.deferred[k] = true
@@ -245,16 +233,14 @@ func (w *flowWalker) walkStmt(s ast.Stmt, held *heldSet) (terminated bool) {
 
 	case *ast.RangeStmt:
 		w.cond(st.X, held)
-		if w.hooks.ClassifyState != nil {
-			// Bind the iteration variables (key/value derive from the
-			// ranged operand) before walking the body.
-			acq, rel := w.hooks.ClassifyState(st, false, held.items())
-			for _, k := range rel {
-				held.remove(k)
-			}
-			for _, h := range acq {
-				held.add(h)
-			}
+		// Bind the iteration variables (key/value derive from the ranged
+		// operand) before walking the body.
+		acq, rel := w.hooks.Classify(st, false, held.items())
+		for _, k := range rel {
+			held.remove(k)
+		}
+		for _, h := range acq {
+			held.add(h)
 		}
 		body := held.clone()
 		w.walkList(st.Body.List, body)

@@ -47,8 +47,8 @@ var popMethods = map[string]bool{"Get": true, "TryGet": true}
 func run(pass *analysis.Pass) error {
 	prog := pass.Prog
 	badDirective := func(pos token.Pos, msg string) { pass.Reportf(pos, "%s", msg) }
-	sanitizers := analysis.AnnotatedFuncs(prog, "sanitizer", "guesttaint", badDirective)
-	sources := analysis.AnnotatedFields(prog, "source", "guesttaint", badDirective)
+	sanitizers := analysis.Annotated(prog, "sanitizer", "guesttaint", badDirective)
+	sources := analysis.Annotated(prog, "source", "guesttaint", badDirective)
 
 	analysis.RunDataflow(prog, pass.Graph, analysis.DataflowSpec{
 		SourceFacts: func(pkg *analysis.Package, e ast.Expr) []analysis.Fact {
@@ -76,7 +76,7 @@ func run(pass *analysis.Pass) error {
 		// Host state outlives the event: a field reached through a pointer,
 		// unless it is an annotated guest-written field (values stay hostile).
 		FieldStore: func(pkg *analysis.Package, lhs *ast.SelectorExpr) string {
-			if sel, ok := pkg.TypesInfo.Selections[lhs]; !ok || sources[sel.Obj().(*types.Var)] != "" {
+			if sel, ok := pkg.TypesInfo.Selections[lhs]; !ok || sources[sel.Obj()] != "" {
 				return ""
 			}
 			for x, ok := lhs, true; ok; x, ok = ast.Unparen(x.X).(*ast.SelectorExpr) {
@@ -114,7 +114,7 @@ func isQueue(t types.Type) bool {
 
 // refsSourceField reports whether the receiver expression reads through an
 // annotated guest-written field (d.ring.reqs → field reqs).
-func refsSourceField(pkg *analysis.Package, e ast.Expr, sources map[*types.Var]string) bool {
+func refsSourceField(pkg *analysis.Package, e ast.Expr, sources map[types.Object]string) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch x := n.(type) {

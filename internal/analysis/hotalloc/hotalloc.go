@@ -58,16 +58,15 @@ func run(pass *analysis.Pass) error {
 	var seeds []*analysis.FuncNode
 	boundary := map[*analysis.FuncNode]token.Pos{} // node -> its cold-boundary directive
 	for _, n := range g.Nodes {
-		if n.Decl == nil || n.Decl.Doc == nil {
+		if n.Decl == nil {
 			continue
 		}
-		for _, c := range n.Decl.Doc.List {
-			t := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		for _, d := range analysis.Directives(n.Decl.Doc) {
 			switch {
-			case strings.HasPrefix(t, "lint:hotpath"):
+			case d.Kind == "hotpath":
 				seeds = append(seeds, n)
-			case strings.HasPrefix(t, "lint:allow hotalloc("):
-				boundary[n] = c.Pos()
+			case d.Kind == "allow" && d.Analyzer == "hotalloc":
+				boundary[n] = d.Pos
 			}
 		}
 	}

@@ -43,38 +43,13 @@ type listPkg struct {
 // their compiled export data, so loading needs no network and no
 // pre-installed tooling beyond the go command itself.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Standard,DepOnly,Export,GoFiles,Error", "--"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list: %v", err)
-	}
 	exports := map[string]string{}
-	var targets []*listPkg
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list output: %v", err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard {
-			q := p
-			targets = append(targets, &q)
-		}
+	targets, err := goList(dir, patterns, exports)
+	if err != nil {
+		return nil, err
 	}
-
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, func(path string) (string, bool) {
-		f, ok := exports[path]
-		return f, ok
-	})
+	imp := ExportImporter(fset, dir, exports)
 	var pkgs []*Package
 	for _, t := range targets {
 		if t.Error != nil {
@@ -89,11 +64,49 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// goList runs `go list -export -deps` over patterns in dir, records every
+// listed package's export data file in exports, and returns the packages
+// that matched (neither dependencies nor the standard library).
+func goList(dir string, patterns []string, exports map[string]string) ([]*listPkg, error) {
+	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Standard,DepOnly,Export,GoFiles,Error", "--"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v", err)
+	}
+	var targets []*listPkg
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p listPkg
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("go list output: %v", err)
+		}
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+		if !p.DepOnly && !p.Standard {
+			targets = append(targets, &p)
+		}
+	}
+	return targets, nil
+}
+
 // ExportImporter returns a types.Importer that resolves import paths through
-// compiled export data files named by lookup.
-func ExportImporter(fset *token.FileSet, lookup func(path string) (file string, ok bool)) types.Importer {
+// the compiled export data files named in exports. A path missing there is
+// listed, with its dependencies, by go list in dir ("" for the working
+// directory) and added to exports.
+func ExportImporter(fset *token.FileSet, dir string, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := lookup(path)
+		if _, ok := exports[path]; !ok {
+			if _, err := goList(dir, []string{path}, exports); err != nil {
+				return nil, err
+			}
+		}
+		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}

@@ -64,7 +64,10 @@ func isTraceMethod(info *types.Info, call *ast.CallExpr, name string) bool {
 
 func checkSpans(pass *analysis.Pass, info *types.Info, fb analysis.FuncBody) {
 	hooks := analysis.FlowHooks{
-		Classify: func(stmt ast.Stmt, isDefer bool) ([]analysis.Held, []interface{}) {
+		Classify: func(stmt ast.Stmt, isDefer bool, _ []analysis.Held) ([]analysis.Held, []interface{}) {
+			if _, ok := stmt.(*ast.RangeStmt); ok {
+				return nil, nil // spans are tracked in the body's statements
+			}
 			var acq []analysis.Held
 			var rel []interface{}
 			visit := func(n ast.Node, inDeferredLit bool) {

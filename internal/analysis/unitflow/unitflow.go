@@ -45,7 +45,7 @@ var (
 func run(pass *analysis.Pass) error {
 	prog := pass.Prog
 	badDirective := func(pos token.Pos, msg string) { pass.Reportf(pos, "%s", msg) }
-	converters := analysis.AnnotatedFuncs(prog, "converter", "unitflow", badDirective)
+	converters := analysis.Annotated(prog, "converter", "unitflow", badDirective)
 
 	analysis.RunDataflow(prog, pass.Graph, analysis.DataflowSpec{
 		SourceFacts: func(pkg *analysis.Package, e ast.Expr) []analysis.Fact {

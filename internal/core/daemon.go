@@ -57,13 +57,12 @@ type Daemon struct {
 	idle sim.Signal
 
 	// st runs the serve chain. req is the sanitized descriptor in service
-	// and verdict sanitizeReq's ruling on it; then is where a slot fill, a
-	// doorbell or an open reply continues.
+	// and verdict sanitizeReq's ruling on it; then is where a slot fill or a
+	// doorbell continues.
 	st      cpusched.Steps[*Daemon]
 	req     ringReq
 	verdict reqVerdict
 	then    func(*Daemon)
-	res     openResult
 	// A read in progress: its span, the mounted file of a local read, the
 	// cursor, the batch or window in flight and the bytes of it delivered,
 	// and a remote read's peer host and retries.
@@ -73,13 +72,12 @@ type Daemon struct {
 	dnHost         string
 	retries        int
 	// A slot fill in progress: the data and how much of it is pushed, the
-	// slot tokens still to take, the item being put, and the code of an
-	// error slot (slotOK for data).
+	// slot tokens still to take, and the code of an error slot (slotOK for
+	// data).
 	fill          data.Slice
 	filled, slots int64
 	last          bool
 	code          slotCode
-	item          ringSlot
 	hold          time.Duration
 	// chunks receives the replies to the daemon's one outstanding remote
 	// request, reqID; tw is the timed wait on it.
@@ -547,18 +545,10 @@ func (d *Daemon) opened(res openResult) {
 }
 
 // putReply answers an open through its reply queue, then continues with
-// then.
+// then. Reply queues are unbounded, so the put never waits.
 func (d *Daemon) putReply(res openResult, then func(*Daemon)) {
-	d.res, d.then = res, then
-	d.reply()
-}
-
-func (d *Daemon) reply() {
-	if !d.req.reply.TryPut(d.res) {
-		d.req.reply.NotifyNotFull(d.st.Direct((*Daemon).reply))
-		return
-	}
-	d.resume()
+	d.req.reply.TryPut(res)
+	then(d)
 }
 
 // handleRead serves one read request into the ring.
@@ -764,21 +754,13 @@ func (d *Daemon) pushSlots() {
 		return
 	}
 	d.slots -= k
-	d.item = ringSlot{code: d.code, last: d.last && d.slots == 0}
+	item := ringSlot{code: d.code, last: d.last && d.slots == 0}
 	if d.code == slotOK {
 		n := min(k*d.cfg.SlotBytes, d.fill.Len()-d.filled)
-		d.item.s, d.item.run = d.fill.Sub(d.filled, n), d.ring.run
+		item.s, item.run = d.fill.Sub(d.filled, n), d.ring.run
 		d.filled += n
 	}
-	d.putSlot()
-}
-
-func (d *Daemon) putSlot() {
-	if !d.ring.full.TryPut(d.item) {
-		d.ring.full.NotifyNotFull(d.st.Direct((*Daemon).putSlot))
-		return
-	}
-	d.item = ringSlot{}
+	d.ring.full.TryPut(item) // unbounded: the item holds k of the tokens
 	d.pushSlots()
 }
 

@@ -84,7 +84,8 @@ type ring struct {
 	freed sim.Signal
 	// full carries filled slot runs in order. A data item holds the tokens
 	// of slotsFor(its length) slots, all SlotBytes long but the last; an
-	// error item holds one.
+	// error item holds one. The tokens bound the ring: every queued item
+	// holds at least one, so the queue itself is unbounded.
 	full *sim.Queue[ringSlot]
 
 	vm    string // owning client VM
@@ -175,7 +176,7 @@ func newRing(env *sim.Env, cfg Config, vm string) *ring {
 		cfg:   cfg,
 		reqs:  sim.NewQueue[ringReq](env, 64),
 		free:  int64(cfg.RingSlots),
-		full:  sim.NewQueue[ringSlot](env, cfg.RingSlots),
+		full:  sim.NewQueue[ringSlot](env, 0),
 		vm:    vm,
 		epoch: 1,
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"vread/internal/data"
 	"vread/internal/sim"
 )
 
@@ -13,10 +14,12 @@ import (
 // driver rely on.
 
 // TestRingSlotTokensConserved: a daemon-like producer taking runs of up to
-// 37 tokens and a slower guest-like consumer handing each run back in two
-// pieces (k-1, then 1, as drain does around a batch charge) never create or
-// lose a token, and take never hands out more than asked, nor zero while a
-// token is free.
+// 37 tokens and putting each run on the ring as one item, and a slower
+// guest-like consumer handing each run back in two pieces (k-1, then 1, as
+// drain does around a batch charge), never create or lose a token, and take
+// never hands out more than asked, nor zero while a token is free. The
+// queued items never outnumber the tokens in use: every item holds at least
+// one, which is the bound that lets ring.full be unbounded.
 func TestRingSlotTokensConserved(t *testing.T) {
 	env := sim.NewEnv(1)
 	cfg := Config{}.WithDefaults()
@@ -24,12 +27,15 @@ func TestRingSlotTokensConserved(t *testing.T) {
 	if r.free != int64(cfg.RingSlots) {
 		t.Fatalf("initial free slots = %d, want %d", r.free, cfg.RingSlots)
 	}
-	runs := sim.NewQueue[int64](env, 0)
-	var held int64 // tokens taken and not yet given back
+	var held int64   // tokens taken and not yet given back
+	var queued int64 // items put and not yet popped
 	exhausted := 0
 	check := func() {
 		if r.free < 0 || r.free+held != int64(cfg.RingSlots) {
 			t.Fatalf("slot tokens leaked: free %d + held %d != %d", r.free, held, cfg.RingSlots)
+		}
+		if queued > held {
+			t.Fatalf("%d items queued on %d tokens in use", queued, held)
 		}
 	}
 	env.Go("producer", func(p *sim.Proc) {
@@ -47,17 +53,20 @@ func TestRingSlotTokensConserved(t *testing.T) {
 			if r.free == 0 {
 				exhausted++
 			}
+			r.full.Put(p, ringSlot{s: data.NewSlice(data.Pattern{Seed: 1, Size: k * cfg.SlotBytes})})
+			queued++
 			check()
-			runs.Put(p, k)
 		}
-		runs.Close()
+		r.full.Close()
 	})
 	env.Go("consumer", func(p *sim.Proc) {
 		for {
-			k, ok := runs.Get(p)
+			item, ok := r.full.Get(p)
 			if !ok {
 				return
 			}
+			queued--
+			k := r.slotsFor(item.s.Len())
 			held -= k - 1
 			r.give(k - 1)
 			check()

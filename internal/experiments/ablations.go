@@ -34,7 +34,7 @@ func RunAblationRingSlots(opt Options) ([]AblationRow, error) {
 	return runCells(opt, len(geoms), func(i int, o Options) ([]AblationRow, error) {
 		g := geoms[i]
 		o.VRead = true
-		o.VReadConfig = &core.Config{SlotBytes: g.slotBytes, EventBatchSlots: g.batch}
+		o.VReadConfig.SlotBytes, o.VReadConfig.EventBatchSlots = g.slotBytes, g.batch
 		thr, err := warmReadThroughput(o, Colocated)
 		if err != nil {
 			return nil, err
@@ -56,7 +56,7 @@ func RunAblationDirectRead(opt Options) ([]AblationRow, error) {
 	return runCells(opt, 2, func(i int, o Options) ([]AblationRow, error) {
 		bypass := i == 1
 		o.VRead = true
-		o.DirectDiskBypass = bypass
+		o.VReadConfig.DirectDiskBypass = bypass
 		thr, err := warmReadThroughput(o, Colocated)
 		if err != nil {
 			return nil, err
@@ -77,7 +77,7 @@ func RunAblationTransport(opt Options) ([]AblationRow, error) {
 	return runCells(opt, len(transports), func(i int, o Options) ([]AblationRow, error) {
 		tr := transports[i]
 		o.VRead = true
-		o.Transport = tr
+		o.VReadConfig.Transport = tr
 		tb := NewTestbed(o)
 		defer tb.Close()
 		tb.Place(Remote)

@@ -67,7 +67,7 @@ func runBreakdown(opt Options, figure string, scenario Scenario, tr core.Transpo
 // returned testbed.
 func breakdownRead(o Options, figure string, scenario Scenario, tr core.Transport, vread bool) (*Testbed, error) {
 	o.ExtraVMs = false
-	o.Transport = tr
+	o.VReadConfig.Transport = tr
 	o.VRead = vread
 	tb := NewTestbed(o)
 	tb.Place(scenario)

@@ -91,24 +91,24 @@ func ParseOptions(raw []byte) (Options, Scenario, *ScaleConfig, *MigrationConfig
 		return Options{}, Colocated, nil, nil, err
 	}
 	opt := Options{
-		Seed:             j.Seed,
-		FreqHz:           int64(j.FreqGHz * 1e9),
-		ExtraVMs:         j.ExtraVMs,
-		VRead:            j.VRead,
-		DirectDiskBypass: j.DirectDiskBypass,
-		SharedMemNet:     j.SharedMemNet,
-		SRIOV:            j.SRIOV,
-		ShortCircuit:     j.ShortCircuit,
-		Scale:            j.Scale,
-		BlockSize:        j.BlockSizeMB << 20,
-		Shards:           j.Shards,
-		Replication:      j.Replication,
+		Seed:         j.Seed,
+		FreqHz:       int64(j.FreqGHz * 1e9),
+		ExtraVMs:     j.ExtraVMs,
+		VRead:        j.VRead,
+		VReadConfig:  core.Config{DirectDiskBypass: j.DirectDiskBypass},
+		SharedMemNet: j.SharedMemNet,
+		SRIOV:        j.SRIOV,
+		ShortCircuit: j.ShortCircuit,
+		Scale:        j.Scale,
+		BlockSize:    j.BlockSizeMB << 20,
+		Shards:       j.Shards,
+		Replication:  j.Replication,
 	}
 	switch j.Transport {
 	case "", "rdma":
-		opt.Transport = core.TransportRDMA
+		opt.VReadConfig.Transport = core.TransportRDMA
 	case "tcp":
-		opt.Transport = core.TransportTCP
+		opt.VReadConfig.Transport = core.TransportTCP
 	default:
 		return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: unknown transport %q", j.Transport)
 	}

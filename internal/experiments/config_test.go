@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func TestParseOptionsFull(t *testing.T) {
 	if opt.Seed != 9 || opt.FreqHz != 3_200_000_000 || !opt.ExtraVMs || !opt.VRead {
 		t.Fatalf("opt = %+v", opt)
 	}
-	if opt.Transport != core.TransportTCP || !opt.SRIOV {
+	if opt.VReadConfig.Transport != core.TransportTCP || !opt.SRIOV {
 		t.Fatalf("opt = %+v", opt)
 	}
 	if opt.Scale != 0.5 || opt.BlockSize != 32<<20 {
@@ -46,7 +47,7 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Transport != core.TransportRDMA || scenario != Colocated || sc != nil || mc != nil {
+	if opt.VReadConfig.Transport != core.TransportRDMA || scenario != Colocated || sc != nil || mc != nil {
 		t.Fatalf("defaults wrong: %+v %v %+v %+v", opt, scenario, sc, mc)
 	}
 	// The zero values defer to Options.withDefaults downstream.
@@ -264,5 +265,41 @@ func TestParseMigrateOptions(t *testing.T) {
 	}
 	if _, _, _, _, err := ParseOptions([]byte(`{"migrate": {"depth": [1]}}`)); err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Fatalf("typo inside migrate not rejected: %v", err)
+	}
+}
+
+// TestBypassReachesScaleAndMigration: a scenario file's
+// "direct_disk_bypass" reaches the vRead daemons the scale-out and
+// migration builders make, not only the figure testbed's, so turning it on
+// changes the events those runs fire.
+func TestBypassReachesScaleAndMigration(t *testing.T) {
+	for _, block := range []string{
+		`"scale_out": {"qps": [1000], "reads": 20}`,
+		`"migrate": {"depths": [1], "reads_per_stream": 4, "read_kb": 64, "file_kb": 512}`,
+	} {
+		var events [2]int64
+		for i, bypass := range []bool{false, true} {
+			raw := fmt.Sprintf(`{"vread": true, "direct_disk_bypass": %t, %s}`, bypass, block)
+			opt, _, sc, mc, err := ParseOptions([]byte(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opt.VReadConfig.DirectDiskBypass != bypass {
+				t.Fatalf("%s: parsed bypass %v, want %v", raw, opt.VReadConfig.DirectDiskBypass, bypass)
+			}
+			opt.Stats = &RunStats{}
+			if sc != nil {
+				_, err = RunScale(opt, *sc)
+			} else {
+				_, err = RunMigrationSweep(opt, *mc)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", raw, err)
+			}
+			events[i] = opt.Stats.Events()
+		}
+		if events[0] == events[1] {
+			t.Errorf("{%s}: the bypass run fired the same %d events as the mounted-FS run", block, events[0])
+		}
 	}
 }

@@ -60,10 +60,11 @@ type Options struct {
 	ExtraVMs bool
 	// VRead enables the vRead system and installs libvread on the client.
 	VRead bool
-	// Transport selects the remote daemon transport (RDMA default).
-	Transport core.Transport
-	// DirectDiskBypass enables §6's host-FS bypass ablation.
-	DirectDiskBypass bool
+	// VReadConfig is the vRead configuration every testbed shape builds
+	// from: the remote transport (RDMA default), §6's host-FS bypass and
+	// the ring geometry. Leave its Faults nil: Faults below arms each
+	// testbed's plan.
+	VReadConfig core.Config
 	// SharedMemNet enables the §2.2 shared-memory networking comparator.
 	SharedMemNet bool
 	// SRIOV gives every VM a passthrough NIC virtual function (§6's
@@ -83,8 +84,6 @@ type Options struct {
 	// BlockSize overrides the HDFS block size (default 64 MiB, shrunk
 	// automatically when the scaled file would have fewer than 2 blocks).
 	BlockSize int64
-	// VReadConfig overrides vRead parameters (ring ablations).
-	VReadConfig *core.Config
 	// Faults arms deterministic fault injection across the testbed (disk,
 	// fabric, ring, daemon). The plan draws from the testbed's seeded RNG,
 	// so a (Seed, Faults) pair replays identically.
@@ -119,17 +118,6 @@ func (o Options) withDefaults() Options {
 		o.Scale = 0.05
 	}
 	return o
-}
-
-// vreadConfig is the vRead configuration o selects: VReadConfig when set,
-// with o's Transport either way.
-func (o Options) vreadConfig() core.Config {
-	var cfg core.Config
-	if o.VReadConfig != nil {
-		cfg = *o.VReadConfig
-	}
-	cfg.Transport = o.Transport
-	return cfg
 }
 
 // scaled applies the dataset scale with a floor.
@@ -226,8 +214,7 @@ func NewTestbed(opt Options) *Testbed {
 		}
 	}
 	if opt.VRead {
-		vcfg := opt.vreadConfig()
-		vcfg.DirectDiskBypass = opt.DirectDiskBypass
+		vcfg := opt.VReadConfig
 		vcfg.Faults = tb.Faults
 		tb.Mgr = core.NewManager(c, ns, vcfg)
 		tb.Mgr.MountDatanode("dn1")

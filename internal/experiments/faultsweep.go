@@ -62,7 +62,7 @@ func RunFaultSweep(opt Options, profiles ...FaultProfile) ([]AblationRow, error)
 		o.VRead = true
 		o.Faults = specs[i]
 		if pr.TCP {
-			o.Transport = core.TransportTCP
+			o.VReadConfig.Transport = core.TransportTCP
 		}
 		tb := NewTestbed(o)
 		defer tb.Close()

@@ -122,7 +122,7 @@ func runMigrationCell(opt Options, mc MigrationConfig, depth int) (MigrationRow,
 		readers[s] = fmt.Sprintf("reader%d", s)
 	}
 	mgr, writer, libs := BuildReaders(c, readers, 64<<20,
-		func(string, string, int) []string { return []string{"dn1"} }, opt.vreadConfig())
+		func(string, string, int) []string { return []string{"dn1"} }, opt.VReadConfig)
 
 	content := data.Pattern{Seed: uint64(opt.Seed)*1000 + uint64(depth), Size: mc.FileSize}
 	want := data.NewSlice(content)

@@ -196,7 +196,7 @@ func (f *Federation) Read(p *sim.Proc, ci int, tr *trace.Trace, path string, off
 func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 	c := cluster.New(opt.Seed, cluster.Params{FreqHz: opt.FreqHz})
 	defer opt.Stats.closeCluster(c)
-	vcfg := opt.vreadConfig()
+	vcfg := opt.VReadConfig
 	vcfg.Faults = faults.NewPlan(c.Env)
 	clientNames := make([]string, sc.Clients)
 	for j := range clientNames {

@@ -18,7 +18,6 @@ type Queue[T any] struct {
 	notEmpty Signal
 	notFull  Signal
 	closed   bool
-	notify   func() // the handler consumer armed by Notify, if any
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
@@ -35,35 +34,18 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	q.wakeConsumer()
+	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
 }
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
 
-// Notify arms fn as the queue's consumer: the next push or Close schedules it
-// at zero delay where it would have woken a Proc parked in Get, so a handler
-// popping with TryGet fires a Get loop's events. A queue's consumers are
-// Procs in Get or one handler: Notify panics while a Proc is parked in Get.
-func (q *Queue[T]) Notify(fn func()) {
-	if q.notEmpty.Waiters() > 0 {
-		panic("sim: Notify on a Queue with a Proc parked in Get")
-	}
-	q.notify = fn
-}
-
-// wakeConsumer hands a push or Close to the armed handler, else to Get.
-func (q *Queue[T]) wakeConsumer() {
-	if fn := q.notify; fn != nil {
-		q.notify = nil
-		q.env.Schedule(0, fn)
-	} else if q.closed {
-		q.notEmpty.Broadcast()
-	} else {
-		q.notEmpty.Signal()
-	}
-}
+// Notify is Get's wait in continuation form: fn queues as a one-shot
+// consumer in the same FIFO as Procs parked in Get, and the push or Close
+// that would have woken a Proc in its place schedules fn at zero delay
+// instead, so a handler popping with TryGet fires a Get loop's events.
+func (q *Queue[T]) Notify(fn func()) { q.notEmpty.Notify(q.env, fn) }
 
 // Put appends v, blocking while the queue is full.
 //
@@ -145,7 +127,7 @@ func (q *Queue[T]) push(v T) {
 	}
 	q.buf[i] = v
 	q.n++
-	q.wakeConsumer()
+	q.notEmpty.Signal()
 }
 
 // pop removes the head item, clearing its slot so the ring holds no stale

@@ -199,19 +199,64 @@ func panics(fn func()) (did bool) {
 	return false
 }
 
-// TestQueueOneConsumerKind pins the rule that a queue's consumers are Procs
-// in Get or one Notify handler, never both: arming a handler while a Proc
-// is parked in Get panics.
-func TestQueueOneConsumerKind(t *testing.T) {
+// TestQueueNotifySharesGetFIFO: a Notify handler waits in the same FIFO as
+// Procs parked in Get, so each push wakes the longest waiter, handler or
+// Proc, and Close wakes every one of them in that order.
+func TestQueueNotifySharesGetFIFO(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
 	q := NewQueue[int](env, 0)
-	env.Go("getter", func(p *Proc) { q.Get(p) })
+	var log strings.Builder
+	getter := func(name string, start time.Duration) func(*Proc) {
+		return func(p *Proc) {
+			p.Sleep(start)
+			for {
+				v, ok := q.Get(p)
+				if !ok {
+					fmt.Fprintf(&log, "%s closed at %v\n", name, env.Now())
+					return
+				}
+				fmt.Fprintf(&log, "%s pops %d at %v\n", name, v, env.Now())
+			}
+		}
+	}
+	var serve func()
+	serve = func() {
+		v, ok := q.TryGet()
+		switch {
+		case ok:
+			fmt.Fprintf(&log, "handler pops %d at %v\n", v, env.Now())
+			serve()
+		case q.Closed():
+			fmt.Fprintf(&log, "handler closed at %v\n", env.Now())
+		default:
+			q.Notify(serve)
+		}
+	}
+	// The handler waits from 0, Proc a from 0.5µs and Proc b from 1µs.
+	env.Schedule(0, serve)
+	env.Go("a", getter("a", 500*time.Nanosecond))
+	env.Go("b", getter("b", time.Microsecond))
+	env.Go("producer", func(p *Proc) {
+		p.Sleep(2 * time.Microsecond)
+		for i := 1; i <= 4; i++ {
+			q.Put(p, i)
+			p.Sleep(time.Microsecond)
+		}
+		q.Close()
+	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !panics(func() { q.Notify(func() {}) }) {
-		t.Fatal("Notify with a Proc parked in Get did not panic")
+	want := "handler pops 1 at 2µs\n" +
+		"a pops 2 at 3µs\n" +
+		"b pops 3 at 4µs\n" +
+		"handler pops 4 at 5µs\n" +
+		"a closed at 6µs\n" +
+		"b closed at 6µs\n" +
+		"handler closed at 6µs\n"
+	if got := log.String(); got != want {
+		t.Fatalf("pops:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -158,17 +158,6 @@ func (s *Signal) Broadcast() {
 	s.waiters, s.head = s.waiters[:0], 0
 }
 
-// Waiters returns the number of processes and handlers currently waiting.
-func (s *Signal) Waiters() int {
-	n := 0
-	for _, w := range s.waiters[s.head:] {
-		if w.live() {
-			n++
-		}
-	}
-	return n
-}
-
 // Mutex is a simulated mutual-exclusion lock. Lock order is FIFO. The zero
 // Mutex is unlocked and ready to use.
 type Mutex struct {
