@@ -84,13 +84,9 @@ func run(args []string) error {
 		opt.Traces = col
 		opt.TraceEvery = *traceEvery
 	}
-	switch *transport {
-	case "rdma":
-		opt.VReadConfig.Transport = vread.TransportRDMA
-	case "tcp":
-		opt.VReadConfig.Transport = vread.TransportTCP
-	default:
-		return fmt.Errorf("-transport: unknown transport %q (want rdma or tcp)", *transport)
+	var err error
+	if opt.VReadConfig.Transport, err = vread.ParseTransport(*transport); err != nil {
+		return fmt.Errorf("-transport: %w", err)
 	}
 
 	for _, e := range exps {

@@ -40,7 +40,8 @@ type cli struct {
 	configPath, sloPath, blackoutPath string
 	freqGHz                           float64
 	sizeMB, bufferKB, seed            int64
-	place                             vread.Scenario // parsed from scenario
+	place                             vread.Scenario  // parsed from scenario
+	link                              vread.Transport // parsed from transport
 }
 
 // parseFlags parses and range-checks the command line, so a bad value fails
@@ -71,18 +72,13 @@ func parseFlags(args []string) (*cli, error) {
 		return nil, fmt.Errorf("-size-mb %d out of range (want > 0)", c.sizeMB)
 	case c.bufferKB <= 0 || c.bufferKB > math.MaxInt64>>10:
 		return nil, fmt.Errorf("-buffer-kb %d out of range (want > 0)", c.bufferKB)
-	case c.transport != "rdma" && c.transport != "tcp":
-		return nil, fmt.Errorf("-transport: unknown transport %q (want rdma or tcp)", c.transport)
 	}
-	switch c.scenario {
-	case "co-located":
-		c.place = vread.Colocated
-	case "remote":
-		c.place = vread.Remote
-	case "hybrid":
-		c.place = vread.Hybrid
-	default:
-		return nil, fmt.Errorf("-scenario: unknown scenario %q (want co-located, remote or hybrid)", c.scenario)
+	var err error
+	if c.link, err = vread.ParseTransport(c.transport); err != nil {
+		return nil, fmt.Errorf("-transport: %w", err)
+	}
+	if c.place, err = vread.ParseScenario(c.scenario); err != nil {
+		return nil, fmt.Errorf("-scenario: %w", err)
 	}
 	return &c, nil
 }
@@ -124,10 +120,7 @@ func run(args []string) error {
 			FreqHz:      int64(c.freqGHz * 1e9),
 			ExtraVMs:    c.hogs,
 			VRead:       c.useVRead,
-			VReadConfig: vread.VReadConfig{DirectDiskBypass: c.bypass},
-		}
-		if c.transport == "tcp" {
-			opt.VReadConfig.Transport = vread.TransportTCP
+			VReadConfig: vread.VReadConfig{DirectDiskBypass: c.bypass, Transport: c.link},
 		}
 		place = c.place
 		if c.faultSpec != "" {

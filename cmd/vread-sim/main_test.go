@@ -45,8 +45,12 @@ func TestParseFlagsAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.transport != "tcp" || c.place != vread.Remote || c.bufferKB != 64 {
+	if c.transport != "tcp" || c.link != vread.TransportTCP || c.place != vread.Remote || c.bufferKB != 64 {
 		t.Errorf("parsed = %+v", c)
+	}
+	// -scenario takes every name a scenario file does.
+	if c, err = parseFlags([]string{"-scenario", "colocated"}); err != nil || c.place != vread.Colocated {
+		t.Errorf("-scenario colocated: %v, %+v", err, c)
 	}
 }
 

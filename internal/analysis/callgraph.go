@@ -1,24 +1,25 @@
 package analysis
 
 // The interprocedural layer: a deterministic cross-package call graph over
-// one loaded Program, shared by the interprocedural analyzers through
-// Pass.Graph.
+// one loaded Program, shared by the analyzers through Pass.Graph. Its nodes
+// are also the suite's one index of function bodies: analyzers that check
+// each body on its own (determinism, tracecharge) walk Graph.Nodes.
 //
-// Construction is purely static and intentionally approximate, in the
-// conservative direction each client needs:
+// Construction is purely static, with two edge sources:
 //
 //   - direct calls and method calls resolve through the type checker
 //     (generic instantiations collapse onto their origin declaration);
 //   - a call through an interface method fans out to every method in the
 //     program whose receiver type implements the interface (static method-set
-//     check, no pointer analysis);
-//   - a call through a function value fans out to every function or literal
-//     in the *same package* whose value is taken somewhere and whose
-//     signature matches — the per-package approximation documented in
-//     DESIGN.md §10;
-//   - a function literal gets an edge from its enclosing function at its
-//     definition site (defining a closure on a path is treated as calling
-//     it), and is its own node so facts propagate into its body.
+//     check, no pointer analysis).
+//
+// A call through a function value (a parameter, field, variable or call
+// result) has no edge: its callee is whatever some caller stored, so a
+// callback that runs on a hot path carries its own //lint:hotpath (DESIGN.md
+// §10). The dataflow layer treats the same calls as opaque, so one rule
+// serves both. A function literal is its own node, with an edge from its
+// enclosing function at its definition site (defining a closure on a path is
+// treated as calling it).
 //
 // Everything is sorted — nodes by name, callees by name, edges by
 // (caller, callee) — so traversals and diagnostics replay byte-identically
@@ -158,19 +159,17 @@ func BuildCallGraph(prog *Program) *CallGraph {
 		callees: make(map[*FuncNode][]*FuncNode),
 	}
 	b := &graphBuilder{
-		g:         g,
-		litNode:   make(map[*ast.FuncLit]*FuncNode),
-		valueRefs: make(map[*Package][]*FuncNode),
-		methods:   make(map[string][]*FuncNode),
-		edgeSeen:  make(map[[2]*FuncNode]bool),
+		g:        g,
+		litNode:  make(map[*ast.FuncLit]*FuncNode),
+		methods:  make(map[string][]*FuncNode),
+		edgeSeen: make(map[[2]*FuncNode]bool),
 	}
 
-	pkgs := append([]*Package(nil), prog.Pkgs...)
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-
 	// Pass 1: nodes — declared functions first (so literal ordinals can hang
-	// off their enclosing declaration), then literals in source order.
-	for _, pkg := range pkgs {
+	// off their enclosing declaration), then literals in source order — and
+	// the program-wide method index the interface fan-out reads. prog.Pkgs
+	// is sorted by path.
+	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -185,26 +184,16 @@ func BuildCallGraph(prog *Program) *CallGraph {
 				g.byName[n.Name] = n
 				g.byObj[obj] = n
 				g.Nodes = append(g.Nodes, n)
+				if fd.Recv != nil {
+					b.methods[obj.Name()] = append(b.methods[obj.Name()], n)
+				}
 				b.addLiterals(pkg, n, fd.Body)
 			}
 		}
 	}
 
-	// Pass 2: per-package value-referenced functions (indirect-call fan-out
-	// candidates) and the program-wide method index (interface fan-out).
-	for _, pkg := range pkgs {
-		b.collectValueRefs(pkg)
-	}
+	// Pass 2: edges.
 	for _, n := range g.Nodes {
-		if n.Obj != nil {
-			if sig, ok := n.Obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-				b.methods[n.Obj.Name()] = append(b.methods[n.Obj.Name()], n)
-			}
-		}
-	}
-
-	// Pass 3: edges.
-	for _, n := range append([]*FuncNode(nil), g.Nodes...) {
 		b.addEdges(n)
 	}
 
@@ -216,11 +205,10 @@ func BuildCallGraph(prog *Program) *CallGraph {
 }
 
 type graphBuilder struct {
-	g         *CallGraph
-	litNode   map[*ast.FuncLit]*FuncNode
-	valueRefs map[*Package][]*FuncNode // address-taken funcs/literals, per package
-	methods   map[string][]*FuncNode   // method name -> concrete method nodes
-	edgeSeen  map[[2]*FuncNode]bool
+	g        *CallGraph
+	litNode  map[*ast.FuncLit]*FuncNode
+	methods  map[string][]*FuncNode // method name -> concrete method nodes
+	edgeSeen map[[2]*FuncNode]bool
 }
 
 // addLiterals registers every function literal under parent as a node named
@@ -240,47 +228,6 @@ func (b *graphBuilder) addLiterals(pkg *Package, parent *FuncNode, body *ast.Blo
 		b.addLiterals(pkg, ln, lit.Body)
 		return false // nested literals handled by the recursive call
 	})
-}
-
-// collectValueRefs records functions whose value escapes into a variable,
-// field, argument, or return — the candidate targets of indirect calls in
-// the same package — plus every literal that is not immediately invoked.
-func (b *graphBuilder) collectValueRefs(pkg *Package) {
-	callPos := make(map[ast.Expr]bool)
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				callPos[ast.Unparen(call.Fun)] = true
-			}
-			return true
-		})
-	}
-	seen := make(map[*FuncNode]bool)
-	add := func(n *FuncNode) {
-		if n != nil && !seen[n] {
-			seen[n] = true
-			b.valueRefs[pkg] = append(b.valueRefs[pkg], n)
-		}
-	}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.Ident:
-				if fn, ok := pkg.TypesInfo.Uses[v].(*types.Func); ok && !callPos[ast.Expr(v)] {
-					add(b.g.NodeOf(fn))
-				}
-			case *ast.SelectorExpr:
-				if fn, ok := pkg.TypesInfo.Uses[v.Sel].(*types.Func); ok && !callPos[ast.Expr(v)] {
-					add(b.g.NodeOf(fn))
-				}
-			case *ast.FuncLit:
-				if !callPos[ast.Expr(v)] {
-					add(b.litNode[v])
-				}
-			}
-			return true
-		})
-	}
 }
 
 func (b *graphBuilder) edge(from, to *FuncNode) {
@@ -311,116 +258,45 @@ func (b *graphBuilder) addEdges(n *FuncNode) {
 	})
 }
 
+// callEdges adds one call's edges: to the declared function or method it
+// names, or to every implementation of the interface method it names. A
+// call through a function value adds none, and an immediately invoked
+// literal already has its definition edge.
 func (b *graphBuilder) callEdges(caller *FuncNode, pkg *Package, call *ast.CallExpr) {
-	fun := ast.Unparen(call.Fun)
-	switch fn := fun.(type) {
+	var id *ast.Ident
+	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		switch obj := pkg.TypesInfo.Uses[fn].(type) {
-		case *types.Func:
-			b.edge(caller, b.g.NodeOf(obj))
-			return
-		case *types.Var:
-			b.indirectEdges(caller, pkg, obj.Type())
-			return
-		case *types.Builtin, *types.TypeName:
-			return
-		}
+		id = fn
 	case *ast.SelectorExpr:
-		if obj, ok := pkg.TypesInfo.Uses[fn.Sel].(*types.Func); ok {
-			sig, _ := obj.Type().(*types.Signature)
-			if sig != nil && sig.Recv() != nil {
-				if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-					b.interfaceEdges(caller, obj)
-					return
-				}
-			}
-			b.edge(caller, b.g.NodeOf(obj))
-			return
-		}
-		if obj, ok := pkg.TypesInfo.Uses[fn.Sel].(*types.Var); ok {
-			// Function-typed field or package-level variable.
-			b.indirectEdges(caller, pkg, obj.Type())
-			return
-		}
-	case *ast.FuncLit:
-		b.edge(caller, b.litNode[fn])
+		id = fn.Sel
+	default:
 		return
 	}
-	// Anything else with function type (index expressions, call results,
-	// conversions applied then called) is an indirect call too.
-	if t := pkg.TypesInfo.TypeOf(call.Fun); t != nil {
-		if _, ok := t.Underlying().(*types.Signature); ok {
-			b.indirectEdges(caller, pkg, t)
-		}
+	obj, ok := pkg.TypesInfo.Uses[id].(*types.Func)
+	if !ok {
+		return // a builtin, a conversion, or a function value
 	}
+	if recv := obj.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		b.interfaceEdges(caller, obj)
+		return
+	}
+	b.edge(caller, b.g.NodeOf(obj))
 }
 
 // interfaceEdges fans an interface-method call out to every concrete method
-// in the program whose receiver implements the interface.
+// of that name in the program whose receiver implements the interface (a
+// pointer receiver's method set includes its value receiver's).
 func (b *graphBuilder) interfaceEdges(caller *FuncNode, iface *types.Func) {
-	recvT := iface.Type().(*types.Signature).Recv().Type()
-	it, ok := recvT.Underlying().(*types.Interface)
-	if !ok {
-		return
-	}
+	it := iface.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
 	for _, m := range b.methods[iface.Name()] {
-		sig, _ := m.Obj.Type().(*types.Signature)
-		if sig == nil || sig.Recv() == nil {
-			continue
+		rt := m.Obj.Type().(*types.Signature).Recv().Type()
+		if _, isPtr := rt.(*types.Pointer); !isPtr {
+			rt = types.NewPointer(rt)
 		}
-		rt := sig.Recv().Type()
 		if types.Implements(rt, it) {
 			b.edge(caller, m)
-			continue
-		}
-		if _, isPtr := rt.(*types.Pointer); !isPtr && types.Implements(types.NewPointer(rt), it) {
-			b.edge(caller, m)
 		}
 	}
-}
-
-// indirectEdges approximates a call through a function value: every
-// value-referenced function or literal in the same package with an identical
-// signature is a candidate target.
-func (b *graphBuilder) indirectEdges(caller *FuncNode, pkg *Package, t types.Type) {
-	sig, ok := t.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	want := sigKey(sig)
-	for _, cand := range b.valueRefs[pkg] {
-		var cs *types.Signature
-		if cand.Obj != nil {
-			cs, _ = cand.Obj.Type().(*types.Signature)
-		} else if lt := cand.Pkg.TypesInfo.TypeOf(cand.Lit); lt != nil {
-			cs, _ = lt.Underlying().(*types.Signature)
-		}
-		if cs != nil && sigKey(cs) == want {
-			b.edge(caller, cand)
-		}
-	}
-}
-
-// sigKey renders a signature's parameters and results (receiver excluded,
-// so method values compare like plain functions) for matching.
-func sigKey(sig *types.Signature) string {
-	var b strings.Builder
-	tuple := func(t *types.Tuple) {
-		b.WriteByte('(')
-		for i := 0; i < t.Len(); i++ {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(types.TypeString(t.At(i).Type(), nil))
-		}
-		b.WriteByte(')')
-	}
-	tuple(sig.Params())
-	tuple(sig.Results())
-	if sig.Variadic() {
-		b.WriteString("...")
-	}
-	return b.String()
 }
 
 // funcName builds the stable node name for a declared function or method.

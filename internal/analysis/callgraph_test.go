@@ -57,3 +57,44 @@ func TestCallGraphDeterministic(t *testing.T) {
 		}
 	}
 }
+
+const valueCallSrc = `package witfix
+
+type handler interface{ Handle() }
+
+type alpha struct{}
+
+func (alpha) Handle() {}
+
+var hook = target
+
+func target() {}
+
+func viaParam(fn func()) { fn() }
+
+func viaVar() { hook() }
+
+func viaIface(h handler) { h.Handle() }
+`
+
+// TestCallGraphValueCalls pins the one rule for indirect calls: a call
+// through a function value (a parameter or a variable holding a function)
+// adds no edge, even when a same-signature function is address-taken in the
+// package, while a call through an interface method still fans out to its
+// implementations.
+func TestCallGraphValueCalls(t *testing.T) {
+	g := witnessProgram(t, valueCallSrc).Graph()
+	for _, name := range []string{"witfix.viaParam", "witfix.viaVar"} {
+		n := g.Lookup(name)
+		if n == nil {
+			t.Fatalf("no node for %s", name)
+		}
+		if cs := g.Callees(n); len(cs) != 0 {
+			t.Errorf("%s has callees %q, want none", name, analysis.PathString(cs))
+		}
+	}
+	cs := g.Callees(g.Lookup("witfix.viaIface"))
+	if got, want := analysis.PathString(cs), "(witfix.alpha).Handle"; got != want {
+		t.Errorf("viaIface callees = %q, want %q", got, want)
+	}
+}

@@ -85,6 +85,11 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
+	for _, n := range pass.Graph.Nodes {
+		if !mapOrder.allow[n.Pkg.Path] && !pass.IsTestFile(n.Body.Pos()) {
+			checkMapRanges(pass, n)
+		}
+	}
 	return nil
 }
 
@@ -122,21 +127,17 @@ func checkFile(pass *analysis.Pass, pkg *analysis.Package, f *ast.File) {
 		}
 		return true
 	})
-	if mapOrder.allow[pkg.Path] {
-		return
-	}
-	for _, fb := range analysis.FuncBodies(f) {
-		checkMapRanges(pass, info, fb)
-	}
 }
 
-// checkMapRanges flags map-range loops whose bodies feed emitted output:
-// either a direct write/encode call, or an append into a slice declared
-// outside the loop that is never sorted in the same function.
-func checkMapRanges(pass *analysis.Pass, info *types.Info, fb analysis.FuncBody) {
+// checkMapRanges flags map-range loops in one function body (a nested
+// literal is a node of its own) whose bodies feed emitted output: either a
+// direct write/encode call, or an append into a slice declared outside the
+// loop that is never sorted in the same function.
+func checkMapRanges(pass *analysis.Pass, fn *analysis.FuncNode) {
+	info := fn.Pkg.TypesInfo
 	var ranges []*ast.RangeStmt
-	ast.Inspect(fb.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && lit != fb.Lit {
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && lit != fn.Lit {
 			return false // nested literal is its own root
 		}
 		if r, ok := n.(*ast.RangeStmt); ok && analysis.IsMap(info, r.X) {
@@ -164,7 +165,7 @@ func checkMapRanges(pass *analysis.Pass, info *types.Info, fb analysis.FuncBody)
 		})
 	}
 	for _, id := range appended {
-		if !sortedIn(info, fb, id) {
+		if !sortedIn(info, fn.Body, id) {
 			pass.Reportf(id.Pos(), "append to %q inside a map-range loop captures map iteration order, breaking byte-identical runs (determinism invariant); sort %q before it is used, or collect and sort the keys first", id.Name, id.Name)
 		}
 	}
@@ -196,10 +197,10 @@ func outerAppend(info *types.Info, r *ast.RangeStmt, as *ast.AssignStmt) *ast.Id
 
 // sortedIn reports whether the variable is passed to a sort or slices sort
 // call anywhere in the function — the sanctioned collect-then-sort idiom.
-func sortedIn(info *types.Info, fb analysis.FuncBody, target *ast.Ident) bool {
+func sortedIn(info *types.Info, body *ast.BlockStmt, target *ast.Ident) bool {
 	obj := info.ObjectOf(target)
 	found := false
-	ast.Inspect(fb.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || found {
 			return !found

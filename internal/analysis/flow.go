@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"sort"
 )
 
 // The pairing walker: a conservative, branch-aware traversal that tracks
@@ -335,32 +334,4 @@ func hasBreak(body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// FuncBodies yields every function body in the file as an independent
-// analysis root: declarations and, separately, each function literal (whose
-// resources must not leak into the enclosing function's accounting).
-type FuncBody struct {
-	Name string         // declared name, or "func literal"
-	Decl *ast.FuncDecl  // nil for literals
-	Lit  *ast.FuncLit   // nil for declarations
-	Body *ast.BlockStmt // never nil
-}
-
-// FuncBodies collects the analysis roots of a file in source order.
-func FuncBodies(f *ast.File) []FuncBody {
-	var out []FuncBody
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncDecl:
-			if v.Body != nil {
-				out = append(out, FuncBody{Name: v.Name.Name, Decl: v, Body: v.Body})
-			}
-		case *ast.FuncLit:
-			out = append(out, FuncBody{Name: "func literal", Lit: v, Body: v.Body})
-		}
-		return true
-	})
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Body.Pos() < out[j].Body.Pos() })
-	return out
 }

@@ -2,9 +2,12 @@
 //
 // A function annotated with a //lint:hotpath line in its doc comment is a hot
 // seed: the engine's schedule/fire path, the virtio ring slot path, the trace
-// span recorders. The hot fact propagates through the program call graph —
-// direct calls, static method calls, and the per-package function-value
-// fan-out — so a helper called from a hot path is held to the same standard.
+// span recorders, the continuation steps of the handler chains. The hot fact
+// propagates through the program call graph — direct calls, static method
+// calls and interface fan-out — so a helper called from a hot path is held to
+// the same standard. A call through a function value has no edge: a callback
+// that runs on a hot path (a Steps continuation, a Proc's completion) carries
+// its own //lint:hotpath. testdata/hotset.txt pins the resulting set.
 // Inside every hot function the analyzer flags constructs that heap-allocate:
 //
 //   - make, new, and append (growth);
@@ -12,7 +15,8 @@
 //   - function literals that capture variables (non-capturing literals are
 //     static and free);
 //   - interface boxing: a concrete, non-pointer-shaped value converted to an
-//     interface at a call argument, assignment, return, or conversion;
+//     interface at a call argument, assignment, return, conversion, or
+//     struct-literal field (keyed or positional);
 //   - fmt calls and non-constant string concatenation.
 //
 // Two deliberate blind spots keep the check honest rather than noisy: the
@@ -53,8 +57,23 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	g := pass.Graph
+	parent := hotTree(pass.Graph, pass.UseAllow)
+	for _, n := range pass.Graph.Nodes {
+		if _, hot := parent[n]; hot {
+			checkNode(pass, n, parent)
+		}
+	}
+	return nil
+}
 
+// hotTree returns the hot set as a BFS tree (node -> caller, seeds -> self):
+// every function reachable from a //lint:hotpath seed without entering a
+// cold boundary. It calls useAllow with each boundary directive the search
+// runs into, since a boundary that stopped a hot path has done its job; one
+// no hot path reaches is reported stale like any other idle //lint:allow.
+// g.Nodes and each callee list are name-sorted, so the tree, and with it
+// every reported call chain, is deterministic.
+func hotTree(g *analysis.CallGraph, useAllow func(token.Pos)) map[*analysis.FuncNode]*analysis.FuncNode {
 	var seeds []*analysis.FuncNode
 	boundary := map[*analysis.FuncNode]token.Pos{} // node -> its cold-boundary directive
 	for _, n := range g.Nodes {
@@ -70,16 +89,10 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-
-	// BFS from the seeds, never entering a cold boundary. A boundary the
-	// search runs into has done its job, so its directive counts as used; one
-	// no hot path reaches is reported stale like any other idle //lint:allow.
-	// g.Nodes and each callee list are name-sorted, so the parent tree — and
-	// with it every reported call chain — is deterministic.
 	cold := func(n *analysis.FuncNode) bool {
 		pos, ok := boundary[n]
 		if ok {
-			pass.UseAllow(pos)
+			useAllow(pos)
 		}
 		return ok
 	}
@@ -89,14 +102,7 @@ func run(pass *analysis.Pass) error {
 			roots = append(roots, s)
 		}
 	}
-	parent := g.ReachableFrom(roots, cold)
-
-	for _, n := range g.Nodes {
-		if _, hot := parent[n]; hot {
-			checkNode(pass, n, parent)
-		}
-	}
-	return nil
+	return g.ReachableFrom(roots, cold)
 }
 
 // checkNode walks one hot function's body and reports allocating constructs.
@@ -121,7 +127,7 @@ func checkNode(pass *analysis.Pass, n *analysis.FuncNode, parent map[*analysis.F
 			return checkCall(pass, info, v, chain)
 		case *ast.UnaryExpr:
 			if v.Op == token.AND {
-				if cl, ok := ast.Unparen(v.X).(*ast.CompositeLit); ok && !zeroSize(info, cl) {
+				if cl, ok := ast.Unparen(v.X).(*ast.CompositeLit); ok && !zeroSize(info.TypeOf(cl)) {
 					pass.Reportf(v.Pos(), "&%s{...} escapes to the heap on hot path %s",
 						typeName(info, cl), chain)
 				}
@@ -134,6 +140,7 @@ func checkNode(pass *analysis.Pass, n *analysis.FuncNode, parent map[*analysis.F
 						typeName(info, v), chain)
 				}
 			}
+			checkFields(pass, info, v, chain)
 		case *ast.BinaryExpr:
 			if v.Op == token.ADD && isString(info.TypeOf(v)) && info.Types[v].Value == nil {
 				// a+b+c nests a+b as its left operand, and the compiler
@@ -222,6 +229,34 @@ func checkCall(pass *analysis.Pass, info *types.Info, call *ast.CallExpr, chain 
 	return true
 }
 
+// checkFields reports the fields of a struct literal, keyed or positional,
+// that box a concrete value into an interface-typed field.
+func checkFields(pass *analysis.Pass, info *types.Info, cl *ast.CompositeLit, chain string) {
+	t := info.TypeOf(cl)
+	if p, ok := t.(*types.Pointer); ok { // an element literal with &T elided
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i, e := range cl.Elts {
+		var f *types.Var
+		if kv, ok := e.(*ast.KeyValueExpr); ok {
+			if id, ok := kv.Key.(*ast.Ident); ok {
+				f, _ = info.Uses[id].(*types.Var)
+			}
+			e = kv.Value
+		} else if i < st.NumFields() {
+			f = st.Field(i)
+		}
+		if f != nil && isIface(f.Type()) && boxes(info, e) {
+			pass.Reportf(e.Pos(), "field %s boxes %s into %s on hot path %s",
+				f.Name(), typeString(info.TypeOf(e)), typeString(f.Type()), chain)
+		}
+	}
+}
+
 // paramType returns the type of parameter i, unrolling variadics (unless the
 // call forwards a slice with ...).
 func paramType(sig *types.Signature, i int, ellipsis bool) types.Type {
@@ -288,19 +323,9 @@ func boxes(info *types.Info, e ast.Expr) bool {
 	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
 		return false
 	case *types.Basic:
-		if u.Kind() == types.UnsafePointer {
-			return false
-		}
-	case *types.Struct:
-		if u.NumFields() == 0 {
-			return false
-		}
-	case *types.Array:
-		if u.Len() == 0 {
-			return false
-		}
+		return u.Kind() != types.UnsafePointer
 	}
-	return true
+	return !zeroSize(t)
 }
 
 func isString(t types.Type) bool {
@@ -311,13 +336,9 @@ func isString(t types.Type) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
-// zeroSize reports whether the composite literal builds a zero-size value
-// (struct{}{} and friends): taking its address allocates nothing.
-func zeroSize(info *types.Info, cl *ast.CompositeLit) bool {
-	t := info.TypeOf(cl)
-	if t == nil {
-		return false
-	}
+// zeroSize reports whether t is a zero-size type (struct{} and friends):
+// taking the address of, or boxing, such a value allocates nothing.
+func zeroSize(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Struct:
 		return u.NumFields() == 0

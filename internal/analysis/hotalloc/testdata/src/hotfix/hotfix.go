@@ -1,5 +1,5 @@
 // Package hotfix exercises hotalloc: seeds, propagation (local, method,
-// cross-package, through function values), every allocation class, the
+// cross-package; none through function values), every allocation class, the
 // panic/zero-size blind spots, and both escape-hatch forms.
 package hotfix
 
@@ -15,11 +15,13 @@ type T struct{ x int }
 // Boxer is a local empty interface for conversion-boxing findings.
 type Boxer interface{}
 
-func sink(v interface{}) { _ = v }
+// Holder has an interface-typed field for field-boxing findings.
+type Holder struct {
+	V Boxer
+	P *T
+}
 
-// handler keeps process address-taken so Dispatch's indirect call fans out
-// to it.
-var handler = process
+func sink(v interface{}) { _ = v }
 
 // Fire is the fixture's main hot seed.
 //
@@ -45,6 +47,10 @@ func Fire(n int, name string) {
 	_ = i
 	sink(n)      // want `argument boxes int into interface\{\} on hot path hotfix\.Fire`
 	_ = Boxer(n) // want `conversion boxes int into hotfix\.Boxer on hot path hotfix\.Fire`
+
+	_ = Holder{V: n}            // want `field V boxes int into hotfix\.Boxer on hot path hotfix\.Fire`
+	_ = Holder{n, nil}          // want `field V boxes int into hotfix\.Boxer on hot path hotfix\.Fire`
+	_ = Holder{V: &T{}, P: nil} // want `&hotfix\.T\{\.\.\.\} escapes to the heap on hot path hotfix\.Fire`
 	y := n
 	capture := func() int { return y } // want `closure capturing y allocates on hot path hotfix\.Fire`
 	_ = capture
@@ -71,16 +77,20 @@ func (r *Ring) Push(v int) {
 	r.xs = append(r.xs, v) // want `append may grow its backing array on hot path \(hotfix\.Ring\)\.Push`
 }
 
-// Dispatch calls through a function value: the per-package fan-out must make
-// every address-taken same-signature function hot.
+// Dispatch calls through a function value, which has no call-graph edge:
+// process is hot because it carries its own marker, not because Dispatch
+// might call it.
 //
 //lint:hotpath
 func Dispatch(fn func(int)) {
 	fn(1)
 }
 
+// process is a callback Dispatch runs.
+//
+//lint:hotpath
 func process(v int) {
-	_ = make([]int, v) // want `make allocates on hot path hotfix\.Dispatch → hotfix\.process`
+	_ = make([]int, v) // want `make allocates on hot path hotfix\.process`
 }
 
 // ColdSink is reachable from Fire but declared a cold boundary: nothing in

@@ -65,3 +65,69 @@ func Annotated(tr *trace.Trace, fail bool) {
 	}
 	tr.EndSpan(sp, 0)
 }
+
+// SwitchEnds ends the span on every arm of a switch with a default: no
+// exit holds it.
+func SwitchEnds(tr *trace.Trace, k int) {
+	sp := tr.Begin(trace.LayerLib, "op")
+	switch k {
+	case 0:
+		tr.EndSpan(sp, 0)
+	default:
+		tr.EndSpan(sp, 1)
+	}
+}
+
+// SwitchLeak has no default, so a k matching no case skips the EndSpan.
+func SwitchLeak(tr *trace.Trace, k int) {
+	sp := tr.Begin(trace.LayerLib, "op") // want `span "sp" is not ended before SwitchLeak falls off the end`
+	switch k {
+	case 0:
+		tr.EndSpan(sp, 0)
+	}
+}
+
+// TypeSwitchReturn returns from inside a type-switch arm with the span open.
+func TypeSwitchReturn(tr *trace.Trace, v interface{}) int {
+	sp := tr.Begin(trace.LayerLib, "op")
+	switch v.(type) {
+	case int:
+		return 1 // want `span "sp" \(opened at line \d+\) is not ended on this return path`
+	}
+	tr.EndSpan(sp, 0)
+	return 0
+}
+
+// SelectReturn returns from inside a select arm with the span open.
+func SelectReturn(tr *trace.Trace, ch chan int) {
+	sp := tr.Begin(trace.LayerLib, "op")
+	select {
+	case <-ch:
+		return // want `span "sp" \(opened at line \d+\) is not ended on this return path`
+	default:
+	}
+	tr.EndSpan(sp, 0)
+}
+
+// LoopForever leaves `for {}` only through its return, so there is no
+// fall-off exit to hold the span.
+func LoopForever(tr *trace.Trace, next func() bool) {
+	sp := tr.Begin(trace.LayerLib, "op")
+	for {
+		if next() {
+			tr.EndSpan(sp, 0)
+			return
+		}
+	}
+}
+
+// LoopBreak leaves `for {}` through a break with the span open.
+func LoopBreak(tr *trace.Trace, next func() bool) {
+	sp := tr.Begin(trace.LayerLib, "op") // want `span "sp" is not ended before LoopBreak falls off the end`
+	for {
+		if next() {
+			break
+		}
+		tr.Annotate(sp, "k", "v")
+	}
+}

@@ -41,13 +41,16 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		for _, f := range pkg.Files {
-			if pass.IsTestFile(f.Pos()) {
-				continue
+			if !pass.IsTestFile(f.Pos()) {
+				checkDroppedContexts(pass, pkg.TypesInfo, f)
 			}
-			for _, fb := range analysis.FuncBodies(f) {
-				checkSpans(pass, pkg.TypesInfo, fb)
-			}
-			checkDroppedContexts(pass, pkg.TypesInfo, f)
+		}
+	}
+	// Every function body, literals included, is its own pairing root: a
+	// literal's spans must not leak into its enclosing function's accounting.
+	for _, n := range pass.Graph.Nodes {
+		if !skipPkgs[n.Pkg.Path] && !pass.IsTestFile(n.Body.Pos()) {
+			checkSpans(pass, n)
 		}
 	}
 	return nil
@@ -62,7 +65,12 @@ func isTraceMethod(info *types.Info, call *ast.CallExpr, name string) bool {
 	return ok && recvPath == tracePath && recvType == "Trace" && method == name
 }
 
-func checkSpans(pass *analysis.Pass, info *types.Info, fb analysis.FuncBody) {
+func checkSpans(pass *analysis.Pass, n *analysis.FuncNode) {
+	info := n.Pkg.TypesInfo
+	name := "func literal"
+	if n.Decl != nil {
+		name = n.Decl.Name.Name
+	}
 	hooks := analysis.FlowHooks{
 		Classify: func(stmt ast.Stmt, isDefer bool, _ []analysis.Held) ([]analysis.Held, []interface{}) {
 			if _, ok := stmt.(*ast.RangeStmt); ok {
@@ -138,11 +146,11 @@ func checkSpans(pass *analysis.Pass, info *types.Info, fb analysis.FuncBody) {
 					continue
 				}
 				pass.Reportf(h.Pos, "span %q is not ended before %s falls off the end, so its stage is timed as zero (trace-propagation invariant: every Begin must reach EndSpan)",
-					obj.Name(), fb.Name)
+					obj.Name(), name)
 			}
 		},
 	}
-	analysis.WalkPaths(fb.Body, hooks)
+	analysis.WalkPaths(n.Body, hooks)
 }
 
 // escapingSpanArgs returns the objects of plain identifier arguments of

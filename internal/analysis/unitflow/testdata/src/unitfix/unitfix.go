@@ -53,3 +53,16 @@ func good(c cfg) {
 		_ = c.SegmentBytes / 1024
 	}
 }
+
+// kickOf's own source, a cycles field, reaches its result, so its summary
+// labels every call's result cycles.
+func kickOf(c cfg) int64 { return c.KickCycles }
+
+// compound assigns through op=: n *= rate is n = n * rate, the blessed
+// bytes × cyclesPerKB idiom, so n carries cycles afterwards.
+func compound(c cfg) {
+	_ = time.Duration(kickOf(c)) // want `cycle count converted directly to time\.Duration`
+	n := c.SegmentBytes
+	n *= c.CopyCyclesPerKB
+	_ = time.Duration(n) // want `cycle count converted directly to time\.Duration`
+}

@@ -21,6 +21,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"vread/internal/faults"
@@ -44,6 +45,17 @@ func (t Transport) String() string {
 		return "tcp"
 	}
 	return "rdma"
+}
+
+// ParseTransport parses a transport name as String prints it.
+func ParseTransport(s string) (Transport, error) {
+	switch s {
+	case "rdma":
+		return TransportRDMA, nil
+	case "tcp":
+		return TransportTCP, nil
+	}
+	return TransportRDMA, fmt.Errorf("%w %q (want rdma or tcp)", ErrBadTransport, s)
 }
 
 // vRead's model costs and timeouts, the paper's prototype values.

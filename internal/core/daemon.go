@@ -226,6 +226,7 @@ func (h *hostReader) waitReadahead() {
 	h.submit()
 }
 
+//lint:hotpath
 func (h *hostReader) submit() {
 	h.st.Charge(h.thread, diskSubmitCycles, metrics.TagDiskRead, h.tr, (*hostReader).readDisk)
 }
@@ -517,6 +518,7 @@ func (d *Daemon) resolve() {
 	}
 }
 
+//lint:hotpath
 func (d *Daemon) awaitOpen() {
 	d.chunks.GetTimeoutThen(&d.tw, openTimeout, d.st.Direct((*Daemon).openReplied))
 }
@@ -524,6 +526,8 @@ func (d *Daemon) awaitOpen() {
 // openReplied takes the peer's open reply. No reply at all makes the
 // transport suspect, so subsequent reads to that host start on the TCP
 // fallback.
+//
+//lint:hotpath
 func (d *Daemon) openReplied() {
 	msg, ok := d.chunks.TryGet()
 	d.finishRemote()
@@ -592,6 +596,7 @@ func (d *Daemon) readBatch() {
 	d.hr.readChunk(req.tr, d.faults, trace.LayerDaemon, d.f, d.off, d.want, d.st.Direct((*Daemon).batchRead))
 }
 
+//lint:hotpath
 func (d *Daemon) batchRead() {
 	req, h := d.req, d.hr
 	if h.err != nil {
@@ -605,6 +610,7 @@ func (d *Daemon) batchRead() {
 	d.fillSlots(h.s, h.torn || d.off+d.want == req.off+req.n, (*Daemon).batchFilled)
 }
 
+//lint:hotpath
 func (d *Daemon) batchFilled() { d.doorbell((*Daemon).batchSignalled) }
 
 func (d *Daemon) batchSignalled() {
@@ -649,6 +655,7 @@ func (d *Daemon) requestWindow() {
 	d.remoteRequest(remoteReq{dn: req.dn, path: req.path, off: d.off, n: d.want, tr: req.tr}, (*Daemon).awaitChunk)
 }
 
+//lint:hotpath
 func (d *Daemon) awaitChunk() {
 	if d.got >= d.want {
 		d.finishRemote()
@@ -712,6 +719,8 @@ func (d *Daemon) fillSlots(s data.Slice, last bool, then func(*Daemon)) {
 
 // slotHeld evaluates the held-spinlock fault: unlike a stall, the daemon
 // burns CPU spinning on the guest's slot lock, then waits out the hold.
+//
+//lint:hotpath
 func (d *Daemon) slotHeld() {
 	hold, ok := d.faults.ShouldDelay(faults.RingSlotHeld)
 	if !ok {
@@ -725,11 +734,13 @@ func (d *Daemon) slotHeld() {
 
 func (d *Daemon) waitHold() { d.mgr.env.Schedule(d.hold, d.st.Direct((*Daemon).lockSlots)) }
 
+//lint:hotpath
 func (d *Daemon) lockSlots() {
 	d.slots = d.ring.slotsFor(d.fill.Len())
 	d.st.Charge(d.thread, slotLockCycles*d.slots, metrics.TagOthers, d.req.tr, (*Daemon).stampRun)
 }
 
+//lint:hotpath
 func (d *Daemon) stampRun() {
 	d.ring.run++
 	d.pushSlots()
@@ -738,6 +749,8 @@ func (d *Daemon) stampRun() {
 // pushSlots takes slot tokens, waiting on the guest while none is free,
 // and puts the fill's next item, or the error slot; once every slot is in
 // the ring it continues, through the doorbell after an error slot.
+//
+//lint:hotpath
 func (d *Daemon) pushSlots() {
 	if d.slots == 0 {
 		d.fill = data.Slice{}

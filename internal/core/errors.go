@@ -41,6 +41,9 @@ var (
 	// never finished, events or remote reads were still pending, or a trace
 	// span never closed. Manager.Drained wraps it; no read returns it.
 	ErrNotDrained = errors.New("core: storm not drained")
+	// ErrBadTransport means ParseTransport was given a name other than
+	// "rdma" or "tcp".
+	ErrBadTransport = errors.New("core: unknown transport")
 )
 
 // TypedReadError reports whether err is one of the five degradation errors

@@ -104,13 +104,12 @@ func ParseOptions(raw []byte) (Options, Scenario, *ScaleConfig, *MigrationConfig
 		Shards:       j.Shards,
 		Replication:  j.Replication,
 	}
-	switch j.Transport {
-	case "", "rdma":
-		opt.VReadConfig.Transport = core.TransportRDMA
-	case "tcp":
-		opt.VReadConfig.Transport = core.TransportTCP
-	default:
-		return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: unknown transport %q", j.Transport)
+	if j.Transport != "" {
+		t, err := core.ParseTransport(j.Transport)
+		if err != nil {
+			return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: %w", err)
+		}
+		opt.VReadConfig.Transport = t
 	}
 	if j.Faults != "" {
 		spec, err := faults.ParseSpec(j.Faults)
@@ -119,16 +118,12 @@ func ParseOptions(raw []byte) (Options, Scenario, *ScaleConfig, *MigrationConfig
 		}
 		opt.Faults = spec
 	}
-	var scenario Scenario
-	switch j.Scenario {
-	case "", "co-located", "colocated":
-		scenario = Colocated
-	case "remote":
-		scenario = Remote
-	case "hybrid":
-		scenario = Hybrid
-	default:
-		return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: unknown scenario %q", j.Scenario)
+	scenario := Colocated
+	if j.Scenario != "" {
+		var err error
+		if scenario, err = ParseScenario(j.Scenario); err != nil {
+			return Options{}, Colocated, nil, nil, fmt.Errorf("experiments: %w", err)
+		}
 	}
 	var sc *ScaleConfig
 	if s := j.ScaleOut; s != nil {

@@ -48,6 +48,20 @@ func (s Scenario) String() string {
 	}
 }
 
+// ParseScenario parses a scenario name as String prints it, also accepting
+// "colocated".
+func ParseScenario(s string) (Scenario, error) {
+	switch s {
+	case "co-located", "colocated":
+		return Colocated, nil
+	case "remote":
+		return Remote, nil
+	case "hybrid":
+		return Hybrid, nil
+	}
+	return Colocated, fmt.Errorf("unknown scenario %q (want co-located, remote or hybrid)", s)
+}
+
 // Options configures one testbed build.
 type Options struct {
 	// Seed drives all determinism. Default 1.

@@ -337,6 +337,7 @@ func (end *connEnd) sentSegment() {
 	end.sendNext()
 }
 
+//lint:hotpath
 func (end *connEnd) finishSend() {
 	done := end.sendDone
 	end.sendS, end.frame, end.sendDone = data.Slice{}, netsim.Frame{}, nil
@@ -360,6 +361,7 @@ func (end *connEnd) segment(payload data.Slice, meta segMeta, next func(*connEnd
 	end.send.Charge(k.vcpu, syscallCycles+copyCycles(payload.Len()), k.appTag, end.tr, (*connEnd).segmentTCP)
 }
 
+//lint:hotpath
 func (end *connEnd) segmentTCP() {
 	end.send.Charge(end.kernel.vcpu, tcpTxSegCycles, metrics.TagOthers, end.frame.Trace, (*connEnd).transmit)
 }
@@ -719,6 +721,7 @@ func (op *FileOp) append() {
 	op.finish(err)
 }
 
+//lint:hotpath
 func (op *FileOp) appended() { op.finish(nil) }
 
 // CreateFile creates an empty file (metadata only).

@@ -109,6 +109,7 @@ func (x *xceiver) stop() {
 	x.wake()
 }
 
+//lint:hotpath
 func (x *xceiver) readDone() {
 	if x.pkt = x.file.S; x.file.Err != nil {
 		x.stop()
@@ -119,6 +120,7 @@ func (x *xceiver) readDone() {
 
 func (x *xceiver) send() { x.conn.SendThen(x.pkt, x.st.Direct((*xceiver).sent)) }
 
+//lint:hotpath
 func (x *xceiver) received() {
 	var ok bool
 	if x.pkt, ok = x.conn.Received(); !ok {

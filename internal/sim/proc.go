@@ -101,6 +101,8 @@ func (p *Proc) finish() {
 // dispatch transfers control to p until it parks or finishes. Must run in
 // event context; a dispatch from inside another Proc nests, and current is
 // restored to that Proc afterwards.
+//
+//lint:hotpath
 func (e *Env) dispatch(p *Proc) {
 	if p.done {
 		return
@@ -199,6 +201,8 @@ func (p *Proc) ArmInline() func() {
 // complete is the callback Arm hands out. If p is parked in Await it
 // schedules p's wake-up as a zero-delay event, the one event a Signal
 // Broadcast schedules for a sole waiter.
+//
+//lint:hotpath
 func (p *Proc) complete() {
 	if p.settle() {
 		p.env.Schedule(0, p.wake)
@@ -206,6 +210,8 @@ func (p *Proc) complete() {
 }
 
 // resume is the callback ArmInline hands out: it resumes a parked p at once.
+//
+//lint:hotpath
 func (p *Proc) resume() {
 	if p.settle() {
 		p.env.dispatch(p)

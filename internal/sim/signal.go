@@ -91,12 +91,16 @@ func (s *Signal) notifyTimeout(env *Env, w *TimedWait, d time.Duration, fn func(
 }
 
 // wake is a woken timed wait's zero-delay event: the deadline is void.
+//
+//lint:hotpath
 func (w *TimedWait) wake() {
 	w.timer.Cancel()
 	w.fn()
 }
 
 // expire is the timer event: a wait still live ends here, timed out.
+//
+//lint:hotpath
 func (w *TimedWait) expire() {
 	if !w.waiting {
 		return

@@ -175,6 +175,8 @@ func (d *NetDev) TransmitThen(t *Tx, fr netsim.Frame, done func()) {
 }
 
 // put places the frame on the tx ring, or waits for a free slot.
+//
+//lint:hotpath
 func (t *Tx) put() {
 	if !t.d.tx.TryPut(t.fr) {
 		t.d.tx.NotifyNotFull(t.st.Direct((*Tx).put))
@@ -417,6 +419,7 @@ func (b *BlkDev) Transfer(io *BlkIO, tr *trace.Trace, n int64, write bool, done 
 	io.kick()
 }
 
+//lint:hotpath
 func (io *BlkIO) kick() {
 	if io.left <= 0 {
 		io.wait()
@@ -426,6 +429,8 @@ func (io *BlkIO) kick() {
 }
 
 // put places the next request on the ring, or waits for a free slot.
+//
+//lint:hotpath
 func (io *BlkIO) put() {
 	req := min(io.left, blkReqBytes)
 	onDone := noop
@@ -444,6 +449,8 @@ func (io *BlkIO) put() {
 }
 
 // wait continues the caller once every submitted read has completed.
+//
+//lint:hotpath
 func (io *BlkIO) wait() {
 	if io.pending > 0 {
 		io.sig.Notify(io.b.env, io.st.Direct((*BlkIO).wait))
@@ -509,10 +516,12 @@ func (b *BlkDev) finishIO() {
 	}
 }
 
+//lint:hotpath
 func (b *BlkDev) irq() {
 	b.ioLoop.Charge(b.iothread, irqInjectCycles, metrics.TagOthers, b.req.tr, (*BlkDev).complete)
 }
 
+//lint:hotpath
 func (b *BlkDev) complete() {
 	b.vcpu.PostT(guestIRQCycles, metrics.TagOthers, b.req.tr, b.req.onDone)
 	b.serve()

@@ -111,11 +111,17 @@ type VReadConfig = core.Config
 // VReadLib is libvread: the client-side library installed on a DFSClient.
 type VReadLib = core.Lib
 
+// Transport selects the daemon-to-daemon remote transport.
+type Transport = core.Transport
+
 // Remote daemon-to-daemon transports.
 const (
 	TransportRDMA = core.TransportRDMA
 	TransportTCP  = core.TransportTCP
 )
+
+// ParseTransport parses "rdma" or "tcp".
+var ParseTransport = core.ParseTransport
 
 // NewVReadManager creates the vRead system over a cluster and namenode.
 // Call MountDatanode for each datanode VM, EnableClient for each client VM,
@@ -229,6 +235,9 @@ const (
 	Remote    = experiments.Remote
 	Hybrid    = experiments.Hybrid
 )
+
+// ParseScenario parses "co-located" (or "colocated"), "remote" or "hybrid".
+var ParseScenario = experiments.ParseScenario
 
 // NewTestbed builds the two-host testbed of Figure 10.
 func NewTestbed(opt Options) *Testbed { return experiments.NewTestbed(opt) }
