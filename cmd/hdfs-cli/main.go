@@ -31,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -44,49 +45,54 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hdfs-cli:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	useVRead := flag.Bool("vread", false, "enable vRead on the client")
-	shards := flag.Int("shards", 1, "federate the namespace across this many shards (> 1)")
-	replication := flag.Int("replication", 1, "replicas per block (testbed supports up to 2)")
-	flag.Parse()
-	script := strings.Join(flag.Args(), " ")
+// run boots the testbed the flags in args describe, runs the script the
+// rest of args holds, and prints its output to w.
+func run(args []string, w io.Writer) error {
+	sc := vread.ScenarioConfig{Seed: 1}
+	fs := flag.NewFlagSet("hdfs-cli", flag.ExitOnError)
+	fs.BoolVar(&sc.VRead, "vread", false, "enable vRead on the client")
+	fs.IntVar(&sc.Shards, "shards", 1, "federate the namespace across this many shards (> 1)")
+	fs.IntVar(&sc.Replication, "replication", 1, "replicas per block (testbed supports up to 2)")
+	fs.Parse(args)
+	script := strings.Join(fs.Args(), " ")
 	if script == "" {
 		script = "put /demo/hello 1024 ; stat /demo/hello ; get /demo/hello ; ls"
 	}
-
-	opt := vread.Options{Seed: 1, VRead: *useVRead, Shards: *shards, Replication: *replication}
-	tb := vread.NewTestbed(opt)
+	s, err := sc.Build()
+	if err != nil {
+		// The error begins with the key, and each key is its flag's name.
+		return fmt.Errorf("-%w", err)
+	}
+	tb := vread.NewTestbed(s.Opt)
 	defer tb.Close()
 
 	written := map[string]data.Pattern{}
-	var out strings.Builder
-	err := tb.Run("hdfs-cli", 24*time.Hour, func(p *sim.Proc) error {
+	err = tb.Run("hdfs-cli", 24*time.Hour, func(p *sim.Proc) error {
 		for _, cmd := range strings.Split(script, ";") {
 			fields := strings.Fields(cmd)
 			if len(fields) == 0 {
 				continue
 			}
-			if err := exec(p, tb, written, &out, fields); err != nil {
+			if err := exec(p, tb, written, w, fields); err != nil {
 				return fmt.Errorf("%q: %w", strings.TrimSpace(cmd), err)
 			}
 		}
 		return nil
 	})
-	fmt.Print(out.String())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("(virtual time elapsed: %v)\n", tb.C.Env.Now().Round(time.Microsecond))
+	fmt.Fprintf(w, "(virtual time elapsed: %v)\n", tb.C.Env.Now().Round(time.Microsecond))
 	return nil
 }
 
-func exec(p *sim.Proc, tb *vread.Testbed, written map[string]data.Pattern, out *strings.Builder, fields []string) error {
+func exec(p *sim.Proc, tb *vread.Testbed, written map[string]data.Pattern, out io.Writer, fields []string) error {
 	switch fields[0] {
 	case "put":
 		if len(fields) != 3 {

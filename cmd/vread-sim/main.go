@@ -8,6 +8,11 @@
 //	          [-hogs] [-size-mb 256] [-buffer-kb 1024] [-transport rdma|tcp]
 //	          [-bypass] [-seed 1]
 //	          [-faults "disk.read.slow:p=0.2,delay=2ms;daemon.crash:after=10,max=1"]
+//	vread-sim -config scenarios/<name>.json [-size-mb 256] [-buffer-kb 1024]
+//	          [-slo out.json] [-blackout out.json]
+//
+// The scenario flags and a -config file build the run the same way: both
+// fill a vread.ScenarioConfig, whose Build range-checks every key.
 package main
 
 import (
@@ -35,13 +40,9 @@ func main() {
 
 // cli is vread-sim's validated command line.
 type cli struct {
-	useVRead, hogs, bypass            bool
-	scenario, transport, faultSpec    string
 	configPath, sloPath, blackoutPath string
-	freqGHz                           float64
-	sizeMB, bufferKB, seed            int64
-	place                             vread.Scenario  // parsed from scenario
-	link                              vread.Transport // parsed from transport
+	sizeMB, bufferKB                  int64
+	setup                             vread.Setup // built from the scenario flags
 }
 
 // parseFlags parses and range-checks the command line, so a bad value fails
@@ -49,36 +50,36 @@ type cli struct {
 // something else deep inside the simulation.
 func parseFlags(args []string) (*cli, error) {
 	var c cli
+	var sc vread.ScenarioConfig
 	fs := flag.NewFlagSet("vread-sim", flag.ExitOnError)
-	fs.BoolVar(&c.useVRead, "vread", false, "enable vRead")
-	fs.StringVar(&c.scenario, "scenario", "co-located", "block placement (co-located|remote|hybrid)")
-	fs.Float64Var(&c.freqGHz, "freq-ghz", 2.0, "host CPU frequency in GHz")
-	fs.BoolVar(&c.hogs, "hogs", false, "add the 85% lookbusy background VMs (4-VM setups)")
+	fs.BoolVar(&sc.VRead, "vread", false, "enable vRead")
+	fs.StringVar(&sc.Scenario, "scenario", "co-located", "block placement (co-located|remote|hybrid)")
+	fs.Float64Var(&sc.FreqGHz, "freq-ghz", 2.0, "host CPU frequency in GHz")
+	fs.BoolVar(&sc.ExtraVMs, "hogs", false, "add the 85% lookbusy background VMs (4-VM setups)")
 	fs.Int64Var(&c.sizeMB, "size-mb", 256, "file size to write and read")
 	fs.Int64Var(&c.bufferKB, "buffer-kb", 1024, "application read buffer")
-	fs.StringVar(&c.transport, "transport", "rdma", "remote daemon transport (rdma|tcp)")
-	fs.BoolVar(&c.bypass, "bypass", false, "daemon bypasses the host FS (§6 ablation)")
-	fs.Int64Var(&c.seed, "seed", 1, "simulation seed")
-	fs.StringVar(&c.faultSpec, "faults", "", "deterministic fault plan (point[:p=..,after=..,max=..,delay=..];...)")
+	fs.StringVar(&sc.Transport, "transport", "rdma", "remote daemon transport (rdma|tcp)")
+	fs.BoolVar(&sc.DirectDiskBypass, "bypass", false, "daemon bypasses the host FS (§6 ablation)")
+	fs.Int64Var(&sc.Seed, "seed", 1, "simulation seed")
+	fs.StringVar(&sc.Faults, "faults", "", "deterministic fault plan (point[:p=..,after=..,max=..,delay=..];...)")
 	fs.StringVar(&c.configPath, "config", "", "JSON scenario file (overrides the other flags)")
 	fs.StringVar(&c.sloPath, "slo", "", "write scale-out SLO rows as JSON to this file (scale_out scenarios)")
 	fs.StringVar(&c.blackoutPath, "blackout", "", "write migration blackout rows as JSON to this file (migrate scenarios)")
 	fs.Parse(args)
 
 	switch {
-	case !(c.freqGHz*1e9 >= 1 && c.freqGHz*1e9 < math.MaxInt64):
-		return nil, fmt.Errorf("-freq-ghz %v out of range (want > 0)", c.freqGHz)
+	case !(sc.FreqGHz*1e9 >= 1 && sc.FreqGHz*1e9 < math.MaxInt64):
+		return nil, fmt.Errorf("-freq-ghz %v out of range (want > 0)", sc.FreqGHz)
 	case c.sizeMB <= 0 || c.sizeMB > math.MaxInt64>>20:
 		return nil, fmt.Errorf("-size-mb %d out of range (want > 0)", c.sizeMB)
 	case c.bufferKB <= 0 || c.bufferKB > math.MaxInt64>>10:
 		return nil, fmt.Errorf("-buffer-kb %d out of range (want > 0)", c.bufferKB)
 	}
 	var err error
-	if c.link, err = vread.ParseTransport(c.transport); err != nil {
-		return nil, fmt.Errorf("-transport: %w", err)
-	}
-	if c.place, err = vread.ParseScenario(c.scenario); err != nil {
-		return nil, fmt.Errorf("-scenario: %w", err)
+	if c.setup, err = sc.Build(); err != nil {
+		// The error begins with the key; the keys Build can still refuse
+		// here (transport, scenario, faults) are also the flags' names.
+		return nil, fmt.Errorf("-%w", err)
 	}
 	return &c, nil
 }
@@ -88,53 +89,33 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var opt vread.Options
-	var place vread.Scenario
-	var sc *vread.ScaleConfig
-	var mc *vread.MigrationConfig
+	s := c.setup
 	if c.configPath != "" {
 		raw, err := os.ReadFile(c.configPath)
 		if err != nil {
 			return err
 		}
-		opt, place, sc, mc, err = vread.ParseOptions(raw)
-		if err != nil {
+		if s, err = vread.ParseOptions(raw); err != nil {
 			return fmt.Errorf("config %s: %w", c.configPath, err)
 		}
 	}
 	// A report flag the scenario cannot fill is an error, not a silent no-op.
-	if c.sloPath != "" && sc == nil {
+	if c.sloPath != "" && s.Scale == nil {
 		return fmt.Errorf("-slo: only a -config scenario with a scale_out block writes SLO rows")
 	}
-	if c.blackoutPath != "" && mc == nil {
+	if c.blackoutPath != "" && s.Migrate == nil {
 		return fmt.Errorf("-blackout: only a -config scenario with a migrate block writes blackout rows")
 	}
 	switch {
-	case sc != nil:
-		return runScale(opt, *sc, c.sloPath)
-	case mc != nil:
-		return runMigrate(opt, *mc, c.blackoutPath)
-	case c.configPath == "":
-		opt = vread.Options{
-			Seed:        c.seed,
-			FreqHz:      int64(c.freqGHz * 1e9),
-			ExtraVMs:    c.hogs,
-			VRead:       c.useVRead,
-			VReadConfig: vread.VReadConfig{DirectDiskBypass: c.bypass, Transport: c.link},
-		}
-		place = c.place
-		if c.faultSpec != "" {
-			spec, err := vread.ParseFaultSpec(c.faultSpec)
-			if err != nil {
-				return err
-			}
-			opt.Faults = spec
-		}
+	case s.Scale != nil:
+		return runScale(s.Opt, *s.Scale, c.sloPath)
+	case s.Migrate != nil:
+		return runMigrate(s.Opt, *s.Migrate, c.blackoutPath)
 	}
 
-	tb := vread.NewTestbed(opt)
+	tb := vread.NewTestbed(s.Opt)
 	defer tb.Close()
-	tb.Place(place)
+	tb.Place(s.Place)
 
 	size := c.sizeMB << 20
 	content := data.Pattern{Seed: uint64(tb.Opt.Seed), Size: size}
@@ -166,11 +147,11 @@ func run(args []string) error {
 	}
 
 	sys := "vanilla"
-	if opt.VRead {
+	if s.Opt.VRead {
 		sys = "vRead"
 	}
 	fmt.Printf("scenario=%s system=%s freq=%.1fGHz hogs=%v size=%dMB buffer=%dKB\n\n",
-		place, sys, float64(tb.Opt.FreqHz)/1e9, opt.ExtraVMs, c.sizeMB, c.bufferKB)
+		s.Place, sys, float64(tb.Opt.FreqHz)/1e9, s.Opt.ExtraVMs, c.sizeMB, c.bufferKB)
 	fmt.Printf("write:      %10.1f MB/s  (%v)\n", metrics.Throughput(size, writeTime), writeTime.Round(time.Millisecond))
 	fmt.Printf("cold read:  %10.1f MB/s  (%v)\n", metrics.Throughput(size, coldTime), coldTime.Round(time.Millisecond))
 	fmt.Printf("warm read:  %10.1f MB/s  (%v)\n\n", metrics.Throughput(size, warmTime), warmTime.Round(time.Millisecond))

@@ -38,18 +38,19 @@ func TestParseFlagsAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
-	if c.freqGHz != 2.0 || c.sizeMB != 256 || c.bufferKB != 1024 || c.transport != "rdma" || c.place != vread.Colocated {
+	opt := c.setup.Opt
+	if opt.FreqHz != 2_000_000_000 || c.sizeMB != 256 || c.bufferKB != 1024 || opt.VReadConfig.Transport != vread.TransportRDMA || c.setup.Place != vread.Colocated {
 		t.Errorf("defaults = %+v", c)
 	}
 	c, err = parseFlags([]string{"-freq-ghz", "3.4", "-transport", "tcp", "-scenario", "remote", "-buffer-kb", "64"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.transport != "tcp" || c.link != vread.TransportTCP || c.place != vread.Remote || c.bufferKB != 64 {
+	if c.setup.Opt.VReadConfig.Transport != vread.TransportTCP || c.setup.Place != vread.Remote || c.bufferKB != 64 {
 		t.Errorf("parsed = %+v", c)
 	}
 	// -scenario takes every name a scenario file does.
-	if c, err = parseFlags([]string{"-scenario", "colocated"}); err != nil || c.place != vread.Colocated {
+	if c, err = parseFlags([]string{"-scenario", "colocated"}); err != nil || c.setup.Place != vread.Colocated {
 		t.Errorf("-scenario colocated: %v, %+v", err, c)
 	}
 }

@@ -66,3 +66,11 @@ func compound(c cfg) {
 	n *= c.CopyCyclesPerKB
 	_ = time.Duration(n) // want `cycle count converted directly to time\.Duration`
 }
+
+// compoundMix mixes units through op=: d += bytes is d = d + bytes, the same
+// defect bad's d := cycles - bytes is.
+func compoundMix(c cfg) {
+	d := c.KickCycles
+	d += c.SegmentBytes // want `byte count mixed into cycle arithmetic`
+	_ = d
+}

@@ -532,7 +532,7 @@ func (d *Daemon) openReplied() {
 	msg, ok := d.chunks.TryGet()
 	d.finishRemote()
 	if !ok {
-		d.mgr.noteRemoteFailureT(d.req.tr, d.host.Name, d.dnHost)
+		d.mgr.noteRemoteFailure(d.req.tr, d.host.Name, d.dnHost)
 	}
 	if msg.err {
 		msg = chunkMsg{}
@@ -686,7 +686,7 @@ func (d *Daemon) windowDone() {
 func (d *Daemon) windowFailed() {
 	req := d.req
 	d.finishRemote()
-	d.mgr.noteRemoteFailureT(req.tr, d.host.Name, d.dnHost)
+	d.mgr.noteRemoteFailure(req.tr, d.host.Name, d.dnHost)
 	if d.retries++; d.retries > maxReadRetries {
 		req.tr.EndSpan(d.sp, d.off+d.got-req.off)
 		d.pushError()

@@ -11,6 +11,7 @@ import (
 	"vread/internal/metrics"
 	"vread/internal/netsim"
 	"vread/internal/sim"
+	"vread/internal/trace"
 )
 
 // DaemonEntity returns the metrics entity name that all vRead hypervisor
@@ -271,11 +272,10 @@ func (m *Manager) transportTo(a, b string) Transport {
 
 // noteRemoteFailure records a failed remote exchange between two hosts.
 // Under RDMA it discards the (presumed broken) QP and downgrades the pair to
-// TCP for downgradeWindow; it reports whether this call was the downgrade
-// transition (so the caller can mark the trace exactly once).
-func (m *Manager) noteRemoteFailure(a, b string) bool {
+// TCP for downgradeWindow; the downgrade transition marks tr, exactly once.
+func (m *Manager) noteRemoteFailure(tr *trace.Trace, a, b string) {
 	if m.cfg.Transport != TransportRDMA {
-		return false
+		return
 	}
 	key := qpKey(a, b)
 	delete(m.qps, key)
@@ -283,8 +283,8 @@ func (m *Manager) noteRemoteFailure(a, b string) bool {
 	m.downgraded[key] = m.env.Now() + downgradeWindow
 	if !already {
 		m.downgrades++
+		tr.Event(trace.LayerDaemon, "transport-downgrade", 0)
 	}
-	return !already
 }
 
 // Downgrades returns how many RDMA→TCP downgrade transitions have occurred.

@@ -16,7 +16,7 @@ func TestQPKeyZeroAlloc(t *testing.T) {
 		t.Fatalf("warm qpFor allocates %v objects, want 0", allocs)
 	}
 
-	m.noteRemoteFailure("host2", "host1")
+	m.noteRemoteFailure(nil, "host2", "host1")
 	if m.transportTo("host1", "host2") != TransportTCP {
 		t.Fatal("downgraded pair does not pick TCP")
 	}

@@ -223,14 +223,6 @@ func (o *frameOut) sendTCP() {
 	o.m.fabric().NIC(o.host).SendToHost(o.dst, VReadPort, fr, done)
 }
 
-// noteRemoteFailureT is noteRemoteFailure plus the once-per-transition trace
-// mark the acceptance test asserts on.
-func (m *Manager) noteRemoteFailureT(tr *trace.Trace, a, b string) {
-	if m.noteRemoteFailure(a, b) {
-		tr.Event(trace.LayerDaemon, "transport-downgrade", 0)
-	}
-}
-
 // qpFor lazily creates the QP connecting two hosts, charging RDMA CPU to
 // each side's daemon-server thread.
 func (m *Manager) qpFor(a, b string) *netsim.QP {

@@ -287,12 +287,6 @@ func (t *Thread) RunT(p *sim.Proc, cycles int64, tag string, tr *trace.Trace) {
 	p.Await()
 }
 
-// RunDur is Run with the cycle count derived from a duration at the CPU's
-// frequency (for "this takes d on *this* CPU" calibrations).
-func (t *Thread) RunDur(p *sim.Proc, d time.Duration, tag string) {
-	t.Run(p, t.cpu.CyclesFor(d), tag)
-}
-
 // ---------------------------------------------------------------------------
 // Scheduler internals. All methods below run in event context.
 

@@ -21,10 +21,11 @@ func TestParseOptionsFull(t *testing.T) {
 		"block_size_mb": 32,
 		"scenario": "hybrid"
 	}`)
-	opt, scenario, sc, mc, err := ParseOptions(raw)
+	s, err := ParseOptions(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt, scenario, sc, mc := s.Opt, s.Place, s.Scale, s.Migrate
 	if opt.Seed != 9 || opt.FreqHz != 3_200_000_000 || !opt.ExtraVMs || !opt.VRead {
 		t.Fatalf("opt = %+v", opt)
 	}
@@ -43,10 +44,11 @@ func TestParseOptionsFull(t *testing.T) {
 }
 
 func TestParseOptionsDefaults(t *testing.T) {
-	opt, scenario, sc, mc, err := ParseOptions([]byte(`{}`))
+	s, err := ParseOptions([]byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt, scenario, sc, mc := s.Opt, s.Place, s.Scale, s.Migrate
 	if opt.VReadConfig.Transport != core.TransportRDMA || scenario != Colocated || sc != nil || mc != nil {
 		t.Fatalf("defaults wrong: %+v %v %+v %+v", opt, scenario, sc, mc)
 	}
@@ -58,17 +60,17 @@ func TestParseOptionsDefaults(t *testing.T) {
 }
 
 func TestParseOptionsRejectsUnknownFields(t *testing.T) {
-	_, _, _, _, err := ParseOptions([]byte(`{"sead": 9}`))
+	_, err := ParseOptions([]byte(`{"sead": 9}`))
 	if err == nil || !strings.Contains(err.Error(), "sead") {
 		t.Fatalf("typo not rejected: %v", err)
 	}
 }
 
 func TestParseOptionsRejectsBadEnums(t *testing.T) {
-	if _, _, _, _, err := ParseOptions([]byte(`{"transport": "carrier-pigeon"}`)); err == nil {
+	if _, err := ParseOptions([]byte(`{"transport": "carrier-pigeon"}`)); err == nil {
 		t.Fatal("bad transport accepted")
 	}
-	if _, _, _, _, err := ParseOptions([]byte(`{"scenario": "somewhere"}`)); err == nil {
+	if _, err := ParseOptions([]byte(`{"scenario": "somewhere"}`)); err == nil {
 		t.Fatal("bad scenario accepted")
 	}
 }
@@ -123,7 +125,7 @@ func TestParseOptionsRejectsOutOfRange(t *testing.T) {
 		{`{"migrate": {"reads_per_stream": 1000001}}`, "migrate.reads_per_stream"},
 		{`{"migrate": {"depths": [1, 1001]}}`, "migrate.depths 1001 out of range (want 1..1000)"},
 	} {
-		_, _, _, _, err := ParseOptions([]byte(tc.raw))
+		_, err := ParseOptions([]byte(tc.raw))
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("ParseOptions(%s) = %v, want an error naming %s", tc.raw, err, tc.field)
 		}
@@ -140,7 +142,7 @@ func TestParseOptionsAcceptsBounds(t *testing.T) {
 		`{"scale_out": {"domains": 10, "racks_per_domain": 10, "hosts_per_rack": 100, "files": 1000000, "reads": 1000000}}`,
 		`{"migrate": {"depths": [1, 1000], "reads_per_stream": 1000000}}`,
 	} {
-		if _, _, _, _, err := ParseOptions([]byte(raw)); err != nil {
+		if _, err := ParseOptions([]byte(raw)); err != nil {
 			t.Errorf("ParseOptions(%s) = %v, want it accepted", raw, err)
 		}
 	}
@@ -158,7 +160,7 @@ func TestParseOptionsMalformedJSON(t *testing.T) {
 		// A number beyond float64's range: JSON never yields ±Inf.
 		`{"scale_out": {"qps": [1e400]}}`,
 	} {
-		_, _, _, _, err := ParseOptions([]byte(raw))
+		_, err := ParseOptions([]byte(raw))
 		if err == nil {
 			t.Errorf("ParseOptions(%q) accepted malformed input", raw)
 			continue
@@ -191,10 +193,11 @@ func TestParseScaleOptions(t *testing.T) {
 			"kill_rack": "d0r0"
 		}
 	}`)
-	opt, _, sc, mc, err := ParseOptions(raw)
+	s, err := ParseOptions(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt, sc, mc := s.Opt, s.Scale, s.Migrate
 	if sc == nil {
 		t.Fatal("scale_out block not detected")
 	}
@@ -219,17 +222,17 @@ func TestParseScaleOptions(t *testing.T) {
 }
 
 func TestParseScaleOptionsAbsent(t *testing.T) {
-	_, _, sc, _, err := ParseOptions([]byte(`{"seed": 2, "vread": true}`))
+	s, err := ParseOptions([]byte(`{"seed": 2, "vread": true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc != nil {
+	if s.Scale != nil {
 		t.Fatal("scale_out detected in a figure-testbed scenario")
 	}
 }
 
 func TestParseScaleOptionsRejectsTypos(t *testing.T) {
-	_, _, _, _, err := ParseOptions([]byte(`{"scale_out": {"domains": 2}, "sead": 1}`))
+	_, err := ParseOptions([]byte(`{"scale_out": {"domains": 2}, "sead": 1}`))
 	if err == nil || !strings.Contains(err.Error(), "sead") {
 		t.Fatalf("typo not rejected: %v", err)
 	}
@@ -250,10 +253,11 @@ func TestParseMigrateOptions(t *testing.T) {
 			"trigger_after_us": 300
 		}
 	}`)
-	opt, _, sc, mc, err := ParseOptions(raw)
+	s, err := ParseOptions(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt, sc, mc := s.Opt, s.Scale, s.Migrate
 	if mc == nil || sc != nil {
 		t.Fatalf("migrate block not selected: scale-out %+v, migration %+v", sc, mc)
 	}
@@ -263,7 +267,7 @@ func TestParseMigrateOptions(t *testing.T) {
 	if mc.ReadSize != 64<<10 || mc.FileSize != 512<<10 || mc.TriggerAfter != 300*time.Microsecond {
 		t.Fatalf("mc = %+v", mc)
 	}
-	if _, _, _, _, err := ParseOptions([]byte(`{"migrate": {"depth": [1]}}`)); err == nil || !strings.Contains(err.Error(), "depth") {
+	if _, err := ParseOptions([]byte(`{"migrate": {"depth": [1]}}`)); err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Fatalf("typo inside migrate not rejected: %v", err)
 	}
 }
@@ -280,10 +284,11 @@ func TestBypassReachesScaleAndMigration(t *testing.T) {
 		var events [2]int64
 		for i, bypass := range []bool{false, true} {
 			raw := fmt.Sprintf(`{"vread": true, "direct_disk_bypass": %t, %s}`, bypass, block)
-			opt, _, sc, mc, err := ParseOptions([]byte(raw))
+			s, err := ParseOptions([]byte(raw))
 			if err != nil {
 				t.Fatal(err)
 			}
+			opt, sc, mc := s.Opt, s.Scale, s.Migrate
 			if opt.VReadConfig.DirectDiskBypass != bypass {
 				t.Fatalf("%s: parsed bypass %v, want %v", raw, opt.VReadConfig.DirectDiskBypass, bypass)
 			}

@@ -151,8 +151,6 @@ type Testbed struct {
 	// classic single-namespace testbed, the federation Router when
 	// Options.Shards > 1.
 	NS hdfs.Namespace
-	// NN is the standalone namenode (nil when federated — use NS).
-	NN *hdfs.NameNode
 	// Router is the federation router (nil unless Options.Shards > 1).
 	Router  *hdfs.Router
 	DN1     *hdfs.DataNode // co-located with the client (host1)
@@ -194,7 +192,6 @@ func NewTestbed(opt Options) *Testbed {
 		hcfg.BlockSize = opt.BlockSize
 	}
 	var ns hdfs.Namespace
-	var nn *hdfs.NameNode
 	var router *hdfs.Router
 	if opt.Shards > 1 {
 		router = hdfs.NewRouter(c.Env, hcfg, c.Fabric, hdfs.RouterOptions{
@@ -203,8 +200,7 @@ func NewTestbed(opt Options) *Testbed {
 		})
 		ns = router
 	} else {
-		nn = hdfs.NewNameNode(c.Env, hcfg, c.Fabric)
-		ns = nn
+		ns = hdfs.NewNameNode(c.Env, hcfg, c.Fabric)
 	}
 	dn1 := hdfs.StartDataNode(c.Env, ns, dn1VM.Kernel)
 	dn2 := hdfs.StartDataNode(c.Env, ns, dn2VM.Kernel)
@@ -213,7 +209,7 @@ func NewTestbed(opt Options) *Testbed {
 	tracker := engine.AddTracker(clientVM.Kernel, client)
 
 	tb := &Testbed{
-		Opt: opt, C: c, NS: ns, NN: nn, Router: router, DN1: dn1, DN2: dn2,
+		Opt: opt, C: c, NS: ns, Router: router, DN1: dn1, DN2: dn2,
 		Client: client, Engine: engine, Tracker: tracker,
 	}
 	if opt.Traces != nil {

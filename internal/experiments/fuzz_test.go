@@ -13,10 +13,11 @@ import (
 // testdata/fuzz/FuzzParseOptions.
 func FuzzParseOptions(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		opt, _, sc, mc, err := ParseOptions(raw)
+		s, err := ParseOptions(raw)
 		if err != nil {
 			return
 		}
+		opt, sc, mc := s.Opt, s.Scale, s.Migrate
 		if opt.FreqHz < 0 || opt.BlockSize < 0 || opt.Scale < 0 || opt.Shards < 0 || opt.Replication < 0 {
 			t.Fatalf("ParseOptions(%q) accepted negative Options %+v", raw, opt)
 		}

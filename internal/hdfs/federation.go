@@ -242,7 +242,7 @@ func (ro *Router) checkShard(p *sim.Proc, k *guest.Kernel, tr *trace.Trace, idx 
 		}
 	}
 	if ro.env.Now() < ro.deadUntil[idx] {
-		ro.shards[idx].rpcT(p, k, tr)
+		ro.shards[idx].rpc(p, k, tr)
 		return fmt.Errorf("%w: shard %d", ErrShardDown, idx)
 	}
 	return nil

@@ -279,13 +279,9 @@ func (nn *NameNode) orderLocations(clientVM string, locs []string) []string {
 	return append(out, remote...)
 }
 
-// rpc charges one namenode round trip to the calling client.
-func (nn *NameNode) rpc(p *sim.Proc, k *guest.Kernel) {
-	nn.rpcT(p, k, nil)
-}
-
-// rpcT is rpc attributing the round trip to a request trace.
-func (nn *NameNode) rpcT(p *sim.Proc, k *guest.Kernel, tr *trace.Trace) {
+// rpc charges one namenode round trip to the calling client, attributed to
+// the request trace tr (nil when untraced).
+func (nn *NameNode) rpc(p *sim.Proc, k *guest.Kernel, tr *trace.Trace) {
 	sp := tr.Begin(trace.LayerClient, "namenode-rpc")
 	k.VCPU().RunT(p, rpcCycles, metrics.TagOthers, tr)
 	p.Sleep(rpcLatency)
@@ -299,7 +295,7 @@ func (nn *NameNode) GetBlockLocations(p *sim.Proc, k *guest.Kernel, path string)
 }
 
 func (nn *NameNode) getBlockLocations(p *sim.Proc, k *guest.Kernel, tr *trace.Trace, path string) ([]BlockInfo, error) {
-	nn.rpcT(p, k, tr)
+	nn.rpc(p, k, tr)
 	meta, ok := nn.files[path]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
@@ -317,7 +313,7 @@ func (nn *NameNode) getBlockLocations(p *sim.Proc, k *guest.Kernel, tr *trace.Tr
 
 // CreateFile registers a new, incomplete file.
 func (nn *NameNode) CreateFile(p *sim.Proc, k *guest.Kernel, path string) error {
-	nn.rpc(p, k)
+	nn.rpc(p, k, nil)
 	if _, ok := nn.files[path]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, path)
 	}
@@ -327,7 +323,7 @@ func (nn *NameNode) CreateFile(p *sim.Proc, k *guest.Kernel, path string) error 
 
 // AllocateBlock assigns the next block of an open file to datanodes.
 func (nn *NameNode) AllocateBlock(p *sim.Proc, k *guest.Kernel, path string) (BlockInfo, error) {
-	nn.rpc(p, k)
+	nn.rpc(p, k, nil)
 	meta, ok := nn.files[path]
 	if !ok {
 		return BlockInfo{}, fmt.Errorf("%w: %s", ErrNotFound, path)
@@ -365,7 +361,7 @@ func (nn *NameNode) blockReceived(dn string, id BlockID, size int64) {
 
 // CompleteFile marks a file complete (readable).
 func (nn *NameNode) CompleteFile(p *sim.Proc, k *guest.Kernel, path string) error {
-	nn.rpc(p, k)
+	nn.rpc(p, k, nil)
 	meta, ok := nn.files[path]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, path)
@@ -376,7 +372,7 @@ func (nn *NameNode) CompleteFile(p *sim.Proc, k *guest.Kernel, path string) erro
 
 // DeleteFile removes a file's metadata and its block files on datanodes.
 func (nn *NameNode) DeleteFile(p *sim.Proc, k *guest.Kernel, path string) error {
-	nn.rpc(p, k)
+	nn.rpc(p, k, nil)
 	meta, ok := nn.files[path]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, path)

@@ -29,7 +29,7 @@ func StartLookbusy(vm *cluster.VM, target float64, period time.Duration) *sim.Pr
 	return vm.Kernel.Env().Go("lookbusy:"+vm.Name, func(p *sim.Proc) {
 		for {
 			if busy > 0 {
-				vm.VCPU.RunDur(p, busy, TagLookbusy)
+				vm.VCPU.Run(p, vm.Host.CPU.CyclesFor(busy), TagLookbusy)
 			}
 			if idle > 0 {
 				p.Sleep(idle)

@@ -236,16 +236,21 @@ const (
 	Hybrid    = experiments.Hybrid
 )
 
-// ParseScenario parses "co-located" (or "colocated"), "remote" or "hybrid".
-var ParseScenario = experiments.ParseScenario
-
 // NewTestbed builds the two-host testbed of Figure 10.
 func NewTestbed(opt Options) *Testbed { return experiments.NewTestbed(opt) }
 
-// ParseOptions decodes a JSON scenario file (see cmd/vread-sim -config)
-// into Options, a placement Scenario, and the ScaleConfig or
-// MigrationConfig its "scale_out" or "migrate" block selects (nil when
-// absent).
+// ScenarioConfig holds a scenario's keys, as a JSON scenario file names them
+// (see cmd/vread-sim -config) or a CLI fills them from its flags. Its Build
+// range-checks every key and returns the Setup.
+type ScenarioConfig = experiments.ScenarioConfig
+
+// Setup is a built scenario: Options, a placement Scenario, and the
+// ScaleConfig or MigrationConfig its "scale_out" or "migrate" block selects
+// (nil when absent).
+type Setup = experiments.Setup
+
+// ParseOptions decodes a JSON scenario file into a ScenarioConfig and builds
+// its Setup.
 var ParseOptions = experiments.ParseOptions
 
 // ScaleConfig describes a datacenter-scale scenario: a federated namespace
