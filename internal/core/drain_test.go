@@ -6,6 +6,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -211,8 +212,9 @@ func TestDrainTornReadIsShort(t *testing.T) {
 // returns some. Local and remote reads, unaligned ones included, still come
 // back exact, every token is free again afterwards, and the events and
 // virtual time match the slot-at-a-time ring this one replaced (the pinned
-// values were recorded on it). The Proc resumes pinned then are a ceiling:
-// the daemon has since become event handlers.
+// values were recorded on it). The Proc resumes are a ceiling, set to what
+// the handler chains resume: the reader Proc's start and trigger waits,
+// and one per libvread call.
 func TestDrainRingExhaustion(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -220,10 +222,10 @@ func TestDrainRingExhaustion(t *testing.T) {
 		fired, resumes uint64
 		now            time.Duration
 	}{
-		{"4-slots", Config{RingSlots: 4}, 3974, 1929, 38143235 * time.Nanosecond},
-		{"7-slots-1KiB-batch3", Config{RingSlots: 7, SlotBytes: 1 << 10, EventBatchSlots: 3}, 43187, 12896, 52023551 * time.Nanosecond},
-		{"128-slots-1KiB-batch8", Config{RingSlots: 128, SlotBytes: 1 << 10, EventBatchSlots: 8}, 16780, 4560, 37754339 * time.Nanosecond},
-		{"defaults", Config{}, 2724, 684, 38044285 * time.Nanosecond},
+		{"4-slots", Config{RingSlots: 4}, 3974, 14, 38143235 * time.Nanosecond},
+		{"7-slots-1KiB-batch3", Config{RingSlots: 7, SlotBytes: 1 << 10, EventBatchSlots: 3}, 43187, 14, 52023551 * time.Nanosecond},
+		{"128-slots-1KiB-batch8", Config{RingSlots: 128, SlotBytes: 1 << 10, EventBatchSlots: 8}, 16780, 14, 37754339 * time.Nanosecond},
+		{"defaults", Config{}, 2724, 14, 38044285 * time.Nanosecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newDrainFixture(t, tc.cfg)
@@ -248,5 +250,54 @@ func TestDrainRingExhaustion(t *testing.T) {
 					env.Fired(), env.Resumes(), env.Now(), tc.fired, tc.resumes, tc.now)
 			}
 		})
+	}
+}
+
+// TestReadParksOncePerCall: a libvread call is a continuation chain under a
+// thin Proc wrapper, so the calling Proc parks exactly once per open, read
+// and close, however many vCPU charges, lock waits and slot batches the call
+// spans.
+func TestReadParksOncePerCall(t *testing.T) {
+	const reads = 4
+	f := newDrainFixture(t, Config{})
+	env := f.c.Env
+	calls := 0
+	once := func(p *sim.Proc, what string, call func()) {
+		r0 := env.Resumes()
+		call()
+		if n := env.Resumes() - r0; n != 1 {
+			t.Errorf("%s resumed the caller %d times, want 1", what, n)
+		}
+		calls++
+	}
+	f.c.Go("caller", func(p *sim.Proc) {
+		for _, dn := range []string{"dn1", "dn2"} {
+			var vfd *VFD
+			once(p, dn+" open", func() {
+				var ok bool
+				if vfd, ok = f.lib.OpenPath(p, nil, dn, "/blk", dn+"/blk"); !ok {
+					t.Errorf("open of %s fell back", dn)
+				}
+			})
+			if vfd == nil {
+				return
+			}
+			for i := int64(0); i < reads; i++ {
+				off, n := i*300001, 300000+i*4096 // several doorbell batches each
+				once(p, fmt.Sprintf("%s read %d", dn, i), func() {
+					got, err := vfd.ReadAt(p, nil, off, n)
+					if err != nil || !data.Equal(got, data.NewSlice(f.content).Sub(off, n)) {
+						t.Errorf("%s read [%d,%d): %d bytes, err %v", dn, off, off+n, got.Len(), err)
+					}
+				})
+			}
+			once(p, dn+" close", func() { vfd.Close(p, nil) })
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * (reads + 2); calls != want {
+		t.Fatalf("%d calls finished, want %d", calls, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"vread/internal/cluster"
+	"vread/internal/cpusched"
 	"vread/internal/data"
 	"vread/internal/faults"
 	"vread/internal/guest"
@@ -32,6 +33,7 @@ type Lib struct {
 	daemon *Daemon
 	vfds   map[string]*VFD
 	stats  LibStats
+	spare  *libCall // the blocking calls' state, reused
 	// faults is the plan evaluated at the guest-side hostile-ring
 	// faultpoints (ring.badslot, ring.stalekey, ring.doorbellstorm) — the
 	// manager-wide plan unless InjectGuestFaults armed a per-VM one.
@@ -56,8 +58,8 @@ func newLib(mgr *Manager, vm *cluster.VM, d *Daemon) *Lib {
 //   - ring.doorbellstorm floods the descriptor area with junk no-reply
 //     descriptors ahead of the real one — each costs the daemon a wakeup and
 //     advances its revocation streak, but none carries a reply channel, so
-//     the real request's slot stream stays exact.
-func (l *Lib) forgeHostile(p *sim.Proc, req *ringReq, tr *trace.Trace) {
+//     the real request's slot stream stays exact. It returns their count.
+func (l *Lib) forgeHostile(req *ringReq, tr *trace.Trace) (storm int) {
 	f := l.faults
 	if f.Should(faults.RingBadSlot) {
 		tr.Event(trace.LayerRing, "fault:bad-slot", 0)
@@ -79,11 +81,9 @@ func (l *Lib) forgeHostile(p *sim.Proc, req *ringReq, tr *trace.Trace) {
 	}
 	if f.Should(faults.RingDoorbellStorm) {
 		tr.Event(trace.LayerRing, "fault:doorbell-storm", 0)
-		for i := 0; i < doorbellStormBurst; i++ {
-			l.vm.VCPU.RunT(p, eventFdCycles, metrics.TagOthers, tr)
-			l.daemon.ring.reqs.Put(p, ringReq{kind: reqOpen, dn: "storm", path: "storm", key: req.key})
-		}
+		return doorbellStormBurst
 	}
+	return 0
 }
 
 // Stats returns a copy of the library counters.
@@ -102,35 +102,14 @@ func (l *Lib) OpenBlock(p *sim.Proc, tr *trace.Trace, client *guest.Kernel, info
 // OpenPath is the generic vRead_open underneath OpenBlock: open any file on
 // a datanode VM's image by path. This is the §3 generalization hook — other
 // distributed file systems (QFS, GFS) plug their own chunk layouts in here.
-// key names the descriptor in the library's hash.
+// key names the descriptor in the library's hash. It is a thin Proc wrapper
+// over libCall.open.
 func (l *Lib) OpenPath(p *sim.Proc, tr *trace.Trace, dn, path, key string) (*VFD, bool) {
-	if vfd, ok := l.vfds[key]; ok {
-		vfd.refs++
-		return vfd, true
-	}
-	l.stats.Opens++
-	vcpu := l.vm.VCPU
-	sp := tr.Begin(trace.LayerLib, "vread-open")
-	vcpu.RunT(p, libCallCycles, metrics.TagClientApp, tr)
-
-	l.daemon.ring.reqMu.Lock(p)
-	vcpu.RunT(p, eventFdCycles, metrics.TagOthers, tr)
-	reply := sim.NewQueue[openResult](l.mgr.env, 0)
-	req := ringReq{kind: reqOpen, dn: dn, path: path, key: l.daemon.ring.key, reply: reply, tr: tr}
-	l.forgeHostile(p, &req, tr)
-	l.daemon.ring.reqs.Put(p, req)
-	res, _ := reply.Get(p)
-	l.daemon.ring.reqMu.Unlock()
-	tr.EndSpan(sp, 0)
-
-	if !res.ok {
-		tr.Event(trace.LayerLib, "open-fallback", 0)
-		l.stats.OpenFallbacks++
-		return nil, false
-	}
-	vfd := &VFD{lib: l, blockName: key, dn: dn, path: path, size: res.size, refs: 1}
-	l.vfds[key] = vfd
-	return vfd, true
+	c := l.takeCall(tr, p.ArmInline())
+	c.open(dn, path, key)
+	p.Await()
+	l.spare = c
+	return c.vfd, c.vfd != nil
 }
 
 // VFD is an open vRead descriptor (Table 1).
@@ -175,122 +154,13 @@ func (v *VFD) Read(p *sim.Proc, n int64) (data.Slice, error) {
 // failures (ErrDaemonFailed, ErrShortRead) are re-issued with exponential
 // backoff up to maxReadRetries before surfacing — the degradation layer that
 // rides out a daemon restart or a transient remote failure without the
-// caller noticing.
+// caller noticing. It is a thin Proc wrapper over libCall.read.
 func (v *VFD) ReadAt(p *sim.Proc, tr *trace.Trace, off, n int64) (data.Slice, error) {
-	if off < 0 || n < 0 || off+n > v.size {
-		return data.Slice{}, fmt.Errorf("core: vRead_read [%d,%d) outside block %s of %d: %w", off, off+n, v.blockName, v.size, ErrBadRange)
-	}
-	if n == 0 {
-		return data.Slice{}, nil
-	}
-	l := v.lib
-	l.stats.Reads++
-	sp := tr.Begin(trace.LayerLib, "vread-read")
-	var s data.Slice
-	var err error
-	for attempt := 0; ; attempt++ {
-		s, err = v.readOnce(p, tr, off, n)
-		if err == nil || !retryableRead(err) || attempt >= maxReadRetries {
-			break
-		}
-		l.stats.Retries++
-		tr.Event(trace.LayerLib, "read-retry", 0)
-		p.Sleep(retryBackoff << attempt)
-	}
-	if err != nil {
-		tr.EndSpan(sp, 0)
-		return data.Slice{}, err
-	}
-	tr.EndSpan(sp, n)
-	l.stats.BytesRead += n
-	return s, nil
-}
-
-// readOnce is one ring round trip: request descriptor in, slots drained out.
-func (v *VFD) readOnce(p *sim.Proc, tr *trace.Trace, off, n int64) (data.Slice, error) {
-	l := v.lib
-	vcpu := l.vm.VCPU
-	vcpu.RunT(p, libCallCycles, metrics.TagClientApp, tr)
-
-	ring := l.daemon.ring
-	ring.reqMu.Lock(p)
-	defer ring.reqMu.Unlock()
-	vcpu.RunT(p, eventFdCycles, metrics.TagOthers, tr)
-	req := ringReq{kind: reqRead, dn: v.dn, path: v.path, off: off, n: n, key: ring.key, tr: tr}
-	l.forgeHostile(p, &req, tr)
-	ring.reqs.Put(p, req)
-
-	rsp := tr.Begin(trace.LayerRing, "ring-drain")
-	runs, code := v.drain(p, tr, ring)
-	tr.EndSpan(rsp, runs.got)
-	switch code {
-	case slotOK:
-	case slotClosed:
-		return data.Slice{}, fmt.Errorf("%w under %s", ErrRingClosed, v.blockName)
-	case slotBadKey:
-		return data.Slice{}, fmt.Errorf("%w reading %s", ErrStaleKey, v.blockName)
-	case slotRevoked:
-		return data.Slice{}, fmt.Errorf("%w reading %s", ErrRingRevoked, v.blockName)
-	default:
-		return data.Slice{}, fmt.Errorf("%w reading %s", ErrDaemonFailed, v.blockName)
-	}
-	if runs.got != n {
-		return data.Slice{}, fmt.Errorf("%w of %s: %d of %d", ErrShortRead, v.blockName, runs.got, n)
-	}
-	return runs.slice(), nil
-}
-
-// drain consumes one read's slots from the ring, through the last data slot
-// or the first error slot, handing each slot token back to the daemon. It
-// returns the slots joined into runs, and slotOK, the error slot's code, or
-// slotClosed when the ring closed under the read.
-//
-//lint:hotpath
-func (v *VFD) drain(p *sim.Proc, tr *trace.Trace, ring *ring) (runs slotRuns, code slotCode) {
-	// Spinlocks and slot→application copies are charged in doorbell-batch
-	// units, matching the driver's batched consumption. A batch may end
-	// inside an item: the tokens of its slots go back before the charge,
-	// but the boundary slot's token only after it.
-	batch := int64(ring.cfg.EventBatchSlots)
-	var batchSlots, batchBytes int64
-	for {
-		item, ok := ring.full.Get(p)
-		if !ok {
-			return runs, slotClosed
-		}
-		if item.code != slotOK {
-			ring.give(1)
-			return runs, item.code
-		}
-		runs.add(item)
-		for slots, bytes := ring.slotsFor(item.s.Len()), item.s.Len(); slots > 0; {
-			k := min(slots, batch-batchSlots)
-			n := min(k*ring.cfg.SlotBytes, bytes)
-			slots, bytes = slots-k, bytes-n
-			batchSlots, batchBytes = batchSlots+k, batchBytes+n
-			if batchSlots < batch {
-				ring.give(k)
-				continue
-			}
-			ring.give(k - 1)
-			v.chargeCopy(p, tr, batchSlots, batchBytes)
-			batchSlots, batchBytes = 0, 0
-			ring.give(1)
-		}
-		if item.last {
-			break
-		}
-	}
-	if batchSlots > 0 {
-		v.chargeCopy(p, tr, batchSlots, batchBytes)
-	}
-	return runs, slotOK
-}
-
-// chargeCopy charges one doorbell batch of slot spinlocks and
-// slot→application copies to the guest vCPU.
-func (v *VFD) chargeCopy(p *sim.Proc, tr *trace.Trace, slots, bytes int64) {
-	v.lib.vm.VCPU.RunT(p, slotLockCycles*slots+guestCopyCycles(bytes), metrics.TagCopyVRead, tr)
+	c := v.lib.takeCall(tr, p.ArmInline())
+	c.read(v, off, n)
+	p.Await()
+	v.lib.spare = c
+	return c.s, c.err
 }
 
 // slotRuns joins a read's data items back into one Slice. Items with the
@@ -332,11 +202,286 @@ func (r *slotRuns) slice() data.Slice {
 }
 
 // Close is vRead_close: drop the descriptor once the last reference goes.
+// It is a thin Proc wrapper over a libCall.
 func (v *VFD) Close(p *sim.Proc, tr *trace.Trace) {
-	l := v.lib
-	l.vm.VCPU.RunT(p, libCallCycles, metrics.TagClientApp, tr)
-	v.refs--
-	if v.refs <= 0 {
-		delete(l.vfds, v.blockName)
+	c := v.lib.takeCall(tr, p.ArmInline())
+	c.vfd = v
+	c.st.Charge(v.lib.vm.VCPU, libCallCycles, metrics.TagClientApp, tr, (*libCall).closed)
+	p.Await()
+	v.lib.spare = c
+}
+
+// libCall is one libvread call (open, read or close) in continuation form:
+// a chain of event handlers that fires the events the caller's Proc code
+// did. Opens and reads share submit; then an open waits for its reply and a
+// read drains its slots. The blocking calls are thin Proc wrappers over it.
+type libCall struct {
+	l     *Lib
+	r     *ring
+	st    cpusched.Steps[*libCall]
+	reply *sim.Queue[openResult] // every open's reply queue
+	tr    *trace.Trace
+	sp    int // the call's span
+	done  func()
+	// desc is the call's descriptor, req an attempt's forged copy with storm
+	// junk ones to put first; then continues once req is in the ring (reqMu
+	// held), and once a drain ends.
+	desc, req ringReq
+	storm     int
+	then      func(*libCall)
+	key       string // an open's key in the library's hash
+	vfd       *VFD   // the descriptor opened (nil: fall back), read or closed
+	// A read's progress: the item being handed back (last: the read's final
+	// one), the doorbell batch so far, how the drain ended, and the result.
+	attempt, rsp           int
+	runs                   slotRuns
+	code                   slotCode
+	slots, bytes           int64
+	last                   bool
+	batchSlots, batchBytes int64
+	s                      data.Slice
+	err                    error
+}
+
+// takeCall readies the spare libCall, or a new one, for a call ending in done.
+func (l *Lib) takeCall(tr *trace.Trace, done func()) (c *libCall) {
+	if c, l.spare = l.spare, nil; c == nil {
+		c = &libCall{l: l, r: l.daemon.ring, reply: sim.NewQueue[openResult](l.mgr.env, 0)}
+		c.st.Bind(l.mgr.env, c)
 	}
+	c.tr, c.done, c.s, c.err = tr, done, data.Slice{}, nil
+	return c
+}
+
+// finish drops the call's references and runs its completion.
+func (c *libCall) finish() {
+	done := c.done
+	c.tr, c.done, c.desc, c.req, c.runs = nil, nil, ringReq{}, ringReq{}, slotRuns{}
+	done()
+}
+
+// submit puts c.desc into the descriptor area, under sp, the call's span,
+// and continues with then, holding reqMu.
+func (c *libCall) submit(sp int, then func(*libCall)) {
+	c.sp, c.then = sp, then
+	c.st.Charge(c.l.vm.VCPU, libCallCycles, metrics.TagClientApp, c.tr, (*libCall).lock)
+}
+
+//lint:hotpath
+func (c *libCall) lock() {
+	if !c.r.reqMu.TryLock() {
+		c.r.reqMu.Notify(c.l.mgr.env, c.st.Direct((*libCall).lock))
+		return
+	}
+	c.st.Charge(c.l.vm.VCPU, eventFdCycles, metrics.TagOthers, c.tr, (*libCall).forge)
+}
+
+//lint:hotpath
+func (c *libCall) forge() {
+	c.req = c.desc
+	c.req.key, c.req.tr = c.r.key, c.tr
+	c.storm = c.l.forgeHostile(&c.req, c.tr)
+	c.flood()
+}
+
+// flood rings a doorbell before each junk descriptor, then puts req.
+//
+//lint:hotpath
+func (c *libCall) flood() {
+	if c.storm == 0 {
+		c.put()
+		return
+	}
+	c.st.Charge(c.l.vm.VCPU, eventFdCycles, metrics.TagOthers, c.tr, (*libCall).putJunk)
+}
+
+func (c *libCall) putJunk() {
+	if !c.r.reqs.TryPut(ringReq{kind: reqOpen, dn: "storm", path: "storm", key: c.req.key}) {
+		c.r.reqs.NotifyNotFull(c.st.Direct((*libCall).putJunk))
+		return
+	}
+	c.storm--
+	c.flood()
+}
+
+//lint:hotpath
+func (c *libCall) put() {
+	if !c.r.reqs.TryPut(c.req) {
+		c.r.reqs.NotifyNotFull(c.st.Direct((*libCall).put))
+		return
+	}
+	c.then(c)
+}
+
+// open is OpenPath in continuation form; c.vfd is nil for a fallback.
+func (c *libCall) open(dn, path, key string) {
+	l := c.l
+	if c.vfd = l.vfds[key]; c.vfd != nil {
+		c.vfd.refs++
+		c.finish()
+		return
+	}
+	l.stats.Opens++
+	c.key, c.desc = key, ringReq{kind: reqOpen, dn: dn, path: path, reply: c.reply}
+	c.submit(c.tr.Begin(trace.LayerLib, "vread-open"), (*libCall).replied)
+}
+
+func (c *libCall) replied() {
+	res, ok := c.reply.TryGet()
+	if !ok {
+		c.reply.Notify(c.st.Direct((*libCall).replied))
+		return
+	}
+	c.r.reqMu.Unlock()
+	c.tr.EndSpan(c.sp, 0)
+	if res.ok {
+		c.vfd = &VFD{lib: c.l, blockName: c.key, dn: c.desc.dn, path: c.desc.path, size: res.size, refs: 1}
+		c.l.vfds[c.key] = c.vfd
+	} else {
+		c.tr.Event(trace.LayerLib, "open-fallback", 0)
+		c.l.stats.OpenFallbacks++
+	}
+	c.finish()
+}
+
+// read is ReadAt in continuation form, with its result in c.s and c.err.
+func (c *libCall) read(v *VFD, off, n int64) {
+	c.vfd = v
+	switch {
+	case off < 0 || n < 0 || off+n > v.size:
+		c.err = fmt.Errorf("core: vRead_read [%d,%d) outside block %s of %d: %w", off, off+n, v.blockName, v.size, ErrBadRange)
+		c.finish()
+	case n == 0:
+		c.finish()
+	default:
+		v.lib.stats.Reads++
+		c.attempt, c.desc = 0, ringReq{kind: reqRead, dn: v.dn, path: v.path, off: off, n: n}
+		c.submit(c.tr.Begin(trace.LayerLib, "vread-read"), (*libCall).startDrain)
+	}
+}
+
+// try is a retry's round trip.
+func (c *libCall) try() { c.submit(c.sp, (*libCall).startDrain) }
+
+//lint:hotpath
+func (c *libCall) startDrain() { c.drainUnder(c.tr.Begin(trace.LayerRing, "ring-drain")) }
+
+// drainUnder drains the read's slots under span rsp, then runs drained.
+func (c *libCall) drainUnder(rsp int) {
+	c.rsp, c.runs, c.batchSlots, c.batchBytes, c.then = rsp, slotRuns{}, 0, 0, (*libCall).drained
+	c.drain()
+}
+
+// drain takes the read's items off the ring, waiting while there is none,
+// through the last data slot or the first error slot. Spinlocks and copies
+// are charged per doorbell batch, the guest driver's batched consumption.
+//
+//lint:hotpath
+func (c *libCall) drain() {
+	item, ok := c.r.full.TryGet()
+	switch {
+	case !ok && c.r.full.Closed():
+		c.code = slotClosed
+		c.then(c)
+	case !ok:
+		c.r.full.Notify(c.st.Direct((*libCall).drain))
+	case item.code != slotOK:
+		c.r.give(1)
+		c.code = item.code
+		c.then(c)
+	default:
+		c.runs.add(item)
+		c.slots, c.bytes, c.last = c.r.slotsFor(item.s.Len()), item.s.Len(), item.last
+		c.giveBack()
+	}
+}
+
+// giveBack returns the item's slot tokens. A batch may end inside an item:
+// its tokens go back before its charge, the boundary slot's only after.
+func (c *libCall) giveBack() {
+	r, batch := c.r, int64(c.r.cfg.EventBatchSlots)
+	for c.slots > 0 {
+		k := min(c.slots, batch-c.batchSlots)
+		n := min(k*r.cfg.SlotBytes, c.bytes)
+		c.slots, c.bytes = c.slots-k, c.bytes-n
+		c.batchSlots, c.batchBytes = c.batchSlots+k, c.batchBytes+n
+		if c.batchSlots < batch {
+			r.give(k)
+			continue
+		}
+		r.give(k - 1)
+		c.chargeCopy((*libCall).batchCopied)
+		return
+	}
+	if !c.last {
+		c.drain()
+		return
+	}
+	c.chargeCopy((*libCall).copied) // the last batch; nothing when it is empty
+}
+
+//lint:hotpath
+func (c *libCall) batchCopied() {
+	c.batchSlots, c.batchBytes = 0, 0
+	c.r.give(1)
+	c.giveBack()
+}
+
+//lint:hotpath
+func (c *libCall) copied() {
+	c.code = slotOK
+	c.then(c)
+}
+
+// chargeCopy charges the batch's slot spinlocks and copies, then runs next.
+func (c *libCall) chargeCopy(next func(*libCall)) {
+	cycles := slotLockCycles*c.batchSlots + guestCopyCycles(c.batchBytes)
+	c.st.Charge(c.l.vm.VCPU, cycles, metrics.TagCopyVRead, c.tr, next)
+}
+
+// drained ends one round trip: it finishes the read or schedules a retry.
+func (c *libCall) drained() {
+	c.tr.EndSpan(c.rsp, c.runs.got)
+	c.r.reqMu.Unlock()
+	v, n := c.vfd, c.desc.n
+	var err error
+	switch c.code {
+	case slotOK:
+		if c.runs.got != n {
+			err = fmt.Errorf("%w of %s: %d of %d", ErrShortRead, v.blockName, c.runs.got, n)
+		}
+	case slotClosed:
+		err = fmt.Errorf("%w under %s", ErrRingClosed, v.blockName)
+	case slotBadKey:
+		err = fmt.Errorf("%w reading %s", ErrStaleKey, v.blockName)
+	case slotRevoked:
+		err = fmt.Errorf("%w reading %s", ErrRingRevoked, v.blockName)
+	default:
+		err = fmt.Errorf("%w reading %s", ErrDaemonFailed, v.blockName)
+	}
+	switch {
+	case err == nil:
+		c.tr.EndSpan(c.sp, n)
+		c.l.stats.BytesRead += n
+		c.s = c.runs.slice()
+	case !retryableRead(err) || c.attempt >= maxReadRetries:
+		c.tr.EndSpan(c.sp, 0)
+		c.err = err
+	default:
+		c.l.stats.Retries++
+		c.tr.Event(trace.LayerLib, "read-retry", 0)
+		c.l.mgr.env.Schedule(retryBackoff<<c.attempt, c.st.Direct((*libCall).try))
+		c.attempt++
+		return
+	}
+	c.finish()
+}
+
+//lint:hotpath
+func (c *libCall) closed() {
+	v := c.vfd
+	if v.refs--; v.refs <= 0 {
+		delete(c.l.vfds, v.blockName)
+	}
+	c.finish()
 }

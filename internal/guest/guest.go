@@ -190,8 +190,10 @@ type connEnd struct {
 	remoteClosed bool
 	localClosed  bool
 
-	// One send and one receive at a time, in continuation form.
+	// One send and one receive at a time, in continuation form. dataMeta
+	// is the data segments' meta, boxed once.
 	send      cpusched.Steps[*connEnd]
+	dataMeta  any
 	tx        virtio.Tx
 	frame     netsim.Frame // the segment in flight, then segNext
 	segNext   func(*connEnd)
@@ -209,7 +211,7 @@ type connEnd struct {
 
 // newEnd creates and registers one end of a connection.
 func (k *Kernel) newEnd(peerVM string, tr *trace.Trace, key int64) *connEnd {
-	end := &connEnd{kernel: k, peerVM: peerVM, tr: tr, key: key}
+	end := &connEnd{kernel: k, peerVM: peerVM, tr: tr, key: key, dataMeta: segMeta{kind: segData, connID: key ^ 1}}
 	end.send.Bind(k.env, end)
 	end.recv.Bind(k.env, end)
 	k.conns[key] = end
@@ -315,6 +317,8 @@ func (c *Conn) SendThen(s data.Slice, done func()) {
 func (c *Conn) SendErr() error { return c.end.sendErr }
 
 // sendNext sends the next segment once the window has room for it.
+//
+//lint:hotpath
 func (end *connEnd) sendNext() {
 	seg := min(end.sendS.Len(), segmentBytes)
 	switch {
@@ -327,10 +331,11 @@ func (end *connEnd) sendNext() {
 		end.finishSend()
 	default:
 		end.inflight += seg
-		end.segment(end.sendS.Sub(0, seg), segMeta{kind: segData, connID: end.key ^ 1}, (*connEnd).sentSegment)
+		end.segment(end.sendS.Sub(0, seg), end.dataMeta, (*connEnd).sentSegment)
 	}
 }
 
+//lint:hotpath
 func (end *connEnd) sentSegment() {
 	n := end.frame.Payload.Len()
 	end.sendS = end.sendS.Sub(n, end.sendS.Len()-n)
@@ -354,7 +359,7 @@ func (end *connEnd) sendSegment(p *sim.Proc, payload data.Slice, meta segMeta) {
 // segment pays the guest transmit path and hands the frame to virtio, then
 // continues with next. The frame carries the end's current request trace so
 // every downstream hop (vhost, wire, the receiving guest) charges against it.
-func (end *connEnd) segment(payload data.Slice, meta segMeta, next func(*connEnd)) {
+func (end *connEnd) segment(payload data.Slice, meta any, next func(*connEnd)) {
 	k := end.kernel
 	end.frame = netsim.Frame{DstVM: end.peerVM, Payload: payload, Meta: meta, Trace: end.tr}
 	end.segNext = next

@@ -118,6 +118,7 @@ func (x *xceiver) readDone() {
 	x.st.Charge(x.dn.kernel.VCPU(), dnSendCycles(x.pkt.Len()), metrics.TagDatanodeApp, x.tr, (*xceiver).send)
 }
 
+//lint:hotpath
 func (x *xceiver) send() { x.conn.SendThen(x.pkt, x.st.Direct((*xceiver).sent)) }
 
 //lint:hotpath

@@ -354,6 +354,9 @@ func runQueueScript(ops []byte, capacity int, handler bool) (string, uint64) {
 // waiters are Procs in Wait or Notify handlers, in every mix, and requires
 // the wake order, the virtual times and Env.Fired() of the all-Proc run. A
 // Proc's timed wait parks on the handlers' TimedWait through ArmInline.
+// The same four actors acquire a Mutex, a Proc in Lock or a handler
+// through TryLock and Mutex.Notify, and must be granted it in the same
+// order at the same times.
 // The pinned seeds time out, and wake at their deadline's instant from
 // either side; their logs and Fired() were recorded with Procs in
 // Signal.WaitTimeout, the blocking timed wait this replaced.
@@ -361,6 +364,10 @@ func FuzzSignalNotify(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 3, 6, 1, 7, 4, 0, 0})
 	f.Add([]byte{3, 3, 3, 5, 5, 0, 1, 2})
 	f.Add([]byte{})
+	// Three acquirers queue behind a holder; then one barges in at the
+	// instant of an unlock, ahead of the waiter it woke.
+	f.Add([]byte{64, 66, 68, 6, 65, 6, 65, 6, 65})
+	f.Add([]byte{64, 66, 6, 68, 65, 6, 65, 6, 65, 0, 70, 6, 71, 5, 71})
 	for _, pin := range signalPins {
 		f.Add(pin.ops)
 	}
@@ -483,10 +490,12 @@ var signalPins = []struct {
 
 // runSignalScript runs one FuzzSignalNotify script with waiter i a Notify
 // handler when bit i of mask is set, else a Proc, and returns its log of
-// wakes, timeouts and signal results and the events fired. Waiter i waits
-// again i µs after each wake or timeout, three waits in all; an op of 128 or
-// more makes the waits that start from then on time out after op%8 µs (0:
-// never).
+// wakes, timeouts, signal results and mutex grants and the events fired.
+// Waiter i waits again i µs after each wake or timeout, three waits in all;
+// an op of 128 or more makes the waits that start from then on time out after
+// op%8 µs (0: never). An even op from 64 to 126 has actor op/2%4 acquire the
+// mutex, as a Proc in Lock or as a handler on TryLock and Mutex.Notify; an
+// odd one unlocks it if it is held.
 func runSignalScript(ops []byte, mask int) (string, uint64) {
 	env := NewEnv(1)
 	defer env.Close()
@@ -538,11 +547,43 @@ func runSignalScript(ops []byte, mask int) (string, uint64) {
 			}
 		})
 	}
+	var mu Mutex
+	held := false
+	granted := func(i int) {
+		held = true
+		fmt.Fprintf(&log, "grant %d at %v\n", i, env.Now())
+	}
+	acquire := func(i int) {
+		if mask&(1<<i) == 0 {
+			env.Go("locker", func(p *Proc) {
+				mu.Lock(p)
+				granted(i)
+			})
+			return
+		}
+		var try func()
+		try = func() {
+			if !mu.TryLock() {
+				mu.Notify(env, try)
+				return
+			}
+			granted(i)
+		}
+		env.Schedule(0, try)
+	}
 	env.Go("driver", func(p *Proc) {
 		for _, op := range ops {
 			switch {
 			case op >= 128:
 				timeout = time.Duration(op%8) * time.Microsecond
+			case op >= 64 && op%2 == 0:
+				fmt.Fprintf(&log, "lock %d at %v\n", op/2%4, env.Now())
+				acquire(int(op / 2 % 4))
+			case op >= 64 && held:
+				fmt.Fprintf(&log, "unlock at %v\n", env.Now())
+				held = false
+				mu.Unlock()
+			case op >= 64: // unlock with the mutex free: nothing held
 			case op%8 <= 2:
 				fmt.Fprintf(&log, "signal %v of %d at %v\n", s.Signal(), s.Waiters(), env.Now())
 			case op%8 <= 4:

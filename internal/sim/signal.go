@@ -173,11 +173,22 @@ type Mutex struct {
 //
 //lint:hotpath
 func (m *Mutex) Lock(p *Proc) {
-	for m.locked {
+	for !m.TryLock() {
 		m.sig.Wait(p)
 	}
-	m.locked = true
 }
+
+// TryLock acquires the mutex if it is free, reporting success.
+func (m *Mutex) TryLock() bool {
+	ok := !m.locked
+	m.locked = true
+	return ok
+}
+
+// Notify is Lock's wait in continuation form: after a failed TryLock, fn
+// runs on env where the Unlock's wake-up would have resumed a Proc parked
+// in Lock, and should TryLock again.
+func (m *Mutex) Notify(env *Env, fn func()) { m.sig.Notify(env, fn) }
 
 // Unlock releases the mutex. Unlocking an unlocked mutex panics.
 //

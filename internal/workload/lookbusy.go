@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"vread/internal/cluster"
-	"vread/internal/sim"
+	"vread/internal/cpusched"
 )
 
 // TagLookbusy marks hog cycles in the metrics registry.
@@ -16,8 +16,9 @@ const TagLookbusy = "lookbusy"
 
 // StartLookbusy runs a lookbusy-style load generator in the VM: it holds
 // the vCPU busy for target fraction of each period, indefinitely. The paper
-// uses 85% hogs in its 4-VM scenarios.
-func StartLookbusy(vm *cluster.VM, target float64, period time.Duration) *sim.Proc {
+// uses 85% hogs in its 4-VM scenarios. It is a self-rescheduling handler
+// chain that fires the events a busy-then-sleep Proc loop would.
+func StartLookbusy(vm *cluster.VM, target float64, period time.Duration) {
 	if target < 0 || target > 1 {
 		panic("workload: lookbusy target must be in [0,1]")
 	}
@@ -25,15 +26,28 @@ func StartLookbusy(vm *cluster.VM, target float64, period time.Duration) *sim.Pr
 		period = 20 * time.Millisecond
 	}
 	busy := time.Duration(float64(period) * target)
-	idle := period - busy
-	return vm.Kernel.Env().Go("lookbusy:"+vm.Name, func(p *sim.Proc) {
-		for {
-			if busy > 0 {
-				vm.VCPU.Run(p, vm.Host.CPU.CyclesFor(busy), TagLookbusy)
-			}
-			if idle > 0 {
-				p.Sleep(idle)
-			}
-		}
-	})
+	env := vm.Kernel.Env()
+	lb := &lookbusy{vm: vm, cycles: vm.Host.CPU.CyclesFor(busy), idle: period - busy}
+	lb.st.Bind(env, lb)
+	env.Schedule(0, lb.st.Direct((*lookbusy).run))
+}
+
+// lookbusy is one hog: cycles of work, then idle, forever.
+type lookbusy struct {
+	vm     *cluster.VM
+	cycles int64
+	idle   time.Duration
+	st     cpusched.Steps[*lookbusy]
+}
+
+//lint:hotpath
+func (lb *lookbusy) run() { lb.st.Charge(lb.vm.VCPU, lb.cycles, TagLookbusy, nil, (*lookbusy).rest) }
+
+//lint:hotpath
+func (lb *lookbusy) rest() {
+	if lb.idle == 0 {
+		lb.run()
+		return
+	}
+	lb.vm.Kernel.Env().Schedule(lb.idle, lb.st.Direct((*lookbusy).run))
 }
