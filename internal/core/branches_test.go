@@ -100,6 +100,12 @@ func TestDaemonBranches(t *testing.T) {
 				if err != nil || !data.Equal(got, data.NewSlice(f.content).Sub(4097, size)) {
 					t.Errorf("second read: %d bytes, err %v", got.Len(), err)
 				}
+				// The first open's Close has run by now; the second
+				// descriptor must have survived it, so a third open hits
+				// the library's hash and asks the daemon nothing.
+				if _, ok := f.lib.OpenPath(p, nil, "dn1", "/blk", "dn1/blk"); !ok {
+					t.Error("third open fell back")
+				}
 				vfd.Close(p, nil)
 			},
 			ran: func(d *Daemon, _ *Manager) bool { return d.stats.Opens == 2 }},

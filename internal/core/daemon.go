@@ -212,6 +212,8 @@ func (h *hostReader) read(sp int) {
 
 // waitReadahead waits out every in-flight readahead window overlapping the
 // chunk, then reads what the cache still misses from the disk.
+//
+//lint:hotpath
 func (h *hostReader) waitReadahead() {
 	if s := h.ra.Pending(h.f.obj, h.off, h.n); s != nil {
 		s.Notify(h.host.CPU.Env(), h.st.Direct((*hostReader).waitReadahead))
@@ -235,6 +237,7 @@ func (h *hostReader) readDisk() {
 	h.host.Disk.ReadAsyncT(h.tr, h.miss, h.st.Then((*hostReader).diskDone))
 }
 
+//lint:hotpath
 func (h *hostReader) diskDone() {
 	if h.cfg.DirectDiskBypass {
 		h.copyOut()

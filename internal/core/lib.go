@@ -171,6 +171,7 @@ type slotRuns struct {
 	run   uint64
 	parts data.Concat // finished runs, one window each
 	got   int64       // bytes drained
+	want  int64       // bytes the read asked for
 }
 
 func (r *slotRuns) add(slot ringSlot) {
@@ -186,10 +187,19 @@ func (r *slotRuns) add(slot ringSlot) {
 	r.got += slot.s.N
 }
 
-// closeRun boxes the open run into parts.
+// closeRun adds the open run to parts. The first run closed sizes parts
+// for the whole read, at one run per fill as long as itself.
 //
-//lint:allow hotalloc(multi-run fallback: one window per daemon fill, never one per slot)
-func (r *slotRuns) closeRun() { r.parts = append(r.parts, r.open.Content()) }
+//lint:allow hotalloc(multi-run fallback: parts sized once per read, never per slot)
+func (r *slotRuns) closeRun() {
+	if r.parts == nil {
+		r.parts = make(data.Concat, 0, min(r.want/max(r.open.N, 1), maxRunsHint)+2)
+	}
+	r.parts = append(r.parts, r.open)
+}
+
+// maxRunsHint bounds the runs closeRun sizes parts for up front.
+const maxRunsHint = 1024
 
 // slice returns the drained bytes: the open run itself when the read was one
 // run, else a Concat of one window per run.
@@ -334,12 +344,18 @@ func (c *libCall) replied() {
 	}
 	c.r.reqMu.Unlock()
 	c.tr.EndSpan(c.sp, 0)
-	if res.ok {
-		c.vfd = &VFD{lib: c.l, blockName: c.key, dn: c.desc.dn, path: c.desc.path, size: res.size, refs: 1}
-		c.l.vfds[c.key] = c.vfd
-	} else {
+	switch v := c.l.vfds[c.key]; {
+	case !res.ok:
 		c.tr.Event(trace.LayerLib, "open-fallback", 0)
 		c.l.stats.OpenFallbacks++
+	case v != nil:
+		// A concurrent open of the block got there first: share its
+		// descriptor, so neither Close drops the other's.
+		c.vfd = v
+		v.refs++
+	default:
+		c.vfd = &VFD{lib: c.l, blockName: c.key, dn: c.desc.dn, path: c.desc.path, size: res.size, refs: 1}
+		c.l.vfds[c.key] = c.vfd
 	}
 	c.finish()
 }
@@ -368,7 +384,7 @@ func (c *libCall) startDrain() { c.drainUnder(c.tr.Begin(trace.LayerRing, "ring-
 
 // drainUnder drains the read's slots under span rsp, then runs drained.
 func (c *libCall) drainUnder(rsp int) {
-	c.rsp, c.runs, c.batchSlots, c.batchBytes, c.then = rsp, slotRuns{}, 0, 0, (*libCall).drained
+	c.rsp, c.runs, c.batchSlots, c.batchBytes, c.then = rsp, slotRuns{want: c.desc.n}, 0, 0, (*libCall).drained
 	c.drain()
 }
 

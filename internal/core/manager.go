@@ -34,6 +34,8 @@ type Manager struct {
 	servers     map[string]*hostServer // host → daemon server and its mount map
 	qps         map[hostPair]*netsim.QP
 	pending     map[int64]*sim.Queue[chunkMsg]
+	reqs        sim.Pool[remoteReq] // request and chunk metas in flight between hosts
+	chunks      sim.Pool[remoteChunk]
 	nextReq     int64
 	refreshes   int64
 	// downgraded maps a host-pair key to the virtual instant its RDMA→TCP
@@ -278,7 +280,10 @@ func (m *Manager) noteRemoteFailure(tr *trace.Trace, a, b string) {
 		return
 	}
 	key := qpKey(a, b)
-	delete(m.qps, key)
+	if qp, ok := m.qps[key]; ok {
+		qp.Close()
+		delete(m.qps, key)
+	}
 	_, already := m.downgraded[key]
 	m.downgraded[key] = m.env.Now() + downgradeWindow
 	if !already {

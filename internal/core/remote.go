@@ -73,6 +73,8 @@ type hostServer struct {
 	sp  int
 	f   mountedFile
 	off int64
+	// recv is onFrame, the host's QP receive handler, bound once.
+	recv func(netsim.Frame)
 }
 
 // requestPayload is the body of every request frame; replies that carry no
@@ -87,6 +89,7 @@ func newHostServer(mgr *Manager, host *cluster.Host) *hostServer {
 		reqs:   sim.NewQueue[remoteReq](mgr.env, 0),
 		mounts: make(map[string]*fsim.HostMount),
 	}
+	s.recv = s.onFrame
 	s.hr = newHostReader(s, s.thread)
 	s.out.bind(mgr, host.Name, s.thread)
 	s.st.Bind(mgr.env, s)
@@ -160,6 +163,8 @@ func (s *hostServer) readChunk() {
 // daemon's contiguity check catches the gap at the next chunk (or its
 // window timeout, if this was the last) and re-requests from the end of the
 // delivered prefix.
+//
+//lint:hotpath
 func (s *hostServer) chunkRead() {
 	req, h := s.req, s.hr
 	if h.err != nil {
@@ -176,9 +181,18 @@ func (s *hostServer) chunkSent() {
 }
 
 // send pushes one frame to the requesting host, then continues with then.
+// The frame's meta is a record from the manager's free list, which onFrame
+// returns once it has read it, as it does a request's.
+//
+//lint:hotpath
 func (s *hostServer) send(payload data.Slice, meta remoteChunk, then func(*hostServer)) {
-	s.out.send(s.req.fromHost, netsim.Frame{Payload: payload, Meta: meta, Trace: s.req.tr}, s.st.Then(then))
+	c := s.mgr.chunks.Get()
+	*c = meta
+	s.out.send(s.req.fromHost, netsim.Frame{Payload: payload, Meta: c, Trace: s.req.tr}, s.st.Then(then))
 }
+
+// onFrame receives a frame on the server's host.
+func (s *hostServer) onFrame(fr netsim.Frame) { s.mgr.onFrame(s.host.Name, fr) }
 
 // ---------------------------------------------------------------------------
 // Transport plumbing.
@@ -217,6 +231,7 @@ func (o *frameOut) send(dst string, fr netsim.Frame, done func()) {
 	}
 }
 
+//lint:hotpath
 func (o *frameOut) sendTCP() {
 	fr, done := o.fr, o.done
 	o.fr, o.done = netsim.Frame{}, nil
@@ -234,10 +249,7 @@ func (m *Manager) qpFor(a, b string) *netsim.QP {
 	if sa == nil || sb == nil {
 		panic(fmt.Sprintf("core: missing vRead server on %s or %s", a, b))
 	}
-	qp := m.fabric().NewQP(
-		a, sa.thread, func(fr netsim.Frame) { m.onFrame(a, fr) },
-		b, sb.thread, func(fr netsim.Frame) { m.onFrame(b, fr) },
-	)
+	qp := m.fabric().NewQP(a, sa.thread, sa.recv, b, sb.thread, sb.recv)
 	m.qps[key] = qp
 	return qp
 }
@@ -256,17 +268,22 @@ func qpKey(a, b string) hostPair {
 // onFrame demultiplexes an arriving daemon-to-daemon frame on a host.
 func (m *Manager) onFrame(host string, fr netsim.Frame) {
 	switch meta := fr.Meta.(type) {
-	case remoteReq:
+	case *remoteReq:
+		req := *meta
+		*meta = remoteReq{}
+		m.reqs.Put(meta)
 		srv := m.servers[host]
-		if srv == nil || !srv.reqs.TryPut(meta) {
+		if srv == nil || !srv.reqs.TryPut(req) {
 			panic(fmt.Sprintf("core: no vRead server on %s", host))
 		}
-	case remoteChunk:
-		pend := m.pending[meta.reqID]
+	case *remoteChunk:
+		c := *meta
+		m.chunks.Put(meta)
+		pend := m.pending[c.reqID]
 		if pend == nil {
 			return // request abandoned (timed out and retired) — drop
 		}
-		pend.TryPut(chunkMsg{payload: fr.Payload, off: meta.off, err: meta.err, openOK: meta.openOK, size: meta.size})
+		pend.TryPut(chunkMsg{payload: fr.Payload, off: c.off, err: c.err, openOK: c.openOK, size: c.size})
 	default:
 		panic(fmt.Sprintf("core: unexpected frame meta %T", fr.Meta))
 	}
@@ -292,7 +309,9 @@ func (d *Daemon) remoteRequest(req remoteReq, then func(*Daemon)) {
 	req.reqID, req.fromHost = m.nextReq, d.host.Name
 	d.reqID = req.reqID
 	m.pending[req.reqID] = d.chunks
-	d.out.send(d.dnHost, netsim.Frame{Payload: requestPayload, Meta: req, Trace: req.tr}, d.st.Then(then))
+	r := m.reqs.Get()
+	*r = req
+	d.out.send(d.dnHost, netsim.Frame{Payload: requestPayload, Meta: r, Trace: req.tr}, d.st.Then(then))
 }
 
 // finishRemote retires the daemon's remote request: later chunks of its id

@@ -94,6 +94,11 @@ type CPU struct {
 	// balanceFn is c.balanceTick, bound once so arming the balancer does not
 	// allocate a method value.
 	balanceFn func()
+	// lastSlice and lastSliceCycles memoize CyclesFor of the last
+	// timeslice: a core's slice is almost always the tick or one load's
+	// share, so startSlice rarely converts.
+	lastSlice       time.Duration
+	lastSliceCycles int64
 }
 
 type core struct {
@@ -412,7 +417,10 @@ func (co *core) startSlice() {
 	if slice > tick {
 		slice = tick // re-evaluate preemption at tick granularity
 	}
-	sliceCycles := c.CyclesFor(slice)
+	if slice != c.lastSlice {
+		c.lastSlice, c.lastSliceCycles = slice, c.CyclesFor(slice)
+	}
+	sliceCycles := c.lastSliceCycles
 	if sliceCycles < 1 {
 		sliceCycles = 1
 	}

@@ -7,9 +7,10 @@ import (
 
 // Steps runs a chain of event handlers on v that fires a Proc's events in
 // place of its straight-line code. One continuation is outstanding at a
-// time, and both closures are bound once, by Bind.
+// time, and both completions are method values bound once, by Bind.
 type Steps[V any] struct {
 	v            V
+	env          *sim.Env
 	next         func(V)
 	resume, call func()
 }
@@ -17,11 +18,17 @@ type Steps[V any] struct {
 // Bind binds s to v and env; binding again does nothing.
 func (s *Steps[V]) Bind(env *sim.Env, v V) {
 	if s.call == nil {
-		s.v = v
-		s.call = func() { s.next(v) }
-		s.resume = env.Later(s.call)
+		s.v, s.env = v, env
+		s.call, s.resume = s.run, s.later
 	}
 }
+
+// run continues with the next step at once.
+func (s *Steps[V]) run() { s.next(s.v) }
+
+// later continues with the next step one zero-delay event later, the hop
+// Proc.Arm's completion takes before the Proc resumes.
+func (s *Steps[V]) later() { s.env.Schedule(0, s.call) }
 
 // Then returns the completion that continues with next one zero-delay
 // event later, the hop Proc.Arm's completion takes before a Proc resumes.

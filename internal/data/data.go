@@ -16,11 +16,9 @@
 // comparing the bytes. A storm read is one run of the written Pattern on
 // both sides, so its check produces no byte and allocates nothing.
 //
-// A Slice is a value and costs nothing to pass; turning one into a Content
-// (Slice.Content) boxes it. Data paths box only where windows that are not
-// contiguous must be joined into a Concat: the vRead guest driver widens
-// one Slice across a run of ring slots from one daemon fill and boxes it
-// only at a run boundary, never once per slot.
+// A Slice is a value and costs nothing to pass. A Concat joins Slices, so
+// windows that are not contiguous join without boxing each one: only the
+// Concat itself is boxed, once, when it becomes a Slice's Content.
 package data
 
 import (
@@ -113,15 +111,15 @@ func (z Zero) ReadAt(b []byte, off int64) {
 	}
 }
 
-// Concat is the concatenation of several Contents (how append-only files
-// accumulate chunks without copying).
-type Concat []Content
+// Concat is the concatenation of several windows (how append-only files
+// accumulate chunks, and reads join pieces, without copying).
+type Concat []Slice
 
 // Len implements Content.
 func (c Concat) Len() int64 {
 	var n int64
 	for _, part := range c {
-		n += part.Len()
+		n += part.N
 	}
 	return n
 }
@@ -132,16 +130,12 @@ func (c Concat) ReadAt(b []byte, off int64) {
 		if len(b) == 0 {
 			return
 		}
-		n := part.Len()
-		if off >= n {
-			off -= n
+		if off >= part.N {
+			off -= part.N
 			continue
 		}
-		take := n - off
-		if take > int64(len(b)) {
-			take = int64(len(b))
-		}
-		part.ReadAt(b[:take], off)
+		take := min(part.N-off, int64(len(b)))
+		part.C.ReadAt(b[:take], part.Off+off)
 		b = b[take:]
 		off = 0
 	}
@@ -170,23 +164,6 @@ func (s Slice) Sub(off, n int64) Slice {
 		panic(fmt.Sprintf("data: Sub(%d,%d) out of window %d", off, n, s.N))
 	}
 	return Slice{C: s.C, Off: s.Off + off, N: n}
-}
-
-// Content adapts the window into a standalone Content (no copying). Unless
-// the window is the whole of its Content, this boxes a window: one
-// allocation, so callers join windows at run boundaries, not per slot.
-func (s Slice) Content() Content {
-	if s.Off == 0 && s.C != nil && s.N == s.C.Len() {
-		return s.C
-	}
-	return window{s}
-}
-
-type window struct{ s Slice }
-
-func (w window) Len() int64 { return w.s.N }
-func (w window) ReadAt(b []byte, off int64) {
-	w.s.C.ReadAt(b, w.s.Off+off)
 }
 
 // Bytes materializes the window. Intended for tests and small final reads.
@@ -230,17 +207,14 @@ func (r *runs) add(c Content, off, n int64) bool {
 	switch cc := c.(type) {
 	case Pattern, Zero:
 		return r.push(extent{leaf: c, off: off, n: n})
-	case window:
-		return r.add(cc.s.C, cc.s.Off+off, n)
 	case Concat:
 		for _, part := range cc {
-			pn := part.Len()
-			if off >= pn {
-				off -= pn
+			if off >= part.N {
+				off -= part.N
 				continue
 			}
-			take := min(pn-off, n)
-			if !r.add(part, off, take) {
+			take := min(part.N-off, n)
+			if !r.add(part.C, part.Off+off, take) {
 				return false
 			}
 			if n -= take; n == 0 {

@@ -109,7 +109,7 @@ func TestZero(t *testing.T) {
 }
 
 func TestConcat(t *testing.T) {
-	c := Concat{Bytes("abc"), Bytes("de"), Bytes("fghi")}
+	c := Concat{NewSlice(Bytes("abc")), NewSlice(Bytes("de")), NewSlice(Bytes("fghi"))}
 	if c.Len() != 9 {
 		t.Fatalf("Len = %d", c.Len())
 	}
@@ -215,7 +215,7 @@ func TestEqualAllocs(t *testing.T) {
 	a := NewSlice(p)
 	var parts Concat
 	for i := int64(0); i < 4; i++ {
-		parts = append(parts, a.Sub(i*part, part).Content())
+		parts = append(parts, a.Sub(i*part, part))
 	}
 	b := NewSlice(parts)
 	if !sameRuns(a, b) {
@@ -253,7 +253,7 @@ func TestConcatWindowProperty(t *testing.T) {
 		var c Concat
 		var whole []byte
 		for _, p := range parts {
-			c = append(c, Bytes(p))
+			c = append(c, NewSlice(Bytes(p)))
 			whole = append(whole, p...)
 		}
 		total := int64(len(whole))

@@ -79,7 +79,7 @@ func FuzzEqual(f *testing.F) {
 //	3  windows alternating between base and resized, so runs never merge.
 //
 // form&4 wraps the Concat as a window over a Concat that also holds a
-// leading Zero byte, so the walk descends window, Concat, Concat, window.
+// leading Zero byte, so the walk descends Concat, Concat, Concat, window.
 func equalSide(base, resized Content, o, l int64, form uint8, cuts []byte, shift int64, flip int16) Slice {
 	var parts Concat
 	for i, at := 0, int64(0); at < l; i++ {
@@ -99,15 +99,15 @@ func equalSide(base, resized Content, o, l int64, form uint8, cuts []byte, shift
 			if f := int64(flip); f >= 0 && f%l >= at && f%l < at+n {
 				raw[f%l-at] ^= 1
 			}
-			parts = append(parts, Bytes(raw))
+			parts = append(parts, NewSlice(Bytes(raw)))
 		} else {
-			parts = append(parts, piece.Content())
+			parts = append(parts, piece)
 		}
 		at += n
 	}
 	if form&4 != 0 {
-		inner := NewSlice(Concat{Zero(1), parts}).Sub(1, l)
-		return NewSlice(Concat{inner.Content()})
+		inner := NewSlice(Concat{NewSlice(Zero(1)), NewSlice(parts)}).Sub(1, l)
+		return NewSlice(Concat{inner})
 	}
 	return Slice{C: parts, N: l}
 }
@@ -122,7 +122,7 @@ func FuzzConcatSplit(f *testing.F) {
 		if cut < 0 || cut > len(b) {
 			t.Skip()
 		}
-		c := Concat{Bytes(append([]byte(nil), b[:cut]...)), Bytes(append([]byte(nil), b[cut:]...))}
+		c := Concat{NewSlice(Bytes(append([]byte(nil), b[:cut]...))), NewSlice(Bytes(append([]byte(nil), b[cut:]...)))}
 		if c.Len() != int64(len(b)) {
 			t.Fatalf("Len = %d, want %d", c.Len(), len(b))
 		}

@@ -40,8 +40,8 @@ type Inode struct {
 	ino    Ino
 	isDir  bool
 	chunks data.Concat
-	// content is chunks boxed once per change, so a read hands out a Slice
-	// without converting chunks to an interface each time.
+	// content is chunks boxed by the first read after a change, so neither
+	// an append nor a repeated read converts chunks to an interface.
 	content data.Content
 	size    int64
 	entries map[string]*Inode
@@ -49,7 +49,7 @@ type Inode struct {
 
 // setChunks replaces the file's chunks and size.
 func (n *Inode) setChunks(chunks data.Concat, size int64) {
-	n.chunks, n.content, n.size = chunks, chunks, size
+	n.chunks, n.content, n.size = chunks, nil, size
 }
 
 // Ino returns the inode number.
@@ -157,8 +157,8 @@ func (fs *FS) Create(path string) (*Inode, error) {
 	return node, nil
 }
 
-// Append adds content to the end of an existing file.
-func (fs *FS) Append(path string, c data.Content) error {
+// Append adds a window of content to the end of an existing file.
+func (fs *FS) Append(path string, s data.Slice) error {
 	node, err := fs.lookup(path)
 	if err != nil {
 		return err
@@ -166,7 +166,7 @@ func (fs *FS) Append(path string, c data.Content) error {
 	if node.isDir {
 		return fmt.Errorf("%w: %s", ErrIsDir, path)
 	}
-	node.setChunks(append(node.chunks, c), node.size+c.Len())
+	node.setChunks(append(node.chunks, s), node.size+s.Len())
 	return nil
 }
 
@@ -176,14 +176,14 @@ func (fs *FS) WriteFile(path string, c data.Content) error {
 		if node.isDir {
 			return fmt.Errorf("%w: %s", ErrIsDir, path)
 		}
-		node.setChunks(data.Concat{c}, c.Len())
+		node.setChunks(data.Concat{data.NewSlice(c)}, c.Len())
 		return nil
 	}
 	node, err := fs.Create(path)
 	if err != nil {
 		return err
 	}
-	node.setChunks(data.Concat{c}, c.Len())
+	node.setChunks(data.Concat{data.NewSlice(c)}, c.Len())
 	return nil
 }
 
@@ -200,6 +200,9 @@ func readInode(node *Inode, off, n, limit int64, path string) (data.Slice, error
 	}
 	if off < 0 || n < 0 || off+n > limit {
 		return data.Slice{}, fmt.Errorf("%w: [%d,%d) of %d in %s", ErrRange, off, off+n, limit, path)
+	}
+	if node.content == nil {
+		node.content = node.chunks
 	}
 	return data.Slice{C: node.content, Off: off, N: n}, nil
 }

@@ -55,7 +55,7 @@ func TestAppendAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := fs.Append("/hadoop/dfs/data/blk_2", data.Bytes(fmt.Sprintf("part%d|", i))); err != nil {
+		if err := fs.Append("/hadoop/dfs/data/blk_2", data.NewSlice(data.Bytes(fmt.Sprintf("part%d|", i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestMountSnapshotSizeBound(t *testing.T) {
 	}
 	m := MountRO(fs)
 	// Guest appends after the mount; the mount still sees the old size.
-	if err := fs.Append("/hadoop/dfs/data/blk", data.Bytes("6789")); err != nil {
+	if err := fs.Append("/hadoop/dfs/data/blk", data.NewSlice(data.Bytes("6789"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.ReadAt("/hadoop/dfs/data/blk", 0, 9); !errors.Is(err, ErrRange) {

@@ -87,6 +87,7 @@ type Kernel struct {
 	connSeq   int64
 	ra        *storage.Readahead // readahead over the guest page cache
 	spare     *FileOp            // the blocking file calls' state, reused
+	segs      sim.Pool[segIn]    // arrived segments waiting for receive processing
 }
 
 // KernelParams collects the pieces a Kernel is assembled from.
@@ -371,6 +372,7 @@ func (end *connEnd) segmentTCP() {
 	end.send.Charge(end.kernel.vcpu, tcpTxSegCycles, metrics.TagOthers, end.frame.Trace, (*connEnd).transmit)
 }
 
+//lint:hotpath
 func (end *connEnd) transmit() {
 	end.kernel.net.TransmitThen(&end.tx, end.frame, end.send.Direct(end.segNext))
 }
@@ -434,9 +436,9 @@ func (end *connEnd) recvNext() {
 		case got == 0:
 			out = head
 		case parts == nil:
-			parts = data.Concat{out.Content(), head.Content()}
+			parts = data.Concat{out, head}
 		default:
-			parts = append(parts, head.Content())
+			parts = append(parts, head)
 		}
 		got += take
 	}
@@ -458,7 +460,7 @@ func (end *connEnd) recvNext() {
 
 func (end *connEnd) received() {
 	if s := end.recvS; s.Len() != end.recvN {
-		end.recvParts = append(end.recvParts, s.Content())
+		end.recvParts = append(end.recvParts, s)
 		end.recvGot += s.Len()
 		end.recvNext()
 		return
@@ -491,16 +493,37 @@ func (c *Conn) Close(p *sim.Proc) {
 	end.sendSegment(p, data.Slice{C: data.Zero(0)}, segMeta{kind: segFIN, connID: end.key ^ 1})
 }
 
+// segIn is one arrived segment waiting for its receive-path charge: taken
+// from the kernel's free list, with its step bound once per record.
+type segIn struct {
+	k         *Kernel
+	fr        netsim.Frame
+	meta      segMeta
+	processFn func()
+}
+
 // handleFrame is the virtio deliver hook: runs in event context after the
 // guest IRQ charge; posts receive-path work on the vCPU.
+//
+//lint:hotpath
 func (k *Kernel) handleFrame(fr netsim.Frame) {
 	meta, ok := fr.Meta.(segMeta)
 	if !ok {
 		panic(fmt.Sprintf("guest: %s received non-segment frame", k.name))
 	}
-	k.vcpu.PostT(tcpRxSegCycles, metrics.TagOthers, fr.Trace, func() {
-		k.processSegment(fr, meta)
-	})
+	s := k.segs.Get()
+	if s.processFn == nil {
+		s.processFn = s.process
+	}
+	s.k, s.fr, s.meta = k, fr, meta
+	k.vcpu.PostT(tcpRxSegCycles, metrics.TagOthers, fr.Trace, s.processFn)
+}
+
+func (s *segIn) process() {
+	k, fr, meta := s.k, s.fr, s.meta
+	s.k, s.fr, s.meta = nil, netsim.Frame{}, segMeta{}
+	k.segs.Put(s)
+	k.processSegment(fr, meta)
 }
 
 func (k *Kernel) processSegment(fr netsim.Frame, meta segMeta) {
@@ -594,7 +617,7 @@ func (k *Kernel) ReadFileAtT(p *sim.Proc, tr *trace.Trace, path string, off, n i
 // wrapper over AppendFileThen.
 func (k *Kernel) AppendFile(p *sim.Proc, path string, c data.Content) error {
 	op := k.takeOp()
-	k.AppendFileThen(op, path, c, p.ArmInline())
+	k.AppendFileThen(op, path, data.NewSlice(c), p.ArmInline())
 	p.Await()
 	k.spare = op
 	return op.Err
@@ -623,7 +646,7 @@ type FileOp struct {
 	path   string
 	node   *fsim.Inode
 	off, n int64
-	c      data.Content
+	c      data.Slice
 	done   func()
 }
 
@@ -631,10 +654,13 @@ type FileOp struct {
 func (op *FileOp) start(k *Kernel, tr *trace.Trace, sp int, path string, done func()) {
 	if op.issue == nil {
 		op.st.Bind(k.env, op)
-		op.issue = func(n int64, done func()) bool { return op.k.blk.TryReadAsyncT(op.tr, n, done) }
+		op.issue = op.readahead
 	}
 	op.k, op.tr, op.sp, op.path, op.done, op.S = k, tr, sp, path, done, data.Slice{}
 }
+
+// readahead submits one readahead window of the file to the disk.
+func (op *FileOp) readahead(n int64, done func()) bool { return op.k.blk.TryReadAsyncT(op.tr, n, done) }
 
 // ReadFileAtThen is ReadFileAtT in continuation form: done runs where
 // ReadFileAtT would have returned, with the result in op.S and op.Err.
@@ -668,6 +694,8 @@ func (op *FileOp) lookup() {
 
 // miss waits for any overlapping in-flight readahead before touching the
 // device itself.
+//
+//lint:hotpath
 func (op *FileOp) miss() {
 	k, obj := op.k, int64(op.node.Ino())
 	if s := k.ra.Pending(obj, op.off, op.n); s != nil {
@@ -681,6 +709,7 @@ func (op *FileOp) miss() {
 	op.advance()
 }
 
+//lint:hotpath
 func (op *FileOp) fill() {
 	op.k.cache.Insert(int64(op.node.Ino()), op.off, op.n)
 	op.advance()
@@ -700,13 +729,13 @@ func (op *FileOp) read() {
 
 func (op *FileOp) finish(err error) {
 	done := op.done
-	op.Err, op.tr, op.node, op.c, op.done = err, nil, nil, nil, nil
+	op.Err, op.tr, op.node, op.c, op.done = err, nil, nil, data.Slice{}, nil
 	done()
 }
 
-// AppendFileThen is AppendFile in continuation form: done runs where
-// AppendFile would have returned, with its error in op.Err.
-func (k *Kernel) AppendFileThen(op *FileOp, path string, c data.Content, done func()) {
+// AppendFileThen is AppendFile of a window in continuation form: done runs
+// where AppendFile would have returned, with its error in op.Err.
+func (k *Kernel) AppendFileThen(op *FileOp, path string, c data.Slice, done func()) {
 	op.start(k, nil, -1, path, done)
 	op.c = c
 	op.st.Charge(k.vcpu, syscallCycles+copyCycles(c.Len()), k.appTag, nil, (*FileOp).append)

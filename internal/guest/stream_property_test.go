@@ -38,7 +38,7 @@ func TestStreamIntegrityProperty(t *testing.T) {
 		for i, sz := range sendSizes {
 			n := int64(sz)%100_000 + 1
 			total += n
-			contents = append(contents, data.Pattern{Seed: uint64(i) + 11, Size: n})
+			contents = append(contents, data.NewSlice(data.Pattern{Seed: uint64(i) + 11, Size: n}))
 		}
 		recvChunk := int64(recvChunkSeed)%70_000 + 1
 
@@ -63,7 +63,7 @@ func TestStreamIntegrityProperty(t *testing.T) {
 					okRun = false
 					return
 				}
-				parts = append(parts, s.Content())
+				parts = append(parts, s)
 				n += s.Len()
 			}
 			got = data.NewSlice(parts)
@@ -75,7 +75,7 @@ func TestStreamIntegrityProperty(t *testing.T) {
 				return
 			}
 			for _, part := range contents {
-				if err := conn.Send(p, data.NewSlice(part)); err != nil {
+				if err := conn.Send(p, part); err != nil {
 					okRun = false
 					return
 				}

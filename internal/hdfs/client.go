@@ -256,7 +256,7 @@ func (r *FileReader) readAt(p *sim.Proc, tr *trace.Trace, position, n int64) (da
 		if err != nil {
 			return data.Slice{}, err
 		}
-		parts = append(parts, s.Content())
+		parts = append(parts, s)
 		remaining -= bytesToRead
 		position += bytesToRead
 	}
@@ -456,7 +456,7 @@ func (r *FileReader) ReadFull(p *sim.Proc, n int64) (data.Slice, error) {
 		if err != nil {
 			return data.Slice{}, err
 		}
-		parts = append(parts, s.Content())
+		parts = append(parts, s)
 		got += s.Len()
 	}
 	return data.NewSlice(parts), nil

@@ -131,8 +131,9 @@ func (x *xceiver) received() {
 	x.st.Charge(x.dn.kernel.VCPU(), checksumCycles(x.pkt.Len()), metrics.TagDatanodeApp, nil, (*xceiver).store)
 }
 
+//lint:hotpath
 func (x *xceiver) store() {
-	x.dn.kernel.AppendFileThen(&x.file, x.path, x.pkt.Content(), x.st.Direct((*xceiver).forward))
+	x.dn.kernel.AppendFileThen(&x.file, x.path, x.pkt, x.st.Direct((*xceiver).forward))
 }
 
 func (x *xceiver) forward() {

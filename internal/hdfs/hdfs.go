@@ -262,21 +262,28 @@ func (nn *NameNode) defaultPlacement(clientVM, _ string, replication int) []stri
 // orderLocations sorts replicas for a reader: same-VM first (short-circuit),
 // then same-host, then remote.
 func (nn *NameNode) orderLocations(clientVM string, locs []string) []string {
+	if len(locs) == 0 {
+		return nil
+	}
 	clientHost, _ := nn.topo.HostOf(clientVM)
-	var sameVM, sameHost, remote []string
-	for _, l := range locs {
-		h, _ := nn.topo.HostOf(l)
-		switch {
-		case l == clientVM:
-			sameVM = append(sameVM, l)
-		case h == clientHost:
-			sameHost = append(sameHost, l)
-		default:
-			remote = append(remote, l)
+	rank := func(l string) int {
+		if l == clientVM {
+			return 0
+		}
+		if h, _ := nn.topo.HostOf(l); h == clientHost {
+			return 1
+		}
+		return 2
+	}
+	out := make([]string, 0, len(locs))
+	for r := 0; r <= 2; r++ {
+		for _, l := range locs {
+			if rank(l) == r {
+				out = append(out, l)
+			}
 		}
 	}
-	out := append(sameVM, sameHost...)
-	return append(out, remote...)
+	return out
 }
 
 // rpc charges one namenode round trip to the calling client, attributed to

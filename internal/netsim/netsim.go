@@ -116,6 +116,7 @@ type Fabric struct {
 	partitions map[domPair]time.Duration // severed-until instant per domain pair
 	faults     *faults.Plan
 	xconnect   func(src, dst string, delay time.Duration, deliver func())
+	qps        sim.Pool[QP] // closed QPs; RDMA endpoints share one Env
 }
 
 type vmReg struct {
@@ -318,15 +319,49 @@ type NIC struct {
 	softirq   *cpusched.Thread
 	busyUntil time.Duration
 	txFrames  int64
+	frames    sim.Pool[wireFrame] // frames this NIC sends, back from their last step
+	ops       sim.Pool[rdmaOp]    // RDMA work requests posted from this host
 }
 
 // TxFrames returns total frames transmitted.
 func (n *NIC) TxFrames() int64 { return n.txFrames }
 
+// wireFrame is one frame in flight from a NIC: taken from the sending NIC's
+// free list, with its arrival and delivery steps bound once per record, as
+// Proc.wake is. Its last step returns it, unless the frame crossed to
+// another Env, where it is left to the garbage collector.
+type wireFrame struct {
+	home *NIC // free list to return to; nil once the frame crossed Envs
+	fr   Frame
+	sp   int
+	// Where an arriving frame goes; all nil for a frame dropped in flight.
+	dst *NIC        // receiving NIC, whose softirq charges ep's or h's frame
+	ep  Endpoint    // SendToVM
+	h   HostHandler // SendToHost
+	dma func(Frame) // SendDMA
+
+	arriveFn, deliverFn func()
+}
+
+// frame returns a record for fr from n's free list.
+func (n *NIC) frame(fr Frame) *wireFrame {
+	w := n.frames.Get()
+	if w.arriveFn == nil {
+		w.arriveFn, w.deliverFn = w.arrive, w.deliver
+	}
+	w.home, w.fr = n, fr
+	return w
+}
+
+// delivers reports whether the frame reaches a destination on arrival.
+func (w *wireFrame) delivers() bool { return w.ep != nil || w.h != nil || w.dma != nil }
+
 // SendToVM transmits a frame to a VM on another host. After wire time, the
 // receiving host's softirq processing runs, then the VM endpoint's
 // DeliverFromWire. onSent (may be nil) fires when the frame leaves this NIC
 // (transmit-complete, for sender-side pacing).
+//
+//lint:hotpath
 func (n *NIC) SendToVM(fr Frame, onSent func()) {
 	reg, ok := n.fabric.vms[fr.DstVM]
 	if !ok {
@@ -334,12 +369,9 @@ func (n *NIC) SendToVM(fr Frame, onSent func()) {
 	}
 	fr.SrcHost = n.host
 	fr.DstHost = reg.host
-	n.transmit(fr, onSent, func(arrived Frame) {
-		dst := n.fabric.nics[reg.host]
-		dst.softirq.PostT(softirqFrameCycles, metrics.TagVhostNet, arrived.Trace, func() {
-			reg.ep.DeliverFromWire(arrived)
-		})
-	})
+	w := n.frame(fr)
+	w.dst, w.ep = n.fabric.nics[reg.host], reg.ep
+	n.transmit(w, onSent)
 }
 
 // SendToHost transmits a host-terminated frame (daemon TCP). Receive
@@ -352,21 +384,15 @@ func (n *NIC) SendToHost(dstHost string, port int, fr Frame, onSent func()) {
 	}
 	fr.SrcHost = n.host
 	fr.DstHost = dstHost
-	if n.fabric.domainBlocked(&fr, n.host, dstHost) {
-		n.transmit(fr, onSent, nil)
-		return
-	}
-	if n.fabric.faults.Should(faults.NetFrameDrop) {
+	w := n.frame(fr)
+	switch {
+	case n.fabric.domainBlocked(&w.fr, n.host, dstHost):
+	case n.fabric.faults.Should(faults.NetFrameDrop):
 		fr.Trace.Event(trace.LayerNet, "fault:frame-drop", 0)
-		n.transmit(fr, onSent, nil)
-		return
+	default:
+		w.dst, w.h = n.fabric.nics[dstHost], h
 	}
-	n.transmit(fr, onSent, func(arrived Frame) {
-		dst := n.fabric.nics[dstHost]
-		dst.softirq.PostT(softirqFrameCycles, metrics.TagVReadNet, arrived.Trace, func() {
-			h(arrived)
-		})
-	})
+	n.transmit(w, onSent)
 }
 
 // SendDMA transmits a frame fully in hardware (SR-IOV virtual functions):
@@ -375,18 +401,23 @@ func (n *NIC) SendToHost(dstHost string, port int, fr Frame, onSent func()) {
 // NIC's internal switch (same pacing, same latency).
 func (n *NIC) SendDMA(fr Frame, onSent func(), deliver func(Frame)) {
 	fr.SrcHost = n.host
-	n.transmit(fr, onSent, deliver)
+	w := n.frame(fr)
+	w.dma = deliver
+	n.transmit(w, onSent)
 }
 
-// transmit paces the frame through this NIC and schedules arrival. A nil
-// deliver means the frame was dropped in flight: it still occupies the wire
-// and its span still closes (at the instant it would have arrived), it just
-// never reaches the destination. Frames touching a down host are dropped
-// here, the single chokepoint every send path funnels through.
-func (n *NIC) transmit(fr Frame, onSent func(), deliver func(Frame)) {
-	if deliver != nil && (n.fabric.down[fr.SrcHost] || n.fabric.down[fr.DstHost]) {
+// transmit paces the frame through this NIC and schedules its arrival. A
+// frame with no destination was dropped in flight: it still occupies the
+// wire and its span still closes (at the instant it would have arrived), it
+// just never reaches the destination. Frames touching a down host are
+// dropped here, the single chokepoint every send path funnels through.
+//
+//lint:hotpath
+func (n *NIC) transmit(w *wireFrame, onSent func()) {
+	fr := &w.fr
+	if w.delivers() && (n.fabric.down[fr.SrcHost] || n.fabric.down[fr.DstHost]) {
 		fr.Trace.Event(trace.LayerNet, "fault:host-down-drop", 0)
-		deliver = nil
+		w.dst, w.ep, w.h, w.dma = nil, nil, nil, nil
 	}
 	cfg := n.fabric.cfg
 	now := n.env.Now()
@@ -406,21 +437,67 @@ func (n *NIC) transmit(fr Frame, onSent func(), deliver func(Frame)) {
 	if onSent != nil {
 		n.env.Schedule(done-now, onSent)
 	}
-	sp := fr.Trace.Begin(trace.LayerNet, "wire")
-	arrive := func() {
-		fr.Trace.EndSpan(sp, fr.Payload.Len())
-		if deliver != nil {
-			deliver(fr)
-		}
-	}
-	// Dropped frames (nil deliver) close their span on the sender's Env —
-	// the destination may be down, unregistered, or on another shard, and
+	n.launch(w, fr.Trace.Begin(trace.LayerNet, "wire"), done-now+wire)
+}
+
+// launch sends w, under its wire span sp, to arrive after delay.
+func (n *NIC) launch(w *wireFrame, sp int, delay time.Duration) {
+	w.sp = sp
+	// Dropped frames close their span on the sender's Env — the
+	// destination may be down, unregistered, or on another shard, and
 	// nothing observable happens there anyway.
-	if deliver == nil || fr.DstHost == "" {
-		n.env.Schedule(done-now+wire, arrive)
+	dst := w.fr.DstHost
+	if !w.delivers() || dst == "" {
+		n.env.Schedule(delay, w.arriveFn)
 		return
 	}
-	n.fabric.deliverOn(n.env, n.host, fr.DstHost, done-now+wire, arrive)
+	if n.fabric.envFor(dst) != n.env {
+		w.home = nil // its last step runs on the destination's Env
+	}
+	n.fabric.deliverOn(n.env, n.host, dst, delay, w.arriveFn)
+}
+
+// arrive closes the wire span and hands the frame on: to the receiving
+// host's softirq, straight to an SR-IOV peer, or nowhere when it was dropped.
+//
+//lint:hotpath
+func (w *wireFrame) arrive() {
+	w.fr.Trace.EndSpan(w.sp, w.fr.Payload.Len())
+	switch {
+	case w.ep != nil:
+		w.dst.softirq.PostT(softirqFrameCycles, metrics.TagVhostNet, w.fr.Trace, w.deliverFn)
+	case w.h != nil:
+		w.dst.softirq.PostT(softirqFrameCycles, metrics.TagVReadNet, w.fr.Trace, w.deliverFn)
+	case w.dma != nil:
+		dma, fr := w.dma, w.fr
+		w.release()
+		dma(fr)
+	default:
+		w.release()
+	}
+}
+
+// deliver runs after the receiving host's softirq charge.
+//
+//lint:hotpath
+func (w *wireFrame) deliver() {
+	fr, ep, h := w.fr, w.ep, w.h
+	w.release()
+	if ep != nil {
+		ep.DeliverFromWire(fr)
+		return
+	}
+	h(fr)
+}
+
+// release drops the record's references and returns it to its sender's
+// free list.
+func (w *wireFrame) release() {
+	home := w.home
+	w.home, w.fr, w.dst, w.ep, w.h, w.dma = nil, Frame{}, nil, nil, nil, nil
+	if home != nil {
+		home.frames.Put(w)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -456,18 +533,40 @@ func (f *Fabric) NewQP(hostA string, threadA *cpusched.Thread, recvA func(Frame)
 		// cross-shard QP would need, and nothing needs it yet.
 		panic(fmt.Sprintf("netsim: QP between %q and %q crosses Envs; RDMA endpoints must share a shard", hostA, hostB))
 	}
-	return &QP{
+	q := f.qps.Get()
+	*q = QP{
 		fabric: f, hostA: hostA, hostB: hostB,
 		recvA: recvA, recvB: recvB, threadA: threadA, threadB: threadB,
 	}
+	return q
+}
+
+// Close returns a QP nobody posts on any more to the fabric, for a later
+// NewQP to reuse. Work requests already posted on it complete as usual.
+func (q *QP) Close() { q.fabric.qps.Put(q) }
+
+// rdmaOp is one posted work request: taken from the posting NIC's free
+// list, with its steps bound once per record. A QP's two hosts share an Env
+// (NewQP), so the completion, its last step, always returns it.
+type rdmaOp struct {
+	nic     *NIC // posting NIC, whose free list takes the record back
+	fr      Frame
+	sp      int
+	dstHost string
+	complTh *cpusched.Thread
+	recv    func(Frame)
+	onSent  func()
+
+	postedFn, arriveFn, completeFn, sentFn func()
 }
 
 // PostFrom posts a send/write work request from the given side ("A" side is
 // hostA). The posting thread pays rdmaPostCycles; the NIC DMAs the payload
 // at wire speed; the remote side pays rdmaCompleteCycles and then its recv
 // handler runs. onSent (may be nil) fires at local transmit-complete.
+//
+//lint:hotpath
 func (q *QP) PostFrom(host string, fr Frame, onSent func()) {
-	cfg := q.fabric.cfg
 	var postTh, complTh *cpusched.Thread
 	var recv func(Frame)
 	var dstHost string
@@ -482,6 +581,11 @@ func (q *QP) PostFrom(host string, fr Frame, onSent func()) {
 	fr.SrcHost = host
 	fr.DstHost = dstHost
 	nic := q.fabric.nics[host]
+	op := nic.ops.Get()
+	if op.postedFn == nil {
+		op.postedFn, op.arriveFn, op.completeFn, op.sentFn = op.posted, op.arrive, op.complete, op.sent
+	}
+	op.nic, op.fr, op.onSent = nic, fr, onSent
 	if q.fabric.faults.Should(faults.RDMAQPTeardown) {
 		q.broken = true
 	}
@@ -492,39 +596,75 @@ func (q *QP) PostFrom(host string, fr Frame, onSent func()) {
 	case q.fabric.down[host] || q.fabric.down[dstHost]:
 		fr.Trace.Event(trace.LayerNet, "fault:host-down-drop", 0)
 		unreachable = true
-	case q.fabric.domainBlocked(&fr, host, dstHost):
+	case q.fabric.domainBlocked(&op.fr, host, dstHost):
 		unreachable = true
 	}
 	if unreachable {
 		// Posting still costs CPU and the sender still sees local
 		// transmit-complete — the loss surfaces only at the reader's
 		// timeout, never as a synchronous error.
-		postTh.PostT(rdmaPostCycles, metrics.TagRDMA, fr.Trace, func() {
-			if onSent != nil {
-				onSent()
-			}
-		})
+		postTh.PostT(rdmaPostCycles, metrics.TagRDMA, fr.Trace, op.sentFn)
 		return
 	}
-	sp := fr.Trace.Begin(trace.LayerNet, "rdma")
-	postTh.PostT(rdmaPostCycles, metrics.TagRDMA, fr.Trace, func() {
-		now := nic.env.Now()
-		start := now
-		if nic.busyUntil > start {
-			start = nic.busyUntil
-		}
-		txTime := time.Duration(float64(fr.Payload.Len()) / float64(bandwidth) * float64(time.Second))
-		done := start + txTime
-		nic.busyUntil = done
-		nic.txFrames++
-		if onSent != nil {
-			nic.env.Schedule(done-now, onSent)
-		}
-		q.fabric.deliverOn(nic.env, host, dstHost, done-now+cfg.RDMALatency, func() {
-			complTh.PostT(rdmaCompleteCycles, metrics.TagRDMA, fr.Trace, func() {
-				fr.Trace.EndSpan(sp, fr.Payload.Len())
-				recv(fr)
-			})
-		})
-	})
+	op.dstHost, op.complTh, op.recv = dstHost, complTh, recv
+	op.post(postTh, fr.Trace.Begin(trace.LayerNet, "rdma"))
+}
+
+// post pays the posting CPU on th, under the transfer's span sp.
+func (op *rdmaOp) post(th *cpusched.Thread, sp int) {
+	op.sp = sp
+	th.PostT(rdmaPostCycles, metrics.TagRDMA, op.fr.Trace, op.postedFn)
+}
+
+// sent completes an unreachable post: only local transmit-complete fires.
+//
+//lint:hotpath
+func (op *rdmaOp) sent() {
+	onSent := op.onSent
+	op.release()
+	if onSent != nil {
+		onSent()
+	}
+}
+
+// posted paces the payload through the posting NIC once the post's CPU is
+// paid.
+//
+//lint:hotpath
+func (op *rdmaOp) posted() {
+	nic := op.nic
+	now := nic.env.Now()
+	start := now
+	if nic.busyUntil > start {
+		start = nic.busyUntil
+	}
+	txTime := time.Duration(float64(op.fr.Payload.Len()) / float64(bandwidth) * float64(time.Second))
+	done := start + txTime
+	nic.busyUntil = done
+	nic.txFrames++
+	if op.onSent != nil {
+		nic.env.Schedule(done-now, op.onSent)
+	}
+	nic.fabric.deliverOn(nic.env, nic.host, op.dstHost, done-now+nic.fabric.cfg.RDMALatency, op.arriveFn)
+}
+
+//lint:hotpath
+func (op *rdmaOp) arrive() {
+	op.complTh.PostT(rdmaCompleteCycles, metrics.TagRDMA, op.fr.Trace, op.completeFn)
+}
+
+//lint:hotpath
+func (op *rdmaOp) complete() {
+	op.fr.Trace.EndSpan(op.sp, op.fr.Payload.Len())
+	fr, recv := op.fr, op.recv
+	op.release()
+	recv(fr)
+}
+
+// release drops the record's references and returns it to the posting
+// NIC's free list.
+func (op *rdmaOp) release() {
+	nic := op.nic
+	op.nic, op.fr, op.complTh, op.recv, op.onSent = nil, Frame{}, nil, nil, nil
+	nic.ops.Put(op)
 }

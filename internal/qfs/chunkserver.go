@@ -140,7 +140,7 @@ func (cs *ChunkServer) handleWrite(p *sim.Proc, conn *guest.Conn, id ChunkID, n 
 			return
 		}
 		cs.kernel.VCPU().Run(p, ioCycles(pkt), metrics.TagDatanodeApp)
-		if err := cs.kernel.AppendFile(p, path, s.Content()); err != nil {
+		if err := cs.kernel.AppendFile(p, path, data.Concat{s}); err != nil {
 			conn.Close(p)
 			return
 		}

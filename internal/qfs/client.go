@@ -117,7 +117,7 @@ func (c *Client) ReadFile(p *sim.Proc, path string) (data.Slice, error) {
 		if err != nil {
 			return data.Slice{}, err
 		}
-		parts = append(parts, s.Content())
+		parts = append(parts, s)
 		total += s.Len()
 	}
 	return data.Slice{C: parts, N: total}, nil

@@ -260,14 +260,16 @@ func TestQueueNotifySharesGetFIFO(t *testing.T) {
 	}
 }
 
-// FuzzQueueNotify is the differential test of Queue.Notify and Env.Later: one
-// fuzzed producer script (blocking Puts, TryPuts, sleeps and a Close) runs
-// twice, once against a Proc consumer looping over Get and once against a
-// handler consumer that pops with TryGet and re-arms with Notify. Each
-// consumer holds every item for a service time, by Sleep or by an armed
-// completion in the Proc and by Schedule or by an Env.Later completion in
-// the handler. Both runs must pop the same items at the same virtual times,
-// see the same TryPut results, and fire the same number of events.
+// FuzzQueueNotify is the differential test of Queue.Notify and of the
+// one-hop completion cpusched.Steps.Then hands out: one fuzzed producer
+// script (blocking Puts, TryPuts, sleeps and a Close) runs twice, once
+// against a Proc consumer looping over Get and once against a handler
+// consumer that pops with TryGet and re-arms with Notify. Each consumer
+// holds every item for a service time, by Sleep or by an armed completion in
+// the Proc and by Schedule or by a completion that schedules the handler one
+// zero-delay event later in the handler. Both runs must pop the same items
+// at the same virtual times, see the same TryPut results, and fire the same
+// number of events.
 func FuzzQueueNotify(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 9, 6, 6, 6, 14, 0, 12, 15})
 	f.Add([]byte{6, 7, 8, 0, 1, 2, 3, 4, 5, 13})
@@ -310,7 +312,7 @@ func runQueueScript(ops []byte, capacity int, handler bool) (string, uint64) {
 				env.Schedule(service(v), serveLater)
 			}
 		}
-		serveLater = env.Later(serve)
+		serveLater = func() { env.Schedule(0, serve) }
 		env.Schedule(0, serve)
 	} else {
 		env.Go("consumer", func(p *Proc) {

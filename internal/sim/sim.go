@@ -35,11 +35,11 @@ type Env struct {
 	// lane is empty.
 	ready   []*event
 	rhead   int
-	free    []*event // recycled events; Schedule pops here before allocating
-	live    int      // scheduled events that are neither fired nor cancelled
-	ncancel int      // cancelled events still occupying heap or lane slots
-	fired   uint64   // events executed since NewEnv
-	resumes uint64   // Proc resumes (dispatches into a live coroutine) since NewEnv
+	free    Pool[event] // recycled events; Schedule pops here before allocating
+	live    int         // scheduled events that are neither fired nor cancelled
+	ncancel int         // cancelled events still occupying heap or lane slots
+	fired   uint64      // events executed since NewEnv
+	resumes uint64      // Proc resumes (dispatches into a live coroutine) since NewEnv
 	seq     uint64
 	rng     *rand.Rand
 	procs   map[*Proc]struct{}
@@ -81,7 +81,7 @@ func (e *Env) Schedule(after time.Duration, fn func()) Timer {
 	if after < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", after))
 	}
-	ev := e.alloc()
+	ev := e.free.Get()
 	ev.at = e.now + after
 	ev.seq = e.nextSeq()
 	ev.fn = fn
@@ -92,12 +92,6 @@ func (e *Env) Schedule(after time.Duration, fn func()) Timer {
 	}
 	e.live++
 	return Timer{env: e, ev: ev, gen: ev.gen}
-}
-
-// Later returns a completion scheduling fn one zero-delay event later, the
-// hop Proc.Arm's completion takes before the Proc resumes. Bind it once.
-func (e *Env) Later(fn func()) func() {
-	return func() { e.Schedule(0, fn) }
 }
 
 // pushReady appends ev to the ready lane. When the lane is full and at
@@ -122,25 +116,13 @@ func (e *Env) nextSeq() uint64 {
 	return e.seq
 }
 
-// alloc takes an event from the free list, or allocates when the list is
-// empty (cold start, or the pending working set grew).
-func (e *Env) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &event{} //lint:allow hotalloc(pool refill: paid once per working-set growth, zero at steady state)
-}
-
 // recycle invalidates every outstanding Timer for ev (generation bump) and
 // returns it to the free list for the next Schedule.
 func (e *Env) recycle(ev *event) {
 	ev.fn = nil
 	ev.canceled = false
 	ev.gen++
-	e.free = append(e.free, ev) //lint:allow hotalloc(free-list growth is amortized into working-set size)
+	e.free.Put(ev)
 }
 
 // Pending returns the number of scheduled events that have neither fired nor

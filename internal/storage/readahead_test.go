@@ -76,7 +76,16 @@ func (f *raFixture) issue(n int64, done func()) bool {
 	return true
 }
 
-func (f *raFixture) state() *raObject { return f.ra.object(raObj) }
+func (f *raFixture) state() raObject { return f.ra.objs[raObj] }
+
+// inFlight lists obj's in-flight windows in issue order.
+func (r *Readahead) inFlight(obj int64) []*raWindow {
+	var ws []*raWindow
+	for w := r.objs[obj].flight; w != nil; w = w.next {
+		ws = append(ws, w)
+	}
+	return ws
+}
 
 // TestReadaheadWindowPipeline: a sequential reader keeps two readahead
 // windows in flight, contiguous and non-overlapping, and stops issuing once
@@ -85,10 +94,10 @@ func TestReadaheadWindowPipeline(t *testing.T) {
 	f := newRAFixture(raWin, 0)
 	f.run(t, func(p *sim.Proc) {
 		f.read(p, 0)
-		if got := len(f.state().raFlight); got != 1 {
+		if got := len(f.ra.inFlight(raObj)); got != 1 {
 			t.Fatalf("after first read: %d windows in flight, want 1", got)
 		}
-		first := f.state().raFlight[0]
+		first := f.ra.inFlight(raObj)[0]
 		if first.start != raChunk || first.end != raChunk+raWin {
 			t.Fatalf("first window = [%d,%d), want [%d,%d)", first.start, first.end, raChunk, raChunk+raWin)
 		}
@@ -97,7 +106,7 @@ func TestReadaheadWindowPipeline(t *testing.T) {
 		// the next window is issued from where the first left off.
 		f.read(p, raChunk)
 		f.read(p, 2*raChunk)
-		wins := f.state().raFlight
+		wins := f.ra.inFlight(raObj)
 		if len(wins) != 2 {
 			t.Fatalf("pipeline depth = %d windows, want 2 (%+v)", len(wins), wins)
 		}
@@ -121,7 +130,7 @@ func TestReadaheadWindowPipeline(t *testing.T) {
 		}
 	})
 	// All windows complete once the env drains.
-	if got := len(f.state().raFlight); got != 0 {
+	if got := len(f.ra.inFlight(raObj)); got != 0 {
 		t.Errorf("windows leaked after drain: %d", got)
 	}
 }
@@ -138,8 +147,8 @@ func TestReadaheadWaitInflight(t *testing.T) {
 		}
 		// The window covering [chunk, ...) is still in flight (1 MiB of disk
 		// time has not elapsed); this read overlaps it.
-		if len(f.state().raFlight) != 1 || f.state().raFlight[0].finished {
-			t.Fatalf("precondition: window not in flight: %+v", f.state().raFlight)
+		if len(f.ra.inFlight(raObj)) != 1 || f.ra.inFlight(raObj)[0].finished {
+			t.Fatalf("precondition: window not in flight: %+v", f.ra.inFlight(raObj))
 		}
 		missed, diskRead := f.read(p, raChunk)
 		if diskRead {
@@ -162,7 +171,7 @@ func TestReadaheadBackwardsSeekResetsSeq(t *testing.T) {
 		if f.state().raIssued == 0 {
 			t.Fatal("precondition: sequential run issued nothing")
 		}
-		inFlight := len(f.state().raFlight)
+		inFlight := len(f.ra.inFlight(raObj))
 
 		// Seek back to the start: reset, but never cancels in-flight I/O.
 		f.read(p, 0)
@@ -172,14 +181,14 @@ func TestReadaheadBackwardsSeekResetsSeq(t *testing.T) {
 		if got := f.state().raIssued; got != 0 {
 			t.Errorf("raIssued after backwards seek = %d, want 0", got)
 		}
-		if got := len(f.state().raFlight); got != inFlight {
+		if got := len(f.ra.inFlight(raObj)); got != inFlight {
 			t.Errorf("backwards seek changed in-flight windows: %d → %d", inFlight, got)
 		}
 
 		// Resuming sequentially re-issues from the new cursor, not from the
 		// stale pre-seek high-water mark.
 		f.read(p, raChunk)
-		wins := f.state().raFlight
+		wins := f.ra.inFlight(raObj)
 		if len(wins) == 0 {
 			t.Fatal("no window issued after resuming the sequential run")
 		}
@@ -210,7 +219,7 @@ func TestReadaheadCapsAtMaxIO(t *testing.T) {
 	}
 	f.run(t, func(p *sim.Proc) {
 		f.ra.Advance(raObj, raFileSize, 0, raChunk, issue)
-		wins := f.state().raFlight
+		wins := f.ra.inFlight(raObj)
 		if len(wins) != 1 {
 			t.Fatalf("%d windows in flight, want 1 capped window", len(wins))
 		}
@@ -237,10 +246,10 @@ func TestReadaheadDropCancelsInflight(t *testing.T) {
 	f := newRAFixture(raWin, 0)
 	f.run(t, func(p *sim.Proc) {
 		f.ra.Advance(raObj, raFileSize, 0, raChunk, f.issue)
-		if len(f.state().raFlight) != 1 {
-			t.Fatalf("precondition: %d windows in flight, want 1", len(f.state().raFlight))
+		if len(f.ra.inFlight(raObj)) != 1 {
+			t.Fatalf("precondition: %d windows in flight, want 1", len(f.ra.inFlight(raObj)))
 		}
-		w := f.state().raFlight[0]
+		w := f.ra.inFlight(raObj)[0]
 		f.cache.DropAll()
 		f.ra.Drop()
 		if !w.canceled || w.finished {
@@ -252,15 +261,15 @@ func TestReadaheadDropCancelsInflight(t *testing.T) {
 		if !w.finished || f.env.Now() == start {
 			t.Errorf("overlapping read did not wait for the canceled window")
 		}
-		if len(f.cache.entries) != 0 {
-			t.Errorf("canceled window refilled the cache: %d chunks", len(f.cache.entries))
+		if f.cache.count != 0 {
+			t.Errorf("canceled window refilled the cache: %d chunks", f.cache.count)
 		}
 
 		f.ra.Advance(raObj, raFileSize, 0, raChunk, f.issue)
 		if got := f.state().raSeq; got != raChunk {
 			t.Errorf("raSeq = %d, want %d", got, raChunk)
 		}
-		wins := f.state().raFlight
+		wins := f.ra.inFlight(raObj)
 		if len(wins) != 1 || wins[0].start != raChunk || wins[0].canceled {
 			t.Errorf("read at 0 after Drop did not continue the run: in flight %+v", wins)
 		}
@@ -301,12 +310,9 @@ func FuzzReadahead(f *testing.F) {
 		runOf := map[*raWindow]int{} // the run each window was issued in
 		outstanding, depth := 0, 3   // the device refuses beyond depth
 		checkFlight := func(obj int64) {
-			o := ra.objs[obj]
-			if o == nil {
-				return
-			}
-			for i, a := range o.raFlight {
-				for _, b := range o.raFlight[i+1:] {
+			flight := ra.inFlight(obj)
+			for i, a := range flight {
+				for _, b := range flight[i+1:] {
 					if runOf[a] == runOf[b] && a.start < b.end && b.start < a.end {
 						t.Fatalf("obj %d: in-flight windows [%d,%d) and [%d,%d) of one run overlap",
 							obj, a.start, a.end, b.start, b.end)
@@ -315,11 +321,10 @@ func FuzzReadahead(f *testing.F) {
 			}
 		}
 		advance := func(obj, off, n int64) {
-			o := ra.object(obj)
-			if off != o.raSeq {
+			if off != ra.objs[obj].raSeq {
 				run[obj]++
 			}
-			before := len(o.raFlight)
+			before := len(ra.inFlight(obj))
 			var issued **raWindow
 			ra.Advance(obj, size, off, n, func(n int64, done func()) bool {
 				if outstanding >= depth {
@@ -331,9 +336,9 @@ func FuzzReadahead(f *testing.F) {
 				disk.ReadAsync(n, func() {
 					outstanding--
 					w := *cell
-					chunks := len(cache.entries)
+					chunks := cache.count
 					done()
-					if w.canceled && len(cache.entries) != chunks {
+					if w.canceled && cache.count != chunks {
 						t.Fatalf("obj %d: canceled window [%d,%d) inserted into the cache", obj, w.start, w.end)
 					}
 					if !w.canceled && !cache.Contains(obj, w.start, w.end-w.start) {
@@ -343,15 +348,16 @@ func FuzzReadahead(f *testing.F) {
 				return true
 			})
 			if issued == nil {
-				if len(o.raFlight) != before {
+				if len(ra.inFlight(obj)) != before {
 					t.Fatalf("obj %d: window recorded without a device request", obj)
 				}
 				return
 			}
-			if len(o.raFlight) != before+1 {
-				t.Fatalf("obj %d: device accepted a window but %d → %d in flight", obj, before, len(o.raFlight))
+			flight := ra.inFlight(obj)
+			if len(flight) != before+1 {
+				t.Fatalf("obj %d: device accepted a window but %d → %d in flight", obj, before, len(flight))
 			}
-			w := o.raFlight[before]
+			w := flight[before]
 			*issued = w
 			runOf[w] = run[obj]
 			if w.start-(off+n) >= 2*window {
@@ -376,7 +382,7 @@ func FuzzReadahead(f *testing.F) {
 					}
 					if _, miss := cache.Lookup(obj, off, n); miss > 0 {
 						waitRA(p, ra, obj, off, n)
-						for _, w := range ra.object(obj).raFlight {
+						for _, w := range ra.inFlight(obj) {
 							if !w.finished && w.start < off+n && off < w.end {
 								t.Fatalf("obj %d: the wait returned with [%d,%d) in flight over [%d,%d)", obj, w.start, w.end, off, off+n)
 							}
@@ -400,9 +406,9 @@ func FuzzReadahead(f *testing.F) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		for obj, o := range ra.objs {
-			if len(o.raFlight) != 0 {
-				t.Fatalf("obj %d: %d windows still in flight after the env drained", obj, len(o.raFlight))
+		for obj := range ra.objs {
+			if n := len(ra.inFlight(obj)); n != 0 {
+				t.Fatalf("obj %d: %d windows still in flight after the env drained", obj, n)
 			}
 		}
 		if outstanding != 0 {

@@ -89,13 +89,7 @@ func (d *Disk) ReadAsyncT(tr *trace.Trace, n int64, onDone func()) {
 		lat += extra
 		tr.Event(trace.LayerDisk, "fault:disk-slow", 0)
 	}
-	sp := tr.Begin(trace.LayerDisk, "read")
-	d.submit(n, lat, d.cfg.ReadBandwidth, func() {
-		tr.EndSpan(sp, n)
-		if onDone != nil {
-			onDone()
-		}
-	})
+	d.submitT(tr, "read", n, lat, d.cfg.ReadBandwidth, onDone)
 	d.stats.Reads++
 	d.stats.BytesRead += n
 }
@@ -103,16 +97,30 @@ func (d *Disk) ReadAsyncT(tr *trace.Trace, n int64, onDone func()) {
 // WriteAsyncT submits a write of n bytes with a "disk write" span (submit →
 // completion) on the request trace; onDone, if not nil, fires on completion.
 func (d *Disk) WriteAsyncT(tr *trace.Trace, n int64, onDone func()) {
-	sp := tr.Begin(trace.LayerDisk, "write")
-	d.submit(n, writeLatency, d.cfg.WriteBandwidth, func() {
-		tr.EndSpan(sp, n)
-		if onDone != nil {
-			onDone()
-		}
-	})
+	d.submitT(tr, "write", n, writeLatency, d.cfg.WriteBandwidth, onDone)
 	d.stats.Writes++
 	d.stats.BytesWritten += n
 }
+
+// submitT submits a request under a span called name on tr. An untraced
+// request hands onDone to the device as it is, wrapping nothing; a nil
+// onDone still completes as one event.
+func (d *Disk) submitT(tr *trace.Trace, name string, n int64, lat time.Duration, bw int64, onDone func()) {
+	if onDone == nil {
+		onDone = noop
+	}
+	if tr == nil {
+		d.submit(n, lat, bw, onDone)
+		return
+	}
+	sp := tr.Begin(trace.LayerDisk, name)
+	d.submit(n, lat, bw, func() {
+		tr.EndSpan(sp, n)
+		onDone()
+	})
+}
+
+func noop() {}
 
 func (d *Disk) submit(n int64, lat time.Duration, bw int64, onDone func()) {
 	if n < 0 {
@@ -146,19 +154,41 @@ type CacheStats struct {
 // PageCache is an LRU cache over (object, chunk) pairs. Chunk granularity is
 // configurable (default 64 KiB) — coarser than a real 4 KiB page cache but
 // equivalent for sequential HDFS-block I/O, and much cheaper to simulate.
+//
+// Cached chunks are indexed by page: one map entry per pageChunks
+// consecutive chunks of an object, so a streaming read grows the map once
+// per page, not once per chunk. Nodes and pages are records from the
+// cache's free lists: a full cache reuses its evicted node, and a page
+// that empties goes back for the next one.
 type PageCache struct {
 	name      string
 	chunkSize int64
 	capacity  int // max chunks
-	entries   map[CacheKey]*lruNode
-	head      *lruNode // most recent
-	tail      *lruNode // least recent
+	count     int // chunks cached
+	pages     map[pageKey]*cachePage
+	head      *lruNode          // most recent
+	tail      *lruNode          // least recent
+	free      sim.Pool[lruNode] // nodes of invalidated chunks
+	freePages sim.Pool[cachePage]
 	stats     CacheStats
 }
 
 type lruNode struct {
 	key        CacheKey
 	prev, next *lruNode
+}
+
+// pageChunks is how many consecutive chunks of an object one index page
+// holds.
+const pageChunks = 16
+
+type pageKey struct {
+	object, page int64
+}
+
+type cachePage struct {
+	nodes [pageChunks]*lruNode
+	n     int // nodes present
 }
 
 // NewPageCache creates a cache holding capacityBytes with the given chunk
@@ -175,7 +205,7 @@ func NewPageCache(name string, capacityBytes, chunkSize int64) *PageCache {
 		name:      name,
 		chunkSize: chunkSize,
 		capacity:  capChunks,
-		entries:   make(map[CacheKey]*lruNode),
+		pages:     make(map[pageKey]*cachePage),
 	}
 }
 
@@ -184,83 +214,137 @@ func (c *PageCache) Stats() CacheStats { return c.stats }
 
 // Lookup classifies the byte range [off, off+n) of object into cached and
 // uncached bytes, promoting hits in LRU order. It does not insert.
+//
+//lint:hotpath
 func (c *PageCache) Lookup(object, off, n int64) (hit, miss int64) {
-	c.forEachChunk(off, n, func(chunk, bytes int64) {
-		if node, ok := c.entries[CacheKey{object, chunk}]; ok {
+	first, last := c.chunks(off, n)
+	for chunk := first; chunk <= last; chunk++ {
+		b := c.bytesIn(chunk, off, n)
+		if node := c.node(object, chunk); node != nil {
 			c.promote(node)
-			hit += bytes
+			hit += b
 		} else {
-			miss += bytes
+			miss += b
 		}
-	})
+	}
 	c.stats.HitBytes += hit
 	c.stats.MissBytes += miss
 	return hit, miss
 }
 
-// Insert marks the byte range [off, off+n) of object cached, evicting LRU
-// chunks as needed.
+// Insert marks the byte range [off, off+n) of object cached. A full cache
+// evicts its least recent chunk and reuses that node for the new one, which
+// leaves the LRU order that inserting first and evicting after would; a
+// cache with room takes a node from its free list.
+//
+//lint:hotpath
 func (c *PageCache) Insert(object, off, n int64) {
-	c.forEachChunk(off, n, func(chunk, bytes int64) {
-		key := CacheKey{object, chunk}
-		if node, ok := c.entries[key]; ok {
+	first, last := c.chunks(off, n)
+	for chunk := first; chunk <= last; chunk++ {
+		if node := c.node(object, chunk); node != nil {
 			c.promote(node)
-			return
+			continue
 		}
-		node := &lruNode{key: key}
-		c.entries[key] = node
+		var node *lruNode
+		if c.count >= c.capacity {
+			node = c.evictLRU()
+		} else {
+			node = c.free.Get()
+		}
+		node.key = CacheKey{object, chunk}
+		c.add(node)
 		c.pushFront(node)
-		for len(c.entries) > c.capacity {
-			c.evictLRU()
-		}
-	})
+	}
 }
 
 // Contains reports whether the full range is cached, without promoting or
 // counting stats.
 func (c *PageCache) Contains(object, off, n int64) bool {
-	all := true
-	c.forEachChunk(off, n, func(chunk, bytes int64) {
-		if _, ok := c.entries[CacheKey{object, chunk}]; !ok {
-			all = false
+	first, last := c.chunks(off, n)
+	for chunk := first; chunk <= last; chunk++ {
+		if c.node(object, chunk) == nil {
+			return false
 		}
-	})
-	return all
+	}
+	return true
 }
 
 // InvalidateObject drops every cached chunk of object.
 func (c *PageCache) InvalidateObject(object int64) {
-	for key, node := range c.entries {
-		if key.Object == object {
-			c.unlink(node)
-			delete(c.entries, key)
+	for key, p := range c.pages {
+		if key.object != object {
+			continue
 		}
+		for i, node := range p.nodes {
+			if node != nil {
+				c.unlink(node)
+				c.free.Put(node)
+				p.nodes[i] = nil
+			}
+		}
+		c.count -= p.n
+		p.n = 0
+		delete(c.pages, key)
+		c.freePages.Put(p)
 	}
 }
 
 // DropAll empties the cache (echo 3 > /proc/sys/vm/drop_caches).
 func (c *PageCache) DropAll() {
-	c.entries = make(map[CacheKey]*lruNode)
+	c.pages = make(map[pageKey]*cachePage)
+	c.count = 0
 	c.head, c.tail = nil, nil
 }
 
-func (c *PageCache) forEachChunk(off, n int64, fn func(chunk, bytes int64)) {
+// node returns the cached node of a chunk, or nil.
+func (c *PageCache) node(object, chunk int64) *lruNode {
+	if p := c.pages[pageKey{object, chunk / pageChunks}]; p != nil {
+		return p.nodes[chunk%pageChunks]
+	}
+	return nil
+}
+
+// add indexes a node under its key, taking a page from the free list when
+// its page is new.
+func (c *PageCache) add(node *lruNode) {
+	key := pageKey{node.key.Object, node.key.Chunk / pageChunks}
+	p := c.pages[key]
+	if p == nil {
+		p = c.freePages.Get()
+		c.pages[key] = p
+	}
+	p.nodes[node.key.Chunk%pageChunks] = node
+	p.n++
+	c.count++
+}
+
+// remove drops a node from the index, returning its page to the free list
+// when it empties.
+func (c *PageCache) remove(node *lruNode) {
+	key := pageKey{node.key.Object, node.key.Chunk / pageChunks}
+	p := c.pages[key]
+	p.nodes[node.key.Chunk%pageChunks] = nil
+	c.count--
+	if p.n--; p.n == 0 {
+		delete(c.pages, key)
+		c.freePages.Put(p)
+	}
+}
+
+// chunks returns the first and last chunk of [off, off+n); last < first
+// for an empty range.
+func (c *PageCache) chunks(off, n int64) (first, last int64) {
 	if n <= 0 {
-		return
+		return 0, -1
 	}
-	first := off / c.chunkSize
-	last := (off + n - 1) / c.chunkSize
-	for chunk := first; chunk <= last; chunk++ {
-		lo := chunk * c.chunkSize
-		hi := lo + c.chunkSize
-		if lo < off {
-			lo = off
-		}
-		if hi > off+n {
-			hi = off + n
-		}
-		fn(chunk, hi-lo)
-	}
+	return off / c.chunkSize, (off + n - 1) / c.chunkSize
+}
+
+// bytesIn returns how many bytes of [off, off+n) fall in chunk.
+func (c *PageCache) bytesIn(chunk, off, n int64) int64 {
+	lo := max(chunk*c.chunkSize, off)
+	hi := min((chunk+1)*c.chunkSize, off+n)
+	return hi - lo
 }
 
 func (c *PageCache) promote(n *lruNode) {
@@ -297,11 +381,11 @@ func (c *PageCache) unlink(n *lruNode) {
 	n.prev, n.next = nil, nil
 }
 
-func (c *PageCache) evictLRU() {
-	if c.tail == nil {
-		return
-	}
+// evictLRU drops the least recent chunk, which must exist, and returns its
+// node.
+func (c *PageCache) evictLRU() *lruNode {
 	victim := c.tail
 	c.unlink(victim)
-	delete(c.entries, victim.key)
+	c.remove(victim)
+	return victim
 }

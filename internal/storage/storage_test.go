@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -115,8 +116,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.Contains(1, 64<<10, 64<<10) {
 		t.Fatal("LRU chunk 1 survived eviction")
 	}
-	if len(c.entries) != 4 {
-		t.Fatalf("Len = %d, want 4", len(c.entries))
+	if c.count != 4 {
+		t.Fatalf("Len = %d, want 4", c.count)
 	}
 }
 
@@ -132,8 +133,8 @@ func TestCacheInvalidateObject(t *testing.T) {
 		t.Fatal("other object dropped by InvalidateObject")
 	}
 	c.DropAll()
-	if len(c.entries) != 0 {
-		t.Fatalf("Len after DropAll = %d", len(c.entries))
+	if c.count != 0 {
+		t.Fatalf("Len after DropAll = %d", c.count)
 	}
 }
 
@@ -188,7 +189,7 @@ func TestCacheCapacityProperty(t *testing.T) {
 		c := NewPageCache("g", 8*64<<10, 0) // 8 chunks
 		for _, ins := range inserts {
 			c.Insert(int64(ins%4), int64(ins)*13, 64<<10)
-			if len(c.entries) > 8 {
+			if c.count > 8 {
 				return false
 			}
 		}
@@ -249,5 +250,85 @@ func readT(p *sim.Proc, d *Disk, n int64) {
 func waitRA(p *sim.Proc, ra *Readahead, obj, off, n int64) {
 	for s := ra.Pending(obj, off, n); s != nil; s = ra.Pending(obj, off, n) {
 		s.Wait(p)
+	}
+}
+
+// TestCacheMatchesReferenceLRU runs random lookups, inserts, invalidations
+// and drops against the cache and against a plain most-recent-first list of
+// chunk keys, and requires the same hits and misses and the same LRU order
+// after every operation: the paged index and node reuse must leave exactly
+// the chunk-granular LRU.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	const chunk = 1000
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capChunks := rng.Intn(40) + 1
+		c := NewPageCache("ref", int64(capChunks)*chunk, chunk)
+		var model []CacheKey // most recent first
+		find := func(k CacheKey) int {
+			for i, m := range model {
+				if m == k {
+					return i
+				}
+			}
+			return -1
+		}
+		touch := func(i int) {
+			k := model[i]
+			model = append(model[:i], model[i+1:]...)
+			model = append([]CacheKey{k}, model...)
+		}
+		for op := 0; op < 2000; op++ {
+			obj, off, n := int64(rng.Intn(4)), int64(rng.Intn(60*chunk)), int64(rng.Intn(8*chunk))
+			first, last := off/chunk, (off+n-1)/chunk
+			switch rng.Intn(20) {
+			case 0:
+				c.InvalidateObject(obj)
+				kept := model[:0]
+				for _, k := range model {
+					if k.Object != obj {
+						kept = append(kept, k)
+					}
+				}
+				model = kept
+			case 1:
+				c.DropAll()
+				model = nil
+			case 2, 3, 4, 5, 6, 7, 8:
+				hit, miss := c.Lookup(obj, off, n)
+				var wantHit int64
+				for ch := first; n > 0 && ch <= last; ch++ {
+					if i := find(CacheKey{obj, ch}); i >= 0 {
+						touch(i)
+						wantHit += min((ch+1)*chunk, off+n) - max(ch*chunk, off)
+					}
+				}
+				if hit != wantHit || hit+miss != max(n, 0) {
+					t.Fatalf("seed %d op %d: Lookup = %d hit %d miss, want %d hit of %d", seed, op, hit, miss, wantHit, n)
+				}
+			default:
+				c.Insert(obj, off, n)
+				for ch := first; n > 0 && ch <= last; ch++ {
+					if i := find(CacheKey{obj, ch}); i >= 0 {
+						touch(i)
+						continue
+					}
+					if len(model) >= capChunks {
+						model = model[:len(model)-1]
+					}
+					model = append([]CacheKey{{obj, ch}}, model...)
+				}
+			}
+			i := 0
+			for node := c.head; node != nil; node = node.next {
+				if i >= len(model) || node.key != model[i] {
+					t.Fatalf("seed %d op %d: LRU position %d differs from the reference", seed, op, i)
+				}
+				i++
+			}
+			if i != len(model) || c.count != len(model) {
+				t.Fatalf("seed %d op %d: %d nodes listed, %d counted, want %d", seed, op, i, c.count, len(model))
+			}
+		}
 	}
 }

@@ -105,6 +105,16 @@ type NetDev struct {
 	sriovDone     func()             // prebound descriptor-retire hook (no per-frame closure)
 	rxFn          func(netsim.Frame) // prebound injectRx method value (no per-frame binding)
 	spare         *Tx                // Transmit's state, reused across calls
+	rx            sim.Pool[rxFrame]  // frames on their way into this guest
+}
+
+// rxFrame is one frame on its way into the guest: taken from the receiving
+// device's free list, with its steps bound once per record; the hand-off to
+// the guest kernel returns it.
+type rxFrame struct {
+	d                   *NetDev
+	fr                  netsim.Frame
+	injectFn, deliverFn func()
 }
 
 // NewNetDev creates the device. vcpu is the VM's vCPU thread (guest IRQ
@@ -195,6 +205,8 @@ func (t *Tx) finish() {
 // no vhost, no host-side copies — the device DMAs from guest memory through
 // the NIC (hairpinning locally for co-located peers) into the peer guest's
 // buffers. Descriptors post asynchronously, bounded by the VF's ring depth.
+//
+//lint:hotpath
 func (t *Tx) locate() {
 	dstHost, ep, ok := t.d.fabric.Locate(t.fr.DstVM)
 	if !ok {
@@ -205,6 +217,7 @@ func (t *Tx) locate() {
 	t.post()
 }
 
+//lint:hotpath
 func (t *Tx) post() {
 	d := t.d
 	if d.sriovInflight >= netRingFrames {
@@ -266,6 +279,8 @@ func (d *NetDev) copyIn() {
 
 // route runs after the charges, as the destination may have migrated
 // meanwhile; an unknown one reads as remote and SendToVM panics naming it.
+//
+//lint:hotpath
 func (d *NetDev) route() {
 	dstHost, ep, _ := d.fabric.Locate(d.fr.DstVM)
 	if dstHost != d.host {
@@ -290,6 +305,7 @@ func (d *NetDev) inject() {
 	d.vhostLoop.Charge(d.vhost, irqInjectCycles, metrics.TagVhostNet, d.fr.Trace, (*NetDev).handOff)
 }
 
+//lint:hotpath
 func (d *NetDev) handOff() {
 	d.peer.injectRx(d.fr)
 	d.serve()
@@ -298,24 +314,44 @@ func (d *NetDev) handOff() {
 // DeliverFromWire implements netsim.Endpoint: a frame arriving from the
 // physical NIC is copied into the guest ring by this VM's vhost thread, then
 // injected.
+//
+//lint:hotpath
 func (d *NetDev) DeliverFromWire(fr netsim.Frame) {
 	n := fr.Payload.Len()
+	r := d.rxFrame(fr)
 	d.vhost.PostT(vhostFrameCycles, metrics.TagVhostNet, fr.Trace, nil)
 	d.vhost.PostT(copyCycles(n), metrics.TagCopyVirtio, fr.Trace, nil)
-	d.vhost.PostT(irqInjectCycles, metrics.TagVhostNet, fr.Trace, func() {
-		d.injectRx(fr)
-	})
+	d.vhost.PostT(irqInjectCycles, metrics.TagVhostNet, fr.Trace, r.injectFn)
 }
 
 // injectRx charges the guest interrupt on the vCPU, then hands the frame to
 // the guest kernel.
-func (d *NetDev) injectRx(fr netsim.Frame) {
-	d.vcpu.PostT(guestIRQCycles, metrics.TagOthers, fr.Trace, func() {
-		if d.deliver == nil {
-			panic(fmt.Sprintf("virtio: no deliver hook on %s", d.vmName))
-		}
-		d.deliver(fr)
-	})
+func (d *NetDev) injectRx(fr netsim.Frame) { d.rxFrame(fr).inject() }
+
+// rxFrame returns a record for fr from d's free list.
+func (d *NetDev) rxFrame(fr netsim.Frame) *rxFrame {
+	r := d.rx.Get()
+	if r.injectFn == nil {
+		r.injectFn, r.deliverFn = r.inject, r.deliver
+	}
+	r.d, r.fr = d, fr
+	return r
+}
+
+//lint:hotpath
+func (r *rxFrame) inject() {
+	r.d.vcpu.PostT(guestIRQCycles, metrics.TagOthers, r.fr.Trace, r.deliverFn)
+}
+
+//lint:hotpath
+func (r *rxFrame) deliver() {
+	d, fr := r.d, r.fr
+	r.d, r.fr = nil, netsim.Frame{}
+	d.rx.Put(r)
+	if d.deliver == nil {
+		panic(fmt.Sprintf("virtio: no deliver hook on %s", d.vmName))
+	}
+	d.deliver(fr)
 }
 
 // Stop closes the tx ring, terminating the vhost loop once drained.
@@ -410,10 +446,7 @@ type BlkIO struct {
 func (b *BlkDev) Transfer(io *BlkIO, tr *trace.Trace, n int64, write bool, done func()) {
 	if io.reqDone == nil {
 		io.st.Bind(b.env, io)
-		io.reqDone = func() {
-			io.pending--
-			io.sig.Broadcast()
-		}
+		io.reqDone = io.reqCompleted
 	}
 	io.b, io.tr, io.left, io.write, io.done = b, tr, n, write, done
 	io.kick()
@@ -446,6 +479,12 @@ func (io *BlkIO) put() {
 		io.pending++
 	}
 	io.kick()
+}
+
+// reqCompleted retires one submitted read.
+func (io *BlkIO) reqCompleted() {
+	io.pending--
+	io.sig.Broadcast()
 }
 
 // wait continues the caller once every submitted read has completed.
