@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"vread/internal/hdfs"
 )
 
 // TestReadmeSessions: README's two sessions print these bytes, byte for
@@ -78,5 +81,19 @@ func TestRunPlacesReplicas(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("placement output lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestRunRefusesReplicationAboveDatanodes: the two-datanode testbed used to
+// write two replicas of a block asked for 64 and report nothing. The write
+// now fails with hdfs.ErrReplication, so the command exits 1.
+func TestRunRefusesReplicationAboveDatanodes(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-replication", "64", "put", "/a", "64"}, &out)
+	if !errors.Is(err, hdfs.ErrReplication) {
+		t.Fatalf("run(-replication 64 put) = %v, want hdfs.ErrReplication", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run(-replication 64 put) printed %q", out.String())
 	}
 }

@@ -81,13 +81,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// CPU is one host's processor: n cores at a given frequency.
+// CPU is one host's processor: n cores at a given frequency. The cores are
+// built by the first wake, so a host that never runs anything holds no
+// scheduler state.
 type CPU struct {
 	env      *sim.Env
 	reg      *metrics.Registry
 	cfg      Config
 	freqHz   int64
-	cores    []*core
+	ncores   int
+	cores    []core // nil until the first wake builds them
 	seq      uint64
 	rr       int // rotation cursor for placement tie-breaking
 	balArmed bool
@@ -132,7 +135,7 @@ type Thread struct {
 	cpu      *CPU
 	name     string
 	entity   string
-	acct     *metrics.Account // entity's ledger, resolved once at NewThread
+	acct     *metrics.Account // entity's ledger, resolved once on the first wake
 	state    ThreadState
 	vruntime time.Duration
 	seq      uint64 // runqueue FIFO tiebreak
@@ -205,15 +208,27 @@ func New(env *sim.Env, reg *metrics.Registry, cores int, freqHz int64, cfg Confi
 	if freqHz <= 0 {
 		panic("cpusched: frequency must be positive")
 	}
-	c := &CPU{env: env, reg: reg, cfg: cfg.withDefaults(), freqHz: freqHz}
-	c.balanceFn = c.balanceTick
-	for i := 0; i < cores; i++ {
-		co := &core{id: i, cpu: c}
-		co.startSliceFn = co.startSlice
-		co.sliceEndFn = co.sliceEnd
-		c.cores = append(c.cores, co)
+	return &CPU{env: env, reg: reg, cfg: cfg.withDefaults(), freqHz: freqHz, ncores: cores}
+}
+
+// firstWake resolves t's ledger on t's first wake. The CPU's first wake is
+// one of its threads' first, so it builds the cores there too.
+func (c *CPU) firstWake(t *Thread) {
+	t.acct = c.reg.Account(t.entity)
+	if c.cores == nil {
+		c.build()
 	}
-	return c
+}
+
+// build makes the cores and binds the balancer, once per CPU.
+func (c *CPU) build() {
+	c.cores = make([]core, c.ncores) //lint:allow hotalloc(once per CPU, on its first thread's first wake)
+	for i := range c.cores {
+		co := &c.cores[i]
+		co.id, co.cpu = i, c
+		co.startSliceFn, co.sliceEndFn = co.startSlice, co.sliceEnd
+	}
+	c.balanceFn = c.balanceTick
 }
 
 // Env returns the simulation environment.
@@ -238,7 +253,7 @@ func (c *CPU) DurFor(cycles int64) time.Duration {
 // NewThread registers a thread. Entity names group metrics ("client",
 // "datanode", "vread-daemon"...).
 func (c *CPU) NewThread(name, entity string) *Thread {
-	return &Thread{cpu: c, name: name, entity: entity, acct: c.reg.Account(entity)}
+	return &Thread{cpu: c, name: name, entity: entity}
 }
 
 // Consumed returns lifetime cycles consumed by the thread.
@@ -299,6 +314,9 @@ func (t *Thread) RunT(p *sim.Proc, cycles int64, tag string, tr *trace.Trace) {
 // last-run core if idle, else any idle core, else enqueue on the affine core
 // with a local preemption check — the CFS placement dance.
 func (c *CPU) wake(t *Thread) {
+	if t.acct == nil {
+		c.firstWake(t)
+	}
 	c.armBalancer()
 	target := t.lastCore
 	if target == nil {
@@ -312,7 +330,7 @@ func (c *CPU) wake(t *Thread) {
 	// onto the lowest-numbered core.
 	n := len(c.cores)
 	for i := 0; i < n; i++ {
-		co := c.cores[(c.rr+i)%n]
+		co := &c.cores[(c.rr+i)%n]
 		if co.cur == nil {
 			c.rr = (c.rr + i + 1) % n
 			c.dispatch(co, t, wakeLatency)
@@ -335,10 +353,10 @@ func (c *CPU) wake(t *Thread) {
 
 func (c *CPU) leastLoaded() *core {
 	n := len(c.cores)
-	best := c.cores[c.rr%n]
+	best := &c.cores[c.rr%n]
 	bestLoad := best.load()
 	for i := 1; i < n; i++ {
-		co := c.cores[(c.rr+i)%n]
+		co := &c.cores[(c.rr+i)%n]
 		if l := co.load(); l < bestLoad {
 			best, bestLoad = co, l
 		}
@@ -539,7 +557,8 @@ func (co *core) pickNext() {
 // renormalizing vruntime between the queues.
 func (c *CPU) steal(dst *core) *Thread {
 	var src *core
-	for _, co := range c.cores {
+	for i := range c.cores {
+		co := &c.cores[i]
 		if co == dst || len(co.runq) == 0 {
 			continue
 		}
@@ -616,8 +635,8 @@ func (c *CPU) armBalancer() {
 func (c *CPU) balanceTick() {
 	c.balArmed = false
 	busy := false
-	for _, co := range c.cores {
-		if co.cur != nil || len(co.runq) > 0 {
+	for i := range c.cores {
+		if co := &c.cores[i]; co.cur != nil || len(co.runq) > 0 {
 			busy = true
 			break
 		}
@@ -630,7 +649,8 @@ func (c *CPU) balanceTick() {
 	// which is exactly how long-run fairness emerges for thread counts that
 	// don't divide the core count (the kernel's periodic load balancing).
 	var maxC, minC *core
-	for _, co := range c.cores {
+	for i := range c.cores {
+		co := &c.cores[i]
 		if maxC == nil || co.load() > maxC.load() {
 			maxC = co
 		}

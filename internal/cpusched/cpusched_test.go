@@ -21,6 +21,29 @@ func newCPU(t *testing.T, cores int, freq int64) (*sim.Env, *metrics.Registry, *
 	return env, reg, cpu
 }
 
+// TestCoresBuiltOnFirstWake: a CPU holds no cores and a thread no ledger
+// until work posted to the thread first wakes it; a second thread's wake
+// reuses the cores.
+func TestCoresBuiltOnFirstWake(t *testing.T) {
+	env, _, cpu := newCPU(t, 4, ghz)
+	a, b := cpu.NewThread("a", "vm"), cpu.NewThread("b", "vm")
+	if cpu.cores != nil || a.acct != nil {
+		t.Fatal("New or NewThread built scheduler state")
+	}
+	a.Post(1000, "work", nil)
+	cores := cpu.cores
+	if len(cores) != 4 || a.acct == nil || b.acct != nil {
+		t.Fatalf("after the first post: %d cores, ledgers resolved a=%v b=%v", len(cores), a.acct != nil, b.acct != nil)
+	}
+	b.Post(1000, "work", nil)
+	if &cpu.cores[0] != &cores[0] || b.acct != a.acct {
+		t.Fatal("a second wake rebuilt the cores or split the entity's ledger")
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSingleThreadRunTime(t *testing.T) {
 	env, reg, cpu := newCPU(t, 1, ghz)
 	th := cpu.NewThread("worker", "vm")

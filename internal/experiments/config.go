@@ -166,6 +166,11 @@ func (f ScenarioConfig) Build() (Setup, error) {
 		if hosts := int64(d.Domains) * int64(d.RacksPerDomain) * int64(d.HostsPerRack); hosts > maxHosts {
 			c.fail("scale_out.domains × racks_per_domain × hosts_per_rack = %d hosts out of range (want at most %d)", hosts, maxHosts)
 		}
+		// hdfs refuses such a write with ErrReplication on the first block;
+		// compare after the replication 3 and 6-datanode defaults apply.
+		if d.Replication > d.Datanodes {
+			c.fail("replication %d exceeds scale_out.datanodes %d", d.Replication, d.Datanodes)
+		}
 	}
 	if m := f.Migrate; m != nil {
 		s.Migrate = &MigrationConfig{

@@ -108,6 +108,9 @@ func TestParseOptionsRejectsOutOfRange(t *testing.T) {
 		{`{"migrate": {"read_kb": 512, "file_kb": 256}}`, "migrate.read_kb 512 exceeds migrate.file_kb 256"},
 		{`{"migrate": {"read_kb": 8192}}`, "migrate.read_kb 8192 exceeds migrate.file_kb 4096"},
 		{`{"migrate": {"file_kb": 128}}`, "migrate.read_kb 256 exceeds migrate.file_kb 128"},
+		{`{"replication": 13, "scale_out": {"datanodes": 12}}`, "replication 13 exceeds scale_out.datanodes 12"},
+		{`{"scale_out": {"datanodes": 2}}`, "replication 3 exceeds scale_out.datanodes 2"},
+		{`{"replication": 7, "scale_out": {}}`, "replication 7 exceeds scale_out.datanodes 6"},
 
 		// Counts above their bound would build (or try to) that many hosts,
 		// VMs, shards, files or reads.

@@ -11,9 +11,13 @@
 package hdfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"vread/internal/faults"
@@ -85,30 +89,43 @@ func NewRing(seed int64, vnodes int) *Ring {
 	return &Ring{seed: seed, vnodes: vnodes, domains: make(map[string]string)}
 }
 
-// AddNode inserts a node with its fault domain (empty = domain-blind).
+// compare orders entries by (hash, node, vidx), a total order: node names
+// are unique and a node's vnode indexes distinct.
+func (a ringEntry) compare(b ringEntry) int {
+	if c := cmp.Compare(a.hash, b.hash); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.node, b.node); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.vidx, b.vidx)
+}
+
+// AddNode inserts a node with its fault domain (empty = domain-blind). Only
+// the node's own vnodes are sorted; they are merged into the sorted entries
+// from the back, so the ring is the one sorting every entry would give.
 func (r *Ring) AddNode(node, domain string) {
 	if _, ok := r.domains[node]; ok {
 		panic(fmt.Sprintf("hdfs: ring node %q already present", node))
 	}
 	r.domains[node] = domain
 	r.order = append(r.order, node)
-	for v := 0; v < r.vnodes; v++ {
-		r.entries = append(r.entries, ringEntry{
-			hash: fnv1a(r.seed, fmt.Sprintf("%s#%d", node, v)),
-			node: node,
-			vidx: v,
-		})
+	add := make([]ringEntry, r.vnodes)
+	for v := range add {
+		add[v] = ringEntry{hash: fnv1a(r.seed, node+"#"+strconv.Itoa(v)), node: node, vidx: v}
 	}
-	sort.Slice(r.entries, func(i, j int) bool {
-		a, b := r.entries[i], r.entries[j]
-		if a.hash != b.hash {
-			return a.hash < b.hash
+	slices.SortFunc(add, ringEntry.compare)
+	i, j := len(r.entries)-1, len(add)-1
+	r.entries = append(r.entries, add...)
+	for k := len(r.entries) - 1; j >= 0; k-- {
+		if i >= 0 && r.entries[i].compare(add[j]) > 0 {
+			r.entries[k] = r.entries[i]
+			i--
+		} else {
+			r.entries[k] = add[j]
+			j--
 		}
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		return a.vidx < b.vidx
-	})
+	}
 }
 
 // KeyPos returns the ring position a key hashes to.

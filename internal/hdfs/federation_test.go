@@ -1,8 +1,13 @@
 package hdfs
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -94,6 +99,63 @@ func TestRingDomainSpread(t *testing.T) {
 		}
 		if len(wide) != 5 {
 			t.Fatalf("%s: got %d of 5 replicas", key, len(wide))
+		}
+	}
+}
+
+// ringBytes serializes a ring's entries in order: hash, node and vnode
+// index of each, the bytes two identical rings share.
+func ringBytes(entries []ringEntry) []byte {
+	var b []byte
+	for _, e := range entries {
+		b = binary.BigEndian.AppendUint64(b, e.hash)
+		b = append(b, e.node...)
+		b = append(b, 0)
+		b = binary.BigEndian.AppendUint64(b, uint64(e.vidx))
+	}
+	return b
+}
+
+// TestRingInsertOrderProperty: AddNode merges a node's sorted vnodes into
+// the ring, so random node sets inserted in random orders give the entries
+// that sorting every vnode at once by (hash, node, vidx) gives, byte for
+// byte.
+func TestRingInsertOrderProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		seed, vnodes := rng.Int63(), 1+rng.Intn(16)
+		nodes := make([]string, 1+rng.Intn(12))
+		for i := range nodes {
+			nodes[i] = fmt.Sprintf("dn%d", rng.Intn(1000)*len(nodes)+i) // distinct
+		}
+		var want []ringEntry
+		for _, n := range nodes {
+			for v := 0; v < vnodes; v++ {
+				want = append(want, ringEntry{hash: fnv1a(seed, fmt.Sprintf("%s#%d", n, v)), node: n, vidx: v})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.hash != b.hash {
+				return a.hash < b.hash
+			}
+			if a.node != b.node {
+				return a.node < b.node
+			}
+			return a.vidx < b.vidx
+		})
+		for order := 0; order < 3; order++ {
+			r := NewRing(seed, vnodes)
+			for _, i := range rng.Perm(len(nodes)) {
+				r.AddNode(nodes[i], "")
+			}
+			if !slices.IsSortedFunc(r.entries, ringEntry.compare) {
+				t.Fatalf("trial %d: entries out of (hash, node, vidx) order", trial)
+			}
+			if !bytes.Equal(ringBytes(r.entries), ringBytes(want)) {
+				t.Fatalf("trial %d: %d nodes × %d vnodes inserted in a random order differ from sorting all at once",
+					trial, len(nodes), vnodes)
+			}
 		}
 	}
 }

@@ -13,6 +13,8 @@ package hdfs
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"vread/internal/guest"
@@ -27,6 +29,9 @@ var (
 	ErrExists     = errors.New("hdfs: file already exists")
 	ErrIncomplete = errors.New("hdfs: file not complete")
 	ErrNoDatanode = errors.New("hdfs: no datanode available")
+	// ErrReplication refuses a block whose replication factor exceeds the
+	// registered datanodes, instead of writing fewer replicas than asked.
+	ErrReplication = errors.New("hdfs: replication exceeds the registered datanodes")
 )
 
 // DataPort is the datanode streaming port (Hadoop's 50010).
@@ -100,7 +105,7 @@ func dnSendCycles(n int64) int64 {
 type BlockID int64
 
 // BlockName renders the on-disk file name of a block.
-func (id BlockID) BlockName() string { return fmt.Sprintf("blk_%d", int64(id)) }
+func (id BlockID) BlockName() string { return "blk_" + strconv.FormatInt(int64(id), 10) }
 
 // BlockInfo is the namenode's record of one block.
 type BlockInfo struct {
@@ -260,7 +265,8 @@ func (nn *NameNode) defaultPlacement(clientVM, _ string, replication int) []stri
 }
 
 // orderLocations sorts replicas for a reader: same-VM first (short-circuit),
-// then same-host, then remote.
+// then same-host, then remote. Replicas already in that order are returned
+// as stored, not copied; readers never write a BlockInfo's Locations.
 func (nn *NameNode) orderLocations(clientVM string, locs []string) []string {
 	if len(locs) == 0 {
 		return nil
@@ -274,6 +280,9 @@ func (nn *NameNode) orderLocations(clientVM string, locs []string) []string {
 			return 1
 		}
 		return 2
+	}
+	if slices.IsSortedFunc(locs, func(a, b string) int { return rank(a) - rank(b) }) {
+		return locs
 	}
 	out := make([]string, 0, len(locs))
 	for r := 0; r <= 2; r++ {
@@ -334,6 +343,9 @@ func (nn *NameNode) AllocateBlock(p *sim.Proc, k *guest.Kernel, path string) (Bl
 	meta, ok := nn.files[path]
 	if !ok {
 		return BlockInfo{}, fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	if nn.cfg.Replication > len(nn.dnOrder) {
+		return BlockInfo{}, fmt.Errorf("%w: %d replicas, %d datanodes", ErrReplication, nn.cfg.Replication, len(nn.dnOrder))
 	}
 	targets := nn.placement(k.Name(), fmt.Sprintf("%s#%d", path, len(meta.blocks)), nn.cfg.Replication)
 	if len(targets) == 0 {

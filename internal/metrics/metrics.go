@@ -69,7 +69,7 @@ func NewRegistry() *Registry {
 func (r *Registry) Account(entity string) *Account {
 	a := r.accounts[entity]
 	if a == nil {
-		a = &Account{entity: entity}
+		a = &Account{entity: entity} //lint:allow hotalloc(once per entity, on its first thread's first wake)
 		r.accounts[entity] = a
 	}
 	return a

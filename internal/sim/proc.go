@@ -129,14 +129,26 @@ func (p *Proc) park() {
 // environment whose processes have all finished.
 func (e *Env) Close() {
 	for p := range e.procs {
-		e.current = p
-		p.stop()
-		e.current = nil
-		if !p.done { // never started: the body, and its finish, never ran
-			p.finish()
-		}
+		p.End()
 	}
 	e.procErr = nil
+}
+
+// End finishes p at once, as Close does for every Proc: parked, it unwinds
+// through its defers; never started, its body never runs. It schedules no
+// event, and a finished p is left as it is. p must not be the running Proc.
+func (p *Proc) End() {
+	if p.done {
+		return
+	}
+	e := p.env
+	prev := e.current
+	e.current = p
+	p.stop()
+	e.current = prev
+	if !p.done { // never started: the body, and its finish, never ran
+		p.finish()
+	}
 }
 
 // Live reports the number of processes that have been started (or created)

@@ -210,6 +210,38 @@ func TestStop(t *testing.T) {
 	env.Close()
 }
 
+// TestEndParkedProc: a Proc that ends a parked one runs its defers inside
+// the call, schedules no event and keeps running itself; ending it again,
+// or a Proc that already finished, does nothing.
+func TestEndParkedProc(t *testing.T) {
+	env := NewEnv(1)
+	var sig Signal
+	deferred := 0
+	parked := env.Go("parked", func(p *Proc) {
+		defer func() { deferred++ }()
+		sig.Wait(p) // never signalled
+	})
+	finished := env.Go("finished", func(p *Proc) {})
+	env.Go("ender", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		fired, live := env.Fired(), env.Live()
+		parked.End()
+		if deferred != 1 || env.Live() != live-1 || env.Fired() != fired || env.Pending() != 0 {
+			t.Errorf("after End: %d defers run, Live %d (was %d), fired %d (was %d), %d pending",
+				deferred, env.Live(), live, env.Fired(), fired, env.Pending())
+		}
+		parked.End()
+		finished.End()
+		p.Sleep(time.Millisecond)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if deferred != 1 || env.Live() != 0 || env.Now() != 2*time.Millisecond {
+		t.Fatalf("%d defers run, Live %d at %v", deferred, env.Live(), env.Now())
+	}
+}
+
 // TestCloseAbortsParkedProcs checks Close on parked and unstarted Procs:
 // every parked Proc unwinds through its defers, an unstarted Proc never runs
 // its body, and no goroutine outlives the Env.

@@ -42,33 +42,58 @@ type OpResult struct {
 }
 
 // RunOpenLoop drives cfg.Arrivals operations at cfg.QPS from the calling
-// process, spawning one process per arrival (arrivals never wait for earlier
-// completions), and blocks until every operation finishes. do runs operation
-// i and returns its outcome label. Results are indexed by arrival, so output
-// derived from them is deterministic.
+// process and blocks until every operation finishes. Arrivals never wait
+// for earlier completions: each starts on an idle worker Proc, or on a new
+// one when every worker is busy, so the workers number the most operations
+// ever in flight. Starting either costs the one zero-delay event env.Go's
+// start does. do runs operation i and returns its outcome label. Results
+// are indexed by arrival, so output derived from them is deterministic.
 func RunOpenLoop(p *sim.Proc, env *sim.Env, cfg OpenLoopConfig, do func(p *sim.Proc, i int) string) []OpResult {
 	cfg = cfg.WithDefaults()
 	period := time.Duration(float64(time.Second) / cfg.QPS)
 	results := make([]OpResult, cfg.Arrivals)
 	done := 0
 	var allDone sim.Signal
+	var idle []*opWorker
 	for i := 0; i < cfg.Arrivals; i++ {
-		i := i
-		start := env.Now()
-		results[i].Start = start
-		env.Go(fmt.Sprintf("openloop:%d", i), func(op *sim.Proc) {
-			label := do(op, i)
-			results[i].Latency = env.Now() - start
-			results[i].Label = label
-			done++
-			allDone.Signal()
-		})
+		results[i].Start = env.Now()
+		if n := len(idle); n > 0 {
+			w := idle[n-1]
+			idle = idle[:n-1]
+			w.i = i
+			w.start()
+		} else {
+			w := &opWorker{i: i}
+			w.proc = env.Go(fmt.Sprintf("openloop:%d", i), func(op *sim.Proc) {
+				for {
+					label := do(op, w.i)
+					results[w.i].Latency = env.Now() - results[w.i].Start
+					results[w.i].Label = label
+					done++
+					allDone.Signal()
+					w.start = op.Arm()
+					idle = append(idle, w)
+					op.Await()
+				}
+			})
+		}
 		p.Sleep(period)
 	}
 	for done < cfg.Arrivals {
 		allDone.Wait(p)
 	}
+	for _, w := range idle {
+		w.proc.End()
+	}
 	return results
+}
+
+// opWorker is one of RunOpenLoop's Procs: it runs arrival i, then parks
+// idle until start resumes it with the next one.
+type opWorker struct {
+	proc  *sim.Proc
+	i     int
+	start func()
 }
 
 // SLO aggregates one labeled slice of open-loop results into the p50/p95/p99

@@ -58,3 +58,68 @@ func TestSLOOf(t *testing.T) {
 		t.Fatalf("empty label SLO = %+v", empty)
 	}
 }
+
+// poolStorm is a fixed open-loop storm whose operations run for different
+// lengths, so the number in flight rises and falls: 40 arrivals at 1000 QPS,
+// operation i sleeping 0.7–3.5 ms, every third one in two sleeps.
+type poolStorm struct {
+	fired, resumes uint64
+	live           int // Env.Live() just after RunOpenLoop returns
+	procs          int // distinct Procs the operations ran on
+	peak           int // most operations in flight at once
+	results        []OpResult
+}
+
+func runPoolStorm(t *testing.T) poolStorm {
+	t.Helper()
+	env := sim.NewEnv(1)
+	var s poolStorm
+	seen := map[*sim.Proc]bool{}
+	inFlight := 0
+	env.Go("gen", func(p *sim.Proc) {
+		s.results = RunOpenLoop(p, env, OpenLoopConfig{QPS: 1000, Arrivals: 40}, func(op *sim.Proc, i int) string {
+			seen[op] = true
+			inFlight++
+			s.peak = max(s.peak, inFlight)
+			d := time.Duration(i*7%5+1) * 700 * time.Microsecond
+			if i%3 == 0 {
+				op.Sleep(d / 2)
+				d -= d / 2
+			}
+			op.Sleep(d)
+			inFlight--
+			return "ok"
+		})
+		s.live = env.Live()
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.fired, s.resumes, s.procs = env.Fired(), env.Resumes(), len(seen)
+	return s
+}
+
+// TestOpenLoopPool pins the storm's engine counts: arrivals start on one
+// zero-delay event each, so the events fired and Proc resumes are those of a
+// generator that starts a fresh Proc per arrival (measured on that
+// generator: 137 events, 137 resumes, and only the generator live on
+// return). Operations run on reused Procs, never more than were in flight
+// at once.
+func TestOpenLoopPool(t *testing.T) {
+	s := runPoolStorm(t)
+	if s.fired != 137 || s.resumes != 137 {
+		t.Errorf("storm fired %d events and %d resumes, want 137 and 137", s.fired, s.resumes)
+	}
+	if s.live != 1 {
+		t.Errorf("%d Procs live after RunOpenLoop returned, want 1 (the generator)", s.live)
+	}
+	if s.procs > s.peak {
+		t.Errorf("operations ran on %d Procs, but at most %d were in flight", s.procs, s.peak)
+	}
+	for i, r := range s.results {
+		d := time.Duration(i*7%5+1) * 700 * time.Microsecond
+		if r.Start != time.Duration(i)*time.Millisecond || r.Latency != d || r.Label != "ok" {
+			t.Fatalf("arrival %d: %+v, want start %v latency %v", i, r, time.Duration(i)*time.Millisecond, d)
+		}
+	}
+}
