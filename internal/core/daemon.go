@@ -705,8 +705,7 @@ func (d *Daemon) windowFailed() {
 // loopReadCycles locally, and of the transport cost remotely), then
 // continues with then. It pushes the slots it holds tokens for as one item;
 // when the tokens run out midway it waits for the guest to return some and
-// pushes the rest as further items. Every item of one fill carries the same
-// run stamp, so the guest can rejoin them into one window.
+// pushes the rest as further items, each a window that continues the last.
 func (d *Daemon) fillSlots(s data.Slice, last bool, then func(*Daemon)) {
 	d.fill, d.filled, d.last, d.code, d.then = s, 0, last, slotOK, then
 	if stall, ok := d.faults.ShouldDelay(faults.RingStall); ok {
@@ -740,13 +739,7 @@ func (d *Daemon) waitHold() { d.mgr.env.Schedule(d.hold, d.st.Direct((*Daemon).l
 //lint:hotpath
 func (d *Daemon) lockSlots() {
 	d.slots = d.ring.slotsFor(d.fill.Len())
-	d.st.Charge(d.thread, slotLockCycles*d.slots, metrics.TagOthers, d.req.tr, (*Daemon).stampRun)
-}
-
-//lint:hotpath
-func (d *Daemon) stampRun() {
-	d.ring.run++
-	d.pushSlots()
+	d.st.Charge(d.thread, slotLockCycles*d.slots, metrics.TagOthers, d.req.tr, (*Daemon).pushSlots)
 }
 
 // pushSlots takes slot tokens, waiting on the guest while none is free,
@@ -773,7 +766,7 @@ func (d *Daemon) pushSlots() {
 	item := ringSlot{code: d.code, last: d.last && d.slots == 0}
 	if d.code == slotOK {
 		n := min(k*d.cfg.SlotBytes, d.fill.Len()-d.filled)
-		item.s, item.run = d.fill.Sub(d.filled, n), d.ring.run
+		item.s = d.fill.Sub(d.filled, n)
 		d.filled += n
 	}
 	d.ring.full.TryPut(item) // unbounded: the item holds k of the tokens

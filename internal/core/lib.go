@@ -163,54 +163,6 @@ func (v *VFD) ReadAt(p *sim.Proc, tr *trace.Trace, off, n int64) (data.Slice, er
 	return c.s, c.err
 }
 
-// slotRuns joins a read's data items back into one Slice. Items with the
-// same run stamp are contiguous windows of one daemon fill, so the open run
-// just widens; only a run boundary boxes the finished run into parts.
-type slotRuns struct {
-	open  data.Slice
-	run   uint64
-	parts data.Concat // finished runs, one window each
-	got   int64       // bytes drained
-	want  int64       // bytes the read asked for
-}
-
-func (r *slotRuns) add(slot ringSlot) {
-	switch {
-	case r.got == 0:
-		r.open, r.run = slot.s, slot.run
-	case slot.run == r.run:
-		r.open.N += slot.s.N
-	default:
-		r.closeRun()
-		r.open, r.run = slot.s, slot.run
-	}
-	r.got += slot.s.N
-}
-
-// closeRun adds the open run to parts. The first run closed sizes parts
-// for the whole read, at one run per fill as long as itself.
-//
-//lint:allow hotalloc(multi-run fallback: parts sized once per read, never per slot)
-func (r *slotRuns) closeRun() {
-	if r.parts == nil {
-		r.parts = make(data.Concat, 0, min(r.want/max(r.open.N, 1), maxRunsHint)+2)
-	}
-	r.parts = append(r.parts, r.open)
-}
-
-// maxRunsHint bounds the runs closeRun sizes parts for up front.
-const maxRunsHint = 1024
-
-// slice returns the drained bytes: the open run itself when the read was one
-// run, else a Concat of one window per run.
-func (r *slotRuns) slice() data.Slice {
-	if r.parts == nil {
-		return r.open
-	}
-	r.closeRun()
-	return data.NewSlice(r.parts)
-}
-
 // Close is vRead_close: drop the descriptor once the last reference goes.
 // It is a thin Proc wrapper over a libCall.
 func (v *VFD) Close(p *sim.Proc, tr *trace.Trace) {
@@ -241,10 +193,11 @@ type libCall struct {
 	then      func(*libCall)
 	key       string // an open's key in the library's hash
 	vfd       *VFD   // the descriptor opened (nil: fall back), read or closed
-	// A read's progress: the item being handed back (last: the read's final
-	// one), the doorbell batch so far, how the drain ended, and the result.
+	// A read's progress: the bytes drained, the item being handed back
+	// (last: the read's final one), the doorbell batch so far, how the
+	// drain ended, and the result.
 	attempt, rsp           int
-	runs                   slotRuns
+	got                    data.Builder
 	code                   slotCode
 	slots, bytes           int64
 	last                   bool
@@ -266,7 +219,8 @@ func (l *Lib) takeCall(tr *trace.Trace, done func()) (c *libCall) {
 // finish drops the call's references and runs its completion.
 func (c *libCall) finish() {
 	done := c.done
-	c.tr, c.done, c.desc, c.req, c.runs = nil, nil, ringReq{}, ringReq{}, slotRuns{}
+	c.tr, c.done, c.desc, c.req = nil, nil, ringReq{}, ringReq{}
+	c.got.Reset()
 	done()
 }
 
@@ -384,7 +338,8 @@ func (c *libCall) startDrain() { c.drainUnder(c.tr.Begin(trace.LayerRing, "ring-
 
 // drainUnder drains the read's slots under span rsp, then runs drained.
 func (c *libCall) drainUnder(rsp int) {
-	c.rsp, c.runs, c.batchSlots, c.batchBytes, c.then = rsp, slotRuns{want: c.desc.n}, 0, 0, (*libCall).drained
+	c.rsp, c.batchSlots, c.batchBytes, c.then = rsp, 0, 0, (*libCall).drained
+	c.got.Reset()
 	c.drain()
 }
 
@@ -406,7 +361,7 @@ func (c *libCall) drain() {
 		c.code = item.code
 		c.then(c)
 	default:
-		c.runs.add(item)
+		c.got.Add(item.s)
 		c.slots, c.bytes, c.last = c.r.slotsFor(item.s.Len()), item.s.Len(), item.last
 		c.giveBack()
 	}
@@ -457,14 +412,14 @@ func (c *libCall) chargeCopy(next func(*libCall)) {
 
 // drained ends one round trip: it finishes the read or schedules a retry.
 func (c *libCall) drained() {
-	c.tr.EndSpan(c.rsp, c.runs.got)
+	c.tr.EndSpan(c.rsp, c.got.Len())
 	c.r.reqMu.Unlock()
 	v, n := c.vfd, c.desc.n
 	var err error
 	switch c.code {
 	case slotOK:
-		if c.runs.got != n {
-			err = fmt.Errorf("%w of %s: %d of %d", ErrShortRead, v.blockName, c.runs.got, n)
+		if c.got.Len() != n {
+			err = fmt.Errorf("%w of %s: %d of %d", ErrShortRead, v.blockName, c.got.Len(), n)
 		}
 	case slotClosed:
 		err = fmt.Errorf("%w under %s", ErrRingClosed, v.blockName)
@@ -479,7 +434,7 @@ func (c *libCall) drained() {
 	case err == nil:
 		c.tr.EndSpan(c.sp, n)
 		c.l.stats.BytesRead += n
-		c.s = c.runs.slice()
+		c.s = c.got.Slice()
 	case !retryableRead(err) || c.attempt >= maxReadRetries:
 		c.tr.EndSpan(c.sp, 0)
 		c.err = err

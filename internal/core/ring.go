@@ -106,10 +106,6 @@ type ring struct {
 	// badStreak counts consecutive rejected descriptors toward the
 	// revocation threshold; any accepted descriptor resets it.
 	badStreak int
-	// run numbers the daemon's slot fills: each fillSlots call bumps it
-	// once and stamps every item it emits, so the guest can tell which
-	// items are contiguous windows of one Slice.
-	run uint64
 }
 
 type ringReqKind int
@@ -158,15 +154,13 @@ const (
 	slotClosed
 )
 
-// ringSlot is a run of consecutive filled data slots, or one error slot. run
-// is the daemon fill it came from (ring.run, never zero for data): a fill that
-// runs out of tokens midway arrives as several items with the same run, each
-// a contiguous Sub window of one Slice. last marks the read's final slot. It
-// is written host-to-guest, like the slot data, so no descriptor sanitizer
-// sees it.
+// ringSlot is a run of consecutive filled data slots, or one error slot. A
+// fill that runs out of tokens midway arrives as several items, each a
+// contiguous Sub window of one Slice, which the guest's data.Builder joins
+// back. last marks the read's final slot. It is written host-to-guest, like
+// the slot data, so no descriptor sanitizer sees it.
 type ringSlot struct {
 	s    data.Slice
-	run  uint64
 	code slotCode
 	last bool
 }

@@ -8,17 +8,19 @@
 // keyed by a seed (benchmark payloads, still verifiable at any byte range).
 //
 // Byte checks are cheap enough to run on every read. Equal decides by
-// identity where it can: it lists each side as (leaf, offset, length)
-// extents, and equal lists over Pattern and Zero leaves hold equal bytes,
-// since content is immutable and a leaf's descriptor fixes its bytes.
+// identity where it can: it lists each side as windows over its leaves,
+// and equal lists over Pattern and Zero leaves hold equal bytes, since
+// content is immutable and a leaf's descriptor fixes its bytes.
 // Everything else gets a full byte compare through one 1 KiB buffer, with
 // Pattern generating one 8-byte lane per mix, so no check is weaker than
 // comparing the bytes. A storm read is one run of the written Pattern on
 // both sides, so its check produces no byte and allocates nothing.
 //
-// A Slice is a value and costs nothing to pass. A Concat joins Slices, so
-// windows that are not contiguous join without boxing each one: only the
-// Concat itself is boxed, once, when it becomes a Slice's Content.
+// A Slice is a value and costs nothing to pass. One rule decides whether two
+// windows join: a window continues another when it has the same content and
+// starts where the other ends. A Builder reassembles a read under that rule,
+// so pieces of one content come back as one window, and only windows that
+// are not contiguous join in a Concat, boxed once as a Slice's Content.
 package data
 
 import (
@@ -175,29 +177,88 @@ func (s Slice) Bytes() []byte {
 	return b
 }
 
-// maxRuns is how many extents Equal lists per side, on the stack. A
+// sameContent reports whether a and b are one content: equal Pattern or
+// Zero values, or a Bytes or Concat over the same backing array with the
+// same length. Two boxed Concats are never compared with ==, which panics.
+func sameContent(a, b Content) bool {
+	switch ac := a.(type) {
+	case Pattern, Zero:
+		return a == b
+	case Bytes:
+		bc, ok := b.(Bytes)
+		return ok && len(ac) == len(bc) && (len(ac) == 0 || &ac[0] == &bc[0])
+	case Concat:
+		bc, ok := b.(Concat)
+		return ok && len(ac) == len(bc) && (len(ac) == 0 || &ac[0] == &bc[0])
+	}
+	return false
+}
+
+// continuedBy reports whether t continues s: the same content, starting
+// where s ends.
+func (s Slice) continuedBy(t Slice) bool {
+	return s.Off+s.N == t.Off && sameContent(s.C, t.C)
+}
+
+// Builder joins windows, in order, into one Slice. A window that continues
+// the last one widens it, so the pieces of one content come back as one
+// window; the first window is held inline, and a Concat is built only for
+// pieces that are not contiguous. The zero Builder is empty.
+type Builder struct {
+	last  Slice  // the window being widened
+	parts Concat // the windows before last, once a piece did not continue
+	n     int64
+}
+
+// Add appends s.
+func (b *Builder) Add(s Slice) {
+	switch {
+	case s.N == 0:
+		return
+	case b.n == 0:
+		b.last = s
+	case b.last.continuedBy(s):
+		b.last.N += s.N
+	default:
+		b.parts = append(b.parts, b.last) //lint:allow hotalloc(reads that are not contiguous: one array per Builder, grown by append)
+		b.last = s
+	}
+	b.n += s.N
+}
+
+// Len returns the bytes added since the last Reset.
+func (b *Builder) Len() int64 { return b.n }
+
+// Reset empties b, dropping its parts, which a returned Slice may hold.
+func (b *Builder) Reset() { *b = Builder{} }
+
+// Slice returns the bytes added: the one window when every piece continued
+// the first, else a Concat of the windows over b's parts array, so b must
+// be Reset before it adds more.
+func (b *Builder) Slice() Slice {
+	if b.parts == nil {
+		return b.last
+	}
+	return Slice{C: append(b.parts, b.last), N: b.n}
+}
+
+// maxRuns is how many windows Equal lists per side, on the stack. A
 // byte-checked storm read is one run on each side; a read that spans more
 // runs than this is compared by bytes.
 const maxRuns = 16
 
-// extent is bytes [off, off+n) of one comparable leaf, a Pattern or a Zero.
-// Either compares by value, so two extents are equal exactly when their
-// descriptors are.
-type extent struct {
-	leaf   Content
-	off, n int64
-}
-
-// runs is one side's extent list: e[:k], written by index.
+// runs is one side's list of windows over comparable leaves, Patterns and
+// Zeros, which compare by value: two windows are equal exactly when their
+// descriptors are. The list is e[:k], written by index.
 type runs struct {
-	e [maxRuns]extent
+	e [maxRuns]Slice
 	k int
 }
 
 // add lists bytes [off, off+n) of c, descending through Concat parts and
-// windows, and merges an extent that continues the previous one in the same
-// leaf. It returns false if the range holds a leaf it cannot compare
-// (Bytes, or any other Content) or the list outgrows maxRuns.
+// windows, and widens a window that the next one continues. It returns
+// false if the range holds a leaf it cannot compare (Bytes, or any other
+// Content) or the list outgrows maxRuns.
 //
 //lint:hotpath
 func (r *runs) add(c Content, off, n int64) bool {
@@ -206,7 +267,7 @@ func (r *runs) add(c Content, off, n int64) bool {
 	}
 	switch cc := c.(type) {
 	case Pattern, Zero:
-		return r.push(extent{leaf: c, off: off, n: n})
+		return r.push(Slice{C: c, Off: off, N: n})
 	case Concat:
 		for _, part := range cc {
 			if off >= part.N {
@@ -226,24 +287,21 @@ func (r *runs) add(c Content, off, n int64) bool {
 	return false
 }
 
-// push appends e, or extends the last extent when e continues it.
-func (r *runs) push(e extent) bool {
-	if r.k > 0 {
-		last := &r.e[r.k-1]
-		if last.leaf == e.leaf && last.off+last.n == e.off {
-			last.n += e.n
-			return true
-		}
+// push appends s, or widens the last window when s continues it.
+func (r *runs) push(s Slice) bool {
+	if r.k > 0 && r.e[r.k-1].continuedBy(s) {
+		r.e[r.k-1].N += s.N
+		return true
 	}
 	if r.k == maxRuns {
 		return false
 	}
-	r.e[r.k] = e
+	r.e[r.k] = s
 	r.k++
 	return true
 }
 
-// sameRuns reports whether a and b list the same extents, all of them over
+// sameRuns reports whether a and b list the same windows, all of them over
 // comparable leaves.
 func sameRuns(a, b Slice) bool {
 	var ra, rb runs
@@ -260,7 +318,7 @@ func sameRuns(a, b Slice) bool {
 
 // Equal reports whether two slices have identical bytes.
 //
-// It first decides by identity: each side is listed as extents over its
+// It first decides by identity: each side is listed as windows over its
 // leaves, and when every leaf is a Pattern or a Zero and the two lists are
 // equal, the bytes are equal without producing one, because content is
 // immutable and a leaf's descriptor fixes its bytes. Every other case —

@@ -163,7 +163,7 @@ func TestEqual(t *testing.T) {
 }
 
 // TestEqualPaths pins which path decides each shape that FuzzEqual's
-// committed seeds aim at, and a split Zero: the extent lists (identity) or
+// committed seeds aim at, and a split Zero: the window lists (identity) or
 // the byte fallback.
 func TestEqualPaths(t *testing.T) {
 	sevens := bytes.Repeat([]byte{7}, 40)
@@ -219,7 +219,7 @@ func TestEqualAllocs(t *testing.T) {
 	}
 	b := NewSlice(parts)
 	if !sameRuns(a, b) {
-		t.Fatal("Pattern and its 4-part Concat do not list the same extents")
+		t.Fatal("Pattern and its 4-part Concat do not list the same windows")
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		if !Equal(a, b) {

@@ -113,12 +113,15 @@ func equalSide(base, resized Content, o, l int64, form uint8, cuts []byte, shift
 }
 
 // FuzzConcatSplit: splitting content at an arbitrary point and
-// concatenating the halves is identity.
+// concatenating the halves is identity. A Builder fed the pieces of one
+// Bytes, Pattern or Concat content, cut at the fuzzed lengths in cuts, gives
+// back one window of it; a piece of a twin content, which holds the same
+// bytes but is not the same content, is never joined to it.
 func FuzzConcatSplit(f *testing.F) {
-	f.Add([]byte("hello world"), 3)
-	f.Add([]byte{}, 0)
-	f.Add([]byte{1}, 1)
-	f.Fuzz(func(t *testing.T, b []byte, cut int) {
+	f.Add([]byte("hello world"), 3, []byte{2, 0, 5}, uint64(1))
+	f.Add([]byte{}, 0, []byte{}, uint64(2))
+	f.Add([]byte{1}, 1, []byte{1}, uint64(3))
+	f.Fuzz(func(t *testing.T, b []byte, cut int, cuts []byte, seed uint64) {
 		if cut < 0 || cut > len(b) {
 			t.Skip()
 		}
@@ -129,6 +132,43 @@ func FuzzConcatSplit(f *testing.F) {
 		got := NewSlice(c).Bytes()
 		if !bytes.Equal(got, b) {
 			t.Fatalf("split/concat not identity")
+		}
+		n, at := int64(len(b)), int64(cut)
+		for _, tc := range []struct {
+			name        string
+			whole, twin Content
+		}{
+			{"Bytes", Bytes(b), Bytes(bytes.Clone(b))},
+			{"Pattern", Pattern{Seed: seed, Size: n}, Pattern{Seed: seed, Size: n + 8}},
+			{"Concat", c, append(Concat(nil), c...)},
+		} {
+			whole, twin := NewSlice(tc.whole), NewSlice(tc.twin)
+			var one Builder
+			for i, off := 0, int64(0); off < n; i++ {
+				k := n - off
+				if i < len(cuts) && int64(cuts[i]) < k {
+					k = int64(cuts[i])
+				}
+				one.Add(whole.Sub(off, k))
+				off += k
+			}
+			s := one.Slice()
+			if one.Len() != n || !bytes.Equal(s.Bytes(), whole.Bytes()) {
+				t.Fatalf("%s: Builder gave %d bytes that differ from the content's %d", tc.name, one.Len(), n)
+			}
+			if n > 0 && (s.Off != 0 || s.N != n || !sameContent(s.C, tc.whole)) {
+				t.Fatalf("%s: pieces of one content did not join into one window", tc.name)
+			}
+			var mixed Builder
+			mixed.Add(whole.Sub(0, at))
+			mixed.Add(twin.Sub(at, n-at))
+			s = mixed.Slice()
+			if !bytes.Equal(s.Bytes(), whole.Bytes()) {
+				t.Fatalf("%s: content and twin pieces differ from the content", tc.name)
+			}
+			if parts, ok := s.C.(Concat); 0 < at && at < n && (!ok || len(parts) != 2 || !sameContent(parts[1].C, tc.twin)) {
+				t.Fatalf("%s: a piece of a twin content was joined", tc.name)
+			}
 		}
 	})
 }

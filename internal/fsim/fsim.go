@@ -157,12 +157,10 @@ func (fs *FS) Create(path string) (*Inode, error) {
 	return node, nil
 }
 
-// Append adds a window of content to the end of an existing file.
-func (fs *FS) Append(path string, s data.Slice) error {
-	node, err := fs.lookup(path)
-	if err != nil {
-		return err
-	}
+// AppendNode adds a window of content to the end of a file inode already
+// resolved from path (path only names it in errors), so a caller holding
+// one walks no path.
+func AppendNode(node *Inode, path string, s data.Slice) error {
 	if node.isDir {
 		return fmt.Errorf("%w: %s", ErrIsDir, path)
 	}

@@ -51,11 +51,12 @@ func TestCreateWriteRead(t *testing.T) {
 
 func TestAppendAccumulates(t *testing.T) {
 	fs := newHadoopFS(t)
-	if _, err := fs.Create("/hadoop/dfs/data/blk_2"); err != nil {
+	node, err := fs.Create("/hadoop/dfs/data/blk_2")
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := fs.Append("/hadoop/dfs/data/blk_2", data.NewSlice(data.Bytes(fmt.Sprintf("part%d|", i)))); err != nil {
+		if err := AppendNode(node, "/hadoop/dfs/data/blk_2", data.NewSlice(data.Bytes(fmt.Sprintf("part%d|", i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +169,11 @@ func TestMountSnapshotSizeBound(t *testing.T) {
 	}
 	m := MountRO(fs)
 	// Guest appends after the mount; the mount still sees the old size.
-	if err := fs.Append("/hadoop/dfs/data/blk", data.NewSlice(data.Bytes("6789"))); err != nil {
+	node, err := fs.Stat("/hadoop/dfs/data/blk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendNode(node, "/hadoop/dfs/data/blk", data.NewSlice(data.Bytes("6789"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.ReadAt("/hadoop/dfs/data/blk", 0, 9); !errors.Is(err, ErrRange) {

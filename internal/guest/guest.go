@@ -193,21 +193,20 @@ type connEnd struct {
 
 	// One send and one receive at a time, in continuation form. dataMeta
 	// is the data segments' meta, boxed once.
-	send      cpusched.Steps[*connEnd]
-	dataMeta  any
-	tx        virtio.Tx
-	frame     netsim.Frame // the segment in flight, then segNext
-	segNext   func(*connEnd)
-	sendS     data.Slice // what is left to send
-	sendErr   error
-	sendDone  func()
-	recv      cpusched.Steps[*connEnd]
-	recvN     int64 // bytes wanted
-	recvGot   int64
-	recvParts data.Concat
-	recvS     data.Slice
-	recvOK    bool
-	recvDone  func()
+	send     cpusched.Steps[*connEnd]
+	dataMeta any
+	tx       virtio.Tx
+	frame    netsim.Frame // the segment in flight, then segNext
+	segNext  func(*connEnd)
+	sendS    data.Slice // what is left to send
+	sendErr  error
+	sendDone func()
+	recv     cpusched.Steps[*connEnd]
+	recvN    int64 // bytes wanted
+	recvGot  data.Builder
+	recvS    data.Slice
+	recvOK   bool
+	recvDone func()
 }
 
 // newEnd creates and registers one end of a connection.
@@ -397,7 +396,7 @@ func (c *Conn) Received() (data.Slice, bool) {
 }
 
 func (end *connEnd) startRecv(n int64, done func()) {
-	end.recvN, end.recvGot, end.recvDone = n, 0, done
+	end.recvN, end.recvDone = n, done
 	end.recvNext()
 }
 
@@ -406,8 +405,8 @@ func (end *connEnd) startRecv(n int64, done func()) {
 func (end *connEnd) recvNext() {
 	k := end.kernel
 	switch {
-	case end.recvGot >= end.recvN:
-		end.finishRecv(data.Slice{C: end.recvParts, N: end.recvGot}, true)
+	case end.recvGot.Len() >= end.recvN:
+		end.finishRecv(end.recvGot.Slice(), true)
 		return
 	case end.recvBytes == 0 && !end.remoteClosed:
 		end.recvSig.Notify(k.env, end.recv.Direct((*connEnd).recvNext))
@@ -416,12 +415,8 @@ func (end *connEnd) recvNext() {
 		end.finishRecv(data.Slice{}, false)
 		return
 	}
-	// The first piece taken is held as it is; a Concat is built only when a
-	// second piece joins it, so a read one piece covers returns that piece.
-	var out data.Slice
-	var parts data.Concat
 	var got int64
-	for max := end.recvN - end.recvGot; got < max && end.recvHead < len(end.recvQ); {
+	for max := end.recvN - end.recvGot.Len(); got < max && end.recvHead < len(end.recvQ); {
 		head := end.recvQ[end.recvHead]
 		take := head.Len()
 		if take > max-got {
@@ -432,21 +427,11 @@ func (end *connEnd) recvNext() {
 			end.recvQ[end.recvHead] = data.Slice{}
 			end.recvHead++
 		}
-		switch {
-		case got == 0:
-			out = head
-		case parts == nil:
-			parts = data.Concat{out, head}
-		default:
-			parts = append(parts, head)
-		}
+		end.recvGot.Add(head)
 		got += take
 	}
 	if end.recvHead == len(end.recvQ) {
 		end.recvQ, end.recvHead = end.recvQ[:0], 0
-	}
-	if parts != nil {
-		out = data.Slice{C: parts, N: got}
 	}
 	end.recvBytes -= got
 	// Window credit back to the sender (free, as piggybacked acks); a torn
@@ -454,23 +439,13 @@ func (end *connEnd) recvNext() {
 	if peerK := k.netw.Kernel(end.peerVM); peerK != nil {
 		peerK.applyCredit(end.key^1, got)
 	}
-	end.recvS = out
-	end.recv.Charge(k.vcpu, syscallCycles+copyCycles(got), k.appTag, end.tr, (*connEnd).received)
-}
-
-func (end *connEnd) received() {
-	if s := end.recvS; s.Len() != end.recvN {
-		end.recvParts = append(end.recvParts, s)
-		end.recvGot += s.Len()
-		end.recvNext()
-		return
-	}
-	end.finishRecv(end.recvS, true)
+	end.recv.Charge(k.vcpu, syscallCycles+copyCycles(got), k.appTag, end.tr, (*connEnd).recvNext)
 }
 
 func (end *connEnd) finishRecv(s data.Slice, ok bool) {
 	done := end.recvDone
-	end.recvS, end.recvOK, end.recvParts, end.recvDone = s, ok, nil, nil
+	end.recvS, end.recvOK, end.recvDone = s, ok, nil
+	end.recvGot.Reset()
 	done()
 }
 
@@ -746,7 +721,7 @@ func (op *FileOp) append() {
 	node, err := k.fs.Stat(op.path)
 	if err == nil {
 		oldSize := node.Size()
-		if err = k.fs.Append(op.path, op.c); err == nil {
+		if err = fsim.AppendNode(node, op.path, op.c); err == nil {
 			k.cache.Insert(int64(node.Ino()), oldSize, n)
 			k.blk.Transfer(&op.blk, nil, n, true, op.st.Direct((*FileOp).appended))
 			return

@@ -13,7 +13,8 @@ import (
 
 // Property: for any sequence of send sizes and any receive chunking, the
 // stream delivers exactly the concatenation of what was sent — across the
-// full virtio/vhost path, co-located or remote.
+// full virtio/vhost path, co-located or remote — and a receive of bytes the
+// peer sent as one Slice comes back as one window of it.
 func TestStreamIntegrityProperty(t *testing.T) {
 	f := func(sendSizes []uint16, recvChunkSeed uint16, remote bool) bool {
 		if len(sendSizes) == 0 {
@@ -34,11 +35,15 @@ func TestStreamIntegrityProperty(t *testing.T) {
 		}
 
 		var total int64
-		var contents data.Concat
+		var sends []data.Slice
+		var starts []int64 // each send's offset in the stream
+		var sent data.Builder
 		for i, sz := range sendSizes {
-			n := int64(sz)%100_000 + 1
-			total += n
-			contents = append(contents, data.NewSlice(data.Pattern{Seed: uint64(i) + 11, Size: n}))
+			// Up to 128 KiB, so a send spans up to three 64 KiB segments.
+			s := data.NewSlice(data.Pattern{Seed: uint64(i) + 11, Size: 2*int64(sz) + 1})
+			sends, starts = append(sends, s), append(starts, total)
+			sent.Add(s)
+			total += s.Len()
 		}
 		recvChunk := int64(recvChunkSeed)%70_000 + 1
 
@@ -51,9 +56,8 @@ func TestStreamIntegrityProperty(t *testing.T) {
 				okRun = false
 				return
 			}
-			var parts data.Concat
-			var n int64
-			for n < total {
+			var all data.Builder
+			for n := int64(0); n < total; n = all.Len() {
 				want := total - n
 				if want > recvChunk {
 					want = recvChunk
@@ -63,10 +67,15 @@ func TestStreamIntegrityProperty(t *testing.T) {
 					okRun = false
 					return
 				}
-				parts = append(parts, s)
-				n += s.Len()
+				for i, send := range sends {
+					at := n - starts[i]
+					if at >= 0 && at+want <= send.Len() && (s.C != send.C || s.Off != at) {
+						t.Errorf("receive [%d,%d) within send %d is not one window of it", n, n+want, i)
+					}
+				}
+				all.Add(s)
 			}
-			got = data.NewSlice(parts)
+			got = all.Slice()
 		})
 		c.Go("client", func(p *sim.Proc) {
 			conn, err := c.VM("a").Kernel.Dial(p, "b", 1)
@@ -74,7 +83,7 @@ func TestStreamIntegrityProperty(t *testing.T) {
 				okRun = false
 				return
 			}
-			for _, part := range contents {
+			for _, part := range sends {
 				if err := conn.Send(p, part); err != nil {
 					okRun = false
 					return
@@ -84,7 +93,7 @@ func TestStreamIntegrityProperty(t *testing.T) {
 		if err := c.Env.RunUntil(5 * time.Minute); err != nil {
 			return false
 		}
-		return okRun && got.Len() == total && data.Equal(got, data.NewSlice(contents))
+		return okRun && got.Len() == total && data.Equal(got, sent.Slice())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -240,9 +240,8 @@ func (r *FileReader) readAt(p *sim.Proc, tr *trace.Trace, position, n int64) (da
 	if position < 0 || position+n > r.size {
 		return data.Slice{}, fmt.Errorf("hdfs: pread [%d,%d) outside file of %d", position, position+n, r.size)
 	}
-	var parts data.Concat
-	remaining := n
-	for remaining > 0 {
+	var got data.Builder
+	for remaining := n; remaining > 0; {
 		blk, ok := r.blockAt(position)
 		if !ok {
 			return data.Slice{}, fmt.Errorf("hdfs: no block at offset %d", position)
@@ -256,11 +255,11 @@ func (r *FileReader) readAt(p *sim.Proc, tr *trace.Trace, position, n int64) (da
 		if err != nil {
 			return data.Slice{}, err
 		}
-		parts = append(parts, s)
+		got.Add(s)
 		remaining -= bytesToRead
 		position += bytesToRead
 	}
-	return data.NewSlice(parts), nil
+	return got.Slice(), nil
 }
 
 // readFromBlock dispatches one in-block range: short-circuit, vRead
@@ -449,15 +448,13 @@ func (r *FileReader) Close(p *sim.Proc) {
 
 // ReadFull reads exactly n sequential bytes via Read.
 func (r *FileReader) ReadFull(p *sim.Proc, n int64) (data.Slice, error) {
-	var parts data.Concat
-	var got int64
-	for got < n {
-		s, err := r.Read(p, n-got)
+	var got data.Builder
+	for got.Len() < n {
+		s, err := r.Read(p, n-got.Len())
 		if err != nil {
 			return data.Slice{}, err
 		}
-		parts = append(parts, s)
-		got += s.Len()
+		got.Add(s)
 	}
-	return data.NewSlice(parts), nil
+	return got.Slice(), nil
 }

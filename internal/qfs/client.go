@@ -110,17 +110,15 @@ func (c *Client) ReadFile(p *sim.Proc, path string) (data.Slice, error) {
 	if err != nil {
 		return data.Slice{}, err
 	}
-	var parts data.Concat
-	var total int64
+	var got data.Builder
 	for _, ch := range chunks {
 		s, err := c.readChunk(p, ch)
 		if err != nil {
 			return data.Slice{}, err
 		}
-		parts = append(parts, s)
-		total += s.Len()
+		got.Add(s)
 	}
-	return data.Slice{C: parts, N: total}, nil
+	return got.Slice(), nil
 }
 
 // readChunk reads a whole chunk.
