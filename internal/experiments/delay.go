@@ -65,7 +65,7 @@ func localMeanDelay(p *sim.Proc, k *guest.Kernel, path string, reqSize int64) (t
 		if n > reqSize {
 			n = reqSize
 		}
-		if _, err := k.ReadFileAt(p, path, off, n); err != nil {
+		if _, err := k.ReadFileAt(p, nil, node, off, n); err != nil {
 			return 0, err
 		}
 		requests++

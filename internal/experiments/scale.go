@@ -206,7 +206,7 @@ func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 
 	tracer := trace.NewTracer(c.Env, 1)
 	contents := make([]data.Pattern, sc.Files)
-	filePath := func(i int) string { return fmt.Sprintf("/scale/f%d", i) }
+	paths := make([]string, sc.Files)
 
 	killed := false
 	var results []workload.OpResult
@@ -218,11 +218,12 @@ func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 		// faultpoint arms, so every later failure has known bytes to check.
 		for i := range contents {
 			contents[i] = data.Pattern{Seed: uint64(opt.Seed)*1000 + uint64(i), Size: sc.FileSize}
-			if err := fed.Clients[0].WriteFile(p, filePath(i), contents[i]); err != nil {
+			paths[i] = fmt.Sprintf("/scale/f%d", i)
+			if err := fed.Clients[0].WriteFile(p, paths[i], contents[i]); err != nil {
 				stormErr = fmt.Errorf("write f%d: %w", i, err)
 				return
 			}
-			if _, err := fed.Router.GetBlockLocations(p, fed.Clients[0].Kernel(), filePath(i)); err != nil {
+			if _, err := fed.Router.GetBlockLocations(p, fed.Clients[0].Kernel(), paths[i]); err != nil {
 				stormErr = fmt.Errorf("locate f%d: %w", i, err)
 				return
 			}
@@ -242,7 +243,7 @@ func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 			if killed {
 				phase = "degraded"
 			}
-			return phase + "/" + scaleRead(op, fed, tracer, contents, sc, i)
+			return phase + "/" + scaleRead(op, fed, tracer, contents, paths, sc, i)
 		})
 	})
 	if err := c.Env.RunUntil(c.Env.Now() + sc.Deadline); err != nil {
@@ -286,10 +287,11 @@ func runScaleCell(opt Options, sc ScaleConfig, qps float64) ([]SLORow, error) {
 }
 
 // scaleRead performs one storm read: deterministic file/range choice from
-// the arrival index, then the federation's read through client i mod
-// Clients. Outcomes: "ok" (correct bytes), "typed" (typed error / all
-// replicas unavailable), "corrupt", "untyped" (both invariant violations).
-func scaleRead(op *sim.Proc, fed *Federation, tracer *trace.Tracer, contents []data.Pattern, sc ScaleConfig, i int) string {
+// the arrival index, then the federation's read of that file's path
+// through client i mod Clients. Outcomes: "ok" (correct bytes), "typed"
+// (typed error / all replicas unavailable), "corrupt", "untyped" (both
+// invariant violations).
+func scaleRead(op *sim.Proc, fed *Federation, tracer *trace.Tracer, contents []data.Pattern, paths []string, sc ScaleConfig, i int) string {
 	fileIdx := i % sc.Files
 	off := int64(i*7919) % (sc.FileSize - 1)
 	n := min(sc.FileSize-off, 64<<10)
@@ -297,7 +299,7 @@ func scaleRead(op *sim.Proc, fed *Federation, tracer *trace.Tracer, contents []d
 
 	tr := tracer.Request(fmt.Sprintf("scale-read-%d", i))
 	defer tr.Finish(n)
-	_, a := fed.Read(op, i%sc.Clients, tr, fmt.Sprintf("/scale/f%d", fileIdx), off, n, want, nil)
+	_, a := fed.Read(op, i%sc.Clients, tr, paths[fileIdx], off, n, want, nil)
 	switch a.Outcome {
 	case core.ReadOK:
 		return "ok"

@@ -39,6 +39,7 @@ type Ino int64
 type Inode struct {
 	ino    Ino
 	isDir  bool
+	path   string // the path it was created under, for error text
 	chunks data.Concat
 	// content is chunks boxed by the first read after a change, so neither
 	// an append nor a repeated read converts chunks to an interface.
@@ -67,7 +68,7 @@ type FS struct {
 // New creates an empty file system.
 func New() *FS {
 	fs := &FS{nextIno: 1}
-	fs.root = &Inode{ino: 1, isDir: true, entries: make(map[string]*Inode)}
+	fs.root = &Inode{ino: 1, isDir: true, path: "/", entries: make(map[string]*Inode)}
 	return fs
 }
 
@@ -81,9 +82,9 @@ func splitPath(path string) []string {
 	return parts
 }
 
-// lookup resolves a path to its inode. It walks the components in place, so
+// Stat resolves a path to its inode. It walks the components in place, so
 // a lookup that hits allocates nothing.
-func (fs *FS) lookup(path string) (*Inode, error) {
+func (fs *FS) Stat(path string) (*Inode, error) {
 	cur := fs.root
 	for rest := path; rest != ""; {
 		var part string
@@ -131,7 +132,8 @@ func (fs *FS) MkdirAll(path string) error {
 		next, ok := cur.entries[part]
 		if !ok {
 			fs.nextIno++
-			next = &Inode{ino: fs.nextIno, isDir: true, entries: make(map[string]*Inode)}
+			dir := strings.TrimSuffix(cur.path, "/") + "/" + part
+			next = &Inode{ino: fs.nextIno, isDir: true, path: dir, entries: make(map[string]*Inode)}
 			cur.entries[part] = next
 		} else if !next.isDir {
 			return fmt.Errorf("%w: %s", ErrNotDir, path)
@@ -151,18 +153,17 @@ func (fs *FS) Create(path string) (*Inode, error) {
 		return nil, fmt.Errorf("%w: %s", ErrExist, path)
 	}
 	fs.nextIno++
-	node := &Inode{ino: fs.nextIno}
+	node := &Inode{ino: fs.nextIno, path: path}
 	node.setChunks(nil, 0)
 	dir.entries[name] = node
 	return node, nil
 }
 
-// AppendNode adds a window of content to the end of a file inode already
-// resolved from path (path only names it in errors), so a caller holding
-// one walks no path.
-func AppendNode(node *Inode, path string, s data.Slice) error {
+// AppendNode adds a window of content to the end of a file inode, so a
+// caller holding one walks no path.
+func AppendNode(node *Inode, s data.Slice) error {
 	if node.isDir {
-		return fmt.Errorf("%w: %s", ErrIsDir, path)
+		return fmt.Errorf("%w: %s", ErrIsDir, node.path)
 	}
 	node.setChunks(append(node.chunks, s), node.size+s.Len())
 	return nil
@@ -170,7 +171,7 @@ func AppendNode(node *Inode, path string, s data.Slice) error {
 
 // WriteFile creates (or replaces) a file with the given content.
 func (fs *FS) WriteFile(path string, c data.Content) error {
-	if node, err := fs.lookup(path); err == nil {
+	if node, err := fs.Stat(path); err == nil {
 		if node.isDir {
 			return fmt.Errorf("%w: %s", ErrIsDir, path)
 		}
@@ -185,11 +186,10 @@ func (fs *FS) WriteFile(path string, c data.Content) error {
 	return nil
 }
 
-// ReadNode returns the byte window [off, off+n) of a file inode already
-// resolved from path (path only names it in errors), so a caller holding
-// one walks no path.
-func ReadNode(node *Inode, path string, off, n int64) (data.Slice, error) {
-	return readInode(node, off, n, node.size, path)
+// ReadNode returns the byte window [off, off+n) of a file inode, so a
+// caller holding one walks no path.
+func ReadNode(node *Inode, off, n int64) (data.Slice, error) {
+	return readInode(node, off, n, node.size, node.path)
 }
 
 func readInode(node *Inode, off, n, limit int64, path string) (data.Slice, error) {
@@ -204,9 +204,6 @@ func readInode(node *Inode, off, n, limit int64, path string) (data.Slice, error
 	}
 	return data.Slice{C: node.content, Off: off, N: n}, nil
 }
-
-// Stat returns the inode for path.
-func (fs *FS) Stat(path string) (*Inode, error) { return fs.lookup(path) }
 
 // Remove deletes a file or empty directory.
 func (fs *FS) Remove(path string) error {
@@ -301,7 +298,7 @@ func (m *HostMount) RefreshAll() {
 // per-new-block update that vRead_update performs. It reports whether the
 // path exists in the live FS.
 func (m *HostMount) RefreshPath(path string) bool {
-	node, err := m.fs.lookup(path)
+	node, err := m.fs.Stat(path)
 	if err != nil || node.isDir {
 		delete(m.dentries, canonical(path))
 		return false

@@ -12,11 +12,11 @@ import (
 
 // readAt returns the byte window [off, off+n) of the file at path.
 func readAt(fs *FS, path string, off, n int64) (data.Slice, error) {
-	node, err := fs.lookup(path)
+	node, err := fs.Stat(path)
 	if err != nil {
 		return data.Slice{}, err
 	}
-	return ReadNode(node, path, off, n)
+	return ReadNode(node, off, n)
 }
 
 func newHadoopFS(t *testing.T) *FS {
@@ -56,7 +56,7 @@ func TestAppendAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := AppendNode(node, "/hadoop/dfs/data/blk_2", data.NewSlice(data.Bytes(fmt.Sprintf("part%d|", i)))); err != nil {
+		if err := AppendNode(node, data.NewSlice(data.Bytes(fmt.Sprintf("part%d|", i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestMountSnapshotSizeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendNode(node, "/hadoop/dfs/data/blk", data.NewSlice(data.Bytes("6789"))); err != nil {
+	if err := AppendNode(node, data.NewSlice(data.Bytes("6789"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.ReadAt("/hadoop/dfs/data/blk", 0, 9); !errors.Is(err, ErrRange) {

@@ -568,31 +568,33 @@ func (end *connEnd) reply(payload data.Slice, meta segMeta) {
 // ---------------------------------------------------------------------------
 // File layer.
 
-// ReadFileAt reads [off, off+n) of a file on the VM's disk through the guest
-// page cache; misses go to virtio-blk. This is the paper's "local read"
-// baseline: 2 copies (device→kernel via the virtqueue, kernel→user here).
-func (k *Kernel) ReadFileAt(p *sim.Proc, path string, off, n int64) (data.Slice, error) {
-	return k.ReadFileAtT(p, nil, path, off, n)
-}
-
-// ReadFileAtT is ReadFileAt attributed to a request trace: the read becomes
-// one guest-layer span, page-cache hits and misses become events, and the
-// virtio-blk round trip charges against the request. It is a thin Proc
-// wrapper over ReadFileAtThen.
-func (k *Kernel) ReadFileAtT(p *sim.Proc, tr *trace.Trace, path string, off, n int64) (data.Slice, error) {
+// ReadFileAt reads [off, off+n) of an open file on the VM's disk through
+// the guest page cache; misses go to virtio-blk. This is the paper's "local
+// read" baseline: 2 copies (device→kernel via the virtqueue, kernel→user
+// here). The caller resolved node once, at open, as a descriptor holds its
+// inode: a file removed since still reads. Under a request trace tr (nil
+// for none) the read becomes one guest-layer span, page-cache hits and
+// misses become events, and the virtio-blk round trip charges against the
+// request. It is a thin Proc wrapper over ReadFileAtThen.
+func (k *Kernel) ReadFileAt(p *sim.Proc, tr *trace.Trace, node *fsim.Inode, off, n int64) (data.Slice, error) {
 	op := k.takeOp()
-	k.ReadFileAtThen(op, tr, path, off, n, p.ArmInline())
+	k.ReadFileAtThen(op, tr, node, off, n, p.ArmInline())
 	p.Await()
 	k.spare = op
 	return op.S, op.Err
 }
 
-// AppendFile appends content to a file: user→kernel copy, page-cache
-// insertion, and asynchronous writeback to virtio-blk. It is a thin Proc
-// wrapper over AppendFileThen.
+// AppendFile appends content to the file at path: user→kernel copy,
+// page-cache insertion, and asynchronous writeback to virtio-blk. It
+// resolves path, then is a thin Proc wrapper over AppendFileThen.
 func (k *Kernel) AppendFile(p *sim.Proc, path string, c data.Content) error {
+	node, err := k.fs.Stat(path)
+	if err != nil {
+		k.vcpu.Run(p, syscallCycles+copyCycles(c.Len()), k.appTag)
+		return err
+	}
 	op := k.takeOp()
-	k.AppendFileThen(op, path, data.NewSlice(c), p.ArmInline())
+	k.AppendFileThen(op, node, data.NewSlice(c), p.ArmInline())
 	p.Await()
 	k.spare = op
 	return op.Err
@@ -606,7 +608,7 @@ func (k *Kernel) takeOp() (op *FileOp) {
 	return op
 }
 
-// FileOp is a ReadFileAtT or AppendFile in continuation form, with the
+// FileOp is a ReadFileAt or AppendFile in continuation form, with the
 // result in S and Err once done has run; its owner runs one at a time.
 type FileOp struct {
 	S   data.Slice
@@ -618,7 +620,6 @@ type FileOp struct {
 	issue  func(n int64, done func()) bool // readahead submit, bound once
 	tr     *trace.Trace
 	sp     int
-	path   string
 	node   *fsim.Inode
 	off, n int64
 	c      data.Slice
@@ -626,41 +627,36 @@ type FileOp struct {
 }
 
 // start takes one call's arguments; sp is its span, which read ends.
-func (op *FileOp) start(k *Kernel, tr *trace.Trace, sp int, path string, done func()) {
+func (op *FileOp) start(k *Kernel, tr *trace.Trace, sp int, node *fsim.Inode, done func()) {
 	if op.issue == nil {
 		op.st.Bind(k.env, op)
 		op.issue = op.readahead
 	}
-	op.k, op.tr, op.sp, op.path, op.done, op.S = k, tr, sp, path, done, data.Slice{}
+	op.k, op.tr, op.sp, op.node, op.done, op.S = k, tr, sp, node, done, data.Slice{}
 }
 
 // readahead submits one readahead window of the file to the disk.
 func (op *FileOp) readahead(n int64, done func()) bool { return op.k.blk.TryReadAsyncT(op.tr, n, done) }
 
-// ReadFileAtThen is ReadFileAtT in continuation form: done runs where
-// ReadFileAtT would have returned, with the result in op.S and op.Err.
-func (k *Kernel) ReadFileAtThen(op *FileOp, tr *trace.Trace, path string, off, n int64, done func()) {
+// ReadFileAtThen is ReadFileAt in continuation form: done runs where
+// ReadFileAt would have returned, with the result in op.S and op.Err.
+func (k *Kernel) ReadFileAtThen(op *FileOp, tr *trace.Trace, node *fsim.Inode, off, n int64, done func()) {
 	sp := tr.Begin(trace.LayerGuest, "file-read")
-	op.start(k, tr, sp, path, done)
+	op.start(k, tr, sp, node, done)
 	op.off, op.n = off, n
-	op.st.Charge(k.vcpu, syscallCycles, k.appTag, tr, (*FileOp).lookup)
+	op.st.Charge(k.vcpu, syscallCycles, k.appTag, tr, (*FileOp).cached)
 }
 
-func (op *FileOp) lookup() {
-	k, tr := op.k, op.tr
-	node, err := k.fs.Stat(op.path)
-	if err != nil {
-		tr.EndSpan(op.sp, 0)
-		op.finish(err)
-		return
-	}
-	op.node = node
-	hit, miss := k.cache.Lookup(int64(node.Ino()), op.off, op.n)
+// cached looks the range up in the page cache.
+//
+//lint:hotpath
+func (op *FileOp) cached() {
+	hit, miss := op.k.cache.Lookup(int64(op.node.Ino()), op.off, op.n)
 	if hit > 0 {
-		tr.Event(trace.LayerGuest, "page-cache-hit", hit)
+		op.tr.Event(trace.LayerGuest, "page-cache-hit", hit)
 	}
 	if miss > 0 {
-		tr.Event(trace.LayerGuest, "page-cache-miss", miss)
+		op.tr.Event(trace.LayerGuest, "page-cache-miss", miss)
 		op.miss()
 		return
 	}
@@ -697,7 +693,7 @@ func (op *FileOp) advance() {
 }
 
 func (op *FileOp) read() {
-	op.S, op.Err = fsim.ReadNode(op.node, op.path, op.off, op.n)
+	op.S, op.Err = fsim.ReadNode(op.node, op.off, op.n)
 	op.tr.EndSpan(op.sp, op.n)
 	op.finish(op.Err)
 }
@@ -708,26 +704,23 @@ func (op *FileOp) finish(err error) {
 	done()
 }
 
-// AppendFileThen is AppendFile of a window in continuation form: done runs
-// where AppendFile would have returned, with its error in op.Err.
-func (k *Kernel) AppendFileThen(op *FileOp, path string, c data.Slice, done func()) {
-	op.start(k, nil, -1, path, done)
+// AppendFileThen appends a window to an open file in continuation form:
+// done runs where AppendFile would have returned, with its error in op.Err.
+func (k *Kernel) AppendFileThen(op *FileOp, node *fsim.Inode, c data.Slice, done func()) {
+	op.start(k, nil, -1, node, done)
 	op.c = c
 	op.st.Charge(k.vcpu, syscallCycles+copyCycles(c.Len()), k.appTag, nil, (*FileOp).append)
 }
 
 func (op *FileOp) append() {
-	k, n := op.k, op.c.Len()
-	node, err := k.fs.Stat(op.path)
-	if err == nil {
-		oldSize := node.Size()
-		if err = fsim.AppendNode(node, op.path, op.c); err == nil {
-			k.cache.Insert(int64(node.Ino()), oldSize, n)
-			k.blk.Transfer(&op.blk, nil, n, true, op.st.Direct((*FileOp).appended))
-			return
-		}
+	k, node, n := op.k, op.node, op.c.Len()
+	oldSize := node.Size()
+	if err := fsim.AppendNode(node, op.c); err != nil {
+		op.finish(err)
+		return
 	}
-	op.finish(err)
+	k.cache.Insert(int64(node.Ino()), oldSize, n)
+	k.blk.Transfer(&op.blk, nil, n, true, op.st.Direct((*FileOp).appended))
 }
 
 //lint:hotpath

@@ -252,13 +252,17 @@ func TestFileReadCacheAndDisk(t *testing.T) {
 	if err := vm.FS.WriteFile("/data/blk", content); err != nil {
 		t.Fatal(err)
 	}
+	node, err := vm.FS.Stat("/data/blk")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var cold, warm time.Duration
 	var coldReads int64
 	c.Go("reader", func(p *sim.Proc) {
 		k := vm.Kernel
 		start := c.Env.Now()
-		s, err := k.ReadFileAt(p, "/data/blk", 0, content.Size)
+		s, err := k.ReadFileAt(p, nil, node, 0, content.Size)
 		if err != nil {
 			t.Error(err)
 			return
@@ -270,7 +274,7 @@ func TestFileReadCacheAndDisk(t *testing.T) {
 		coldReads = vm.Host.Disk.Stats().Reads
 
 		start = c.Env.Now()
-		if _, err := k.ReadFileAt(p, "/data/blk", 0, content.Size); err != nil {
+		if _, err := k.ReadFileAt(p, nil, node, 0, content.Size); err != nil {
 			t.Error(err)
 		}
 		warm = c.Env.Now() - start
@@ -280,7 +284,7 @@ func TestFileReadCacheAndDisk(t *testing.T) {
 
 		// Drop caches: next read hits the disk again.
 		k.DropCaches()
-		if _, err := k.ReadFileAt(p, "/data/blk", 0, content.Size); err != nil {
+		if _, err := k.ReadFileAt(p, nil, node, 0, content.Size); err != nil {
 			t.Error(err)
 		}
 		if vm.Host.Disk.Stats().Reads == coldReads {

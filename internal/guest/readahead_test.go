@@ -26,6 +26,10 @@ func TestReadaheadAcceleratesSequential(t *testing.T) {
 	if err := vm.FS.WriteFile("/d/f", data.Pattern{Seed: 1, Size: fileSize}); err != nil {
 		t.Fatal(err)
 	}
+	node, err := vm.FS.Stat("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var seq, scattered time.Duration
 	done := false
@@ -34,7 +38,7 @@ func TestReadaheadAcceleratesSequential(t *testing.T) {
 		k.DropCaches()
 		start := c.Env.Now()
 		for off := int64(0); off < fileSize; off += chunk {
-			if _, err := k.ReadFileAt(p, "/d/f", off, chunk); err != nil {
+			if _, err := k.ReadFileAt(p, nil, node, off, chunk); err != nil {
 				t.Error(err)
 				return
 			}
@@ -47,7 +51,7 @@ func TestReadaheadAcceleratesSequential(t *testing.T) {
 		const stride = 1 << 20
 		for s := int64(0); s < stride; s += chunk {
 			for off := s; off < fileSize; off += stride {
-				if _, err := k.ReadFileAt(p, "/d/f", off, chunk); err != nil {
+				if _, err := k.ReadFileAt(p, nil, node, off, chunk); err != nil {
 					t.Error(err)
 					return
 				}
@@ -86,6 +90,10 @@ func TestReadaheadRestartsAfterDropCaches(t *testing.T) {
 	if err := vm.FS.WriteFile("/d/f", data.Pattern{Seed: 2, Size: fileSize}); err != nil {
 		t.Fatal(err)
 	}
+	node, err := vm.FS.Stat("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var first, second time.Duration
 	done := false
 	c.Go("reader", func(p *sim.Proc) {
@@ -93,7 +101,7 @@ func TestReadaheadRestartsAfterDropCaches(t *testing.T) {
 		read := func() time.Duration {
 			start := c.Env.Now()
 			for off := int64(0); off < fileSize; off += 64 << 10 {
-				if _, err := k.ReadFileAt(p, "/d/f", off, 64<<10); err != nil {
+				if _, err := k.ReadFileAt(p, nil, node, off, 64<<10); err != nil {
 					t.Error(err)
 					return 0
 				}

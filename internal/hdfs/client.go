@@ -142,8 +142,8 @@ type FileReader struct {
 	blocks  []BlockInfo
 	size    int64
 	pos     int64
-	stream  *blockStream           // current socket stream (vanilla path)
-	handles map[string]BlockHandle // the vfd hash of Algorithm 1
+	stream  *blockStream            // current socket stream (vanilla path)
+	handles map[BlockID]BlockHandle // the vfd hash of Algorithm 1
 }
 
 // Open fetches block locations and returns a reader positioned at 0.
@@ -163,7 +163,7 @@ func (c *Client) Open(p *sim.Proc, path string) (*FileReader, error) {
 		path:    path,
 		blocks:  blocks,
 		size:    size,
-		handles: make(map[string]BlockHandle),
+		handles: make(map[BlockID]BlockHandle),
 	}, nil
 }
 
@@ -288,15 +288,19 @@ func (r *FileReader) readFromReplica(p *sim.Proc, tr *trace.Trace, blk BlockInfo
 	// HDFS-2246 short-circuit: client and datanode share the VM.
 	if r.c.cfg.ShortCircuit && dn == r.c.kernel.Name() {
 		tr.Event(trace.LayerClient, "path:short-circuit", n)
-		return r.c.kernel.ReadFileAtT(p, tr, blockPath(blk.ID), off, n)
+		node, err := r.c.kernel.FS().Stat(blockPath(blk.ID))
+		if err != nil {
+			return data.Slice{}, err
+		}
+		return r.c.kernel.ReadFileAt(p, tr, node, off, n)
 	}
 
 	// vRead path (Algorithm 1 lines 10–19).
 	if r.c.reader != nil {
-		h, ok := r.handles[blk.BlockName()]
+		h, ok := r.handles[blk.ID]
 		if !ok {
 			if vfd, opened := r.c.reader.OpenBlock(p, tr, r.c.kernel, blk, dn); opened {
-				r.handles[blk.BlockName()] = vfd
+				r.handles[blk.ID] = vfd
 				h = vfd
 			}
 		}
@@ -308,7 +312,7 @@ func (r *FileReader) readFromReplica(p *sim.Proc, tr *trace.Trace, blk BlockInfo
 			}
 			// Broken descriptor: drop it and fall through to the socket.
 			h.Close(p, tr)
-			delete(r.handles, blk.BlockName())
+			delete(r.handles, blk.ID)
 		}
 	}
 
@@ -424,9 +428,9 @@ func (r *FileReader) oneShotRead(p *sim.Proc, tr *trace.Trace, blk BlockInfo, dn
 }
 
 func (r *FileReader) closeHandle(p *sim.Proc, tr *trace.Trace, blk BlockInfo) {
-	if h, ok := r.handles[blk.BlockName()]; ok {
+	if h, ok := r.handles[blk.ID]; ok {
 		h.Close(p, tr)
-		delete(r.handles, blk.BlockName())
+		delete(r.handles, blk.ID)
 	}
 }
 
@@ -439,9 +443,9 @@ func (r *FileReader) dropStream(p *sim.Proc) {
 
 // Close releases descriptors and streams.
 func (r *FileReader) Close(p *sim.Proc) {
-	for name, h := range r.handles {
+	for id, h := range r.handles {
 		h.Close(p, nil)
-		delete(r.handles, name)
+		delete(r.handles, id)
 	}
 	r.dropStream(p)
 }

@@ -5,6 +5,7 @@ import (
 
 	"vread/internal/cpusched"
 	"vread/internal/data"
+	"vread/internal/fsim"
 	"vread/internal/guest"
 	"vread/internal/metrics"
 	"vread/internal/sim"
@@ -74,7 +75,7 @@ type xceiver struct {
 	st         cpusched.Steps[*xceiver]
 	file       guest.FileOp
 	tr         *trace.Trace
-	path       string
+	node       *fsim.Inode // the block file, resolved once per request
 	write      bool
 	off, n     int64
 	moved      int64 // bytes streamed so far
@@ -100,7 +101,7 @@ func (x *xceiver) nextPacket() {
 	case x.write:
 		x.conn.RecvFullThen(pkt, x.st.Direct((*xceiver).received))
 	default:
-		x.dn.kernel.ReadFileAtThen(&x.file, x.tr, x.path, x.off+x.moved, pkt, x.st.Direct((*xceiver).readDone))
+		x.dn.kernel.ReadFileAtThen(&x.file, x.tr, x.node, x.off+x.moved, pkt, x.st.Direct((*xceiver).readDone))
 	}
 }
 
@@ -133,7 +134,7 @@ func (x *xceiver) received() {
 
 //lint:hotpath
 func (x *xceiver) store() {
-	x.dn.kernel.AppendFileThen(&x.file, x.path, x.pkt, x.st.Direct((*xceiver).forward))
+	x.dn.kernel.AppendFileThen(&x.file, x.node, x.pkt, x.st.Direct((*xceiver).forward))
 }
 
 func (x *xceiver) forward() {
@@ -202,8 +203,8 @@ func (dn *DataNode) handleRead(p *sim.Proc, x *xceiver, req readReq) bool {
 	// segment arrived, so server-side work attributes to that request.
 	tr := conn.Trace()
 	dn.kernel.VCPU().RunT(p, requestCycles, metrics.TagDatanodeApp, tr)
-	path := blockPath(req.id)
-	if _, err := dn.kernel.FS().Stat(path); err != nil {
+	node, err := dn.kernel.FS().Stat(blockPath(req.id))
+	if err != nil {
 		_ = conn.Send(p, encodeResp(statusErr, 0))
 		conn.Close(p)
 		return false
@@ -213,7 +214,7 @@ func (dn *DataNode) handleRead(p *sim.Proc, x *xceiver, req readReq) bool {
 		tr.EndSpan(sp, 0)
 		return false
 	}
-	x.tr, x.path, x.off, x.n = tr, path, req.off, req.n
+	x.tr, x.node, x.off, x.n = tr, node, req.off, req.n
 	x.stream(p, false)
 	tr.EndSpan(sp, x.moved)
 	if x.failed {
@@ -234,26 +235,24 @@ func (dn *DataNode) handleWrite(p *sim.Proc, x *xceiver, req writeReq) {
 	conn := x.conn
 	dn.kernel.VCPU().Run(p, requestCycles, metrics.TagDatanodeApp)
 	path := blockPath(req.id)
-	if err := dn.kernel.CreateFile(p, path); err != nil {
+	err := dn.kernel.CreateFile(p, path)
+	var node *fsim.Inode
+	if err == nil {
+		node, err = dn.kernel.FS().Stat(path)
+	}
+	// Open the downstream pipeline before receiving data.
+	var next *guest.Conn
+	if err == nil && len(req.targets) > 0 {
+		if next, err = dn.kernel.Dial(p, req.targets[0], DataPort); err == nil {
+			err = next.Send(p, encodeWriteReq(writeReq{id: req.id, n: req.n, targets: req.targets[1:]}))
+		}
+	}
+	if err != nil {
 		_ = conn.Send(p, encodeAck(statusErr))
 		conn.Close(p)
 		return
 	}
-	// Open the downstream pipeline before receiving data.
-	var next *guest.Conn
-	if len(req.targets) > 0 {
-		var err error
-		next, err = dn.kernel.Dial(p, req.targets[0], DataPort)
-		if err == nil {
-			err = next.Send(p, encodeWriteReq(writeReq{id: req.id, n: req.n, targets: req.targets[1:]}))
-		}
-		if err != nil {
-			_ = conn.Send(p, encodeAck(statusErr))
-			conn.Close(p)
-			return
-		}
-	}
-	x.tr, x.path, x.n, x.next = nil, path, req.n, next
+	x.tr, x.node, x.n, x.next = nil, node, req.n, next
 	x.stream(p, true)
 	if x.failed {
 		conn.Close(p)

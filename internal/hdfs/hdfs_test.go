@@ -203,7 +203,7 @@ func TestReplicationPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", dn.Name(), err)
 		}
-		s, err := fsim.ReadNode(node, hdfs.BlockPath(1), 0, content.Size)
+		s, err := fsim.ReadNode(node, 0, content.Size)
 		if err != nil {
 			t.Fatalf("%s: %v", dn.Name(), err)
 		}
@@ -407,9 +407,14 @@ func TestColocatedVsLocalDelayMotivation(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		node, err := vm.FS.Stat("/local/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		vm.Kernel.DropCaches()
 		start = tc.c.Env.Now()
-		if _, err := vm.Kernel.ReadFileAt(p, "/local/f", 0, content.Size); err != nil {
+		if _, err := vm.Kernel.ReadFileAt(p, nil, node, 0, content.Size); err != nil {
 			t.Error(err)
 			return
 		}

@@ -134,6 +134,22 @@ func TestXceiverBranches(t *testing.T) {
 				panic(fmt.Sprintf("served %d bytes of an abandoned stream", got))
 			}
 		}, xceiverRun{2749, 104372558, 347}},
+		{"read-block-removed-mid-stream", cluster.Params{}, 1, func(tc *testCluster, p *sim.Proc) {
+			// The session resolved the block file at open, so, like a Linux
+			// reader holding it open, it streams every byte after a remove.
+			blk := write(tc, p)
+			conn := dial(tc, p, "dn1")
+			if err := conn.Send(p, rawHeader(32, []uint64{1, uint64(blk.ID), 0, uint64(content.Size)})); err != nil {
+				panic(err)
+			}
+			expect(conn, p, resp(0, uint64(content.Size)))
+			expect(conn, p, data.NewSlice(content).Sub(0, 64<<10))
+			if err := tc.dn1.Kernel().RemoveFile(p, hdfs.BlockPath(blk.ID)); err != nil {
+				panic(err)
+			}
+			expect(conn, p, data.NewSlice(content).Sub(64<<10, content.Size-64<<10))
+			conn.Close(p)
+		}, xceiverRun{4637, 20187136, 104}},
 		{"writer-closes-mid-block", cluster.Params{}, 1, func(tc *testCluster, p *sim.Proc) {
 			conn := dial(tc, p, "dn1")
 			if err := conn.Send(p, rawHeader(128, []uint64{2, 4244, 256 << 10, 0})); err != nil {

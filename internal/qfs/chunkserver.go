@@ -97,8 +97,8 @@ func (cs *ChunkServer) handle(p *sim.Proc, conn *guest.Conn) {
 }
 
 func (cs *ChunkServer) handleRead(p *sim.Proc, conn *guest.Conn, id ChunkID, off, n int64) bool {
-	path := id.Path()
-	if _, err := cs.kernel.FS().Stat(path); err != nil {
+	node, err := cs.kernel.FS().Stat(id.Path())
+	if err != nil {
 		return false
 	}
 	sent := int64(0)
@@ -107,7 +107,7 @@ func (cs *ChunkServer) handleRead(p *sim.Proc, conn *guest.Conn, id ChunkID, off
 		if pkt > packetBytes {
 			pkt = packetBytes
 		}
-		s, err := cs.kernel.ReadFileAt(p, path, off+sent, pkt)
+		s, err := cs.kernel.ReadFileAt(p, nil, node, off+sent, pkt)
 		if err != nil {
 			conn.Close(p)
 			return false
